@@ -1,8 +1,8 @@
 // Package repro's top-level benchmarks: one benchmark per experiment in the
-// paper's evaluation (E1–E8, see DESIGN.md). Each benchmark measures the
-// operation the corresponding table or figure reports, with workload setup
-// outside the timed region; cmd/wowbench prints the full tables with the
-// parameter sweeps.
+// paper's evaluation (E1–E8, see docs/ARCHITECTURE.md §8). Each benchmark
+// measures the operation the corresponding table or figure reports, with
+// workload setup outside the timed region; cmd/wowbench prints the full
+// tables with the parameter sweeps.
 package repro
 
 import (

@@ -17,7 +17,9 @@
 // statement — the shared-plan-cache serving path.
 //
 // The experiment index (what each table/figure measures and which modules it
-// exercises) is in DESIGN.md; measured results are recorded in EXPERIMENTS.md.
+// exercises) is docs/ARCHITECTURE.md §8 and the comment on each RunE* function
+// in internal/harness; measured results are recorded in BENCH_E14.json to
+// BENCH_E17.json at the root.
 package main
 
 import (

@@ -3,12 +3,13 @@
 // keyed by order-preserving byte strings (see types.EncodeKey) whose leaves
 // hold record identifiers.
 //
-// Leaves are chained, so range scans — the access path behind query-by-form
-// predicates such as "credit > 1000" and behind ordered browsing — walk the
-// leaf level without touching the interior. Deletion is implemented lazily:
-// entries are removed from leaves but nodes are not merged, which keeps the
-// tree correct (a standard trade-off for indexes that shrink rarely, as the
-// interactive workloads here do).
+// Leaves are chained in both directions, so range scans — the access path
+// behind query-by-form predicates such as "credit > 1000" and behind ordered
+// browsing — read the leaf level a leaf at a time through a Cursor, forwards
+// or backwards. Deletion is implemented lazily: entries are removed from
+// leaves but nodes are not merged, which keeps the tree correct (a standard
+// trade-off for indexes that shrink rarely, as the interactive workloads here
+// do).
 package btree
 
 import (
@@ -46,8 +47,8 @@ type leafNode struct {
 	keys [][]byte
 	// vals[i] holds every record with keys[i]; len(vals[i]) > 1 only in
 	// non-unique indexes.
-	vals [][]storage.RecordID
-	next *leafNode
+	vals       [][]storage.RecordID
+	next, prev *leafNode
 }
 
 func (*leafNode) isLeaf() bool { return true }
@@ -133,6 +134,10 @@ func (t *Tree) insert(n node, key []byte, rid storage.RecordID) (promoted []byte
 			keys: append([][]byte(nil), n.keys[mid:]...),
 			vals: append([][]storage.RecordID(nil), n.vals[mid:]...),
 			next: n.next,
+			prev: n,
+		}
+		if n.next != nil {
+			n.next.prev = sibling
 		}
 		n.keys = n.keys[:mid:mid]
 		n.vals = n.vals[:mid:mid]
@@ -228,60 +233,6 @@ func (t *Tree) findLeaf(key []byte) *leafNode {
 	}
 }
 
-// Entry is one (key, records) pair produced by a range scan.
-type Entry struct {
-	Key     []byte
-	Records []storage.RecordID
-}
-
-// Scan visits entries with low <= key < high in ascending key order and calls
-// fn for each; fn returning false stops the scan. A nil low starts at the
-// smallest key; a nil high scans to the end.
-func (t *Tree) Scan(low, high []byte, fn func(Entry) bool) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	t.scanLocked(low, high, fn)
-}
-
-// scanLocked is Scan's body; the caller must hold t.mu.
-func (t *Tree) scanLocked(low, high []byte, fn func(Entry) bool) {
-	var leaf *leafNode
-	start := 0
-	if low == nil {
-		leaf = t.leftmostLeaf()
-	} else {
-		leaf = t.findLeaf(low)
-		start, _ = findKey(leaf.keys, low)
-	}
-	for leaf != nil {
-		for i := start; i < len(leaf.keys); i++ {
-			if high != nil && bytes.Compare(leaf.keys[i], high) >= 0 {
-				return
-			}
-			recs := make([]storage.RecordID, len(leaf.vals[i]))
-			copy(recs, leaf.vals[i])
-			if !fn(Entry{Key: leaf.keys[i], Records: recs}) {
-				return
-			}
-		}
-		leaf = leaf.next
-		start = 0
-	}
-}
-
-// ScanAll visits every entry in ascending key order.
-func (t *Tree) ScanAll(fn func(Entry) bool) { t.Scan(nil, nil, fn) }
-
-// Range collects every record identifier with low <= key < high, in key order.
-func (t *Tree) Range(low, high []byte) []storage.RecordID {
-	var out []storage.RecordID
-	t.Scan(low, high, func(e Entry) bool {
-		out = append(out, e.Records...)
-		return true
-	})
-	return out
-}
-
 // Min returns the smallest key in the tree, or nil when empty.
 func (t *Tree) Min() []byte {
 	t.mu.RLock()
@@ -304,6 +255,17 @@ func (t *Tree) leftmostLeaf() *leafNode {
 			return n.(*leafNode)
 		}
 		n = inner.children[0]
+	}
+}
+
+func (t *Tree) rightmostLeaf() *leafNode {
+	n := t.root
+	for {
+		inner, ok := n.(*innerNode)
+		if !ok {
+			return n.(*leafNode)
+		}
+		n = inner.children[len(inner.children)-1]
 	}
 }
 
@@ -347,28 +309,33 @@ func insertChildAt(s []node, i int, v node) []node {
 }
 
 // Validate checks structural invariants (key ordering within and across
-// leaves, child counts in inner nodes) and returns an error describing the
-// first violation. It exists for tests and the property-based suite.
+// leaves, the leaf chain linked consistently in both directions and ending at
+// the rightmost leaf, the entry count, child counts in inner nodes) and
+// returns an error describing the first violation. It exists for tests and
+// the property-based suite.
 func (t *Tree) Validate() error {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	var prev []byte
-	count := 0
-	leaf := t.leftmostLeaf()
-	for leaf != nil {
-		for _, k := range leaf.keys {
+	var prevLeaf *leafNode
+	entries := 0
+	for leaf := t.leftmostLeaf(); leaf != nil; prevLeaf, leaf = leaf, leaf.next {
+		if leaf.prev != prevLeaf {
+			return fmt.Errorf("btree: leaf chain's back link does not mirror its forward link")
+		}
+		for i, k := range leaf.keys {
 			if prev != nil && bytes.Compare(prev, k) >= 0 {
 				return fmt.Errorf("btree: keys out of order: %q before %q", prev, k)
 			}
 			prev = k
-			count++
+			entries += len(leaf.vals[i])
 		}
-		leaf = leaf.next
 	}
-	keyCount := 0
-	t.scanLocked(nil, nil, func(Entry) bool { keyCount++; return true })
-	if keyCount != count {
-		return fmt.Errorf("btree: scan saw %d keys, leaf chain has %d", keyCount, count)
+	if prevLeaf != t.rightmostLeaf() {
+		return fmt.Errorf("btree: leaf chain does not end at the rightmost leaf")
+	}
+	if entries != t.size {
+		return fmt.Errorf("btree: leaf chain holds %d entries, size says %d", entries, t.size)
 	}
 	return validateNode(t.root)
 }

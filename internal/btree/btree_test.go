@@ -113,38 +113,50 @@ func TestDelete(t *testing.T) {
 	}
 }
 
-func TestScanRange(t *testing.T) {
+// scan drains a cursor over r into a copy of its entries.
+func scan(tr *Tree, r Range) []Entry {
+	var out []Entry
+	c := tr.Cursor(r)
+	for batch := c.Next(); batch != nil; batch = c.Next() {
+		for _, e := range batch {
+			out = append(out, Entry{Key: e.Key, Records: append([]storage.RecordID(nil), e.Records...)})
+		}
+	}
+	return out
+}
+
+func TestCursorRange(t *testing.T) {
 	tr := New(true)
 	for i := 0; i < 1000; i++ {
 		_ = tr.Insert(intKey(int64(i)), rid(i))
 	}
-	got := tr.Range(intKey(100), intKey(200))
+	got := scan(tr, Range{Low: intKey(100), High: intKey(200), HighOpen: true})
 	if len(got) != 100 {
-		t.Fatalf("Range returned %d records, want 100", len(got))
+		t.Fatalf("[100, 200) returned %d entries, want 100", len(got))
 	}
-	for i, r := range got {
-		if r != rid(100+i) {
-			t.Errorf("Range[%d] = %v, want %v", i, r, rid(100+i))
+	for i, e := range got {
+		if len(e.Records) != 1 || e.Records[0] != rid(100+i) {
+			t.Errorf("entry %d = %v, want %v", i, e.Records, rid(100+i))
 		}
 	}
+	back := scan(tr, Range{Low: intKey(100), High: intKey(200), HighOpen: true, Reverse: true})
+	if len(back) != 100 || back[0].Records[0] != rid(199) || back[99].Records[0] != rid(100) {
+		t.Errorf("[100, 200) reversed = %d entries from %v", len(back), back[0].Records)
+	}
 	// Open-ended scans.
-	if n := len(tr.Range(nil, intKey(10))); n != 10 {
-		t.Errorf("Range(nil, 10) = %d", n)
+	if n := len(scan(tr, Range{High: intKey(10), HighOpen: true})); n != 10 {
+		t.Errorf("(.., 10) = %d", n)
 	}
-	if n := len(tr.Range(intKey(990), nil)); n != 10 {
-		t.Errorf("Range(990, nil) = %d", n)
+	if n := len(scan(tr, Range{Low: intKey(990)})); n != 10 {
+		t.Errorf("[990, ..) = %d", n)
 	}
-	if n := len(tr.Range(nil, nil)); n != 1000 {
-		t.Errorf("Range(nil, nil) = %d", n)
+	if n := len(scan(tr, Range{})); n != 1000 {
+		t.Errorf("unbounded = %d", n)
 	}
-	// Early stop.
-	count := 0
-	tr.Scan(nil, nil, func(Entry) bool {
-		count++
-		return count < 5
-	})
-	if count != 5 {
-		t.Errorf("early stop scanned %d", count)
+	// A batch never holds more than one leaf, so a caller that stops after
+	// the first has read at most fanout entries of the thousand.
+	if n := len(tr.Cursor(Range{}).Next()); n == 0 || n > fanout {
+		t.Errorf("first batch holds %d entries", n)
 	}
 }
 
@@ -157,13 +169,12 @@ func TestScanOrderIsSorted(t *testing.T) {
 		}
 	}
 	var prev []byte
-	tr.ScanAll(func(e Entry) bool {
+	for _, e := range scan(tr, Range{}) {
 		if prev != nil && bytes.Compare(prev, e.Key) >= 0 {
 			t.Fatal("scan out of order")
 		}
-		prev = append(prev[:0], e.Key...)
-		return true
-	})
+		prev = e.Key
+	}
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -196,8 +207,8 @@ func TestStringKeys(t *testing.T) {
 	// Range [B, D) should cover Boston and Chicago.
 	low := types.EncodeKey(nil, types.NewString("B"))
 	high := types.EncodeKey(nil, types.NewString("D"))
-	if got := tr.Range(low, high); len(got) != 2 {
-		t.Errorf("Range B-D = %v", got)
+	if got := scan(tr, Range{Low: low, High: high, HighOpen: true}); len(got) != 2 {
+		t.Errorf("[B, D) = %v", got)
 	}
 }
 
@@ -224,17 +235,16 @@ func TestPropertyMatchesSortedMap(t *testing.T) {
 			sortedRef = append(sortedRef, k)
 		}
 		sort.Slice(sortedRef, func(i, j int) bool { return sortedRef[i] < sortedRef[j] })
-		i := 0
-		okOrder := true
-		tr.ScanAll(func(e Entry) bool {
-			if i >= len(sortedRef) || !bytes.Equal(e.Key, intKey(sortedRef[i])) {
-				okOrder = false
+		got := scan(tr, Range{})
+		if len(got) != len(sortedRef) {
+			return false
+		}
+		for i, e := range got {
+			if !bytes.Equal(e.Key, intKey(sortedRef[i])) {
 				return false
 			}
-			i++
-			return true
-		})
-		return okOrder && i == len(sortedRef)
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
@@ -305,23 +315,30 @@ func BenchmarkRangeScan100(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		lo := int64((i * 37) % 99900)
-		if got := tr.Range(intKey(lo), intKey(lo+100)); len(got) != 100 {
-			b.Fatalf("range returned %d", len(got))
+		n := 0
+		c := tr.Cursor(Range{Low: intKey(lo), High: intKey(lo + 100), HighOpen: true})
+		for batch := c.Next(); batch != nil; batch = c.Next() {
+			n += len(batch)
+		}
+		if n != 100 {
+			b.Fatalf("range returned %d", n)
 		}
 	}
 }
 
-func ExampleTree_Scan() {
+func ExampleTree_Cursor() {
 	tr := New(true)
 	for _, name := range []string{"ada", "bob", "cyd"} {
 		_ = tr.Insert(types.EncodeKey(nil, types.NewString(name)), storage.RecordID{})
 	}
-	tr.ScanAll(func(e Entry) bool {
-		fmt.Println(len(e.Records))
-		return true
-	})
+	c := tr.Cursor(Range{Reverse: true})
+	for batch := c.Next(); batch != nil; batch = c.Next() {
+		for _, e := range batch {
+			fmt.Printf("%s %d\n", e.Key[1:4], len(e.Records))
+		}
+	}
 	// Output:
-	// 1
-	// 1
-	// 1
+	// cyd 1
+	// bob 1
+	// ada 1
 }

@@ -1,0 +1,276 @@
+package btree
+
+import (
+	"bytes"
+	"math/rand"
+	"sort"
+	"sync"
+	"testing"
+
+	"repro/internal/storage"
+)
+
+// pair is one (key, rid) entry of the model; keys are small ints so that
+// posting lists and emptied leaves are common.
+type pair struct {
+	key int64
+	rid storage.RecordID
+}
+
+// model is the reference the cursor is checked against: the set of pairs in
+// the tree, kept beside every Insert and Delete.
+type model map[pair]bool
+
+// sorted returns the model's pairs inside r in scan order (ties between the
+// rids of one key are left in any order: the tree promises none).
+func (m model) sorted(r Range) []pair {
+	var out []pair
+	for p := range m {
+		if inRange(intKey(p.key), r) {
+			out = append(out, p)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if r.Reverse {
+			return out[i].key > out[j].key
+		}
+		return out[i].key < out[j].key
+	})
+	return out
+}
+
+// keyDecoder maps the encoding of every int key below n back to the int.
+func keyDecoder(n int64) map[string]int64 {
+	out := make(map[string]int64, n)
+	for k := int64(0); k < n; k++ {
+		out[string(intKey(k))] = k
+	}
+	return out
+}
+
+func inRange(key []byte, r Range) bool {
+	if r.Low != nil {
+		if cmp := bytes.Compare(key, r.Low); cmp < 0 || (cmp == 0 && r.LowOpen) {
+			return false
+		}
+	}
+	if r.High != nil {
+		if cmp := bytes.Compare(key, r.High); cmp > 0 || (cmp == 0 && r.HighOpen) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestCursorAgainstModel scans random ranges in both directions while the
+// tree is edited between batches, and checks the contract: keys come strictly
+// in scan order inside the bounds (nothing repeated or reordered), every pair
+// that was in the tree for the whole scan is returned exactly once, and
+// nothing is returned that was never inserted. With no edits the scan must
+// equal the model exactly.
+func TestCursorAgainstModel(t *testing.T) {
+	const keySpace = 3000
+	keyOf := keyDecoder(keySpace)
+	for seed := int64(1); seed <= 60; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		tr := New(false)
+		m := model{}
+		nextRID := 0
+		insert := func(key int64) {
+			p := pair{key, rid(nextRID)}
+			nextRID++
+			if err := tr.Insert(intKey(p.key), p.rid); err != nil {
+				t.Fatal(err)
+			}
+			m[p] = true
+		}
+		// deleteBand removes every pair with lo <= key < hi: wide bands
+		// leave whole leaves empty in the chain.
+		deleteBand := func(lo, hi int64, onDelete func(pair)) {
+			for p := range m {
+				if p.key >= lo && p.key < hi {
+					if !tr.Delete(intKey(p.key), p.rid) {
+						t.Fatalf("seed %d: delete of %v found nothing", seed, p)
+					}
+					delete(m, p)
+					onDelete(p)
+				}
+			}
+		}
+		for i := 0; i < 1500; i++ {
+			// A third of the inserts reuse a hot key: multi-rid postings.
+			if rng.Intn(3) == 0 {
+				insert(int64(rng.Intn(40)) * 70)
+			} else {
+				insert(int64(rng.Intn(keySpace)))
+			}
+		}
+		if seed%2 == 0 {
+			lo := int64(rng.Intn(keySpace - 600))
+			deleteBand(lo, lo+600, func(pair) {})
+		}
+
+		var r Range
+		lo, hi := int64(rng.Intn(keySpace)), int64(rng.Intn(keySpace))
+		if lo > hi {
+			lo, hi = hi, lo
+		}
+		if rng.Intn(4) != 0 {
+			r.Low, r.LowOpen = intKey(lo), rng.Intn(2) == 0
+		}
+		if rng.Intn(4) != 0 {
+			r.High, r.HighOpen = intKey(hi), rng.Intn(2) == 0
+		}
+		r.Reverse = rng.Intn(2) == 0
+		edits := seed%3 != 0 // every third seed scans a quiet tree
+
+		everInserted := model{}
+		stable := model{}
+		for p := range m {
+			everInserted[p], stable[p] = true, true
+		}
+		var got []pair
+		c := tr.Cursor(r)
+		for batch := c.Next(); batch != nil; batch = c.Next() {
+			if len(batch) > fanout {
+				t.Fatalf("seed %d: a batch of %d entries is more than one leaf", seed, len(batch))
+			}
+			for _, e := range batch {
+				key, ok := keyOf[string(e.Key)]
+				if !ok {
+					t.Fatalf("seed %d: returned key %x is no key of the test", seed, e.Key)
+				}
+				if len(e.Records) == 0 {
+					t.Fatalf("seed %d: key %d returned with no records", seed, key)
+				}
+				for _, id := range e.Records {
+					got = append(got, pair{key, id})
+				}
+			}
+			if !edits {
+				continue
+			}
+			for i := rng.Intn(40); i > 0; i-- {
+				insert(int64(rng.Intn(keySpace)))
+			}
+			for p := range m {
+				everInserted[p] = true
+			}
+			if rng.Intn(3) == 0 {
+				lo := int64(rng.Intn(keySpace))
+				deleteBand(lo, lo+int64(rng.Intn(300)), func(p pair) { delete(stable, p) })
+			}
+		}
+
+		seen := model{}
+		for i, p := range got {
+			if !inRange(intKey(p.key), r) {
+				t.Fatalf("seed %d: key %d is outside %+v", seed, p.key, r)
+			}
+			if seen[p] {
+				t.Fatalf("seed %d: %v returned twice", seed, p)
+			}
+			seen[p] = true
+			if !everInserted[p] {
+				t.Fatalf("seed %d: %v was never inserted", seed, p)
+			}
+			if i > 0 && ((!r.Reverse && p.key < got[i-1].key) || (r.Reverse && p.key > got[i-1].key)) {
+				t.Fatalf("seed %d: key %d after %d, reverse=%v", seed, p.key, got[i-1].key, r.Reverse)
+			}
+		}
+		for _, p := range stable.sorted(r) {
+			if !seen[p] {
+				t.Fatalf("seed %d: %v existed throughout the scan of %+v and was skipped", seed, p, r)
+			}
+		}
+		if !edits {
+			want := m.sorted(r)
+			if len(got) != len(want) {
+				t.Fatalf("seed %d: quiet scan returned %d pairs, model has %d", seed, len(got), len(want))
+			}
+			for i := range want {
+				if got[i].key != want[i].key {
+					t.Fatalf("seed %d: quiet scan position %d is key %d, model says %d", seed, i, got[i].key, want[i].key)
+				}
+			}
+		}
+		if err := tr.Validate(); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+	}
+}
+
+// TestCursorConcurrentWriter scans in both directions while another goroutine
+// inserts and deletes the odd keys: every even key, which nobody touches,
+// must come back exactly once and in order. Run with -race.
+func TestCursorConcurrentWriter(t *testing.T) {
+	const n = 4000
+	tr := New(false)
+	for k := int64(0); k < n; k += 2 {
+		if err := tr.Insert(intKey(k), rid(int(k))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	keyOf := keyDecoder(n)
+	stop := make(chan struct{})
+	var writer sync.WaitGroup
+	writer.Add(1)
+	go func() {
+		defer writer.Done()
+		rng := rand.New(rand.NewSource(7))
+		live := map[int64]bool{}
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			k := int64(rng.Intn(n/2))*2 + 1
+			if live[k] {
+				tr.Delete(intKey(k), rid(int(k)))
+			} else if err := tr.Insert(intKey(k), rid(int(k))); err != nil {
+				t.Error(err)
+				return
+			}
+			live[k] = !live[k]
+		}
+	}()
+	for round := 0; round < 20; round++ {
+		reverse := round%2 == 1
+		want := int64(0)
+		if reverse {
+			want = n - 2
+		}
+		c := tr.Cursor(Range{Reverse: reverse})
+		for batch := c.Next(); batch != nil; batch = c.Next() {
+			for _, e := range batch {
+				k, ok := keyOf[string(e.Key)]
+				if !ok {
+					t.Fatalf("returned key %x is no key of the test", e.Key)
+				}
+				if k%2 == 1 {
+					continue // the writer's
+				}
+				if k != want {
+					t.Fatalf("round %d (reverse=%v): even key %d where %d was due", round, reverse, k, want)
+				}
+				if len(e.Records) != 1 || e.Records[0] != rid(int(want)) {
+					t.Fatalf("key %d holds %v", want, e.Records)
+				}
+				if reverse {
+					want -= 2
+				} else {
+					want += 2
+				}
+			}
+		}
+		if (reverse && want != -2) || (!reverse && want != n) {
+			t.Fatalf("round %d (reverse=%v) ended with even key %d still due", round, reverse, want)
+		}
+	}
+	close(stop)
+	writer.Wait()
+	if err := tr.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -324,6 +324,10 @@ func (t *Table) ClearXmax(rid storage.RecordID) error {
 func (t *Table) RemoveVersion(rid storage.RecordID) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	return t.removeVersionLocked(rid)
+}
+
+func (t *Table) removeVersionLocked(rid storage.RecordID) error {
 	record, err := t.heap.Get(rid)
 	if err != nil {
 		return err
@@ -366,6 +370,21 @@ func (t *Table) GetVersion(rid storage.RecordID) (storage.VersionMeta, Tuple, er
 		return storage.VersionMeta{}, nil, err
 	}
 	return meta, tuple, nil
+}
+
+// VersionMetas is GetVersion for a batch of record ids, headers only: it
+// appends the header of every version that still resolves (see
+// storage.HeapFile.VersionMetas). Nothing is decoded, so it is what a scan
+// that only counts visible versions reads.
+func (t *Table) VersionMetas(dst []storage.VersionMeta, rids []storage.RecordID) ([]storage.VersionMeta, error) {
+	return t.heap.VersionMetas(dst, rids)
+}
+
+// ScanVersionMetas calls fn with the headers of every row version, a heap
+// page at a time in physical order: the header-only counterpart of
+// VersionIterator.
+func (t *Table) ScanVersionMetas(fn func(metas []storage.VersionMeta) error) error {
+	return t.heap.ScanVersionMetas(fn)
 }
 
 // LiveKeyExists reports whether any live version (xmax==0, including
@@ -527,18 +546,39 @@ func (t *Table) Vacuum(horizon uint64) (int, error) {
 	}
 	removed := 0
 	for _, rid := range victims {
-		if err := t.RemoveVersion(rid); err != nil {
-			if errors.Is(err, storage.ErrRecordNotFound) {
-				continue // a concurrent vacuum got there first
-			}
+		ok, err := t.reclaim(rid, horizon)
+		if err != nil {
 			return removed, err
 		}
-		removed++
+		if ok {
+			removed++
+		}
 	}
 	if removed > 0 {
 		t.dead.Add(int64(-removed))
 	}
 	return removed, nil
+}
+
+// reclaim removes the version at rid if it is dead below horizon now, and
+// reports whether it did. The check and the removal share one hold of t.mu
+// because the collecting scan's verdict may be stale: a concurrent vacuum can
+// have removed the version since, and an insert reused its slot for a live
+// row.
+func (t *Table) reclaim(rid storage.RecordID, horizon uint64) (bool, error) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	meta, _, err := t.heap.GetVersion(rid)
+	if errors.Is(err, storage.ErrRecordNotFound) {
+		return false, nil // a concurrent vacuum got there first
+	}
+	if err != nil {
+		return false, err
+	}
+	if meta.Xmax == 0 || meta.Xmax >= horizon {
+		return false, nil
+	}
+	return true, t.removeVersionLocked(rid)
 }
 
 // LookupEqual returns the record identifiers of rows whose indexed columns

@@ -437,10 +437,15 @@ func (p *Pager) countSQL() string {
 }
 
 // keysetPredicate renders "strictly after the anchor row" in the pager's
-// order (inclusive adds "or equal"; reversed flips the direction for
-// backward fetches) as a row-value comparison expanded into the dialect:
+// order (reversed flips the direction for backward fetches) as a row-value
+// comparison expanded into the dialect:
 //
 //	(k1 > @ks_0) OR (k1 = @ks_0 AND k2 > @ks_1) OR ...
+//
+// inclusive admits the anchor row itself by relaxing the comparison on the
+// last key column to >= (<=) — for a one-column key the whole predicate is
+// (k1 >= @ks_0), a plain range bound the planner turns into an index seek,
+// where an added "OR k1 = @ks_0" clause would hide it from the access path.
 //
 // The anchor values bind as the @ks_i parameters (keysetBinds), so every
 // re-position reuses one prepared statement per direction.
@@ -455,14 +460,10 @@ func (p *Pager) keysetPredicate(inclusive, reversed bool) string {
 		if k.desc != reversed {
 			op = "<"
 		}
-		parts = append(parts, fmt.Sprintf("%s %s @ks_%d", k.column, op, i))
-		clauses = append(clauses, "("+strings.Join(parts, " AND ")+")")
-	}
-	if inclusive {
-		var parts []string
-		for j, k := range p.keys {
-			parts = append(parts, fmt.Sprintf("%s = @ks_%d", k.column, j))
+		if inclusive && i == len(p.keys)-1 {
+			op += "="
 		}
+		parts = append(parts, fmt.Sprintf("%s %s @ks_%d", k.column, op, i))
 		clauses = append(clauses, "("+strings.Join(parts, " AND ")+")")
 	}
 	return "(" + strings.Join(clauses, " OR ") + ")"

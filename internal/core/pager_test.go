@@ -502,3 +502,77 @@ func TestAnchoredRefreshBuffersAboveCursor(t *testing.T) {
 		t.Errorf("row above cursor = id %d, want 196", got)
 	}
 }
+
+// TestPagerWorkIndependentOfDepth is the mechanism behind "every keystroke is
+// O(page)": on a 50 000-row table a keyset page in either direction, Home,
+// End and an anchored refresh (its COUNT(*) aside, which reads every header)
+// each make the engine fetch about a page of rows from the buffer pool —
+// Hits+Misses, one per row read — no matter how deep in the table the cursor
+// stands, with and without a query-by-form range on the key column.
+func TestPagerWorkIndependentOfDepth(t *testing.T) {
+	const n, page = 50000, 20
+	const budget = 2 * page // a page of rows, with slack for a refresh's two halves
+	db, _ := bigTableEnv(t, n)
+	defer db.Close()
+	poolFetches := func(step func() error) uint64 {
+		t.Helper()
+		before := db.Stats().BufferPool
+		if err := step(); err != nil {
+			t.Fatal(err)
+		}
+		after := db.Stats().BufferPool
+		return after.Hits + after.Misses - before.Hits - before.Misses
+	}
+	check := func(what string, depth int, fetched uint64) {
+		t.Helper()
+		if fetched > budget {
+			t.Errorf("%s at row %d of %d fetched %d pool pages, want <= %d at any depth", what, depth, n, fetched, budget)
+		}
+	}
+
+	for _, filterFrom := range []int{0, 1000} {
+		p, _ := pagerOver(db, page)
+		base := 0 // rows the filter hides below the window
+		if filterFrom > 0 {
+			p.Configure("t", []string{"(id >= @q_id)"}, map[string]types.Value{"q_id": types.NewInt(int64(filterFrom))},
+				[]pagerKey{{column: "id", pos: 0}}, true, page)
+			base = filterFrom - 1
+		}
+		if err := p.Refresh(nil, -1); err != nil {
+			t.Fatal(err)
+		}
+		total := p.Total()
+		if total != n-base {
+			t.Fatalf("total = %d, want %d", total, n-base)
+		}
+		countCost := poolFetches(func() error { _, err := p.count(); return err })
+
+		for _, depth := range []int{100, total / 2, total - 500} {
+			anchor := types.Tuple{types.NewInt(int64(base + depth + 1)), types.Null(), types.Null()}
+			refresh := poolFetches(func() error { return p.Refresh(anchor, depth) })
+			check("anchored refresh (count excluded)", depth, refresh-countCost)
+			if got := rowID(t, p, depth); got != base+depth+1 {
+				t.Fatalf("row %d after the anchored refresh has id %d, want %d", depth, got, base+depth+1)
+			}
+			_, end := p.Buffered()
+			check("forward keyset page", depth, poolFetches(func() error { _, err := p.Seek(end); return err }))
+			if got := rowID(t, p, end); got != base+end+1 {
+				t.Fatalf("row %d after the forward page has id %d", end, got)
+			}
+			start, _ := p.Buffered()
+			check("backward keyset page", depth, poolFetches(func() error { _, err := p.Seek(start - 1); return err }))
+			if got := rowID(t, p, start-1); got != base+start {
+				t.Fatalf("row %d after the backward page has id %d", start-1, got)
+			}
+		}
+		// Still deep in the table: Home, then End from the top.
+		check("Home", total-500, poolFetches(func() error { _, err := p.Seek(0); return err }))
+		if got := rowID(t, p, 0); got != base+1 {
+			t.Fatalf("Home landed on id %d", got)
+		}
+		check("End", 0, poolFetches(func() error { _, err := p.SeekLast(); return err }))
+		if got := rowID(t, p, total-1); got != n {
+			t.Fatalf("End landed on id %d", got)
+		}
+	}
+}

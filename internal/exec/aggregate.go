@@ -147,9 +147,38 @@ func (s *aggState) result() types.Value {
 	}
 }
 
+// headerCount returns the scan a global COUNT(*) can be answered from by
+// counting visible version headers: the aggregate sits directly on a base
+// table scan with no residual filter, has no GROUP BY, and computes nothing
+// but COUNT(*). Such a statement never needs a row.
+func (o *aggregateOperator) headerCount() (*scanOperator, bool) {
+	scan, ok := o.input.(*scanOperator)
+	if !ok || scan.filter != nil || len(o.groupBy) > 0 {
+		return nil, false
+	}
+	for _, a := range o.node.Aggs {
+		if a.Func != plan.AggCountStar {
+			return nil, false
+		}
+	}
+	return scan, true
+}
+
 func (o *aggregateOperator) Open() error {
 	o.groups = nil
 	o.pos = 0
+	if scan, ok := o.headerCount(); ok {
+		n, err := scan.countVisible()
+		if err != nil {
+			return err
+		}
+		row := make(types.Tuple, len(o.node.Aggs))
+		for i := range row {
+			row[i] = types.NewInt(n)
+		}
+		o.groups = []types.Tuple{row}
+		return nil
+	}
 	if err := o.input.Open(); err != nil {
 		return err
 	}

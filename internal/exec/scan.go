@@ -1,10 +1,11 @@
 package exec
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
-	"slices"
 
+	"repro/internal/btree"
 	"repro/internal/catalog"
 	"repro/internal/expr"
 	"repro/internal/plan"
@@ -18,6 +19,17 @@ import (
 // visibility per record id at fetch time; a record id that no longer
 // resolves is a version some aborting transaction physically removed after
 // the index was read, and is skipped.
+//
+// A range scan streams: it pulls one leaf of record ids at a time from a
+// btree.Cursor, in either direction, so a caller that closes after a page
+// has paid for a page. Between batches writers may add or remove index
+// entries; that is safe because every version the snapshot can see was
+// indexed before the snapshot was taken and cannot be reclaimed while it is
+// held, so it is in the index for the whole scan and the cursor returns it
+// exactly once — anything a writer adds meanwhile is invisible to the
+// snapshot whether or not the cursor meets it. The one reader that does see
+// concurrent additions is a write statement scanning its own transaction's
+// rows, which is why collectTargets drains the scan before the first write.
 type scanOperator struct {
 	node   *plan.ScanNode
 	filter *expr.Compiled
@@ -26,9 +38,11 @@ type scanOperator struct {
 
 	// Sequential scan state.
 	iter *catalog.TableVersionIterator
-	// Index scan state: the record ids to fetch, in order.
-	rids []storage.RecordID
-	pos  int
+	// Index scan state: the fetched record ids not yet returned, in order,
+	// and for a range scan the cursor that refills them.
+	rids   []storage.RecordID
+	pos    int
+	cursor *btree.Cursor
 }
 
 func newScanOperator(n *plan.ScanNode, params *expr.Params, rt *Runtime) (*scanOperator, error) {
@@ -47,8 +61,9 @@ func (o *scanOperator) Schema() *types.Schema { return o.node.Schema() }
 
 func (o *scanOperator) Open() error {
 	o.pos = 0
-	o.rids = nil
+	o.rids = o.rids[:0]
 	o.iter = nil
+	o.cursor = nil
 	switch o.node.Access {
 	case plan.AccessSeqScan:
 		o.iter = o.node.Table.VersionIterator()
@@ -66,22 +81,16 @@ func (o *scanOperator) Open() error {
 		key := types.EncodeKey(nil, v)
 		o.rids = o.node.Index.Tree.Search(key)
 	case plan.AccessIndexRange:
-		low, high, nullBound, err := o.rangeKeys(o.node.Low, o.node.High)
+		r, nullBound, err := o.keyRange()
 		if err != nil {
 			return err
 		}
 		if nullBound {
 			return nil // a NULL bound can never be satisfied: empty scan
 		}
-		o.rids = o.node.Index.Tree.Range(low, high)
+		o.cursor = o.node.Index.Tree.Cursor(r)
 	default:
 		return fmt.Errorf("exec: unknown access kind %v", o.node.Access)
-	}
-	if o.node.Reverse {
-		// A reverse scan walks the index access path backwards: the rid list
-		// is already in key order, so flipping it yields descending order
-		// without a sort (the planner's sort elision relies on this).
-		slices.Reverse(o.rids)
 	}
 	return nil
 }
@@ -100,42 +109,99 @@ func (o *scanOperator) resolveKey(v types.Value, param int) (types.Value, error)
 	return o.node.Table.Schema().CoerceToColumn(v, o.node.Index.Columns[0]), nil
 }
 
-// rangeKeys converts plan bounds into the byte-key interval [low, high) the
-// B+tree scans. For a single-value key the only encoding equal to
-// EncodeKey(v) is v's own, so appending a zero byte moves a bound just past
-// all entries equal to v. nullBound reports that a bound resolved to NULL,
-// which no row can satisfy.
-func (o *scanOperator) rangeKeys(low, high *plan.Bound) (lowKey, highKey []byte, nullBound bool, err error) {
-	if low != nil {
-		v, err := o.resolveKey(low.Value, low.Param)
-		if err != nil {
-			return nil, nil, false, err
+// keyRange converts the plan's bounds and direction into the cursor's key
+// interval, keeping the strictest bound of each side now that parameters have
+// values. nullBound reports that a bound resolved to NULL, which no row can
+// satisfy.
+func (o *scanOperator) keyRange() (r btree.Range, nullBound bool, err error) {
+	r.Reverse = o.node.Reverse
+	for _, b := range o.node.Low {
+		key, err := o.boundKey(b)
+		if err != nil || key == nil {
+			return r, true, err
 		}
-		if v.IsNull() {
-			return nil, nil, true, nil
-		}
-		lowKey = types.EncodeKey(nil, v)
-		if !low.Inclusive {
-			lowKey = append(lowKey, 0x00)
+		if cmp := bytes.Compare(key, r.Low); r.Low == nil || cmp > 0 || (cmp == 0 && !b.Inclusive) {
+			r.Low, r.LowOpen = key, !b.Inclusive
 		}
 	}
-	if high != nil {
-		v, err := o.resolveKey(high.Value, high.Param)
-		if err != nil {
-			return nil, nil, false, err
+	for _, b := range o.node.High {
+		key, err := o.boundKey(b)
+		if err != nil || key == nil {
+			return r, true, err
 		}
-		if v.IsNull() {
-			return nil, nil, true, nil
-		}
-		highKey = types.EncodeKey(nil, v)
-		if high.Inclusive {
-			highKey = append(highKey, 0x00)
+		if cmp := bytes.Compare(key, r.High); r.High == nil || cmp < 0 || (cmp == 0 && !b.Inclusive) {
+			r.High, r.HighOpen = key, !b.Inclusive
 		}
 	}
-	return lowKey, highKey, false, nil
+	if r.Low == nil && r.High != nil {
+		// NULL keys sort first, and "k < v" is never true of a NULL k: a scan
+		// bounded only from above starts past them.
+		r.Low, r.LowOpen = types.EncodeKey(nil, types.Null()), true
+	}
+	return r, false, nil
+}
+
+// boundKey resolves one range bound to its encoded key, or nil when the bound
+// is NULL.
+func (o *scanOperator) boundKey(b *plan.Bound) ([]byte, error) {
+	v, err := o.resolveKey(b.Value, b.Param)
+	if err != nil || v.IsNull() {
+		return nil, err
+	}
+	return types.EncodeKey(nil, v), nil
+}
+
+// refill replaces the exhausted record-id batch with the range cursor's next
+// one; false means the scan is over.
+func (o *scanOperator) refill() bool {
+	if o.cursor == nil {
+		return false
+	}
+	o.rids, o.pos = o.rids[:0], 0
+	for _, e := range o.cursor.Next() {
+		o.rids = append(o.rids, e.Records...)
+	}
+	return len(o.rids) > 0
 }
 
 func (o *scanOperator) Close() error { return nil }
+
+// countVisible opens the scan and returns how many versions it would yield,
+// reading version headers only: nothing is copied out of the page or decoded,
+// and record ids that follow one another on a page share one pin. Visibility
+// is decided per version by the runtime's snapshot exactly as nextRow decides
+// it, so the count equals the number of rows Next would return. The scan must
+// have no residual filter, which needs the row.
+func (o *scanOperator) countVisible() (int64, error) {
+	var n int64
+	count := func(metas []storage.VersionMeta) {
+		for _, meta := range metas {
+			if o.rt.visible(meta) {
+				n++
+			}
+		}
+	}
+	if o.node.Access == plan.AccessSeqScan {
+		err := o.node.Table.ScanVersionMetas(func(metas []storage.VersionMeta) error {
+			count(metas)
+			return nil
+		})
+		return n, err
+	}
+	if err := o.Open(); err != nil {
+		return 0, err
+	}
+	var metas []storage.VersionMeta
+	for len(o.rids) > 0 || o.refill() {
+		var err error
+		if metas, err = o.node.Table.VersionMetas(metas[:0], o.rids); err != nil {
+			return 0, fmt.Errorf("exec: counting rows of %s: %w", o.node.Table.Name(), err)
+		}
+		count(metas)
+		o.rids = o.rids[:0]
+	}
+	return n, nil
+}
 
 func (o *scanOperator) Next() (types.Tuple, bool, error) {
 	_, tuple, ok, err := o.nextRow()
@@ -161,7 +227,7 @@ func (o *scanOperator) nextRow() (storage.RecordID, types.Tuple, bool, error) {
 			}
 			rid, tuple = r, t
 		} else {
-			if o.pos >= len(o.rids) {
+			if o.pos >= len(o.rids) && !o.refill() {
 				return storage.RecordID{}, nil, false, nil
 			}
 			rid = o.rids[o.pos]

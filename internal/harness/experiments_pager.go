@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/server"
 	"repro/internal/server/client"
 )
@@ -19,7 +20,10 @@ import (
 // one-row COUNT, PageDown fetches at most a page, and End is one reversed
 // page — O(page) instead of O(table), locally and remotely. The "fetch
 // reduction" column is the table size divided by what one refresh now
-// fetches.
+// fetches. Rows fetched is what crosses the cursor; "end pool pages" is what
+// the engine read to produce them — buffer-pool fetches during the End
+// keystroke, which a streaming reverse index scan keeps at about a page of
+// rows however large the table is, and which E13 asserts.
 func RunE13(cfg Config) (*Table, error) {
 	env, err := newEnvironment(cfg.Sizes)
 	if err != nil {
@@ -38,12 +42,12 @@ func RunE13(cfg Config) (*Table, error) {
 		Title: "Windowed browsing: paged keyset cursors vs per-refresh materialisation (order_items, the largest table)",
 		Columns: []string{
 			"mode", "table rows", "refresh fetches", "refresh ms",
-			"pgdn fetches", "pgdn µs", "end fetches", "fetch reduction",
+			"pgdn fetches", "pgdn µs", "end fetches", "end pool pages", "fetch reduction",
 		},
 	}
 
 	addRow := func(mode string, refreshFetched uint64, refresh time.Duration,
-		pgdnFetched, endFetched string, pgdn string) {
+		pgdnFetched, endFetched, endPoolPages string, pgdn string) {
 		reduction := "1.0x"
 		if refreshFetched > 0 && uint64(tableRows) != refreshFetched {
 			reduction = fmt.Sprintf("%.0fx", float64(tableRows)/float64(refreshFetched))
@@ -56,6 +60,7 @@ func RunE13(cfg Config) (*Table, error) {
 			pgdnFetched,
 			pgdn,
 			endFetched,
+			endPoolPages,
 			reduction,
 		})
 	}
@@ -79,9 +84,11 @@ func RunE13(cfg Config) (*Table, error) {
 		pgdnDur := time.Since(start) / time.Duration(pageDowns)
 		s2 := w.Stats()
 
+		pool0 := poolFetches(env.db)
 		if err := w.LastRow(); err != nil {
 			return err
 		}
+		endPoolPages := poolFetches(env.db) - pool0
 		s3 := w.Stats()
 		if w.Cursor() != tableRows-1 {
 			return fmt.Errorf("E13 %s: End landed on row %d of %d", mode, w.Cursor()+1, tableRows)
@@ -92,9 +99,15 @@ func RunE13(cfg Config) (*Table, error) {
 		if refreshFetched > budget {
 			return fmt.Errorf("E13 %s: refresh fetched %d rows, over the %d-row page budget", mode, refreshFetched, budget)
 		}
+		// End reads one reversed page: a heap fetch per row plus the index
+		// leaves under them, whatever the table's size.
+		if endBudget := uint64(2 * w.BufferPage()); endPoolPages > endBudget {
+			return fmt.Errorf("E13 %s: End touched %d buffer-pool pages, over the %d-page budget of a %d-row table", mode, endPoolPages, endBudget, tableRows)
+		}
 		addRow(mode, refreshFetched, refreshDur,
 			fmt.Sprintf("%d", (s2.RowsFetched-s1.RowsFetched)/uint64(pageDowns)),
 			fmt.Sprintf("%d", s3.RowsFetched-s2.RowsFetched),
+			fmt.Sprintf("%d", endPoolPages),
 			us(pgdnDur))
 		return nil
 	}
@@ -120,7 +133,7 @@ func RunE13(cfg Config) (*Table, error) {
 	}
 	rows.Close()
 	stmt.Close()
-	addRow("local, materialise (pre-pager)", uint64(drained), time.Since(start), "-", "-", "-")
+	addRow("local, materialise (pre-pager)", uint64(drained), time.Since(start), "-", "-", "-", "-")
 
 	// Local, paged window.
 	m := core.NewManager(env.db, 100, 30)
@@ -165,7 +178,7 @@ func RunE13(cfg Config) (*Table, error) {
 		return nil, err
 	}
 	remoteRows.Close()
-	addRow("remote, materialise (pre-pager)", uint64(drained), time.Since(start), "-", "-", "-")
+	addRow("remote, materialise (pre-pager)", uint64(drained), time.Since(start), "-", "-", "-", "-")
 
 	// Remote, paged window: the pager's page size drives the Fetch frame's
 	// max-rows, so one page is one round trip.
@@ -183,4 +196,11 @@ func RunE13(cfg Config) (*Table, error) {
 		"materialise rows reproduce the pre-pager window: every refresh drained the entire ordered result into Grid rows",
 	)
 	return table, nil
+}
+
+// poolFetches is the number of page requests the buffer pool has served: the
+// engine's "pages examined" counter.
+func poolFetches(db *engine.Database) uint64 {
+	pool := db.Stats().BufferPool
+	return pool.Hits + pool.Misses
 }

@@ -76,11 +76,12 @@ type Config struct {
 	// Operations is the per-cell operation count for latency cells.
 	Operations int
 	// Quick trims parameter sweeps so the whole suite runs in seconds
-	// (used by tests); the full configuration matches DESIGN.md.
+	// (used by tests); the full configuration is Full.
 	Quick bool
 }
 
-// Full is the configuration the reported results in EXPERIMENTS.md use.
+// Full is the configuration the recorded results (BENCH_E*.json, "scale":
+// "full") use.
 var Full = Config{Sizes: workload.Sizes{Customers: 5000, Orders: 40000, ItemsPerOrder: 2}, Operations: 500}
 
 // Quick is a reduced configuration for tests and smoke runs.

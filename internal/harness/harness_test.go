@@ -218,9 +218,14 @@ func TestE13ShapePagedWindowFetchesOnePage(t *testing.T) {
 		if fetched >= tableRows/4 {
 			t.Errorf("%s fetched %d of %d rows; paging should fetch O(page)", mode, fetched, tableRows)
 		}
-		reduction, err := strconv.ParseFloat(strings.TrimSuffix(row[7], "x"), 64)
+		reduction, err := strconv.ParseFloat(strings.TrimSuffix(row[8], "x"), 64)
 		if err != nil {
-			t.Fatalf("%s: reduction cell %q", mode, row[7])
+			t.Fatalf("%s: reduction cell %q", mode, row[8])
+		}
+		// End must read about a page of the engine's pages, not the table's
+		// (RunE13 fails outright above its budget).
+		if endPages, err := strconv.Atoi(row[7]); err != nil || endPages >= tableRows/4 {
+			t.Errorf("%s: End touched %q buffer-pool pages of a %d-row table", mode, row[7], tableRows)
 		}
 		if reduction < 4 {
 			t.Errorf("%s reduction %.1fx is too small for a %d-row table", mode, reduction, tableRows)

@@ -34,7 +34,7 @@ func chooseScanAccess(scan *ScanNode) {
 	conjuncts := splitConjuncts(scan.Filter)
 
 	type rangeBounds struct {
-		low, high *Bound
+		low, high []*Bound
 		consumed  []int
 	}
 
@@ -77,14 +77,8 @@ func chooseScanAccess(scan *ScanNode) {
 				b = &rangeBounds{}
 				best[col] = b
 			}
-			newLow, okLow := tightenLow(b.low, low.bound(true))
-			newHigh, okHigh := tightenHigh(b.high, high.bound(true))
-			if !okLow || !okHigh {
-				// A bound could not be compared (unresolved parameter); the
-				// conjunct stays in the residual filter.
-				continue
-			}
-			b.low, b.high = newLow, newHigh
+			b.low = append(b.low, low.bound(true))
+			b.high = append(b.high, high.bound(true))
 			b.consumed = append(b.consumed, i)
 			continue
 		}
@@ -97,20 +91,16 @@ func chooseScanAccess(scan *ScanNode) {
 			b = &rangeBounds{}
 			best[col] = b
 		}
-		tightened := false
 		switch op {
 		case sql.OpGt:
-			b.low, tightened = tightenLow(b.low, operand.bound(false))
+			b.low = append(b.low, operand.bound(false))
 		case sql.OpGe:
-			b.low, tightened = tightenLow(b.low, operand.bound(true))
+			b.low = append(b.low, operand.bound(true))
 		case sql.OpLt:
-			b.high, tightened = tightenHigh(b.high, operand.bound(false))
+			b.high = append(b.high, operand.bound(false))
 		case sql.OpLe:
-			b.high, tightened = tightenHigh(b.high, operand.bound(true))
+			b.high = append(b.high, operand.bound(true))
 		default:
-			continue
-		}
-		if !tightened {
 			continue
 		}
 		b.consumed = append(b.consumed, i)
@@ -122,7 +112,7 @@ func chooseScanAccess(scan *ScanNode) {
 		if scan.Table.IndexOn(col) == nil || len(scan.Table.IndexOn(col).Columns) != 1 {
 			continue
 		}
-		if b.low == nil && b.high == nil {
+		if len(b.consumed) == 0 {
 			continue
 		}
 		if bestBounds == nil || len(b.consumed) > len(bestBounds.consumed) {
@@ -235,50 +225,4 @@ func removeAt(conjuncts []sql.Expr, drop []int) []sql.Expr {
 		}
 	}
 	return out
-}
-
-// tightenLow keeps the larger (stricter) of two lower bounds. ok is false when
-// the bounds cannot be compared — one of them is an unresolved parameter — in
-// which case the existing bound is returned unchanged and the caller must keep
-// the new conjunct in the residual filter.
-func tightenLow(a, b *Bound) (out *Bound, ok bool) {
-	if a == nil {
-		return b, true
-	}
-	if b == nil {
-		return a, true
-	}
-	if a.Param >= 0 || b.Param >= 0 {
-		return a, false
-	}
-	cmp, err := a.Value.Compare(b.Value)
-	if err != nil {
-		return a, false
-	}
-	if cmp < 0 || (cmp == 0 && a.Inclusive && !b.Inclusive) {
-		return b, true
-	}
-	return a, true
-}
-
-// tightenHigh keeps the smaller (stricter) of two upper bounds, with the same
-// comparability contract as tightenLow.
-func tightenHigh(a, b *Bound) (out *Bound, ok bool) {
-	if a == nil {
-		return b, true
-	}
-	if b == nil {
-		return a, true
-	}
-	if a.Param >= 0 || b.Param >= 0 {
-		return a, false
-	}
-	cmp, err := a.Value.Compare(b.Value)
-	if err != nil {
-		return a, false
-	}
-	if cmp > 0 || (cmp == 0 && a.Inclusive && !b.Inclusive) {
-		return b, true
-	}
-	return a, true
 }

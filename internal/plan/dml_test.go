@@ -46,11 +46,11 @@ func TestBuildUpdateParamRangeUsesIndexRange(t *testing.T) {
 	if scan.Access != AccessIndexRange {
 		t.Fatalf("access = %v, want index range scan", scan.Access)
 	}
-	if scan.Low == nil || scan.Low.Param != 1 || scan.Low.Inclusive {
-		t.Errorf("low bound = %+v, want exclusive param 1", scan.Low)
+	if len(scan.Low) != 1 || scan.Low[0].Param != 1 || scan.Low[0].Inclusive {
+		t.Errorf("low bounds = %+v, want one exclusive param 1", scan.Low)
 	}
-	if scan.High == nil || scan.High.Param != 2 || scan.High.Inclusive {
-		t.Errorf("high bound = %+v, want exclusive param 2", scan.High)
+	if len(scan.High) != 1 || scan.High[0].Param != 2 || scan.High[0].Inclusive {
+		t.Errorf("high bounds = %+v, want one exclusive param 2", scan.High)
 	}
 	if scan.Filter != nil {
 		t.Errorf("residual filter = %v, want both conjuncts consumed", scan.Filter)

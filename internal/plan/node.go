@@ -77,10 +77,13 @@ type ScanNode struct {
 	// so a cached plan stays valid across rebinds.
 	EqValue types.Value
 	EqParam int
-	// Low and High bound an AccessIndexRange scan; either may be nil (a
-	// range with neither bound is a full index scan in key order, which sort
-	// elision uses to serve ORDER BY without sorting).
-	Low, High *Bound
+	// Low and High bound an AccessIndexRange scan: every bound listed must
+	// hold, and the scan seeks to the strictest once its parameters are
+	// bound — two parameter bounds on one side cannot be ranked at plan
+	// time. Either may be empty (a range with neither is a full index scan
+	// in key order, which sort elision uses to serve ORDER BY without
+	// sorting).
+	Low, High []*Bound
 	// Reverse walks the index access path backwards, yielding rows in
 	// descending key order. Set by sort elision when the query's ORDER BY is
 	// the index order reversed; meaningless for seq scans.

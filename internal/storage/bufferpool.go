@@ -73,7 +73,7 @@ func (bp *BufferPool) NewPage() (PageID, *Page, error) {
 	}
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
-	if err := bp.ensureRoom(); err != nil {
+	if _, err := bp.ensureRoom(); err != nil {
 		return InvalidPageID, nil, err
 	}
 	f := &frame{page: NewPage(), id: id, pins: 1, dirty: true}
@@ -95,10 +95,13 @@ func (bp *BufferPool) Fetch(id PageID) (*Page, error) {
 		return f.page, nil
 	}
 	bp.stats.Misses++
-	if err := bp.ensureRoom(); err != nil {
+	p, err := bp.ensureRoom()
+	if err != nil {
 		return nil, err
 	}
-	p := NewPage()
+	if p == nil {
+		p = new(Page)
+	}
 	if err := bp.disk.ReadPage(id, p.Bytes()); err != nil {
 		return nil, err
 	}
@@ -129,27 +132,31 @@ func (bp *BufferPool) Unpin(id PageID, dirty bool) error {
 }
 
 // ensureRoom evicts the least recently used unpinned page if the pool is at
-// capacity. The caller must hold bp.mu.
-func (bp *BufferPool) ensureRoom() error {
+// capacity, and hands back the evicted frame's page buffer (nil when nothing
+// was evicted) for the caller to read into: nobody holds an unpinned page,
+// and a scan over a table larger than the pool misses on every fetch, where
+// allocating and clearing a fresh 8 KiB page cost more than the read itself.
+// The caller must hold bp.mu.
+func (bp *BufferPool) ensureRoom() (*Page, error) {
 	if len(bp.frames) < bp.capacity {
-		return nil
+		return nil, nil
 	}
 	elem := bp.lru.Back()
 	if elem == nil {
-		return fmt.Errorf("storage: buffer pool exhausted (%d pages, all pinned)", bp.capacity)
+		return nil, fmt.Errorf("storage: buffer pool exhausted (%d pages, all pinned)", bp.capacity)
 	}
 	id := elem.Value.(PageID)
 	f := bp.frames[id]
 	if f.dirty {
 		if err := bp.disk.WritePage(id, f.page.Bytes()); err != nil {
-			return err
+			return nil, err
 		}
 		bp.stats.Writes++
 	}
 	bp.lru.Remove(elem)
 	delete(bp.frames, id)
 	bp.stats.Evictions++
-	return nil
+	return f.page, nil
 }
 
 // FlushDirty writes every dirty cached page back to disk and syncs the

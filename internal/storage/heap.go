@@ -21,6 +21,9 @@ type HeapFile struct {
 	mu    sync.RWMutex
 	pool  *BufferPool
 	pages []PageID
+	// owned is pages as a set: every read and write by record id checks
+	// membership.
+	owned map[PageID]struct{}
 	// count caches the number of live records for O(1) cardinality estimates
 	// used by the planner and the forms layer's status line.
 	count int
@@ -28,7 +31,7 @@ type HeapFile struct {
 
 // NewHeapFile creates an empty heap file over the buffer pool.
 func NewHeapFile(pool *BufferPool) *HeapFile {
-	return &HeapFile{pool: pool}
+	return &HeapFile{pool: pool, owned: make(map[PageID]struct{})}
 }
 
 // Pool returns the buffer pool the heap file allocates from.
@@ -82,6 +85,7 @@ func (h *HeapFile) Insert(record []byte) (RecordID, error) {
 		return RecordID{}, err
 	}
 	h.pages = append(h.pages, id)
+	h.owned[id] = struct{}{}
 	slot, err := page.Insert(record)
 	if err != nil {
 		return RecordID{}, errors.Join(
@@ -168,12 +172,8 @@ func (h *HeapFile) Delete(rid RecordID) error {
 }
 
 func (h *HeapFile) owns(id PageID) bool {
-	for _, p := range h.pages {
-		if p == id {
-			return true
-		}
-	}
-	return false
+	_, ok := h.owned[id]
+	return ok
 }
 
 // Scan calls fn for every live record in the heap file, in physical order.

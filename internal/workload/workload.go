@@ -1,9 +1,9 @@
 // Package workload generates the synthetic data and interaction scripts the
 // experiments run on. The original evaluation used the authors' departmental
-// data and live users at terminals; neither is available, so (per the
-// substitution notes in DESIGN.md) this package produces deterministic
-// equivalents: an order-processing database of configurable size and
-// keystroke scripts for the business tasks the experiments time.
+// data and live users at terminals; neither is available, so this package
+// produces deterministic equivalents (docs/ARCHITECTURE.md §8): an
+// order-processing database of configurable size and keystroke scripts for
+// the business tasks the experiments time.
 package workload
 
 import (
