@@ -25,6 +25,9 @@ type Catalog struct {
 	// version counts schema changes (table/index/view creation and removal).
 	// Plan caches compare it to detect that a cached plan may be stale.
 	version uint64
+	// located counts Table.Locate calls across every table, dropped ones
+	// included.
+	located locateCounters
 }
 
 // New creates an empty catalog whose tables allocate from pool.
@@ -39,6 +42,12 @@ func New(pool *storage.BufferPool) *Catalog {
 
 // Pool returns the buffer pool backing this catalog's tables.
 func (c *Catalog) Pool() *storage.BufferPool { return c.pool }
+
+// LocateStats returns how many Table.Locate calls were served by an index
+// seek and how many fell back to scanning an index-less table.
+func (c *Catalog) LocateStats() (seeks, scans uint64) {
+	return c.located.seeks.Load(), c.located.scans.Load()
+}
 
 // Version returns the schema version: a counter that advances on every
 // change to the set of tables, indexes or views. A plan built at version v
@@ -78,7 +87,7 @@ func (c *Catalog) CreateTable(name string, schema *Schema) (*Table, error) {
 		}
 		seen[lower] = true
 	}
-	t := newTable(key, schema.WithTable(key), c.pool)
+	t := newTable(key, schema.WithTable(key), c.pool, &c.located)
 	if pk := schema.PrimaryKey(); len(pk) > 0 {
 		cols := make([]string, len(pk))
 		for i, idx := range pk {

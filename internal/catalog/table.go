@@ -27,6 +27,12 @@ type (
 // key in a unique index (including the primary key).
 var ErrUniqueViolation = errors.New("catalog: unique constraint violation")
 
+// ErrNoMatchingRow is returned by Table.Locate when no admissible version
+// equals the image. For a logged before-image that means the local table has
+// diverged from the history the log describes: crash recovery and the replica
+// applier both treat it as fatal.
+var ErrNoMatchingRow = errors.New("catalog: no row matches the before-image")
+
 // Table is one base relation: a schema, a heap file holding the row versions,
 // and the indexes kept consistent with it.
 //
@@ -49,10 +55,18 @@ type Table struct {
 	// committed-dead versions awaiting vacuum, as a GC trigger heuristic.
 	live atomic.Int64
 	dead atomic.Int64
+	// located is the owning catalog's Locate accounting, shared by its tables.
+	located *locateCounters
 }
 
-func newTable(name string, schema *Schema, pool *storage.BufferPool) *Table {
-	return &Table{name: name, schema: schema, heap: storage.NewHeapFile(pool)}
+// locateCounters count Locate calls by the access path that served them.
+type locateCounters struct {
+	seeks atomic.Uint64
+	scans atomic.Uint64
+}
+
+func newTable(name string, schema *Schema, pool *storage.BufferPool, located *locateCounters) *Table {
+	return &Table{name: name, schema: schema, heap: storage.NewHeapFile(pool), located: located}
 }
 
 // Name returns the table's (lower-cased) name.
@@ -579,6 +593,65 @@ func (t *Table) reclaim(rid storage.RecordID, horizon uint64) (bool, error) {
 		return false, nil
 	}
 	return true, t.removeVersionLocked(rid)
+}
+
+// Locate resolves a logged before-image to the record id of the version it
+// names: the one version that admit accepts (the caller's visibility rule)
+// and whose tuple equals image in every column. The key only narrows the
+// search — the table's first unique index (the primary key when there is
+// one), else any index, is probed with the image's key, and each candidate is
+// then judged on its header and its whole tuple, because several versions of
+// a row share a key until the vacuum runs and distinct values can share a
+// key encoding. Only a table without any index is scanned, and that scan
+// stops at the first match. ErrNoMatchingRow reports that nothing matched.
+func (t *Table) Locate(image Tuple, admit func(storage.VersionMeta) bool) (storage.RecordID, error) {
+	if idx := t.locateIndex(); idx != nil {
+		t.located.seeks.Add(1)
+		for _, rid := range idx.Tree.Search(idx.KeyFor(image)) {
+			meta, tuple, err := t.GetVersion(rid)
+			if errors.Is(err, storage.ErrRecordNotFound) {
+				continue // vacuumed between the probe and the fetch
+			}
+			if err != nil {
+				return storage.RecordID{}, err
+			}
+			if admit(meta) && tuple.Equal(image) {
+				return rid, nil
+			}
+		}
+	} else {
+		t.located.scans.Add(1)
+		for it := t.VersionIterator(); ; {
+			rid, meta, tuple, more, err := it.Next()
+			if err != nil {
+				return storage.RecordID{}, err
+			}
+			if !more {
+				break
+			}
+			if admit(meta) && tuple.Equal(image) {
+				return rid, nil
+			}
+		}
+	}
+	return storage.RecordID{}, fmt.Errorf("%w (table %s)", ErrNoMatchingRow, t.name)
+}
+
+// locateIndex picks Locate's access path: the first unique index — the
+// primary key when the table has one, since it is created first — else the
+// first index of any kind, else nil.
+func (t *Table) locateIndex() *Index {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	for _, idx := range t.indexes {
+		if idx.Unique {
+			return idx
+		}
+	}
+	if len(t.indexes) > 0 {
+		return t.indexes[0]
+	}
+	return nil
 }
 
 // LookupEqual returns the record identifiers of rows whose indexed columns

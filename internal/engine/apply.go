@@ -19,9 +19,13 @@ import (
 // statement's catalog change is visible the moment it applies rather than
 // at commit.
 //
-// UPDATE and DELETE locate their target row by before-image, exactly as
-// crash recovery does; a missing target means the replica has diverged from
-// the primary and the error is not recoverable by retrying.
+// UPDATE and DELETE name their target row by before-image, and the applier
+// resolves it with the function crash recovery uses, catalog.Table.Locate:
+// the image's key narrows the search to an index seek, the full image decides
+// among the versions this transaction's snapshot sees, and only a table with
+// no index at all is scanned. No match is catalog.ErrNoMatchingRow: the
+// replica has diverged from the primary, the transaction is rolled back
+// whole, and retrying cannot help.
 func (db *Database) ApplyReplicated(recs []txn.Record) error {
 	t, err := db.txns.Begin()
 	if err != nil {
@@ -44,43 +48,9 @@ func (db *Database) ApplyReplicated(recs []txn.Record) error {
 			if _, err := sess.Execute(rec.DDL); err != nil {
 				return fmt.Errorf("engine: replicated DDL %q: %w", rec.DDL, err)
 			}
-		case txn.RecordInsert:
-			table, err := db.cat.GetTable(rec.Table)
-			if err != nil {
-				return fmt.Errorf("engine: replicated insert: %w", err)
-			}
-			if _, err := t.Insert(table, rec.New); err != nil {
-				return fmt.Errorf("engine: replicated insert into %s: %w", rec.Table, err)
-			}
-		case txn.RecordDelete:
-			table, err := db.cat.GetTable(rec.Table)
-			if err != nil {
-				return fmt.Errorf("engine: replicated delete: %w", err)
-			}
-			rid, ok, err := t.FindRow(table, rec.Old)
-			if err != nil {
-				return err
-			}
-			if !ok {
-				return fmt.Errorf("engine: replicated delete from %s: no row matches the before-image (replica diverged)", rec.Table)
-			}
-			if err := t.Delete(table, rid); err != nil {
-				return fmt.Errorf("engine: replicated delete from %s: %w", rec.Table, err)
-			}
-		case txn.RecordUpdate:
-			table, err := db.cat.GetTable(rec.Table)
-			if err != nil {
-				return fmt.Errorf("engine: replicated update: %w", err)
-			}
-			rid, ok, err := t.FindRow(table, rec.Old)
-			if err != nil {
-				return err
-			}
-			if !ok {
-				return fmt.Errorf("engine: replicated update of %s: no row matches the before-image (replica diverged)", rec.Table)
-			}
-			if _, err := t.Update(table, rid, rec.New); err != nil {
-				return fmt.Errorf("engine: replicated update of %s: %w", rec.Table, err)
+		case txn.RecordInsert, txn.RecordUpdate, txn.RecordDelete:
+			if err := db.applyRow(t, rec); err != nil {
+				return fmt.Errorf("engine: replicated %s on %s: %w", rec.Kind, rec.Table, err)
 			}
 		default:
 			return fmt.Errorf("engine: cannot replicate %s record", rec.Kind)
@@ -91,4 +61,27 @@ func (db *Database) ApplyReplicated(recs []txn.Record) error {
 	}
 	committed = true
 	return nil
+}
+
+// applyRow applies one replicated row record under t. The before-image of an
+// UPDATE or DELETE is resolved among the versions t's snapshot sees, which
+// includes t's own writes: a primary transaction may touch one row twice.
+func (db *Database) applyRow(t *txn.Txn, rec txn.Record) error {
+	table, err := db.cat.GetTable(rec.Table)
+	if err != nil {
+		return err
+	}
+	if rec.Kind == txn.RecordInsert {
+		_, err = t.Insert(table, rec.New)
+		return err
+	}
+	rid, err := table.Locate(rec.Old, t.Snapshot().Visible)
+	if err != nil {
+		return err
+	}
+	if rec.Kind == txn.RecordDelete {
+		return t.Delete(table, rid)
+	}
+	_, err = t.Update(table, rid, rec.New)
+	return err
 }

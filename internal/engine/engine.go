@@ -364,6 +364,13 @@ type Stats struct {
 	CheckpointFailures      uint64
 	RecoveryRecordsReplayed uint64
 
+	// Before-image resolution, crash recovery and the replica applier
+	// combined: UPDATE/DELETE records whose row was found by an index seek,
+	// and those that had to scan a table with no index. A growing scan count
+	// is a keyless table dragging recovery or a replica.
+	RowsLocatedBySeek uint64
+	RowsLocatedByScan uint64
+
 	// MVCC: snapshots registered (transactional and cursor-read), writes
 	// aborted by first-updater-wins conflicts, waits-for cycles broken, and
 	// dead row versions reclaimed by the vacuum.
@@ -402,6 +409,7 @@ func (db *Database) Stats() Stats {
 	waits, _ := db.txns.Locks().Stats()
 	mvcc := db.txns.MVCC()
 	walStats := db.wal.Stats()
+	seeks, scans := db.cat.LocateStats()
 	return Stats{
 		Committed: committed,
 		Aborted:   aborted,
@@ -413,6 +421,9 @@ func (db *Database) Stats() Stats {
 		CheckpointsTaken:        db.txns.Checkpoints(),
 		CheckpointFailures:      db.checkpointFailures.Load(),
 		RecoveryRecordsReplayed: uint64(db.recovery.TailApplied),
+
+		RowsLocatedBySeek: seeks,
+		RowsLocatedByScan: scans,
 
 		SnapshotsTaken:    mvcc.SnapshotsTaken,
 		WriteConflicts:    mvcc.WriteConflicts,

@@ -574,3 +574,75 @@ func TestReplicationSnapshotAtomicity(t *testing.T) {
 		}
 	}
 }
+
+// TestReplicaSurfacesDivergence: when a replicated UPDATE's before-image no
+// longer matches the replica's row (same key, different tuple), the applier
+// must stop rather than guess. The operator sees the cause in
+// Stats().LastError, the applied frontier never passes the commit that could
+// not be applied — so a fleet router's lag bound keeps reads off this replica —
+// and every resubscribe fails the same way instead of skipping ahead.
+func TestReplicaSurfacesDivergence(t *testing.T) {
+	pdb, _, primaryAddr := startPrimary(t)
+	pc, err := client.Dial(primaryAddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pc.Close()
+	for _, sql := range []string{
+		"CREATE TABLE ledger (id INT PRIMARY KEY, owner TEXT, amount INT)",
+		"INSERT INTO ledger (id, owner, amount) VALUES (1, 'alice', 700)",
+	} {
+		if _, err := pc.Exec(sql); err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+	}
+
+	rdb, err := engine.Open(engine.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := server.NewReplica(rdb, primaryAddr)
+	rep.Start()
+	t.Cleanup(func() {
+		rep.Stop()
+		rdb.Close()
+	})
+	waitCaughtUp(t, pdb, rep)
+
+	// Diverge the replica behind the applier's back.
+	local := rdb.Session()
+	defer local.Close()
+	if _, err := local.Execute("UPDATE ledger SET amount = 1 WHERE id = 1"); err != nil {
+		t.Fatal(err)
+	}
+
+	if _, err := pc.Exec("UPDATE ledger SET amount = 650 WHERE id = 1"); err != nil {
+		t.Fatal(err)
+	}
+	commitEnd := pc.LastLSN()
+
+	// Two stream errors: the first attempt, and the resubscribe after it.
+	deadline := time.Now().Add(10 * time.Second)
+	for rep.Stats().StreamErrors < 2 {
+		if time.Now().After(deadline) {
+			t.Fatalf("the applier never reported the divergence: %+v", rep.Stats())
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	st := rep.Stats()
+	for _, want := range []string{"no row matches the before-image", "UPDATE", "ledger"} {
+		if !strings.Contains(st.LastError, want) {
+			t.Errorf("LastError %q does not mention %q", st.LastError, want)
+		}
+	}
+	if st.AppliedLSN >= commitEnd {
+		t.Errorf("applied LSN %d reached the failed commit's end %d", st.AppliedLSN, commitEnd)
+	}
+	res, err := local.Query("SELECT amount FROM ledger WHERE id = 1")
+	if err != nil || len(res.Rows) != 1 || res.Rows[0][0].Int() != 1 {
+		t.Errorf("the diverged row reads %v, %v; the failed transaction must leave it alone", res, err)
+	}
+	if located := rdb.Stats().RowsLocatedBySeek; located < 2 {
+		t.Errorf("RowsLocatedBySeek = %d, want one seek per attempt", located)
+	}
+}

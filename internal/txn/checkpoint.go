@@ -9,6 +9,7 @@ import (
 	"strings"
 
 	"repro/internal/catalog"
+	"repro/internal/storage"
 	"repro/internal/types"
 )
 
@@ -520,34 +521,37 @@ func ReplayLog(image *CheckpointImage, tail []Record, cat *catalog.Catalog, appl
 			}
 			st.DDL = append(st.DDL, r.DDL)
 			st.TailApplied++
-		case RecordInsert:
-			table, err := cat.GetTable(r.Table)
-			if err != nil {
-				return st, err
-			}
-			if _, err := table.InsertVersion(r.New, r.Txn); err != nil {
-				return st, fmt.Errorf("txn: recovery insert into %s: %w", r.Table, err)
-			}
-			st.TailApplied++
-		case RecordDelete:
-			table, err := cat.GetTable(r.Table)
-			if err != nil {
-				return st, err
-			}
-			if err := deleteMatching(table, r.Old); err != nil {
-				return st, fmt.Errorf("txn: recovery delete from %s: %w", r.Table, err)
-			}
-			st.TailApplied++
-		case RecordUpdate:
-			table, err := cat.GetTable(r.Table)
-			if err != nil {
-				return st, err
-			}
-			if err := updateMatching(table, r.Old, r.New); err != nil {
-				return st, fmt.Errorf("txn: recovery update of %s: %w", r.Table, err)
+		case RecordInsert, RecordUpdate, RecordDelete:
+			if err := replayRow(cat, r); err != nil {
+				return st, fmt.Errorf("txn: recovery %s on %s: %w", r.Kind, r.Table, err)
 			}
 			st.TailApplied++
 		}
 	}
 	return st, nil
+}
+
+// replayRow applies one committed row record physically. An UPDATE or DELETE
+// names its row by before-image: Table.Locate resolves it among the live
+// versions (replay leaves no dead ones), and a miss is an error — the log
+// says a committed change happened to a row this catalog does not hold, and
+// dropping the change would hand back a database that never existed.
+func replayRow(cat *catalog.Catalog, r Record) error {
+	table, err := cat.GetTable(r.Table)
+	if err != nil {
+		return err
+	}
+	if r.Kind == RecordInsert {
+		_, err = table.InsertVersion(r.New, r.Txn)
+		return err
+	}
+	rid, err := table.Locate(r.Old, func(m storage.VersionMeta) bool { return m.Xmax == 0 })
+	if err != nil {
+		return err
+	}
+	if r.Kind == RecordDelete {
+		return table.Delete(rid)
+	}
+	_, err = table.Update(rid, r.New)
+	return err
 }

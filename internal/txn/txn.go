@@ -342,31 +342,6 @@ func (t *Txn) Delete(table *catalog.Table, rid storage.RecordID) error {
 	return nil
 }
 
-// FindRow returns the id of the version visible to this transaction's
-// snapshot whose tuple equals image. It is the lookup a replication applier
-// uses to resolve a primary's before-image to a local row: unlike recovery's
-// physical scan, it respects MVCC visibility — including this transaction's
-// own uncommitted writes — so it stays correct while concurrent readers hold
-// older snapshots open.
-func (t *Txn) FindRow(table *catalog.Table, image types.Tuple) (storage.RecordID, bool, error) {
-	if t.State() != StateActive {
-		return storage.RecordID{}, false, ErrNotActive
-	}
-	it := table.VersionIterator()
-	for {
-		rid, meta, tuple, ok, err := it.Next()
-		if err != nil {
-			return storage.RecordID{}, false, err
-		}
-		if !ok {
-			return storage.RecordID{}, false, nil
-		}
-		if t.snap.Visible(meta) && tuple.Equal(image) {
-			return rid, true, nil
-		}
-	}
-}
-
 // LogDDL records a schema statement so recovery can rebuild the catalog.
 // The statement joins the manager's committed DDL history when this
 // transaction commits, which is how checkpoint images carry the schema.
@@ -519,34 +494,4 @@ func (t *Txn) finish(committed bool) {
 func Recover(records []Record, cat *catalog.Catalog, applyDDL func(string) error) (uint64, error) {
 	st, err := ReplayLog(nil, records, cat, applyDDL)
 	return st.MaxID, err
-}
-
-func deleteMatching(table *catalog.Table, image types.Tuple) error {
-	rid, found, err := findRow(table, image)
-	if err != nil || !found {
-		return err
-	}
-	return table.Delete(rid)
-}
-
-func updateMatching(table *catalog.Table, oldImage, newImage types.Tuple) error {
-	rid, found, err := findRow(table, oldImage)
-	if err != nil || !found {
-		return err
-	}
-	_, err = table.Update(rid, newImage)
-	return err
-}
-
-func findRow(table *catalog.Table, image types.Tuple) (storage.RecordID, bool, error) {
-	var rid storage.RecordID
-	found := false
-	err := table.Scan(func(r storage.RecordID, tuple types.Tuple) error {
-		if !found && tuple.Equal(image) {
-			rid = r
-			found = true
-		}
-		return nil
-	})
-	return rid, found, err
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -664,6 +665,40 @@ func TestRecoverReplaysOnlyCommitted(t *testing.T) {
 	}
 	if sum != 35 {
 		t.Errorf("recovered balances = %v (sum %v), want sum 35", balances, sum)
+	}
+}
+
+// TestReplayFailsOnMissingBeforeImage: a committed UPDATE or DELETE whose
+// before-image matches no live row means the catalog being rebuilt is not the
+// one the log describes. Replay used to skip the record and hand back a
+// database missing a committed change; it must fail with the sentinel the
+// replica applier fails with, naming the record kind and the table.
+func TestReplayFailsOnMissingBeforeImage(t *testing.T) {
+	row := func(balance float64) types.Tuple {
+		return types.Tuple{types.NewInt(1), types.NewString("ada"), types.NewFloat(balance)}
+	}
+	for _, diverged := range []Record{
+		{Kind: RecordUpdate, Txn: 2, Table: "accounts", Old: row(99), New: row(15)},
+		{Kind: RecordDelete, Txn: 2, Table: "accounts", Old: row(99)},
+	} {
+		cat, accounts := newCatalogWithAccounts(t)
+		st, err := ReplayLog(nil, []Record{
+			{Kind: RecordBegin, Txn: 1},
+			{Kind: RecordInsert, Txn: 1, Table: "accounts", New: row(10)},
+			{Kind: RecordCommit, Txn: 1},
+			{Kind: RecordBegin, Txn: 2},
+			diverged,
+			{Kind: RecordCommit, Txn: 2},
+		}, cat, func(string) error { return nil })
+		if !errors.Is(err, catalog.ErrNoMatchingRow) {
+			t.Fatalf("replay of a diverged %s = %v, want catalog.ErrNoMatchingRow", diverged.Kind, err)
+		}
+		if msg := err.Error(); !strings.Contains(msg, diverged.Kind.String()) || !strings.Contains(msg, "accounts") {
+			t.Errorf("error %q does not name the record kind and the table", msg)
+		}
+		if st.TailApplied != 1 || accounts.RowCount() != 1 {
+			t.Errorf("replay applied %d records and left %d rows, want the insert alone", st.TailApplied, accounts.RowCount())
+		}
 	}
 }
 
