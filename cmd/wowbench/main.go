@@ -10,7 +10,7 @@
 //	wowbench -remote=... -clients=8 -ops=2000 -pool=4 -batch=200
 //
 // With -remote, wowbench skips the local experiments and drives the given
-// wowserver over the wire protocol v2: it bulk-loads a table through the
+// wowserver over the wire protocol v3: it bulk-loads a table through the
 // connection pool with ExecBatch frames (-pool connections, -batch rows per
 // frame), then measures prepared point-query throughput with -clients
 // workers multiplexed over the same pool, all preparing the identical
@@ -179,7 +179,7 @@ func printEngineStats(cfg harness.Config) error {
 // remoteRows is how many rows the remote benchmark loads before measuring.
 const remoteRows = 1000
 
-// runRemote benchmarks a running wowserver over protocol v2: the load phase
+// runRemote benchmarks a running wowserver over protocol v3: the load phase
 // ships ExecBatch frames through the connection pool, then `clients` workers
 // multiplex over the same pool running the identical prepared point query.
 // Every connection preparing the same text exercises the server's shared

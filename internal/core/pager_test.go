@@ -340,7 +340,7 @@ func TestWindowPagedBrowse(t *testing.T) {
 }
 
 // TestWindowRemotePagedBrowse opens the same window over a wire connection:
-// the pager's page fetches become page-sized Fetch round trips against the
+// the pager's page fetches become page-sized Run round trips against the
 // server, and the server streams O(page) rows per navigation step.
 func TestWindowRemotePagedBrowse(t *testing.T) {
 	const n = 1500
@@ -388,6 +388,20 @@ func TestWindowRemotePagedBrowse(t *testing.T) {
 	}
 	if err := w.LastRow(); err != nil {
 		t.Fatal(err)
+	}
+	// A page is one Run that binds, executes and carries the rows back, plus
+	// at most a CloseCursor when the page filled before the cursor ran dry.
+	// Home then End repeats statements the walk has already prepared.
+	if err := w.FirstRow(); err != nil {
+		t.Fatal(err)
+	}
+	queries, msgs := w.Stats().Queries, srv.Stats().MessagesServed
+	if err := w.LastRow(); err != nil {
+		t.Fatal(err)
+	}
+	queries, msgs = w.Stats().Queries-queries, srv.Stats().MessagesServed-msgs
+	if queries == 0 || msgs > 2*queries {
+		t.Fatalf("End ran %d page queries in %d messages, want <= 2 per page", queries, msgs)
 	}
 	row, _ := w.CurrentRow()
 	if w.Cursor() != n-1 || int(row[0].Int()) != n {

@@ -324,7 +324,7 @@ func RunE17(cfg Config) (*Table, error) {
 	}
 	table.Notes = append(table.Notes,
 		fmt.Sprintf("readers alternate a point lookup and a 200-row range sum through client.Fleet routing; one writer autocommits single-row UPDATEs on the primary throughout; %d-row ledger", rows),
-		fmt.Sprintf("replicas stream the primary's WAL live (v2.2 Subscribe) and serve reads from their own MVCC snapshots; the fleet skips any replica lagging more than %d WAL bytes behind the primary frontier it observed", maxLag),
+		fmt.Sprintf("replicas stream the primary's WAL live (Subscribe) and serve reads from their own MVCC snapshots; the fleet skips any replica lagging more than %d WAL bytes behind the primary frontier it observed", maxLag),
 		"stale>bound audits every read: the serving server's piggybacked LSN must be within the bound of the primary frontier known at routing time — the count must be zero",
 		fmt.Sprintf("speedup is bounded by the host's parallelism: this run saw %d CPU(s) (GOMAXPROCS %d); on a single core the extra engines add WAL-apply work without adding cycles, so the row shows routing correctness (replica share, zero stale, zero fallbacks) rather than scaling", runtime.NumCPU(), runtime.GOMAXPROCS(0)),
 	)

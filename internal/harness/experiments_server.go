@@ -135,7 +135,7 @@ func RunE11(cfg Config) (*Table, error) {
 	return table, nil
 }
 
-// RunE12 — remote bulk ingest over protocol v2: the same synthetic workload
+// RunE12 — remote bulk ingest over the wire protocol: the same synthetic workload
 // (every table of the standard schema) is loaded into a fresh server three
 // ways — one Exec round trip per row over one connection (the PR 3 remote
 // path), ExecBatch frames over one connection, and ExecBatch frames fanned

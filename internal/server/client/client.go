@@ -21,12 +21,14 @@
 // Pool, which multiplexes N workers over K health-checked connections and
 // reuses prepared statements per connection.
 //
-// Cursors pull rows in fetch batches; the batch size is the wire Fetch
-// frame's max-rows and is settable per connection (Conn.SetFetchSize), per
-// statement (Stmt.SetFetchSize) or per open cursor (Rows.SetFetchSize) —
-// paging consumers like the forms window pager pin it to their page size so
-// one page costs one round trip. The protocol itself is specified in
-// docs/WIRE.md.
+// Running a statement is one round trip: Bind and BindNamed only accumulate
+// values locally, and Query or Exec ships them with the execution in a single
+// Run frame whose answer already carries the first batch of rows. Longer
+// results pull further batches with Fetch; the batch size is the frames'
+// max-rows and is settable per connection (Conn.SetFetchSize), per statement
+// (Stmt.SetFetchSize) or per open cursor (Rows.SetFetchSize) — paging
+// consumers like the forms window pager pin it to their page size so one page
+// arrives with the Run. The protocol itself is specified in docs/WIRE.md.
 package client
 
 import (
@@ -40,7 +42,7 @@ import (
 	"repro/internal/types"
 )
 
-// DefaultFetchSize is how many rows a cursor pulls per Fetch round trip.
+// DefaultFetchSize is how many rows a cursor pulls per round trip.
 const DefaultFetchSize = 256
 
 // Error is a failure the server reported (as opposed to a transport error).
@@ -79,7 +81,7 @@ type Conn struct {
 	nc net.Conn
 	r  *bufio.Reader
 	w  *bufio.Writer
-	// fetchSize is the Fetch batch size cursors on this connection use.
+	// fetchSize is the batch size cursors on this connection use.
 	fetchSize uint32
 	closed    bool
 	// broken marks a connection that hit a transport error (as opposed to a
@@ -88,15 +90,13 @@ type Conn struct {
 	broken bool
 	// version is what the handshake negotiated; banner is the server's
 	// self-identification from HelloOK; role says whether the server is a
-	// primary or a read-only replica (v2.2 servers; RolePrimary otherwise).
+	// primary or a read-only replica.
 	version wire.Version
 	banner  string
 	role    byte
 	// lsn is the highest durable LSN the server has piggybacked on a
-	// response (v2.2): the freshness signal fleet routing steers by.
+	// response: the freshness signal fleet routing steers by.
 	lsn uint64
-	// pipelined counts Bind+Execute pairs that shared one round trip.
-	pipelined uint64
 	// ctx, when set, governs every round trip: cancellation (or deadline
 	// expiry) mid-round-trip closes the socket to unblock the read, breaking
 	// the connection by design. Nil means no cancellation.
@@ -109,7 +109,7 @@ type DialOptions struct {
 	// wire.Current; setting it differently exists so tests and CI can prove
 	// the server's rejection path.
 	Version wire.Version
-	// FetchSize is the per-Fetch row count cursors use (DefaultFetchSize
+	// FetchSize is the per-batch row count cursors use (DefaultFetchSize
 	// when zero).
 	FetchSize int
 }
@@ -217,35 +217,26 @@ func (c *Conn) ProtocolVersion() wire.Version { return c.version }
 func (c *Conn) ServerBanner() string { return c.banner }
 
 // IsReplica reports whether the server identified itself as a read-only
-// replica in the handshake (always false against pre-v2.2 servers).
+// replica in the handshake.
 func (c *Conn) IsReplica() bool { return c.role == wire.RoleReplica }
 
 // LastLSN returns the highest durable LSN the server has reported on this
-// connection's responses — 0 against pre-v2.2 servers. On a primary it is
-// the WAL durable frontier; on a replica, the applied frontier. Comparing
-// the two is how the fleet router bounds read staleness.
+// connection's responses. On a primary it is the WAL durable frontier; on a
+// replica, the applied frontier. Comparing the two is how the fleet router
+// bounds read staleness.
 func (c *Conn) LastLSN() uint64 { return c.lsn }
 
-// Pipelined returns how many Bind+Execute pairs this connection has merged
-// into single round trips.
-func (c *Conn) Pipelined() uint64 { return c.pipelined }
-
-// noteLSNTail records the v2.2 durable-LSN tail, called with the cursor
-// positioned after a response's last v2.1 field.
+// noteLSNTail records the durable-LSN tail every success response ends with,
+// called with the cursor positioned after the response's last field.
 func (c *Conn) noteLSNTail(cur *wire.Cursor) {
-	if c.version.Minor < 2 || cur == nil || cur.Err() != nil {
-		return
-	}
-	if cur.Remaining() >= 8 {
-		if lsn := cur.Uint64(); lsn > c.lsn {
-			c.lsn = lsn
-		}
+	if lsn := cur.Uint64(); cur.Err() == nil && lsn > c.lsn {
+		c.lsn = lsn
 	}
 }
 
 // Ping round-trips a liveness probe. Pool checkout uses it to validate idle
-// connections before handing them out; against a v2.2 server it doubles as
-// a freshness probe, refreshing LastLSN.
+// connections before handing them out; it doubles as a freshness probe,
+// refreshing LastLSN.
 func (c *Conn) Ping() error {
 	cur, err := c.expect(wire.MsgPing, nil, wire.MsgOK)
 	if err != nil {
@@ -259,11 +250,20 @@ func (c *Conn) Ping() error {
 // error.
 func (c *Conn) Healthy() bool { return !c.closed && !c.broken }
 
-// SetFetchSize changes how many rows each Fetch round trip asks for.
+// SetFetchSize changes how many rows each batch asks for.
 func (c *Conn) SetFetchSize(n int) {
 	if n > 0 {
 		c.fetchSize = uint32(n)
 	}
+}
+
+// batchSize resolves a statement's or cursor's fetch-size override (0 = none)
+// against the connection default.
+func (c *Conn) batchSize(override uint32) uint32 {
+	if override != 0 {
+		return override
+	}
+	return c.fetchSize
 }
 
 // Close closes the connection. The server rolls back any open transaction
@@ -363,18 +363,12 @@ func (c *Conn) Prepare(text string) (*Stmt, error) {
 	st.id = cur.Uint32()
 	st.paramNames = cur.Strings()
 	st.columns = cur.Strings()
-	// v2.1 servers append whether Execute yields rows (SELECT or a RETURNING
-	// write); older servers stop here and the flag stays false. v2.2 servers
-	// append whether the statement is a pure SELECT — the pipelining gate.
-	if cur.Remaining() > 0 {
-		st.returnsRows = cur.Bool()
-	}
-	if cur.Remaining() > 0 {
-		st.isQuery = cur.Bool()
-	}
+	st.returnsRows = cur.Bool()
 	if err := cur.Err(); err != nil {
 		return nil, err
 	}
+	st.args = make(types.Tuple, len(st.paramNames))
+	st.bound = make([]bool, len(st.paramNames))
 	return st, nil
 }
 
@@ -419,13 +413,12 @@ func (c *Conn) txnControl(msgType byte) error {
 	if err != nil {
 		return err
 	}
-	_, err = readResult(cur)
-	c.noteLSNTail(cur)
+	_, err = c.readResult(cur)
 	return err
 }
 
-// readResult decodes a MsgResult payload.
-func readResult(cur *wire.Cursor) (*Result, error) {
+// readResult decodes a MsgResult payload and notes the LSN that ends it.
+func (c *Conn) readResult(cur *wire.Cursor) (*Result, error) {
 	res := &Result{}
 	res.RowsAffected = int64(cur.Uint64())
 	res.Message = cur.String()
@@ -434,6 +427,7 @@ func readResult(cur *wire.Cursor) (*Result, error) {
 	for i := uint32(0); i < n; i++ {
 		res.Rows = append(res.Rows, cur.Tuple())
 	}
+	c.noteLSNTail(cur)
 	if err := cur.Err(); err != nil {
 		return nil, err
 	}
@@ -446,28 +440,27 @@ type Stmt struct {
 	id         uint32
 	paramNames []string
 	columns    []string
-	// returnsRows records the server's v2.1 flag: Execute on this statement
-	// yields rows (a SELECT, or DML with a RETURNING clause). isQuery is the
-	// v2.2 flag marking a pure SELECT, the only statement kind Query may
-	// pipeline Bind+Execute for (see pipeline.go).
+	// returnsRows records the server's flag: Run on this statement yields rows
+	// (a SELECT, or DML with a RETURNING clause).
 	returnsRows bool
-	isQuery     bool
-	// named accumulates BindNamed values (by ordinal); namedSet marks which
-	// ordinals were bound. The wire Bind is positional, so named values are
-	// flushed as one positional Bind round trip before each Execute.
-	named    []types.Value
-	namedSet []bool
-	// fetchSize overrides the connection's Fetch batch size for cursors
+	// args holds the parameter values by ordinal and bound marks which ones
+	// Bind or BindNamed has set. Binding is local: every Run ships the whole
+	// tuple, and like the engine statement it mirrors, values stay bound
+	// across executions.
+	args  types.Tuple
+	bound []bool
+	// fetchSize overrides the connection's batch size for cursors
 	// opened from this statement (0 = use the connection default).
 	fetchSize uint32
 	closed    bool
 }
 
-// SetFetchSize sets how many rows each Fetch round trip asks for on cursors
-// opened from this statement, overriding the connection default. A paging
-// caller (the TUI's window pager) sets it to its page size, so one visible
-// page costs one round trip and the server streams no further. Zero or
-// negative restores the connection default.
+// SetFetchSize sets how many rows each batch carries on cursors opened from
+// this statement — the one that arrives with the Run and every Fetch after it
+// — overriding the connection default. A paging caller (the TUI's window
+// pager) sets it to its page size, so one visible page costs one round trip
+// and the server streams no further. Zero or negative restores the connection
+// default.
 func (st *Stmt) SetFetchSize(n int) {
 	if n > 0 {
 		st.fetchSize = uint32(n)
@@ -494,50 +487,38 @@ func (st *Stmt) Columns() []string {
 	return out
 }
 
-// ReturnsRows reports whether Execute on this statement yields rows — a
-// SELECT, or DML with a RETURNING clause. Servers older than protocol v2.1
-// never set it, so it may under-report against them.
+// ReturnsRows reports whether running this statement yields rows — a SELECT,
+// or DML with a RETURNING clause.
 func (st *Stmt) ReturnsRows() bool { return st.returnsRows }
 
-// Bind sets every parameter positionally on the server-side statement. A
-// positional Bind supersedes any values accumulated through BindNamed.
+// Bind sets every parameter positionally. Nothing is sent: the values travel
+// with the next Query or Exec.
 func (st *Stmt) Bind(args ...types.Value) error {
 	if st.closed {
 		return fmt.Errorf("client: statement is closed")
 	}
-	st.named, st.namedSet = nil, nil
-	return st.bindWire(args)
-}
-
-func (st *Stmt) bindWire(args []types.Value) error {
-	var b wire.Buffer
-	b.Uint32(st.id)
-	b.Tuple(types.Tuple(args))
-	cur, err := st.conn.expect(wire.MsgBind, b.B, wire.MsgOK)
-	if err != nil {
-		return err
+	if len(args) != len(st.args) {
+		return fmt.Errorf("client: statement takes %d parameter(s), got %d", len(st.args), len(args))
 	}
-	st.conn.noteLSNTail(cur)
+	copy(st.args, args)
+	for i := range st.bound {
+		st.bound[i] = true
+	}
 	return nil
 }
 
 // BindNamed sets every occurrence of the named parameter ("@name" or "name"),
-// mirroring the engine API. The wire protocol binds positionally, so named
-// values accumulate client-side and flush as one positional Bind round trip
-// when the statement executes; every named parameter must be bound by then.
+// mirroring the engine API. Like Bind it only records the value; every
+// parameter must be bound by the time the statement runs.
 func (st *Stmt) BindNamed(name string, v types.Value) error {
 	if st.closed {
 		return fmt.Errorf("client: statement is closed")
 	}
 	name = strings.ToLower(strings.TrimPrefix(name, "@"))
-	if st.named == nil {
-		st.named = make([]types.Value, len(st.paramNames))
-		st.namedSet = make([]bool, len(st.paramNames))
-	}
 	found := false
 	for i, n := range st.paramNames {
 		if n == name {
-			st.named[i], st.namedSet[i] = v, true
+			st.args[i], st.bound[i] = v, true
 			found = true
 		}
 	}
@@ -547,38 +528,52 @@ func (st *Stmt) BindNamed(name string, v types.Value) error {
 	return nil
 }
 
-// flushNamed ships accumulated BindNamed values as one positional Bind. A
-// no-op when the statement binds positionally (or takes no parameters).
-func (st *Stmt) flushNamed() error {
-	if st.named == nil {
-		return nil
+// run is the one execution path: a single Run frame carrying the statement
+// id, every parameter and the first batch's size, answered by a Result or by
+// a Cursor that already holds that batch. Optional args are a shorthand for
+// Bind.
+func (st *Stmt) run(args []types.Value) (byte, *wire.Cursor, error) {
+	if st.closed {
+		return 0, nil, fmt.Errorf("client: statement is closed")
 	}
-	for i, ok := range st.namedSet {
-		if !ok {
-			return fmt.Errorf("client: parameter @%s is not bound", st.paramNames[i])
+	if len(args) > 0 {
+		if err := st.Bind(args...); err != nil {
+			return 0, nil, err
 		}
 	}
-	return st.bindWire(st.named)
+	for i, ok := range st.bound {
+		if !ok {
+			if name := st.paramNames[i]; name != "" {
+				return 0, nil, fmt.Errorf("client: parameter @%s is not bound", name)
+			}
+			return 0, nil, fmt.Errorf("client: parameter %d is not bound", i+1)
+		}
+	}
+	var b wire.Buffer
+	b.Uint32(st.id)
+	b.Tuple(st.args)
+	b.Uint32(st.conn.batchSize(st.fetchSize))
+	respType, cur, err := st.conn.roundTrip(wire.MsgRun, b.B)
+	if err != nil {
+		return 0, nil, err
+	}
+	if respType != wire.MsgResult && respType != wire.MsgCursor {
+		return 0, nil, fmt.Errorf("client: unexpected response 0x%02x to Run", respType)
+	}
+	return respType, cur, nil
 }
 
 // Exec runs the statement and materialises its outcome. Optional args are a
 // shorthand for Bind. Running a SELECT through Exec drains its cursor.
 func (st *Stmt) Exec(args ...types.Value) (*Result, error) {
-	if len(args) > 0 {
-		if err := st.Bind(args...); err != nil {
-			return nil, err
-		}
-	}
-	respType, cur, err := st.execute()
+	respType, cur, err := st.run(args)
 	if err != nil {
 		return nil, err
 	}
 	if respType == wire.MsgResult {
-		res, err := readResult(cur)
-		st.conn.noteLSNTail(cur)
-		return res, err
+		return st.conn.readResult(cur)
 	}
-	// A SELECT came back as a cursor: drain it.
+	// A SELECT or RETURNING write came back as a cursor: drain it.
 	rows, err := st.rowsFromCursor(cur)
 	if err != nil {
 		return nil, err
@@ -619,77 +614,32 @@ func (st *Stmt) ExecBatch(rows [][]types.Value) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, rerr := readResult(cur)
-	st.conn.noteLSNTail(cur)
-	return res, rerr
+	return st.conn.readResult(cur)
 }
 
-// Query runs the statement and returns a streaming cursor over its result.
-// Optional args are a shorthand for Bind. On a v2.2 connection a SELECT's
-// Bind and Execute share one round trip (see pipeline.go).
+// Query runs the statement and returns a streaming cursor over its result,
+// already holding the first batch. Optional args are a shorthand for Bind.
 func (st *Stmt) Query(args ...types.Value) (*Rows, error) {
-	if len(args) > 0 {
-		if st.isQuery && st.conn.version.Minor >= 2 {
-			return st.queryPipelined(args)
-		}
-		if err := st.Bind(args...); err != nil {
-			return nil, err
-		}
-	}
-	respType, cur, err := st.execute()
+	respType, cur, err := st.run(args)
 	if err != nil {
 		return nil, err
 	}
 	if respType != wire.MsgCursor {
-		if st.returnsRows {
-			// A pre-v2.1 negotiation answers a RETURNING write with the rows
-			// materialised in the Result frame; serve them through the same
-			// cursor interface from a local buffer.
-			res, err := readResult(cur)
-			if err != nil {
-				return nil, err
-			}
-			return st.rowsFromResult(res), nil
-		}
 		return nil, fmt.Errorf("client: statement is not a query; use Exec")
 	}
 	return st.rowsFromCursor(cur)
 }
 
-func (st *Stmt) execute() (byte, *wire.Cursor, error) {
-	if st.closed {
-		return 0, nil, fmt.Errorf("client: statement is closed")
-	}
-	if err := st.flushNamed(); err != nil {
-		return 0, nil, err
-	}
-	var b wire.Buffer
-	b.Uint32(st.id)
-	respType, cur, err := st.conn.roundTrip(wire.MsgExecute, b.B)
-	if err != nil {
-		return 0, nil, err
-	}
-	if respType != wire.MsgResult && respType != wire.MsgCursor {
-		return 0, nil, fmt.Errorf("client: unexpected response 0x%02x to Execute", respType)
-	}
-	return respType, cur, nil
-}
-
+// rowsFromCursor decodes a Cursor frame: the cursor's identity, then its
+// first batch.
 func (st *Stmt) rowsFromCursor(cur *wire.Cursor) (*Rows, error) {
 	rows := &Rows{conn: st.conn, fetchSize: st.fetchSize}
 	rows.id = cur.Uint32()
 	rows.columns = cur.Strings()
-	if err := cur.Err(); err != nil {
+	if err := rows.readBatch(cur); err != nil {
 		return nil, err
 	}
-	st.conn.noteLSNTail(cur)
 	return rows, nil
-}
-
-// rowsFromResult wraps an already-materialised result as a cursor: the server
-// holds nothing, so exhaustion and Close skip the wire entirely.
-func (st *Stmt) rowsFromResult(res *Result) *Rows {
-	return &Rows{conn: st.conn, columns: res.Columns, buf: res.Rows, done: true, local: true}
 }
 
 // Close releases the server-side statement.
@@ -705,23 +655,21 @@ func (st *Stmt) Close() error {
 }
 
 // Rows is a streaming cursor over a remote query's result. Rows arrive in
-// fetch batches (Conn.SetFetchSize); Next serves from the batch and asks the
-// server for the next one when it runs dry.
+// batches (Conn.SetFetchSize) — the first with the cursor itself; Next serves
+// from the batch and asks the server for the next one when it runs dry.
 type Rows struct {
 	conn    *Conn
 	id      uint32
 	columns []string
-	// fetchSize overrides the connection's Fetch batch size for this cursor
+	// fetchSize overrides the connection's batch size for this cursor
 	// (0 = use the connection default). Inherited from the statement's
 	// SetFetchSize at open; adjustable mid-stream.
 	fetchSize uint32
 	buf       []types.Tuple
 	pos       int
-	done      bool
-	// local marks a cursor served from an already-materialised result (a
-	// RETURNING write answered with a Result frame): the server holds no
-	// cursor, so Close never round-trips.
-	local  bool
+	// done records that the server reported the result exhausted — and closed
+	// its cursor — with the last batch.
+	done   bool
 	closed bool
 	err    error
 	// ownStmt is the one-off statement Conn.Query created, closed with the
@@ -772,33 +720,35 @@ func (r *Rows) Next() bool {
 
 // fetch pulls the next batch; it reports whether any progress can be made.
 func (r *Rows) fetch() bool {
-	size := r.fetchSize
-	if size == 0 {
-		size = r.conn.fetchSize
-	}
 	var b wire.Buffer
 	b.Uint32(r.id)
-	b.Uint32(size)
+	b.Uint32(r.conn.batchSize(r.fetchSize))
 	cur, err := r.conn.expect(wire.MsgFetch, b.B, wire.MsgRows)
 	if err != nil {
 		r.err = err
 		r.finish()
 		return false
 	}
-	r.done = cur.Bool()
-	n := cur.Uint32()
-	r.buf = r.buf[:0]
-	r.pos = 0
-	for i := uint32(0); i < n; i++ {
-		r.buf = append(r.buf, cur.Tuple())
-	}
-	if err := cur.Err(); err != nil {
+	if err := r.readBatch(cur); err != nil {
 		r.err = err
 		r.finish()
 		return false
 	}
-	r.conn.noteLSNTail(cur)
 	return true
+}
+
+// readBatch replaces the buffered rows with the batch a Rows frame — or the
+// tail of a Cursor frame — carries, then notes the LSN that follows it.
+func (r *Rows) readBatch(cur *wire.Cursor) error {
+	r.done = cur.Bool()
+	n := cur.Uint32()
+	r.buf = r.buf[:0]
+	r.pos = 0
+	for i := uint32(0); i < n && cur.Err() == nil; i++ {
+		r.buf = append(r.buf, cur.Tuple())
+	}
+	r.conn.noteLSNTail(cur)
+	return cur.Err()
 }
 
 // Row returns the current row (valid until the next call to Next), or nil
@@ -824,17 +774,17 @@ func (r *Rows) finish() {
 	}
 }
 
-// Close releases the cursor. Closing before exhaustion tells the server to
-// drop its cursor (releasing the read locks it holds); closing after Next
-// returned false is a no-op.
+// Close releases the cursor. Closing while the server still holds it open
+// tells the server to drop it (releasing its snapshot); once a batch came back
+// done the server has already closed its side, so Close stays local however
+// many of the buffered rows were consumed.
 func (r *Rows) Close() error {
 	if r.closed {
 		return nil
 	}
-	wasDone := r.local || (r.done && r.pos >= len(r.buf))
 	r.closed = true
 	var err error
-	if !wasDone {
+	if !r.done {
 		var b wire.Buffer
 		b.Uint32(r.id)
 		_, err = r.conn.expect(wire.MsgCloseCursor, b.B, wire.MsgOK)

@@ -6,7 +6,7 @@
 // back to the primary — correctness degrades to "slower", never to "stale
 // beyond the bound".
 //
-// Freshness flows entirely through the v2.2 LSN piggyback: the primary
+// Freshness flows entirely through the LSN piggyback: the primary
 // stamps its durable frontier on every response, replicas stamp their
 // applied frontier, and each Pool folds what its connections see into an
 // LSN high-water mark. Because both numbers are byte offsets into the same

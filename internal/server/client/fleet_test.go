@@ -3,7 +3,6 @@ package client_test
 import (
 	"net"
 	"path/filepath"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -299,78 +298,6 @@ func TestFleetNoReplicasDegeneratesToPrimary(t *testing.T) {
 	}
 	if _, err := h.Exec("CREATE TABLE t (id INT PRIMARY KEY)"); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestQueryPipelinesOnV22 checks the latency fast path: a parameterised
-// SELECT over a v2.2 connection merges Bind+Execute into one round trip, and
-// a bind failure still surfaces cleanly with the connection usable after.
-func TestQueryPipelinesOnV22(t *testing.T) {
-	_, _, addr := startServer(t)
-	c, err := client.Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if _, err := c.Exec("CREATE TABLE kv (k INT PRIMARY KEY, v TEXT)"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Exec("INSERT INTO kv (k, v) VALUES (1, 'one')"); err != nil {
-		t.Fatal(err)
-	}
-	st, err := c.Prepare("SELECT v FROM kv WHERE k = ?")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-
-	for i := 0; i < 3; i++ {
-		rows, err := st.Query(types.NewInt(1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var v string
-		for rows.Next() {
-			v = rows.Row()[0].Str()
-		}
-		if err := rows.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if v != "one" {
-			t.Fatalf("pipelined query %d: v = %q, want \"one\"", i, v)
-		}
-	}
-	if got := c.Pipelined(); got != 3 {
-		t.Errorf("Pipelined() = %d, want 3", got)
-	}
-
-	// A bind error (wrong arity) must fail the query but leave the
-	// connection in sync for the next operation.
-	if _, err := st.Query(types.NewInt(1), types.NewInt(2)); err == nil {
-		t.Fatal("Query with wrong arity succeeded")
-	} else if !strings.Contains(err.Error(), "parameter") && !strings.Contains(err.Error(), "bind") {
-		t.Logf("bind failure surfaced as: %v", err)
-	}
-	rows, err := st.Query(types.NewInt(1))
-	if err != nil {
-		t.Fatalf("query after failed pipelined bind: %v", err)
-	}
-	n := 0
-	for rows.Next() {
-		n++
-	}
-	rows.Close()
-	if n != 1 {
-		t.Errorf("rows after recovery = %d, want 1", n)
-	}
-
-	// DML never pipelines: Exec still works and the counter stays put.
-	before := c.Pipelined()
-	if _, err := c.Exec("INSERT INTO kv (k, v) VALUES (2, 'two')"); err != nil {
-		t.Fatal(err)
-	}
-	if c.Pipelined() != before {
-		t.Error("a write went through the pipelined path")
 	}
 }
 

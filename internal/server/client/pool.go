@@ -68,7 +68,7 @@ type Pool struct {
 	discards    atomic.Uint64
 
 	// lsnHW is the highest durable LSN any of the pool's connections has
-	// seen the server report (v2.2). For a pool pointed at a replica it is
+	// seen the server report. For a pool pointed at a replica it is
 	// the pool's best knowledge of that replica's applied position — the
 	// number fleet routing compares against the primary's frontier.
 	lsnHW atomic.Uint64
@@ -93,7 +93,7 @@ type PoolStats struct {
 	// Idle is the current idle-connection count.
 	Idle int
 	// LSNHighWater is the highest durable LSN the pool's connections have
-	// seen the server report (0 against pre-v2.2 servers).
+	// seen the server report.
 	LSNHighWater uint64
 }
 

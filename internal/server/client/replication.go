@@ -28,9 +28,6 @@ func (c *Conn) Subscribe(startLSN uint64) (*WALStream, error) {
 	if c.closed {
 		return nil, fmt.Errorf("client: connection is closed")
 	}
-	if c.version.Minor < 2 {
-		return nil, fmt.Errorf("client: replication requires protocol v2.2, server negotiated v%s", c.version)
-	}
 	var b wire.Buffer
 	wire.Subscribe{StartLSN: startLSN}.Encode(&b)
 	if err := wire.WriteFrame(c.w, wire.MsgSubscribe, b.B); err != nil {

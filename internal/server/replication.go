@@ -1,4 +1,4 @@
-// WAL streaming: the server side of physical replication. A v2.2 client
+// WAL streaming: the server side of physical replication. A client
 // sends Subscribe with a start LSN and the connection stops being
 // request/response: the server pushes WALSegment frames — raw bytes of its
 // CRC-framed log, chunked without regard to record boundaries — as fast as
@@ -35,9 +35,6 @@ func (c *conn) handleSubscribe(payload []byte) (streamed bool) {
 	sub := wire.DecodeSubscribe(cur)
 	if err := cur.Err(); err != nil {
 		return refuse(err)
-	}
-	if c.version.Minor < 2 {
-		return refuse(fmt.Errorf("server: Subscribe requires protocol v2.2, connection negotiated v%s", c.version))
 	}
 	if c.srv.readOnly.Load() {
 		return refuse(fmt.Errorf("server: cannot subscribe to a replica; stream from the primary"))

@@ -1,7 +1,5 @@
-// Wire-level tests for protocol v2.1: RETURNING writes streamed as cursors,
-// the Stmt frame's returns-rows tail, the v2.0 interop fallback (rows
-// materialised in the Result frame), and context cancellation on client round
-// trips.
+// Wire-level tests for RETURNING writes streamed as cursors, the Stmt frame's
+// returns-rows flag, and context cancellation on client round trips.
 package server_test
 
 import (
@@ -12,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/server/client"
-	"repro/internal/server/wire"
 	"repro/internal/types"
 )
 
@@ -31,7 +28,7 @@ func TestReturningOverWireStreamsCursor(t *testing.T) {
 	}
 	defer st.Close()
 	if !st.ReturnsRows() {
-		t.Fatal("v2.1 Prepare should flag a RETURNING write as returning rows")
+		t.Fatal("Prepare should flag a RETURNING write as returning rows")
 	}
 
 	before := srv.Stats().MessagesServed
@@ -52,53 +49,10 @@ func TestReturningOverWireStreamsCursor(t *testing.T) {
 	if n != 3 {
 		t.Fatalf("streamed %d RETURNING rows, want 3", n)
 	}
-	// Bind + Execute + one Fetch: the write and its projected rows cost round
-	// trips like a SELECT, not a write-then-read pair.
-	if trips := srv.Stats().MessagesServed - before; trips > 3 {
-		t.Fatalf("RETURNING write cost %d round trips, want <= 3", trips)
-	}
-}
-
-// TestReturningMinor0GetsResultFrame pins the interop contract: a peer that
-// negotiated minor 0 gets the RETURNING rows materialised inside the Result
-// frame (a payload shape 2.0 already decodes) instead of a cursor.
-func TestReturningMinor0GetsResultFrame(t *testing.T) {
-	_, _, addr := startServer(t)
-	c, err := client.DialWith(addr, client.DialOptions{Version: wire.Version{Major: 2, Minor: 0}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if got := c.ProtocolVersion(); got.Minor != 0 {
-		t.Fatalf("negotiated %s, want minor 0", got)
-	}
-	seedCustomers(t, c, 2)
-
-	res, err := c.Exec("DELETE FROM customers WHERE id = 1 RETURNING name")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.RowsAffected != 1 || len(res.Rows) != 1 {
-		t.Fatalf("minor-0 RETURNING: affected=%d rows=%v", res.RowsAffected, res.Rows)
-	}
-
-	// Query on the same shape still works: the client serves the Result
-	// frame's rows through a local buffer.
-	st, err := c.Prepare("DELETE FROM customers WHERE id = 2 RETURNING name")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	rows, err := st.Query()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rows.Close()
-	if !rows.Next() || rows.Row()[0].IsNull() {
-		t.Fatalf("minor-0 Query fallback yielded no row (err=%v)", rows.Err())
-	}
-	if rows.Next() {
-		t.Fatal("expected exactly one row")
+	// The write and its projected rows are one Run, like a SELECT — not a
+	// write-then-read pair.
+	if trips := srv.Stats().MessagesServed - before; trips != 1 {
+		t.Fatalf("RETURNING write cost %d round trips, want 1", trips)
 	}
 }
 

@@ -2,10 +2,11 @@
 // TCP session manager that gives every connection its own engine.Session —
 // run by one goroutine per connection — while all connections share the
 // engine's plan cache, lock manager and storage. The protocol (package wire)
-// maps 1:1 onto the prepared-statement lifecycle, so a remote client pays one
-// round trip per Prepare/Bind/Execute and streams result rows in fetch
-// batches instead of materialising them; ExecBatch array-binds a whole bulk
-// load into one round trip and one transaction.
+// maps onto the prepared-statement lifecycle: Prepare once, then every
+// execution is one Run round trip that binds, executes and carries the first
+// batch of rows back; longer results stream in further Fetch batches instead
+// of materialising, and ExecBatch array-binds a whole bulk load into one
+// round trip and one transaction.
 //
 // Every connection opens with a protocol handshake: the first frame must be
 // a Hello carrying the wire magic and the client's version. A compatible
@@ -37,7 +38,7 @@ import (
 type Server struct {
 	db *engine.Database
 
-	// lsn reports the durable LSN the server appends to v2.2 response frames:
+	// lsn reports the durable LSN the server appends to success responses:
 	// on a primary the WAL's durable frontier, on a replica the applier's
 	// applied LSN. Set before Serve (SetLSNSource), read by every connection.
 	lsn func() uint64
@@ -60,6 +61,7 @@ type Server struct {
 	rejected    atomic.Uint64
 	batchRowsIn atomic.Uint64
 	batchFrames atomic.Uint64
+	keptOpen    atomic.Uint64
 
 	subscribers    atomic.Int64
 	walSegments    atomic.Uint64
@@ -74,7 +76,11 @@ type Stats struct {
 	ConnectionsActive   int64
 	MessagesServed      uint64
 	RowsSent            uint64
-	Panics              uint64
+	// CursorsKeptOpen counts cursors that outlived the first batch their Run
+	// carried — how often an operation needed a second round trip (a Fetch or
+	// a CloseCursor).
+	CursorsKeptOpen uint64
+	Panics          uint64
 	// HandshakesAccepted and HandshakesRejected count protocol negotiation
 	// outcomes; a rejected handshake is a version mismatch or a pre-v2
 	// client that never sent a Hello.
@@ -88,7 +94,7 @@ type Stats struct {
 	// DDL and transaction-control messages it refused.
 	ReadOnly       bool
 	ReadOnlyDenied uint64
-	// DurableLSN is the value the server currently piggybacks on v2.2
+	// DurableLSN is the value the server currently piggybacks on success
 	// responses: the WAL durable frontier (primary) or applied LSN (replica).
 	DurableLSN uint64
 	// WALSubscribers counts live replication streams; WALSegmentsSent and
@@ -112,7 +118,7 @@ func New(db *engine.Database) *Server {
 }
 
 // SetLSNSource overrides where the server reads the durable LSN it appends
-// to v2.2 responses. Must be called before Serve.
+// to success responses. Must be called before Serve.
 func (s *Server) SetLSNSource(fn func() uint64) { s.lsn = fn }
 
 // SetReadOnly switches the server into replica mode: every write, DDL and
@@ -128,6 +134,7 @@ func (s *Server) Stats() Stats {
 		ConnectionsActive:   s.active.Load(),
 		MessagesServed:      s.statements.Load(),
 		RowsSent:            s.rowsSent.Load(),
+		CursorsKeptOpen:     s.keptOpen.Load(),
 		Panics:              s.panics.Load(),
 		HandshakesAccepted:  s.handshakes.Load(),
 		HandshakesRejected:  s.rejected.Load(),
@@ -232,9 +239,6 @@ type conn struct {
 	stmts   map[uint32]*engine.Stmt
 	cursors map[uint32]*engine.Rows
 	nextID  uint32
-	// version is the handshake-negotiated protocol version; minor-gated
-	// behavior (cursor responses for RETURNING writes) keys off it.
-	version wire.Version
 }
 
 // serveConn runs one connection's message loop and always — clean EOF, read
@@ -294,14 +298,12 @@ func (s *Server) serveConn(nc net.Conn) {
 			continue
 		}
 		respType, resp := c.dispatch(msgType, payload)
-		// v2.2 append-only tail: the server's durable LSN rides on every
-		// success response, so clients track each node's frontier for free
-		// and fleet routing can bound read staleness without extra probes.
-		if c.version.Minor >= 2 {
-			switch respType {
-			case wire.MsgResult, wire.MsgCursor, wire.MsgRows, wire.MsgOK:
-				resp = binary.BigEndian.AppendUint64(resp, s.lsn())
-			}
+		// The server's durable LSN rides on every success response, so clients
+		// track each node's frontier for free and fleet routing can bound read
+		// staleness without extra probes.
+		switch respType {
+		case wire.MsgResult, wire.MsgCursor, wire.MsgRows, wire.MsgOK:
+			resp = binary.BigEndian.AppendUint64(resp, s.lsn())
 		}
 		if err := wire.WriteFrame(c.w, respType, resp); err != nil {
 			return
@@ -350,10 +352,7 @@ func (c *conn) handshake() bool {
 	// Negotiated version: the server's major (equal by now), the smaller
 	// minor — the set of payload fields both ends understand.
 	negotiated := wire.Current
-	if hello.Version.Minor < negotiated.Minor {
-		negotiated.Minor = hello.Version.Minor
-	}
-	c.version = negotiated
+	negotiated.Minor = min(negotiated.Minor, hello.Version.Minor)
 	role := wire.RolePrimary
 	if c.srv.readOnly.Load() {
 		role = wire.RoleReplica
@@ -404,10 +403,8 @@ func (c *conn) dispatch(msgType byte, payload []byte) (byte, []byte) {
 	switch msgType {
 	case wire.MsgPrepare:
 		return c.handlePrepare(cur)
-	case wire.MsgBind:
-		return c.handleBind(cur)
-	case wire.MsgExecute:
-		return c.handleExecute(cur)
+	case wire.MsgRun:
+		return c.handleRun(cur)
 	case wire.MsgFetch:
 		return c.handleFetch(cur)
 	case wire.MsgCloseStmt:
@@ -476,14 +473,7 @@ func (c *conn) handlePrepare(cur *wire.Cursor) (byte, []byte) {
 	b.Uint32(id)
 	b.Strings(st.ParamNames())
 	b.Strings(st.Columns())
-	// v2.1 append-only tail: whether Execute will produce rows (SELECT or a
-	// RETURNING write). 2.0 decoders stop before it.
-	b.Bool(st.ReturnsRows())
-	// v2.2 tail: whether the statement is a pure SELECT — the only kind a
-	// client may pipeline Bind+Execute for, since a failed Bind would let the
-	// Execute run with stale parameters and a SELECT is the only statement
-	// where that has no side effects.
-	b.Bool(st.IsQuery())
+	b.Bool(st.ReturnsRows()) // Run will answer Cursor (SELECT or a RETURNING write), not Result
 	return wire.MsgStmt, b.B
 }
 
@@ -493,24 +483,14 @@ func (c *conn) refuseReadOnly(what string) (byte, []byte) {
 	return errFrame(fmt.Errorf("server: read-only replica: cannot run %q here; writes and transactions go to the primary", what))
 }
 
-func (c *conn) handleBind(cur *wire.Cursor) (byte, []byte) {
+// handleRun is the whole statement execution in one round trip: bind every
+// parameter, execute, and — for a statement that yields rows — answer with the
+// cursor and its first batch together. A result that fits the batch is done
+// in this one frame and leaves nothing open; a failed bind executes nothing.
+func (c *conn) handleRun(cur *wire.Cursor) (byte, []byte) {
 	id := cur.Uint32()
 	args := cur.Tuple()
-	if err := cur.Err(); err != nil {
-		return errFrame(err)
-	}
-	st, ok := c.stmts[id]
-	if !ok {
-		return errFrame(fmt.Errorf("server: no statement %d", id))
-	}
-	if err := st.Bind(args...); err != nil {
-		return errFrame(err)
-	}
-	return wire.MsgOK, nil
-}
-
-func (c *conn) handleExecute(cur *wire.Cursor) (byte, []byte) {
-	id := cur.Uint32()
+	maxRows := cur.Uint32()
 	if err := cur.Err(); err != nil {
 		return errFrame(err)
 	}
@@ -523,29 +503,36 @@ func (c *conn) handleExecute(cur *wire.Cursor) (byte, []byte) {
 	if !st.IsQuery() && c.srv.readOnly.Load() {
 		return c.refuseReadOnly(st.Text())
 	}
-	// SELECTs always answer with a cursor. RETURNING writes do too on a v2.1
-	// connection, streaming the projected rows in fetch batches; a v2.0 peer
-	// instead gets a Result frame with the rows materialised inline — that
-	// payload has carried columns + rows since 2.0 (EXPLAIN uses them), so no
-	// new decoding is asked of the old client.
-	if st.IsQuery() || (st.ReturnsRows() && c.version.Minor >= 1) {
-		rows, err := st.Query()
+	if err := st.Bind(args...); err != nil {
+		return errFrame(err)
+	}
+	if !st.ReturnsRows() {
+		res, err := st.Exec()
 		if err != nil {
 			return errFrame(err)
 		}
-		c.nextID++
-		cid := c.nextID
-		c.cursors[cid] = rows
-		var b wire.Buffer
-		b.Uint32(cid)
-		b.Strings(rows.Columns())
-		return wire.MsgCursor, b.B
+		return resultFrame(res, &c.srv.rowsSent)
 	}
-	res, err := st.Exec()
+	// SELECTs and RETURNING writes alike answer with a cursor; the write has
+	// fully run before its first projected row ships.
+	rows, err := st.Query()
 	if err != nil {
 		return errFrame(err)
 	}
-	return resultFrame(res, &c.srv.rowsSent)
+	var b wire.Buffer
+	b.Uint32(0) // cursor id: stays 0 when this batch already drains the result
+	b.Strings(rows.Columns())
+	done, err := c.appendBatch(&b, rows, maxRows)
+	if err != nil {
+		return errFrame(err)
+	}
+	if !done {
+		c.nextID++
+		c.cursors[c.nextID] = rows
+		binary.BigEndian.PutUint32(b.B, c.nextID)
+		c.srv.keptOpen.Add(1)
+	}
+	return wire.MsgCursor, b.B
 }
 
 // handleExecBatch array-binds one prepared DML statement across every
@@ -599,6 +586,22 @@ func (c *conn) handleFetch(cur *wire.Cursor) (byte, []byte) {
 	if !ok {
 		return errFrame(fmt.Errorf("server: no cursor %d", id))
 	}
+	var b wire.Buffer
+	done, err := c.appendBatch(&b, rows, maxRows)
+	if done || err != nil {
+		delete(c.cursors, id)
+	}
+	if err != nil {
+		return errFrame(err)
+	}
+	return wire.MsgRows, b.B
+}
+
+// appendBatch pulls the cursor's next batch and appends it to b in the Rows
+// layout — done, row count, tuples — which a Cursor frame carries after its
+// header too. done or an error means the cursor is closed and the caller must
+// not keep it registered.
+func (c *conn) appendBatch(b *wire.Buffer, rows *engine.Rows, maxRows uint32) (done bool, err error) {
 	if maxRows == 0 {
 		maxRows = 1
 	}
@@ -607,39 +610,36 @@ func (c *conn) handleFetch(cur *wire.Cursor) (byte, []byte) {
 	// cap, or WriteFrame would fail and take the whole connection down. A
 	// short batch just means the client fetches again.
 	const batchByteBudget = 4 << 20
-	var rowsBuf wire.Buffer
-	count := 0
-	done := false
-	for uint32(count) < maxRows && len(rowsBuf.B) < batchByteBudget {
+	head := len(b.B)
+	b.Bool(false) // done and count are patched in once the batch is known
+	b.Uint32(0)
+	var count uint32
+	for count < maxRows && len(b.B)-head < batchByteBudget {
 		if !rows.Next() {
+			// Next returning false closed the cursor.
+			if err := rows.Err(); err != nil {
+				return true, err
+			}
 			done = true
 			break
 		}
 		// Row is valid until the next Next, and it is encoded before the next
 		// pull, so no copy is needed.
-		rowsBuf.Tuple(rows.Row())
+		b.Tuple(rows.Row())
 		count++
 	}
-	if done {
-		err := rows.Err()
-		delete(c.cursors, id) // Next returning false closed the cursor
-		if err != nil {
-			return errFrame(err)
-		}
-	}
-	var b wire.Buffer
-	b.Bool(done)
-	b.Uint32(uint32(count))
-	b.B = append(b.B, rowsBuf.B...)
 	if len(b.B)+16 > wire.MaxFrame {
 		// A single row larger than a frame can never be shipped; fail the
 		// statement, not the connection.
 		rows.Close()
-		delete(c.cursors, id)
-		return errFrame(fmt.Errorf("server: result row exceeds the %d-byte frame limit", wire.MaxFrame))
+		return true, fmt.Errorf("server: result row exceeds the %d-byte frame limit", wire.MaxFrame)
 	}
+	if done {
+		b.B[head] = 1
+	}
+	binary.BigEndian.PutUint32(b.B[head+1:], count)
 	c.srv.rowsSent.Add(uint64(count))
-	return wire.MsgRows, b.B
+	return done, nil
 }
 
 // execText runs a statement given as text (transaction control) and returns

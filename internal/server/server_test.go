@@ -262,8 +262,8 @@ func TestGarbageFrameGetsErrorNotDisconnect(t *testing.T) {
 	if msgType != wire.MsgErr {
 		t.Fatalf("response type = 0x%02x, want MsgErr", msgType)
 	}
-	// A truncated Bind payload likewise.
-	if err := wire.WriteFrame(nc, wire.MsgBind, []byte{0, 0}); err != nil {
+	// A truncated Run payload likewise.
+	if err := wire.WriteFrame(nc, wire.MsgRun, []byte{0, 0}); err != nil {
 		t.Fatal(err)
 	}
 	msgType, _, err = wire.ReadFrame(nc)
@@ -609,26 +609,29 @@ func TestHandshakeNegotiatesVersion(t *testing.T) {
 }
 
 // TestHandshakeRefusesUnknownMajor: the acceptance path for version skew — a
-// client offering a major the server does not speak is refused with a typed
+// client offering a major the server does not speak, a future one or the v2.2
+// this tree spoke before Run replaced Bind/Execute, is refused with a typed
 // *wire.VersionError naming both versions.
 func TestHandshakeRefusesUnknownMajor(t *testing.T) {
 	_, srv, addr := startServer(t)
-	_, err := client.DialWith(addr, client.DialOptions{Version: wire.Version{Major: 9, Minor: 0}})
-	if err == nil {
-		t.Fatal("a v9 client must be refused")
-	}
-	ve, ok := err.(*wire.VersionError)
-	if !ok {
-		t.Fatalf("want *wire.VersionError, got %T: %v", err, err)
-	}
-	if ve.Client.Major != 9 || ve.Server.Major != wire.Current.Major {
-		t.Fatalf("VersionError = %+v", ve)
-	}
-	if !strings.Contains(ve.Error(), "v9.0") || !strings.Contains(ve.Error(), "v"+wire.Current.String()) {
-		t.Fatalf("refusal text %q does not name both versions", ve.Error())
-	}
-	if stats := srv.Stats(); stats.HandshakesRejected != 1 {
-		t.Fatalf("HandshakesRejected = %d, want 1", stats.HandshakesRejected)
+	for i, offered := range []wire.Version{{Major: 9, Minor: 0}, {Major: 2, Minor: 2}} {
+		_, err := client.DialWith(addr, client.DialOptions{Version: offered})
+		if err == nil {
+			t.Fatalf("a v%s client must be refused", offered)
+		}
+		ve, ok := err.(*wire.VersionError)
+		if !ok {
+			t.Fatalf("want *wire.VersionError, got %T: %v", err, err)
+		}
+		if ve.Client != offered || ve.Server != wire.Current {
+			t.Fatalf("VersionError = %+v", ve)
+		}
+		if !strings.Contains(ve.Error(), "v"+offered.String()) || !strings.Contains(ve.Error(), "v"+wire.Current.String()) {
+			t.Fatalf("refusal text %q does not name both versions", ve.Error())
+		}
+		if stats := srv.Stats(); stats.HandshakesRejected != uint64(i+1) {
+			t.Fatalf("HandshakesRejected = %d, want %d", stats.HandshakesRejected, i+1)
+		}
 	}
 }
 

@@ -18,8 +18,8 @@ import (
 func FuzzFrame(f *testing.F) {
 	// A well-formed Prepare frame.
 	f.Add([]byte("\x00\x00\x00\x09\x01SELECT 1"))
-	// A well-formed v2 Hello frame: magic "WOW!", version 2.0.
-	f.Add([]byte("\x00\x00\x00\x0d\x0aWOW!\x00\x00\x00\x02\x00\x00\x00\x00"))
+	// A well-formed Hello frame: magic "WOW!", version 3.0.
+	f.Add([]byte("\x00\x00\x00\x0d\x0aWOW!\x00\x00\x00\x03\x00\x00\x00\x00"))
 	// Truncated length prefix, hostile length, zero length.
 	f.Add([]byte("\x00\x00"))
 	f.Add([]byte("\xff\xff\xff\xff"))
@@ -39,7 +39,37 @@ func FuzzFrame(f *testing.F) {
 	}
 	f.Add(frame.Bytes())
 
-	// Replication frames (v2.2). A Subscribe at the hostile maximum LSN, a
+	// A Run frame — stmt 1, parameters (int 7, NULL), first batch of 20 rows —
+	// and the Cursor frame that answers it with the whole result inline:
+	// cursor id 0, one column, done, one row, the LSN tail.
+	var run Buffer
+	run.Uint32(1)
+	run.Uint32(2)
+	run.Byte(1) // KindInt
+	run.Uint64(7)
+	run.Byte(0) // KindNull
+	run.Uint32(20)
+	var runFrame bytes.Buffer
+	if err := WriteFrame(&runFrame, MsgRun, run.B); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(runFrame.Bytes())
+	var cursor Buffer
+	cursor.Uint32(0)
+	cursor.Strings([]string{"id"})
+	cursor.Bool(true)
+	cursor.Uint32(1)
+	cursor.Uint32(1)
+	cursor.Byte(1) // KindInt
+	cursor.Uint64(7)
+	cursor.Uint64(4096)
+	var cursorFrame bytes.Buffer
+	if err := WriteFrame(&cursorFrame, MsgCursor, cursor.B); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(cursorFrame.Bytes())
+
+	// Replication frames. A Subscribe at the hostile maximum LSN, a
 	// WALSegment whose declared body runs past the frame, a duplicate pair
 	// of Subscribe frames back to back, and a well-formed ReplicaStatus.
 	var sub Buffer

@@ -1,28 +1,23 @@
 // Package wire defines the length-prefixed binary protocol spoken between
-// the wowserver session manager and its clients. Messages map 1:1 onto the
-// engine's prepared-statement lifecycle:
+// the wowserver session manager and its clients. Messages map onto the
+// engine's prepared-statement lifecycle, and running a statement is one
+// request frame and one response frame:
 //
+//	Hello       -> version check          -> HelloOK (negotiated version, banner, role)
 //	Prepare     -> Session.Prepare        -> Stmt  (statement id, params, columns)
-//	Bind        -> Stmt.Bind              -> OK
-//	Execute     -> Stmt.Query / Stmt.Exec -> Cursor (SELECT) or Result
-//	Fetch       -> Rows.Next x maxRows    -> Rows (a batch; done closes the cursor)
+//	Run         -> Stmt.Bind + Query/Exec -> Cursor (first batch inline) or Result
+//	Fetch       -> Rows.Next x maxRows    -> Rows (a later batch; done closes the cursor)
 //	CloseStmt   -> Stmt.Close             -> OK
 //	CloseCursor -> Rows.Close             -> OK
-//	Begin / Commit / Rollback             -> Result
-//
-// Since protocol v2 a connection starts with a version handshake before any
-// of the statement messages:
-//
-//	Hello       -> version check          -> HelloOK (negotiated version, banner)
 //	ExecBatch   -> Stmt.ExecBatch         -> Result  (array-bind in one round trip)
+//	Begin / Commit / Rollback             -> Result
 //	Ping        -> liveness check         -> OK      (pool health checks)
 //
-// Since v2.2 a connection can instead become a replication stream: Subscribe
-// carries a start LSN, the server pushes WALSegment frames (raw bytes of the
-// primary's CRC-framed log) from there on, and the replica acknowledges
-// progress with ReplicaStatus frames. v2.2 also appends the server's durable
-// LSN to Result, Cursor, Rows and OK frames — the lag signal fleet routing
-// steers by — and a role byte to HelloOK.
+// A connection can instead become a replication stream: Subscribe carries a
+// start LSN, the server pushes WALSegment frames (raw bytes of the primary's
+// CRC-framed log) from there on, and the replica acknowledges progress with
+// ReplicaStatus frames. Result, Cursor, Rows and OK frames end with the
+// server's durable LSN — the lag signal fleet routing steers by.
 //
 // Framing: every message is one frame — a 4-byte big-endian payload length,
 // then the payload, whose first byte is the message type. Integers are
@@ -34,11 +29,10 @@
 // versions ride in a structured tail on the error frame) and answers HelloOK
 // with the negotiated version otherwise. The major number gates wire
 // compatibility; minors may only append fields to existing payloads, which
-// decoders tolerate (a Cursor never requires full consumption), so a v2.1
-// peer interoperates with v2.0 and a v3 codec can evolve behind the same
-// handshake. The normative protocol specification — frame layout, every
-// message payload, error-tail encoding, version rules — is docs/WIRE.md in
-// the repository root; this package is its reference implementation.
+// decoders tolerate (a Cursor never requires full consumption). The normative
+// protocol specification — frame layout, every message payload, error-tail
+// encoding, version rules — is docs/WIRE.md in the repository root; this
+// package is its reference implementation.
 package wire
 
 import (
@@ -52,37 +46,37 @@ import (
 
 // Message types, client to server.
 const (
-	MsgPrepare     byte = 0x01 // sql string
-	MsgBind        byte = 0x02 // stmt id, values
-	MsgExecute     byte = 0x03 // stmt id
+	MsgPrepare byte = 0x01 // sql string
+	// 0x02 was v2's Bind; v3 retired it and the byte is never reused.
+	MsgRun         byte = 0x03 // stmt id, all parameter values, max rows of the first batch
 	MsgFetch       byte = 0x04 // cursor id, max rows
 	MsgCloseStmt   byte = 0x05 // stmt id
 	MsgCloseCursor byte = 0x06 // cursor id
 	MsgBegin       byte = 0x07
 	MsgCommit      byte = 0x08
 	MsgRollback    byte = 0x09
-	MsgHello       byte = 0x0a // magic, client version — must be the first frame (v2)
-	MsgExecBatch   byte = 0x0b // stmt id, row count, parameter rows (v2)
-	MsgPing        byte = 0x0c // liveness probe, answered with OK (v2)
+	MsgHello       byte = 0x0a // magic, client version — must be the first frame
+	MsgExecBatch   byte = 0x0b // stmt id, row count, parameter rows
+	MsgPing        byte = 0x0c // liveness probe, answered with OK
 
-	// Replication family (v2.2). Subscribe turns the connection into a WAL
-	// stream: the server pushes WALSegment frames and the request/response
-	// discipline ends; the only frame the subscriber may send from then on is
+	// Replication family. Subscribe turns the connection into a WAL stream:
+	// the server pushes WALSegment frames and the request/response discipline
+	// ends; the only frame the subscriber may send from then on is
 	// ReplicaStatus.
-	MsgSubscribe     byte = 0x0d // start LSN (v2.2)
-	MsgReplicaStatus byte = 0x0e // applied LSN, acknowledging stream progress (v2.2)
+	MsgSubscribe     byte = 0x0d // start LSN
+	MsgReplicaStatus byte = 0x0e // applied LSN, acknowledging stream progress
 )
 
 // Message types, server to client.
 const (
 	MsgErr        byte = 0x20 // error text (+ server version tail on handshake refusal)
-	MsgStmt       byte = 0x21 // stmt id, param names, columns
+	MsgStmt       byte = 0x21 // stmt id, param names, columns, returns-rows flag
 	MsgResult     byte = 0x22 // rows affected, message, columns, rows
-	MsgCursor     byte = 0x23 // cursor id, columns
+	MsgCursor     byte = 0x23 // cursor id (0 once done), columns, then the first batch as in Rows
 	MsgRows       byte = 0x24 // done flag, row batch
 	MsgOK         byte = 0x25
-	MsgHelloOK    byte = 0x26 // negotiated version, server banner (v2)
-	MsgWALSegment byte = 0x27 // start LSN, raw log bytes — pushed after Subscribe (v2.2)
+	MsgHelloOK    byte = 0x26 // negotiated version, server banner, role
+	MsgWALSegment byte = 0x27 // start LSN, raw log bytes — pushed after Subscribe
 )
 
 // --- protocol version ---------------------------------------------------------
@@ -101,26 +95,12 @@ type Version struct {
 
 // Current is the protocol version this tree speaks.
 //
-// v2.1 appends two things to v2.0 payloads, both behind the append-only minor
-// rule so 2.0 peers interoperate untouched:
-//   - Stmt frames carry a trailing returns-rows flag, telling the client up
-//     front that a DML statement has a RETURNING clause (2.0 decoders never
-//     read the tail).
-//   - Execute on a RETURNING statement answers with a Cursor frame so the
-//     projected rows stream in fetch batches, exactly like a SELECT. To a 2.0
-//     peer the server answers with a Result frame instead, the rows
-//     materialised inline (the Result payload has carried columns + rows
-//     since 2.0).
-//
-// v2.2 adds the replication family and the lag signal, again append-only:
-//   - Subscribe / WALSegment / ReplicaStatus stream the primary's log to
-//     replicas (a subscribed connection leaves request/response entirely).
-//   - Result, Cursor, Rows and OK frames carry a trailing uint64: the
-//     server's durable LSN, which fleet routing compares across nodes to
-//     bound staleness. HelloOK carries a trailing role byte (0 = primary,
-//     1 = read-only replica), and Stmt a trailing is-query flag that tells
-//     the client which statements are safe to pipeline.
-var Current = Version{Major: 2, Minor: 2}
+// v3.0 replaced v2's Bind/Execute pair with Run — bind, execute and the first
+// row batch in one round trip — and folded every v2 minor's appended field
+// (the Stmt returns-rows flag, the HelloOK role, the LSN tails) into the base
+// payloads. A major bump leaves no older peer to interoperate with, so no
+// behaviour keys off the negotiated minor.
+var Current = Version{Major: 3, Minor: 0}
 
 // String renders the version as "2.0".
 func (v Version) String() string { return fmt.Sprintf("%d.%d", v.Major, v.Minor) }
@@ -170,7 +150,7 @@ func DecodeHello(c *Cursor) Hello {
 	}
 }
 
-// Server roles carried in the HelloOK role byte (v2.2).
+// Server roles carried in the HelloOK role byte.
 const (
 	RolePrimary byte = 0 // accepts writes and replication subscribers
 	RoleReplica byte = 1 // read-only: refuses writes and explicit transactions
@@ -180,7 +160,7 @@ const (
 type HelloOK struct {
 	Version Version // the negotiated version the connection will speak
 	Banner  string  // a human-readable server identification
-	Role    byte    // RolePrimary or RoleReplica, appended at minor 2
+	Role    byte    // RolePrimary or RoleReplica
 }
 
 // Encode appends the HelloOK payload.
@@ -193,20 +173,16 @@ func (h HelloOK) Encode(b *Buffer) {
 
 // DecodeHelloOK reads a HelloOK payload.
 func DecodeHelloOK(c *Cursor) HelloOK {
-	h := HelloOK{
+	return HelloOK{
 		Version: Version{Major: c.Uint32(), Minor: c.Uint32()},
 		Banner:  c.String(),
+		Role:    c.Byte(),
 	}
-	if c.Err() == nil && c.Remaining() > 0 {
-		h.Role = c.Byte()
-	}
-	return h
 }
 
 // Subscribe asks the server to stream its WAL from StartLSN (a byte offset
 // into the log; 0 streams the full history). The server refuses an LSN past
-// its durable frontier, a log it cannot re-read, or a subscriber on a
-// connection that negotiated a minor below 2.
+// its durable frontier or a log it cannot re-read.
 type Subscribe struct {
 	StartLSN uint64
 }
@@ -257,7 +233,7 @@ func DecodeReplicaStatus(c *Cursor) ReplicaStatus {
 
 // EncodeVersionError renders a handshake refusal as a MsgErr payload: the
 // error text (so a pre-v2 reader still gets a legible message) followed by a
-// structured tail — client major/minor, server major/minor — that v2-aware
+// structured tail — client major/minor, server major/minor — that handshake-aware
 // clients decode back into a typed *VersionError.
 func EncodeVersionError(e *VersionError) []byte {
 	var b Buffer

@@ -75,15 +75,15 @@ func TestCursorTruncationSticks(t *testing.T) {
 
 func TestHelloRoundTrip(t *testing.T) {
 	var b Buffer
-	Hello{Magic: HelloMagic, Version: Version{Major: 2, Minor: 1}}.Encode(&b)
+	Hello{Magic: HelloMagic, Version: Version{Major: 3, Minor: 1}}.Encode(&b)
 	h := DecodeHello(NewCursor(b.B))
-	if h.Magic != HelloMagic || h.Version.Major != 2 || h.Version.Minor != 1 {
+	if h.Magic != HelloMagic || h.Version.Major != 3 || h.Version.Minor != 1 {
 		t.Fatalf("decoded %+v", h)
 	}
 	// Minor additions append fields; a decoder must tolerate a longer payload.
 	b.Uint32(777)
 	h = DecodeHello(NewCursor(b.B))
-	if h.Version.Major != 2 {
+	if h.Version.Major != 3 {
 		t.Fatalf("decoder choked on an appended field: %+v", h)
 	}
 }
