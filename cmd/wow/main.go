@@ -72,7 +72,7 @@ func main() {
 			// Load the demo workload into the server over the wire, and the
 			// schema DDL into the local shadow catalog for form compilation.
 			pool := client.NewPool(*connect, client.PoolConfig{Size: 2})
-			err := workload.PopulateRemote(pool, workload.SmallSizes, workload.RemoteOptions{BatchSize: 200, Workers: 2})
+			err := workload.PopulateRemote(pool, workload.SmallSizes)
 			pool.Close()
 			if err != nil {
 				fatal(fmt.Errorf("loading the demo workload into %s (is the server fresh?): %w", *connect, err))

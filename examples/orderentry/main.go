@@ -70,7 +70,7 @@ func main() {
 	}
 	fmt.Println("attempt to save a negative total:", orderWindow.Status())
 
-	// 4. Session statistics the experiments build on. Every window refresh
+	// 4. Session statistics. Every window refresh
 	// above ran through a prepared statement the window holds on to, so after
 	// the first refresh of each query shape the plan cache serves the rest.
 	fmt.Printf("\ncard window stats:  %+v\n", card.Stats())

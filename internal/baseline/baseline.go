@@ -1,15 +1,17 @@
-// Package baseline implements the comparator the experiments measure the
-// forms interface against: a hand-written application that performs the same
-// business operations by issuing SQL directly, the way a 1983 programmer
-// would have embedded queries in an application program (and the way an
-// expert user would have typed them at the SQL shell).
+// Package baseline implements the comparator the forms interface is measured
+// against: a hand-written application that performs the same business
+// operations by issuing SQL directly, the way a 1983 programmer would have
+// embedded queries in an application program (and the way an expert user
+// would have typed them at the SQL shell).
 //
-// Two things are measured against it:
+// The package's tests reproduce the paper's two comparisons against it:
 //
-//   - execution cost (experiment E1): what the form layer adds on top of the
+//   - execution cost (E1, BenchmarkFormVsHandCoded and
+//     TestFormOverheadIsBounded): what the form layer adds on top of the
 //     identical database work;
-//   - interface economy (experiment E8): how many keystrokes the business
-//     task costs when the user must type SQL instead of filling in a form.
+//   - interface economy (E8, TestFormsNeedFewerKeystrokes): how many
+//     keystrokes the business task costs when the user must type SQL instead
+//     of filling in a form.
 package baseline
 
 import (

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/fdl"
+	"repro/internal/plan"
 	"repro/internal/tui"
 	"repro/internal/types"
 )
@@ -175,7 +176,7 @@ func TestCompileErrors(t *testing.T) {
 // --- query by form ------------------------------------------------------------
 
 func TestBuildFieldPredicate(t *testing.T) {
-	_, forms := newTestManager(t)
+	m, forms := newTestManager(t)
 	card := forms["customer_card"]
 	credit, _ := card.FieldByName("credit")
 	name, _ := card.FieldByName("name")
@@ -227,6 +228,19 @@ func TestBuildFieldPredicate(t *testing.T) {
 	}
 	if !strings.Contains(combined.String(), "city = 'Boston'") || !strings.Contains(combined.String(), "credit > 100") {
 		t.Errorf("combined = %s", combined.String())
+	}
+	// A key pattern, in the parameterized form the pager runs, plans as an
+	// index lookup rather than a scan.
+	keyPred, err := BuildQBFPredicateParam(card, map[string]string{"id": "2"}, map[string]types.Value{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	node, err := m.Database().Session().Plan("SELECT * FROM customers WHERE " + keyPred.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if exp := plan.Explain(node); !strings.Contains(exp, "index lookup") {
+		t.Errorf("key QBF %s does not plan as an index lookup:\n%s", keyPred, exp)
 	}
 }
 
@@ -622,8 +636,24 @@ func TestManagerPropagationBetweenWindows(t *testing.T) {
 	if m.PropagationCount() == 0 || m.WindowsRefreshed() == 0 {
 		t.Errorf("propagation stats = %d/%d", m.PropagationCount(), m.WindowsRefreshed())
 	}
+	// Refresh work grows with the windows open on the written relation: two
+	// more windows over customers cost two more refreshes per commit.
+	perCommit := m.WindowsRefreshed() // opening a window counts no refresh
+	for i := 0; i < 2; i++ {
+		if _, err := m.Open(forms["rich_card"], 0, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m.Focus(browse)
+	_ = browse.BeginEdit()
+	_ = browse.SetFieldText("credit", "9000")
+	if err := browse.Save(); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.WindowsRefreshed() - perCommit; got != perCommit+2 {
+		t.Errorf("commit with 2 more windows open refreshed %d, want %d", got, perCommit+2)
+	}
 	// A write into an unrelated table does not refresh customer windows.
-	refreshed := m.WindowsRefreshed()
 	ordersForm, err := NewCompiler(m.Database()).CompileSource("form o on orders\n key id\n field id\n field customer_id\n field item\n field total\nend\n")
 	if err != nil {
 		t.Fatal(err)
@@ -640,9 +670,8 @@ func TestManagerPropagationBetweenWindows(t *testing.T) {
 	// customer_card depends on customers only; but its detail depends on
 	// orders, so it does refresh. The rich window (no orders dependency)
 	// must not have been refreshed by the orders write.
-	_ = refreshed
-	if got := richWin.Stats().Refreshes; got != 2 { // initial + credit change
-		t.Errorf("rich window refreshes = %d, want 2", got)
+	if got := richWin.Stats().Refreshes; got != 3 { // initial + two credit changes
+		t.Errorf("rich window refreshes = %d, want 3", got)
 	}
 }
 

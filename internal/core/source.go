@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"repro/internal/engine"
 	"repro/internal/server/client"
 	"repro/internal/types"
@@ -186,145 +184,6 @@ type pooledStatement struct {
 }
 
 func (s *pooledStatement) Close() error { return nil }
-
-// --- fleet source ------------------------------------------------------------
-
-// fleetSource adapts a client.Fleet to the Source interface: every Query
-// checks a connection out through the fleet's read routing (a fresh-enough
-// replica when one exists, the primary otherwise) and every Exec through its
-// write routing (always the primary). A window browsing through a fleet
-// source therefore spreads its page fetches across the replica fleet while
-// its edits keep landing on the primary — without the forms runtime knowing
-// replicas exist.
-type fleetSource struct {
-	fleet *client.Fleet
-}
-
-// NewFleetSource wraps a fleet as a window Source. Statements hold no
-// connection between executions: each Query/Exec checks out, runs and — for
-// queries — stays checked out only until the returned row stream is closed,
-// so a paused browse does not pin a fleet connection.
-func NewFleetSource(f *client.Fleet) Source {
-	return fleetSource{fleet: f}
-}
-
-func (f fleetSource) Prepare(text string) (Statement, error) {
-	return &fleetStatement{fleet: f.fleet, text: text}, nil
-}
-
-func (f fleetSource) NewSource() Source { return f }
-
-// fleetStatement defers preparation to execution time: the SQL text is
-// prepared on whichever member connection the routing picks (each pooled
-// connection's statement cache makes the repeat cost one map lookup).
-type fleetStatement struct {
-	fleet     *client.Fleet
-	text      string
-	args      NamedArgs
-	fetchSize int
-	closed    bool
-}
-
-func (s *fleetStatement) BindNamed(name string, value types.Value) error {
-	if s.closed {
-		return fmt.Errorf("core: statement is closed")
-	}
-	if s.args == nil {
-		s.args = NamedArgs{}
-	}
-	s.args[name] = value
-	return nil
-}
-
-// run checks out a connection (reads may land on a replica), prepares the
-// text on it and applies the accumulated named bindings.
-func (s *fleetStatement) run(h *client.PooledConn) (*client.Stmt, error) {
-	st, err := h.Prepare(s.text)
-	if err != nil {
-		return nil, err
-	}
-	if s.fetchSize > 0 {
-		st.SetFetchSize(s.fetchSize)
-	}
-	for name, v := range s.args {
-		if err := st.BindNamed(name, v); err != nil {
-			return nil, err
-		}
-	}
-	return st, nil
-}
-
-func (s *fleetStatement) Query() (RowStream, error) {
-	if s.closed {
-		return nil, fmt.Errorf("core: statement is closed")
-	}
-	h, _, err := s.fleet.GetRead()
-	if err != nil {
-		return nil, err
-	}
-	st, err := s.run(h)
-	if err != nil {
-		h.Release()
-		return nil, err
-	}
-	rows, err := st.Query()
-	if err != nil {
-		h.Release()
-		return nil, err
-	}
-	return &fleetRows{Rows: rows, h: h}, nil
-}
-
-func (s *fleetStatement) Exec() (ExecSummary, error) {
-	if s.closed {
-		return ExecSummary{}, fmt.Errorf("core: statement is closed")
-	}
-	h, err := s.fleet.GetWrite()
-	if err != nil {
-		return ExecSummary{}, err
-	}
-	defer h.Release()
-	st, err := s.run(h)
-	if err != nil {
-		return ExecSummary{}, err
-	}
-	res, err := st.Exec()
-	if err != nil {
-		return ExecSummary{}, err
-	}
-	return ExecSummary{RowsAffected: int(res.RowsAffected)}, nil
-}
-
-// SetFetchSize bounds the rows per fetch round trip for cursors this
-// statement opens, whichever fleet member they land on.
-func (s *fleetStatement) SetFetchSize(n int) {
-	if n > 0 {
-		s.fetchSize = n
-	}
-}
-
-func (s *fleetStatement) Close() error {
-	s.closed = true
-	s.args = nil
-	return nil
-}
-
-// fleetRows keeps the routed connection checked out for the cursor's
-// lifetime and returns it to its pool at Close.
-type fleetRows struct {
-	*client.Rows
-	h        *client.PooledConn
-	released bool
-}
-
-func (r *fleetRows) Close() error {
-	err := r.Rows.Close()
-	if !r.released {
-		r.released = true
-		r.h.Release()
-	}
-	return err
-}
 
 // remoteStatement narrows a *client.Stmt to the Statement interface.
 //

@@ -39,9 +39,9 @@ func (m Mode) String() string {
 	}
 }
 
-// Stats counts what a window has done since it was opened. The experiment
-// harness reads these to report keystroke economy, repaint cost and query
-// counts. Queries counts every query the window's pager ran (page fetches
+// Stats counts what a window has done since it was opened: keystrokes (the
+// keystroke-economy test in internal/baseline reads them), repaint cost and
+// query counts. Queries counts every query the window's pager ran (page fetches
 // and result counts alike); RowsFetched counts the rows those queries
 // actually pulled off their cursors — with the pager this stays O(page) per
 // refresh no matter how large the relation is.

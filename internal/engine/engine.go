@@ -9,6 +9,7 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"sync/atomic"
@@ -28,14 +29,6 @@ type Options struct {
 	WALPath string
 	// BufferPoolPages is the page cache size (default 1024 pages = 8 MiB).
 	BufferPoolPages int
-	// LockTimeout is ignored: under MVCC readers never wait, writers block
-	// only on row locks, and deadlocks are detected by the waits-for graph
-	// instead of being timed out. The field remains so existing callers keep
-	// compiling.
-	LockTimeout time.Duration
-	// DisableWAL turns logging off entirely (used by benchmarks that measure
-	// pure execution cost).
-	DisableWAL bool
 	// PlanCacheSize bounds the engine-wide shared prepared-plan cache
 	// (default 256 statements).
 	PlanCacheSize int
@@ -44,10 +37,6 @@ type Options struct {
 	// tail. Zero disables it; Database.Checkpoint can still be called
 	// manually.
 	CheckpointInterval time.Duration
-	// PerCommitFsync disables group commit: every commit issues its own
-	// fsync instead of riding a shared one. Exists as the baseline the
-	// durability benchmarks compare group commit against.
-	PerCommitFsync bool
 }
 
 // Database is one open database instance.
@@ -116,13 +105,14 @@ type prepCounters struct {
 	batchRows  atomic.Uint64
 }
 
-// Open creates or opens a database with the given options.
-func Open(opts Options) (*Database, error) {
+// Open creates or opens a database with the given options. When it fails it
+// closes every file it opened, so a caller retrying against a bad log leaks
+// nothing.
+func Open(opts Options) (_ *Database, err error) {
 	if opts.BufferPoolPages <= 0 {
 		opts.BufferPoolPages = 1024
 	}
 	var disk storage.DiskManager
-	var err error
 	if opts.DataPath == "" {
 		disk = storage.NewMemDiskManager()
 	} else {
@@ -131,37 +121,36 @@ func Open(opts Options) (*Database, error) {
 			return nil, err
 		}
 	}
+	var wal *txn.WAL
+	defer func() {
+		if err != nil {
+			err = errors.Join(err, wal.Close(), disk.Close())
+		}
+	}()
 	pool := storage.NewBufferPool(disk, opts.BufferPoolPages)
 	cat := catalog.New(pool)
 
-	var wal *txn.WAL
 	var load *txn.LogLoad
-	if !opts.DisableWAL {
-		if opts.WALPath == "" {
-			wal = txn.NewWAL(&discardWriter{})
-		} else {
-			// Load any existing log first — seeking to the last checkpoint
-			// when one is reachable — then append to it. A torn final frame
-			// (crash mid-append) is truncated away before the log is reused:
-			// past the tear nothing is framed, so nothing there was ever
-			// acknowledged as committed.
-			load, err = txn.LoadLog(opts.WALPath)
-			if err != nil {
-				return nil, fmt.Errorf("engine: reading wal: %w", err)
-			}
-			if load != nil && load.Discarded > 0 {
-				if err := os.Truncate(opts.WALPath, load.End); err != nil {
-					return nil, fmt.Errorf("engine: truncating torn wal tail: %w", err)
-				}
-			}
-			wal, err = txn.OpenWALFile(opts.WALPath)
-			if err != nil {
-				return nil, err
+	if opts.WALPath == "" {
+		wal = txn.NewWAL(&discardWriter{})
+	} else {
+		// Load any existing log first — seeking to the last checkpoint when
+		// one is reachable — then append to it. A torn final frame (crash
+		// mid-append) is truncated away before the log is reused: past the
+		// tear nothing is framed, so nothing there was ever acknowledged as
+		// committed.
+		load, err = txn.LoadLog(opts.WALPath)
+		if err != nil {
+			return nil, fmt.Errorf("engine: reading wal: %w", err)
+		}
+		if load != nil && load.Discarded > 0 {
+			if err := os.Truncate(opts.WALPath, load.End); err != nil {
+				return nil, fmt.Errorf("engine: truncating torn wal tail: %w", err)
 			}
 		}
-	}
-	if wal != nil && opts.PerCommitFsync {
-		wal.SetSoloSync(true)
+		if wal, err = txn.OpenWALFile(opts.WALPath); err != nil {
+			return nil, err
+		}
 	}
 	db := &Database{
 		opts:  opts,
@@ -188,7 +177,7 @@ func Open(opts Options) (*Database, error) {
 			Duration:       time.Since(start),
 		}
 	}
-	if opts.CheckpointInterval > 0 && wal != nil {
+	if opts.CheckpointInterval > 0 {
 		db.ckptStop = make(chan struct{})
 		db.ckptDone = make(chan struct{})
 		go db.checkpointLoop(opts.CheckpointInterval)
@@ -277,22 +266,15 @@ func (db *Database) checkpointLoop(interval time.Duration) {
 }
 
 // Close stops the checkpointer, flushes dirty pages and closes the
-// underlying files.
+// underlying files. A failed flush still closes both files; every error is
+// returned, joined.
 func (db *Database) Close() error {
 	if db.ckptStop != nil {
 		close(db.ckptStop)
 		<-db.ckptDone
 		db.ckptStop = nil
 	}
-	if err := db.pool.FlushAll(); err != nil {
-		return err
-	}
-	if db.wal != nil {
-		if err := db.wal.Close(); err != nil {
-			return err
-		}
-	}
-	return db.disk.Close()
+	return errors.Join(db.pool.FlushAll(), db.wal.Close(), db.disk.Close())
 }
 
 // Catalog exposes the database's catalog (the forms layer resolves bindings
@@ -346,7 +328,8 @@ func (db *Database) Vacuum() int {
 	return total
 }
 
-// Stats summarises engine-level counters for the benchmark harness.
+// Stats summarises engine-level counters for tools, the server's metrics
+// endpoint and the benchmark.
 type Stats struct {
 	Committed uint64
 	Aborted   uint64

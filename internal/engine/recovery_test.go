@@ -1,11 +1,14 @@
 package engine
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
 
+	"repro/internal/catalog"
+	"repro/internal/txn"
 	"repro/internal/types"
 )
 
@@ -266,5 +269,70 @@ func TestPeriodicCheckpointer(t *testing.T) {
 	}
 	if got := countCustomers(t, db2); got != want {
 		t.Errorf("recovered %d customers, want %d", got, want)
+	}
+}
+
+// TestFailedOpenLeaksNoDescriptors: an Open that fails closes every file it
+// opened. A server restarting in a loop against a bad log used to leak the
+// data file on each attempt, and the log file as well when replay failed.
+func TestFailedOpenLeaksNoDescriptors(t *testing.T) {
+	if _, err := os.ReadDir("/proc/self/fd"); err != nil {
+		t.Skipf("cannot count descriptors: %v", err)
+	}
+	openFDs := func() int {
+		t.Helper()
+		fds, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(fds)
+	}
+	dir := t.TempDir()
+
+	// A log whose committed UPDATE names a row nothing inserted: replay fails
+	// with catalog.ErrNoMatchingRow once the data file and the log are open.
+	diverged := filepath.Join(dir, "diverged.wal")
+	w, err := txn.OpenWALFile(diverged)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []txn.Record{
+		{Kind: txn.RecordBegin, Txn: 1},
+		{Kind: txn.RecordDDL, Txn: 1, DDL: replLedgerDDL},
+		{Kind: txn.RecordCommit, Txn: 1},
+		{Kind: txn.RecordBegin, Txn: 2},
+		{Kind: txn.RecordUpdate, Txn: 2, Table: "ledger", Old: ledgerRow(1, "ada", 100), New: ledgerRow(1, "ada", 150)},
+		{Kind: txn.RecordCommit, Txn: 2},
+	} {
+		if err := w.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	cases := []struct {
+		name, wal string
+		want      error // nil: any error
+	}{
+		{"replay of an unmatched UPDATE", diverged, catalog.ErrNoMatchingRow},
+		{"log path is a directory", dir, nil},
+	}
+	for _, c := range cases {
+		before := openFDs()
+		for i := 0; i < 20; i++ {
+			db, err := Open(Options{DataPath: filepath.Join(dir, "db.data"), WALPath: c.wal})
+			if err == nil {
+				db.Close()
+				t.Fatalf("%s: Open succeeded", c.name)
+			}
+			if c.want != nil && !errors.Is(err, c.want) {
+				t.Fatalf("%s: Open = %v, want %v", c.name, err, c.want)
+			}
+		}
+		if after := openFDs(); after != before {
+			t.Errorf("%s: 20 failed opens left %d descriptors open", c.name, after-before)
+		}
 	}
 }

@@ -353,7 +353,7 @@ func (s *Session) executeSelect(stmt *sql.SelectStmt) (*Result, error) {
 }
 
 // Plan builds (but does not run) the plan for a statement — SELECT or DML —
-// for EXPLAIN-style tooling and the planner-dependent experiments.
+// for EXPLAIN-style tooling and plan-shape tests.
 func (s *Session) Plan(text string) (plan.Node, error) {
 	stmt, err := sql.Parse(text)
 	if err != nil {

@@ -53,7 +53,6 @@ func tolerable(err error) bool {
 // drop/create window is always open — but an old generation is not.
 func TestSharedPlanCacheConcurrentStress(t *testing.T) {
 	db, err := Open(Options{
-		LockTimeout: 250 * time.Millisecond,
 		// Small enough that eviction happens under the churn queries below.
 		PlanCacheSize: 32,
 	})

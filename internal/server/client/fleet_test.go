@@ -17,7 +17,7 @@ import (
 func startPrimaryServer(t *testing.T) (*engine.Database, string) {
 	t.Helper()
 	wal := filepath.Join(t.TempDir(), "primary.wal")
-	db, err := engine.Open(engine.Options{WALPath: wal, LockTimeout: 500 * time.Millisecond})
+	db, err := engine.Open(engine.Options{WALPath: wal})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func startPrimaryServer(t *testing.T) (*engine.Database, string) {
 // startReplicaServer runs the full replica stack against primaryAddr.
 func startReplicaServer(t *testing.T, primaryAddr string) (*server.Replica, string) {
 	t.Helper()
-	db, err := engine.Open(engine.Options{LockTimeout: 500 * time.Millisecond})
+	db, err := engine.Open(engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

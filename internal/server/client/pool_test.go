@@ -17,7 +17,7 @@ import (
 
 func startServer(t *testing.T) (*engine.Database, *server.Server, string) {
 	t.Helper()
-	db, err := engine.Open(engine.Options{LockTimeout: 200 * time.Millisecond})
+	db, err := engine.Open(engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,7 +23,7 @@ import (
 func startPrimary(t *testing.T) (*engine.Database, *server.Server, string) {
 	t.Helper()
 	wal := filepath.Join(t.TempDir(), "primary.wal")
-	db, err := engine.Open(engine.Options{WALPath: wal, LockTimeout: 500 * time.Millisecond})
+	db, err := engine.Open(engine.Options{WALPath: wal})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func startPrimary(t *testing.T) (*engine.Database, *server.Server, string) {
 // applier streaming from primaryAddr, and a read-only server over it.
 func startReplica(t *testing.T, primaryAddr string) (*server.Replica, *server.Server, string) {
 	t.Helper()
-	db, err := engine.Open(engine.Options{LockTimeout: 500 * time.Millisecond})
+	db, err := engine.Open(engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

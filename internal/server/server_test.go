@@ -22,7 +22,7 @@ import (
 // to dial. Everything shuts down with the test.
 func startServer(t *testing.T) (*engine.Database, *server.Server, string) {
 	t.Helper()
-	db, err := engine.Open(engine.Options{LockTimeout: 200 * time.Millisecond})
+	db, err := engine.Open(engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -256,7 +256,7 @@ func TestStatementCacheHits(t *testing.T) {
 // pool-backed typed DB plus the pool itself.
 func startPoolDB(t *testing.T) (*sqlair.DB, *client.Pool) {
 	t.Helper()
-	edb, err := engine.Open(engine.Options{LockTimeout: 200 * time.Millisecond})
+	edb, err := engine.Open(engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,7 @@ import (
 // dirty pages written back before reuse.
 //
 // All methods are safe for concurrent use; the pool takes a single mutex,
-// which is adequate for the session counts the experiments run (tens of
+// which is adequate for the session counts a forms server runs (tens of
 // concurrent form sessions).
 type BufferPool struct {
 	mu       sync.Mutex
@@ -21,7 +21,7 @@ type BufferPool struct {
 	frames map[PageID]*frame
 	lru    *list.List // of PageID, front = most recently used
 
-	// Stats are cumulative counters exposed for the benchmark harness.
+	// Stats are cumulative counters exposed through Stats.
 	stats BufferPoolStats
 }
 

@@ -9,8 +9,8 @@ import (
 
 // DiskManager abstracts the medium pages are persisted on. Two
 // implementations exist: FileDiskManager (a real file, used by the tools) and
-// MemDiskManager (an in-memory page array, used by tests, examples and the
-// benchmark harness so that measured costs are CPU costs, not fsync costs).
+// MemDiskManager (an in-memory page array, used by tests, examples and every
+// database opened without a data file).
 type DiskManager interface {
 	// ReadPage reads page id into buf, which must be PageSize bytes.
 	ReadPage(id PageID, buf []byte) error

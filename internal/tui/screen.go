@@ -6,8 +6,8 @@
 // The paper's system ran on a bit-mapped terminal of the early 1980s; per the
 // reproduction notes this build simulates that display as a character-cell
 // screen. Every form and window operation is expressed in terms of cells,
-// repaint regions and keystrokes, so the measurements the benchmark harness
-// reports (cells painted, repaints, keystrokes per task) carry over.
+// repaint regions and keystrokes, so the interface costs the paper compares
+// (cells painted, repaints, keystrokes per task) can be counted.
 package tui
 
 import (
@@ -38,7 +38,7 @@ type Screen struct {
 	width, height int
 	cells         []Cell
 	// painted counts cells written since the last ResetStats; repaints
-	// counts Flush calls. The benchmark harness reads both.
+	// counts Flush calls; window statistics report both.
 	painted  uint64
 	repaints uint64
 }

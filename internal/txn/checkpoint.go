@@ -295,12 +295,7 @@ func (w *WAL) appendCheckpointDurable(r Record) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if w.solo.Load() {
-		err = w.soloSync(seq)
-	} else {
-		err = w.gc.syncTo(w, seq)
-	}
-	if err != nil {
+	if err := w.gc.syncTo(w, seq); err != nil {
 		return 0, err
 	}
 	if w.path != "" {

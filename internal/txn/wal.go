@@ -121,10 +121,6 @@ type WAL struct {
 	// their records are in w.seq and waiting on them would waste the window.
 	pending atomic.Int64
 
-	// solo disables group commit: every AppendDurable issues its own fsync.
-	// Benchmarks use it as the per-commit-fsync baseline.
-	solo atomic.Bool
-
 	// Replication frontiers, in byte offsets of the log (the LSN space the
 	// streaming protocol speaks). appendedOff mirrors off: it is stored under
 	// w.mu so the sync leader can load it lock-free together with w.seq.
@@ -193,15 +189,6 @@ func (w *WAL) Size() int64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.off
-}
-
-// SetSoloSync disables (true) or enables (false) group commit. With solo
-// sync every durable append issues its own fsync — the per-commit-fsync
-// discipline the benchmarks compare group commit against.
-func (w *WAL) SetSoloSync(solo bool) {
-	if w != nil {
-		w.solo.Store(solo)
-	}
 }
 
 // WALStats counts log traffic and the group-commit economy.
@@ -291,9 +278,8 @@ func (w *WAL) Append(r Record) error {
 	return err
 }
 
-// AppendDurable appends r and blocks until it is on stable storage. Under
-// group commit the caller rides a shared fsync with every other concurrent
-// durable append; with solo sync it issues its own.
+// AppendDurable appends r and blocks until it is on stable storage: the
+// caller rides a shared fsync with every other concurrent durable append.
 func (w *WAL) AppendDurable(r Record) error {
 	if w == nil {
 		return nil
@@ -304,34 +290,7 @@ func (w *WAL) AppendDurable(r Record) error {
 	if err != nil {
 		return err
 	}
-	if w.solo.Load() {
-		return w.soloSync(seq)
-	}
 	return w.gc.syncTo(w, seq)
-}
-
-// soloSync is the per-commit-fsync baseline: every durable append issues its
-// own fsync, unconditionally — the discipline group commit replaced, kept
-// faithful (no riding, no dedup) so benchmarks measure against the real
-// thing. It shares the sticky-failure contract with group commit.
-func (w *WAL) soloSync(seq uint64) error {
-	g := &w.gc
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.err != nil {
-		return g.err
-	}
-	offTarget := w.appendedOff.Load()
-	if err := w.syncMedium(); err != nil {
-		g.err = err
-		return err
-	}
-	g.batches++
-	if seq > g.durable {
-		g.durable = seq
-	}
-	w.publishDurable(offTarget)
-	return nil
 }
 
 // syncMedium flushes the underlying medium, if it has a durability barrier.

@@ -9,35 +9,24 @@ import (
 	"repro/internal/types"
 )
 
-// RemoteOptions tunes PopulateRemote.
-type RemoteOptions struct {
-	// BatchSize is how many parameter rows ride one ExecBatch frame. A value
-	// of 1 or less selects the per-row path — every row its own Exec round
-	// trip, the way the PR 3 loader worked — which exists as the baseline the
-	// batched path is measured against.
-	BatchSize int
-	// Workers is how many loader goroutines share the pool (bounded by the
-	// pool's size anyway; 1 when zero or negative).
-	Workers int
-}
+// remoteBatchSize is how many parameter rows ride one ExecBatch frame, and
+// remoteWorkers how many loader goroutines share the pool.
+const (
+	remoteBatchSize = 200
+	remoteWorkers   = 2
+)
 
 // PopulateRemote creates the standard schema and loads the synthetic data
 // over the wire, through the connection pool: row generation stays
 // single-threaded (the seeded stream must stay in order, so remote data
-// matches local data exactly), while batches fan out over Workers pooled
-// connections, each shipping BatchSize rows per ExecBatch frame.
-func PopulateRemote(pool *client.Pool, sizes Sizes, opts RemoteOptions) error {
-	if opts.BatchSize < 1 {
-		opts.BatchSize = 1
-	}
-	if opts.Workers < 1 {
-		opts.Workers = 1
-	}
+// matches local data exactly), while batches fan out over remoteWorkers
+// pooled connections, each shipping remoteBatchSize rows per ExecBatch frame.
+func PopulateRemote(pool *client.Pool, sizes Sizes) error {
 	if err := execScriptRemote(pool, StandardSchema); err != nil {
 		return fmt.Errorf("workload: remote schema: %w", err)
 	}
 	for _, load := range Loads(sizes) {
-		if err := loadRemote(pool, load, opts); err != nil {
+		if err := loadRemote(pool, load); err != nil {
 			return fmt.Errorf("workload: remote %s: %w", load.Name, err)
 		}
 	}
@@ -61,13 +50,13 @@ func execScriptRemote(pool *client.Pool, script string) error {
 }
 
 // loadRemote ships one table's rows: a single producer generates batches in
-// stream order and Workers consumers push them over pooled connections.
-func loadRemote(pool *client.Pool, load TableLoad, opts RemoteOptions) error {
-	batches := make(chan [][]types.Value, opts.Workers)
+// stream order and remoteWorkers consumers push them over pooled connections.
+func loadRemote(pool *client.Pool, load TableLoad) error {
+	batches := make(chan [][]types.Value, remoteWorkers)
 	go func() {
 		defer close(batches)
-		for start := 0; start < load.N; start += opts.BatchSize {
-			end := min(start+opts.BatchSize, load.N)
+		for start := 0; start < load.N; start += remoteBatchSize {
+			end := min(start+remoteBatchSize, load.N)
 			batch := make([][]types.Value, 0, end-start)
 			for i := start; i < end; i++ {
 				batch = append(batch, load.Bind(i))
@@ -77,20 +66,13 @@ func loadRemote(pool *client.Pool, load TableLoad, opts RemoteOptions) error {
 	}()
 
 	var wg sync.WaitGroup
-	errs := make(chan error, opts.Workers)
-	for w := 0; w < opts.Workers; w++ {
+	errs := make(chan error, remoteWorkers)
+	for w := 0; w < remoteWorkers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			err := pool.With(func(h *client.PooledConn) error {
 				for batch := range batches {
-					if opts.BatchSize <= 1 {
-						// Per-row baseline: one Exec round trip per row.
-						if _, err := h.Exec(load.InsertSQL, batch[0]...); err != nil {
-							return err
-						}
-						continue
-					}
 					res, err := h.ExecBatch(load.InsertSQL, batch)
 					if err != nil {
 						return err

@@ -1,9 +1,9 @@
 // Package workload generates the synthetic data and interaction scripts the
-// experiments run on. The original evaluation used the authors' departmental
-// data and live users at terminals; neither is available, so this package
-// produces deterministic equivalents (docs/ARCHITECTURE.md §8): an
-// order-processing database of configurable size and keystroke scripts for
-// the business tasks the experiments time.
+// demos, examples and the paper's comparisons run on. The original evaluation
+// used the authors' departmental data and live users at terminals; neither is
+// available, so this package produces deterministic equivalents
+// (docs/ARCHITECTURE.md §8): an order-processing database of configurable
+// size and keystroke scripts for the business tasks the paper times.
 package workload
 
 import (
@@ -22,9 +22,6 @@ type Sizes struct {
 	ItemsPerOrder int
 }
 
-// DefaultSizes is the configuration the full experiments use.
-var DefaultSizes = Sizes{Customers: 10000, Orders: 100000, ItemsPerOrder: 3}
-
 // SmallSizes keeps unit tests and examples fast.
 var SmallSizes = Sizes{Customers: 200, Orders: 1000, ItemsPerOrder: 2}
 
@@ -39,9 +36,9 @@ var (
 		"switch", "relay", "socket", "spindle"}
 )
 
-// StandardSchema is the order-processing schema every experiment uses: the
-// base tables, the indexes the access-path experiments rely on, and the views
-// the view-update experiment writes through.
+// StandardSchema is the order-processing schema the demos, examples and
+// benchmark use: the base tables, their secondary indexes, and two views a
+// form can write through.
 const StandardSchema = `
 CREATE TABLE customers (
 	id INT PRIMARY KEY,
@@ -70,10 +67,10 @@ CREATE VIEW good_customers AS SELECT id, name, city, credit FROM customers WHERE
 CREATE VIEW boston_customers AS SELECT id, name, credit FROM customers WHERE city = 'Boston';
 `
 
-// StandardForms is the FDL source for the experiment forms: a customer card
+// StandardForms is the FDL source for the standard forms: a customer card
 // with an order detail block, an order-line form, a form over the
-// good_customers view, and a browse form over order_items — the largest
-// table of the workload, which the paged-window experiment (E13) scrolls.
+// good_customers view, and a browse form over order_items, the largest table
+// of the workload.
 const StandardForms = `
 form order_form on orders
   title "Orders"
@@ -195,7 +192,7 @@ func Loads(sizes Sizes) []TableLoad {
 
 // Populate creates the standard schema and fills it with deterministic
 // synthetic data of the given size. The same sizes always produce the same
-// rows (seeded generator), so experiment runs are repeatable.
+// rows (seeded generator), so runs are repeatable.
 func Populate(db *engine.Database, sizes Sizes) error {
 	s := db.Session()
 	if _, err := s.ExecuteScript(StandardSchema); err != nil {
