@@ -48,25 +48,9 @@ type ExecSummary struct {
 	RowsAffected int
 }
 
-// NamedArgs is one execution's named parameter set — the single bind currency
-// of the layers above the statement APIs. The forms runtime, the sqlair typed
-// API and ad-hoc callers all express parameters as a NamedArgs and apply it
-// with Bind; each Statement implementation maps the names onto its own
-// mechanism (the engine binds by name directly; the remote client accumulates
-// named values and ships them as one positional Bind frame).
+// NamedArgs is one execution's named parameter set, each value applied with
+// Statement.BindNamed.
 type NamedArgs map[string]types.Value
-
-// Bind applies every argument to the statement through BindNamed. Order is
-// irrelevant: names address parameters, and a name occurring several times in
-// the SQL binds everywhere. A name the statement does not know is an error.
-func (a NamedArgs) Bind(st Statement) error {
-	for name, v := range a {
-		if err := st.BindNamed(name, v); err != nil {
-			return err
-		}
-	}
-	return nil
-}
 
 // fetchSizer is implemented by statements that can bound how many rows one
 // fetch round trip pulls (the remote statement). The window pager sets it to
@@ -127,19 +111,33 @@ func (s engineStatement) Close() error { return s.st.Close() }
 
 // --- remote source -----------------------------------------------------------
 
-// remoteSource adapts a client.Conn to the Source interface: the window's
-// queries prepare on the server, rows arrive in page-sized fetch batches, and
-// writes run remotely. One connection serves any number of windows (the
-// server keeps statements and cursors apart by id), and windows are driven by
-// one goroutine, so detail children share their master's connection.
+// remotePreparer is what a remote source prepares on: a bare *client.Conn,
+// or a checked-out *client.PooledConn whose statements the pool owns.
+type remotePreparer interface {
+	Prepare(text string) (*client.Stmt, error)
+}
+
+// remoteSource adapts a wowserver connection to the Source interface: the
+// window's queries prepare on the server, rows arrive in page-sized fetch
+// batches, and writes run remotely. One connection serves any number of
+// windows (the server keeps statements and cursors apart by id), and windows
+// are driven by one goroutine, so detail children share their master's
+// connection.
 type remoteSource struct {
-	conn *client.Conn
+	conn remotePreparer
 }
 
 // NewRemoteSource wraps a wowserver connection as a window Source, so a form
 // window browses a remote database exactly as it browses a local one.
 func NewRemoteSource(conn *client.Conn) Source {
 	return remoteSource{conn: conn}
+}
+
+// NewPooledSource wraps a checked-out pooled connection as a Source, valid
+// until the handle is released. Prepare goes through the connection's
+// statement cache, so a shape it has already seen costs no round trip.
+func NewPooledSource(h *client.PooledConn) Source {
+	return remoteSource{conn: h}
 }
 
 func (r remoteSource) Prepare(text string) (Statement, error) {
@@ -152,46 +150,7 @@ func (r remoteSource) Prepare(text string) (Statement, error) {
 
 func (r remoteSource) NewSource() Source { return r }
 
-// pooledSource adapts a checked-out pool connection to the Source interface.
-// Prepare goes through the connection's statement cache, so a shape the
-// connection has already seen costs no wire round trip — the property the
-// typed sqlair layer leans on to keep per-operation checkout cheap.
-type pooledSource struct {
-	h *client.PooledConn
-}
-
-// NewPooledSource wraps a checked-out pooled connection as a Source. The
-// source is only valid until the handle is released; statements it returns
-// are owned by the pool, so their Close is a no-op.
-func NewPooledSource(h *client.PooledConn) Source {
-	return pooledSource{h: h}
-}
-
-func (p pooledSource) Prepare(text string) (Statement, error) {
-	st, err := p.h.Prepare(text)
-	if err != nil {
-		return nil, err
-	}
-	return &pooledStatement{remoteStatement{st: st}}, nil
-}
-
-func (p pooledSource) NewSource() Source { return p }
-
-// pooledStatement is a remoteStatement whose lifetime belongs to the pool's
-// per-connection cache: Close keeps the statement alive for the next worker.
-type pooledStatement struct {
-	remoteStatement
-}
-
-func (s *pooledStatement) Close() error { return nil }
-
 // remoteStatement narrows a *client.Stmt to the Statement interface.
-//
-// Deprecated: this wrapper used to re-implement named binding over the wire's
-// positional Bind; that accumulation now lives on client.Stmt.BindNamed
-// itself, shared by every consumer (forms runtime, sqlair, ad-hoc callers).
-// What remains is a pure interface adapter and it will fold into remoteSource
-// once the window code takes client.Stmt directly.
 type remoteStatement struct {
 	st *client.Stmt
 }

@@ -176,11 +176,6 @@ func (w *Window) Cursor() int { return w.cursor }
 // PageSize returns how many rows one PgUp/PgDn moves the cursor.
 func (w *Window) PageSize() int { return w.pageSize() }
 
-// BufferPage returns the pager's buffer page: the most rows any one
-// navigation step or refresh fetches (the visible rows times the lookahead
-// factor).
-func (w *Window) BufferPage() int { return w.bufferPageSize() }
-
 // Status returns the window's status-line message.
 func (w *Window) Status() string { return w.status }
 

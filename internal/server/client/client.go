@@ -1,14 +1,22 @@
 // Package client is the Go client for the wowserver wire protocol. It
-// mirrors the engine's prepared-statement API — Conn.Prepare, Stmt.Bind,
+// mirrors the engine's prepared-statement API — Prepare, Stmt.Bind,
 // Stmt.Query returning a streaming Rows cursor — so code written against a
 // local engine.Session ports to a remote server by swapping the constructor.
 //
-//	conn, _ := client.Dial("127.0.0.1:4045")
-//	defer conn.Close()
-//	stmt, _ := conn.Prepare("SELECT name FROM customers WHERE id = ?")
-//	rows, _ := stmt.Query(types.NewInt(7))
+//	pool := client.NewPool("127.0.0.1:4045", client.PoolConfig{})
+//	defer pool.Close()
+//	h, _ := pool.Get()
+//	rows, _ := h.Query("SELECT name FROM customers WHERE id = ?", types.NewInt(7))
 //	for rows.Next() { ... rows.Row() ... }
 //	rows.Close()
+//	h.Release()
+//
+// Pool is the remote handle. It multiplexes any number of workers over a
+// bounded set of health-checked connections, keeps the statements each
+// connection has prepared, and, when given replica addresses, routes GetRead
+// to a replica within a staleness bound. A Conn (Dial) is one bare
+// connection: like an engine.Session it must not be used from more than one
+// goroutine at a time.
 //
 // Dial negotiates the protocol version before returning: it sends a Hello
 // frame and refuses to hand back a connection unless the server answered
@@ -16,19 +24,13 @@
 // a pre-v2 server (one that does not know the handshake at all) surfaces as
 // *HandshakeError with a message naming the problem instead of a codec error.
 //
-// A Conn multiplexes nothing: like an engine.Session it must not be used
-// from more than one goroutine at a time. Open one Conn per worker — or use
-// Pool, which multiplexes N workers over K health-checked connections and
-// reuses prepared statements per connection.
-//
 // Running a statement is one round trip: Bind and BindNamed only accumulate
 // values locally, and Query or Exec ships them with the execution in a single
 // Run frame whose answer already carries the first batch of rows. Longer
-// results pull further batches with Fetch; the batch size is the frames'
-// max-rows and is settable per connection (Conn.SetFetchSize), per statement
-// (Stmt.SetFetchSize) or per open cursor (Rows.SetFetchSize) — paging
-// consumers like the forms window pager pin it to their page size so one page
-// arrives with the Run. The protocol itself is specified in docs/WIRE.md.
+// results pull further batches with Fetch. The batch size is the statement's
+// (Stmt.SetFetchSize): a paging consumer like the forms window pager pins it
+// to its page size so one page arrives with the Run. The protocol itself is
+// specified in docs/WIRE.md.
 package client
 
 import (
@@ -78,12 +80,10 @@ type Result struct {
 
 // Conn is one connection to a wowserver.
 type Conn struct {
-	nc net.Conn
-	r  *bufio.Reader
-	w  *bufio.Writer
-	// fetchSize is the batch size cursors on this connection use.
-	fetchSize uint32
-	closed    bool
+	nc     net.Conn
+	r      *bufio.Reader
+	w      *bufio.Writer
+	closed bool
 	// broken marks a connection that hit a transport error (as opposed to a
 	// server-reported statement error): its stream may be desynced, so the
 	// pool must not hand it out again.
@@ -95,7 +95,7 @@ type Conn struct {
 	banner  string
 	role    byte
 	// lsn is the highest durable LSN the server has piggybacked on a
-	// response: the freshness signal fleet routing steers by.
+	// response: the freshness signal Pool.GetRead steers by.
 	lsn uint64
 	// ctx, when set, governs every round trip: cancellation (or deadline
 	// expiry) mid-round-trip closes the socket to unblock the read, breaking
@@ -109,9 +109,6 @@ type DialOptions struct {
 	// wire.Current; setting it differently exists so tests and CI can prove
 	// the server's rejection path.
 	Version wire.Version
-	// FetchSize is the per-batch row count cursors use (DefaultFetchSize
-	// when zero).
-	FetchSize int
 }
 
 // Dial connects to a server at the TCP address and negotiates the current
@@ -124,15 +121,7 @@ func DialWith(addr string, opts DialOptions) (*Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Conn{
-		nc:        nc,
-		r:         bufio.NewReader(nc),
-		w:         bufio.NewWriter(nc),
-		fetchSize: DefaultFetchSize,
-	}
-	if opts.FetchSize > 0 {
-		c.fetchSize = uint32(opts.FetchSize)
-	}
+	c := &Conn{nc: nc, r: bufio.NewReader(nc), w: bufio.NewWriter(nc)}
 	offered := opts.Version
 	if offered.IsZero() {
 		offered = wire.Current
@@ -198,13 +187,14 @@ func (c *Conn) handshake(addr string, offered wire.Version) error {
 // or deadline expiry mid-round-trip closes the socket — the only way to
 // unblock a read the server may never answer — so a cancelled connection is
 // broken by design: it reports the context's error and will be discarded by
-// the pool, never reused with a desynced stream. A nil context (the default)
-// means round trips block until the server answers or the transport fails.
+// the pool, never reused with a desynced stream. A nil context (the default),
+// or one that can never be cancelled, means round trips block until the
+// server answers or the transport fails.
 //
 // Like every other Conn method this is single-goroutine: set it between round
 // trips, not concurrently with one.
 func (c *Conn) SetContext(ctx context.Context) {
-	if ctx == context.Background() {
+	if ctx != nil && ctx.Done() == nil {
 		ctx = nil
 	}
 	c.ctx = ctx
@@ -222,7 +212,7 @@ func (c *Conn) IsReplica() bool { return c.role == wire.RoleReplica }
 
 // LastLSN returns the highest durable LSN the server has reported on this
 // connection's responses. On a primary it is the WAL durable frontier; on a
-// replica, the applied frontier. Comparing the two is how the fleet router
+// replica, the applied frontier. Comparing the two is how Pool.GetRead
 // bounds read staleness.
 func (c *Conn) LastLSN() uint64 { return c.lsn }
 
@@ -249,22 +239,6 @@ func (c *Conn) Ping() error {
 // Healthy reports whether the connection is open and has not hit a transport
 // error.
 func (c *Conn) Healthy() bool { return !c.closed && !c.broken }
-
-// SetFetchSize changes how many rows each batch asks for.
-func (c *Conn) SetFetchSize(n int) {
-	if n > 0 {
-		c.fetchSize = uint32(n)
-	}
-}
-
-// batchSize resolves a statement's or cursor's fetch-size override (0 = none)
-// against the connection default.
-func (c *Conn) batchSize(override uint32) uint32 {
-	if override != 0 {
-		return override
-	}
-	return c.fetchSize
-}
 
 // Close closes the connection. The server rolls back any open transaction
 // and releases every lock the connection held.
@@ -359,7 +333,7 @@ func (c *Conn) Prepare(text string) (*Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	st := &Stmt{conn: c}
+	st := &Stmt{conn: c, fetchSize: DefaultFetchSize}
 	st.id = cur.Uint32()
 	st.paramNames = cur.Strings()
 	st.columns = cur.Strings()
@@ -449,23 +423,24 @@ type Stmt struct {
 	// across executions.
 	args  types.Tuple
 	bound []bool
-	// fetchSize overrides the connection's batch size for cursors
-	// opened from this statement (0 = use the connection default).
+	// fetchSize is the batch size of cursors opened from this statement.
 	fetchSize uint32
-	closed    bool
+	// pooled marks a statement a PooledConn prepared: it lives in the
+	// connection's cache, so Close leaves it open for the next checkout.
+	pooled bool
+	closed bool
 }
 
 // SetFetchSize sets how many rows each batch carries on cursors opened from
-// this statement — the one that arrives with the Run and every Fetch after it
-// — overriding the connection default. A paging caller (the TUI's window
-// pager) sets it to its page size, so one visible page costs one round trip
-// and the server streams no further. Zero or negative restores the connection
-// default.
+// this statement — the one that arrives with the Run and every Fetch after it.
+// A paging caller (the TUI's window pager) sets it to its page size, so one
+// visible page costs one round trip and the server streams no further. Zero
+// or negative restores DefaultFetchSize.
 func (st *Stmt) SetFetchSize(n int) {
 	if n > 0 {
 		st.fetchSize = uint32(n)
 	} else {
-		st.fetchSize = 0
+		st.fetchSize = DefaultFetchSize
 	}
 }
 
@@ -552,7 +527,7 @@ func (st *Stmt) run(args []types.Value) (byte, *wire.Cursor, error) {
 	var b wire.Buffer
 	b.Uint32(st.id)
 	b.Tuple(st.args)
-	b.Uint32(st.conn.batchSize(st.fetchSize))
+	b.Uint32(st.fetchSize)
 	respType, cur, err := st.conn.roundTrip(wire.MsgRun, b.B)
 	if err != nil {
 		return 0, nil, err
@@ -642,8 +617,18 @@ func (st *Stmt) rowsFromCursor(cur *wire.Cursor) (*Rows, error) {
 	return rows, nil
 }
 
-// Close releases the server-side statement.
+// Close releases the server-side statement. On a statement a PooledConn
+// prepared it does nothing: the pool owns it and closes it when it evicts the
+// statement or discards the connection.
 func (st *Stmt) Close() error {
+	if st.pooled {
+		return nil
+	}
+	return st.close()
+}
+
+// close releases the server-side statement whoever owns it.
+func (st *Stmt) close() error {
 	if st.closed {
 		return nil
 	}
@@ -655,15 +640,14 @@ func (st *Stmt) Close() error {
 }
 
 // Rows is a streaming cursor over a remote query's result. Rows arrive in
-// batches (Conn.SetFetchSize) — the first with the cursor itself; Next serves
-// from the batch and asks the server for the next one when it runs dry.
+// batches of the statement's fetch size (Stmt.SetFetchSize) — the first with
+// the cursor itself; Next serves from the batch and asks the server for the
+// next one when it runs dry.
 type Rows struct {
 	conn    *Conn
 	id      uint32
 	columns []string
-	// fetchSize overrides the connection's batch size for this cursor
-	// (0 = use the connection default). Inherited from the statement's
-	// SetFetchSize at open; adjustable mid-stream.
+	// fetchSize is the statement's batch size when the cursor opened.
 	fetchSize uint32
 	buf       []types.Tuple
 	pos       int
@@ -675,16 +659,6 @@ type Rows struct {
 	// ownStmt is the one-off statement Conn.Query created, closed with the
 	// cursor.
 	ownStmt *Stmt
-}
-
-// SetFetchSize changes how many rows this cursor's next Fetch round trips ask
-// for. Zero or negative restores the connection default.
-func (r *Rows) SetFetchSize(n int) {
-	if n > 0 {
-		r.fetchSize = uint32(n)
-	} else {
-		r.fetchSize = 0
-	}
 }
 
 // Columns returns the result's column names.
@@ -722,7 +696,7 @@ func (r *Rows) Next() bool {
 func (r *Rows) fetch() bool {
 	var b wire.Buffer
 	b.Uint32(r.id)
-	b.Uint32(r.conn.batchSize(r.fetchSize))
+	b.Uint32(r.fetchSize)
 	cur, err := r.conn.expect(wire.MsgFetch, b.B, wire.MsgRows)
 	if err != nil {
 		r.err = err

@@ -13,6 +13,15 @@ import (
 // DefaultPoolSize bounds a pool that was configured with a zero size.
 const DefaultPoolSize = 4
 
+// DefaultMaxLagBytes is the staleness bound applied when PoolConfig leaves
+// MaxLagBytes zero: a replica more than this many WAL bytes behind the
+// primary's durable frontier is skipped for reads.
+const DefaultMaxLagBytes = 1 << 20
+
+// probeInterval is how often a pool with replicas pings the primary and every
+// replica to refresh their LSN views.
+const probeInterval = 50 * time.Millisecond
+
 // ErrPoolClosed is returned by Get after Close.
 var ErrPoolClosed = fmt.Errorf("client: pool is closed")
 
@@ -22,8 +31,6 @@ type PoolConfig struct {
 	// zero). Get blocks while all of them are checked out, so N workers
 	// multiplex over K sockets instead of paying N dials.
 	Size int
-	// FetchSize is the cursor fetch batch size for the pool's connections.
-	FetchSize int
 	// HealthCheckAfter skips the checkout ping for connections that were
 	// released less than this long ago: a connection in steady rotation is
 	// vouched for by its own recent traffic, so high-frequency checkout
@@ -33,20 +40,36 @@ type PoolConfig struct {
 	// operation on it fails, the handle is discarded at Release, and the
 	// caller retries on a fresh connection.
 	HealthCheckAfter time.Duration
-	// dial stands in for DialWith so tests can inject failures.
-	dial func(addr string) (*Conn, error)
+	// Replicas lists read replicas of the pool's server (the primary).
+	// GetRead routes to them; Get never does. Each replica gets its own
+	// connections, bounded by Size like the primary's.
+	Replicas []string
+	// MaxLagBytes is GetRead's staleness bound in WAL bytes
+	// (DefaultMaxLagBytes when zero).
+	MaxLagBytes uint64
 }
 
-// Pool is a bounded set of wowserver connections shared by many workers.
-// Checkout (Get) hands out an idle connection after a liveness check — a
-// connection that died while idle is discarded and replaced, so callers never
-// see a stale socket — or dials a fresh one while the pool is under its size
-// limit. Each pooled connection keeps the statements it has prepared, keyed
-// by SQL text, so a worker re-running a shape the connection has seen skips
-// the Prepare round trip entirely.
+// Pool is the remote handle: a bounded set of wowserver connections shared by
+// many workers. Checkout (Get) hands out an idle connection after a liveness
+// check — a connection that died while idle is discarded and replaced, so
+// callers never see a stale socket — or dials a fresh one while the pool is
+// under its size limit. Each pooled connection keeps the statements it has
+// prepared, keyed by SQL text, so a worker re-running a shape the connection
+// has seen skips the Prepare round trip entirely.
+//
+// Writes, DDL and explicit transactions run on Get's connections, which are
+// always the primary's. A pool configured with Replicas also serves GetRead,
+// which round-robins across replicas whose applied LSN is within MaxLagBytes
+// of the primary's durable frontier and falls back to the primary when none
+// is: correctness degrades to "slower", never to "stale beyond the bound".
+// Freshness flows through the LSN every response carries: each pool folds
+// what its connections see into an LSN high-water mark, and both numbers are
+// byte offsets into the same log, so primary minus replica is the lag in WAL
+// bytes. A background prober pings every member each probeInterval so an
+// idle replica's view cannot go stale enough to wedge routing.
 //
 // A checked-out PooledConn is single-goroutine, like the Conn it wraps; the
-// Pool itself is safe for concurrent Get/Put from any number of workers.
+// Pool itself is safe for concurrent use from any number of workers.
 type Pool struct {
 	addr string
 	cfg  PoolConfig
@@ -68,10 +91,17 @@ type Pool struct {
 	discards    atomic.Uint64
 
 	// lsnHW is the highest durable LSN any of the pool's connections has
-	// seen the server report. For a pool pointed at a replica it is
-	// the pool's best knowledge of that replica's applied position — the
-	// number fleet routing compares against the primary's frontier.
+	// seen the server report. On the primary it is the frontier GetRead
+	// measures lag against; on a replica's pool, the replica's applied
+	// position as last seen.
 	lsnHW atomic.Uint64
+
+	// replicas holds one pool per PoolConfig.Replicas address; rr spreads
+	// GetRead across them. proberDone is closed when the prober exits (nil
+	// without replicas, which start no prober).
+	replicas   []*Pool
+	rr         atomic.Uint64
+	proberDone chan struct{}
 }
 
 // PoolStats summarises the pool's counters.
@@ -108,23 +138,30 @@ type poolConn struct {
 }
 
 // NewPool creates a pool over the server address. No connection is dialed
-// until the first Get.
+// until the first checkout; only a pool with replicas starts a goroutine, its
+// prober, which Close stops.
 func NewPool(addr string, cfg PoolConfig) *Pool {
 	if cfg.Size <= 0 {
 		cfg.Size = DefaultPoolSize
 	}
-	if cfg.dial == nil {
-		fetch := cfg.FetchSize
-		cfg.dial = func(addr string) (*Conn, error) {
-			return DialWith(addr, DialOptions{FetchSize: fetch})
-		}
+	if cfg.MaxLagBytes == 0 {
+		cfg.MaxLagBytes = DefaultMaxLagBytes
 	}
-	return &Pool{
+	p := &Pool{
 		addr:   addr,
 		cfg:    cfg,
 		tokens: make(chan struct{}, cfg.Size),
 		done:   make(chan struct{}),
 	}
+	if len(cfg.Replicas) > 0 {
+		member := PoolConfig{Size: cfg.Size, HealthCheckAfter: cfg.HealthCheckAfter}
+		for _, raddr := range cfg.Replicas {
+			p.replicas = append(p.replicas, NewPool(raddr, member))
+		}
+		p.proberDone = make(chan struct{})
+		go p.probeLoop()
+	}
+	return p
 }
 
 // Size returns the pool's connection limit.
@@ -147,12 +184,6 @@ func (p *Pool) Stats() PoolStats {
 	}
 }
 
-// LSNHighWater returns the highest durable LSN any of the pool's
-// connections has seen the server report. It only advances when traffic
-// (or a Ping) touches the server, so an idle pool's view goes stale — the
-// Fleet's background prober exists to keep it moving.
-func (p *Pool) LSNHighWater() uint64 { return p.lsnHW.Load() }
-
 // noteLSN folds a connection's latest observed LSN into the pool's
 // high-water mark.
 func (p *Pool) noteLSN(c *Conn) {
@@ -173,10 +204,9 @@ func (p *Pool) Get() (*PooledConn, error) { return p.GetContext(context.Backgrou
 
 // GetContext is Get bounded by a context: a cancellation (or deadline) while
 // waiting for a free slot stops the wait, and the checkout health check runs
-// under the context too, so a deadline covers the whole acquisition — wait,
-// ping and dial alike. The context governs only the checkout; the returned
-// connection is not bound to it (use Conn().SetContext for per-operation
-// cancellation after checkout).
+// under the context too. The context then stays bound to the returned
+// connection until Release, so cancellation also interrupts the round trips
+// made through it (see Conn.SetContext).
 func (p *Pool) GetContext(ctx context.Context) (*PooledConn, error) {
 	select {
 	case <-ctx.Done():
@@ -203,16 +233,18 @@ func (p *Pool) GetContext(ctx context.Context) (*PooledConn, error) {
 		}
 		p.mu.Unlock()
 		if pc == nil {
-			conn, err := p.cfg.dial(p.addr)
+			conn, err := Dial(p.addr)
 			if err != nil {
 				<-p.tokens
 				return nil, err
 			}
+			conn.SetContext(ctx)
 			p.dials.Add(1)
 			p.checkouts.Add(1)
 			return &PooledConn{pool: p, pc: &poolConn{conn: conn, stmts: make(map[string]*Stmt)}}, nil
 		}
-		if !pc.conn.Healthy() || (p.needsPing(pc) && p.ping(ctx, pc) != nil) {
+		pc.conn.SetContext(ctx)
+		if !pc.conn.Healthy() || (p.needsPing(pc) && pc.conn.Ping() != nil) {
 			p.healthFails.Add(1)
 			p.discard(pc)
 			continue // try the next idle connection, or dial
@@ -232,45 +264,86 @@ func (p *Pool) needsPing(pc *poolConn) bool {
 	return time.Since(pc.lastUsed) >= p.cfg.HealthCheckAfter
 }
 
-// ping health-checks an idle connection under the checkout's context, so a
-// deadline bounds the probe of a half-dead socket instead of hanging the Get.
-func (p *Pool) ping(ctx context.Context, pc *poolConn) error {
-	pc.conn.SetContext(ctx)
-	err := pc.conn.Ping()
-	pc.conn.SetContext(nil)
-	return err
+// GetRead checks out a connection for a read-only statement, preferring a
+// replica whose last seen applied LSN is within MaxLagBytes of the primary's
+// high-water mark. Replicas are tried round-robin; a stale one, or one that
+// cannot be reached, is skipped, and with none left the read goes to the
+// primary. The second result reports whether the connection is a replica's —
+// a write sent there anyway hits the replica's read-only refusal, not silent
+// divergence. Without replicas GetRead is Get.
+func (p *Pool) GetRead() (*PooledConn, bool, error) {
+	if n := uint64(len(p.replicas)); n > 0 {
+		floor := p.lagFloor()
+		start := p.rr.Add(1)
+		for i := uint64(0); i < n; i++ {
+			r := p.replicas[(start+i)%n]
+			if r.lsnHW.Load() < floor {
+				continue
+			}
+			// A dead replica must not fail reads while the primary is up.
+			if h, err := r.Get(); err == nil {
+				return h, true, nil
+			}
+		}
+	}
+	h, err := p.Get()
+	return h, false, err
+}
+
+// lagFloor is the lowest applied LSN a replica must have reached to serve
+// reads right now.
+func (p *Pool) lagFloor() uint64 {
+	lsn := p.lsnHW.Load()
+	if lsn <= p.cfg.MaxLagBytes {
+		return 0
+	}
+	return lsn - p.cfg.MaxLagBytes
+}
+
+// probeLoop pings the primary and every replica each probeInterval until
+// Close. Without it a replica's LSN view only moves with read traffic, and
+// one that fell behind once would never be routed to again.
+func (p *Pool) probeLoop() {
+	defer close(p.proberDone)
+	t := time.NewTicker(probeInterval)
+	defer t.Stop()
+	members := append([]*Pool{p}, p.replicas...)
+	for {
+		select {
+		case <-p.done:
+			return
+		case <-t.C:
+		}
+		for _, member := range members {
+			if h, err := member.Get(); err == nil {
+				_ = h.pc.conn.Ping() // a failed ping breaks the conn; Release discards it
+				h.Release()
+			}
+		}
+	}
 }
 
 // With checks a connection out, runs fn and releases it — the convenience
 // shape for workers whose whole unit of work fits one function.
 func (p *Pool) With(fn func(*PooledConn) error) error {
-	return p.WithContext(context.Background(), fn)
-}
-
-// WithContext is With over GetContext: the context bounds the checkout and is
-// bound to the connection for fn's duration, so cancellation interrupts
-// round trips fn makes.
-func (p *Pool) WithContext(ctx context.Context, fn func(*PooledConn) error) error {
-	h, err := p.GetContext(ctx)
+	h, err := p.Get()
 	if err != nil {
 		return err
 	}
 	defer h.Release()
-	if ctx.Done() != nil {
-		h.pc.conn.SetContext(ctx)
-		defer h.pc.conn.SetContext(nil)
-	}
 	return fn(h)
 }
 
-// discard closes a connection without returning it to the idle list.
+// discard closes a connection without returning it to the idle list; the
+// statements it cached close with it.
 func (p *Pool) discard(pc *poolConn) {
 	p.discards.Add(1)
 	pc.conn.Close()
 }
 
-// Close closes every idle connection and fails all future Gets. Connections
-// currently checked out are closed when released.
+// Close closes every idle connection, stops the prober and closes the replica
+// pools, and fails all future checkouts. Connections currently checked out
+// are closed when released.
 func (p *Pool) Close() error {
 	p.mu.Lock()
 	if p.closed {
@@ -284,6 +357,14 @@ func (p *Pool) Close() error {
 	close(p.done)
 	for _, pc := range idle {
 		pc.conn.Close()
+	}
+	// The replicas close first: a prober blocked checking one out is released
+	// by its closing, so waiting for the prober cannot hang.
+	for _, r := range p.replicas {
+		r.Close()
+	}
+	if p.proberDone != nil {
+		<-p.proberDone
 	}
 	return nil
 }
@@ -313,7 +394,7 @@ func (h *PooledConn) use() error {
 }
 
 // Conn exposes the underlying connection for calls the handle does not wrap
-// (SetFetchSize, ProtocolVersion, raw cursors). It returns nil after Release.
+// (Ping, LastLSN, ProtocolVersion, raw cursors). It returns nil after Release.
 func (h *PooledConn) Conn() *Conn {
 	if h.released {
 		return nil
@@ -328,9 +409,9 @@ func (h *PooledConn) Conn() *Conn {
 const maxCachedStmts = 64
 
 // Prepare returns the connection's cached statement for the text, preparing
-// and caching it on first use. The statement is owned by the pool: do not
-// Close it — it stays live for the next worker that checks this connection
-// out.
+// and caching it on first use. The statement is owned by the pool: its Close
+// does nothing, and it stays live for the next worker that checks this
+// connection out.
 func (h *PooledConn) Prepare(text string) (*Stmt, error) {
 	if err := h.use(); err != nil {
 		return nil, err
@@ -342,7 +423,7 @@ func (h *PooledConn) Prepare(text string) (*Stmt, error) {
 	if len(h.pc.stmts) >= maxCachedStmts {
 		for evictText, evictStmt := range h.pc.stmts {
 			delete(h.pc.stmts, evictText)
-			evictStmt.Close()
+			evictStmt.close()
 			break
 		}
 	}
@@ -350,6 +431,7 @@ func (h *PooledConn) Prepare(text string) (*Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
+	st.pooled = true
 	h.pc.stmts[text] = st
 	return st, nil
 }
@@ -421,10 +503,10 @@ func (h *PooledConn) Rollback() error {
 	return err
 }
 
-// Release returns the connection to the pool. A connection that hit a
-// transport error is discarded instead; one released with a transaction
-// still open is rolled back first (and discarded if the rollback fails).
-// Release is idempotent.
+// Release returns the connection to the pool, unbinding the context
+// GetContext bound to it. A connection that hit a transport error is
+// discarded instead; one released with a transaction still open is rolled
+// back first (and discarded if the rollback fails). Release is idempotent.
 func (h *PooledConn) Release() {
 	if h.released {
 		return
@@ -433,6 +515,7 @@ func (h *PooledConn) Release() {
 	p := h.pool
 	pc := h.pc
 	defer func() { <-p.tokens }()
+	pc.conn.SetContext(nil)
 	p.noteLSN(pc.conn)
 	if !pc.conn.Healthy() {
 		p.discard(pc)

@@ -154,12 +154,31 @@ func TestPoolGetContextCancelled(t *testing.T) {
 	}
 	h.Release()
 
-	// With the slot free again, WithContext runs the body under the context.
-	err = p.WithContext(context.Background(), func(h *client.PooledConn) error {
-		_, err := h.Exec("CREATE TABLE t (id INT PRIMARY KEY)")
-		return err
-	})
+	// With the slot free again, the checkout's context stays bound to the
+	// handle: cancelling it fails the next round trip before it is sent.
+	live, stop := context.WithCancel(context.Background())
+	h, err = p.GetContext(live)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if _, err := h.Exec("CREATE TABLE t (id INT PRIMARY KEY)"); err != nil {
+		t.Fatal(err)
+	}
+	stop()
+	if _, err := h.Exec("SELECT id FROM t"); !errors.Is(err, context.Canceled) {
+		t.Fatalf("round trip after cancel: err = %v, want context.Canceled", err)
+	}
+	// Release unbinds it, so the connection serves the next checkout.
+	h.Release()
+	h, err = p.Get()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Release()
+	if _, err := h.Exec("SELECT id FROM t"); err != nil {
+		t.Fatal(err)
+	}
+	if st := p.Stats(); st.Dials != 1 {
+		t.Errorf("dials = %d, want 1: the cancelled handle's connection was not reused", st.Dials)
 	}
 }

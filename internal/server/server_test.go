@@ -14,7 +14,9 @@ import (
 	"repro/internal/server"
 	"repro/internal/server/client"
 	"repro/internal/server/wire"
+	"repro/internal/sql"
 	"repro/internal/types"
+	"repro/internal/workload"
 )
 
 // startServer opens an in-memory database with a short lock timeout, serves
@@ -131,8 +133,13 @@ func TestSmallFetchBatchesStreamWholeResult(t *testing.T) {
 	}
 	defer c.Close()
 	seedCustomers(t, c, 23)
-	c.SetFetchSize(4) // force several Fetch round trips
-	rows, err := c.Query("SELECT id FROM customers ORDER BY id")
+	st, err := c.Prepare("SELECT id FROM customers ORDER BY id")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	st.SetFetchSize(4) // force several Fetch round trips
+	rows, err := st.Query()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,8 +312,13 @@ func TestFetchBatchesRespectByteBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	c.SetFetchSize(1 << 20) // ask for everything at once; the budget must cap it
-	got, err := c.Query("SELECT id, payload FROM blobs")
+	st, err := c.Prepare("SELECT id, payload FROM blobs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	st.SetFetchSize(1 << 20) // ask for everything at once; the budget must cap it
+	got, err := st.Query()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,8 +392,12 @@ func TestAbruptDisconnectReleasesCursorSnapshot(t *testing.T) {
 	}
 	seedCustomers(t, c, 50)
 
-	c.SetFetchSize(2)
-	rows, err := c.Query("SELECT id FROM customers ORDER BY id")
+	st, err := c.Prepare("SELECT id FROM customers ORDER BY id")
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.SetFetchSize(2)
+	rows, err := st.Query()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -742,6 +758,67 @@ func TestExecBatchOverTheWire(t *testing.T) {
 	}
 	if len(check.Rows) != 0 {
 		t.Fatal("failed batch left its earlier rows behind")
+	}
+}
+
+// TestPooledBatchIngestCutsRoundTrips: loading the standard workload over a
+// pool in ExecBatch frames (workload.PopulateRemote) loads the same rows as
+// one autocommit Exec per row, in far fewer round trips.
+func TestPooledBatchIngestCutsRoundTrips(t *testing.T) {
+	sizes := workload.SmallSizes
+	ingest := func(load func(addr string) error) (trips uint64, rows int64) {
+		t.Helper()
+		db, srv, addr := startServer(t)
+		if err := load(addr); err != nil {
+			t.Fatal(err)
+		}
+		trips = srv.Stats().MessagesServed
+		for _, table := range []string{"customers", "orders", "order_items"} {
+			res, err := db.Session().Execute("SELECT COUNT(*) FROM " + table)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows += res.Rows[0][0].Int()
+		}
+		return trips, rows
+	}
+
+	perRowTrips, perRowRows := ingest(func(addr string) error {
+		conn, err := client.Dial(addr)
+		if err != nil {
+			return err
+		}
+		defer conn.Close()
+		stmts, err := sql.ParseAll(workload.StandardSchema)
+		if err != nil {
+			return err
+		}
+		for _, stmt := range stmts {
+			if _, err := conn.Exec(stmt.String()); err != nil {
+				return err
+			}
+		}
+		for _, load := range workload.Loads(sizes) {
+			for i := 0; i < load.N; i++ {
+				if _, err := conn.Exec(load.InsertSQL, load.Bind(i)...); err != nil {
+					return fmt.Errorf("%s row %d: %w", load.Name, i, err)
+				}
+			}
+		}
+		return nil
+	})
+	pooledTrips, pooledRows := ingest(func(addr string) error {
+		pool := client.NewPool(addr, client.PoolConfig{Size: 4})
+		defer pool.Close()
+		return workload.PopulateRemote(pool, sizes)
+	})
+
+	want := int64(sizes.Customers + sizes.Orders + sizes.Orders*sizes.ItemsPerOrder)
+	if perRowRows != want || pooledRows != want {
+		t.Fatalf("loaded %d (per-row) and %d (pooled) rows, want %d", perRowRows, pooledRows, want)
+	}
+	if pooledTrips == 0 || perRowTrips <= pooledTrips {
+		t.Errorf("round trips did not shrink: per-row %d vs pooled %d", perRowTrips, pooledTrips)
 	}
 }
 

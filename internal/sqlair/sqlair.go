@@ -100,10 +100,10 @@ func NewSessionDB(session *engine.Session) *DB {
 }
 
 // NewPoolDB wraps a connection pool. Each operation checks a connection out
-// (honouring the context while waiting), binds the context to it so
-// cancellation interrupts round trips, and releases it when the operation's
-// iterator is closed. Statement text prepared on a pooled connection stays
-// in that connection's cache, so repeated shapes skip the Prepare round trip.
+// with the operation's context (which bounds the wait and interrupts the
+// round trips until release), and releases it when the operation's iterator
+// is closed. Statement text prepared on a pooled connection stays in that
+// connection's cache, so repeated shapes skip the Prepare round trip.
 func NewPoolDB(pool *client.Pool) *DB {
 	return &DB{
 		acquire: func(ctx context.Context) (core.Source, func(), error) {
@@ -111,19 +111,7 @@ func NewPoolDB(pool *client.Pool) *DB {
 			if err != nil {
 				return nil, nil, err
 			}
-			bound := false
-			if ctx.Done() != nil {
-				h.Conn().SetContext(ctx)
-				bound = true
-			}
-			release := func() {
-				if bound {
-					// Runs before Release, so the handle still owns its conn.
-					h.Conn().SetContext(nil)
-				}
-				h.Release()
-			}
-			return core.NewPooledSource(h), release, nil
+			return core.NewPooledSource(h), h.Release, nil
 		},
 		stmts: make(map[string]*Statement),
 	}
@@ -211,8 +199,7 @@ func (q *Query) inputValue(typeName string) (reflect.Value, error) {
 
 // bindInputs extracts the statement's parameters from the input structs and
 // binds them directly — no intermediate argument map on the per-operation
-// path (core.NamedArgs remains the currency for callers assembling argument
-// sets by hand).
+// path.
 func (q *Query) bindInputs(st core.Statement) error {
 	for _, ref := range q.stmt.inputs {
 		rv, err := q.inputValue(ref.typeName)
