@@ -18,6 +18,11 @@
 // re-streams the full history (checkpoints never truncate the primary's
 // log, so LSN 0 is always available).
 //
+// The -wal log is the only durable state: a restart rebuilds the database
+// from it. -data names a spill file for pages evicted from the buffer pool;
+// it is created empty at startup, removed at shutdown, and never read by
+// recovery.
+//
 // With -metrics, a side-channel HTTP listener serves the server, engine and
 // plan-cache counters as JSON under /metrics (see README for the fields).
 // With -checkpoint, a background checkpointer periodically writes a
@@ -26,7 +31,8 @@
 // recovery did (image rows, tail records, torn bytes discarded).
 //
 // The server runs until SIGINT/SIGTERM, then disconnects every client
-// (rolling back their open transactions), flushes and exits. Clients connect
+// (rolling back their open transactions), closes the log, removes the spill
+// file and exits 0; a failed close exits 1. Clients connect
 // with internal/server/client (one Conn per worker, or a client.Pool to
 // multiplex), "wowsql -connect addr", or anything speaking the frame format
 // documented in the README.
@@ -49,8 +55,8 @@ import (
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:4045", "TCP address to listen on")
-	dataPath := flag.String("data", "", "database file (default: in-memory)")
-	walPath := flag.String("wal", "", "write-ahead log file (default: in-memory)")
+	dataPath := flag.String("data", "", "spill file for evicted pages, removed on exit; not durable, only -wal persists (default: in-memory)")
+	walPath := flag.String("wal", "", "write-ahead log file, the only durable state (default: in-memory)")
 	cacheSize := flag.Int("cache", 0, "shared plan cache size in statements (default 256)")
 	metricsAddr := flag.String("metrics", "", "HTTP address serving /metrics as JSON (default: disabled)")
 	checkpoint := flag.Duration("checkpoint", 0, "periodic WAL checkpoint interval, e.g. 30s (default: disabled)")

@@ -51,8 +51,8 @@ type options struct {
 }
 
 func main() {
-	dataPath := flag.String("data", "", "database file (default: in-memory)")
-	walPath := flag.String("wal", "", "write-ahead log file (default: in-memory)")
+	dataPath := flag.String("data", "", "spill file for evicted pages, removed on exit; not durable, only -wal persists (default: in-memory)")
+	walPath := flag.String("wal", "", "write-ahead log file, the only durable state (default: in-memory)")
 	connect := flag.String("connect", "", "wowserver address; run remotely over the wire protocol")
 	wireVersion := flag.String("wire-version", "", "offer this protocol version in the handshake instead of the current one (testing)")
 	flag.Parse()

@@ -22,7 +22,9 @@ import (
 
 // Options configures Open.
 type Options struct {
-	// DataPath is the database file; empty keeps all pages in memory.
+	// DataPath is the spill file for evicted pages; recreated empty at
+	// Open, removed at Close; never read by recovery. Empty keeps evicted
+	// pages in memory. Only WALPath makes a database durable.
 	DataPath string
 	// WALPath is the write-ahead log file; empty keeps the log in memory
 	// only for the lifetime of the process (rollback still works).
@@ -230,18 +232,12 @@ func (db *Database) replay(load *txn.LogLoad) (txn.ReplayStats, error) {
 // Recovery reports what the replay at Open did.
 func (db *Database) Recovery() RecoveryInfo { return db.recovery }
 
-// Checkpoint flushes the buffer pool's dirty pages, then writes a durable
-// checkpoint record (a snapshot-consistent image of the catalog) and
-// publishes its offset, so the next recovery starts from it instead of
-// replaying the whole log. Safe to call while transactions are running.
+// Checkpoint writes a durable checkpoint record (a snapshot-consistent image
+// of the catalog) and publishes its offset, so the next recovery starts from
+// it instead of replaying the whole log. It writes no pages: the log is the
+// only durable state. Safe to call while transactions are running.
 func (db *Database) Checkpoint() (txn.CheckpointStats, error) {
-	pages, err := db.pool.FlushDirty()
-	if err != nil {
-		return txn.CheckpointStats{}, err
-	}
-	st, err := db.txns.Checkpoint(db.cat)
-	st.PagesFlushed = pages
-	return st, err
+	return db.txns.Checkpoint(db.cat)
 }
 
 // checkpointLoop is the background checkpointer started by Open when
@@ -265,8 +261,9 @@ func (db *Database) checkpointLoop(interval time.Duration) {
 	}
 }
 
-// Close stops the checkpointer, flushes dirty pages and closes the
-// underlying files. A failed flush still closes both files; every error is
+// Close stops the checkpointer and closes the log and the disk, which
+// removes a spill file. Dirty pages are dropped: every committed row is
+// already in the log. A failed close still closes the other; every error is
 // returned, joined.
 func (db *Database) Close() error {
 	if db.ckptStop != nil {
@@ -274,7 +271,7 @@ func (db *Database) Close() error {
 		<-db.ckptDone
 		db.ckptStop = nil
 	}
-	return errors.Join(db.pool.FlushAll(), db.wal.Close(), db.disk.Close())
+	return errors.Join(db.wal.Close(), db.disk.Close())
 }
 
 // Catalog exposes the database's catalog (the forms layer resolves bindings

@@ -2,8 +2,10 @@ package engine
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -341,13 +343,15 @@ func TestFailedOpenLeaksNoDescriptors(t *testing.T) {
 // TestRecoverFilesCopiedWhileOpen: the files as they stand after the last
 // acknowledged commit — copied with the database still open, no clean
 // shutdown — recover every row concurrent committers committed, from the
-// checkpoint image plus the log tail. (That those committers share fsyncs is
-// txn's TestGroupCommitBatchesConcurrentCommitters.)
+// checkpoint image plus the log tail. Only the log and its checkpoint pointer
+// are copied: the page file is a spill cache nothing recovers from. (That
+// those committers share fsyncs is txn's
+// TestGroupCommitBatchesConcurrentCommitters.)
 func TestRecoverFilesCopiedWhileOpen(t *testing.T) {
 	const committers, rowsEach = 8, 30
-	files := []string{"ledger.db", "ledger.wal", "ledger.wal.ckpt"}
+	files := []string{"ledger.wal", "ledger.wal.ckpt"}
 	options := func(dir string) Options {
-		return Options{DataPath: filepath.Join(dir, files[0]), WALPath: filepath.Join(dir, files[1])}
+		return Options{DataPath: filepath.Join(dir, "ledger.db"), WALPath: filepath.Join(dir, files[0])}
 	}
 	dir := t.TempDir()
 	db, err := Open(options(dir))
@@ -421,5 +425,129 @@ func TestRecoverFilesCopiedWhileOpen(t *testing.T) {
 	}
 	if info := recovered.Recovery(); !info.FromCheckpoint || info.ImageRows != perPhase {
 		t.Errorf("recovery = %+v, want replay from the checkpoint image of %d rows", info, perPhase)
+	}
+}
+
+// TestRestartFootprintIsFlat: the log is the only durable state. After every
+// close the database's directory holds the log and its checkpoint pointer and
+// nothing else, and a restart that writes nothing leaves it byte for byte the
+// size it was. A page file flushed at checkpoint and close, and appended
+// after its own orphans on every reopen, grew on each restart.
+func TestRestartFootprintIsFlat(t *testing.T) {
+	dir := t.TempDir()
+	// A pool smaller than the data, so pages do spill while the database is
+	// open.
+	opts := Options{DataPath: filepath.Join(dir, "db.data"), WALPath: filepath.Join(dir, "db.wal"), BufferPoolPages: 8}
+	footprint := func(when string) int64 {
+		t.Helper()
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var total int64
+		for _, e := range entries {
+			info, err := e.Info()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if e.Name() != "db.wal" && e.Name() != "db.wal.ckpt" {
+				t.Errorf("%s: %s (%d bytes) left beside the log", when, e.Name(), info.Size())
+			}
+			total += info.Size()
+		}
+		return total
+	}
+	const rowsPerRound = 300
+	for round := 0; round < 5; round++ {
+		db, err := Open(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := db.Session()
+		if round == 0 {
+			if _, err := s.Execute("CREATE TABLE notes (id INT PRIMARY KEY, body TEXT)"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ins, err := s.Prepare("INSERT INTO notes (id, body) VALUES (?, ?)")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < rowsPerRound; i++ {
+			if _, err := ins.Exec(intv(round*rowsPerRound+i), strv(strings.Repeat("n", 400))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := db.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		if st := db.Pool().Stats(); st.Evictions == 0 {
+			t.Fatalf("round %d: no page spilled (%+v); the pool is too large for the test", round, st)
+		}
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+		written := footprint(fmt.Sprintf("round %d", round))
+
+		// Reopen, recover, close: nothing written, nothing grown.
+		db, err = Open(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := db.Session().Query("SELECT COUNT(*) FROM notes")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := res.Rows[0][0].Int(), int64((round+1)*rowsPerRound); got != want {
+			t.Fatalf("round %d: recovered %d rows, want %d", round, got, want)
+		}
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if again := footprint(fmt.Sprintf("round %d restart", round)); again != written {
+			t.Fatalf("round %d: a restart that wrote nothing grew the directory %d -> %d bytes", round, written, again)
+		}
+	}
+}
+
+// TestCheckpointAndCloseWriteNoPages: a checkpoint and a clean shutdown write
+// no page, however many dirty frames the pool holds. A page reaches the disk
+// only when the pool evicts it.
+func TestCheckpointAndCloseWriteNoPages(t *testing.T) {
+	dir := t.TempDir()
+	db, err := Open(Options{DataPath: filepath.Join(dir, "db.data"), WALPath: filepath.Join(dir, "db.wal")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := db.Session()
+	if _, err := s.ExecuteScript(seedSchema); err != nil {
+		t.Fatal(err)
+	}
+	ins, err := s.Prepare("INSERT INTO customers (id, name) VALUES (?, ?)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 500; i++ {
+		if _, err := ins.Exec(intv(1000+i), strv("dirty")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Every page the inserts allocated is a dirty frame, and none has left
+	// the pool.
+	before := db.Pool().Stats()
+	if before.Evictions != 0 || before.Writes != 0 {
+		t.Fatalf("pages left the pool before the checkpoint: %+v", before)
+	}
+	if _, err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if got := db.Pool().Stats().Writes; got != before.Writes {
+		t.Errorf("Checkpoint wrote %d pages, want none", got-before.Writes)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := db.Pool().Stats().Writes; got != before.Writes {
+		t.Errorf("Checkpoint and Close wrote %d pages, want none", got-before.Writes)
 	}
 }

@@ -30,11 +30,9 @@ type BufferPoolStats struct {
 	Hits      uint64
 	Misses    uint64
 	Evictions uint64
-	Writes    uint64
-	// Flushes counts whole-pool flush passes (checkpoints and shutdown);
-	// FlushedPages is how many dirty pages those passes wrote back.
-	Flushes      uint64
-	FlushedPages uint64
+	// Writes counts dirty pages written to disk on eviction, the only time
+	// a page is written.
+	Writes uint64
 }
 
 type frame struct {
@@ -65,7 +63,8 @@ func (bp *BufferPool) Stats() BufferPoolStats {
 	return bp.stats
 }
 
-// NewPage allocates a fresh page on disk, pins it and returns it.
+// NewPage allocates a fresh page, pins it and returns it. Its frame starts
+// dirty, so the page is on disk before it can be evicted and read back.
 func (bp *BufferPool) NewPage() (PageID, *Page, error) {
 	id, err := bp.disk.AllocatePage()
 	if err != nil {
@@ -158,35 +157,3 @@ func (bp *BufferPool) ensureRoom() (*Page, error) {
 	bp.stats.Evictions++
 	return f.page, nil
 }
-
-// FlushDirty writes every dirty cached page back to disk and syncs the
-// medium, returning how many pages were written. Checkpoints call it to
-// bound the dirty-page debt a restart would rebuild.
-func (bp *BufferPool) FlushDirty() (int, error) {
-	bp.mu.Lock()
-	defer bp.mu.Unlock()
-	flushed := 0
-	for id, f := range bp.frames {
-		if !f.dirty {
-			continue
-		}
-		if err := bp.disk.WritePage(id, f.page.Bytes()); err != nil {
-			return flushed, err
-		}
-		f.dirty = false
-		flushed++
-		bp.stats.Writes++
-	}
-	bp.stats.Flushes++
-	bp.stats.FlushedPages += uint64(flushed)
-	return flushed, bp.disk.Sync()
-}
-
-// FlushAll writes every dirty cached page back to disk.
-func (bp *BufferPool) FlushAll() error {
-	_, err := bp.FlushDirty()
-	return err
-}
-
-// Capacity returns the pool's page capacity.
-func (bp *BufferPool) Capacity() int { return bp.capacity }

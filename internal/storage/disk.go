@@ -7,21 +7,19 @@ import (
 	"sync"
 )
 
-// DiskManager abstracts the medium pages are persisted on. Two
-// implementations exist: FileDiskManager (a real file, used by the tools) and
-// MemDiskManager (an in-memory page array, used by tests, examples and every
-// database opened without a data file).
+// DiskManager abstracts the medium evicted pages spill to. Nothing in it is
+// durable: the write-ahead log is the database, and pages are rebuilt from it
+// at every open. Two implementations exist: FileDiskManager (a scratch file,
+// used when a deployment names one) and MemDiskManager (an in-memory page
+// array, used by tests, examples and every database opened without a data
+// file).
 type DiskManager interface {
 	// ReadPage reads page id into buf, which must be PageSize bytes.
 	ReadPage(id PageID, buf []byte) error
 	// WritePage writes buf (PageSize bytes) as page id.
 	WritePage(id PageID, buf []byte) error
-	// AllocatePage extends the file by one page and returns its id.
+	// AllocatePage reserves the next page id.
 	AllocatePage() (PageID, error)
-	// NumPages returns the number of allocated pages.
-	NumPages() PageID
-	// Sync flushes buffered writes to stable storage.
-	Sync() error
 	// Close releases the underlying resource.
 	Close() error
 }
@@ -65,43 +63,27 @@ func (m *MemDiskManager) AllocatePage() (PageID, error) {
 	return PageID(len(m.pages) - 1), nil
 }
 
-// NumPages implements DiskManager.
-func (m *MemDiskManager) NumPages() PageID {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return PageID(len(m.pages))
-}
-
-// Sync implements DiskManager. It is a no-op for memory.
-func (m *MemDiskManager) Sync() error { return nil }
-
 // Close implements DiskManager.
 func (m *MemDiskManager) Close() error { return nil }
 
-// FileDiskManager stores pages in a single operating-system file, page i at
-// byte offset i*PageSize.
+// FileDiskManager spills pages to a scratch file, page i at byte offset
+// i*PageSize. The file is created empty at open and removed at close; it is
+// never read back across opens.
 type FileDiskManager struct {
 	mu   sync.Mutex
+	path string
 	file *os.File
 	n    PageID
 }
 
-// OpenFileDiskManager opens (or creates) the database file at path.
+// OpenFileDiskManager creates the scratch file at path, truncating whatever
+// a previous run left there.
 func OpenFileDiskManager(path string) (*FileDiskManager, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("storage: open %s: %w", path, err)
 	}
-	info, err := f.Stat()
-	if err != nil {
-		return nil, errors.Join(fmt.Errorf("storage: stat %s: %w", path, err), f.Close())
-	}
-	if info.Size()%PageSize != 0 {
-		return nil, errors.Join(
-			fmt.Errorf("storage: %s has size %d, not a multiple of the page size", path, info.Size()),
-			f.Close())
-	}
-	return &FileDiskManager{file: f, n: PageID(info.Size() / PageSize)}, nil
+	return &FileDiskManager{path: path, file: f}, nil
 }
 
 // ReadPage implements DiskManager.
@@ -126,28 +108,23 @@ func (d *FileDiskManager) WritePage(id PageID, buf []byte) error {
 	return err
 }
 
-// AllocatePage implements DiskManager.
+// AllocatePage implements DiskManager. It writes nothing: the buffer pool
+// hands out a new page as a dirty frame, so the page reaches the file on
+// eviction before anything can read it.
 func (d *FileDiskManager) AllocatePage() (PageID, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	id := d.n
-	zero := make([]byte, PageSize)
-	if _, err := d.file.WriteAt(zero, int64(id)*PageSize); err != nil {
-		return InvalidPageID, err
-	}
 	d.n++
 	return id, nil
 }
 
-// NumPages implements DiskManager.
-func (d *FileDiskManager) NumPages() PageID {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.n
+// Close implements DiskManager: it closes and removes the file. A file that
+// is already gone is not an error.
+func (d *FileDiskManager) Close() error {
+	err := d.file.Close()
+	if rerr := os.Remove(d.path); rerr != nil && !errors.Is(rerr, os.ErrNotExist) {
+		err = errors.Join(err, rerr)
+	}
+	return err
 }
-
-// Sync implements DiskManager.
-func (d *FileDiskManager) Sync() error { return d.file.Sync() }
-
-// Close implements DiskManager.
-func (d *FileDiskManager) Close() error { return d.file.Close() }

@@ -189,8 +189,6 @@ type CheckpointStats struct {
 	Bytes  int   // encoded image size
 	Start  int64 // tail-replay start offset recorded in the image
 	Offset int64 // log offset of the checkpoint record itself
-	// PagesFlushed is filled in by the engine, which owns the buffer pool.
-	PagesFlushed int
 }
 
 // Checkpoint captures a snapshot-consistent image of the catalog, appends it
