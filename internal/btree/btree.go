@@ -6,7 +6,9 @@
 // Leaves are chained in both directions, so range scans — the access path
 // behind query-by-form predicates such as "credit > 1000" and behind ordered
 // browsing — read the leaf level a leaf at a time through a Cursor, forwards
-// or backwards. Deletion is implemented lazily: entries are removed from
+// or backwards. Every inner node keeps the entry count of each child's
+// subtree, so CountRange answers "how many entries lie in this interval" with
+// one descent per bound instead of a walk over the leaves. Deletion is implemented lazily: entries are removed from
 // leaves but nodes are not merged, which keeps the tree correct (a standard
 // trade-off for indexes that shrink rarely, as the interactive workloads here
 // do).
@@ -58,6 +60,8 @@ type innerNode struct {
 	// len(children) == len(keys)+1.
 	keys     [][]byte
 	children []node
+	// counts[i] is the number of (key, rid) entries in children[i]'s subtree.
+	counts []int
 }
 
 func (*innerNode) isLeaf() bool { return false }
@@ -92,41 +96,48 @@ func (t *Tree) Insert(key []byte, rid storage.RecordID) error {
 	defer t.mu.Unlock()
 	k := make([]byte, len(key))
 	copy(k, key)
-	promoted, right, err := t.insert(t.root, k, rid)
+	promoted, right, added, err := t.insert(t.root, k, rid)
 	if err != nil {
 		return err
 	}
+	if added {
+		t.size++
+	}
 	if right != nil {
-		t.root = &innerNode{keys: [][]byte{promoted}, children: []node{t.root, right}}
+		rc := subtreeSize(right)
+		t.root = &innerNode{
+			keys:     [][]byte{promoted},
+			children: []node{t.root, right},
+			counts:   []int{t.size - rc, rc},
+		}
 		t.height++
 	}
 	return nil
 }
 
-// insert recurses into n. When n splits, it returns the key to promote and
-// the new right sibling.
-func (t *Tree) insert(n node, key []byte, rid storage.RecordID) (promoted []byte, right node, err error) {
+// insert recurses into n. added reports whether an entry was added (an
+// existing pair is not added twice). When n splits, it returns the key to
+// promote and the new right sibling.
+func (t *Tree) insert(n node, key []byte, rid storage.RecordID) (promoted []byte, right node, added bool, err error) {
 	switch n := n.(type) {
 	case *leafNode:
 		i, found := findKey(n.keys, key)
 		if found {
 			if t.unique {
-				return nil, nil, fmt.Errorf("%w: %q", ErrDuplicateKey, key)
+				return nil, nil, false, fmt.Errorf("%w: %q", ErrDuplicateKey, key)
 			}
 			for _, existing := range n.vals[i] {
 				if existing == rid {
-					return nil, nil, nil
+					return nil, nil, false, nil
 				}
 			}
 			n.vals[i] = append(n.vals[i], rid)
-			t.size++
-			return nil, nil, nil
+			return nil, nil, true, nil
 		}
 		n.keys = insertAt(n.keys, i, key)
-		n.vals = insertValsAt(n.vals, i, []storage.RecordID{rid})
-		t.size++
+		n.vals = insertAt(n.vals, i, []storage.RecordID{rid})
 		if len(n.keys) <= fanout {
-			return nil, nil, nil
+			return nil, nil, true, nil
 		}
 		// Split the leaf in half.
 		mid := len(n.keys) / 2
@@ -142,33 +153,58 @@ func (t *Tree) insert(n node, key []byte, rid storage.RecordID) (promoted []byte
 		n.keys = n.keys[:mid:mid]
 		n.vals = n.vals[:mid:mid]
 		n.next = sibling
-		return sibling.keys[0], sibling, nil
+		return sibling.keys[0], sibling, true, nil
 
 	case *innerNode:
-		i, found := findKey(n.keys, key)
-		if found {
-			i++
+		i := childFor(n, key)
+		promoted, right, added, err := t.insert(n.children[i], key, rid)
+		if err != nil {
+			return nil, nil, false, err
 		}
-		promoted, right, err := t.insert(n.children[i], key, rid)
-		if err != nil || right == nil {
-			return nil, nil, err
+		if added {
+			n.counts[i]++
 		}
+		if right == nil {
+			return nil, nil, added, nil
+		}
+		rc := subtreeSize(right)
+		n.counts[i] -= rc
 		n.keys = insertAt(n.keys, i, promoted)
-		n.children = insertChildAt(n.children, i+1, right)
+		n.children = insertAt(n.children, i+1, right)
+		n.counts = insertAt(n.counts, i+1, rc)
 		if len(n.keys) <= fanout {
-			return nil, nil, nil
+			return nil, nil, added, nil
 		}
 		mid := len(n.keys) / 2
 		promote := n.keys[mid]
 		sibling := &innerNode{
 			keys:     append([][]byte(nil), n.keys[mid+1:]...),
 			children: append([]node(nil), n.children[mid+1:]...),
+			counts:   append([]int(nil), n.counts[mid+1:]...),
 		}
 		n.keys = n.keys[:mid:mid]
 		n.children = n.children[: mid+1 : mid+1]
-		return promote, sibling, nil
+		n.counts = n.counts[: mid+1 : mid+1]
+		return promote, sibling, added, nil
 	}
-	return nil, nil, fmt.Errorf("btree: unknown node type %T", n)
+	return nil, nil, false, fmt.Errorf("btree: unknown node type %T", n)
+}
+
+// subtreeSize returns the number of entries under n: the posting lists of a
+// leaf, or the child counts of an inner node.
+func subtreeSize(n node) int {
+	total := 0
+	switch n := n.(type) {
+	case *leafNode:
+		for _, vals := range n.vals {
+			total += len(vals)
+		}
+	case *innerNode:
+		for _, c := range n.counts {
+			total += c
+		}
+	}
+	return total
 }
 
 // Delete removes the entry (key, rid). It reports whether an entry was
@@ -176,7 +212,25 @@ func (t *Tree) insert(n node, key []byte, rid storage.RecordID) (promoted []byte
 func (t *Tree) Delete(key []byte, rid storage.RecordID) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	leaf := t.findLeaf(key)
+	if !deleteFrom(t.root, key, rid) {
+		return false
+	}
+	t.size--
+	return true
+}
+
+// deleteFrom removes (key, rid) from n's subtree, decrementing the child
+// count of every inner node on the way back up when it did.
+func deleteFrom(n node, key []byte, rid storage.RecordID) bool {
+	if inner, ok := n.(*innerNode); ok {
+		i := childFor(inner, key)
+		if !deleteFrom(inner.children[i], key, rid) {
+			return false
+		}
+		inner.counts[i]--
+		return true
+	}
+	leaf := n.(*leafNode)
 	i, found := findKey(leaf.keys, key)
 	if !found {
 		return false
@@ -185,7 +239,6 @@ func (t *Tree) Delete(key []byte, rid storage.RecordID) bool {
 	for j, existing := range vals {
 		if existing == rid {
 			vals = append(vals[:j], vals[j+1:]...)
-			t.size--
 			if len(vals) == 0 {
 				leaf.keys = append(leaf.keys[:i], leaf.keys[i+1:]...)
 				leaf.vals = append(leaf.vals[:i], leaf.vals[i+1:]...)
@@ -196,6 +249,54 @@ func (t *Tree) Delete(key []byte, rid storage.RecordID) bool {
 		}
 	}
 	return false
+}
+
+// CountRange returns the number of (key, rid) entries whose key lies in r,
+// with r's bound semantics (nil unbounded, open bounds excluded; Reverse is
+// ignored). It descends once per bound, summing the child counts to the left
+// of the path, so it costs O(fanout × height) however wide the range.
+func (t *Tree) CountRange(r Range) int {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	upper := t.size
+	if r.High != nil {
+		upper = t.rank(r.High, !r.HighOpen)
+	}
+	lower := 0
+	if r.Low != nil {
+		lower = t.rank(r.Low, r.LowOpen)
+	}
+	if upper < lower {
+		return 0
+	}
+	return upper - lower
+}
+
+// rank returns the number of entries whose key is below key, or at most key
+// when inclusive.
+func (t *Tree) rank(key []byte, inclusive bool) int {
+	below := 0
+	n := t.root
+	for {
+		inner, ok := n.(*innerNode)
+		if !ok {
+			break
+		}
+		i := childFor(inner, key)
+		for _, c := range inner.counts[:i] {
+			below += c
+		}
+		n = inner.children[i]
+	}
+	leaf := n.(*leafNode)
+	i, found := findKey(leaf.keys, key)
+	if found && inclusive {
+		i++
+	}
+	for _, vals := range leaf.vals[:i] {
+		below += len(vals)
+	}
+	return below
 }
 
 // Search returns the record identifiers stored under key, or nil when absent.
@@ -225,12 +326,19 @@ func (t *Tree) findLeaf(key []byte) *leafNode {
 		if !ok {
 			return n.(*leafNode)
 		}
-		i, found := findKey(inner.keys, key)
-		if found {
-			i++
-		}
-		n = inner.children[i]
+		n = inner.children[childFor(inner, key)]
 	}
+}
+
+// childFor returns the index of the child of n whose subtree does or would
+// hold key. Every key in children[:i] is below key and every key in
+// children[i+1:] is above it.
+func childFor(n *innerNode, key []byte) int {
+	i, found := findKey(n.keys, key)
+	if found {
+		i++
+	}
+	return i
 }
 
 // Min returns the smallest key in the tree, or nil when empty.
@@ -287,22 +395,9 @@ func findKey(keys [][]byte, key []byte) (int, bool) {
 	return lo, false
 }
 
-func insertAt(s [][]byte, i int, v []byte) [][]byte {
-	s = append(s, nil)
-	copy(s[i+1:], s[i:])
-	s[i] = v
-	return s
-}
-
-func insertValsAt(s [][]storage.RecordID, i int, v []storage.RecordID) [][]storage.RecordID {
-	s = append(s, nil)
-	copy(s[i+1:], s[i:])
-	s[i] = v
-	return s
-}
-
-func insertChildAt(s []node, i int, v node) []node {
-	s = append(s, nil)
+func insertAt[T any](s []T, i int, v T) []T {
+	var zero T
+	s = append(s, zero)
 	copy(s[i+1:], s[i:])
 	s[i] = v
 	return s
@@ -310,8 +405,9 @@ func insertChildAt(s []node, i int, v node) []node {
 
 // Validate checks structural invariants (key ordering within and across
 // leaves, the leaf chain linked consistently in both directions and ending at
-// the rightmost leaf, the entry count, child counts in inner nodes) and
-// returns an error describing the first violation. It exists for tests and
+// the rightmost leaf, the entry count, child and key counts in inner nodes,
+// and every inner node's per-child entry count) and returns an error
+// describing the first violation. It exists for tests and
 // the property-based suite.
 func (t *Tree) Validate() error {
 	t.mu.RLock()
@@ -337,21 +433,30 @@ func (t *Tree) Validate() error {
 	if entries != t.size {
 		return fmt.Errorf("btree: leaf chain holds %d entries, size says %d", entries, t.size)
 	}
-	return validateNode(t.root)
+	_, err := validateNode(t.root)
+	return err
 }
 
-func validateNode(n node) error {
+// validateNode checks n's subtree and returns the number of entries it holds.
+func validateNode(n node) (int, error) {
 	inner, ok := n.(*innerNode)
 	if !ok {
-		return nil
+		return subtreeSize(n), nil
 	}
-	if len(inner.children) != len(inner.keys)+1 {
-		return fmt.Errorf("btree: inner node has %d keys but %d children", len(inner.keys), len(inner.children))
+	if len(inner.children) != len(inner.keys)+1 || len(inner.counts) != len(inner.children) {
+		return 0, fmt.Errorf("btree: inner node has %d keys, %d children and %d child counts",
+			len(inner.keys), len(inner.children), len(inner.counts))
 	}
-	for _, c := range inner.children {
-		if err := validateNode(c); err != nil {
-			return err
+	total := 0
+	for i, c := range inner.children {
+		n, err := validateNode(c)
+		if err != nil {
+			return 0, err
 		}
+		if n != inner.counts[i] {
+			return 0, fmt.Errorf("btree: child %d holds %d entries, its count says %d", i, n, inner.counts[i])
+		}
+		total += n
 	}
-	return nil
+	return total, nil
 }

@@ -15,6 +15,21 @@ type Range struct {
 	Reverse           bool
 }
 
+// Contains reports whether key lies inside r's bounds.
+func (r Range) Contains(key []byte) bool {
+	if r.Low != nil {
+		if cmp := bytes.Compare(key, r.Low); cmp < 0 || (cmp == 0 && r.LowOpen) {
+			return false
+		}
+	}
+	if r.High != nil {
+		if cmp := bytes.Compare(key, r.High); cmp > 0 || (cmp == 0 && r.HighOpen) {
+			return false
+		}
+	}
+	return true
+}
+
 // Entry is one key of a cursor batch with the records stored under it.
 type Entry struct {
 	Key     []byte

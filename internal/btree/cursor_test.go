@@ -1,7 +1,6 @@
 package btree
 
 import (
-	"bytes"
 	"math/rand"
 	"sort"
 	"sync"
@@ -26,7 +25,7 @@ type model map[pair]bool
 func (m model) sorted(r Range) []pair {
 	var out []pair
 	for p := range m {
-		if inRange(intKey(p.key), r) {
+		if r.Contains(intKey(p.key)) {
 			out = append(out, p)
 		}
 	}
@@ -46,20 +45,6 @@ func keyDecoder(n int64) map[string]int64 {
 		out[string(intKey(k))] = k
 	}
 	return out
-}
-
-func inRange(key []byte, r Range) bool {
-	if r.Low != nil {
-		if cmp := bytes.Compare(key, r.Low); cmp < 0 || (cmp == 0 && r.LowOpen) {
-			return false
-		}
-	}
-	if r.High != nil {
-		if cmp := bytes.Compare(key, r.High); cmp > 0 || (cmp == 0 && r.HighOpen) {
-			return false
-		}
-	}
-	return true
 }
 
 // TestCursorAgainstModel scans random ranges in both directions while the
@@ -164,7 +149,7 @@ func TestCursorAgainstModel(t *testing.T) {
 
 		seen := model{}
 		for i, p := range got {
-			if !inRange(intKey(p.key), r) {
+			if !r.Contains(intKey(p.key)) {
 				t.Fatalf("seed %d: key %d is outside %+v", seed, p.key, r)
 			}
 			if seen[p] {

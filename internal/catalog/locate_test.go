@@ -173,8 +173,8 @@ func runLocateModel(t *testing.T, sh locateShape, seed int64) {
 			}
 			live = append(live[:i], live[i+1:]...)
 		default:
-			if _, err := tbl.Vacuum(uint64(rng.Int63n(int64(xid)) + 1)); err != nil {
-				fail("vacuum: %v", err)
+			if _, err := tbl.Sweep(uint64(rng.Int63n(int64(xid))+1), true); err != nil {
+				fail("sweep: %v", err)
 			}
 		}
 

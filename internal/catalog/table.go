@@ -42,6 +42,12 @@ var ErrNoMatchingRow = errors.New("catalog: no row matches the before-image")
 // recovery, tests) are "frozen" with xmin=0 and visible to every snapshot.
 // Indexes hold entries for every version, live or dead: scans filter by
 // visibility per record id at fetch time instead of chasing version chains.
+//
+// The versions that are not settled — not yet visible to every snapshot, or
+// carrying an xmax — are also kept in one list (see unsettled.go), changed in
+// the same t.mu critical section as the heap and indexes. It lets
+// CountVisible answer a COUNT(*) from the index's entry counts and lets Sweep
+// reclaim dead versions without scanning the heap.
 type Table struct {
 	mu      sync.RWMutex
 	name    string
@@ -51,10 +57,10 @@ type Table struct {
 	// version increments on every committed mutation; the forms layer's
 	// window manager uses it to detect that windows over this table are stale.
 	version uint64
-	// live counts versions with xmax==0 (the logical row count); dead counts
-	// committed-dead versions awaiting vacuum, as a GC trigger heuristic.
+	// live counts versions with xmax==0 (the logical row count).
 	live atomic.Int64
-	dead atomic.Int64
+	// unsettled lists the versions that are not settled; guarded by mu.
+	unsettled unsettledList
 	// located is the owning catalog's Locate accounting, shared by its tables.
 	located *locateCounters
 }
@@ -78,14 +84,6 @@ func (t *Table) Schema() *Schema { return t.schema }
 // RowCount returns the number of live rows (versions not yet deleted or
 // superseded). The planner and the forms status line use it for cardinality.
 func (t *Table) RowCount() int { return int(t.live.Load()) }
-
-// DeadVersions returns the approximate number of committed-dead versions
-// accumulated since the last vacuum. The transaction manager uses it to
-// decide when an on-access vacuum pays off.
-func (t *Table) DeadVersions() int64 { return t.dead.Load() }
-
-// NoteDead records that n versions of this table became dead at a commit.
-func (t *Table) NoteDead(n int64) { t.dead.Add(n) }
 
 // Version returns the table's mutation counter. It increases on every
 // successful Insert, Update or Delete.
@@ -241,23 +239,37 @@ func (t *Table) Insert(tuple Tuple) (storage.RecordID, error) {
 				ErrUniqueViolation, idx.Name, strings.Join(idx.Columns, ", "))
 		}
 	}
-	return t.insertVersionLocked(validated, storage.VersionMeta{})
+	return t.insertVersionLocked(validated, storage.VersionMeta{}, false)
 }
 
 // InsertVersion appends a new row version stamped xmin=xid and maintains
 // every index. Unique constraints are NOT checked here: the transaction
 // layer probes live versions under its key locks before calling.
 func (t *Table) InsertVersion(tuple Tuple, xid uint64) (storage.RecordID, error) {
+	return t.insertStamped(tuple, xid, xid != 0)
+}
+
+// InstallVersion is InsertVersion for crash recovery, whose versions join no
+// unsettled list: recovery installs every version before it advances the id
+// sequence past the log and before any snapshot exists, and once the
+// sequence has advanced every such version is settled.
+func (t *Table) InstallVersion(tuple Tuple, xmin uint64) (storage.RecordID, error) {
+	return t.insertStamped(tuple, xmin, false)
+}
+
+func (t *Table) insertStamped(tuple Tuple, xmin uint64, unsettled bool) (storage.RecordID, error) {
 	validated, err := tuple.ValidateAgainst(t.schema)
 	if err != nil {
 		return storage.RecordID{}, err
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.insertVersionLocked(validated, storage.VersionMeta{Xmin: xid})
+	return t.insertVersionLocked(validated, storage.VersionMeta{Xmin: xmin}, unsettled)
 }
 
-func (t *Table) insertVersionLocked(validated Tuple, meta storage.VersionMeta) (storage.RecordID, error) {
+// insertVersionLocked writes the version and its index entries, and lists it
+// when it is unsettled. The caller holds t.mu.
+func (t *Table) insertVersionLocked(validated Tuple, meta storage.VersionMeta, unsettled bool) (storage.RecordID, error) {
 	rid, err := t.heap.InsertVersion(meta, types.EncodeTuple(nil, validated))
 	if err != nil {
 		return storage.RecordID{}, err
@@ -276,6 +288,9 @@ func (t *Table) insertVersionLocked(validated Tuple, meta storage.VersionMeta) (
 			return storage.RecordID{}, err
 		}
 	}
+	if unsettled {
+		t.unsettled.push(rid, meta, validated)
+	}
 	t.version++
 	t.live.Add(1)
 	return rid, nil
@@ -284,8 +299,8 @@ func (t *Table) insertVersionLocked(validated Tuple, meta storage.VersionMeta) (
 // AddVersion supersedes the version at oldRID with a new version of the row:
 // it stamps xmax=xid on the old version in place and inserts the new tuple
 // stamped xmin=xid with its version-chain link pointing at oldRID. Index
-// entries for the old version remain (snapshots may still need them); the
-// vacuum reclaims both together. Returns the new version's record id.
+// entries for the old version remain (snapshots may still need them); a sweep
+// reclaims both together. Returns the new version's record id.
 func (t *Table) AddVersion(oldRID storage.RecordID, tuple Tuple, xid uint64) (storage.RecordID, error) {
 	validated, err := tuple.ValidateAgainst(t.schema)
 	if err != nil {
@@ -293,14 +308,14 @@ func (t *Table) AddVersion(oldRID storage.RecordID, tuple Tuple, xid uint64) (st
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if err := t.heap.SetXmax(oldRID, xid); err != nil {
+	if err := t.stampXmaxLocked(oldRID, xid); err != nil {
 		return storage.RecordID{}, err
 	}
 	newRID, err := t.insertVersionLocked(validated, storage.VersionMeta{
 		Xmin: xid, Prev: oldRID, HasPrev: true,
-	})
+	}, true)
 	if err != nil {
-		_ = t.heap.SetXmax(oldRID, 0) // restore the old version
+		_ = t.stampXmaxLocked(oldRID, 0) // restore the old version
 		return storage.RecordID{}, err
 	}
 	t.live.Add(-1) // net: old version died, new one was born
@@ -312,7 +327,7 @@ func (t *Table) AddVersion(oldRID storage.RecordID, tuple Tuple, xid uint64) (st
 func (t *Table) MarkDeleted(rid storage.RecordID, xid uint64) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if err := t.heap.SetXmax(rid, xid); err != nil {
+	if err := t.stampXmaxLocked(rid, xid); err != nil {
 		return err
 	}
 	t.version++
@@ -325,7 +340,7 @@ func (t *Table) MarkDeleted(rid storage.RecordID, xid uint64) error {
 func (t *Table) ClearXmax(rid storage.RecordID) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if err := t.heap.SetXmax(rid, 0); err != nil {
+	if err := t.stampXmaxLocked(rid, 0); err != nil {
 		return err
 	}
 	t.version++
@@ -334,28 +349,39 @@ func (t *Table) ClearXmax(rid storage.RecordID) error {
 }
 
 // RemoveVersion physically deletes the version at rid and its index entries
-// (rollback undo for inserts, and the vacuum's reclaim primitive).
+// (rollback undo for inserts, and the legacy physical delete).
 func (t *Table) RemoveVersion(rid storage.RecordID) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.removeVersionLocked(rid)
 }
 
+// removeVersionLocked deletes the version at rid, its index entries and its
+// list entry. An unsettled version's row and header come from its list entry,
+// so only the delete itself touches the heap page.
 func (t *Table) removeVersionLocked(rid storage.RecordID) error {
-	record, err := t.heap.Get(rid)
-	if err != nil {
-		return err
-	}
-	meta, payload, err := storage.DecodeVersion(record)
-	if err != nil {
-		return err
-	}
-	tuple, err := types.DecodeTuple(payload)
-	if err != nil {
-		return err
+	e := t.unsettled.get(rid)
+	var (
+		meta  storage.VersionMeta
+		tuple Tuple
+	)
+	if e != nil {
+		meta, tuple = e.meta, e.row
+	} else {
+		var payload []byte
+		var err error
+		if meta, payload, err = t.heap.GetVersion(rid); err != nil {
+			return err
+		}
+		if tuple, err = types.DecodeTuple(payload); err != nil {
+			return err
+		}
 	}
 	if err := t.heap.Delete(rid); err != nil {
 		return err
+	}
+	if e != nil {
+		t.unsettled.remove(e)
 	}
 	for _, idx := range t.indexes {
 		idx.Tree.Delete(idx.KeyFor(tuple), rid)
@@ -384,21 +410,6 @@ func (t *Table) GetVersion(rid storage.RecordID) (storage.VersionMeta, Tuple, er
 		return storage.VersionMeta{}, nil, err
 	}
 	return meta, tuple, nil
-}
-
-// VersionMetas is GetVersion for a batch of record ids, headers only: it
-// appends the header of every version that still resolves (see
-// storage.HeapFile.VersionMetas). Nothing is decoded, so it is what a scan
-// that only counts visible versions reads.
-func (t *Table) VersionMetas(dst []storage.VersionMeta, rids []storage.RecordID) ([]storage.VersionMeta, error) {
-	return t.heap.VersionMetas(dst, rids)
-}
-
-// ScanVersionMetas calls fn with the headers of every row version, a heap
-// page at a time in physical order: the header-only counterpart of
-// VersionIterator.
-func (t *Table) ScanVersionMetas(fn func(metas []storage.VersionMeta) error) error {
-	return t.heap.ScanVersionMetas(fn)
 }
 
 // LiveKeyExists reports whether any live version (xmax==0, including
@@ -449,6 +460,12 @@ func (t *Table) Update(rid storage.RecordID, tuple Tuple) (storage.RecordID, err
 	if err != nil {
 		return rid, err
 	}
+	if e := t.unsettled.get(rid); e != nil {
+		e.row = validated
+		if newRID != rid {
+			t.unsettled.move(e, newRID)
+		}
+	}
 	for _, idx := range t.indexes {
 		idx.Tree.Delete(idx.KeyFor(oldTuple), rid)
 		if err := idx.Tree.Insert(idx.KeyFor(validated), newRID); err != nil {
@@ -460,7 +477,7 @@ func (t *Table) Update(rid storage.RecordID, tuple Tuple) (storage.RecordID, err
 }
 
 // Delete physically removes the row at rid and its index entries (legacy
-// path; transactional deletes use MarkDeleted and let the vacuum reclaim).
+// path; transactional deletes use MarkDeleted and let a sweep reclaim).
 func (t *Table) Delete(rid storage.RecordID) error {
 	return t.RemoveVersion(rid)
 }
@@ -540,68 +557,13 @@ func decodeNext(inner *storage.HeapIterator) (storage.RecordID, storage.VersionM
 	return rid, meta, tuple, true, nil
 }
 
-// Vacuum physically reclaims dead versions whose deleting transaction id is
-// below horizon: no live snapshot can still see them, and every younger
-// reader already sees their replacement. Returns the number reclaimed.
-func (t *Table) Vacuum(horizon uint64) (int, error) {
-	var victims []storage.RecordID
-	err := t.heap.Scan(func(rid storage.RecordID, record []byte) error {
-		meta, _, err := storage.DecodeVersion(record)
-		if err != nil {
-			return err
-		}
-		if meta.Xmax != 0 && meta.Xmax < horizon {
-			victims = append(victims, rid)
-		}
-		return nil
-	})
-	if err != nil {
-		return 0, err
-	}
-	removed := 0
-	for _, rid := range victims {
-		ok, err := t.reclaim(rid, horizon)
-		if err != nil {
-			return removed, err
-		}
-		if ok {
-			removed++
-		}
-	}
-	if removed > 0 {
-		t.dead.Add(int64(-removed))
-	}
-	return removed, nil
-}
-
-// reclaim removes the version at rid if it is dead below horizon now, and
-// reports whether it did. The check and the removal share one hold of t.mu
-// because the collecting scan's verdict may be stale: a concurrent vacuum can
-// have removed the version since, and an insert reused its slot for a live
-// row.
-func (t *Table) reclaim(rid storage.RecordID, horizon uint64) (bool, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	meta, _, err := t.heap.GetVersion(rid)
-	if errors.Is(err, storage.ErrRecordNotFound) {
-		return false, nil // a concurrent vacuum got there first
-	}
-	if err != nil {
-		return false, err
-	}
-	if meta.Xmax == 0 || meta.Xmax >= horizon {
-		return false, nil
-	}
-	return true, t.removeVersionLocked(rid)
-}
-
 // Locate resolves a logged before-image to the record id of the version it
 // names: the one version that admit accepts (the caller's visibility rule)
 // and whose tuple equals image in every column. The key only narrows the
 // search — the table's first unique index (the primary key when there is
 // one), else any index, is probed with the image's key, and each candidate is
 // then judged on its header and its whole tuple, because several versions of
-// a row share a key until the vacuum runs and distinct values can share a
+// a row share a key until a sweep reclaims them and distinct values can share a
 // key encoding. Only a table without any index is scanned, and that scan
 // stops at the first match. ErrNoMatchingRow reports that nothing matched.
 func (t *Table) Locate(image Tuple, admit func(storage.VersionMeta) bool) (storage.RecordID, error) {
@@ -610,7 +572,7 @@ func (t *Table) Locate(image Tuple, admit func(storage.VersionMeta) bool) (stora
 		for _, rid := range idx.Tree.Search(idx.KeyFor(image)) {
 			meta, tuple, err := t.GetVersion(rid)
 			if errors.Is(err, storage.ErrRecordNotFound) {
-				continue // vacuumed between the probe and the fetch
+				continue // reclaimed between the probe and the fetch
 			}
 			if err != nil {
 				return storage.RecordID{}, err

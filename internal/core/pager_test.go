@@ -519,7 +519,7 @@ func TestAnchoredRefreshBuffersAboveCursor(t *testing.T) {
 
 // TestPagerWorkIndependentOfDepth is the mechanism behind "every keystroke is
 // O(page)": on a 50 000-row table a keyset page in either direction, Home,
-// End and an anchored refresh (its COUNT(*) aside, which reads every header)
+// End and an anchored refresh (its COUNT(*) included, which reads no row)
 // each make the engine fetch about a page of rows from the buffer pool —
 // Hits+Misses, one per row read — no matter how deep in the table the cursor
 // stands, with and without a query-by-form range on the key column.
@@ -559,12 +559,9 @@ func TestPagerWorkIndependentOfDepth(t *testing.T) {
 		if total != n-base {
 			t.Fatalf("total = %d, want %d", total, n-base)
 		}
-		countCost := poolFetches(func() error { _, err := p.count(); return err })
-
 		for _, depth := range []int{100, total / 2, total - 500} {
 			anchor := types.Tuple{types.NewInt(int64(base + depth + 1)), types.Null(), types.Null()}
-			refresh := poolFetches(func() error { return p.Refresh(anchor, depth) })
-			check("anchored refresh (count excluded)", depth, refresh-countCost)
+			check("anchored refresh", depth, poolFetches(func() error { return p.Refresh(anchor, depth) }))
 			if got := rowID(t, p, depth); got != base+depth+1 {
 				t.Fatalf("row %d after the anchored refresh has id %d, want %d", depth, got, base+depth+1)
 			}

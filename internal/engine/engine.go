@@ -212,6 +212,9 @@ func OpenMemory() *Database {
 // duplicate copy of the schema history to the very log being recovered.
 // Afterwards the transaction-id sequence is advanced past every recovered
 // version stamp and the schema history is seeded for the next checkpoint.
+// Replay lists no version (catalog.Table.InstallVersion) and leaves none dead
+// (a replayed update or delete is physical), so once the sequence has
+// advanced every version is settled and every unsettled list is empty.
 func (db *Database) replay(load *txn.LogLoad) (txn.ReplayStats, error) {
 	session := db.Session()
 	session.recovering = true
@@ -309,20 +312,32 @@ func (db *Database) RecoverySession() *Session {
 // cache currently holds.
 func (db *Database) PlanCacheLen() int { return db.plans.len() }
 
-// Vacuum forces a version-GC pass over every table, reclaiming dead row
-// versions below the oldest live snapshot. Committing transactions vacuum
-// hot tables on their own; this is for tests, tools and quiesced databases.
-// It returns the number of versions reclaimed.
+// Vacuum sweeps every table's whole unsettled list, reclaiming the dead row
+// versions no live snapshot can see and dropping the entries that have
+// settled. A commit already sweeps the tables it wrote from the head of their
+// lists; this also reaches entries behind one that is still pinned, for
+// tests, tools and quiesced databases. It returns the number of versions
+// reclaimed.
 func (db *Database) Vacuum() int {
 	total := 0
-	for _, name := range db.cat.TableNames() {
-		table, err := db.cat.GetTable(name)
-		if err != nil {
-			continue
-		}
-		total += db.txns.Vacuum(table)
+	for _, table := range db.tables() {
+		// A failed sweep leaves what it did not reach listed; the next one
+		// retries it.
+		n, _ := db.txns.Sweep(table, true)
+		total += n
 	}
 	return total
+}
+
+// tables returns every table of the catalog.
+func (db *Database) tables() []*catalog.Table {
+	var out []*catalog.Table
+	for _, name := range db.cat.TableNames() {
+		if table, err := db.cat.GetTable(name); err == nil {
+			out = append(out, table)
+		}
+	}
+	return out
 }
 
 // Stats summarises engine-level counters for tools, the server's metrics
@@ -353,11 +368,19 @@ type Stats struct {
 
 	// MVCC: snapshots registered (transactional and cursor-read), writes
 	// aborted by first-updater-wins conflicts, waits-for cycles broken, and
-	// dead row versions reclaimed by the vacuum.
+	// dead row versions reclaimed by sweeps.
 	SnapshotsTaken    uint64
 	WriteConflicts    uint64
 	DeadlocksDetected uint64
 	VersionsGCed      uint64
+	// UnsettledVersions is a gauge: the row versions, summed over every
+	// table's unsettled list, that are not yet visible to every snapshot or
+	// carry a delete stamp. Every COUNT(*) pays one visibility test per
+	// unsettled version of its table, and a dead version is reclaimed only
+	// from the list, so a value that keeps growing names a snapshot held open
+	// (or a transaction left in flight) that pins them. It returns to 0 once
+	// the database is quiet and no snapshot is held.
+	UnsettledVersions uint64
 
 	// Prepared-statement machinery: statements prepared, plan-cache traffic
 	// (hits mean the parse/plan work was skipped), and cursor activity.
@@ -381,6 +404,15 @@ type Stats struct {
 	SessionsClosed uint64
 
 	BufferPool storage.BufferPoolStats
+}
+
+// unsettledVersions sums the lengths of the tables' unsettled lists.
+func (db *Database) unsettledVersions() uint64 {
+	var n uint64
+	for _, table := range db.tables() {
+		n += uint64(table.UnsettledVersions())
+	}
+	return n
 }
 
 // Stats returns a snapshot of the engine's counters.
@@ -409,6 +441,7 @@ func (db *Database) Stats() Stats {
 		WriteConflicts:    mvcc.WriteConflicts,
 		DeadlocksDetected: mvcc.DeadlocksDetected,
 		VersionsGCed:      mvcc.VersionsGCed,
+		UnsettledVersions: db.unsettledVersions(),
 
 		StatementsPrepared: db.prep.prepared.Load(),
 		PlanCacheHits:      db.prep.planHits.Load(),

@@ -1,12 +1,14 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/catalog"
 	"repro/internal/types"
 )
 
@@ -103,12 +105,12 @@ func TestIndexRangeMatchesSeqScanSort(t *testing.T) {
 	}
 }
 
-// TestCountStarMatchesSelectStar holds COUNT(*) — answered from version
-// headers, never decoding a row — to the rows SELECT * returns under the same
-// snapshot, through both access paths, in the states where headers and rows
-// could disagree: another session's uncommitted writes, the session's own,
-// aborted inserts, and committed updates whose dead versions no vacuum has
-// reclaimed yet.
+// TestCountStarMatchesSelectStar holds COUNT(*) — answered from entry counts
+// and the table's unsettled list, never reading a row — to the rows SELECT *
+// returns under the same snapshot, through both access paths, in the states
+// where the two could disagree: another session's uncommitted writes, the
+// session's own, aborted inserts, and committed updates whose dead versions a
+// held snapshot keeps from being reclaimed.
 func TestCountStarMatchesSelectStar(t *testing.T) {
 	db := OpenMemory()
 	defer db.Close()
@@ -180,8 +182,10 @@ func TestCountStarMatchesSelectStar(t *testing.T) {
 	if n := check(reader, "after the aborted inserts"); n != 100 {
 		t.Errorf("an aborted transaction left %d rows", n)
 	}
-	// Thirty committed updates leave thirty dead versions, under the
-	// on-commit vacuum's threshold: they stay in the heap and in the index.
+	// A held snapshot pins the thirty versions the committed updates
+	// supersede: every commit's sweep leaves them in the heap, the index and
+	// the unsettled list.
+	pin := db.Transactions().AcquireSnapshot()
 	for id := 30; id < 60; id++ {
 		exec(writer, fmt.Sprintf("UPDATE c SET v = 2 WHERE id = %d", id))
 	}
@@ -189,11 +193,18 @@ func TestCountStarMatchesSelectStar(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if table.DeadVersions() == 0 {
-		t.Fatal("the updates left no dead version: nothing un-vacuumed to count past")
+	if n := table.UnsettledVersions(); n < 30 {
+		t.Fatalf("%d unsettled versions after thirty pinned updates: nothing unreclaimed to count past", n)
 	}
-	if n := check(reader, "dead versions not vacuumed"); n != 100 {
+	if n := check(reader, "dead versions pinned"); n != 100 {
 		t.Errorf("dead versions changed the count to %d", n)
+	}
+	pin.Release()
+	if n := db.Vacuum(); n != 30 {
+		t.Errorf("vacuum after the release reclaimed %d versions, want 30", n)
+	}
+	if n := check(reader, "dead versions reclaimed"); n != 100 {
+		t.Errorf("reclaiming changed the count to %d", n)
 	}
 }
 
@@ -243,6 +254,175 @@ func TestUpdateOfScannedKeyTouchesEachRowOnce(t *testing.T) {
 		}
 		if row[1].Int() != want {
 			t.Fatalf("id %d has k = %d, want %d: updated other than exactly once", id, row[1].Int(), want)
+		}
+	}
+}
+
+// countShape is one COUNT(*) predicate of the exactness oracle: count runs as
+// a filterless scan on the access path named by path, and ref selects the
+// same rows through a residual filter the planner cannot turn into an access
+// path, so the two reach their answer by different code.
+type countShape struct {
+	name, count, ref, path string
+	args                   func(rng *rand.Rand) []types.Value
+}
+
+func countShapes(keySpace int) []countShape {
+	key := func(rng *rand.Rand) types.Value { return types.NewInt(int64(rng.Intn(keySpace+4) - 2)) }
+	return []countShape{
+		{"whole table", "SELECT COUNT(*) FROM g", "SELECT * FROM g WHERE id + 0 = id", "seq scan",
+			func(*rand.Rand) []types.Value { return nil }},
+		{"primary-key range", "SELECT COUNT(*) FROM g WHERE id >= ? AND id < ?", "SELECT * FROM g WHERE id + 0 >= ? AND id + 0 < ?",
+			"index range scan on g_pkey", func(rng *rand.Rand) []types.Value { return []types.Value{key(rng), key(rng)} }},
+		{"primary-key equality", "SELECT COUNT(*) FROM g WHERE id = ?", "SELECT * FROM g WHERE id + 0 = ?",
+			"index lookup on g_pkey", func(rng *rand.Rand) []types.Value { return []types.Value{key(rng)} }},
+		{"secondary range", "SELECT COUNT(*) FROM g WHERE k > ?", "SELECT * FROM g WHERE k + 0 > ?",
+			"index range scan on g_k", func(rng *rand.Rand) []types.Value { return []types.Value{types.NewInt(int64(rng.Intn(12) - 1))} }},
+	}
+}
+
+// TestCountStarOracleGeneratedHistories is the exactness oracle for
+// COUNT(*) over generated multi-session histories. Three sessions run random
+// inserts, key-changing updates and deletes, in autocommit or inside BEGIN …
+// COMMIT/ROLLBACK; read snapshots are held open across steps to pin dead
+// versions past the commits' sweeps; Database.Vacuum runs now and then, and
+// inserts after a reclaim reuse the freed heap slots. After every step, in
+// every session, each count shape must equal the number of rows its
+// residual-filter twin returns under the same snapshot. Each session writes
+// only the ids it owns (id mod 3), so no statement waits on another
+// session's lock. The seed is in every failure.
+func TestCountStarOracleGeneratedHistories(t *testing.T) {
+	const sessions, keySpace, steps = 3, 60, 200
+	for seed := int64(1); seed <= 8; seed++ {
+		runCountOracle(t, seed, sessions, keySpace, steps)
+	}
+}
+
+func runCountOracle(t *testing.T, seed int64, sessions, keySpace, steps int) {
+	t.Helper()
+	db := OpenMemory()
+	defer db.Close()
+	rng := rand.New(rand.NewSource(seed))
+	fail := func(format string, args ...any) {
+		t.Helper()
+		t.Fatalf("seed %d: "+format, append([]any{seed}, args...)...)
+	}
+	setup := db.Session()
+	defer setup.Close()
+	if _, err := setup.ExecuteScript("CREATE TABLE g (id INT PRIMARY KEY, k INT, v INT); CREATE INDEX g_k ON g (k);"); err != nil {
+		fail("%v", err)
+	}
+	randK := func() string {
+		if rng.Intn(8) == 0 {
+			return "NULL"
+		}
+		return fmt.Sprint(rng.Intn(10))
+	}
+	// ownID picks an id session s owns.
+	ownID := func(s int) int { return rng.Intn(keySpace/sessions)*sessions + s }
+
+	type session struct {
+		s      *Session
+		count  []*Stmt
+		ref    []*Stmt
+		inTxn  bool
+		writes bool // the open transaction has written
+	}
+	shapes := countShapes(keySpace)
+	ss := make([]*session, sessions)
+	for i := range ss {
+		x := &session{s: db.Session()}
+		defer x.s.Close()
+		for _, sh := range shapes {
+			c, err := x.s.Prepare(sh.count)
+			if err != nil {
+				fail("%s: %v", sh.count, err)
+			}
+			r, err := x.s.Prepare(sh.ref)
+			if err != nil {
+				fail("%s: %v", sh.ref, err)
+			}
+			if plan := c.ExplainPlan(); !strings.Contains(plan, sh.path) || strings.Contains(plan, "filter") {
+				fail("%s should be a %s with no residual filter:\n%s", sh.name, sh.path, plan)
+			}
+			if plan := r.ExplainPlan(); !strings.Contains(plan, "seq scan") || !strings.Contains(plan, "filter") {
+				fail("the %s reference should be a filtered seq scan:\n%s", sh.name, plan)
+			}
+			x.count, x.ref = append(x.count, c), append(x.ref, r)
+		}
+		ss[i] = x
+	}
+	var pins []interface{ Release() }
+	defer func() {
+		for _, p := range pins {
+			p.Release()
+		}
+	}()
+	exec := func(x *session, text string) {
+		t.Helper()
+		if _, err := x.s.Execute(text); err != nil && !errors.Is(err, catalog.ErrUniqueViolation) {
+			fail("%s: %v", text, err)
+		}
+	}
+	var history []string
+	for step := 0; step < steps; step++ {
+		i := rng.Intn(sessions)
+		x := ss[i]
+		var did string
+		switch op := rng.Intn(20); {
+		case op < 5:
+			did = fmt.Sprintf("INSERT INTO g VALUES (%d, %s, %d)", ownID(i), randK(), step)
+		case op < 9:
+			did = fmt.Sprintf("UPDATE g SET id = %d, k = %s WHERE id = %d", ownID(i), randK(), ownID(i))
+		case op < 11:
+			did = fmt.Sprintf("UPDATE g SET v = %d WHERE id = %d", step, ownID(i))
+		case op < 13:
+			did = fmt.Sprintf("DELETE FROM g WHERE id = %d", ownID(i))
+		case op < 15:
+			if x.inTxn {
+				did = "COMMIT"
+				if rng.Intn(3) == 0 {
+					did = "ROLLBACK"
+				}
+				x.inTxn = false
+			} else {
+				did, x.inTxn = "BEGIN", true
+			}
+		case op < 17:
+			if len(pins) > 0 && rng.Intn(2) == 0 {
+				j := rng.Intn(len(pins))
+				pins[j].Release()
+				pins = append(pins[:j], pins[j+1:]...)
+				did = "release a held snapshot"
+			} else {
+				pins = append(pins, db.Transactions().AcquireSnapshot())
+				did = "hold a snapshot"
+			}
+		default:
+			did = fmt.Sprintf("vacuum (reclaimed %d)", db.Vacuum())
+		}
+		if strings.HasPrefix(did, "INSERT") || strings.HasPrefix(did, "UPDATE") || strings.HasPrefix(did, "DELETE") ||
+			did == "BEGIN" || did == "COMMIT" || did == "ROLLBACK" {
+			exec(x, did)
+		}
+		history = append(history, fmt.Sprintf("s%d: %s", i, did))
+
+		for j, y := range ss {
+			for n, sh := range shapes {
+				args := sh.args(rng)
+				c, err := y.count[n].Exec(args...)
+				if err != nil {
+					fail("step %d, s%d: %s %v: %v", step, j, sh.count, args, err)
+				}
+				r, err := y.ref[n].Exec(args...)
+				if err != nil {
+					fail("step %d, s%d: %s %v: %v", step, j, sh.ref, args, err)
+				}
+				if got, want := c.Rows[0][0].Int(), int64(len(r.Rows)); got != want {
+					fail("step %d, s%d: %s COUNT(*) %v = %d, the filtered scan returns %d rows\nhistory:\n%s",
+						step, j, sh.name, args, got, want, strings.Join(history, "\n"))
+				}
+			}
 		}
 	}
 }

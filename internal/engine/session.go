@@ -54,7 +54,7 @@ type Session struct {
 func (s *Session) PlanCacheLen() int { return s.db.plans.len() }
 
 // Close releases everything the session holds: open cursors (and with them
-// the snapshots pinning old row versions against the vacuum) are closed, and
+// the snapshots pinning old row versions against reclaim) are closed, and
 // an open explicit transaction is rolled back. The server calls this when a
 // connection disconnects — cleanly or not — so an abandoned session can never
 // keep holding row locks or pin the GC horizon. Closing an already-closed

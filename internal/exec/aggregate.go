@@ -147,11 +147,11 @@ func (s *aggState) result() types.Value {
 	}
 }
 
-// headerCount returns the scan a global COUNT(*) can be answered from by
-// counting visible version headers: the aggregate sits directly on a base
-// table scan with no residual filter, has no GROUP BY, and computes nothing
-// but COUNT(*). Such a statement never needs a row.
-func (o *aggregateOperator) headerCount() (*scanOperator, bool) {
+// countOnly returns the scan a global COUNT(*) can be answered from
+// without reading a row (scanOperator.countVisible): the aggregate sits
+// directly on a base table scan with no residual filter, has no GROUP BY, and
+// computes nothing but COUNT(*).
+func (o *aggregateOperator) countOnly() (*scanOperator, bool) {
 	scan, ok := o.input.(*scanOperator)
 	if !ok || scan.filter != nil || len(o.groupBy) > 0 {
 		return nil, false
@@ -167,7 +167,7 @@ func (o *aggregateOperator) headerCount() (*scanOperator, bool) {
 func (o *aggregateOperator) Open() error {
 	o.groups = nil
 	o.pos = 0
-	if scan, ok := o.headerCount(); ok {
+	if scan, ok := o.countOnly(); ok {
 		n, err := scan.countVisible()
 		if err != nil {
 			return err

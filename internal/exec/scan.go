@@ -67,28 +67,16 @@ func (o *scanOperator) Open() error {
 	switch o.node.Access {
 	case plan.AccessSeqScan:
 		o.iter = o.node.Table.VersionIterator()
-	case plan.AccessIndexEq:
-		v, err := o.resolveKey(o.node.EqValue, o.node.EqParam)
-		if err != nil {
+	case plan.AccessIndexEq, plan.AccessIndexRange:
+		r, empty, err := o.interval()
+		if err != nil || empty {
 			return err
 		}
-		// SQL comparison with NULL is never true, and the planner already
-		// consumed this conjunct, so a NULL key must yield an empty scan
-		// (EncodeKey(NULL) would instead read real entries).
-		if v.IsNull() {
-			return nil
+		if o.node.Access == plan.AccessIndexEq {
+			o.rids = o.node.Index.Tree.Search(r.Low)
+		} else {
+			o.cursor = o.node.Index.Tree.Cursor(r)
 		}
-		key := types.EncodeKey(nil, v)
-		o.rids = o.node.Index.Tree.Search(key)
-	case plan.AccessIndexRange:
-		r, nullBound, err := o.keyRange()
-		if err != nil {
-			return err
-		}
-		if nullBound {
-			return nil // a NULL bound can never be satisfied: empty scan
-		}
-		o.cursor = o.node.Index.Tree.Cursor(r)
 	default:
 		return fmt.Errorf("exec: unknown access kind %v", o.node.Access)
 	}
@@ -107,6 +95,23 @@ func (o *scanOperator) resolveKey(v types.Value, param int) (types.Value, error)
 		v = bound
 	}
 	return o.node.Table.Schema().CoerceToColumn(v, o.node.Index.Columns[0]), nil
+}
+
+// interval resolves an index scan's key interval now that parameters have
+// values: the key itself for an equality, keyRange's interval for a range.
+// empty reports a NULL operand. SQL comparison with NULL is never true, and
+// the planner already consumed the conjunct, so that scan yields nothing
+// (EncodeKey(NULL) would instead read real entries).
+func (o *scanOperator) interval() (r btree.Range, empty bool, err error) {
+	if o.node.Access != plan.AccessIndexEq {
+		return o.keyRange()
+	}
+	v, err := o.resolveKey(o.node.EqValue, o.node.EqParam)
+	if err != nil || v.IsNull() {
+		return r, true, err
+	}
+	key := types.EncodeKey(nil, v)
+	return btree.Range{Low: key, High: key}, false, nil
 }
 
 // keyRange converts the plan's bounds and direction into the cursor's key
@@ -166,41 +171,20 @@ func (o *scanOperator) refill() bool {
 
 func (o *scanOperator) Close() error { return nil }
 
-// countVisible opens the scan and returns how many versions it would yield,
-// reading version headers only: nothing is copied out of the page or decoded,
-// and record ids that follow one another on a page share one pin. Visibility
-// is decided per version by the runtime's snapshot exactly as nextRow decides
-// it, so the count equals the number of rows Next would return. The scan must
-// have no residual filter, which needs the row.
+// countVisible returns how many rows the scan would yield without reading
+// one: Table.CountVisible takes the physical count of the scan's key interval
+// (or of the whole heap for a sequential scan) and corrects it by the
+// unsettled versions the runtime's snapshot cannot see. The scan must have no
+// residual filter, which needs the row.
 func (o *scanOperator) countVisible() (int64, error) {
-	var n int64
-	count := func(metas []storage.VersionMeta) {
-		for _, meta := range metas {
-			if o.rt.visible(meta) {
-				n++
-			}
-		}
-	}
 	if o.node.Access == plan.AccessSeqScan {
-		err := o.node.Table.ScanVersionMetas(func(metas []storage.VersionMeta) error {
-			count(metas)
-			return nil
-		})
-		return n, err
+		return int64(o.node.Table.CountVisible(nil, btree.Range{}, o.rt.visible)), nil
 	}
-	if err := o.Open(); err != nil {
+	r, empty, err := o.interval()
+	if err != nil || empty {
 		return 0, err
 	}
-	var metas []storage.VersionMeta
-	for len(o.rids) > 0 || o.refill() {
-		var err error
-		if metas, err = o.node.Table.VersionMetas(metas[:0], o.rids); err != nil {
-			return 0, fmt.Errorf("exec: counting rows of %s: %w", o.node.Table.Name(), err)
-		}
-		count(metas)
-		o.rids = o.rids[:0]
-	}
-	return n, nil
+	return int64(o.node.Table.CountVisible(o.node.Index, r, o.rt.visible)), nil
 }
 
 func (o *scanOperator) Next() (types.Tuple, bool, error) {
@@ -234,7 +218,7 @@ func (o *scanOperator) nextRow() (storage.RecordID, types.Tuple, bool, error) {
 			o.pos++
 			meta, t, err := o.node.Table.GetVersion(rid)
 			if err != nil {
-				// A version an aborting transaction removed (or the vacuum
+				// A version an aborting transaction removed (or a sweep
 				// reclaimed) after the index read: skip it.
 				if errors.Is(err, storage.ErrRecordNotFound) {
 					continue

@@ -958,6 +958,9 @@ func TestMetricsSnapshot(t *testing.T) {
 	if m.Engine.SnapshotsTaken == 0 {
 		t.Fatalf("MVCC counters missing from metrics: %+v", m.Engine)
 	}
+	if !strings.Contains(rec.Body.String(), `"UnsettledVersions"`) {
+		t.Fatalf("the unsettled-versions gauge is missing from metrics:\n%s", rec.Body.String())
+	}
 	if m.PlanCacheLen == 0 {
 		t.Fatal("plan cache length missing from metrics")
 	}

@@ -100,111 +100,28 @@ func (h *HeapFile) GetVersion(rid RecordID) (VersionMeta, []byte, error) {
 	return meta, payload, nil
 }
 
-// VersionMetas appends to dst the header of every version in rids that still
-// resolves, in order; a record id whose version has been removed is skipped,
-// the way readers of GetVersion skip ErrRecordNotFound. Headers are decoded
-// in place — no payload is copied — and consecutive record ids on one page
-// share one pin, so counting the rows an index scan yields costs a fetch per
-// page, not per row.
-func (h *HeapFile) VersionMetas(dst []VersionMeta, rids []RecordID) ([]VersionMeta, error) {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	for i := 0; i < len(rids); {
-		id := rids[i].Page
-		run := i + 1
-		for run < len(rids) && rids[run].Page == id {
-			run++
-		}
-		if h.owns(id) {
-			page, err := h.pool.Fetch(id)
-			if err != nil {
-				return dst, err
-			}
-			for _, rid := range rids[i:run] {
-				if dst, err = appendVersionMeta(dst, page, int(rid.Slot)); err != nil {
-					return dst, errors.Join(err, h.pool.Unpin(id, false))
-				}
-			}
-			if err := h.pool.Unpin(id, false); err != nil {
-				return dst, err
-			}
-		}
-		i = run
-	}
-	return dst, nil
-}
-
-// ScanVersionMetas is Scan for headers only: it calls fn with the version
-// headers of each page's live records, page by page in physical order. Each
-// page is read under the heap latch and fn runs with no lock held; the slice
-// is reused for the next page.
-func (h *HeapFile) ScanVersionMetas(fn func(metas []VersionMeta) error) error {
-	h.mu.RLock()
-	pages := make([]PageID, len(h.pages))
-	copy(pages, h.pages)
-	h.mu.RUnlock()
-	var metas []VersionMeta
-	for _, id := range pages {
-		var err error
-		if metas, err = h.pageVersionMetas(metas[:0], id); err != nil {
-			return err
-		}
-		if err := fn(metas); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// pageVersionMetas appends the header of every live record on one page.
-func (h *HeapFile) pageVersionMetas(dst []VersionMeta, id PageID) ([]VersionMeta, error) {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	page, err := h.pool.Fetch(id)
-	if err != nil {
-		return dst, err
-	}
-	for slot, n := 0, page.NumSlots(); slot < n; slot++ {
-		if dst, err = appendVersionMeta(dst, page, slot); err != nil {
-			return dst, errors.Join(err, h.pool.Unpin(id, false))
-		}
-	}
-	return dst, h.pool.Unpin(id, false)
-}
-
-// appendVersionMeta appends the header of the record in slot, decoded in
-// place; a tombstoned or unused slot appends nothing.
-func appendVersionMeta(dst []VersionMeta, page *Page, slot int) ([]VersionMeta, error) {
-	raw, err := page.Get(slot)
-	if err != nil {
-		return dst, nil
-	}
-	meta, _, err := DecodeVersion(raw)
-	if err != nil {
-		return dst, err
-	}
-	return append(dst, meta), nil
-}
-
 // SetXmax stamps the deleting/superseding transaction id into the version
-// header at rid, in place. Passing zero clears the stamp (rollback undo).
-func (h *HeapFile) SetXmax(rid RecordID, xid uint64) error {
+// header at rid, in place. Passing zero clears the stamp (rollback undo). It
+// returns the stamped header and a copy of the payload, read in the same pin.
+func (h *HeapFile) SetXmax(rid RecordID, xid uint64) (VersionMeta, []byte, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if !h.owns(rid.Page) {
-		return ErrRecordNotFound
+		return VersionMeta{}, nil, ErrRecordNotFound
 	}
 	page, err := h.pool.Fetch(rid.Page)
 	if err != nil {
-		return err
+		return VersionMeta{}, nil, err
 	}
 	raw, err := page.Get(int(rid.Slot))
 	if err != nil {
-		return errors.Join(ErrRecordNotFound, h.pool.Unpin(rid.Page, false))
+		return VersionMeta{}, nil, errors.Join(ErrRecordNotFound, h.pool.Unpin(rid.Page, false))
 	}
-	if len(raw) < VersionHeaderSize {
-		return errors.Join(ErrNotVersioned, h.pool.Unpin(rid.Page, false))
+	meta, payload, err := DecodeVersion(raw)
+	if err != nil {
+		return VersionMeta{}, nil, errors.Join(err, h.pool.Unpin(rid.Page, false))
 	}
 	binary.LittleEndian.PutUint64(raw[8:16], xid)
-	return h.pool.Unpin(rid.Page, true)
+	meta.Xmax = xid
+	return meta, append([]byte(nil), payload...), h.pool.Unpin(rid.Page, true)
 }

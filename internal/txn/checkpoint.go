@@ -484,7 +484,7 @@ func ReplayLog(image *CheckpointImage, tail []Record, cat *catalog.Catalog, appl
 				return st, fmt.Errorf("txn: checkpoint table %s: %w", t.Name, err)
 			}
 			for i, row := range t.Rows {
-				if _, err := table.InsertVersion(row, t.Xmins[i]); err != nil {
+				if _, err := table.InstallVersion(row, t.Xmins[i]); err != nil {
 					return st, fmt.Errorf("txn: checkpoint row into %s: %w", t.Name, err)
 				}
 				st.ImageRows++
@@ -535,7 +535,7 @@ func replayRow(cat *catalog.Catalog, r Record) error {
 		return err
 	}
 	if r.Kind == RecordInsert {
-		_, err = table.InsertVersion(r.New, r.Txn)
+		_, err = table.InstallVersion(r.New, r.Txn)
 		return err
 	}
 	rid, err := table.Locate(r.Old, func(m storage.VersionMeta) bool { return m.Xmax == 0 })

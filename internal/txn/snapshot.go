@@ -132,29 +132,18 @@ func (m *Manager) Horizon() uint64 {
 	return h
 }
 
-// vacuumThreshold is the number of committed-dead versions a table
-// accumulates before a committing transaction vacuums it on the way out.
-const vacuumThreshold = 64
-
-// maybeVacuum reclaims a table's dead versions when enough have piled up.
-// It runs on the committing transaction's goroutine after its locks are
-// released (on-access GC — there is no background thread to leak).
-func (m *Manager) maybeVacuum(t *catalog.Table) {
-	if t.DeadVersions() < vacuumThreshold {
-		return
+// Sweep runs one table's sweep at the current horizon (see
+// catalog.Table.Sweep) and counts the versions it reclaimed. A commit sweeps
+// each table it wrote from the head of the table's unsettled list; whole
+// walks the entire list (Database.Vacuum). A sweep fails only when the buffer
+// pool cannot fetch a page, and the versions it did not reach stay listed for
+// the next one.
+func (m *Manager) Sweep(t *catalog.Table, whole bool) (int, error) {
+	n, err := t.Sweep(m.Horizon(), whole)
+	if n > 0 {
+		m.mu.Lock()
+		m.versionsGCed += uint64(n)
+		m.mu.Unlock()
 	}
-	m.Vacuum(t)
-}
-
-// Vacuum forces a reclaim pass over one table, returning the number of
-// versions removed.
-func (m *Manager) Vacuum(t *catalog.Table) int {
-	n, err := t.Vacuum(m.Horizon())
-	if err != nil || n == 0 {
-		return n
-	}
-	m.mu.Lock()
-	m.versionsGCed += uint64(n)
-	m.mu.Unlock()
-	return n
+	return n, err
 }

@@ -3,6 +3,7 @@ package txn
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 
@@ -155,10 +156,10 @@ func (m *Manager) Begin() (*Txn, error) {
 	if m.wal != nil {
 		_, off, err := m.wal.append(Record{Kind: RecordBegin, Txn: id})
 		if err != nil {
-			t.snap.Release()
 			m.mu.Lock()
 			delete(m.active, id)
 			m.mu.Unlock()
+			t.snap.Release()
 			return nil, err
 		}
 		// A checkpoint takes this offset as a lower bound for tail replay
@@ -321,7 +322,7 @@ func (t *Txn) Update(table *catalog.Table, rid storage.RecordID, newRow types.Tu
 }
 
 // Delete marks the row version at rid deleted by this transaction. The
-// version stays in place for older snapshots until the vacuum reclaims it.
+// version stays in place for older snapshots until a sweep reclaims it.
 func (t *Txn) Delete(table *catalog.Table, rid storage.RecordID) error {
 	if t.State() != StateActive {
 		return ErrNotActive
@@ -359,8 +360,7 @@ func (t *Txn) LogDDL(text string) error {
 }
 
 // Commit makes the transaction's changes permanent, releases its row locks
-// and snapshot, and vacuums tables whose dead-version debt crossed the
-// threshold.
+// and snapshot, and sweeps each table it wrote.
 //
 // Durable, then visible: the commit record must be on stable storage before
 // anything marks the transaction committed, so no reader can observe state a
@@ -404,18 +404,20 @@ func (t *Txn) Commit() error {
 	t.mu.Unlock()
 	t.finish(true)
 
-	// Each superseded or deleted version became committed-dead at this
-	// commit; note the debt and vacuum opportunistically now that the locks
-	// and snapshot are gone.
-	dead := make(map[*catalog.Table]int64)
+	// Now that the locks and snapshot are gone, sweep each written table
+	// from the head of its unsettled list: this transaction's versions
+	// joined its tail, and older ones may have settled or died meanwhile.
+	var written []*catalog.Table
 	for _, e := range undo {
-		if e.kind == RecordUpdate || e.kind == RecordDelete {
-			dead[e.table]++
+		if slices.Contains(written, e.table) {
+			continue
 		}
-	}
-	for table, n := range dead {
-		table.NoteDead(n)
-		t.mgr.maybeVacuum(table)
+		written = append(written, e.table)
+		if _, err := t.mgr.Sweep(e.table, false); err != nil {
+			// The commit stands: what the failed sweep did not reach stays
+			// listed, and the table's next sweep retries it.
+			continue
+		}
 	}
 	return nil
 }
@@ -467,9 +469,11 @@ func applyUndo(undo []undoEntry) error {
 	return firstErr
 }
 
+// finish leaves the active set before releasing the snapshot: until then the
+// snapshot holds the horizon at or below t.id, so no sweep can settle one of
+// t's versions while a new snapshot could still find t in flight.
 func (t *Txn) finish(committed bool) {
 	t.mgr.locks.ReleaseAll(t.id)
-	t.snap.Release()
 	t.mgr.mu.Lock()
 	delete(t.mgr.active, t.id)
 	if committed {
@@ -482,6 +486,7 @@ func (t *Txn) finish(committed bool) {
 		t.mgr.aborted++
 	}
 	t.mgr.mu.Unlock()
+	t.snap.Release()
 }
 
 // Recover replays the committed transactions of a log into the catalog.

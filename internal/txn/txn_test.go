@@ -411,16 +411,16 @@ func TestVacuumReclaimsDeadVersions(t *testing.T) {
 	}
 
 	// The old version is dead but pinned by the reader's snapshot.
-	if n := mgr.Vacuum(accounts); n != 0 {
-		t.Fatalf("vacuum under a pinning snapshot reclaimed %d versions, want 0", n)
+	if n, err := mgr.Sweep(accounts, true); err != nil || n != 0 {
+		t.Fatalf("sweep under a pinning snapshot reclaimed %d versions (%v), want 0", n, err)
 	}
 	if _, _, err := accounts.GetVersion(rid); err != nil {
 		t.Fatalf("pinned version must survive: %v", err)
 	}
 
 	reader.Release()
-	if n := mgr.Vacuum(accounts); n != 1 {
-		t.Fatalf("vacuum after release reclaimed %d versions, want 1", n)
+	if n, err := mgr.Sweep(accounts, true); err != nil || n != 1 {
+		t.Fatalf("sweep after release reclaimed %d versions (%v), want 1", n, err)
 	}
 	if _, _, err := accounts.GetVersion(rid); !errors.Is(err, storage.ErrRecordNotFound) {
 		t.Fatalf("reclaimed version still readable: %v", err)
