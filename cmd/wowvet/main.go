@@ -29,6 +29,7 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/analysis/closecheck"
+	"repro/internal/analysis/deadapi"
 	"repro/internal/analysis/errpropagate"
 	"repro/internal/analysis/lockorder"
 	"repro/internal/analysis/wireconform"
@@ -40,6 +41,7 @@ func analyzers() []*analysis.Analyzer {
 		lockorder.Analyzer,
 		wireconform.Analyzer,
 		errpropagate.Analyzer,
+		deadapi.Analyzer,
 	}
 }
 

@@ -40,6 +40,11 @@ type Analyzer struct {
 	// Run analyzes one package. It reports findings through the Pass and
 	// returns an error only for internal failures (which abort the drive).
 	Run func(*Pass) error
+	// RunProgram, set instead of Run, analyzes the whole program at once.
+	// Only the whole-module driver runs it, and only over a whole module:
+	// a `go vet` unit sees its dependencies but never its dependents, so a
+	// question like "does anything call this?" has no answer there.
+	RunProgram func(*ProgramPass) error
 }
 
 // A Diagnostic is one finding, positioned in the analyzed source.
@@ -74,11 +79,29 @@ type Pass struct {
 
 // Reportf records a finding at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	p.report(Diagnostic{
-		Pos:      p.Fset.Position(pos),
-		Analyzer: p.Analyzer.Name,
+	p.report(newDiagnostic(p.Fset, p.Analyzer, pos, format, args))
+}
+
+// A ProgramPass carries a whole-program analyzer's view of every loaded
+// package, nested-module ones included.
+type ProgramPass struct {
+	Analyzer *Analyzer
+	Prog     *Program
+
+	report func(Diagnostic)
+}
+
+// Reportf records a finding at pos.
+func (p *ProgramPass) Reportf(pos token.Pos, format string, args ...any) {
+	p.report(newDiagnostic(p.Prog.Fset, p.Analyzer, pos, format, args))
+}
+
+func newDiagnostic(fset *token.FileSet, a *Analyzer, pos token.Pos, format string, args []any) Diagnostic {
+	return Diagnostic{
+		Pos:      fset.Position(pos),
+		Analyzer: a.Name,
 		Message:  fmt.Sprintf(format, args...),
-	})
+	}
 }
 
 // ExportPackageFact records fact (any JSON-serializable value) for the

@@ -6,6 +6,11 @@
 //	    docs/WIRE.md        (only for analyzers that read repo artifacts)
 //	    src/<pkgpath>/*.go
 //
+// A fixture package at or below a directory holding a go.mod stands for a
+// package of a nested module: it is loaded for its references only, like
+// bench/ in the real tree. The fixture is a whole program, so
+// whole-program analyzers run over it.
+//
 // Fixture sources carry expectations as comments on the offending line:
 //
 //	rows, _ := q.Run() // want `is discarded`
@@ -26,6 +31,7 @@ import (
 	"go/types"
 	"io"
 	"os"
+	"path"
 	"path/filepath"
 	"regexp"
 	"sort"
@@ -39,6 +45,8 @@ import (
 // Run analyzes the fixture's packages (given as import paths under
 // fixtureDir/src, in dependency order) with the analyzers and compares the
 // diagnostics against the fixtures' want comments.
+//
+//wowvet:ignore deadapi -- test apparatus: only the analyzers' _test.go files import it
 func Run(t *testing.T, fixtureDir string, analyzers []*analysis.Analyzer, pkgPaths ...string) {
 	t.Helper()
 	abs, err := filepath.Abs(fixtureDir)
@@ -61,7 +69,7 @@ func Run(t *testing.T, fixtureDir string, analyzers []*analysis.Analyzer, pkgPat
 // standard library.
 func load(fixtureDir string, pkgPaths []string) (*analysis.Program, error) {
 	fset := token.NewFileSet()
-	prog := &analysis.Program{Fset: fset, ModuleDir: fixtureDir}
+	prog := &analysis.Program{Fset: fset, ModuleDir: fixtureDir, Whole: true}
 
 	// Parse everything first so stdlib imports are known before any
 	// type-checking starts.
@@ -129,14 +137,26 @@ func load(fixtureDir string, pkgPaths []string) (*analysis.Program, error) {
 		}
 		imp.local[path] = pkg
 		prog.Packages = append(prog.Packages, &analysis.LoadedPackage{
-			Path:  path,
-			Dir:   filepath.Join(fixtureDir, "src", filepath.FromSlash(path)),
-			Files: parsed[path],
-			Pkg:   pkg,
-			Info:  info,
+			Path:   path,
+			Dir:    filepath.Join(fixtureDir, "src", filepath.FromSlash(path)),
+			Files:  parsed[path],
+			Pkg:    pkg,
+			Info:   info,
+			Nested: inNestedModule(filepath.Join(fixtureDir, "src"), path),
 		})
 	}
 	return prog, nil
+}
+
+// inNestedModule reports whether a go.mod sits in the package's directory
+// or in one of its ancestors below src.
+func inNestedModule(src, pkgPath string) bool {
+	for p := pkgPath; p != "."; p = path.Dir(p) {
+		if _, err := os.Stat(filepath.Join(src, filepath.FromSlash(p), "go.mod")); err == nil {
+			return true
+		}
+	}
+	return false
 }
 
 func isFixturePath(pkgPaths []string, p string) bool {

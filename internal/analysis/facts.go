@@ -16,8 +16,8 @@ type FactStore struct {
 	m map[string]map[string]json.RawMessage
 }
 
-// NewFactStore returns an empty store.
-func NewFactStore() *FactStore {
+// newFactStore returns an empty store.
+func newFactStore() *FactStore {
 	return &FactStore{m: make(map[string]map[string]json.RawMessage)}
 }
 
@@ -43,12 +43,12 @@ func (s *FactStore) get(analyzer, pkgPath string, out any) bool {
 	return json.Unmarshal(data, out) == nil
 }
 
-// Encode serializes the store.
-func (s *FactStore) Encode() ([]byte, error) { return json.Marshal(s.m) }
+// encode serializes the store.
+func (s *FactStore) encode() ([]byte, error) { return json.Marshal(s.m) }
 
-// MergeFile reads a serialized store and merges its facts in. Missing files
+// mergeFile reads a serialized store and merges its facts in. Missing files
 // are ignored (a dependency analyzed before this tool existed has no facts).
-func (s *FactStore) MergeFile(path string) error {
+func (s *FactStore) mergeFile(path string) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		if os.IsNotExist(err) {

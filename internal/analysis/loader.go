@@ -10,6 +10,7 @@ import (
 	"go/token"
 	"go/types"
 	"io"
+	"io/fs"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -25,6 +26,10 @@ type LoadedPackage struct {
 	Pkg     *types.Package
 	Info    *types.Info
 	Imports []string
+	// Nested marks a package of a module nested inside the analyzed one
+	// (bench/): whole-program analyzers count its references, and no
+	// analyzer reports findings in it.
+	Nested bool
 }
 
 // A Program is the standalone driver's whole-module view: every package the
@@ -33,6 +38,9 @@ type Program struct {
 	Fset      *token.FileSet
 	Packages  []*LoadedPackage
 	ModuleDir string
+	// Whole reports that the program is the entire module plus the modules
+	// nested in it, so whole-program analyzers can run.
+	Whole bool
 }
 
 // listedPackage is the subset of `go list -json` output the loader reads.
@@ -56,11 +64,46 @@ type listedPackage struct {
 // drives `go list -export` for package metadata and compiled export data,
 // parses the matched packages' sources, and type-checks them against their
 // dependencies' export files. Test files are not loaded — wowvet's
-// invariants are about production code.
+// invariants are about production code. Loading "./..." from the module root
+// also loads the modules nested below it as Nested packages and marks the
+// program Whole.
 func LoadPackages(dir string, patterns ...string) (*Program, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
+	prog := &Program{Fset: token.NewFileSet()}
+	moduleDir, err := loadModule(prog, dir, patterns, false)
+	if err != nil {
+		return nil, err
+	}
+	prog.ModuleDir = moduleDir
+	abs, err := filepath.Abs(dir)
+	if err != nil {
+		return nil, err
+	}
+	if len(patterns) != 1 || patterns[0] != "./..." || abs != moduleDir || moduleDir == "" {
+		return prog, nil
+	}
+	// The whole module: add the modules nested in it, which its own
+	// `./...` never matches, so their references count too.
+	nested, err := nestedModules(moduleDir)
+	if err != nil {
+		return nil, err
+	}
+	for _, nd := range nested {
+		if _, err := loadModule(prog, nd, []string{"./..."}, true); err != nil {
+			return nil, err
+		}
+	}
+	prog.Whole = true
+	return prog, nil
+}
+
+// loadModule lists the packages matching the patterns in dir, type-checks
+// them from source against their dependencies' export data, appends them to
+// prog in dependency order and returns the listed module's root directory.
+// Each call has its own importer, so objects are not shared across calls.
+func loadModule(prog *Program, dir string, patterns []string, nested bool) (string, error) {
 	args := append([]string{
 		"list", "-export", "-deps",
 		"-json=ImportPath,Name,Dir,Export,Standard,DepOnly,GoFiles,Imports,Module",
@@ -71,7 +114,7 @@ func LoadPackages(dir string, patterns ...string) (*Program, error) {
 	cmd.Stdout = &stdout
 	cmd.Stderr = &stderr
 	if err := cmd.Run(); err != nil {
-		return nil, fmt.Errorf("go list: %v\n%s", err, stderr.String())
+		return "", fmt.Errorf("go list in %s: %v\n%s", dir, err, stderr.String())
 	}
 
 	byPath := make(map[string]*listedPackage)
@@ -83,7 +126,7 @@ func LoadPackages(dir string, patterns ...string) (*Program, error) {
 			if err == io.EOF {
 				break
 			}
-			return nil, fmt.Errorf("go list output: %w", err)
+			return "", fmt.Errorf("go list output: %w", err)
 		}
 		byPath[lp.ImportPath] = lp
 		if !lp.DepOnly && !lp.Standard && len(lp.GoFiles) > 0 {
@@ -91,7 +134,6 @@ func LoadPackages(dir string, patterns ...string) (*Program, error) {
 		}
 	}
 
-	fset := token.NewFileSet()
 	exportLookup := func(path string) (io.ReadCloser, error) {
 		lp, ok := byPath[path]
 		if !ok || lp.Export == "" {
@@ -99,14 +141,14 @@ func LoadPackages(dir string, patterns ...string) (*Program, error) {
 		}
 		return os.Open(lp.Export)
 	}
-	imp := importer.ForCompiler(fset, "gc", exportLookup)
+	imp := importer.ForCompiler(prog.Fset, "gc", exportLookup)
 
-	prog := &Program{Fset: fset}
-	loaded := make(map[string]*LoadedPackage)
+	moduleDir := ""
+	loaded := make(map[string]bool)
 	var visit func(lp *listedPackage) error
 	visiting := make(map[string]bool)
 	visit = func(lp *listedPackage) error {
-		if loaded[lp.ImportPath] != nil || visiting[lp.ImportPath] {
+		if loaded[lp.ImportPath] || visiting[lp.ImportPath] {
 			return nil
 		}
 		visiting[lp.ImportPath] = true
@@ -120,23 +162,45 @@ func LoadPackages(dir string, patterns ...string) (*Program, error) {
 				}
 			}
 		}
-		pkg, err := typeCheckListed(fset, lp, imp)
+		pkg, err := typeCheckListed(prog.Fset, lp, imp)
 		if err != nil {
 			return err
 		}
-		loaded[lp.ImportPath] = pkg
+		pkg.Nested = nested
+		loaded[lp.ImportPath] = true
 		prog.Packages = append(prog.Packages, pkg)
-		if prog.ModuleDir == "" && lp.Module != nil {
-			prog.ModuleDir = lp.Module.Dir
+		if moduleDir == "" && lp.Module != nil {
+			moduleDir = lp.Module.Dir
 		}
 		return nil
 	}
 	for _, lp := range targets {
 		if err := visit(lp); err != nil {
-			return nil, err
+			return "", err
 		}
 	}
-	return prog, nil
+	return moduleDir, nil
+}
+
+// nestedModules returns the directories below root that hold a go.mod of
+// their own, skipping what the go command skips: testdata, vendor and
+// directories whose names start with "." or "_".
+func nestedModules(root string) ([]string, error) {
+	var dirs []string
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() || path == root {
+			return err
+		}
+		name := d.Name()
+		if name == "testdata" || name == "vendor" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
+			return filepath.SkipDir
+		}
+		if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
+			dirs = append(dirs, path)
+		}
+		return nil
+	})
+	return dirs, err
 }
 
 // typeCheckListed parses and type-checks one listed package from source.

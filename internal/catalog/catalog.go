@@ -21,7 +21,6 @@ type Catalog struct {
 	pool   *storage.BufferPool
 	tables map[string]*Table
 	views  map[string]*ViewDef
-	forms  map[string]*FormDef
 	// version counts schema changes (table/index/view creation and removal).
 	// Plan caches compare it to detect that a cached plan may be stale.
 	version uint64
@@ -36,12 +35,8 @@ func New(pool *storage.BufferPool) *Catalog {
 		pool:   pool,
 		tables: make(map[string]*Table),
 		views:  make(map[string]*ViewDef),
-		forms:  make(map[string]*FormDef),
 	}
 }
-
-// Pool returns the buffer pool backing this catalog's tables.
-func (c *Catalog) Pool() *storage.BufferPool { return c.pool }
 
 // LocateStats returns how many Table.Locate calls were served by an index
 // seek and how many fell back to scanning an index-less table.
@@ -163,7 +158,7 @@ func (c *Catalog) CreateIndex(indexName, tableName string, columns []string, uni
 		return nil, fmt.Errorf("catalog: no table named %q", tableName)
 	}
 	for _, other := range c.tables {
-		if other.IndexByName(indexName) != nil {
+		if other.indexByName(indexName) != nil {
 			return nil, fmt.Errorf("catalog: an index named %q already exists", indexName)
 		}
 	}
@@ -184,7 +179,7 @@ func (c *Catalog) DropIndex(indexName string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, t := range c.tables {
-		if t.IndexByName(indexName) != nil {
+		if t.indexByName(indexName) != nil {
 			t.dropIndex(indexName)
 			c.version++
 			return nil
@@ -255,56 +250,4 @@ func (c *Catalog) DropView(name string) error {
 	delete(c.views, key)
 	c.version++
 	return nil
-}
-
-// ViewNames returns the names of all views, sorted.
-func (c *Catalog) ViewNames() []string {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	names := make([]string, 0, len(c.views))
-	for n := range c.views {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// FormDef records a compiled form registered by the forms layer. The catalog
-// stores only the source and name; the forms package owns the compiled
-// representation.
-type FormDef struct {
-	Name   string
-	Source string
-}
-
-// RegisterForm stores (or replaces) a form definition's source.
-func (c *Catalog) RegisterForm(name, source string) *FormDef {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	f := &FormDef{Name: normalize(name), Source: source}
-	c.forms[f.Name] = f
-	return f
-}
-
-// GetForm looks up a registered form definition.
-func (c *Catalog) GetForm(name string) (*FormDef, error) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	f, ok := c.forms[normalize(name)]
-	if !ok {
-		return nil, fmt.Errorf("catalog: no form named %q", name)
-	}
-	return f, nil
-}
-
-// FormNames returns the names of all registered forms, sorted.
-func (c *Catalog) FormNames() []string {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	names := make([]string, 0, len(c.forms))
-	for n := range c.forms {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

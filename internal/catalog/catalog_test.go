@@ -13,12 +13,41 @@ func newTestCatalog() *Catalog {
 	return New(storage.NewBufferPool(storage.NewMemDiskManager(), 256))
 }
 
+// insertFrozen writes row as a frozen version (xmin=0, visible to every
+// snapshot), the shape bootstrap and recovery leave behind.
+func insertFrozen(t testing.TB, tbl *Table, row Tuple) storage.RecordID {
+	t.Helper()
+	rid, err := tbl.InsertVersion(row, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rid
+}
+
+// liveRows counts the versions without an xmax.
+func liveRows(t testing.TB, tbl *Table) int {
+	t.Helper()
+	n := 0
+	for it := tbl.VersionIterator(); ; {
+		_, meta, _, ok, err := it.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			return n
+		}
+		if meta.Xmax == 0 {
+			n++
+		}
+	}
+}
+
 func customerSchema() *Schema {
 	return types.NewSchema(
-		Column{Name: "id", Type: types.KindInt, PrimaryKey: true},
-		Column{Name: "name", Type: types.KindString, NotNull: true},
-		Column{Name: "city", Type: types.KindString},
-		Column{Name: "credit", Type: types.KindFloat},
+		types.Column{Name: "id", Type: types.KindInt, PrimaryKey: true},
+		types.Column{Name: "name", Type: types.KindString, NotNull: true},
+		types.Column{Name: "city", Type: types.KindString},
+		types.Column{Name: "credit", Type: types.KindFloat},
 	)
 }
 
@@ -64,8 +93,8 @@ func TestCreateTableValidation(t *testing.T) {
 		t.Error("empty schema should be rejected")
 	}
 	dup := types.NewSchema(
-		Column{Name: "a", Type: types.KindInt},
-		Column{Name: "A", Type: types.KindInt},
+		types.Column{Name: "a", Type: types.KindInt},
+		types.Column{Name: "A", Type: types.KindInt},
 	)
 	if _, err := c.CreateTable("t", dup); err == nil {
 		t.Error("duplicate column names should be rejected")
@@ -87,8 +116,8 @@ func TestPrimaryKeyIndexAutoCreated(t *testing.T) {
 func TestUniqueColumnIndexAutoCreated(t *testing.T) {
 	c := newTestCatalog()
 	schema := types.NewSchema(
-		Column{Name: "id", Type: types.KindInt, PrimaryKey: true},
-		Column{Name: "email", Type: types.KindString, Unique: true},
+		types.Column{Name: "id", Type: types.KindInt, PrimaryKey: true},
+		types.Column{Name: "email", Type: types.KindString, Unique: true},
 	)
 	tbl, err := c.CreateTable("users", schema)
 	if err != nil {
@@ -97,50 +126,50 @@ func TestUniqueColumnIndexAutoCreated(t *testing.T) {
 	if len(tbl.Indexes()) != 2 {
 		t.Fatalf("expected 2 indexes, got %d", len(tbl.Indexes()))
 	}
-	if _, err := tbl.Insert(Tuple{types.NewInt(1), types.NewString("a@x.com")}); err != nil {
-		t.Fatal(err)
+	// The transaction layer's unique probe sees a live version under the
+	// email index's key.
+	insertFrozen(t, tbl, Tuple{types.NewInt(1), types.NewString("a@x.com")})
+	email := tbl.indexByName("users_email_key")
+	if email == nil || !email.Unique {
+		t.Fatalf("unique email index = %+v", email)
 	}
-	if _, err := tbl.Insert(Tuple{types.NewInt(2), types.NewString("a@x.com")}); !errors.Is(err, ErrUniqueViolation) {
-		t.Errorf("duplicate email: %v", err)
+	if !tbl.LiveKeyExists(email, types.EncodeKey(nil, types.NewString("a@x.com"))) {
+		t.Error("LiveKeyExists misses the inserted email")
+	}
+	if tbl.LiveKeyExists(email, types.EncodeKey(nil, types.NewString("b@x.com"))) {
+		t.Error("LiveKeyExists finds an email never inserted")
 	}
 }
 
 func TestInsertGetUpdateDelete(t *testing.T) {
 	c := newTestCatalog()
 	tbl, _ := c.CreateTable("customers", customerSchema())
-	rid, err := tbl.Insert(Tuple{types.NewInt(1), types.NewString("Ada"), types.NewString("Boston"), types.NewFloat(100)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	row, err := tbl.Get(rid)
+	rid := insertFrozen(t, tbl, Tuple{types.NewInt(1), types.NewString("Ada"), types.NewString("Boston"), types.NewFloat(100)})
+	_, row, err := tbl.GetVersion(rid)
 	if err != nil || row[1].Str() != "Ada" {
-		t.Fatalf("Get = %v, %v", row, err)
+		t.Fatalf("GetVersion = %v, %v", row, err)
 	}
-	if tbl.RowCount() != 1 {
-		t.Errorf("RowCount = %d", tbl.RowCount())
+	if n := liveRows(t, tbl); n != 1 {
+		t.Errorf("live rows = %d", n)
 	}
-	v1 := tbl.Version()
 
 	newRID, err := tbl.Update(rid, Tuple{types.NewInt(1), types.NewString("Ada"), types.NewString("Chicago"), types.NewFloat(250)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	row, _ = tbl.Get(newRID)
+	_, row, _ = tbl.GetVersion(newRID)
 	if row[2].Str() != "Chicago" {
 		t.Errorf("after update: %v", row)
-	}
-	if tbl.Version() <= v1 {
-		t.Error("Version should increase on update")
 	}
 
 	if err := tbl.Delete(newRID); err != nil {
 		t.Fatal(err)
 	}
-	if tbl.RowCount() != 0 {
-		t.Errorf("RowCount after delete = %d", tbl.RowCount())
+	if n := liveRows(t, tbl); n != 0 {
+		t.Errorf("live rows after delete = %d", n)
 	}
-	if _, err := tbl.Get(newRID); err == nil {
-		t.Error("Get after delete should fail")
+	if _, _, err := tbl.GetVersion(newRID); err == nil {
+		t.Error("GetVersion after delete should fail")
 	}
 	if err := tbl.Delete(newRID); err == nil {
 		t.Error("double delete should fail")
@@ -150,36 +179,33 @@ func TestInsertGetUpdateDelete(t *testing.T) {
 func TestInsertConstraints(t *testing.T) {
 	c := newTestCatalog()
 	tbl, _ := c.CreateTable("customers", customerSchema())
-	ok := Tuple{types.NewInt(1), types.NewString("Ada"), types.NewString("Boston"), types.NewFloat(1)}
-	if _, err := tbl.Insert(ok); err != nil {
-		t.Fatal(err)
-	}
-	// Duplicate primary key.
-	if _, err := tbl.Insert(ok); !errors.Is(err, ErrUniqueViolation) {
-		t.Errorf("duplicate pk: %v", err)
-	}
+	insertFrozen(t, tbl, Tuple{types.NewInt(1), types.NewString("Ada"), types.NewString("Boston"), types.NewFloat(1)})
 	// NULL in NOT NULL.
-	if _, err := tbl.Insert(Tuple{types.NewInt(2), types.Null(), types.Null(), types.Null()}); err == nil {
+	if _, err := tbl.InsertVersion(Tuple{types.NewInt(2), types.Null(), types.Null(), types.Null()}, 7); err == nil {
 		t.Error("NOT NULL violation should fail")
 	}
 	// Wrong arity.
-	if _, err := tbl.Insert(Tuple{types.NewInt(3)}); err == nil {
+	if _, err := tbl.InsertVersion(Tuple{types.NewInt(3)}, 7); err == nil {
 		t.Error("arity violation should fail")
 	}
 	// Type coercion: string credit should coerce to float.
-	if _, err := tbl.Insert(Tuple{types.NewInt(4), types.NewString("Bo"), types.Null(), types.NewString("12.5")}); err != nil {
-		t.Errorf("coercible insert failed: %v", err)
+	rid, err := tbl.InsertVersion(Tuple{types.NewInt(4), types.NewString("Bo"), types.Null(), types.NewString("12.5")}, 7)
+	if err != nil {
+		t.Fatalf("coercible insert failed: %v", err)
 	}
-	if tbl.RowCount() != 2 {
-		t.Errorf("RowCount = %d, want 2", tbl.RowCount())
+	if _, row, _ := tbl.GetVersion(rid); row[3].Kind() != types.KindFloat {
+		t.Errorf("credit stored as %v, want a float", row[3])
+	}
+	if n := liveRows(t, tbl); n != 2 {
+		t.Errorf("live rows = %d, want 2", n)
 	}
 }
 
 func TestUpdateUniqueViolationAndSelfUpdate(t *testing.T) {
 	c := newTestCatalog()
 	tbl, _ := c.CreateTable("customers", customerSchema())
-	rid1, _ := tbl.Insert(Tuple{types.NewInt(1), types.NewString("Ada"), types.Null(), types.Null()})
-	_, _ = tbl.Insert(Tuple{types.NewInt(2), types.NewString("Bob"), types.Null(), types.Null()})
+	rid1 := insertFrozen(t, tbl, Tuple{types.NewInt(1), types.NewString("Ada"), types.Null(), types.Null()})
+	insertFrozen(t, tbl, Tuple{types.NewInt(2), types.NewString("Bob"), types.Null(), types.Null()})
 
 	// Changing id 1 -> 2 must violate the primary key.
 	if _, err := tbl.Update(rid1, Tuple{types.NewInt(2), types.NewString("Ada"), types.Null(), types.Null()}); !errors.Is(err, ErrUniqueViolation) {
@@ -199,21 +225,19 @@ func TestSecondaryIndexLifecycle(t *testing.T) {
 		if i%2 == 0 {
 			city = "Chicago"
 		}
-		_, err := tbl.Insert(Tuple{types.NewInt(int64(i)), types.NewString(fmt.Sprintf("c%d", i)), types.NewString(city), types.NewFloat(float64(i))})
-		if err != nil {
-			t.Fatal(err)
-		}
+		insertFrozen(t, tbl, Tuple{types.NewInt(int64(i)), types.NewString(fmt.Sprintf("c%d", i)), types.NewString(city), types.NewFloat(float64(i))})
 	}
 	idx, err := c.CreateIndex("customers_city", "customers", []string{"city"}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := tbl.LookupEqual(idx, types.NewString("Boston")); len(got) != 50 {
+	boston := types.EncodeKey(nil, types.NewString("Boston"))
+	if got := idx.Tree.Search(boston); len(got) != 50 {
 		t.Errorf("backfilled index lookup = %d rows", len(got))
 	}
 	// New inserts must be reflected.
-	_, _ = tbl.Insert(Tuple{types.NewInt(1000), types.NewString("new"), types.NewString("Boston"), types.Null()})
-	if got := tbl.LookupEqual(idx, types.NewString("Boston")); len(got) != 51 {
+	insertFrozen(t, tbl, Tuple{types.NewInt(1000), types.NewString("new"), types.NewString("Boston"), types.Null()})
+	if got := idx.Tree.Search(boston); len(got) != 51 {
 		t.Errorf("index after insert = %d rows", len(got))
 	}
 	// IndexOn finds it.
@@ -245,13 +269,13 @@ func TestSecondaryIndexLifecycle(t *testing.T) {
 func TestCreateUniqueIndexOverDuplicateDataFails(t *testing.T) {
 	c := newTestCatalog()
 	tbl, _ := c.CreateTable("customers", customerSchema())
-	_, _ = tbl.Insert(Tuple{types.NewInt(1), types.NewString("Ada"), types.NewString("Boston"), types.Null()})
-	_, _ = tbl.Insert(Tuple{types.NewInt(2), types.NewString("Bob"), types.NewString("Boston"), types.Null()})
+	insertFrozen(t, tbl, Tuple{types.NewInt(1), types.NewString("Ada"), types.NewString("Boston"), types.Null()})
+	insertFrozen(t, tbl, Tuple{types.NewInt(2), types.NewString("Bob"), types.NewString("Boston"), types.Null()})
 	if _, err := c.CreateIndex("city_unique", "customers", []string{"city"}, true); err == nil {
 		t.Error("unique index over duplicate data should fail")
 	}
 	// The failed index must not remain attached.
-	if tbl.IndexByName("city_unique") != nil {
+	if tbl.indexByName("city_unique") != nil {
 		t.Error("failed index should have been dropped")
 	}
 }
@@ -259,30 +283,34 @@ func TestCreateUniqueIndexOverDuplicateDataFails(t *testing.T) {
 func TestScanAndIterator(t *testing.T) {
 	c := newTestCatalog()
 	tbl, _ := c.CreateTable("customers", customerSchema())
+	var rids []storage.RecordID
 	for i := 0; i < 25; i++ {
-		_, _ = tbl.Insert(Tuple{types.NewInt(int64(i)), types.NewString("x"), types.Null(), types.Null()})
+		rids = append(rids, insertFrozen(t, tbl, Tuple{types.NewInt(int64(i)), types.NewString("x"), types.Null(), types.Null()}))
 	}
-	n := 0
-	if err := tbl.Scan(func(rid storage.RecordID, tuple Tuple) error { n++; return nil }); err != nil {
+	if err := tbl.MarkDeleted(rids[3], 9); err != nil {
 		t.Fatal(err)
 	}
-	if n != 25 {
-		t.Errorf("Scan saw %d rows", n)
-	}
-	it := tbl.Iterator()
-	m := 0
-	for {
-		_, _, ok, err := it.Next()
+	// The version iterator yields every version, the deleted one with its
+	// xmax, so visibility-aware scans can judge each.
+	all, dead := 0, 0
+	for it := tbl.VersionIterator(); ; {
+		_, meta, _, ok, err := it.Next()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !ok {
 			break
 		}
-		m++
+		all++
+		if meta.Xmax == 9 {
+			dead++
+		}
 	}
-	if m != 25 {
-		t.Errorf("Iterator saw %d rows", m)
+	if all != 25 || dead != 1 {
+		t.Errorf("VersionIterator saw %d versions, %d deleted; want 25 and 1", all, dead)
+	}
+	if n := liveRows(t, tbl); n != 24 {
+		t.Errorf("live rows = %d, want 24", n)
 	}
 }
 
@@ -312,9 +340,6 @@ func TestViews(t *testing.T) {
 	if err != nil || got.Query == "" {
 		t.Errorf("GetView = %v, %v", got, err)
 	}
-	if names := c.ViewNames(); len(names) != 1 {
-		t.Errorf("ViewNames = %v", names)
-	}
 	if err := c.DropView("rich"); err != nil {
 		t.Fatal(err)
 	}
@@ -326,24 +351,9 @@ func TestViews(t *testing.T) {
 	}
 }
 
-func TestForms(t *testing.T) {
-	c := newTestCatalog()
-	c.RegisterForm("CustomerCard", "form customer_card on customers ...")
-	f, err := c.GetForm("customercard")
-	if err != nil || f.Source == "" {
-		t.Fatalf("GetForm = %v, %v", f, err)
-	}
-	if _, err := c.GetForm("missing"); err == nil {
-		t.Error("missing form should error")
-	}
-	if names := c.FormNames(); len(names) != 1 {
-		t.Errorf("FormNames = %v", names)
-	}
-}
-
 func TestKeylessTableHasNoPrimaryIndex(t *testing.T) {
 	c := newTestCatalog()
-	schema := types.NewSchema(Column{Name: "note", Type: types.KindString})
+	schema := types.NewSchema(types.Column{Name: "note", Type: types.KindString})
 	tbl, err := c.CreateTable("notes", schema)
 	if err != nil {
 		t.Fatal(err)
@@ -351,11 +361,10 @@ func TestKeylessTableHasNoPrimaryIndex(t *testing.T) {
 	if tbl.PrimaryIndex() != nil {
 		t.Error("keyless table should have no primary index")
 	}
-	if _, err := tbl.Insert(Tuple{types.NewString("hello")}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tbl.Insert(Tuple{types.NewString("hello")}); err != nil {
-		t.Error("duplicate rows are allowed without a key")
+	insertFrozen(t, tbl, Tuple{types.NewString("hello")})
+	insertFrozen(t, tbl, Tuple{types.NewString("hello")})
+	if n := liveRows(t, tbl); n != 2 {
+		t.Errorf("live rows = %d: duplicate rows are allowed without a key", n)
 	}
 }
 
@@ -365,10 +374,6 @@ func TestIndexKeyForAndPositions(t *testing.T) {
 	idx, err := c.CreateIndex("by_city_name", "customers", []string{"city", "name"}, false)
 	if err != nil {
 		t.Fatal(err)
-	}
-	pos := idx.ColumnPositions()
-	if len(pos) != 2 || pos[0] != 2 || pos[1] != 1 {
-		t.Errorf("ColumnPositions = %v", pos)
 	}
 	row := Tuple{types.NewInt(1), types.NewString("Ada"), types.NewString("Boston"), types.Null()}
 	key := idx.KeyFor(row)
@@ -384,7 +389,7 @@ func BenchmarkTableInsert(b *testing.B) {
 	tbl, _ := c.CreateTable("customers", customerSchema())
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_, err := tbl.Insert(Tuple{types.NewInt(int64(i)), types.NewString("name"), types.NewString("city"), types.NewFloat(1)})
+		_, err := tbl.InsertVersion(Tuple{types.NewInt(int64(i)), types.NewString("name"), types.NewString("city"), types.NewFloat(1)}, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -395,13 +400,13 @@ func BenchmarkIndexLookup(b *testing.B) {
 	c := newTestCatalog()
 	tbl, _ := c.CreateTable("customers", customerSchema())
 	for i := 0; i < 10000; i++ {
-		_, _ = tbl.Insert(Tuple{types.NewInt(int64(i)), types.NewString("n"), types.NewString("c"), types.NewFloat(1)})
+		insertFrozen(b, tbl, Tuple{types.NewInt(int64(i)), types.NewString("n"), types.NewString("c"), types.NewFloat(1)})
 	}
 	pk := tbl.PrimaryIndex()
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if got := tbl.LookupEqual(pk, types.NewInt(int64(i%10000))); len(got) != 1 {
+		if got := pk.Tree.Search(types.EncodeKey(nil, types.NewInt(int64(i%10000)))); len(got) != 1 {
 			b.Fatal("lookup failed")
 		}
 	}

@@ -25,15 +25,15 @@ type locateShape struct {
 }
 
 func locateShapes() []locateShape {
-	intCol := func(name string, pk, unique bool) Column {
-		return Column{Name: name, Type: types.KindInt, PrimaryKey: pk, Unique: unique}
+	intCol := func(name string, pk, unique bool) types.Column {
+		return types.Column{Name: name, Type: types.KindInt, PrimaryKey: pk, Unique: unique}
 	}
 	return []locateShape{
 		{name: "single-column primary key",
-			schema:   types.NewSchema(intCol("id", true, false), intCol("v", false, false), Column{Name: "s", Type: types.KindString}),
+			schema:   types.NewSchema(intCol("id", true, false), intCol("v", false, false), types.Column{Name: "s", Type: types.KindString}),
 			nullable: []bool{false, true, true}},
 		{name: "composite primary key",
-			schema:   types.NewSchema(intCol("a", true, false), Column{Name: "b", Type: types.KindString, PrimaryKey: true}, intCol("v", false, false)),
+			schema:   types.NewSchema(intCol("a", true, false), types.Column{Name: "b", Type: types.KindString, PrimaryKey: true}, intCol("v", false, false)),
 			nullable: []bool{false, false, true}},
 		{name: "unique secondary with NULLs",
 			schema:   types.NewSchema(intCol("k", false, true), intCol("v", false, false)),
@@ -50,7 +50,7 @@ func locateShapes() []locateShape {
 
 // randomValue draws from a domain small enough that rows collide on their
 // keys, and sometimes on every column.
-func randomValue(rng *rand.Rand, col Column, nullable bool) types.Value {
+func randomValue(rng *rand.Rand, col types.Column, nullable bool) types.Value {
 	if nullable && rng.Intn(6) == 0 {
 		return types.Null()
 	}
@@ -149,7 +149,7 @@ func runLocateModel(t *testing.T, sh locateShape, seed int64) {
 			live, stored = append(live, rid), append(stored, row)
 		case op < 7:
 			i := rng.Intn(len(live))
-			row, err := tbl.Get(live[i])
+			_, row, err := tbl.GetVersion(live[i])
 			if err != nil {
 				fail("get: %v", err)
 			}

@@ -17,8 +17,6 @@ import (
 type (
 	// Schema is the column layout of a table (alias of types.Schema).
 	Schema = types.Schema
-	// Column describes one table column (alias of types.Column).
-	Column = types.Column
 	// Tuple is one row of values (alias of types.Tuple).
 	Tuple = types.Tuple
 )
@@ -37,9 +35,9 @@ var ErrNoMatchingRow = errors.New("catalog: no row matches the before-image")
 // and the indexes kept consistent with it.
 //
 // Every heap record carries a storage.VersionMeta header. Rows written through
-// the transaction layer are stamped with the writing transaction's id; rows
-// written through the legacy physical API (Insert/Update/Delete — bootstrap,
-// recovery, tests) are "frozen" with xmin=0 and visible to every snapshot.
+// the transaction layer are stamped with the writing transaction's id; crash
+// recovery installs versions with their logged xmin (InstallVersion) and
+// replays updates and deletes in place (Update, Delete).
 // Indexes hold entries for every version, live or dead: scans filter by
 // visibility per record id at fetch time instead of chasing version chains.
 //
@@ -54,11 +52,6 @@ type Table struct {
 	schema  *Schema
 	heap    *storage.HeapFile
 	indexes []*Index
-	// version increments on every committed mutation; the forms layer's
-	// window manager uses it to detect that windows over this table are stale.
-	version uint64
-	// live counts versions with xmax==0 (the logical row count).
-	live atomic.Int64
 	// unsettled lists the versions that are not settled; guarded by mu.
 	unsettled unsettledList
 	// located is the owning catalog's Locate accounting, shared by its tables.
@@ -81,18 +74,6 @@ func (t *Table) Name() string { return t.name }
 // Schema returns the table's schema. Callers must not modify it.
 func (t *Table) Schema() *Schema { return t.schema }
 
-// RowCount returns the number of live rows (versions not yet deleted or
-// superseded). The planner and the forms status line use it for cardinality.
-func (t *Table) RowCount() int { return int(t.live.Load()) }
-
-// Version returns the table's mutation counter. It increases on every
-// successful Insert, Update or Delete.
-func (t *Table) Version() uint64 {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.version
-}
-
 // Indexes returns the table's indexes. Callers must not modify the slice.
 func (t *Table) Indexes() []*Index {
 	t.mu.RLock()
@@ -102,8 +83,8 @@ func (t *Table) Indexes() []*Index {
 	return out
 }
 
-// IndexByName returns the index with the given name, or nil.
-func (t *Table) IndexByName(name string) *Index {
+// indexByName returns the index with the given name, or nil.
+func (t *Table) indexByName(name string) *Index {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	for _, idx := range t.indexes {
@@ -221,27 +202,6 @@ func (t *Table) dropIndex(name string) {
 	}
 }
 
-// Insert validates the tuple against the schema, enforces unique constraints
-// over live versions, appends the row as a frozen version (xmin=0, visible to
-// every snapshot) and maintains every index. It returns the new row's record
-// identifier. Transactional writers use InsertVersion instead, with unique
-// checks and key locking done in the transaction layer.
-func (t *Table) Insert(tuple Tuple) (storage.RecordID, error) {
-	validated, err := tuple.ValidateAgainst(t.schema)
-	if err != nil {
-		return storage.RecordID{}, err
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for _, idx := range t.indexes {
-		if idx.Unique && t.LiveKeyExists(idx, idx.KeyFor(validated)) {
-			return storage.RecordID{}, fmt.Errorf("%w: duplicate value for %s(%s)",
-				ErrUniqueViolation, idx.Name, strings.Join(idx.Columns, ", "))
-		}
-	}
-	return t.insertVersionLocked(validated, storage.VersionMeta{}, false)
-}
-
 // InsertVersion appends a new row version stamped xmin=xid and maintains
 // every index. Unique constraints are NOT checked here: the transaction
 // layer probes live versions under its key locks before calling.
@@ -291,8 +251,6 @@ func (t *Table) insertVersionLocked(validated Tuple, meta storage.VersionMeta, u
 	if unsettled {
 		t.unsettled.push(rid, meta, validated)
 	}
-	t.version++
-	t.live.Add(1)
 	return rid, nil
 }
 
@@ -318,7 +276,6 @@ func (t *Table) AddVersion(oldRID storage.RecordID, tuple Tuple, xid uint64) (st
 		_ = t.stampXmaxLocked(oldRID, 0) // restore the old version
 		return storage.RecordID{}, err
 	}
-	t.live.Add(-1) // net: old version died, new one was born
 	return newRID, nil
 }
 
@@ -330,8 +287,6 @@ func (t *Table) MarkDeleted(rid storage.RecordID, xid uint64) error {
 	if err := t.stampXmaxLocked(rid, xid); err != nil {
 		return err
 	}
-	t.version++
-	t.live.Add(-1)
 	return nil
 }
 
@@ -343,8 +298,6 @@ func (t *Table) ClearXmax(rid storage.RecordID) error {
 	if err := t.stampXmaxLocked(rid, 0); err != nil {
 		return err
 	}
-	t.version++
-	t.live.Add(1)
 	return nil
 }
 
@@ -357,23 +310,16 @@ func (t *Table) RemoveVersion(rid storage.RecordID) error {
 }
 
 // removeVersionLocked deletes the version at rid, its index entries and its
-// list entry. An unsettled version's row and header come from its list entry,
+// list entry. An unsettled version's row comes from its list entry,
 // so only the delete itself touches the heap page.
 func (t *Table) removeVersionLocked(rid storage.RecordID) error {
 	e := t.unsettled.get(rid)
-	var (
-		meta  storage.VersionMeta
-		tuple Tuple
-	)
+	var tuple Tuple
 	if e != nil {
-		meta, tuple = e.meta, e.row
+		tuple = e.row
 	} else {
-		var payload []byte
 		var err error
-		if meta, payload, err = t.heap.GetVersion(rid); err != nil {
-			return err
-		}
-		if tuple, err = types.DecodeTuple(payload); err != nil {
+		if _, tuple, err = t.GetVersion(rid); err != nil {
 			return err
 		}
 	}
@@ -386,17 +332,7 @@ func (t *Table) removeVersionLocked(rid storage.RecordID) error {
 	for _, idx := range t.indexes {
 		idx.Tree.Delete(idx.KeyFor(tuple), rid)
 	}
-	t.version++
-	if meta.Xmax == 0 {
-		t.live.Add(-1)
-	}
 	return nil
-}
-
-// Get returns the row payload at rid, regardless of version state.
-func (t *Table) Get(rid storage.RecordID) (Tuple, error) {
-	_, tuple, err := t.GetVersion(rid)
-	return tuple, err
 }
 
 // GetVersion returns the version header and row at rid.
@@ -472,7 +408,6 @@ func (t *Table) Update(rid storage.RecordID, tuple Tuple) (storage.RecordID, err
 			return newRID, err
 		}
 	}
-	t.version++
 	return newRID, nil
 }
 
@@ -480,49 +415,6 @@ func (t *Table) Update(rid storage.RecordID, tuple Tuple) (storage.RecordID, err
 // path; transactional deletes use MarkDeleted and let a sweep reclaim).
 func (t *Table) Delete(rid storage.RecordID) error {
 	return t.RemoveVersion(rid)
-}
-
-// Scan calls fn for every live row (xmax==0) in physical order. Mutating the
-// table from inside fn is supported only for the current row.
-func (t *Table) Scan(fn func(rid storage.RecordID, tuple Tuple) error) error {
-	return t.heap.Scan(func(rid storage.RecordID, record []byte) error {
-		meta, payload, err := storage.DecodeVersion(record)
-		if err != nil {
-			return err
-		}
-		if meta.Xmax != 0 {
-			return nil
-		}
-		tuple, err := types.DecodeTuple(payload)
-		if err != nil {
-			return err
-		}
-		return fn(rid, tuple)
-	})
-}
-
-// Iterator returns a pull iterator over the table's live rows.
-func (t *Table) Iterator() *TableIterator {
-	return &TableIterator{inner: t.heap.Iterator()}
-}
-
-// TableIterator yields decoded live rows one at a time.
-type TableIterator struct {
-	inner *storage.HeapIterator
-}
-
-// Next returns the next live row, or ok=false at the end.
-func (it *TableIterator) Next() (storage.RecordID, Tuple, bool, error) {
-	for {
-		rid, meta, tuple, ok, err := decodeNext(it.inner)
-		if err != nil || !ok {
-			return rid, nil, false, err
-		}
-		if meta.Xmax != 0 {
-			continue
-		}
-		return rid, tuple, true, nil
-	}
 }
 
 // VersionIterator returns a pull iterator over every row version, with its
@@ -616,12 +508,6 @@ func (t *Table) locateIndex() *Index {
 	return nil
 }
 
-// LookupEqual returns the record identifiers of rows whose indexed columns
-// equal the given values, using idx.
-func (t *Table) LookupEqual(idx *Index, values ...types.Value) []storage.RecordID {
-	return idx.Tree.Search(types.EncodeKey(nil, values...))
-}
-
 // Index is an ordered secondary (or primary) index over one or more columns
 // of a table.
 type Index struct {
@@ -640,11 +526,4 @@ func (idx *Index) KeyFor(tuple Tuple) []byte {
 		vals[i] = tuple[pos]
 	}
 	return types.EncodeKey(nil, vals...)
-}
-
-// ColumnPositions returns the schema positions of the indexed columns.
-func (idx *Index) ColumnPositions() []int {
-	out := make([]int, len(idx.colIdx))
-	copy(out, idx.colIdx)
-	return out
 }

@@ -5,8 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/engine"
-	"repro/internal/fdl"
-	"repro/internal/plan"
 	"repro/internal/tui"
 	"repro/internal/types"
 )
@@ -111,7 +109,7 @@ func TestCompileBindsFormsToCatalog(t *testing.T) {
 	if card == nil {
 		t.Fatal("customer_card not compiled")
 	}
-	if card.BaseTableName() != "customers" || card.IsView || card.ReadOnly {
+	if card.BaseTable.Name() != "customers" || card.IsView || card.ReadOnly {
 		t.Errorf("card binding = %+v", card)
 	}
 	if len(card.Key) != 1 || card.Schema.Columns[card.Key[0]].Name != "id" {
@@ -120,8 +118,8 @@ func TestCompileBindsFormsToCatalog(t *testing.T) {
 	if len(card.Fields) != 5 {
 		t.Errorf("fields = %d", len(card.Fields))
 	}
-	tier, ok := card.FieldByName("tier")
-	if !ok || !tier.Computed() || tier.Value == nil {
+	tier, ok := card.fieldByName("tier")
+	if !ok || !tier.computed() || tier.Value == nil {
 		t.Errorf("computed field = %+v", tier)
 	}
 	if len(card.Details) != 1 || card.Details[0].Child.Def.Name != "order_lines" {
@@ -130,12 +128,12 @@ func TestCompileBindsFormsToCatalog(t *testing.T) {
 	if len(card.Triggers) != 1 {
 		t.Errorf("triggers = %+v", card.Triggers)
 	}
-	if !card.DependsOn("customers") || card.DependsOn("orders") {
+	if !card.dependsOn("customers") || card.dependsOn("orders") {
 		t.Error("DependsOn wrong")
 	}
 
 	rich := forms["rich_card"]
-	if !rich.IsView || rich.ReadOnly || rich.Updatable == nil || rich.BaseTableName() != "customers" {
+	if !rich.IsView || rich.ReadOnly || rich.Updatable == nil || rich.BaseTable.Name() != "customers" {
 		t.Errorf("rich binding = %+v", rich)
 	}
 	report := forms["spending_report"]
@@ -178,28 +176,31 @@ func TestCompileErrors(t *testing.T) {
 func TestBuildFieldPredicate(t *testing.T) {
 	m, forms := newTestManager(t)
 	card := forms["customer_card"]
-	credit, _ := card.FieldByName("credit")
-	name, _ := card.FieldByName("name")
-	city, _ := card.FieldByName("city")
+	credit, _ := card.fieldByName("credit")
+	name, _ := card.fieldByName("name")
+	city, _ := card.fieldByName("city")
 
 	cases := []struct {
 		field   *Field
 		pattern string
 		want    string
+		binds   map[string]types.Value
 	}{
-		{credit, ">1000", "(credit > 1000)"},
-		{credit, ">= 50", "(credit >= 50)"},
-		{credit, "<>0", "(credit <> 0)"},
-		{credit, "100..500", "(credit BETWEEN 100 AND 500)"},
-		{credit, "250", "(credit = 250)"},
-		{name, "Bo%", "(name LIKE 'Bo%')"},
-		{name, "_da", "(name LIKE '_da')"},
-		{name, "Ada", "(name = 'Ada')"},
-		{city, "null", "(city IS NULL)"},
-		{city, "not null", "(city IS NOT NULL)"},
+		{credit, ">1000", "(credit > @q_credit)", map[string]types.Value{"q_credit": types.NewFloat(1000)}},
+		{credit, ">= 50", "(credit >= @q_credit)", map[string]types.Value{"q_credit": types.NewFloat(50)}},
+		{credit, "<>0", "(credit <> @q_credit)", map[string]types.Value{"q_credit": types.NewFloat(0)}},
+		{credit, "100..500", "(credit BETWEEN @q_credit_lo AND @q_credit_hi)",
+			map[string]types.Value{"q_credit_lo": types.NewFloat(100), "q_credit_hi": types.NewFloat(500)}},
+		{credit, "250", "(credit = @q_credit)", map[string]types.Value{"q_credit": types.NewFloat(250)}},
+		{name, "Bo%", "(name LIKE @q_name)", map[string]types.Value{"q_name": types.NewString("Bo%")}},
+		{name, "_da", "(name LIKE @q_name)", map[string]types.Value{"q_name": types.NewString("_da")}},
+		{name, "Ada", "(name = @q_name)", map[string]types.Value{"q_name": types.NewString("Ada")}},
+		{city, "null", "(city IS NULL)", map[string]types.Value{}},
+		{city, "not null", "(city IS NOT NULL)", map[string]types.Value{}},
 	}
 	for _, c := range cases {
-		got, err := BuildFieldPredicate(c.field, c.pattern)
+		binds := map[string]types.Value{}
+		got, err := fieldPredicate(c.field, c.pattern, "q_"+c.field.name(), binds)
 		if err != nil {
 			t.Errorf("pattern %q: %v", c.pattern, err)
 			continue
@@ -207,39 +208,48 @@ func TestBuildFieldPredicate(t *testing.T) {
 		if got.String() != c.want {
 			t.Errorf("pattern %q = %s, want %s", c.pattern, got.String(), c.want)
 		}
+		if len(binds) != len(c.binds) {
+			t.Errorf("pattern %q binds %v, want %v", c.pattern, binds, c.binds)
+		}
+		for k, want := range c.binds {
+			if v, ok := binds[k]; !ok || !v.Equal(want) {
+				t.Errorf("pattern %q binds %s = %v, want %v", c.pattern, k, v, want)
+			}
+		}
 	}
 	// Blank patterns contribute nothing.
-	if got, err := BuildFieldPredicate(credit, "  "); err != nil || got != nil {
+	if got, err := fieldPredicate(credit, "  ", "q_credit", map[string]types.Value{}); err != nil || got != nil {
 		t.Errorf("blank pattern = %v, %v", got, err)
 	}
 	// Bad values are reported.
-	if _, err := BuildFieldPredicate(credit, ">abc"); err == nil {
+	if _, err := fieldPredicate(credit, ">abc", "q_credit", map[string]types.Value{}); err == nil {
 		t.Error("non-numeric comparison should fail")
 	}
 	// Computed fields cannot be queried.
-	tier, _ := card.FieldByName("tier")
-	if _, err := BuildFieldPredicate(tier, "BOSTON"); err == nil {
+	tier, _ := card.fieldByName("tier")
+	if _, err := fieldPredicate(tier, "BOSTON", "q_tier", map[string]types.Value{}); err == nil {
 		t.Error("querying a computed field should fail")
 	}
 	// Combined predicate follows field order.
-	combined, err := BuildQBFPredicate(card, map[string]string{"city": "Boston", "credit": ">100"})
+	combined, err := qbfPredicate(card, map[string]string{"city": "Boston", "credit": ">100"}, map[string]types.Value{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(combined.String(), "city = 'Boston'") || !strings.Contains(combined.String(), "credit > 100") {
-		t.Errorf("combined = %s", combined.String())
+	if got := combined.String(); !strings.Contains(got, "city = @q_city") || !strings.Contains(got, "credit > @q_credit") {
+		t.Errorf("combined = %s", got)
 	}
 	// A key pattern, in the parameterized form the pager runs, plans as an
 	// index lookup rather than a scan.
-	keyPred, err := BuildQBFPredicateParam(card, map[string]string{"id": "2"}, map[string]types.Value{})
+	keyPred, err := qbfPredicate(card, map[string]string{"id": "2"}, map[string]types.Value{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	node, err := m.Database().Session().Plan("SELECT * FROM customers WHERE " + keyPred.String())
+	stmt, err := m.db.Session().Prepare("SELECT * FROM customers WHERE " + keyPred.String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if exp := plan.Explain(node); !strings.Contains(exp, "index lookup") {
+	defer stmt.Close()
+	if exp := stmt.ExplainPlan(); !strings.Contains(exp, "index lookup") {
 		t.Errorf("key QBF %s does not plan as an index lookup:\n%s", keyPred, exp)
 	}
 }
@@ -260,25 +270,24 @@ func TestWindowBrowseAndNavigate(t *testing.T) {
 	if row[1].Str() != "Ada" {
 		t.Errorf("first row = %v", row)
 	}
-	if err := w.NextRow(); err != nil {
+	if err := w.nextRow(); err != nil {
 		t.Fatal(err)
 	}
 	row, _ = w.CurrentRow()
 	if row[1].Str() != "Bob" {
 		t.Errorf("second row = %v", row)
 	}
-	_ = w.LastRow()
+	_ = w.lastRow()
 	row, _ = w.CurrentRow()
 	if row[1].Str() != "Dee" {
 		t.Errorf("last row = %v", row)
 	}
-	_ = w.FirstRow()
+	_ = w.firstRow()
 	if w.Cursor() != 0 {
 		t.Errorf("cursor = %d", w.Cursor())
 	}
-	key, ok := w.CurrentKey()
-	if !ok || key[0].Int() != 1 {
-		t.Errorf("key = %v", key)
+	if row, ok := w.CurrentRow(); !ok || row[w.form.Key[0]].Int() != 1 {
+		t.Errorf("current row = %v", row)
 	}
 }
 
@@ -319,12 +328,12 @@ func TestWindowQueryByForm(t *testing.T) {
 func TestWindowComputedFieldAndFieldText(t *testing.T) {
 	m, forms := newTestManager(t)
 	w, _ := m.Open(forms["customer_card"], 0, 0)
-	tier, _ := w.Form().FieldByName("tier")
-	if got := w.FieldText(tier); got != "BOSTON" {
+	tier, _ := w.form.fieldByName("tier")
+	if got := w.fieldText(tier); got != "BOSTON" {
 		t.Errorf("computed field = %q", got)
 	}
-	credit, _ := w.Form().FieldByName("credit")
-	if got := w.FieldText(credit); got != "1500" {
+	credit, _ := w.form.fieldByName("credit")
+	if got := w.fieldText(credit); got != "1500" {
 		t.Errorf("credit text = %q", got)
 	}
 }
@@ -354,7 +363,7 @@ func TestWindowInsertSaveAndDefaults(t *testing.T) {
 	if w.RowCount() != 5 {
 		t.Errorf("rows after insert = %d", w.RowCount())
 	}
-	res, _ := m.Database().Session().Query("SELECT city, credit FROM customers WHERE id = 10")
+	res, _ := m.db.Session().Query("SELECT city, credit FROM customers WHERE id = 10")
 	if res.Rows[0][0].Str() != "Boston" {
 		t.Errorf("default city = %v", res.Rows[0][0])
 	}
@@ -373,7 +382,7 @@ func TestWindowValidationAndRequired(t *testing.T) {
 		t.Errorf("missing required field: %v", err)
 	}
 	// Validation rule failure.
-	w.Cancel()
+	w.cancel()
 	_ = w.BeginInsert()
 	_ = w.SetFieldText("id", "11")
 	_ = w.SetFieldText("name", "Eve")
@@ -382,7 +391,7 @@ func TestWindowValidationAndRequired(t *testing.T) {
 		t.Errorf("validation message: %v", err)
 	}
 	// Bad domain text.
-	w.Cancel()
+	w.cancel()
 	_ = w.BeginInsert()
 	_ = w.SetFieldText("id", "abc")
 	_ = w.SetFieldText("name", "Eve")
@@ -390,7 +399,7 @@ func TestWindowValidationAndRequired(t *testing.T) {
 		t.Error("non-numeric id should fail")
 	}
 	// Nothing was written.
-	res, _ := m.Database().Session().Query("SELECT COUNT(*) FROM customers")
+	res, _ := m.db.Session().Query("SELECT COUNT(*) FROM customers")
 	if res.Rows[0][0].Int() != 4 {
 		t.Errorf("row count = %v", res.Rows[0][0])
 	}
@@ -399,8 +408,8 @@ func TestWindowValidationAndRequired(t *testing.T) {
 func TestWindowEditUpdateAndKeyTargeting(t *testing.T) {
 	m, forms := newTestManager(t)
 	w, _ := m.Open(forms["customer_card"], 0, 0)
-	_ = w.NextRow() // Bob
-	if err := w.BeginEdit(); err != nil {
+	_ = w.nextRow() // Bob
+	if err := w.beginEdit(); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.SetFieldText("credit", "950"); err != nil {
@@ -409,17 +418,17 @@ func TestWindowEditUpdateAndKeyTargeting(t *testing.T) {
 	if err := w.Save(); err != nil {
 		t.Fatal(err)
 	}
-	res, _ := m.Database().Session().Query("SELECT credit FROM customers WHERE id = 2")
+	res, _ := m.db.Session().Query("SELECT credit FROM customers WHERE id = 2")
 	if res.Rows[0][0].Float() != 950 {
 		t.Errorf("credit = %v", res.Rows[0][0])
 	}
 	// Only Bob changed.
-	res, _ = m.Database().Session().Query("SELECT SUM(credit) FROM customers")
+	res, _ = m.db.Session().Query("SELECT SUM(credit) FROM customers")
 	if res.Rows[0][0].Float() != 1500+950+3000+50 {
 		t.Errorf("sum = %v", res.Rows[0][0])
 	}
 	// Saving with no changes is a no-op.
-	_ = w.BeginEdit()
+	_ = w.beginEdit()
 	if err := w.Save(); err != nil {
 		t.Fatal(err)
 	}
@@ -432,18 +441,18 @@ func TestWindowDeleteAndTrigger(t *testing.T) {
 	m, forms := newTestManager(t)
 	w, _ := m.Open(forms["customer_card"], 0, 0)
 	// Ada has credit 1500: the before-delete trigger (credit < 100) blocks it.
-	if err := w.DeleteCurrent(); err == nil || !strings.Contains(err.Error(), "cannot be removed") {
+	if err := w.deleteCurrent(); err == nil || !strings.Contains(err.Error(), "cannot be removed") {
 		t.Errorf("trigger should block: %v", err)
 	}
 	// Dee (credit 50) can be deleted.
-	_ = w.LastRow()
-	if err := w.DeleteCurrent(); err != nil {
+	_ = w.lastRow()
+	if err := w.deleteCurrent(); err != nil {
 		t.Fatal(err)
 	}
 	if w.RowCount() != 3 {
 		t.Errorf("rows = %d", w.RowCount())
 	}
-	res, _ := m.Database().Session().Query("SELECT COUNT(*) FROM customers")
+	res, _ := m.db.Session().Query("SELECT COUNT(*) FROM customers")
 	if res.Rows[0][0].Int() != 3 {
 		t.Errorf("customers = %v", res.Rows[0][0])
 	}
@@ -456,24 +465,24 @@ func TestWindowOverUpdatableView(t *testing.T) {
 		t.Fatalf("rich rows = %d", w.RowCount())
 	}
 	// Update through the view.
-	_ = w.BeginEdit()
+	_ = w.beginEdit()
 	_ = w.SetFieldText("city", "Back Bay")
 	if err := w.Save(); err != nil {
 		t.Fatal(err)
 	}
-	res, _ := m.Database().Session().Query("SELECT city FROM customers WHERE id = 3")
+	res, _ := m.db.Session().Query("SELECT city FROM customers WHERE id = 3")
 	if res.Rows[0][0].Str() != "Back Bay" {
 		t.Errorf("city through view = %v", res.Rows[0][0])
 	}
 	// An edit that would push the row out of the view is rejected by the
 	// check option and reported on the status line.
-	_ = w.BeginEdit()
+	_ = w.beginEdit()
 	_ = w.SetFieldText("credit", "5")
 	if err := w.Save(); err == nil {
 		t.Error("update leaving the view should fail")
 	}
 	// Insert through the view.
-	w.Cancel()
+	w.cancel()
 	_ = w.BeginInsert()
 	_ = w.SetFieldText("id", "20")
 	_ = w.SetFieldText("name", "Gil")
@@ -495,10 +504,10 @@ func TestReadOnlyFormRejectsWrites(t *testing.T) {
 	if err := w.BeginInsert(); err == nil {
 		t.Error("insert on a read-only form should fail")
 	}
-	if err := w.BeginEdit(); err == nil {
+	if err := w.beginEdit(); err == nil {
 		t.Error("edit on a read-only form should fail")
 	}
-	if err := w.DeleteCurrent(); err == nil {
+	if err := w.deleteCurrent(); err == nil {
 		t.Error("delete on a read-only form should fail")
 	}
 }
@@ -506,7 +515,10 @@ func TestReadOnlyFormRejectsWrites(t *testing.T) {
 func TestMasterDetailSynchronisation(t *testing.T) {
 	m, forms := newTestManager(t)
 	w, _ := m.Open(forms["customer_card"], 0, 0)
-	detail := w.Detail(0)
+	var detail *Window
+	if len(w.details) > 0 {
+		detail = w.details[0]
+	}
 	if detail == nil {
 		t.Fatal("detail window missing")
 	}
@@ -515,12 +527,12 @@ func TestMasterDetailSynchronisation(t *testing.T) {
 		t.Errorf("Ada's orders = %d", detail.RowCount())
 	}
 	// Moving to Bob (no orders) empties the detail.
-	_ = w.NextRow()
+	_ = w.nextRow()
 	if detail.RowCount() != 0 {
 		t.Errorf("Bob's orders = %d", detail.RowCount())
 	}
 	// Cyd has 2 orders.
-	_ = w.NextRow()
+	_ = w.nextRow()
 	if detail.RowCount() != 2 {
 		t.Errorf("Cyd's orders = %d", detail.RowCount())
 	}
@@ -575,7 +587,7 @@ func TestKeystrokeInsertAndSave(t *testing.T) {
 	if w.Mode() != ModeBrowse {
 		t.Errorf("mode = %v status=%q", w.Mode(), w.Status())
 	}
-	res, _ := m.Database().Session().Query("SELECT name, city FROM customers WHERE id = 30")
+	res, _ := m.db.Session().Query("SELECT name, city FROM customers WHERE id = 30")
 	if len(res.Rows) != 1 || res.Rows[0][0].Str() != "Hal" || res.Rows[0][1].Str() != "Austin" {
 		t.Errorf("inserted row = %v", res.Rows)
 	}
@@ -591,7 +603,7 @@ func TestKeystrokeEditNavigationAndCancel(t *testing.T) {
 	if w.Mode() != ModeBrowse {
 		t.Errorf("mode = %v", w.Mode())
 	}
-	res, _ := m.Database().Session().Query("SELECT COUNT(*) FROM customers WHERE name LIKE '%X%'")
+	res, _ := m.db.Session().Query("SELECT COUNT(*) FROM customers WHERE name LIKE '%X%'")
 	if res.Rows[0][0].Int() != 0 {
 		t.Error("cancelled edit must not write")
 	}
@@ -606,7 +618,7 @@ func TestKeystrokeEditNavigationAndCancel(t *testing.T) {
 	if err := w.HandleScript("<F5>4x<BACKSPACE>1<TAB>Ned<F6>"); err != nil {
 		t.Fatal(err)
 	}
-	res, _ = m.Database().Session().Query("SELECT name FROM customers WHERE id = 41")
+	res, _ = m.db.Session().Query("SELECT name FROM customers WHERE id = 41")
 	if len(res.Rows) != 1 || res.Rows[0][0].Str() != "Ned" {
 		t.Errorf("backspaced insert = %v", res.Rows)
 	}
@@ -624,8 +636,8 @@ func TestManagerPropagationBetweenWindows(t *testing.T) {
 	// Give Bob a fortune through the first window; the rich window must see
 	// him appear without being touched.
 	m.Focus(browse)
-	_ = browse.NextRow() // Bob
-	_ = browse.BeginEdit()
+	_ = browse.nextRow() // Bob
+	_ = browse.beginEdit()
 	_ = browse.SetFieldText("credit", "8000")
 	if err := browse.Save(); err != nil {
 		t.Fatal(err)
@@ -645,7 +657,7 @@ func TestManagerPropagationBetweenWindows(t *testing.T) {
 		}
 	}
 	m.Focus(browse)
-	_ = browse.BeginEdit()
+	_ = browse.beginEdit()
 	_ = browse.SetFieldText("credit", "9000")
 	if err := browse.Save(); err != nil {
 		t.Fatal(err)
@@ -654,7 +666,7 @@ func TestManagerPropagationBetweenWindows(t *testing.T) {
 		t.Errorf("commit with 2 more windows open refreshed %d, want %d", got, perCommit+2)
 	}
 	// A write into an unrelated table does not refresh customer windows.
-	ordersForm, err := NewCompiler(m.Database()).CompileSource("form o on orders\n key id\n field id\n field customer_id\n field item\n field total\nend\n")
+	ordersForm, err := NewCompiler(m.db).CompileSource("form o on orders\n key id\n field id\n field customer_id\n field item\n field total\nend\n")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -679,22 +691,22 @@ func TestManagerFocusCompositeAndClose(t *testing.T) {
 	m, forms := newTestManager(t)
 	w1, _ := m.Open(forms["customer_card"], 0, 0)
 	w2, _ := m.Open(forms["order_lines"], 2, 4)
-	if m.Focused() != w2 {
+	if m.focused() != w2 {
 		t.Error("newest window should have focus")
 	}
-	m.FocusNext()
-	if m.Focused() != w1 {
+	m.focusNext()
+	if m.focused() != w1 {
 		t.Error("FocusNext should wrap")
 	}
-	m.FocusPrev()
-	if m.Focused() != w2 {
+	m.focusPrev()
+	if m.focused() != w2 {
 		t.Error("FocusPrev should return")
 	}
 	// F8 cycles focus through the manager's key handling.
-	if err := m.HandleKey(tui.KeyEvent(tui.KeyF8)); err != nil {
+	if err := m.handleKey(tui.KeyEvent(tui.KeyF8)); err != nil {
 		t.Fatal(err)
 	}
-	if m.Focused() != w1 {
+	if m.focused() != w1 {
 		t.Error("F8 should switch windows")
 	}
 	screenText := m.Screen().String()
@@ -702,17 +714,17 @@ func TestManagerFocusCompositeAndClose(t *testing.T) {
 		t.Errorf("composite screen:\n%s", screenText)
 	}
 	// F10 closes the focused window.
-	if err := m.HandleKey(tui.KeyEvent(tui.KeyF10)); err != nil {
+	if err := m.handleKey(tui.KeyEvent(tui.KeyF10)); err != nil {
 		t.Fatal(err)
 	}
-	if len(m.Windows()) != 1 {
-		t.Errorf("windows = %d", len(m.Windows()))
+	if len(m.windows) != 1 {
+		t.Errorf("windows = %d", len(m.windows))
 	}
 	m.Close(w2)
-	if len(m.Windows()) != 0 {
-		t.Errorf("windows = %d", len(m.Windows()))
+	if len(m.windows) != 0 {
+		t.Errorf("windows = %d", len(m.windows))
 	}
-	if err := m.HandleKey(tui.RuneEvent('x')); err == nil {
+	if err := m.handleKey(tui.Event{Key: tui.KeyRune, Rune: 'x'}); err == nil {
 		t.Error("keys with no window open should error")
 	}
 }
@@ -725,8 +737,8 @@ func TestManagerScriptDrivesFocusedWindow(t *testing.T) {
 	if err := m.HandleScript("<F2><TAB><TAB>Chicago<F4>"); err != nil {
 		t.Fatal(err)
 	}
-	if m.Focused().RowCount() != 1 {
-		t.Errorf("rows = %d", m.Focused().RowCount())
+	if m.focused().RowCount() != 1 {
+		t.Errorf("rows = %d", m.focused().RowCount())
 	}
 }
 
@@ -751,17 +763,11 @@ func TestCompileStandaloneDetailResolution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	master, err := fdl.ParseOne("form master on customers\n key id\n field id\n field name\n detail lines link customer_id = id\nend\n")
+	masters, err := compiler.CompileSource("form master on customers\n key id\n field id\n field name\n detail lines link customer_id = id\nend\n", lines...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	compiled, err := compiler.Compile(master)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := compiler.ResolveDetails(compiled, lines...); err != nil {
-		t.Fatal(err)
-	}
+	compiled := masters[0]
 	if len(compiled.Details) != 1 || compiled.Details[0].Child != lines[0] {
 		t.Errorf("details = %+v", compiled.Details)
 	}

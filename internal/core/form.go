@@ -53,9 +53,9 @@ type Field struct {
 	Value *expr.Compiled
 }
 
-// Name returns the field's name (its column, or its display name when
+// name returns the field's name (its column, or its display name when
 // computed).
-func (f *Field) Name() string { return f.Def.Column }
+func (f *Field) name() string { return f.Def.Column }
 
 // Trigger is a compiled trigger.
 type Trigger struct {
@@ -110,8 +110,8 @@ type Form struct {
 	Details []*DetailLink
 }
 
-// FieldByName finds a compiled field by name.
-func (f *Form) FieldByName(name string) (*Field, bool) {
+// fieldByName finds a compiled field by name.
+func (f *Form) fieldByName(name string) (*Field, bool) {
 	lower := strings.ToLower(name)
 	for _, field := range f.Fields {
 		if field.Def.Column == lower {
@@ -121,18 +121,9 @@ func (f *Form) FieldByName(name string) (*Field, bool) {
 	return nil, false
 }
 
-// BaseTableName returns the name of the base table writes land on, or ""
-// for read-only forms.
-func (f *Form) BaseTableName() string {
-	if f.BaseTable == nil {
-		return ""
-	}
-	return f.BaseTable.Name()
-}
-
-// DependsOn reports whether the form displays data from the named base table
+// dependsOn reports whether the form displays data from the named base table
 // (directly or through its view).
-func (f *Form) DependsOn(table string) bool {
+func (f *Form) dependsOn(table string) bool {
 	return f.BaseTable != nil && strings.EqualFold(f.BaseTable.Name(), table)
 }
 
@@ -145,7 +136,7 @@ type Compiler struct {
 func NewCompiler(db *engine.Database) *Compiler { return &Compiler{db: db} }
 
 // CompileSource parses FDL source, compiles every form in it, resolves the
-// master/detail links among them, and registers the sources in the catalog.
+// master/detail links among them.
 // Detail links may also refer to forms compiled earlier and passed in others.
 func (c *Compiler) CompileSource(source string, others ...*Form) ([]*Form, error) {
 	defs, err := fdl.Parse(source)
@@ -158,13 +149,12 @@ func (c *Compiler) CompileSource(source string, others ...*Form) ([]*Form, error
 	}
 	var forms []*Form
 	for _, def := range defs {
-		form, err := c.Compile(def)
+		form, err := c.compile(def)
 		if err != nil {
 			return nil, err
 		}
 		forms = append(forms, form)
 		known[form.Def.Name] = form
-		c.db.Catalog().RegisterForm(def.Name, source)
 	}
 	for _, form := range forms {
 		if err := c.resolveDetails(form, known); err != nil {
@@ -174,9 +164,9 @@ func (c *Compiler) CompileSource(source string, others ...*Form) ([]*Form, error
 	return forms, nil
 }
 
-// Compile binds one parsed definition. Master/detail links are left
-// unresolved; use CompileSource or ResolveDetails for those.
-func (c *Compiler) Compile(def *fdl.FormDef) (*Form, error) {
+// compile binds one parsed definition. Master/detail links are left
+// unresolved; CompileSource resolves those.
+func (c *Compiler) compile(def *fdl.FormDef) (*Form, error) {
 	cat := c.db.Catalog()
 	form := &Form{Def: def, Relation: def.Relation}
 
@@ -359,14 +349,4 @@ func (c *Compiler) resolveDetails(form *Form, known map[string]*Form) error {
 		})
 	}
 	return nil
-}
-
-// ResolveDetails links detail declarations against an explicit set of forms,
-// for callers that compile forms one at a time.
-func (c *Compiler) ResolveDetails(form *Form, others ...*Form) error {
-	known := map[string]*Form{form.Def.Name: form}
-	for _, o := range others {
-		known[o.Def.Name] = o
-	}
-	return c.resolveDetails(form, known)
 }

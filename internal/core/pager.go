@@ -87,13 +87,13 @@ func newPager(prepare func(string) (Statement, error), stats *Stats) *Pager {
 	return &Pager{prepare: prepare, stats: stats, total: -1}
 }
 
-// Configure sets the pager's query: the relation, the WHERE conjuncts (as
+// configure sets the pager's query: the relation, the WHERE conjuncts (as
 // parameter templates) with their bindings, the ordering keys, whether those
 // keys are a total order (keyset paging; otherwise the keys only order a
 // materialised result), and the buffer page size. It reports whether the
 // configuration changed — in which case buffered rows and positions are
 // meaningless and the caller must Refresh from the top.
-func (p *Pager) Configure(relation string, where []string, binds map[string]types.Value, keys []pagerKey, keyset bool, pageSize int) bool {
+func (p *Pager) configure(relation string, where []string, binds map[string]types.Value, keys []pagerKey, keyset bool, pageSize int) bool {
 	if pageSize < 1 {
 		pageSize = 1
 	}
@@ -110,34 +110,27 @@ func equalBinds(a, b map[string]types.Value) bool {
 	return maps.EqualFunc(a, b, types.Value.Equal)
 }
 
-// Total returns the result-set size as of the last Refresh (-1 before one).
-func (p *Pager) Total() int { return p.total }
-
-// Buffered returns the buffered absolute range [start, end) — what can be
-// served without fetching.
-func (p *Pager) Buffered() (start, end int) { return p.bufStart, p.bufStart + len(p.buf) }
-
-// Row returns the row at absolute position abs, if it is buffered.
-func (p *Pager) Row(abs int) (types.Tuple, bool) {
+// row returns the row at absolute position abs, if it is buffered.
+func (p *Pager) row(abs int) (types.Tuple, bool) {
 	if abs < p.bufStart || abs >= p.bufStart+len(p.buf) {
 		return nil, false
 	}
 	return p.buf[abs-p.bufStart], true
 }
 
-// Clear empties the pager (a detail window whose master has no current row).
-func (p *Pager) Clear() {
+// clear empties the pager (a detail window whose master has no current row).
+func (p *Pager) clear() {
 	p.buf, p.bufStart, p.total, p.loaded = nil, 0, 0, true
 }
 
-// Refresh re-runs the window's query: it re-counts the result and reloads one
+// refresh re-runs the window's query: it re-counts the result and reloads one
 // buffer page. With a non-nil anchor (the row the cursor sat on, at absolute
 // position anchorAbs) the page is re-fetched *around the anchor* by keyset —
 // half a page at and before it, the rest after — so refreshing a window deep
 // in a huge table costs one page, not a scan back from the top, and the rows
 // visible above the cursor stay buffered. Without an anchor (first load, or
 // the query changed) the first page loads.
-func (p *Pager) Refresh(anchor types.Tuple, anchorAbs int) error {
+func (p *Pager) refresh(anchor types.Tuple, anchorAbs int) error {
 	p.loaded = true
 	if !p.keyset {
 		// No total order to page by: materialise, as the pre-pager windows
@@ -190,10 +183,10 @@ func (p *Pager) Refresh(anchor types.Tuple, anchorAbs int) error {
 	return p.loadFirstPage()
 }
 
-// Seek makes the row at absolute position abs available (fetching as needed)
+// seek makes the row at absolute position abs available (fetching as needed)
 // and returns the position actually reached: abs clamped to the result set,
 // or -1 when the result is empty.
-func (p *Pager) Seek(abs int) (int, error) {
+func (p *Pager) seek(abs int) (int, error) {
 	if !p.loaded {
 		return -1, fmt.Errorf("core: pager is not loaded; Refresh first")
 	}
@@ -204,7 +197,7 @@ func (p *Pager) Seek(abs int) (int, error) {
 		abs = p.total - 1
 	}
 	abs = max(abs, 0)
-	if _, ok := p.Row(abs); ok {
+	if _, ok := p.row(abs); ok {
 		return abs, nil
 	}
 	if !p.keyset {
@@ -217,7 +210,7 @@ func (p *Pager) Seek(abs int) (int, error) {
 		if err := p.loadFirstPage(); err != nil {
 			return -1, err
 		}
-		return p.Seek(abs)
+		return p.seek(abs)
 	case abs >= bufEnd:
 		// Jumping straight to the far end is cheaper backwards.
 		if p.total >= 0 && abs == p.total-1 && abs-bufEnd >= p.pageSize {
@@ -238,10 +231,10 @@ func (p *Pager) Seek(abs int) (int, error) {
 	}
 }
 
-// SeekLast positions on the last row of the result — fetched as one reversed
+// seekLast positions on the last row of the result — fetched as one reversed
 // page, so End on a huge table costs O(page) — and returns its position (-1
 // when the result is empty).
-func (p *Pager) SeekLast() (int, error) {
+func (p *Pager) seekLast() (int, error) {
 	if !p.loaded {
 		return -1, fmt.Errorf("core: pager is not loaded; Refresh first")
 	}
@@ -251,7 +244,7 @@ func (p *Pager) SeekLast() (int, error) {
 	if !p.keyset {
 		return p.total - 1, nil
 	}
-	if _, ok := p.Row(p.total - 1); ok {
+	if _, ok := p.row(p.total - 1); ok {
 		// The last row is already buffered (End pressed twice, or the
 		// cursor is on the last page): nothing to fetch.
 		return p.total - 1, nil

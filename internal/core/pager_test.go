@@ -61,15 +61,15 @@ func pagerOver(db *engine.Database, pageSize int) (*Pager, *Stats) {
 	stats := &Stats{}
 	src := NewEngineSource(db.Session())
 	p := newPager(src.Prepare, stats)
-	p.Configure("t", nil, nil, []pagerKey{{column: "id", pos: 0}}, true, pageSize)
+	p.configure("t", nil, nil, []pagerKey{{column: "id", pos: 0}}, true, pageSize)
 	return p, stats
 }
 
 func rowID(t *testing.T, p *Pager, abs int) int {
 	t.Helper()
-	row, ok := p.Row(abs)
+	row, ok := p.row(abs)
 	if !ok {
-		start, end := p.Buffered()
+		start, end := buffered(p)
 		t.Fatalf("row %d is not buffered (buffer [%d,%d))", abs, start, end)
 	}
 	return int(row[0].Int())
@@ -84,11 +84,11 @@ func TestPagerForwardBackward(t *testing.T) {
 	defer db.Close()
 	p, stats := pagerOver(db, page)
 
-	if err := p.Refresh(nil, -1); err != nil {
+	if err := p.refresh(nil, -1); err != nil {
 		t.Fatal(err)
 	}
-	if p.Total() != n {
-		t.Fatalf("total = %d, want %d", p.Total(), n)
+	if p.total != n {
+		t.Fatalf("total = %d, want %d", p.total, n)
 	}
 	if got := rowID(t, p, 0); got != 1 {
 		t.Fatalf("first row id = %d", got)
@@ -99,7 +99,7 @@ func TestPagerForwardBackward(t *testing.T) {
 
 	// Walk forward page by page.
 	for _, target := range []int{page - 1, page, 3*page - 1, 3 * page} {
-		pos, err := p.Seek(target)
+		pos, err := p.seek(target)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -113,7 +113,7 @@ func TestPagerForwardBackward(t *testing.T) {
 
 	// Jump to the end: one reversed page, not a 500-row walk.
 	before := stats.RowsFetched
-	pos, err := p.SeekLast()
+	pos, err := p.seekLast()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,9 +128,9 @@ func TestPagerForwardBackward(t *testing.T) {
 	}
 
 	// Walk backward off the buffered range.
-	start, _ := p.Buffered()
+	start, _ := buffered(p)
 	target := start - 3
-	pos, err = p.Seek(target)
+	pos, err = p.seek(target)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestPagerForwardBackward(t *testing.T) {
 
 	// And all the way home: first page again, O(page).
 	before = stats.RowsFetched
-	pos, err = p.Seek(0)
+	pos, err = p.seek(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,14 +166,14 @@ func TestPagerMutatedMidBrowse(t *testing.T) {
 	s := db.Session()
 	p, _ := pagerOver(db, page)
 
-	if err := p.Refresh(nil, -1); err != nil {
+	if err := p.refresh(nil, -1); err != nil {
 		t.Fatal(err)
 	}
-	pos, err := p.Seek(149) // id 150
+	pos, err := p.seek(149) // id 150
 	if err != nil || pos != 149 {
 		t.Fatalf("seek: pos=%d err=%v", pos, err)
 	}
-	anchor, _ := p.Row(149)
+	anchor, _ := p.row(149)
 
 	// Delete the anchored row and a range ahead of it; insert new rows at the end.
 	if _, err := s.Execute("DELETE FROM t WHERE id = 150"); err != nil {
@@ -186,14 +186,14 @@ func TestPagerMutatedMidBrowse(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if err := p.Refresh(anchor, 149); err != nil {
+	if err := p.refresh(anchor, 149); err != nil {
 		t.Fatal(err)
 	}
-	if want := n - 11 + 1; p.Total() != want {
-		t.Fatalf("total after mutation = %d, want %d", p.Total(), want)
+	if want := n - 11 + 1; p.total != want {
+		t.Fatalf("total after mutation = %d, want %d", p.total, want)
 	}
 	// The anchor (id 150) is gone: the page re-anchors on its successor.
-	pos, err = p.Seek(149)
+	pos, err = p.seek(149)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestPagerMutatedMidBrowse(t *testing.T) {
 		t.Fatalf("row under cursor after delete = id %d, want 151 (the successor)", got)
 	}
 	// Paging forward skips the deleted range.
-	pos, err = p.Seek(pos + 10)
+	pos, err = p.seek(pos + 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestPagerMutatedMidBrowse(t *testing.T) {
 		t.Fatalf("ten rows on = id %d, want 171 (160 -> 171 skips the deleted range)", got)
 	}
 	// The late insert is reachable at the end.
-	pos, err = p.SeekLast()
+	pos, err = p.seekLast()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,10 +229,10 @@ func TestPagerReprepairesAfterDDL(t *testing.T) {
 	defer db.Close()
 	p, _ := pagerOver(db, page)
 
-	if err := p.Refresh(nil, -1); err != nil {
+	if err := p.refresh(nil, -1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Seek(50); err != nil {
+	if _, err := p.seek(50); err != nil {
 		t.Fatal(err)
 	}
 
@@ -243,14 +243,14 @@ func TestPagerReprepairesAfterDDL(t *testing.T) {
 
 	// Every pager shape is now stale; the next fetches must replan, not
 	// serve the pre-DDL skeletons.
-	pos, err := p.Seek(120)
+	pos, err := p.seek(120)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := rowID(t, p, pos); got != 121 {
 		t.Fatalf("post-DDL forward page: id = %d, want 121", got)
 	}
-	pos, err = p.SeekLast()
+	pos, err = p.seekLast()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +295,7 @@ func TestWindowPagedBrowse(t *testing.T) {
 
 	// End jumps to the last row without walking the table.
 	before := w.Stats().RowsFetched
-	if err := w.LastRow(); err != nil {
+	if err := w.lastRow(); err != nil {
 		t.Fatal(err)
 	}
 	if w.Cursor() != n-1 {
@@ -310,7 +310,7 @@ func TestWindowPagedBrowse(t *testing.T) {
 	}
 
 	// Home comes back the same way.
-	if err := w.FirstRow(); err != nil {
+	if err := w.firstRow(); err != nil {
 		t.Fatal(err)
 	}
 	row, _ = w.CurrentRow()
@@ -319,7 +319,7 @@ func TestWindowPagedBrowse(t *testing.T) {
 	}
 
 	// A refresh mid-table re-anchors instead of re-reading from the top.
-	if _, err := w.pager.Seek(n / 2); err != nil {
+	if _, err := w.pager.seek(n / 2); err != nil {
 		t.Fatal(err)
 	}
 	w.cursor = n / 2
@@ -386,17 +386,17 @@ func TestWindowRemotePagedBrowse(t *testing.T) {
 	if err := w.MoveCursor(w.pageSize()); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.LastRow(); err != nil {
+	if err := w.lastRow(); err != nil {
 		t.Fatal(err)
 	}
 	// A page is one Run that binds, executes and carries the rows back, plus
 	// at most a CloseCursor when the page filled before the cursor ran dry.
 	// Home then End repeats statements the walk has already prepared.
-	if err := w.FirstRow(); err != nil {
+	if err := w.firstRow(); err != nil {
 		t.Fatal(err)
 	}
 	queries, msgs := w.Stats().Queries, srv.Stats().MessagesServed
-	if err := w.LastRow(); err != nil {
+	if err := w.lastRow(); err != nil {
 		t.Fatal(err)
 	}
 	queries, msgs = w.Stats().Queries-queries, srv.Stats().MessagesServed-msgs
@@ -407,7 +407,7 @@ func TestWindowRemotePagedBrowse(t *testing.T) {
 	if w.Cursor() != n-1 || int(row[0].Int()) != n {
 		t.Fatalf("remote End: cursor=%d id=%d", w.Cursor(), row[0].Int())
 	}
-	if err := w.PrevRow(); err != nil {
+	if err := w.prevRow(); err != nil {
 		t.Fatal(err)
 	}
 	row, _ = w.CurrentRow()
@@ -467,7 +467,7 @@ end
 	}
 	var got []int64
 	for i := 0; i < w.RowCount(); i++ {
-		row, ok := w.pager.Row(i)
+		row, ok := w.pager.row(i)
 		if !ok {
 			t.Fatalf("row %d not available in materialise mode", i)
 		}
@@ -488,19 +488,19 @@ func TestAnchoredRefreshBuffersAboveCursor(t *testing.T) {
 	defer db.Close()
 	p, _ := pagerOver(db, page)
 
-	if err := p.Refresh(nil, -1); err != nil {
+	if err := p.refresh(nil, -1); err != nil {
 		t.Fatal(err)
 	}
-	pos, err := p.Seek(200)
+	pos, err := p.seek(200)
 	if err != nil || pos != 200 {
 		t.Fatalf("seek: %d %v", pos, err)
 	}
-	anchor, _ := p.Row(200)
+	anchor, _ := p.row(200)
 
-	if err := p.Refresh(anchor, 200); err != nil {
+	if err := p.refresh(anchor, 200); err != nil {
 		t.Fatal(err)
 	}
-	start, end := p.Buffered()
+	start, end := buffered(p)
 	if wantAbove := 200 - page/2; start > wantAbove {
 		t.Errorf("buffer starts at %d; rows above the cursor (down to %d) must stay buffered for the visible window", start, wantAbove)
 	}
@@ -548,42 +548,46 @@ func TestPagerWorkIndependentOfDepth(t *testing.T) {
 		p, _ := pagerOver(db, page)
 		base := 0 // rows the filter hides below the window
 		if filterFrom > 0 {
-			p.Configure("t", []string{"(id >= @q_id)"}, map[string]types.Value{"q_id": types.NewInt(int64(filterFrom))},
+			p.configure("t", []string{"(id >= @q_id)"}, map[string]types.Value{"q_id": types.NewInt(int64(filterFrom))},
 				[]pagerKey{{column: "id", pos: 0}}, true, page)
 			base = filterFrom - 1
 		}
-		if err := p.Refresh(nil, -1); err != nil {
+		if err := p.refresh(nil, -1); err != nil {
 			t.Fatal(err)
 		}
-		total := p.Total()
+		total := p.total
 		if total != n-base {
 			t.Fatalf("total = %d, want %d", total, n-base)
 		}
 		for _, depth := range []int{100, total / 2, total - 500} {
 			anchor := types.Tuple{types.NewInt(int64(base + depth + 1)), types.Null(), types.Null()}
-			check("anchored refresh", depth, poolFetches(func() error { return p.Refresh(anchor, depth) }))
+			check("anchored refresh", depth, poolFetches(func() error { return p.refresh(anchor, depth) }))
 			if got := rowID(t, p, depth); got != base+depth+1 {
 				t.Fatalf("row %d after the anchored refresh has id %d, want %d", depth, got, base+depth+1)
 			}
-			_, end := p.Buffered()
-			check("forward keyset page", depth, poolFetches(func() error { _, err := p.Seek(end); return err }))
+			_, end := buffered(p)
+			check("forward keyset page", depth, poolFetches(func() error { _, err := p.seek(end); return err }))
 			if got := rowID(t, p, end); got != base+end+1 {
 				t.Fatalf("row %d after the forward page has id %d", end, got)
 			}
-			start, _ := p.Buffered()
-			check("backward keyset page", depth, poolFetches(func() error { _, err := p.Seek(start - 1); return err }))
+			start, _ := buffered(p)
+			check("backward keyset page", depth, poolFetches(func() error { _, err := p.seek(start - 1); return err }))
 			if got := rowID(t, p, start-1); got != base+start {
 				t.Fatalf("row %d after the backward page has id %d", start-1, got)
 			}
 		}
 		// Still deep in the table: Home, then End from the top.
-		check("Home", total-500, poolFetches(func() error { _, err := p.Seek(0); return err }))
+		check("Home", total-500, poolFetches(func() error { _, err := p.seek(0); return err }))
 		if got := rowID(t, p, 0); got != base+1 {
 			t.Fatalf("Home landed on id %d", got)
 		}
-		check("End", 0, poolFetches(func() error { _, err := p.SeekLast(); return err }))
+		check("End", 0, poolFetches(func() error { _, err := p.seekLast(); return err }))
 		if got := rowID(t, p, total-1); got != n {
 			t.Fatalf("End landed on id %d", got)
 		}
 	}
 }
+
+// buffered returns the buffered absolute range [start, end) — what can be
+// served without fetching.
+func buffered(p *Pager) (start, end int) { return p.bufStart, p.bufStart + len(p.buf) }

@@ -65,7 +65,7 @@ func parseFieldPattern(field *Field, pattern string) (*fieldPattern, error) {
 		return nil, nil
 	}
 	if field.Column < 0 {
-		return nil, fmt.Errorf("core: field %q is computed and cannot be queried", field.Name())
+		return nil, fmt.Errorf("core: field %q is computed and cannot be queried", field.name())
 	}
 
 	lower := strings.ToLower(text)
@@ -123,30 +123,11 @@ func parseFieldPattern(field *Field, pattern string) (*fieldPattern, error) {
 	return &fieldPattern{field: field, shape: patternCompare, op: sql.OpEq, values: []types.Value{value}}, nil
 }
 
-// literalExpr renders the pattern with its values inlined as literals.
-func (p *fieldPattern) literalExpr() sql.Expr {
-	column := &sql.ColumnRef{Name: p.field.Name()}
-	switch p.shape {
-	case patternIsNull:
-		return &sql.IsNullExpr{Operand: column, Negate: p.negate}
-	case patternRange:
-		return &sql.BetweenExpr{
-			Operand: column,
-			Low:     &sql.Literal{Value: p.values[0]},
-			High:    &sql.Literal{Value: p.values[1]},
-		}
-	case patternLike:
-		return &sql.BinaryExpr{Op: sql.OpLike, Left: column, Right: &sql.Literal{Value: p.values[0]}}
-	default:
-		return &sql.BinaryExpr{Op: p.op, Left: column, Right: &sql.Literal{Value: p.values[0]}}
-	}
-}
-
 // paramExpr renders the pattern as a template over named parameters derived
 // from name, recording the bindings. IS NULL patterns bind nothing (NULL is
 // not a value, it is part of the shape).
 func (p *fieldPattern) paramExpr(name string, binds map[string]types.Value) sql.Expr {
-	column := &sql.ColumnRef{Name: p.field.Name()}
+	column := &sql.ColumnRef{Name: p.field.name()}
 	placeholder := func(suffix string, v types.Value) *sql.Param {
 		binds[name+suffix] = v
 		return &sql.Param{Index: -1, Name: name + suffix}
@@ -167,22 +148,12 @@ func (p *fieldPattern) paramExpr(name string, binds map[string]types.Value) sql.
 	}
 }
 
-// BuildFieldPredicate converts one field's query pattern into an expression
-// over the form's schema, or nil when the pattern is blank.
-func BuildFieldPredicate(field *Field, pattern string) (sql.Expr, error) {
-	parsed, err := parseFieldPattern(field, pattern)
-	if err != nil || parsed == nil {
-		return nil, err
-	}
-	return parsed.literalExpr(), nil
-}
-
-// BuildFieldPredicateParam converts one field's query pattern into a
+// fieldPredicate converts one field's query pattern into a
 // parameterized template — "credit > @q_credit" instead of "credit > 1000" —
 // and records the value bindings in binds. Windows key their prepared
 // statements on the template text, so re-querying with a different operand
 // reuses the statement.
-func BuildFieldPredicateParam(field *Field, pattern, name string, binds map[string]types.Value) (sql.Expr, error) {
+func fieldPredicate(field *Field, pattern, name string, binds map[string]types.Value) (sql.Expr, error) {
 	parsed, err := parseFieldPattern(field, pattern)
 	if err != nil || parsed == nil {
 		return nil, err
@@ -194,51 +165,26 @@ func BuildFieldPredicateParam(field *Field, pattern, name string, binds map[stri
 func patternValue(field *Field, text string) (types.Value, error) {
 	v, err := types.ParseAs(text, field.Kind)
 	if err != nil {
-		return types.Null(), fmt.Errorf("core: field %q: %v", field.Name(), err)
+		return types.Null(), fmt.Errorf("core: field %q: %v", field.name(), err)
 	}
 	if v.IsNull() && text != "" {
-		return types.Null(), fmt.Errorf("core: field %q: %q is not a valid %s", field.Name(), text, field.Kind)
+		return types.Null(), fmt.Errorf("core: field %q: %q is not a valid %s", field.name(), text, field.Kind)
 	}
 	return v, nil
 }
 
-// BuildQBFPredicate combines the query patterns of several fields (keyed by
-// field name) into one predicate, or nil when every pattern is blank.
-func BuildQBFPredicate(form *Form, patterns map[string]string) (sql.Expr, error) {
+// qbfPredicate combines the query patterns of several fields (keyed by field
+// name) into one predicate, or nil when every pattern is blank. Each field's
+// pattern becomes a conjunct over "@q_<field>" parameters, in field order so
+// the template is stable, with the typed values recorded in binds.
+func qbfPredicate(form *Form, patterns map[string]string, binds map[string]types.Value) (sql.Expr, error) {
 	var combined sql.Expr
-	// Iterate fields in definition order so the generated SQL is stable.
 	for _, field := range form.Fields {
-		pattern, ok := patterns[field.Name()]
+		pattern, ok := patterns[field.name()]
 		if !ok {
 			continue
 		}
-		conjunct, err := BuildFieldPredicate(field, pattern)
-		if err != nil {
-			return nil, err
-		}
-		if conjunct == nil {
-			continue
-		}
-		if combined == nil {
-			combined = conjunct
-		} else {
-			combined = &sql.BinaryExpr{Op: sql.OpAnd, Left: combined, Right: conjunct}
-		}
-	}
-	return combined, nil
-}
-
-// BuildQBFPredicateParam is BuildQBFPredicate with parameter templates: each
-// field's pattern becomes a conjunct over "@q_<field>" parameters, with the
-// typed values recorded in binds.
-func BuildQBFPredicateParam(form *Form, patterns map[string]string, binds map[string]types.Value) (sql.Expr, error) {
-	var combined sql.Expr
-	for _, field := range form.Fields {
-		pattern, ok := patterns[field.Name()]
-		if !ok {
-			continue
-		}
-		conjunct, err := BuildFieldPredicateParam(field, pattern, "q_"+strings.ToLower(field.Name()), binds)
+		conjunct, err := fieldPredicate(field, pattern, "q_"+strings.ToLower(field.name()), binds)
 		if err != nil {
 			return nil, err
 		}

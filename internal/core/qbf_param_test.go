@@ -12,8 +12,8 @@ import (
 func TestBuildFieldPredicateParamShapes(t *testing.T) {
 	_, forms := newTestManager(t)
 	card := forms["customer_card"]
-	credit, _ := card.FieldByName("credit")
-	city, _ := card.FieldByName("city")
+	credit, _ := card.fieldByName("credit")
+	city, _ := card.fieldByName("city")
 
 	cases := []struct {
 		field   *Field
@@ -30,22 +30,22 @@ func TestBuildFieldPredicateParamShapes(t *testing.T) {
 	}
 	for _, c := range cases {
 		binds := map[string]types.Value{}
-		got, err := BuildFieldPredicateParam(c.field, c.pattern, "q_"+c.field.Name(), binds)
+		got, err := fieldPredicate(c.field, c.pattern, "q_"+c.field.name(), binds)
 		if err != nil {
-			t.Fatalf("%s %q: %v", c.field.Name(), c.pattern, err)
+			t.Fatalf("%s %q: %v", c.field.name(), c.pattern, err)
 		}
 		if got.String() != c.want {
-			t.Errorf("%s %q: template = %s, want %s", c.field.Name(), c.pattern, got.String(), c.want)
+			t.Errorf("%s %q: template = %s, want %s", c.field.name(), c.pattern, got.String(), c.want)
 		}
 		if len(binds) != c.binds {
-			t.Errorf("%s %q: %d bindings, want %d", c.field.Name(), c.pattern, len(binds), c.binds)
+			t.Errorf("%s %q: %d bindings, want %d", c.field.name(), c.pattern, len(binds), c.binds)
 		}
 	}
 
 	// Same shape, different operand: identical template text.
 	bindsA, bindsB := map[string]types.Value{}, map[string]types.Value{}
-	a, _ := BuildFieldPredicateParam(credit, ">1000", "q_credit", bindsA)
-	b, _ := BuildFieldPredicateParam(credit, ">2500", "q_credit", bindsB)
+	a, _ := fieldPredicate(credit, ">1000", "q_credit", bindsA)
+	b, _ := fieldPredicate(credit, ">2500", "q_credit", bindsB)
 	if a.String() != b.String() {
 		t.Errorf("same shape should share a template: %s vs %s", a.String(), b.String())
 	}
@@ -63,7 +63,7 @@ func TestWindowRefreshReusesPreparedStatement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db := m.Database()
+	db := m.db
 
 	if err := w.Query(map[string]string{"city": "Boston"}); err != nil {
 		t.Fatal(err)

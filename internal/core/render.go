@@ -30,10 +30,10 @@ func (w *Window) Render() {
 			Row:      row,
 			Col:      col,
 			Width:    field.Def.Width,
-			ReadOnly: field.Def.ReadOnly || field.Computed(),
+			ReadOnly: field.Def.ReadOnly || field.computed(),
 			Focused:  i == w.focus && w.mode != ModeBrowse,
 		}
-		tf.SetValue(w.FieldText(field))
+		tf.SetValue(w.fieldText(field))
 		tf.Draw(s)
 	}
 
@@ -46,7 +46,7 @@ func (w *Window) Render() {
 		w.renderDetail(s, link, child)
 	}
 
-	// Row position and status line.
+	// row position and status line.
 	position := "no rows"
 	if w.cursor >= 0 {
 		position = fmt.Sprintf("row %d of %d", w.cursor+1, w.RowCount())
@@ -55,7 +55,6 @@ func (w *Window) Render() {
 	bar := tui.StatusBar{Row: s.Height() - 2, Width: s.Width(), Text: " " + w.status, Error: w.statusError}
 	bar.Draw(s)
 
-	s.Flush()
 	w.stats.Repaints++
 	w.stats.CellsPainted += s.CellsPainted() - before
 }
@@ -96,7 +95,7 @@ func (d detailRows) GridRowCount() int { return d.w.RowCount() }
 
 // GridRow formats the fields of the row at absolute position i, if buffered.
 func (d detailRows) GridRow(i int) ([]string, bool) {
-	row, ok := d.w.pager.Row(i)
+	row, ok := d.w.pager.row(i)
 	if !ok {
 		return nil, false
 	}
@@ -139,24 +138,24 @@ func (w *Window) HandleScript(script string) error {
 func (w *Window) handleBrowseKey(ev tui.Event) error {
 	switch ev.Key {
 	case tui.KeyDown:
-		return w.NextRow()
+		return w.nextRow()
 	case tui.KeyUp:
-		return w.PrevRow()
+		return w.prevRow()
 	case tui.KeyPgDn:
 		return w.MoveCursor(w.pageSize())
 	case tui.KeyPgUp:
 		return w.MoveCursor(-w.pageSize())
 	case tui.KeyHome:
-		return w.FirstRow()
+		return w.firstRow()
 	case tui.KeyEnd:
-		return w.LastRow()
+		return w.lastRow()
 	case tui.KeyF2:
-		w.BeginQuery()
+		w.beginQuery()
 		return nil
 	case tui.KeyF4:
 		// Execute an empty query: show everything.
-		w.BeginQuery()
-		if err := w.ExecuteQuery(); err != nil {
+		w.beginQuery()
+		if err := w.executeQuery(); err != nil {
 			w.setError(err)
 		}
 		return nil
@@ -167,7 +166,7 @@ func (w *Window) handleBrowseKey(ev tui.Event) error {
 		}
 		return nil
 	case tui.KeyF7:
-		if err := w.DeleteCurrent(); err != nil {
+		if err := w.deleteCurrent(); err != nil {
 			w.Render()
 		}
 		return nil
@@ -186,7 +185,7 @@ func (w *Window) handleBrowseKey(ev tui.Event) error {
 	case tui.KeyRune, tui.KeyBackspace:
 		// Typing in browse mode starts editing the current row at the
 		// focused field.
-		if err := w.BeginEdit(); err != nil {
+		if err := w.beginEdit(); err != nil {
 			w.setError(err)
 			w.Render()
 			return nil
@@ -199,30 +198,30 @@ func (w *Window) handleBrowseKey(ev tui.Event) error {
 
 func (w *Window) handleEntryKey(ev tui.Event) error {
 	field := w.form.Fields[w.focus]
-	editable := w.mode == ModeQuery || (!field.Def.ReadOnly && !field.Computed())
+	editable := w.mode == ModeQuery || (!field.Def.ReadOnly && !field.computed())
 	switch ev.Key {
 	case tui.KeyRune:
 		if !editable {
-			w.setStatus("field %s is read-only", field.Name())
+			w.setStatus("field %s is read-only", field.name())
 			w.Render()
 			return nil
 		}
-		w.buffer[field.Name()] += string(ev.Rune)
+		w.buffer[field.name()] += string(ev.Rune)
 		w.dirty = true
 		w.Render()
 	case tui.KeyBackspace:
 		if !editable {
 			return nil
 		}
-		text := w.buffer[field.Name()]
+		text := w.buffer[field.name()]
 		if len(text) > 0 {
-			w.buffer[field.Name()] = text[:len(text)-1]
+			w.buffer[field.name()] = text[:len(text)-1]
 			w.dirty = true
 		}
 		w.Render()
 	case tui.KeyF3:
 		if editable {
-			w.buffer[field.Name()] = ""
+			w.buffer[field.name()] = ""
 			w.Render()
 		}
 	case tui.KeyTab, tui.KeyEnter, tui.KeyDown:
@@ -233,14 +232,14 @@ func (w *Window) handleEntryKey(ev tui.Event) error {
 		w.Render()
 	case tui.KeyF4:
 		if w.mode == ModeQuery {
-			if err := w.ExecuteQuery(); err != nil {
+			if err := w.executeQuery(); err != nil {
 				w.setError(err)
 				w.Render()
 			}
 		}
 	case tui.KeyF6:
 		if w.mode == ModeQuery {
-			if err := w.ExecuteQuery(); err != nil {
+			if err := w.executeQuery(); err != nil {
 				w.setError(err)
 				w.Render()
 			}
@@ -250,7 +249,7 @@ func (w *Window) handleEntryKey(ev tui.Event) error {
 			w.Render()
 		}
 	case tui.KeyEsc:
-		w.Cancel()
+		w.cancel()
 	}
 	return nil
 }
@@ -264,12 +263,12 @@ func (w *Window) nextFocusable(from, direction int) int {
 		idx = (idx + direction + n) % n
 		field := w.form.Fields[idx]
 		if w.mode == ModeQuery {
-			if !field.Computed() {
+			if !field.computed() {
 				return idx
 			}
 			continue
 		}
-		if !field.Def.ReadOnly && !field.Computed() {
+		if !field.Def.ReadOnly && !field.computed() {
 			return idx
 		}
 	}

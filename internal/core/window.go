@@ -145,13 +145,6 @@ func newWindow(form *Form, src Source, wm *Manager, id int) *Window {
 	return w
 }
 
-// Form returns the window's compiled form.
-func (w *Window) Form() *Form { return w.form }
-
-// ID returns the identifier the window manager assigned (or -1 for embedded
-// detail windows).
-func (w *Window) ID() int { return w.id }
-
 // Mode returns the window's interaction mode.
 func (w *Window) Mode() Mode { return w.mode }
 
@@ -166,7 +159,7 @@ func (w *Window) Screen() *tui.Screen { return w.screen }
 // last refresh (0 before the first one). The rows themselves are not
 // materialised; only a page around the cursor is buffered.
 func (w *Window) RowCount() int {
-	return max(w.pager.Total(), 0)
+	return max(w.pager.total, 0)
 }
 
 // Cursor returns the current row's absolute position in the window's result
@@ -178,14 +171,6 @@ func (w *Window) PageSize() int { return w.pageSize() }
 
 // Status returns the window's status-line message.
 func (w *Window) Status() string { return w.status }
-
-// Detail returns the i'th detail child window.
-func (w *Window) Detail(i int) *Window {
-	if i < 0 || i >= len(w.details) {
-		return nil
-	}
-	return w.details[i]
-}
 
 // setStatus records a status-line message.
 func (w *Window) setStatus(format string, args ...interface{}) {
@@ -212,7 +197,7 @@ func (w *Window) queryPredicates() ([]string, map[string]types.Value, error) {
 	if w.form.FilterExpr != nil {
 		predicates = append(predicates, w.form.FilterExpr.String())
 	}
-	qbf, err := BuildQBFPredicateParam(w.form, w.queryPatterns, binds)
+	qbf, err := qbfPredicate(w.form, w.queryPatterns, binds)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -339,7 +324,7 @@ func (w *Window) Refresh() error {
 		return err
 	}
 	keys, keyset := w.pagerKeys()
-	changed := w.pager.Configure(w.form.Relation, where, binds, keys, keyset, w.bufferPageSize())
+	changed := w.pager.configure(w.form.Relation, where, binds, keys, keyset, w.bufferPageSize())
 	var anchor types.Tuple
 	anchorAbs := -1
 	if !changed {
@@ -347,15 +332,15 @@ func (w *Window) Refresh() error {
 			anchor, anchorAbs = row, w.cursor
 		}
 	}
-	if err := w.pager.Refresh(anchor, anchorAbs); err != nil {
+	if err := w.pager.refresh(anchor, anchorAbs); err != nil {
 		w.setError(err)
 		return err
 	}
 	w.stats.Refreshes++
-	if total := w.pager.Total(); total == 0 {
+	if total := w.pager.total; total == 0 {
 		w.cursor = -1
 	} else {
-		pos, err := w.pager.Seek(clamp(w.cursor, 0, total-1))
+		pos, err := w.pager.seek(clamp(w.cursor, 0, total-1))
 		if err != nil {
 			w.setError(err)
 			return err
@@ -374,7 +359,7 @@ func (w *Window) Refresh() error {
 func (w *Window) Query(patterns map[string]string) error {
 	w.queryPatterns = map[string]string{}
 	for name, pattern := range patterns {
-		if _, ok := w.form.FieldByName(name); !ok {
+		if _, ok := w.form.fieldByName(name); !ok {
 			return fmt.Errorf("core: form %q has no field %q", w.form.Def.Name, name)
 		}
 		w.queryPatterns[strings.ToLower(name)] = pattern
@@ -383,11 +368,11 @@ func (w *Window) Query(patterns map[string]string) error {
 	return w.Refresh()
 }
 
-// SetLink constrains the window to rows whose column equals the given value;
+// setLink constrains the window to rows whose column equals the given value;
 // master windows call it on their details as the cursor moves. Only the value
 // changes from row to row, so every move reuses the detail window's one
 // prepared statement.
-func (w *Window) SetLink(column int, value types.Value) {
+func (w *Window) setLink(column int, value types.Value) {
 	w.hasLink = true
 	w.linkColumn = w.form.Schema.Columns[column].Name
 	w.linkValue = value
@@ -406,11 +391,11 @@ func (w *Window) syncDetails() error {
 			continue
 		}
 		if !ok {
-			child.pager.Clear()
+			child.pager.clear()
 			child.cursor = -1
 			continue
 		}
-		child.SetLink(link.ChildColumn, current[link.ParentColumn])
+		child.setLink(link.ChildColumn, current[link.ParentColumn])
 		if err := child.Refresh(); err != nil {
 			return err
 		}
@@ -423,24 +408,7 @@ func (w *Window) CurrentRow() (types.Tuple, bool) {
 	if w.cursor < 0 {
 		return nil, false
 	}
-	return w.pager.Row(w.cursor)
-}
-
-// CurrentKey returns the key values of the current row (used to address it in
-// updates and deletes).
-func (w *Window) CurrentKey() (types.Tuple, bool) {
-	row, ok := w.CurrentRow()
-	if !ok {
-		return nil, false
-	}
-	if len(w.form.Key) == 0 {
-		return nil, false
-	}
-	key := make(types.Tuple, len(w.form.Key))
-	for i, pos := range w.form.Key {
-		key[i] = row[pos]
-	}
-	return key, true
+	return w.pager.row(w.cursor)
 }
 
 // --- navigation ---------------------------------------------------------------
@@ -449,10 +417,10 @@ func (w *Window) CurrentKey() (types.Tuple, bool) {
 // re-synchronises detail windows. The pager fetches forward or backward by
 // keyset as needed, so any page-sized move costs at most one page of rows.
 func (w *Window) MoveCursor(delta int) error {
-	if w.pager.Total() <= 0 {
+	if w.pager.total <= 0 {
 		return nil
 	}
-	next := clamp(w.cursor+delta, 0, w.pager.Total()-1)
+	next := clamp(w.cursor+delta, 0, w.pager.total-1)
 	if next == w.cursor {
 		return nil
 	}
@@ -461,7 +429,7 @@ func (w *Window) MoveCursor(delta int) error {
 
 // seekTo positions the cursor on an absolute row and repaints.
 func (w *Window) seekTo(abs int) error {
-	pos, err := w.pager.Seek(abs)
+	pos, err := w.pager.seek(abs)
 	if err != nil {
 		w.setError(err)
 		w.Render()
@@ -475,27 +443,27 @@ func (w *Window) seekTo(abs int) error {
 	return nil
 }
 
-// NextRow advances one row.
-func (w *Window) NextRow() error { return w.MoveCursor(1) }
+// nextRow advances one row.
+func (w *Window) nextRow() error { return w.MoveCursor(1) }
 
-// PrevRow moves back one row.
-func (w *Window) PrevRow() error { return w.MoveCursor(-1) }
+// prevRow moves back one row.
+func (w *Window) prevRow() error { return w.MoveCursor(-1) }
 
-// FirstRow jumps to the first row.
-func (w *Window) FirstRow() error {
-	if w.pager.Total() <= 0 || w.cursor == 0 {
+// firstRow jumps to the first row.
+func (w *Window) firstRow() error {
+	if w.pager.total <= 0 || w.cursor == 0 {
 		return nil
 	}
 	return w.seekTo(0)
 }
 
-// LastRow jumps to the last row. With a keyset order this is one reversed
+// lastRow jumps to the last row. With a keyset order this is one reversed
 // page fetch, not a walk over the table.
-func (w *Window) LastRow() error {
-	if w.pager.Total() <= 0 {
+func (w *Window) lastRow() error {
+	if w.pager.total <= 0 {
 		return nil
 	}
-	pos, err := w.pager.SeekLast()
+	pos, err := w.pager.seekLast()
 	if err != nil {
 		w.setError(err)
 		w.Render()
@@ -514,11 +482,11 @@ func (w *Window) LastRow() error {
 
 // --- field access and editing ------------------------------------------------
 
-// FieldText returns the text a field currently displays: the edit buffer in
+// fieldText returns the text a field currently displays: the edit buffer in
 // edit, insert or query mode; otherwise the current row's (or computed) value.
-func (w *Window) FieldText(field *Field) string {
+func (w *Window) fieldText(field *Field) string {
 	if w.mode != ModeBrowse {
-		if text, ok := w.buffer[field.Name()]; ok {
+		if text, ok := w.buffer[field.name()]; ok {
 			return text
 		}
 		if w.mode != ModeEdit {
@@ -537,7 +505,7 @@ func (w *Window) FieldText(field *Field) string {
 // for a detail grid line).
 func (w *Window) rowText(field *Field, row types.Tuple) string {
 	var v types.Value
-	if field.Computed() {
+	if field.computed() {
 		computed, err := field.Value.Eval(row)
 		if err != nil {
 			return "#ERR"
@@ -562,26 +530,26 @@ func (w *Window) rowText(field *Field, row types.Tuple) string {
 // SetFieldText types a value into a field programmatically. In browse mode it
 // switches the window into edit mode over the current row first.
 func (w *Window) SetFieldText(name, text string) error {
-	field, ok := w.form.FieldByName(name)
+	field, ok := w.form.fieldByName(name)
 	if !ok {
 		return fmt.Errorf("core: form %q has no field %q", w.form.Def.Name, name)
 	}
 	if w.mode == ModeBrowse {
-		if err := w.BeginEdit(); err != nil {
+		if err := w.beginEdit(); err != nil {
 			return err
 		}
 	}
-	if w.mode != ModeQuery && (field.Def.ReadOnly || field.Computed()) {
+	if w.mode != ModeQuery && (field.Def.ReadOnly || field.computed()) {
 		return fmt.Errorf("core: field %q is read-only", name)
 	}
-	w.buffer[field.Name()] = text
+	w.buffer[field.name()] = text
 	w.dirty = true
 	return nil
 }
 
-// BeginEdit switches to edit mode over the current row, loading the edit
+// beginEdit switches to edit mode over the current row, loading the edit
 // buffer from it.
-func (w *Window) BeginEdit() error {
+func (w *Window) beginEdit() error {
 	if w.form.ReadOnly {
 		return fmt.Errorf("core: form %q is read-only (its view cannot be updated)", w.form.Def.Name)
 	}
@@ -591,10 +559,10 @@ func (w *Window) BeginEdit() error {
 	w.mode = ModeEdit
 	w.buffer = map[string]string{}
 	for _, field := range w.form.Fields {
-		if field.Computed() {
+		if field.computed() {
 			continue
 		}
-		w.buffer[field.Name()] = w.fieldTextFromRow(field)
+		w.buffer[field.name()] = w.fieldTextFromRow(field)
 	}
 	w.dirty = false
 	w.setStatus("editing row %d of %d", w.cursor+1, w.RowCount())
@@ -627,11 +595,11 @@ func (w *Window) BeginInsert() error {
 		blank[i] = types.Null()
 	}
 	for _, field := range w.form.Fields {
-		if field.Default == nil || field.Computed() {
+		if field.Default == nil || field.computed() {
 			continue
 		}
 		if v, err := field.Default.Eval(blank); err == nil && !v.IsNull() {
-			w.buffer[field.Name()] = v.String()
+			w.buffer[field.name()] = v.String()
 		}
 	}
 	w.focus = w.firstEditableField()
@@ -641,8 +609,8 @@ func (w *Window) BeginInsert() error {
 	return nil
 }
 
-// BeginQuery switches to query-by-form mode with a blank buffer.
-func (w *Window) BeginQuery() {
+// beginQuery switches to query-by-form mode with a blank buffer.
+func (w *Window) beginQuery() {
 	w.mode = ModeQuery
 	w.buffer = map[string]string{}
 	w.focus = 0
@@ -650,8 +618,8 @@ func (w *Window) BeginQuery() {
 	w.Render()
 }
 
-// ExecuteQuery leaves query mode and runs the patterns typed into the buffer.
-func (w *Window) ExecuteQuery() error {
+// executeQuery leaves query mode and runs the patterns typed into the buffer.
+func (w *Window) executeQuery() error {
 	if w.mode != ModeQuery {
 		return fmt.Errorf("core: the window is not in query mode")
 	}
@@ -671,8 +639,8 @@ func (w *Window) ExecuteQuery() error {
 	return nil
 }
 
-// Cancel leaves edit, insert or query mode, discarding the buffer.
-func (w *Window) Cancel() {
+// cancel leaves edit, insert or query mode, discarding the buffer.
+func (w *Window) cancel() {
 	w.mode = ModeBrowse
 	w.buffer = map[string]string{}
 	w.dirty = false
@@ -683,7 +651,7 @@ func (w *Window) Cancel() {
 // firstEditableField returns the first field that accepts input.
 func (w *Window) firstEditableField() int {
 	for i, field := range w.form.Fields {
-		if !field.Def.ReadOnly && !field.Computed() {
+		if !field.Def.ReadOnly && !field.computed() {
 			return i
 		}
 	}
@@ -710,23 +678,23 @@ func (w *Window) candidateRow() (types.Tuple, error) {
 		row = current.Clone()
 	}
 	for _, field := range w.form.Fields {
-		if field.Computed() {
+		if field.computed() {
 			continue
 		}
-		text, edited := w.buffer[field.Name()]
+		text, edited := w.buffer[field.name()]
 		if !edited {
 			continue
 		}
 		v, err := types.ParseAs(text, field.Kind)
 		if err != nil {
-			return nil, fmt.Errorf("core: field %q: %v", field.Name(), err)
+			return nil, fmt.Errorf("core: field %q: %v", field.name(), err)
 		}
 		row[field.Column] = v
 	}
 	// Defaults for inserts where nothing was typed.
 	if w.mode == ModeInsert {
 		for _, field := range w.form.Fields {
-			if field.Computed() || field.Default == nil || field.Column < 0 {
+			if field.computed() || field.Default == nil || field.Column < 0 {
 				continue
 			}
 			if !row[field.Column].IsNull() {
@@ -734,7 +702,7 @@ func (w *Window) candidateRow() (types.Tuple, error) {
 			}
 			v, err := field.Default.Eval(row)
 			if err != nil {
-				return nil, fmt.Errorf("core: default for %q: %v", field.Name(), err)
+				return nil, fmt.Errorf("core: default for %q: %v", field.name(), err)
 			}
 			row[field.Column] = v
 		}
@@ -746,24 +714,24 @@ func (w *Window) candidateRow() (types.Tuple, error) {
 // before-triggers for the given event against the candidate row.
 func (w *Window) validate(row types.Tuple, event string) error {
 	for _, field := range w.form.Fields {
-		if field.Computed() {
+		if field.computed() {
 			continue
 		}
 		value := row[field.Column]
 		if field.Def.Required && value.IsNull() {
-			return fmt.Errorf("core: field %q is required", field.Name())
+			return fmt.Errorf("core: field %q is required", field.name())
 		}
 		if field.Validate != nil {
 			// SQL CHECK semantics: a rule that evaluates to NULL (because an
 			// operand is NULL) does not reject the row; only FALSE does.
 			result, err := field.Validate.Eval(row)
 			if err != nil {
-				return fmt.Errorf("core: validating %q: %v", field.Name(), err)
+				return fmt.Errorf("core: validating %q: %v", field.name(), err)
 			}
 			if !result.IsNull() && !(result.Kind() == types.KindBool && result.Bool()) {
 				msg := field.Def.Message
 				if msg == "" {
-					msg = fmt.Sprintf("value %q is not allowed for %s", value.String(), field.Name())
+					msg = fmt.Sprintf("value %q is not allowed for %s", value.String(), field.name())
 				}
 				return fmt.Errorf("core: %s", msg)
 			}
@@ -830,7 +798,7 @@ func (w *Window) Save() error {
 		return err
 	}
 	if statement == "" {
-		w.Cancel()
+		w.cancel()
 		w.setStatus("no changes to save")
 		return nil
 	}
@@ -878,7 +846,7 @@ func (w *Window) insertStatement(row types.Tuple) (string, map[string]types.Valu
 	var cols, vals []string
 	binds := map[string]types.Value{}
 	for _, field := range w.form.Fields {
-		if field.Computed() {
+		if field.computed() {
 			continue
 		}
 		v := row[field.Column]
@@ -911,7 +879,7 @@ func (w *Window) updateStatement(row types.Tuple) (string, map[string]types.Valu
 	var sets []string
 	binds := map[string]types.Value{}
 	for _, field := range w.form.Fields {
-		if field.Computed() || field.Def.ReadOnly {
+		if field.computed() || field.Def.ReadOnly {
 			continue
 		}
 		if row[field.Column].Equal(current[field.Column]) {
@@ -952,8 +920,8 @@ func (w *Window) keyPredicate(row types.Tuple, binds map[string]types.Value) (st
 	return strings.Join(parts, " AND "), nil
 }
 
-// DeleteCurrent deletes the row under the cursor through the bound relation.
-func (w *Window) DeleteCurrent() error {
+// deleteCurrent deletes the row under the cursor through the bound relation.
+func (w *Window) deleteCurrent() error {
 	if w.form.ReadOnly {
 		return fmt.Errorf("core: form %q is read-only", w.form.Def.Name)
 	}
@@ -992,8 +960,8 @@ func (w *Window) notifyWrite() {
 	if w.wm == nil || w.form.BaseTable == nil {
 		return
 	}
-	w.wm.PropagateChange(w.form.BaseTable.Name(), w)
+	w.wm.propagateChange(w.form.BaseTable.Name(), w)
 }
 
-// Computed reports whether the field is display-only.
-func (f *Field) Computed() bool { return f.Def.Computed }
+// computed reports whether the field is display-only.
+func (f *Field) computed() bool { return f.Def.Computed }

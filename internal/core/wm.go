@@ -38,18 +38,8 @@ func NewManager(db *engine.Database, width, height int) *Manager {
 	return &Manager{db: db, screen: tui.NewScreen(width, height)}
 }
 
-// Database returns the database the manager's windows operate on.
-func (m *Manager) Database() *engine.Database { return m.db }
-
 // Screen returns the composite screen.
 func (m *Manager) Screen() *tui.Screen { return m.screen }
-
-// Windows returns the open windows in z-order (oldest first).
-func (m *Manager) Windows() []*Window {
-	out := make([]*Window, len(m.windows))
-	copy(out, m.windows)
-	return out
-}
 
 // PropagationCount reports how many write notifications the manager has
 // processed.
@@ -78,7 +68,7 @@ func (m *Manager) OpenOn(form *Form, src Source, originRow, originCol int) (*Win
 	}
 	m.windows = append(m.windows, w)
 	m.focus = len(m.windows) - 1
-	m.Composite()
+	m.composite()
 	return w, nil
 }
 
@@ -95,34 +85,34 @@ func (m *Manager) Close(w *Window) {
 	if m.focus >= len(m.windows) {
 		m.focus = len(m.windows) - 1
 	}
-	m.Composite()
+	m.composite()
 }
 
-// Focused returns the window that receives keystrokes, or nil when none are
+// focused returns the window that receives keystrokes, or nil when none are
 // open.
-func (m *Manager) Focused() *Window {
+func (m *Manager) focused() *Window {
 	if m.focus < 0 || m.focus >= len(m.windows) {
 		return nil
 	}
 	return m.windows[m.focus]
 }
 
-// FocusNext cycles focus to the next window.
-func (m *Manager) FocusNext() {
+// focusNext cycles focus to the next window.
+func (m *Manager) focusNext() {
 	if len(m.windows) == 0 {
 		return
 	}
 	m.focus = (m.focus + 1) % len(m.windows)
-	m.Composite()
+	m.composite()
 }
 
-// FocusPrev cycles focus to the previous window.
-func (m *Manager) FocusPrev() {
+// focusPrev cycles focus to the previous window.
+func (m *Manager) focusPrev() {
 	if len(m.windows) == 0 {
 		return
 	}
 	m.focus = (m.focus - 1 + len(m.windows)) % len(m.windows)
-	m.Composite()
+	m.composite()
 }
 
 // Focus makes the given window current.
@@ -130,34 +120,34 @@ func (m *Manager) Focus(w *Window) {
 	for i, other := range m.windows {
 		if other == w {
 			m.focus = i
-			m.Composite()
+			m.composite()
 			return
 		}
 	}
 }
 
-// HandleKey routes one keystroke: F8/F9 switch windows, F10 closes the
+// handleKey routes one keystroke: F8/F9 switch windows, F10 closes the
 // focused window, everything else goes to the focused window.
-func (m *Manager) HandleKey(ev tui.Event) error {
+func (m *Manager) handleKey(ev tui.Event) error {
 	switch ev.Key {
 	case tui.KeyF8:
-		m.FocusNext()
+		m.focusNext()
 		return nil
 	case tui.KeyF9:
-		m.FocusPrev()
+		m.focusPrev()
 		return nil
 	case tui.KeyF10:
-		if focused := m.Focused(); focused != nil {
+		if focused := m.focused(); focused != nil {
 			m.Close(focused)
 		}
 		return nil
 	}
-	focused := m.Focused()
+	focused := m.focused()
 	if focused == nil {
 		return fmt.Errorf("core: no window is open")
 	}
 	err := focused.HandleKey(ev)
-	m.Composite()
+	m.composite()
 	return err
 }
 
@@ -168,17 +158,17 @@ func (m *Manager) HandleScript(script string) error {
 		return err
 	}
 	for _, ev := range events {
-		if err := m.HandleKey(ev); err != nil {
+		if err := m.handleKey(ev); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// PropagateChange refreshes every open window (other than the writer) whose
+// propagateChange refreshes every open window (other than the writer) whose
 // world includes the changed base table, including detail windows embedded in
 // masters. This is what keeps several windows over the same data consistent.
-func (m *Manager) PropagateChange(table string, writer *Window) {
+func (m *Manager) propagateChange(table string, writer *Window) {
 	m.propagations++
 	for _, w := range m.windows {
 		if w == writer || w.closed {
@@ -188,15 +178,15 @@ func (m *Manager) PropagateChange(table string, writer *Window) {
 			m.windowsRefreshed++
 		}
 	}
-	m.Composite()
+	m.composite()
 }
 
 // refreshIfDependent refreshes w (and its details) when it depends on the
 // table; it reports whether a refresh happened.
 func (m *Manager) refreshIfDependent(w *Window, table string) bool {
-	dependent := w.form.DependsOn(table)
+	dependent := w.form.dependsOn(table)
 	for _, link := range w.form.Details {
-		if link.Child.DependsOn(table) {
+		if link.Child.dependsOn(table) {
 			dependent = true
 		}
 	}
@@ -209,10 +199,10 @@ func (m *Manager) refreshIfDependent(w *Window, table string) bool {
 	return true
 }
 
-// Composite redraws every window onto the manager's screen in z-order, the
+// composite redraws every window onto the manager's screen in z-order, the
 // focused window last (on top), each at its origin, and a workspace status
 // line at the very bottom.
-func (m *Manager) Composite() {
+func (m *Manager) composite() {
 	m.screen.Clear()
 	order := make([]*Window, 0, len(m.windows))
 	for i, w := range m.windows {
@@ -220,7 +210,7 @@ func (m *Manager) Composite() {
 			order = append(order, w)
 		}
 	}
-	if f := m.Focused(); f != nil {
+	if f := m.focused(); f != nil {
 		order = append(order, f)
 	}
 	for _, w := range order {
@@ -236,7 +226,6 @@ func (m *Manager) Composite() {
 	}
 	status := fmt.Sprintf(" windows: %s   F8 next window  F10 close", strings.Join(names, " "))
 	m.screen.DrawText(m.screen.Height()-1, 0, status, tui.StyleDim)
-	m.screen.Flush()
 }
 
 // blit copies a window's screen onto the composite surface at its origin.

@@ -42,7 +42,7 @@ func (db *Database) ApplyReplicated(recs []txn.Record) error {
 		switch rec.Kind {
 		case txn.RecordDDL:
 			if sess == nil {
-				sess = db.RecoverySession()
+				sess = db.recoverySession()
 				defer sess.Close()
 			}
 			if _, err := sess.Execute(rec.DDL); err != nil {

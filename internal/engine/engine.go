@@ -284,9 +284,6 @@ func (db *Database) Catalog() *catalog.Catalog { return db.cat }
 // Transactions exposes the transaction manager.
 func (db *Database) Transactions() *txn.Manager { return db.txns }
 
-// Pool exposes the buffer pool, mainly for its statistics.
-func (db *Database) Pool() *storage.BufferPool { return db.pool }
-
 // Session creates a new session. Sessions are cheap; each interactive window,
 // worker goroutine or server connection should own one. A Session must not be
 // used from more than one goroutine at a time, but any number of sessions may
@@ -297,12 +294,12 @@ func (db *Database) Session() *Session {
 	return &Session{db: db}
 }
 
-// RecoverySession creates a session in the mode crash-recovery replay runs
+// recoverySession creates a session in the mode crash-recovery replay runs
 // in: DDL executes against the catalog without being re-logged, since the
 // statements it applies already live in some log. Replication appliers use
 // it to execute a primary's DDL records on a replica without growing a
 // second history.
-func (db *Database) RecoverySession() *Session {
+func (db *Database) recoverySession() *Session {
 	s := db.Session()
 	s.recovering = true
 	return s
@@ -311,23 +308,6 @@ func (db *Database) RecoverySession() *Session {
 // PlanCacheLen returns how many statement skeletons the engine's shared plan
 // cache currently holds.
 func (db *Database) PlanCacheLen() int { return db.plans.len() }
-
-// Vacuum sweeps every table's whole unsettled list, reclaiming the dead row
-// versions no live snapshot can see and dropping the entries that have
-// settled. A commit already sweeps the tables it wrote from the head of their
-// lists; this also reaches entries behind one that is still pinned, for
-// tests, tools and quiesced databases. It returns the number of versions
-// reclaimed.
-func (db *Database) Vacuum() int {
-	total := 0
-	for _, table := range db.tables() {
-		// A failed sweep leaves what it did not reach listed; the next one
-		// retries it.
-		n, _ := db.txns.Sweep(table, true)
-		total += n
-	}
-	return total
-}
 
 // tables returns every table of the catalog.
 func (db *Database) tables() []*catalog.Table {

@@ -1,13 +1,14 @@
 package engine
 
 import (
+	"errors"
 	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
-	"repro/internal/plan"
+	"repro/internal/catalog"
 	"repro/internal/types"
 )
 
@@ -93,6 +94,22 @@ func TestInsertErrors(t *testing.T) {
 	res, _ := s.Query("SELECT COUNT(*) FROM customers")
 	if res.Rows[0][0].Int() != 4 {
 		t.Errorf("row count after failed inserts = %v", res.Rows[0][0])
+	}
+}
+
+func TestUniqueKeysRejectDuplicates(t *testing.T) {
+	s := OpenMemory().Session()
+	if _, err := s.ExecuteScript(`CREATE TABLE users (id INT PRIMARY KEY, email TEXT UNIQUE);
+		INSERT INTO users VALUES (1, 'a@x.com');`); err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []string{
+		"INSERT INTO users VALUES (2, 'a@x.com')", // duplicate UNIQUE column
+		"INSERT INTO users VALUES (1, 'b@x.com')", // duplicate primary key
+	} {
+		if _, err := s.Execute(q); !errors.Is(err, catalog.ErrUniqueViolation) {
+			t.Errorf("Execute(%q) = %v, want a unique violation", q, err)
+		}
 	}
 }
 
@@ -216,7 +233,7 @@ func TestExplicitTransactionCommitAndRollback(t *testing.T) {
 	if _, err := s.Execute("BEGIN"); err != nil {
 		t.Fatal(err)
 	}
-	if !s.InTransaction() {
+	if !(s.current != nil) {
 		t.Error("InTransaction should be true after BEGIN")
 	}
 	if _, err := s.Execute("INSERT INTO customers (id, name) VALUES (30, 'Tmp')"); err != nil {
@@ -343,13 +360,28 @@ func TestCreateViewValidatesDefinition(t *testing.T) {
 
 func TestPlanHelper(t *testing.T) {
 	s := seededSession(t)
-	node, err := s.Plan("SELECT * FROM customers WHERE id = 1")
+	stmt, err := s.Prepare("SELECT * FROM customers WHERE id = 1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if node == nil || node.Schema().Len() != 4 {
-		t.Errorf("plan schema = %v", node.Schema())
+	defer stmt.Close()
+	if node := stmt.entry.node; node == nil || node.Schema().Len() != 4 {
+		t.Errorf("plan = %v", node)
 	}
+	if exp := stmt.ExplainPlan(); !strings.Contains(exp, "index lookup") {
+		t.Errorf("a primary-key equality should plan as an index lookup:\n%s", exp)
+	}
+}
+
+// explain prepares text and returns its plan's EXPLAIN rendering.
+func explain(t *testing.T, s *Session, text string) string {
+	t.Helper()
+	stmt, err := s.Prepare(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stmt.Close()
+	return stmt.ExplainPlan()
 }
 
 func TestPersistenceAcrossReopenViaWAL(t *testing.T) {
@@ -488,11 +520,7 @@ func TestOrderByIndexElision(t *testing.T) {
 		t.Errorf("keyset DESC = %v", got)
 	}
 	// The plans really are sort-free: the scan serves the order.
-	node, err := s.Plan("SELECT v FROM elide ORDER BY v DESC")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if exp := plan.Explain(node); !strings.Contains(exp, "reverse") || strings.Contains(exp, "Sort") {
+	if exp := explain(t, s, "SELECT v FROM elide ORDER BY v DESC"); !strings.Contains(exp, "reverse") || strings.Contains(exp, "Sort") {
 		t.Errorf("expected a sort-free reverse index scan:\n%s", exp)
 	}
 }

@@ -115,12 +115,12 @@ func (c *planCache) len() int {
 	return len(c.entries)
 }
 
-// NormalizeSQL canonicalizes statement text for plan-cache keying: runs of
+// normalizeSQL canonicalizes statement text for plan-cache keying: runs of
 // whitespace collapse to a single space (except inside string literals and
 // quoted identifiers), and leading/trailing space and trailing semicolons are
 // trimmed. Two spellings of the same statement that differ only in layout
 // share one cache entry.
-func NormalizeSQL(text string) string {
+func normalizeSQL(text string) string {
 	var b strings.Builder
 	b.Grow(len(text))
 	inString, inQuoted := false, false

@@ -112,7 +112,7 @@ func (st *Stmt) buildOps(entry *cachedStatement) error {
 // same skeleton to concurrent sessions is safe; each Stmt compiles its own
 // operators over its own bind frame.
 func (s *Session) statementSkeleton(text string) (*cachedStatement, error) {
-	key := NormalizeSQL(text)
+	key := normalizeSQL(text)
 	if entry := s.db.plans.get(key); entry != nil && entry.catVersion == s.db.cat.Version() {
 		s.db.prep.planHits.Add(1)
 		return entry, nil
@@ -370,9 +370,6 @@ func inferVisitor(kindOf func(*sql.ColumnRef) types.Kind, set func(*sql.Param, t
 }
 
 // --- binding -----------------------------------------------------------------
-
-// NumParams returns how many parameters the statement takes.
-func (st *Stmt) NumParams() int { return len(st.frame.Values) }
 
 // ParamNames returns the parameter names by ordinal ("" for positional "?").
 func (st *Stmt) ParamNames() []string {

@@ -40,8 +40,8 @@ func TestPreparePositionalParams(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer stmt.Close()
-	if stmt.NumParams() != 2 {
-		t.Fatalf("NumParams = %d, want 2", stmt.NumParams())
+	if len(stmt.frame.Values) != 2 {
+		t.Fatalf("NumParams = %d, want 2", len(stmt.frame.Values))
 	}
 	rows, err := stmt.Query(types.NewString("Boston"), types.NewFloat(500))
 	if err != nil {
@@ -71,8 +71,8 @@ func TestPrepareNamedParams(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer stmt.Close()
-	if stmt.NumParams() != 1 {
-		t.Fatalf("NumParams = %d, want 1 (repeated @floor shares an ordinal)", stmt.NumParams())
+	if len(stmt.frame.Values) != 1 {
+		t.Fatalf("NumParams = %d, want 1 (repeated @floor shares an ordinal)", len(stmt.frame.Values))
 	}
 	if err := stmt.BindNamed("floor", types.NewFloat(700)); err != nil {
 		t.Fatal(err)
@@ -208,7 +208,7 @@ func TestPlanCacheEviction(t *testing.T) {
 	if got := db.Stats().PlanCacheEvictions; got <= evictionsBefore {
 		t.Fatalf("evictions = %d, want > %d with cache size 2", got, evictionsBefore)
 	}
-	if got := s.PlanCacheLen(); got != 2 {
+	if got := s.db.plans.len(); got != 2 {
 		t.Fatalf("cache len = %d, want 2", got)
 	}
 }

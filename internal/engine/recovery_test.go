@@ -481,7 +481,7 @@ func TestRestartFootprintIsFlat(t *testing.T) {
 		if _, err := db.Checkpoint(); err != nil {
 			t.Fatal(err)
 		}
-		if st := db.Pool().Stats(); st.Evictions == 0 {
+		if st := db.pool.Stats(); st.Evictions == 0 {
 			t.Fatalf("round %d: no page spilled (%+v); the pool is too large for the test", round, st)
 		}
 		if err := db.Close(); err != nil {
@@ -534,20 +534,20 @@ func TestCheckpointAndCloseWriteNoPages(t *testing.T) {
 	}
 	// Every page the inserts allocated is a dirty frame, and none has left
 	// the pool.
-	before := db.Pool().Stats()
+	before := db.pool.Stats()
 	if before.Evictions != 0 || before.Writes != 0 {
 		t.Fatalf("pages left the pool before the checkpoint: %+v", before)
 	}
 	if _, err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if got := db.Pool().Stats().Writes; got != before.Writes {
+	if got := db.pool.Stats().Writes; got != before.Writes {
 		t.Errorf("Checkpoint wrote %d pages, want none", got-before.Writes)
 	}
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if got := db.Pool().Stats().Writes; got != before.Writes {
+	if got := db.pool.Stats().Writes; got != before.Writes {
 		t.Errorf("Checkpoint and Close wrote %d pages, want none", got-before.Writes)
 	}
 }

@@ -48,11 +48,6 @@ type Session struct {
 	recovering bool
 }
 
-// PlanCacheLen returns how many statement skeletons the engine's shared plan
-// cache holds. (Kept on Session for compatibility — since the cache was
-// hoisted engine-wide it is the same number every session reports.)
-func (s *Session) PlanCacheLen() int { return s.db.plans.len() }
-
 // Close releases everything the session holds: open cursors (and with them
 // the snapshots pinning old row versions against reclaim) are closed, and
 // an open explicit transaction is rolled back. The server calls this when a
@@ -80,9 +75,6 @@ func (s *Session) Close() error {
 	}
 	return err
 }
-
-// InTransaction reports whether an explicit transaction is open.
-func (s *Session) InTransaction() bool { return s.current != nil }
 
 // Database returns the database this session belongs to.
 func (s *Session) Database() *Database { return s.db }
@@ -350,19 +342,6 @@ func (s *Session) executeSelect(stmt *sql.SelectStmt) (*Result, error) {
 		out.Columns = append(out.Columns, col.Name)
 	}
 	return out, nil
-}
-
-// Plan builds (but does not run) the plan for a statement — SELECT or DML —
-// for EXPLAIN-style tooling and plan-shape tests.
-func (s *Session) Plan(text string) (plan.Node, error) {
-	stmt, err := sql.Parse(text)
-	if err != nil {
-		return nil, err
-	}
-	if explain, ok := stmt.(*sql.ExplainStmt); ok {
-		stmt = explain.Stmt
-	}
-	return plan.NewBuilder(s.db.cat).BuildStatement(stmt)
 }
 
 // --- DML ---------------------------------------------------------------------

@@ -1,6 +1,7 @@
 // Package exec runs plan trees. Each plan node maps to a pull-style operator
-// (Open / Next / Close); Build compiles the expressions once and wires the
-// operators together, and Run drains the tree into a result set.
+// (Open / Next / Close); BuildWithRuntime compiles the expressions once and
+// wires the operators together, and RunWithRuntime drains the tree into a
+// result set.
 package exec
 
 import (
@@ -49,20 +50,6 @@ type Operator interface {
 	Close() error
 }
 
-// Build compiles a plan tree into an operator tree with no bind parameters.
-func Build(node plan.Node) (Operator, error) {
-	return BuildWithRuntime(node, nil, NewRuntime())
-}
-
-// BuildWithParams compiles a plan tree into an operator tree whose parameter
-// placeholders read from the given bind frame, with a fresh (snapshot-free)
-// runtime. The operator tree is reusable: rebind the frame and Open it again
-// to re-run the query without re-parsing, re-planning or re-compiling any
-// expression.
-func BuildWithParams(node plan.Node, params *expr.Params) (Operator, error) {
-	return BuildWithRuntime(node, params, NewRuntime())
-}
-
 // BuildWithRuntime compiles a plan tree into an operator tree whose scans
 // read through rt's snapshot. The caller keeps rt and re-points it at a new
 // snapshot per execution.
@@ -107,12 +94,6 @@ func BuildWithRuntime(node plan.Node, params *expr.Params, rt *Runtime) (Operato
 type Result struct {
 	Schema *types.Schema
 	Rows   []types.Tuple
-}
-
-// Run builds, opens, drains and closes the plan in one call, reading the
-// latest live versions (no snapshot).
-func Run(node plan.Node) (*Result, error) {
-	return RunWithRuntime(node, NewRuntime())
 }
 
 // RunWithRuntime builds, opens, drains and closes the plan in one call,

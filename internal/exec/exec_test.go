@@ -57,9 +57,9 @@ func setup(t testing.TB) *catalog.Catalog {
 		{6, "Fay", "Boston", 700},
 	}
 	for _, r := range custRows {
-		if _, err := customers.Insert(catalog.Tuple{
+		if _, err := customers.InsertVersion(catalog.Tuple{
 			types.NewInt(r.id), types.NewString(r.name), types.NewString(r.city), types.NewFloat(r.credit),
-		}); err != nil {
+		}, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -72,9 +72,9 @@ func setup(t testing.TB) *catalog.Catalog {
 		{106, 5, 500}, {107, 9, 10}, // order 107 references a missing customer
 	}
 	for _, r := range orderRows {
-		if _, err := orders.Insert(catalog.Tuple{
+		if _, err := orders.InsertVersion(catalog.Tuple{
 			types.NewInt(r.id), types.NewInt(r.cust), types.NewFloat(r.total),
-		}); err != nil {
+		}, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -91,7 +91,7 @@ func query(t testing.TB, cat *catalog.Catalog, q string) *Result {
 	if err != nil {
 		t.Fatalf("plan %q: %v", q, err)
 	}
-	res, err := Run(node)
+	res, err := RunWithRuntime(node, NewRuntime())
 	if err != nil {
 		t.Fatalf("run %q: %v", q, err)
 	}
@@ -271,7 +271,7 @@ func TestGlobalAggregateOnEmptyInput(t *testing.T) {
 func TestCountDistinctionBetweenStarAndColumn(t *testing.T) {
 	cat := setup(t)
 	customers, _ := cat.GetTable("customers")
-	if _, err := customers.Insert(catalog.Tuple{types.NewInt(7), types.NewString("Gus"), types.Null(), types.Null()}); err != nil {
+	if _, err := customers.InsertVersion(catalog.Tuple{types.NewInt(7), types.NewString("Gus"), types.Null(), types.Null()}, 0); err != nil {
 		t.Fatal(err)
 	}
 	res := query(t, cat, "SELECT COUNT(*), COUNT(city) FROM customers")
@@ -315,12 +315,18 @@ func TestDeletedRowSkippedInIndexScan(t *testing.T) {
 	// Find and delete Bob through the table API after planning would already
 	// have chosen an index path; the executor must tolerate missing rids.
 	var bobRID storage.RecordID
-	_ = customers.Scan(func(rid storage.RecordID, tuple catalog.Tuple) error {
+	for it := customers.VersionIterator(); ; {
+		rid, _, tuple, ok, err := it.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			break
+		}
 		if tuple[1].Str() == "Bob" {
 			bobRID = rid
 		}
-		return nil
-	})
+	}
 	if err := customers.Delete(bobRID); err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +339,7 @@ func TestDeletedRowSkippedInIndexScan(t *testing.T) {
 func TestIsNullAndInPredicates(t *testing.T) {
 	cat := setup(t)
 	customers, _ := cat.GetTable("customers")
-	if _, err := customers.Insert(catalog.Tuple{types.NewInt(7), types.NewString("Gus"), types.Null(), types.Null()}); err != nil {
+	if _, err := customers.InsertVersion(catalog.Tuple{types.NewInt(7), types.NewString("Gus"), types.Null(), types.Null()}, 0); err != nil {
 		t.Fatal(err)
 	}
 	if got := query(t, cat, "SELECT name FROM customers WHERE city IS NULL"); len(got.Rows) != 1 || got.Rows[0][0].Str() != "Gus" {
@@ -354,7 +360,7 @@ func TestOperatorReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	op, err := Build(node)
+	op, err := BuildWithRuntime(node, nil, NewRuntime())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,7 +395,7 @@ func TestRunErrorsOnBadExpression(t *testing.T) {
 	if err != nil {
 		return // the planner may reject it, which is fine
 	}
-	if _, err := Run(node); err == nil {
+	if _, err := RunWithRuntime(node, NewRuntime()); err == nil {
 		t.Error("adding a string to a float should fail at runtime")
 	}
 }
@@ -403,7 +409,7 @@ func BenchmarkSeqScanFilter10k(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Run(node); err != nil {
+		if _, err := RunWithRuntime(node, NewRuntime()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -418,7 +424,7 @@ func BenchmarkIndexLookup10k(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Run(node); err != nil {
+		if _, err := RunWithRuntime(node, NewRuntime()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -433,7 +439,7 @@ func BenchmarkHashJoin(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Run(node); err != nil {
+		if _, err := RunWithRuntime(node, NewRuntime()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -453,10 +459,10 @@ func benchCatalog(b *testing.B, n int) *catalog.Catalog {
 		types.Column{Name: "total", Type: types.KindFloat},
 	))
 	for i := 0; i < n; i++ {
-		if _, err := customers.Insert(catalog.Tuple{types.NewInt(int64(i)), types.NewString(fmt.Sprintf("cust-%d", i)), types.NewFloat(float64(i))}); err != nil {
+		if _, err := customers.InsertVersion(catalog.Tuple{types.NewInt(int64(i)), types.NewString(fmt.Sprintf("cust-%d", i)), types.NewFloat(float64(i))}, 0); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := orders.Insert(catalog.Tuple{types.NewInt(int64(i)), types.NewInt(int64(i % (n / 2))), types.NewFloat(float64(i) / 3)}); err != nil {
+		if _, err := orders.InsertVersion(catalog.Tuple{types.NewInt(int64(i)), types.NewInt(int64(i % (n / 2))), types.NewFloat(float64(i) / 3)}, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

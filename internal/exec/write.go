@@ -91,8 +91,8 @@ func compileReturning(r *plan.Returning, table *catalog.Table, params *expr.Para
 	return out, nil
 }
 
-// Schema reports the projected row shape (nil receiver → nil schema).
-func (r *returningEval) Schema() *types.Schema {
+// outSchema reports the projected row shape (nil receiver → nil schema).
+func (r *returningEval) outSchema() *types.Schema {
 	if r == nil {
 		return nil
 	}
@@ -183,7 +183,7 @@ func newInsertOperator(n *plan.InsertNode, params *expr.Params) (*insertOperator
 }
 
 func (o *insertOperator) Table() *catalog.Table    { return o.node.Table }
-func (o *insertOperator) Returning() *types.Schema { return o.ret.Schema() }
+func (o *insertOperator) Returning() *types.Schema { return o.ret.outSchema() }
 
 // sourceRows materializes every value row for this Run: VALUES expressions
 // evaluated, or the child SELECT drained through t's snapshot. The SELECT is
@@ -345,7 +345,7 @@ func newUpdateOperator(n *plan.UpdateNode, params *expr.Params) (*updateOperator
 }
 
 func (o *updateOperator) Table() *catalog.Table    { return o.node.Table }
-func (o *updateOperator) Returning() *types.Schema { return o.ret.Schema() }
+func (o *updateOperator) Returning() *types.Schema { return o.ret.outSchema() }
 
 func (o *updateOperator) Run(t *txn.Txn) (affected int, returned []types.Tuple, err error) {
 	targets, err := collectTargets(t, o.scan, true)
@@ -400,7 +400,7 @@ func newDeleteOperator(n *plan.DeleteNode, params *expr.Params) (*deleteOperator
 }
 
 func (o *deleteOperator) Table() *catalog.Table    { return o.node.Table }
-func (o *deleteOperator) Returning() *types.Schema { return o.ret.Schema() }
+func (o *deleteOperator) Returning() *types.Schema { return o.ret.outSchema() }
 
 func (o *deleteOperator) Run(t *txn.Txn) (affected int, returned []types.Tuple, err error) {
 	// RETURNING projects each deleted row's last visible version, so the

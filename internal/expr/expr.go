@@ -33,15 +33,11 @@ func (p *Params) Value(idx int) (types.Value, error) {
 // Compiled is an expression bound to a schema, ready to evaluate against
 // tuples of that schema.
 type Compiled struct {
-	source sql.Expr
-	eval   evalFunc
-	kind   types.Kind
+	eval evalFunc
+	kind types.Kind
 }
 
 type evalFunc func(t types.Tuple) (types.Value, error)
-
-// Source returns the expression the Compiled was built from.
-func (c *Compiled) Source() sql.Expr { return c.source }
 
 // Kind returns the expression's statically inferred result kind. Expressions
 // whose kind depends on the data (for example NULL literals) report KindNull.
@@ -57,12 +53,12 @@ func (c *Compiled) EvalBool(t types.Tuple) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	return Truthy(v), nil
+	return truthy(v), nil
 }
 
-// Truthy reports whether a value passes a WHERE-style filter: only a true
+// truthy reports whether a value passes a WHERE-style filter: only a true
 // boolean does; NULL, false, and every non-boolean reject.
-func Truthy(v types.Value) bool {
+func truthy(v types.Value) bool {
 	return v.Kind() == types.KindBool && v.Bool()
 }
 
@@ -82,18 +78,18 @@ func CompileWithParams(e sql.Expr, schema *types.Schema, params *Params) (*Compi
 	if err != nil {
 		return nil, err
 	}
-	return &Compiled{source: e, eval: fn, kind: kind}, nil
+	return &Compiled{eval: fn, kind: kind}, nil
 }
 
 // CompileConst compiles an expression that must not reference any columns
 // (DEFAULT clauses, literal form field defaults) and evaluates it once.
 func CompileConst(e sql.Expr) (types.Value, error) {
-	return CompileConstParams(e, nil)
+	return compileConstParams(e, nil)
 }
 
-// CompileConstParams is CompileConst with a bind frame, for prepared INSERT
+// compileConstParams is CompileConst with a bind frame, for prepared INSERT
 // value lists and similar row-free contexts.
-func CompileConstParams(e sql.Expr, params *Params) (types.Value, error) {
+func compileConstParams(e sql.Expr, params *Params) (types.Value, error) {
 	if cols := sql.ColumnsIn(e); len(cols) > 0 {
 		return types.Null(), fmt.Errorf("expr: %s references column %s but no row is available", e.String(), cols[0].String())
 	}
@@ -399,7 +395,7 @@ func compileBinary(e *sql.BinaryExpr, schema *types.Schema, params *Params) (eva
 			if err != nil {
 				return types.Null(), err
 			}
-			return types.NewBool(MatchLike(ls.Str(), rs.Str())), nil
+			return types.NewBool(matchLike(ls.Str(), rs.Str())), nil
 		}, types.KindBool, nil
 
 	case sql.OpAdd, sql.OpSub, sql.OpMul, sql.OpDiv, sql.OpMod:
@@ -422,7 +418,7 @@ func compileBinary(e *sql.BinaryExpr, schema *types.Schema, params *Params) (eva
 			if l.IsNull() || r.IsNull() {
 				return types.Null(), nil
 			}
-			return Arithmetic(op, l, r)
+			return arithmetic(op, l, r)
 		}, resultKind, nil
 	}
 	return nil, types.KindNull, fmt.Errorf("expr: unsupported binary operator %s", op)
@@ -459,9 +455,9 @@ func harmonize(l, r types.Value) (types.Value, types.Value) {
 	return l, r
 }
 
-// Arithmetic applies a numeric (or string concatenation) operator to two
+// arithmetic applies a numeric (or string concatenation) operator to two
 // non-NULL values.
-func Arithmetic(op sql.BinaryOp, l, r types.Value) (types.Value, error) {
+func arithmetic(op sql.BinaryOp, l, r types.Value) (types.Value, error) {
 	if op == sql.OpAdd && (l.Kind() == types.KindString || r.Kind() == types.KindString) {
 		ls, _ := l.Cast(types.KindString)
 		rs, _ := r.Cast(types.KindString)
@@ -510,9 +506,9 @@ func isNumeric(v types.Value) bool {
 	return v.Kind() == types.KindInt || v.Kind() == types.KindFloat
 }
 
-// MatchLike implements SQL LIKE: '%' matches any run of characters (including
+// matchLike implements SQL LIKE: '%' matches any run of characters (including
 // none) and '_' matches exactly one character. Matching is case-sensitive.
-func MatchLike(s, pattern string) bool {
+func matchLike(s, pattern string) bool {
 	return likeMatch(s, pattern)
 }
 
@@ -669,16 +665,6 @@ var scalarFuncs = map[string]struct {
 		}
 		return types.Null(), nil
 	}},
-}
-
-// ScalarFunctions returns the names of the supported scalar functions,
-// for the SQL shell's help output.
-func ScalarFunctions() []string {
-	names := make([]string, 0, len(scalarFuncs))
-	for n := range scalarFuncs {
-		names = append(names, n)
-	}
-	return names
 }
 
 func compileScalarFunc(e *sql.FuncCall, schema *types.Schema, params *Params) (evalFunc, types.Kind, error) {

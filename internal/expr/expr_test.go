@@ -169,11 +169,11 @@ func TestEvalBoolAndTruthy(t *testing.T) {
 	if err != nil || ok {
 		t.Errorf("EvalBool over NULL = %v, %v (NULL must reject)", ok, err)
 	}
-	if Truthy(types.NewInt(1)) {
+	if truthy(types.NewInt(1)) {
 		t.Error("non-boolean values are not truthy")
 	}
-	if !Truthy(types.NewBool(true)) || Truthy(types.NewBool(false)) {
-		t.Error("Truthy wrong for booleans")
+	if !truthy(types.NewBool(true)) || truthy(types.NewBool(false)) {
+		t.Error("truthy wrong for booleans")
 	}
 }
 
@@ -243,9 +243,6 @@ func TestCompiledMetadata(t *testing.T) {
 	if c.Kind() != types.KindFloat {
 		t.Errorf("Kind = %v", c.Kind())
 	}
-	if c.Source() != e {
-		t.Error("Source should return the original expression")
-	}
 	e2, _ := sql.ParseExpr("city = 'x'")
 	c2, _ := Compile(e2, custSchema())
 	if c2.Kind() != types.KindBool {
@@ -274,8 +271,8 @@ func TestMatchLike(t *testing.T) {
 		{"Boston, MA", "%, MA", true},
 	}
 	for _, c := range cases {
-		if got := MatchLike(c.s, c.p); got != c.want {
-			t.Errorf("MatchLike(%q, %q) = %v, want %v", c.s, c.p, got, c.want)
+		if got := matchLike(c.s, c.p); got != c.want {
+			t.Errorf("matchLike(%q, %q) = %v, want %v", c.s, c.p, got, c.want)
 		}
 	}
 }
@@ -285,10 +282,10 @@ func TestMatchLikePropertyPrefix(t *testing.T) {
 		if strings.ContainsAny(s, "%_") {
 			return true
 		}
-		if len(s) > 0 && !MatchLike(s, s[:1]+"%") {
+		if len(s) > 0 && !matchLike(s, s[:1]+"%") {
 			return false
 		}
-		return MatchLike(s, "%") && MatchLike(s, s)
+		return matchLike(s, "%") && matchLike(s, s)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -296,9 +293,12 @@ func TestMatchLikePropertyPrefix(t *testing.T) {
 }
 
 func TestScalarFunctionsRegistry(t *testing.T) {
-	names := ScalarFunctions()
-	if len(names) < 7 {
-		t.Errorf("ScalarFunctions = %v", names)
+	if len(scalarFuncs) < 7 {
+		t.Errorf("%d scalar functions registered, want at least 7", len(scalarFuncs))
+	}
+	e, _ := sql.ParseExpr("NOSUCH(1)")
+	if _, err := Compile(e, custSchema()); err == nil || !strings.Contains(err.Error(), "unknown function") {
+		t.Errorf("an unregistered function compiled: %v", err)
 	}
 }
 

@@ -260,18 +260,6 @@ func Parse(source string) ([]*FormDef, error) {
 	return forms, nil
 }
 
-// ParseOne parses source that must contain exactly one form.
-func ParseOne(source string) (*FormDef, error) {
-	forms, err := Parse(source)
-	if err != nil {
-		return nil, err
-	}
-	if len(forms) != 1 {
-		return nil, fmt.Errorf("fdl: expected exactly one form, found %d", len(forms))
-	}
-	return forms[0], nil
-}
-
 func parseFormHeader(words []string, lineNo int) (*FormDef, error) {
 	// form <name> on <relation>
 	if len(words) != 4 || strings.ToLower(words[2]) != "on" {

@@ -1,6 +1,7 @@
 package fdl
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -24,7 +25,7 @@ end
 `
 
 func TestParseCustomerForm(t *testing.T) {
-	form, err := ParseOne(customerForm)
+	form, err := parseOne(customerForm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,14 +163,30 @@ func TestParseErrorHasLineNumber(t *testing.T) {
 }
 
 func TestParseOneRejectsMultiple(t *testing.T) {
-	if _, err := ParseOne("form a on t\n field x\nend\nform b on t\n field y\nend\n"); err == nil {
-		t.Error("ParseOne should reject two forms")
+	if _, err := parseOne("form a on t\n field x\nend\nform b on t\n field y\nend\n"); err == nil {
+		t.Error("parseOne should reject two forms")
 	}
+	forms, err := Parse("form a on t\n field x\nend\nform b on t\n field y\nend\n")
+	if err != nil || len(forms) != 2 || forms[0].Name != "a" || forms[1].Name != "b" {
+		t.Errorf("Parse = %v, %v; want forms a and b in order", forms, err)
+	}
+}
+
+// parseOne parses source that must contain exactly one form.
+func parseOne(source string) (*FormDef, error) {
+	forms, err := Parse(source)
+	if err != nil {
+		return nil, err
+	}
+	if len(forms) != 1 {
+		return nil, fmt.Errorf("fdl: expected exactly one form, found %d", len(forms))
+	}
+	return forms[0], nil
 }
 
 func TestValidateExpressionWithKeywordLookingLabel(t *testing.T) {
 	// A quoted label containing a clause keyword must not end the clause.
-	form, err := ParseOne("form a on t\n field x label \"width of part\" width 9\nend\n")
+	form, err := parseOne("form a on t\n field x label \"width of part\" width 9\nend\n")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +196,7 @@ func TestValidateExpressionWithKeywordLookingLabel(t *testing.T) {
 }
 
 func TestCommentsAndBlankLines(t *testing.T) {
-	form, err := ParseOne("# header comment\n\nform a on t\n -- another comment\n field x\nend\n")
+	form, err := parseOne("# header comment\n\nform a on t\n -- another comment\n field x\nend\n")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -184,11 +184,11 @@ func (b *Builder) BuildStatement(stmt sql.Statement) (Node, error) {
 	case *sql.SelectStmt:
 		return b.Build(stmt)
 	case *sql.InsertStmt:
-		return b.BuildInsert(stmt)
+		return b.buildInsert(stmt)
 	case *sql.UpdateStmt:
-		return b.BuildUpdate(stmt)
+		return b.buildUpdate(stmt)
 	case *sql.DeleteStmt:
-		return b.BuildDelete(stmt)
+		return b.buildDelete(stmt)
 	default:
 		return nil, fmt.Errorf("plan: statement %T has no plan", stmt)
 	}
@@ -274,10 +274,10 @@ func (b *Builder) buildReturning(table *catalog.Table, updatable *view.Updatable
 	return ret, nil
 }
 
-// BuildInsert plans an INSERT statement. View targets are translated to their
+// buildInsert plans an INSERT statement. View targets are translated to their
 // base table and row widths and column names are validated, so execution only
 // evaluates expressions and inserts.
-func (b *Builder) BuildInsert(stmt *sql.InsertStmt) (Node, error) {
+func (b *Builder) buildInsert(stmt *sql.InsertStmt) (Node, error) {
 	table, updatable, err := b.resolveWriteTarget(stmt.Table)
 	if err != nil {
 		return nil, err
@@ -359,10 +359,10 @@ func (b *Builder) buildInsertSelect(stmt *sql.InsertStmt, node *InsertNode, tabl
 	return node, nil
 }
 
-// BuildUpdate plans an UPDATE statement: the (view-translated) predicate
+// buildUpdate plans an UPDATE statement: the (view-translated) predicate
 // becomes the filter of a child scan, which then gets the same access-path
 // selection as a SELECT over the table.
-func (b *Builder) BuildUpdate(stmt *sql.UpdateStmt) (Node, error) {
+func (b *Builder) buildUpdate(stmt *sql.UpdateStmt) (Node, error) {
 	table, updatable, err := b.resolveWriteTarget(stmt.Table)
 	if err != nil {
 		return nil, err
@@ -399,9 +399,9 @@ func (b *Builder) BuildUpdate(stmt *sql.UpdateStmt) (Node, error) {
 	return node, nil
 }
 
-// BuildDelete plans a DELETE statement the same way as an UPDATE, minus the
+// buildDelete plans a DELETE statement the same way as an UPDATE, minus the
 // set clauses.
-func (b *Builder) BuildDelete(stmt *sql.DeleteStmt) (Node, error) {
+func (b *Builder) buildDelete(stmt *sql.DeleteStmt) (Node, error) {
 	table, updatable, err := b.resolveWriteTarget(stmt.Table)
 	if err != nil {
 		return nil, err

@@ -89,11 +89,9 @@ type Conn struct {
 	// pool must not hand it out again.
 	broken bool
 	// version is what the handshake negotiated; banner is the server's
-	// self-identification from HelloOK; role says whether the server is a
-	// primary or a read-only replica.
+	// self-identification from HelloOK.
 	version wire.Version
 	banner  string
-	role    byte
 	// lsn is the highest durable LSN the server has piggybacked on a
 	// response: the freshness signal Pool.GetRead steers by.
 	lsn uint64
@@ -101,6 +99,10 @@ type Conn struct {
 	// expiry) mid-round-trip closes the socket to unblock the read, breaking
 	// the connection by design. Nil means no cancellation.
 	ctx context.Context
+	// inTxn reports that the server session has an explicit transaction
+	// open, as the tags of the Results read here say: BEGIN opens one, and
+	// COMMIT and ROLLBACK end it, even when they fail.
+	inTxn bool
 }
 
 // DialOptions tunes Dial.
@@ -156,7 +158,6 @@ func (c *Conn) handshake(addr string, offered wire.Version) error {
 		}
 		c.version = ok.Version
 		c.banner = ok.Banner
-		c.role = ok.Role
 		return nil
 	case wire.MsgErr:
 		msg := cur.String()
@@ -183,7 +184,7 @@ func (c *Conn) handshake(addr string, offered wire.Version) error {
 	}
 }
 
-// SetContext sets the context subsequent round trips run under. Cancellation
+// setContext sets the context subsequent round trips run under. Cancellation
 // or deadline expiry mid-round-trip closes the socket — the only way to
 // unblock a read the server may never answer — so a cancelled connection is
 // broken by design: it reports the context's error and will be discarded by
@@ -193,7 +194,7 @@ func (c *Conn) handshake(addr string, offered wire.Version) error {
 //
 // Like every other Conn method this is single-goroutine: set it between round
 // trips, not concurrently with one.
-func (c *Conn) SetContext(ctx context.Context) {
+func (c *Conn) setContext(ctx context.Context) {
 	if ctx != nil && ctx.Done() == nil {
 		ctx = nil
 	}
@@ -205,10 +206,6 @@ func (c *Conn) ProtocolVersion() wire.Version { return c.version }
 
 // ServerBanner returns the server's self-identification from HelloOK.
 func (c *Conn) ServerBanner() string { return c.banner }
-
-// IsReplica reports whether the server identified itself as a read-only
-// replica in the handshake.
-func (c *Conn) IsReplica() bool { return c.role == wire.RoleReplica }
 
 // LastLSN returns the highest durable LSN the server has reported on this
 // connection's responses. On a primary it is the WAL durable frontier; on a
@@ -224,10 +221,10 @@ func (c *Conn) noteLSNTail(cur *wire.Cursor) {
 	}
 }
 
-// Ping round-trips a liveness probe. Pool checkout uses it to validate idle
+// ping round-trips a liveness probe. Pool checkout uses it to validate idle
 // connections before handing them out; it doubles as a freshness probe,
 // refreshing LastLSN.
-func (c *Conn) Ping() error {
+func (c *Conn) ping() error {
 	cur, err := c.expect(wire.MsgPing, nil, wire.MsgOK)
 	if err != nil {
 		return err
@@ -236,9 +233,9 @@ func (c *Conn) Ping() error {
 	return nil
 }
 
-// Healthy reports whether the connection is open and has not hit a transport
+// healthy reports whether the connection is open and has not hit a transport
 // error.
-func (c *Conn) Healthy() bool { return !c.closed && !c.broken }
+func (c *Conn) healthy() bool { return !c.closed && !c.broken }
 
 // Close closes the connection. The server rolls back any open transaction
 // and releases every lock the connection held.
@@ -333,7 +330,7 @@ func (c *Conn) Prepare(text string) (*Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	st := &Stmt{conn: c, fetchSize: DefaultFetchSize}
+	st := &Stmt{conn: c, fetchSize: DefaultFetchSize, endsTxn: endsTxn(text)}
 	st.id = cur.Uint32()
 	st.paramNames = cur.Strings()
 	st.columns = cur.Strings()
@@ -344,6 +341,13 @@ func (c *Conn) Prepare(text string) (*Stmt, error) {
 	st.args = make(types.Tuple, len(st.paramNames))
 	st.bound = make([]bool, len(st.paramNames))
 	return st, nil
+}
+
+// endsTxn reports whether statement text is a COMMIT or a ROLLBACK.
+func endsTxn(text string) bool {
+	verb, _, _ := strings.Cut(strings.TrimSpace(text), " ")
+	verb = strings.TrimSuffix(verb, ";")
+	return strings.EqualFold(verb, "COMMIT") || strings.EqualFold(verb, "ROLLBACK")
 }
 
 // Exec prepares, runs and closes a statement in one call — the convenience
@@ -373,18 +377,30 @@ func (c *Conn) Query(text string, args ...types.Value) (*Rows, error) {
 	return rows, nil
 }
 
+// Begin, Commit and Rollback send WIRE.md's transaction-control messages,
+// the same as running BEGIN, COMMIT or ROLLBACK through Exec.
+
 // Begin opens an explicit transaction on the connection's server session.
+//
+//wowvet:ignore deadapi -- implements WIRE.md's Begin message, which wireconform requires the client to send
 func (c *Conn) Begin() error { return c.txnControl(wire.MsgBegin) }
 
 // Commit commits the open transaction.
+//
+//wowvet:ignore deadapi -- implements WIRE.md's Commit message, which wireconform requires the client to send
 func (c *Conn) Commit() error { return c.txnControl(wire.MsgCommit) }
 
 // Rollback rolls the open transaction back.
+//
+//wowvet:ignore deadapi -- implements WIRE.md's Rollback message, which wireconform requires the client to send
 func (c *Conn) Rollback() error { return c.txnControl(wire.MsgRollback) }
 
 func (c *Conn) txnControl(msgType byte) error {
 	cur, err := c.expect(msgType, nil, wire.MsgResult)
 	if err != nil {
+		if msgType != wire.MsgBegin {
+			c.inTxn = false // the engine ends the transaction either way
+		}
 		return err
 	}
 	_, err = c.readResult(cur)
@@ -396,6 +412,12 @@ func (c *Conn) readResult(cur *wire.Cursor) (*Result, error) {
 	res := &Result{}
 	res.RowsAffected = int64(cur.Uint64())
 	res.Message = cur.String()
+	switch res.Message {
+	case "BEGIN":
+		c.inTxn = true
+	case "COMMIT", "ROLLBACK":
+		c.inTxn = false
+	}
 	res.Columns = cur.Strings()
 	n := cur.Uint32()
 	for i := uint32(0); i < n; i++ {
@@ -429,6 +451,9 @@ type Stmt struct {
 	// connection's cache, so Close leaves it open for the next checkout.
 	pooled bool
 	closed bool
+	// endsTxn marks a COMMIT or ROLLBACK, which ends the session's
+	// transaction even when it fails.
+	endsTxn bool
 }
 
 // SetFetchSize sets how many rows each batch carries on cursors opened from
@@ -444,16 +469,6 @@ func (st *Stmt) SetFetchSize(n int) {
 	}
 }
 
-// NumParams returns how many parameters the statement takes.
-func (st *Stmt) NumParams() int { return len(st.paramNames) }
-
-// ParamNames returns the parameter names by ordinal ("" for positional "?").
-func (st *Stmt) ParamNames() []string {
-	out := make([]string, len(st.paramNames))
-	copy(out, st.paramNames)
-	return out
-}
-
 // Columns returns the output column names (empty for statements that yield no
 // rows).
 func (st *Stmt) Columns() []string {
@@ -462,13 +477,9 @@ func (st *Stmt) Columns() []string {
 	return out
 }
 
-// ReturnsRows reports whether running this statement yields rows — a SELECT,
-// or DML with a RETURNING clause.
-func (st *Stmt) ReturnsRows() bool { return st.returnsRows }
-
-// Bind sets every parameter positionally. Nothing is sent: the values travel
+// bind sets every parameter positionally. Nothing is sent: the values travel
 // with the next Query or Exec.
-func (st *Stmt) Bind(args ...types.Value) error {
+func (st *Stmt) bind(args ...types.Value) error {
 	if st.closed {
 		return fmt.Errorf("client: statement is closed")
 	}
@@ -506,13 +517,13 @@ func (st *Stmt) BindNamed(name string, v types.Value) error {
 // run is the one execution path: a single Run frame carrying the statement
 // id, every parameter and the first batch's size, answered by a Result or by
 // a Cursor that already holds that batch. Optional args are a shorthand for
-// Bind.
+// bind.
 func (st *Stmt) run(args []types.Value) (byte, *wire.Cursor, error) {
 	if st.closed {
 		return 0, nil, fmt.Errorf("client: statement is closed")
 	}
 	if len(args) > 0 {
-		if err := st.Bind(args...); err != nil {
+		if err := st.bind(args...); err != nil {
 			return 0, nil, err
 		}
 	}
@@ -530,6 +541,9 @@ func (st *Stmt) run(args []types.Value) (byte, *wire.Cursor, error) {
 	b.Uint32(st.fetchSize)
 	respType, cur, err := st.conn.roundTrip(wire.MsgRun, b.B)
 	if err != nil {
+		if st.endsTxn {
+			st.conn.inTxn = false
+		}
 		return 0, nil, err
 	}
 	if respType != wire.MsgResult && respType != wire.MsgCursor {

@@ -131,7 +131,6 @@ type PoolStats struct {
 type poolConn struct {
 	conn  *Conn
 	stmts map[string]*Stmt
-	inTxn bool
 	// lastUsed is when the connection was last released; HealthCheckAfter
 	// measures idleness against it.
 	lastUsed time.Time
@@ -164,9 +163,6 @@ func NewPool(addr string, cfg PoolConfig) *Pool {
 	return p
 }
 
-// Size returns the pool's connection limit.
-func (p *Pool) Size() int { return p.cfg.Size }
-
 // Stats returns a snapshot of the pool's counters.
 func (p *Pool) Stats() PoolStats {
 	p.mu.Lock()
@@ -196,17 +192,15 @@ func (p *Pool) noteLSN(c *Conn) {
 	}
 }
 
-// Get checks a connection out of the pool, blocking while all of them are in
-// use. Idle connections are health-checked (one Ping round trip) before they
-// are handed out; a dead one is discarded and a fresh connection dialed in
-// its place. Release the result with PooledConn.Release.
-func (p *Pool) Get() (*PooledConn, error) { return p.GetContext(context.Background()) }
-
-// GetContext is Get bounded by a context: a cancellation (or deadline) while
-// waiting for a free slot stops the wait, and the checkout health check runs
-// under the context too. The context then stays bound to the returned
-// connection until Release, so cancellation also interrupts the round trips
-// made through it (see Conn.SetContext).
+// GetContext checks a connection out of the pool, blocking while all of them
+// are in use. Idle connections are health-checked (one Ping round trip)
+// before they are handed out; a dead one is discarded and a fresh connection
+// dialed in its place. Release the result with PooledConn.Release.
+//
+// A cancellation (or deadline) of ctx while waiting for a free slot stops the
+// wait, and the checkout health check runs under the context too. The context
+// then stays bound to the returned connection until Release, so cancellation
+// also interrupts the round trips made through it (see Conn.setContext).
 func (p *Pool) GetContext(ctx context.Context) (*PooledConn, error) {
 	select {
 	case <-ctx.Done():
@@ -238,13 +232,13 @@ func (p *Pool) GetContext(ctx context.Context) (*PooledConn, error) {
 				<-p.tokens
 				return nil, err
 			}
-			conn.SetContext(ctx)
+			conn.setContext(ctx)
 			p.dials.Add(1)
 			p.checkouts.Add(1)
 			return &PooledConn{pool: p, pc: &poolConn{conn: conn, stmts: make(map[string]*Stmt)}}, nil
 		}
-		pc.conn.SetContext(ctx)
-		if !pc.conn.Healthy() || (p.needsPing(pc) && pc.conn.Ping() != nil) {
+		pc.conn.setContext(ctx)
+		if !pc.conn.healthy() || (p.needsPing(pc) && pc.conn.ping() != nil) {
 			p.healthFails.Add(1)
 			p.discard(pc)
 			continue // try the next idle connection, or dial
@@ -270,7 +264,9 @@ func (p *Pool) needsPing(pc *poolConn) bool {
 // cannot be reached, is skipped, and with none left the read goes to the
 // primary. The second result reports whether the connection is a replica's —
 // a write sent there anyway hits the replica's read-only refusal, not silent
-// divergence. Without replicas GetRead is Get.
+// divergence. Without replicas GetRead checks out a primary connection.
+//
+//wowvet:ignore deadapi -- ROADMAP item 3 routes the remote pager's reads through it
 func (p *Pool) GetRead() (*PooledConn, bool, error) {
 	if n := uint64(len(p.replicas)); n > 0 {
 		floor := p.lagFloor()
@@ -281,12 +277,12 @@ func (p *Pool) GetRead() (*PooledConn, bool, error) {
 				continue
 			}
 			// A dead replica must not fail reads while the primary is up.
-			if h, err := r.Get(); err == nil {
+			if h, err := r.GetContext(context.Background()); err == nil {
 				return h, true, nil
 			}
 		}
 	}
-	h, err := p.Get()
+	h, err := p.GetContext(context.Background())
 	return h, false, err
 }
 
@@ -315,8 +311,8 @@ func (p *Pool) probeLoop() {
 		case <-t.C:
 		}
 		for _, member := range members {
-			if h, err := member.Get(); err == nil {
-				_ = h.pc.conn.Ping() // a failed ping breaks the conn; Release discards it
+			if h, err := member.GetContext(context.Background()); err == nil {
+				_ = h.pc.conn.ping() // a failed ping breaks the conn; Release discards it
 				h.Release()
 			}
 		}
@@ -326,7 +322,7 @@ func (p *Pool) probeLoop() {
 // With checks a connection out, runs fn and releases it — the convenience
 // shape for workers whose whole unit of work fits one function.
 func (p *Pool) With(fn func(*PooledConn) error) error {
-	h, err := p.Get()
+	h, err := p.GetContext(context.Background())
 	if err != nil {
 		return err
 	}
@@ -371,9 +367,9 @@ func (p *Pool) Close() error {
 
 // PooledConn is one checked-out connection. It exposes the connection's API
 // with the pool's prepared-statement reuse layered on top: Prepare (and the
-// Query/Exec/ExecBatch conveniences) consult the connection's statement
-// cache first, so repeating shapes over a pooled connection costs no Prepare
-// round trips after the first.
+// Exec convenience) consult the connection's statement cache first, so
+// repeating shapes over a pooled connection costs no Prepare round trips
+// after the first.
 type PooledConn struct {
 	pool     *Pool
 	pc       *poolConn
@@ -391,15 +387,6 @@ func (h *PooledConn) use() error {
 		return errReleased
 	}
 	return nil
-}
-
-// Conn exposes the underlying connection for calls the handle does not wrap
-// (Ping, LastLSN, ProtocolVersion, raw cursors). It returns nil after Release.
-func (h *PooledConn) Conn() *Conn {
-	if h.released {
-		return nil
-	}
-	return h.pc.conn
 }
 
 // maxCachedStmts bounds one pooled connection's statement cache. Past it an
@@ -436,16 +423,6 @@ func (h *PooledConn) Prepare(text string) (*Stmt, error) {
 	return st, nil
 }
 
-// Query prepares (or reuses) the statement and runs it with the args.
-// Close the returned cursor before releasing the connection.
-func (h *PooledConn) Query(text string, args ...types.Value) (*Rows, error) {
-	st, err := h.Prepare(text)
-	if err != nil {
-		return nil, err
-	}
-	return st.Query(args...)
-}
-
 // Exec prepares (or reuses) the statement and executes it with the args.
 func (h *PooledConn) Exec(text string, args ...types.Value) (*Result, error) {
 	st, err := h.Prepare(text)
@@ -453,54 +430,6 @@ func (h *PooledConn) Exec(text string, args ...types.Value) (*Result, error) {
 		return nil, err
 	}
 	return st.Exec(args...)
-}
-
-// ExecBatch prepares (or reuses) the statement and array-binds the rows in
-// one round trip.
-func (h *PooledConn) ExecBatch(text string, rows [][]types.Value) (*Result, error) {
-	st, err := h.Prepare(text)
-	if err != nil {
-		return nil, err
-	}
-	return st.ExecBatch(rows)
-}
-
-// Begin opens an explicit transaction on the pooled connection's session.
-// Commit or roll it back before Release; a transaction still open at Release
-// is rolled back so the next worker starts clean.
-func (h *PooledConn) Begin() error {
-	if err := h.use(); err != nil {
-		return err
-	}
-	if err := h.pc.conn.Begin(); err != nil {
-		return err
-	}
-	h.pc.inTxn = true
-	return nil
-}
-
-// Commit commits the open transaction.
-func (h *PooledConn) Commit() error {
-	if err := h.use(); err != nil {
-		return err
-	}
-	err := h.pc.conn.Commit()
-	if err == nil {
-		h.pc.inTxn = false
-	}
-	return err
-}
-
-// Rollback rolls the open transaction back.
-func (h *PooledConn) Rollback() error {
-	if err := h.use(); err != nil {
-		return err
-	}
-	err := h.pc.conn.Rollback()
-	if err == nil {
-		h.pc.inTxn = false
-	}
-	return err
 }
 
 // Release returns the connection to the pool, unbinding the context
@@ -515,18 +444,17 @@ func (h *PooledConn) Release() {
 	p := h.pool
 	pc := h.pc
 	defer func() { <-p.tokens }()
-	pc.conn.SetContext(nil)
+	pc.conn.setContext(nil)
 	p.noteLSN(pc.conn)
-	if !pc.conn.Healthy() {
+	if !pc.conn.healthy() {
 		p.discard(pc)
 		return
 	}
-	if pc.inTxn {
+	if pc.conn.inTxn {
 		if err := pc.conn.Rollback(); err != nil {
 			p.discard(pc)
 			return
 		}
-		pc.inTxn = false
 	}
 	pc.lastUsed = time.Now()
 	p.mu.Lock()

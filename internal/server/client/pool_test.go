@@ -1,6 +1,7 @@
 package client_test
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net"
@@ -85,7 +86,7 @@ func TestPoolMultiplexesWorkersOverFewSockets(t *testing.T) {
 			for i := 0; i < iters; i++ {
 				err := pool.With(func(h *client.PooledConn) error {
 					id := int64(1 + (w*iters+i)%20)
-					rows, err := h.Query("SELECT name FROM customers WHERE id = ?", types.NewInt(id))
+					rows, err := query(h, "SELECT name FROM customers WHERE id = ?", types.NewInt(id))
 					if err != nil {
 						return err
 					}
@@ -139,18 +140,15 @@ func TestPoolHealthCheckDiscardsDeadConnections(t *testing.T) {
 	pool := client.NewPool(addr, client.PoolConfig{Size: 2})
 	defer pool.Close()
 
-	h, err := pool.Get()
+	h, err := pool.GetContext(context.Background())
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := h.Conn().Ping(); err != nil {
 		t.Fatal(err)
 	}
 	h.Release()
 
 	srv.Close() // the idle connection's server side is now gone
 
-	if _, err := pool.Get(); err == nil {
+	if _, err := pool.GetContext(context.Background()); err == nil {
 		t.Fatal("Get against a closed server must fail, not return a dead connection")
 	}
 	stats := pool.Stats()
@@ -171,11 +169,11 @@ func TestPoolRollsBackAbandonedTransaction(t *testing.T) {
 	pool := client.NewPool(addr, client.PoolConfig{Size: 1})
 	defer pool.Close()
 
-	h, err := pool.Get()
+	h, err := pool.GetContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := h.Begin(); err != nil {
+	if _, err := h.Exec("BEGIN"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := h.Exec("UPDATE customers SET name = 'leaked' WHERE id = 1"); err != nil {
@@ -187,7 +185,7 @@ func TestPoolRollsBackAbandonedTransaction(t *testing.T) {
 	if got := db.Stats().Aborted; got != abortedBefore+1 {
 		t.Fatalf("aborted %d -> %d, want the abandoned transaction rolled back", abortedBefore, got)
 	}
-	h2, err := pool.Get()
+	h2, err := pool.GetContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,6 +199,58 @@ func TestPoolRollsBackAbandonedTransaction(t *testing.T) {
 	}
 }
 
+// TestPoolRollsBackSQLBegin: a transaction opened with SQL BEGIN through Exec
+// and abandoned at Release is rolled back, so the next borrower neither
+// inherits it nor can commit the first worker's write. A transaction the
+// worker commits itself leaves Release nothing to send.
+func TestPoolRollsBackSQLBegin(t *testing.T) {
+	db, srv, addr := startServer(t)
+	seedTable(t, addr, 3)
+	pool := client.NewPool(addr, client.PoolConfig{Size: 1})
+	defer pool.Close()
+
+	h, err := pool.GetContext(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []string{"BEGIN", "UPDATE customers SET name = 'leaked' WHERE id = 2"} {
+		if _, err := h.Exec(q); err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+	}
+	abortedBefore := db.Stats().Aborted
+	h.Release()
+	if got := db.Stats().Aborted; got != abortedBefore+1 {
+		t.Fatalf("aborted %d -> %d, want the abandoned transaction rolled back", abortedBefore, got)
+	}
+
+	h2, err := pool.GetContext(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h2.Exec("COMMIT"); err == nil {
+		t.Fatal("the next borrower inherited an open transaction")
+	}
+	res, err := h2.Exec("SELECT name FROM customers WHERE id = 2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Rows[0][0].Str(); got == "leaked" {
+		t.Fatal("the abandoned transaction's write was committed")
+	}
+
+	for _, q := range []string{"BEGIN", "UPDATE customers SET name = 'kept' WHERE id = 2", "COMMIT"} {
+		if _, err := h2.Exec(q); err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+	}
+	before := srv.Stats().MessagesServed
+	h2.Release()
+	if got := srv.Stats().MessagesServed; got != before {
+		t.Fatalf("Release sent %d message(s) with no transaction open, want none", got-before)
+	}
+}
+
 // TestPoolClosed: Get after Close fails fast — before any dial, so no server
 // is needed.
 func TestPoolClosed(t *testing.T) {
@@ -208,7 +258,7 @@ func TestPoolClosed(t *testing.T) {
 	if err := pool.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pool.Get(); err != client.ErrPoolClosed {
+	if _, err := pool.GetContext(context.Background()); err != client.ErrPoolClosed {
 		t.Fatalf("Get after Close = %v, want ErrPoolClosed", err)
 	}
 }
@@ -259,28 +309,22 @@ func TestPooledConnUseAfterRelease(t *testing.T) {
 	pool := client.NewPool(addr, client.PoolConfig{Size: 1})
 	defer pool.Close()
 
-	h, err := pool.Get()
+	h, err := pool.GetContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	h.Release()
-	if err := h.Begin(); err == nil {
-		t.Fatal("Begin on a released handle must fail")
-	}
-	if err := h.Commit(); err == nil {
-		t.Fatal("Commit on a released handle must fail")
-	}
-	if err := h.Rollback(); err == nil {
-		t.Fatal("Rollback on a released handle must fail")
+	if _, err := h.Exec("BEGIN"); err == nil {
+		t.Fatal("Exec on a released handle must fail")
 	}
 	if _, err := h.Prepare("SELECT id FROM customers"); err == nil {
 		t.Fatal("Prepare on a released handle must fail")
 	}
-	if h.Conn() != nil {
-		t.Fatal("Conn on a released handle must be nil")
+	if client.ConnOf(h) != nil {
+		t.Fatal("a released handle must not hold a connection")
 	}
 	// The connection itself is unharmed for the next worker.
-	h2, err := pool.Get()
+	h2, err := pool.GetContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +370,7 @@ func TestPooledStmtCloseKeepsCacheUsable(t *testing.T) {
 	defer pool.Close()
 	const q = "SELECT name FROM customers WHERE id = ?"
 
-	h, err := pool.Get()
+	h, err := pool.GetContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,12 +384,12 @@ func TestPooledStmtCloseKeepsCacheUsable(t *testing.T) {
 	h.Release()
 
 	hits := pool.Stats().StmtCacheHits
-	h, err = pool.Get()
+	h, err = pool.GetContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer h.Release()
-	rows, err := h.Query(q, types.NewInt(1))
+	rows, err := query(h, q, types.NewInt(1))
 	if err != nil {
 		t.Fatalf("query after closing the pooled statement: %v", err)
 	}
@@ -366,17 +410,14 @@ func TestPoolHealthCheckAfterSkipsPingForFreshConnections(t *testing.T) {
 	pool := client.NewPool(addr, client.PoolConfig{Size: 1, HealthCheckAfter: 50 * time.Millisecond})
 	defer pool.Close()
 
-	h, err := pool.Get()
+	h, err := pool.GetContext(context.Background())
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := h.Conn().Ping(); err != nil {
 		t.Fatal(err)
 	}
 	h.Release()
 
 	before := srv.Stats().MessagesServed
-	h, err = pool.Get()
+	h, err = pool.GetContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,7 +428,7 @@ func TestPoolHealthCheckAfterSkipsPingForFreshConnections(t *testing.T) {
 
 	time.Sleep(60 * time.Millisecond)
 	before = srv.Stats().MessagesServed
-	h, err = pool.Get()
+	h, err = pool.GetContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,7 +451,7 @@ func TestPoolHealthCheckAfterConcurrent(t *testing.T) {
 	defer p.Close()
 
 	// Seed a table through the pool.
-	h, err := p.Get()
+	h, err := p.GetContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -425,12 +466,12 @@ func TestPoolHealthCheckAfterConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				h, err := p.Get()
+				h, err := p.GetContext(context.Background())
 				if err != nil {
 					t.Errorf("checkout: %v", err)
 					return
 				}
-				rows, err := h.Query("SELECT id FROM t")
+				rows, err := query(h, "SELECT id FROM t")
 				if err != nil {
 					t.Errorf("query: %v", err)
 					h.Release()
@@ -528,7 +569,7 @@ func waitApplied(t *testing.T, primary *engine.Database, rep *server.Replica) {
 func readV(t *testing.T, h *client.PooledConn) (string, uint64) {
 	t.Helper()
 	defer h.Release()
-	rows, err := h.Query("SELECT v FROM kv WHERE k = ?", types.NewInt(1))
+	rows, err := query(h, "SELECT v FROM kv WHERE k = ?", types.NewInt(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -540,7 +581,7 @@ func readV(t *testing.T, h *client.PooledConn) (string, uint64) {
 		t.Fatal(err)
 	}
 	rows.Close()
-	return v, h.Conn().LastLSN()
+	return v, client.ConnOf(h).LastLSN()
 }
 
 func TestFleetRoutesReadsToReplicas(t *testing.T) {
@@ -553,12 +594,9 @@ func TestFleetRoutesReadsToReplicas(t *testing.T) {
 
 	// Writes go to the primary, and observing them teaches the pool the
 	// primary's frontier.
-	w, err := pool.Get()
+	w, err := pool.GetContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
-	}
-	if w.Conn().IsReplica() {
-		t.Fatal("Get handed out a replica connection")
 	}
 	if _, err := w.Exec("CREATE TABLE kv (k INT PRIMARY KEY, v TEXT)"); err != nil {
 		t.Fatal(err)
@@ -578,8 +616,11 @@ func TestFleetRoutesReadsToReplicas(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !replica || !h.Conn().IsReplica() {
-			t.Fatalf("read %d did not land on a replica (flag %v)", i, replica)
+		if !replica {
+			t.Fatalf("read %d did not land on a replica", i)
+		}
+		if _, err := h.Exec("INSERT INTO kv (k, v) VALUES (2, 'two')"); err == nil || !strings.Contains(err.Error(), "read-only replica") {
+			t.Fatalf("read %d: a write on the routed connection = %v, want the replica's read-only refusal", i, err)
 		}
 		v, lsn := readV(t, h)
 		if v != "one" {
@@ -623,7 +664,7 @@ func TestFleetFallsBackWhenAllReplicasStale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if replica || h.Conn().IsReplica() {
+	if replica {
 		t.Fatal("read landed on a replica lagging past the bound")
 	}
 	// The primary fallback must see the write the replica has not applied.
@@ -774,10 +815,20 @@ func TestFleetCloseStopsRouting(t *testing.T) {
 	if err := pool.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pool.Get(); !errors.Is(err, client.ErrPoolClosed) {
+	if _, err := pool.GetContext(context.Background()); !errors.Is(err, client.ErrPoolClosed) {
 		t.Fatalf("Get after Close = %v, want ErrPoolClosed", err)
 	}
 	if _, _, err := pool.GetRead(); !errors.Is(err, client.ErrPoolClosed) {
 		t.Fatalf("GetRead after Close = %v, want ErrPoolClosed", err)
 	}
+}
+
+// query prepares (or reuses) the statement on the pooled connection and runs
+// it with the args.
+func query(h *client.PooledConn, text string, args ...types.Value) (*client.Rows, error) {
+	st, err := h.Prepare(text)
+	if err != nil {
+		return nil, err
+	}
+	return st.Query(args...)
 }

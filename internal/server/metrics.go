@@ -23,8 +23,8 @@ type Metrics struct {
 	Protocol     string       `json:"protocol"`
 }
 
-// Metrics returns the current metrics snapshot.
-func (s *Server) Metrics() Metrics {
+// metrics returns the current metrics snapshot.
+func (s *Server) metrics() Metrics {
 	return Metrics{
 		Server:       s.Stats(),
 		Engine:       s.db.Stats(),
@@ -41,7 +41,7 @@ func (s *Server) MetricsHandler() http.Handler {
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
-		if err := enc.Encode(s.Metrics()); err != nil {
+		if err := enc.Encode(s.metrics()); err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
 	})

@@ -124,8 +124,7 @@ func (c *conn) streamWAL(pos int64) {
 			continue
 		}
 		var b wire.Buffer
-		b.Uint64(uint64(pos))
-		b.Bytes(buf[:n])
+		wire.WALSegment{StartLSN: uint64(pos), Data: buf[:n]}.Encode(&b)
 		if err := wire.WriteFrame(c.w, wire.MsgWALSegment, b.B); err != nil {
 			return
 		}

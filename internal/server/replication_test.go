@@ -15,6 +15,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/server"
 	"repro/internal/server/client"
+	"repro/internal/server/wire"
 	"repro/internal/types"
 )
 
@@ -106,7 +107,7 @@ func TestReplicaStreamsAndServesReads(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pc.Close()
-	if pc.IsReplica() {
+	if handshakeRole(t, primaryAddr) == wire.RoleReplica {
 		t.Error("primary handshake claims replica role")
 	}
 	mustExec := func(sql string) {
@@ -133,7 +134,7 @@ func TestReplicaStreamsAndServesReads(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rc.Close()
-	if !rc.IsReplica() {
+	if handshakeRole(t, replicaAddr) != wire.RoleReplica {
 		t.Error("replica handshake did not claim replica role")
 	}
 	count, sum, err := ledgerTotal(rc)

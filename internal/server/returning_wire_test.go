@@ -27,8 +27,8 @@ func TestReturningOverWireStreamsCursor(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	if !st.ReturnsRows() {
-		t.Fatal("Prepare should flag a RETURNING write as returning rows")
+	if cols := st.Columns(); len(cols) != 2 || cols[1] != "credit" {
+		t.Fatalf("Prepare should report the RETURNING projection, got %v", cols)
 	}
 
 	before := srv.Stats().MessagesServed
@@ -112,28 +112,37 @@ func TestClientNamedBind(t *testing.T) {
 
 func TestContextCancelUnblocksRoundTrip(t *testing.T) {
 	_, _, addr := startServer(t)
-	c, err := client.Dial(addr)
+	p := client.NewPool(addr, client.PoolConfig{Size: 1})
+	defer p.Close()
+
+	// A deadline that expires while the connection is checked out fails the
+	// next round trip before any bytes move.
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	h, err := p.GetContext(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
-	seedCustomers(t, c, 1)
-
-	// An already-expired deadline fails before any bytes move.
-	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
-	defer cancel()
-	c.SetContext(ctx)
-	if _, err := c.Exec("SELECT 1"); !errors.Is(err, context.DeadlineExceeded) {
+	<-ctx.Done()
+	if _, err := h.Exec("SELECT 1"); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("expired deadline: err = %v, want DeadlineExceeded", err)
 	}
-	// The connection never sent the frame, so it is still healthy and usable
-	// once the context clears.
-	c.SetContext(context.Background())
-	if !c.Healthy() {
-		t.Fatal("pre-send cancellation must not break the connection")
+	// The connection never sent the frame, so it is still healthy: Release
+	// keeps it, and it serves the next checkout.
+	h.Release()
+	if st := p.Stats(); st.Discards != 0 {
+		t.Fatalf("pre-send cancellation discarded the connection: %+v", st)
 	}
-	if err := c.Ping(); err != nil {
+	h, err = p.GetContext(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Release()
+	if _, err := h.Exec("CREATE TABLE t (id INT PRIMARY KEY)"); err != nil {
 		t.Fatalf("connection unusable after cleared context: %v", err)
+	}
+	if st := p.Stats(); st.Dials != 1 || st.IdleReuses != 1 {
+		t.Fatalf("the cleared connection was not reused: %+v", st)
 	}
 }
 
@@ -143,7 +152,7 @@ func TestPoolGetContextCancelled(t *testing.T) {
 	defer p.Close()
 
 	// Occupy the only slot, then a cancelled Get must not block.
-	h, err := p.Get()
+	h, err := p.GetContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +179,7 @@ func TestPoolGetContextCancelled(t *testing.T) {
 	}
 	// Release unbinds it, so the connection serves the next checkout.
 	h.Release()
-	h, err = p.Get()
+	h, err = p.GetContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

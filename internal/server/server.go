@@ -150,15 +150,6 @@ func (s *Server) Stats() Stats {
 	}
 }
 
-// ListenAndServe listens on the TCP address and serves until Close.
-func (s *Server) ListenAndServe(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(ln)
-}
-
 // Serve accepts connections on the listener until it is closed, running one
 // goroutine per connection. It returns nil after Close.
 func (s *Server) Serve(ln net.Listener) error {

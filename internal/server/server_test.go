@@ -93,8 +93,8 @@ func TestRoundTripAllValueKinds(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer stmt.Close()
-	if got := stmt.NumParams(); got != 1 {
-		t.Fatalf("NumParams = %d", got)
+	if _, err := stmt.Exec(); err == nil || !strings.Contains(err.Error(), "parameter 1 is not bound") {
+		t.Fatalf("running with the one parameter unbound: %v", err)
 	}
 	if cols := stmt.Columns(); len(cols) != 5 || cols[2] != "credit" {
 		t.Fatalf("Columns = %v", cols)
@@ -230,7 +230,7 @@ func TestStatementErrorKeepsConnectionUsable(t *testing.T) {
 
 // rawHandshake performs the client half of the v2 handshake over a bare TCP
 // connection, for tests that craft frames by hand.
-func rawHandshake(t *testing.T, nc net.Conn) {
+func rawHandshake(t *testing.T, nc net.Conn) wire.HelloOK {
 	t.Helper()
 	var b wire.Buffer
 	wire.Hello{Magic: wire.HelloMagic, Version: wire.Current}.Encode(&b)
@@ -248,6 +248,19 @@ func rawHandshake(t *testing.T, nc net.Conn) {
 	if !ok.Version.Compatible(wire.Current) {
 		t.Fatalf("negotiated %s, want a v%d", ok.Version, wire.Current.Major)
 	}
+	return ok
+}
+
+// handshakeRole dials addr, runs the handshake and returns the role the
+// server claims in HelloOK.
+func handshakeRole(t *testing.T, addr string) byte {
+	t.Helper()
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	return rawHandshake(t, nc).Role
 }
 
 func TestGarbageFrameGetsErrorNotDisconnect(t *testing.T) {
@@ -411,7 +424,7 @@ func TestAbruptDisconnectReleasesCursorSnapshot(t *testing.T) {
 		t.Fatalf("writer must not block on a remote cursor: %v", err)
 	}
 	// But its snapshot pins the superseded version: nothing to reclaim yet.
-	if n := db.Vacuum(); n != 0 {
+	if n := sweepAll(t, db, "customers"); n != 0 {
 		t.Fatalf("vacuum reclaimed %d versions under a live remote cursor, want 0", n)
 	}
 
@@ -420,7 +433,7 @@ func TestAbruptDisconnectReleasesCursorSnapshot(t *testing.T) {
 	c.Close()
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		if n := db.Vacuum(); n > 0 {
+		if n := sweepAll(t, db, "customers"); n > 0 {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -507,18 +520,16 @@ func TestSharedPlanCacheAcrossConnections(t *testing.T) {
 		t.Fatalf("second connection's prepare recompiled the plan")
 	}
 
-	// Bind state stays private per connection: interleave the two.
-	if err := st1.Bind(types.NewInt(1)); err != nil {
+	// Bind state stays private per connection: bind each, then re-run the
+	// first with its values still bound after the second bound its own.
+	if _, err := st1.Exec(types.NewInt(1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := st2.Bind(types.NewInt(2)); err != nil {
-		t.Fatal(err)
-	}
-	r1, err := st1.Exec()
+	r2, err := st2.Exec(types.NewInt(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := st2.Exec()
+	r1, err := st1.Exec()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -783,6 +794,13 @@ func TestPooledBatchIngestCutsRoundTrips(t *testing.T) {
 		return trips, rows
 	}
 
+	// The per-row side inserts the rows the embedded loader puts in a
+	// reference database, one autocommit Exec each.
+	ref := engine.OpenMemory()
+	defer ref.Close()
+	if err := workload.Populate(ref, sizes); err != nil {
+		t.Fatal(err)
+	}
 	perRowTrips, perRowRows := ingest(func(addr string) error {
 		conn, err := client.Dial(addr)
 		if err != nil {
@@ -798,10 +816,15 @@ func TestPooledBatchIngestCutsRoundTrips(t *testing.T) {
 				return err
 			}
 		}
-		for _, load := range workload.Loads(sizes) {
-			for i := 0; i < load.N; i++ {
-				if _, err := conn.Exec(load.InsertSQL, load.Bind(i)...); err != nil {
-					return fmt.Errorf("%s row %d: %w", load.Name, i, err)
+		for _, table := range []string{"customers", "orders", "order_items"} {
+			res, err := ref.Session().Query("SELECT * FROM " + table)
+			if err != nil {
+				return err
+			}
+			marks := strings.TrimSuffix(strings.Repeat("?, ", len(res.Columns)), ", ")
+			for i, row := range res.Rows {
+				if _, err := conn.Exec("INSERT INTO "+table+" VALUES ("+marks+")", row...); err != nil {
+					return fmt.Errorf("%s row %d: %w", table, i, err)
 				}
 			}
 		}
@@ -967,4 +990,19 @@ func TestMetricsSnapshot(t *testing.T) {
 	if m.Protocol != "v"+wire.Current.String() {
 		t.Fatalf("metrics protocol = %q", m.Protocol)
 	}
+}
+
+// sweepAll reclaims every dead version of the table no snapshot can see,
+// walking its whole unsettled list, and returns how many it reclaimed.
+func sweepAll(t *testing.T, db *engine.Database, table string) int {
+	t.Helper()
+	tbl, err := db.Catalog().GetTable(table)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := db.Transactions().Sweep(tbl, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
 }

@@ -29,9 +29,9 @@ func FuzzFrame(f *testing.F) {
 	batch.Uint32(1)
 	batch.Uint32(1)
 	batch.Uint32(2)
-	batch.Byte(1) // KindInt
+	batch.writeByte(1) // KindInt
 	batch.Uint64(7)
-	batch.Byte(3) // KindString
+	batch.writeByte(3) // KindString
 	batch.String("x")
 	var frame bytes.Buffer
 	if err := WriteFrame(&frame, MsgExecBatch, batch.B); err != nil {
@@ -45,9 +45,9 @@ func FuzzFrame(f *testing.F) {
 	var run Buffer
 	run.Uint32(1)
 	run.Uint32(2)
-	run.Byte(1) // KindInt
+	run.writeByte(1) // KindInt
 	run.Uint64(7)
-	run.Byte(0) // KindNull
+	run.writeByte(0) // KindNull
 	run.Uint32(20)
 	var runFrame bytes.Buffer
 	if err := WriteFrame(&runFrame, MsgRun, run.B); err != nil {
@@ -60,7 +60,7 @@ func FuzzFrame(f *testing.F) {
 	cursor.Bool(true)
 	cursor.Uint32(1)
 	cursor.Uint32(1)
-	cursor.Byte(1) // KindInt
+	cursor.writeByte(1) // KindInt
 	cursor.Uint64(7)
 	cursor.Uint64(4096)
 	var cursorFrame bytes.Buffer

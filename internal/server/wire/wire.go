@@ -168,7 +168,7 @@ func (h HelloOK) Encode(b *Buffer) {
 	b.Uint32(h.Version.Major)
 	b.Uint32(h.Version.Minor)
 	b.String(h.Banner)
-	b.Byte(h.Role)
+	b.writeByte(h.Role)
 }
 
 // DecodeHelloOK reads a HelloOK payload.
@@ -176,7 +176,7 @@ func DecodeHelloOK(c *Cursor) HelloOK {
 	return HelloOK{
 		Version: Version{Major: c.Uint32(), Minor: c.Uint32()},
 		Banner:  c.String(),
-		Role:    c.Byte(),
+		Role:    c.readByte(),
 	}
 }
 
@@ -208,12 +208,12 @@ type WALSegment struct {
 // Encode appends the WALSegment payload.
 func (s WALSegment) Encode(b *Buffer) {
 	b.Uint64(s.StartLSN)
-	b.Bytes(s.Data)
+	b.writeBytes(s.Data)
 }
 
 // DecodeWALSegment reads a WALSegment payload.
 func DecodeWALSegment(c *Cursor) WALSegment {
-	return WALSegment{StartLSN: c.Uint64(), Data: c.Bytes()}
+	return WALSegment{StartLSN: c.Uint64(), Data: c.readBytes()}
 }
 
 // ReplicaStatus is the subscriber's progress acknowledgement: every commit
@@ -314,8 +314,8 @@ func (b *Buffer) Uint32(v uint32) { b.B = binary.BigEndian.AppendUint32(b.B, v) 
 // Uint64 appends a fixed-width 64-bit integer.
 func (b *Buffer) Uint64(v uint64) { b.B = binary.BigEndian.AppendUint64(b.B, v) }
 
-// Byte appends one byte.
-func (b *Buffer) Byte(v byte) { b.B = append(b.B, v) }
+// writeByte appends one byte.
+func (b *Buffer) writeByte(v byte) { b.B = append(b.B, v) }
 
 // Bool appends a boolean as one byte.
 func (b *Buffer) Bool(v bool) {
@@ -332,8 +332,8 @@ func (b *Buffer) String(s string) {
 	b.B = append(b.B, s...)
 }
 
-// Bytes appends a length-prefixed byte blob.
-func (b *Buffer) Bytes(p []byte) {
+// writeBytes appends a length-prefixed byte blob.
+func (b *Buffer) writeBytes(p []byte) {
 	b.Uint32(uint32(len(p)))
 	b.B = append(b.B, p...)
 }
@@ -346,9 +346,9 @@ func (b *Buffer) Strings(ss []string) {
 	}
 }
 
-// Value appends one SQL value: a kind byte, then the kind's encoding.
-func (b *Buffer) Value(v types.Value) {
-	b.Byte(byte(v.Kind()))
+// writeValue appends one SQL value: a kind byte, then the kind's encoding.
+func (b *Buffer) writeValue(v types.Value) {
+	b.writeByte(byte(v.Kind()))
 	switch v.Kind() {
 	case types.KindNull:
 	case types.KindInt:
@@ -368,7 +368,7 @@ func (b *Buffer) Value(v types.Value) {
 func (b *Buffer) Tuple(t types.Tuple) {
 	b.Uint32(uint32(len(t)))
 	for _, v := range t {
-		b.Value(v)
+		b.writeValue(v)
 	}
 }
 
@@ -430,8 +430,8 @@ func (c *Cursor) Uint64() uint64 {
 	return binary.BigEndian.Uint64(b)
 }
 
-// Byte reads one byte.
-func (c *Cursor) Byte() byte {
+// readByte reads one byte.
+func (c *Cursor) readByte() byte {
 	b := c.take(1)
 	if b == nil {
 		return 0
@@ -440,7 +440,7 @@ func (c *Cursor) Byte() byte {
 }
 
 // Bool reads a one-byte boolean.
-func (c *Cursor) Bool() bool { return c.Byte() != 0 }
+func (c *Cursor) Bool() bool { return c.readByte() != 0 }
 
 // String reads a length-prefixed string.
 func (c *Cursor) String() string {
@@ -455,9 +455,9 @@ func (c *Cursor) String() string {
 	return string(b)
 }
 
-// Bytes reads a length-prefixed byte blob. The returned slice aliases the
+// readBytes reads a length-prefixed byte blob. The returned slice aliases the
 // payload; callers that outlive the frame must copy it.
-func (c *Cursor) Bytes() []byte {
+func (c *Cursor) readBytes() []byte {
 	n := c.Uint32()
 	if c.err != nil {
 		return nil
@@ -481,9 +481,9 @@ func (c *Cursor) Strings() []string {
 	return out
 }
 
-// Value reads one SQL value.
-func (c *Cursor) Value() types.Value {
-	kind := types.Kind(c.Byte())
+// readValue reads one SQL value.
+func (c *Cursor) readValue() types.Value {
+	kind := types.Kind(c.readByte())
 	if c.err != nil {
 		return types.Null()
 	}
@@ -514,7 +514,7 @@ func (c *Cursor) Tuple() types.Tuple {
 	}
 	out := make(types.Tuple, 0, min(int(n), 1024))
 	for i := 0; i < int(n); i++ {
-		out = append(out, c.Value())
+		out = append(out, c.readValue())
 		if c.err != nil {
 			return nil
 		}

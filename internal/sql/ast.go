@@ -189,11 +189,11 @@ func (*BeginStmt) stmtNode()       {}
 func (*CommitStmt) stmtNode()      {}
 func (*RollbackStmt) stmtNode()    {}
 
-// quoteAll renders a list of identifiers through QuoteIdent.
+// quoteAll renders a list of identifiers through quoteIdent.
 func quoteAll(names []string) []string {
 	out := make([]string, len(names))
 	for i, n := range names {
-		out[i] = QuoteIdent(n)
+		out[i] = quoteIdent(n)
 	}
 	return out
 }
@@ -202,7 +202,7 @@ func quoteAll(names []string) []string {
 func (s *CreateTableStmt) String() string {
 	var cols []string
 	for _, c := range s.Columns {
-		col := QuoteIdent(c.Name) + " " + c.TypeName
+		col := quoteIdent(c.Name) + " " + c.TypeName
 		if c.PrimaryKey {
 			col += " PRIMARY KEY"
 		}
@@ -217,7 +217,7 @@ func (s *CreateTableStmt) String() string {
 		}
 		cols = append(cols, col)
 	}
-	return fmt.Sprintf("CREATE TABLE %s (%s)", QuoteIdent(s.Name), strings.Join(cols, ", "))
+	return fmt.Sprintf("CREATE TABLE %s (%s)", quoteIdent(s.Name), strings.Join(cols, ", "))
 }
 
 // String implements Statement.
@@ -226,7 +226,7 @@ func (s *CreateIndexStmt) String() string {
 	if s.Unique {
 		unique = "UNIQUE "
 	}
-	return fmt.Sprintf("CREATE %sINDEX %s ON %s (%s)", unique, QuoteIdent(s.Name), QuoteIdent(s.Table), strings.Join(quoteAll(s.Columns), ", "))
+	return fmt.Sprintf("CREATE %sINDEX %s ON %s (%s)", unique, quoteIdent(s.Name), quoteIdent(s.Table), strings.Join(quoteAll(s.Columns), ", "))
 }
 
 // String implements Statement.
@@ -235,11 +235,11 @@ func (s *CreateViewStmt) String() string {
 	if len(s.Columns) > 0 {
 		cols = " (" + strings.Join(quoteAll(s.Columns), ", ") + ")"
 	}
-	return fmt.Sprintf("CREATE VIEW %s%s AS %s", QuoteIdent(s.Name), cols, s.Query.String())
+	return fmt.Sprintf("CREATE VIEW %s%s AS %s", quoteIdent(s.Name), cols, s.Query.String())
 }
 
 // String implements Statement.
-func (s *DropStmt) String() string { return fmt.Sprintf("DROP %s %s", s.Object, QuoteIdent(s.Name)) }
+func (s *DropStmt) String() string { return fmt.Sprintf("DROP %s %s", s.Object, quoteIdent(s.Name)) }
 
 // renderSelectItems renders a projection list (SELECT items or a RETURNING
 // tail) back to SQL.
@@ -248,11 +248,11 @@ func renderSelectItems(items []SelectItem) string {
 	for _, it := range items {
 		switch {
 		case it.Star && it.StarTable != "":
-			out = append(out, QuoteIdent(it.StarTable)+".*")
+			out = append(out, quoteIdent(it.StarTable)+".*")
 		case it.Star:
 			out = append(out, "*")
 		case it.Alias != "":
-			out = append(out, it.Expr.String()+" AS "+QuoteIdent(it.Alias))
+			out = append(out, it.Expr.String()+" AS "+quoteIdent(it.Alias))
 		default:
 			out = append(out, it.Expr.String())
 		}
@@ -275,7 +275,7 @@ func (s *InsertStmt) String() string {
 		cols = " (" + strings.Join(quoteAll(s.Columns), ", ") + ")"
 	}
 	if s.Select != nil {
-		return fmt.Sprintf("INSERT INTO %s%s %s%s", QuoteIdent(s.Table), cols, s.Select.String(), renderReturning(s.Returning))
+		return fmt.Sprintf("INSERT INTO %s%s %s%s", quoteIdent(s.Table), cols, s.Select.String(), renderReturning(s.Returning))
 	}
 	var rows []string
 	for _, row := range s.Rows {
@@ -285,16 +285,16 @@ func (s *InsertStmt) String() string {
 		}
 		rows = append(rows, "("+strings.Join(vals, ", ")+")")
 	}
-	return fmt.Sprintf("INSERT INTO %s%s VALUES %s%s", QuoteIdent(s.Table), cols, strings.Join(rows, ", "), renderReturning(s.Returning))
+	return fmt.Sprintf("INSERT INTO %s%s VALUES %s%s", quoteIdent(s.Table), cols, strings.Join(rows, ", "), renderReturning(s.Returning))
 }
 
 // String implements Statement.
 func (s *UpdateStmt) String() string {
 	var sets []string
 	for _, a := range s.Assignments {
-		sets = append(sets, QuoteIdent(a.Column)+" = "+a.Value.String())
+		sets = append(sets, quoteIdent(a.Column)+" = "+a.Value.String())
 	}
-	out := fmt.Sprintf("UPDATE %s SET %s", QuoteIdent(s.Table), strings.Join(sets, ", "))
+	out := fmt.Sprintf("UPDATE %s SET %s", quoteIdent(s.Table), strings.Join(sets, ", "))
 	if s.Where != nil {
 		out += " WHERE " + s.Where.String()
 	}
@@ -303,7 +303,7 @@ func (s *UpdateStmt) String() string {
 
 // String implements Statement.
 func (s *DeleteStmt) String() string {
-	out := "DELETE FROM " + QuoteIdent(s.Table)
+	out := "DELETE FROM " + quoteIdent(s.Table)
 	if s.Where != nil {
 		out += " WHERE " + s.Where.String()
 	}
@@ -321,14 +321,14 @@ func (s *SelectStmt) String() string {
 	for i, tr := range s.From {
 		switch {
 		case i == 0:
-			b.WriteString(" FROM " + QuoteIdent(tr.Name))
+			b.WriteString(" FROM " + quoteIdent(tr.Name))
 		case tr.Join == JoinCross:
-			b.WriteString(", " + QuoteIdent(tr.Name))
+			b.WriteString(", " + quoteIdent(tr.Name))
 		default:
-			b.WriteString(" " + tr.Join.String() + " " + QuoteIdent(tr.Name))
+			b.WriteString(" " + tr.Join.String() + " " + quoteIdent(tr.Name))
 		}
 		if tr.Alias != "" {
-			b.WriteString(" " + QuoteIdent(tr.Alias))
+			b.WriteString(" " + quoteIdent(tr.Alias))
 		}
 		if tr.On != nil {
 			b.WriteString(" ON " + tr.On.String())
@@ -523,9 +523,9 @@ func (*Param) exprNode()       {}
 // String implements Expr.
 func (e *ColumnRef) String() string {
 	if e.Table != "" {
-		return QuoteIdent(e.Table) + "." + QuoteIdent(e.Name)
+		return quoteIdent(e.Table) + "." + quoteIdent(e.Name)
 	}
-	return QuoteIdent(e.Name)
+	return quoteIdent(e.Name)
 }
 
 // RefName returns the reference's resolution key — "table.name" with no

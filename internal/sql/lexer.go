@@ -13,18 +13,18 @@ type Lexer struct {
 	col   int
 }
 
-// NewLexer creates a lexer over input.
-func NewLexer(input string) *Lexer {
+// newLexer creates a lexer over input.
+func newLexer(input string) *Lexer {
 	return &Lexer{input: input, line: 1, col: 1}
 }
 
-// Tokenize runs the lexer to completion and returns every token followed by
+// tokenize runs the lexer to completion and returns every token followed by
 // a terminating EOF token.
-func Tokenize(input string) ([]Token, error) {
-	lx := NewLexer(input)
+func tokenize(input string) ([]Token, error) {
+	lx := newLexer(input)
 	var out []Token
 	for {
-		tok, err := lx.Next()
+		tok, err := lx.next()
 		if err != nil {
 			return nil, err
 		}
@@ -77,8 +77,8 @@ func (l *Lexer) skipSpaceAndComments() {
 	}
 }
 
-// Next returns the next token.
-func (l *Lexer) Next() (Token, error) {
+// next returns the next token.
+func (l *Lexer) next() (Token, error) {
 	l.skipSpaceAndComments()
 	startPos, startLine, startCol := l.pos, l.line, l.col
 	if l.pos >= len(l.input) {

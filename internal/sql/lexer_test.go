@@ -13,7 +13,7 @@ func kinds(toks []Token) []TokenKind {
 }
 
 func TestTokenizeBasics(t *testing.T) {
-	toks, err := Tokenize("SELECT name, credit FROM customers WHERE city = 'Boston' AND credit >= 10.5;")
+	toks, err := tokenize("SELECT name, credit FROM customers WHERE city = 'Boston' AND credit >= 10.5;")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestTokenizeBasics(t *testing.T) {
 }
 
 func TestTokenizeEscapedQuoteAndComments(t *testing.T) {
-	toks, err := Tokenize("-- a comment line\nSELECT 'O''Brien' -- trailing\n")
+	toks, err := tokenize("-- a comment line\nSELECT 'O''Brien' -- trailing\n")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestTokenizeEscapedQuoteAndComments(t *testing.T) {
 }
 
 func TestTokenizeQuotedIdentifier(t *testing.T) {
-	toks, err := Tokenize(`SELECT "Order Total" FROM t`)
+	toks, err := tokenize(`SELECT "Order Total" FROM t`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestTokenizeQuotedIdentifier(t *testing.T) {
 }
 
 func TestTokenizeOperators(t *testing.T) {
-	toks, err := Tokenize("a <> b <= c >= d != e < f > g")
+	toks, err := tokenize("a <> b <= c >= d != e < f > g")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,14 +103,14 @@ func TestTokenizeErrors(t *testing.T) {
 		"SELECT a ! b",
 	}
 	for _, input := range bad {
-		if _, err := Tokenize(input); err == nil {
-			t.Errorf("Tokenize(%q) should fail", input)
+		if _, err := tokenize(input); err == nil {
+			t.Errorf("tokenize(%q) should fail", input)
 		}
 	}
 }
 
 func TestTokenPositions(t *testing.T) {
-	toks, err := Tokenize("SELECT\n  name")
+	toks, err := tokenize("SELECT\n  name")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,8 +123,8 @@ func TestTokenPositions(t *testing.T) {
 }
 
 func TestIsKeyword(t *testing.T) {
-	if !IsKeyword("SELECT") || IsKeyword("customers") {
-		t.Error("IsKeyword misclassifies")
+	if !isKeyword("SELECT") || isKeyword("customers") {
+		t.Error("isKeyword misclassifies")
 	}
 }
 

@@ -5,7 +5,7 @@ import (
 )
 
 func TestLexParams(t *testing.T) {
-	tokens, err := Tokenize("? @city @City @_x1")
+	tokens, err := tokenize("? @city @City @_x1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,7 +24,7 @@ func TestLexParams(t *testing.T) {
 }
 
 func TestLexBareAtFails(t *testing.T) {
-	if _, err := Tokenize("SELECT @ FROM t"); err == nil {
+	if _, err := tokenize("SELECT @ FROM t"); err == nil {
 		t.Fatal("'@' without a name should fail to lex")
 	}
 }

@@ -57,7 +57,7 @@ func Parse(input string) (Statement, error) {
 
 // ParseAll parses a semicolon-separated script into its statements.
 func ParseAll(input string) ([]Statement, error) {
-	tokens, err := Tokenize(input)
+	tokens, err := tokenize(input)
 	if err != nil {
 		return nil, err
 	}
@@ -98,7 +98,7 @@ func ParseSelect(input string) (*SelectStmt, error) {
 // ParseExpr parses a standalone expression (used by the FDL front end for
 // validation rules, defaults and computed fields).
 func ParseExpr(input string) (Expr, error) {
-	tokens, err := Tokenize(input)
+	tokens, err := tokenize(input)
 	if err != nil {
 		return nil, err
 	}

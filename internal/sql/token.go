@@ -92,15 +92,15 @@ var keywords = map[string]bool{
 	"COUNT":   true, "SUM": true, "AVG": true, "MIN": true, "MAX": true,
 }
 
-// IsKeyword reports whether the upper-cased word is reserved.
-func IsKeyword(word string) bool { return keywords[word] }
+// isKeyword reports whether the upper-cased word is reserved.
+func isKeyword(word string) bool { return keywords[word] }
 
-// QuoteIdent renders an identifier so that re-lexing it yields the same
+// quoteIdent renders an identifier so that re-lexing it yields the same
 // name: bare when it is a plain unreserved word, double-quoted (embedded
 // quotes doubled) otherwise. Every AST String() renders identifiers through
 // it, so statements round-trip even when names collide with keywords or
 // carry spaces.
-func QuoteIdent(name string) string {
+func quoteIdent(name string) string {
 	if isBareIdent(name) {
 		return name
 	}
@@ -108,7 +108,7 @@ func QuoteIdent(name string) string {
 }
 
 func isBareIdent(name string) bool {
-	if name == "" || IsKeyword(strings.ToUpper(name)) {
+	if name == "" || isKeyword(strings.ToUpper(name)) {
 		return false
 	}
 	for i := 0; i < len(name); i++ {

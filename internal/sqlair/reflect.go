@@ -47,10 +47,10 @@ var typeCache = struct {
 	misses atomic.Uint64
 }{m: make(map[reflect.Type]*typeInfo)}
 
-// TypeCacheStats reports how often type reflection was served from cache.
+// typeCacheStats reports how often type reflection was served from cache.
 // After warmup every lookup should be a hit; the miss count equals the number
 // of distinct struct types the process has mapped.
-func TypeCacheStats() (hits, misses uint64) {
+func typeCacheStats() (hits, misses uint64) {
 	return typeCache.hits.Load(), typeCache.misses.Load()
 }
 

@@ -27,11 +27,10 @@ type Statement struct {
 	types   map[string]*typeInfo
 }
 
-// Prepare parses a typed query. The samples declare which Go types the
+// prepare parses a typed query. The samples declare which Go types the
 // query's `&Type...` and `$Type...` expressions may reference — pass one
-// (zero) value per type, e.g. Prepare(q, Customer{}, Filter{}).
-// Prefer DB.Prepare, which caches the result per query text.
-func Prepare(query string, samples ...any) (*Statement, error) {
+// (zero) value per type, e.g. prepare(q, Customer{}, Filter{}).
+func prepare(query string, samples ...any) (*Statement, error) {
 	typesByName := make(map[string]*typeInfo, len(samples))
 	for _, sample := range samples {
 		ti, err := typeInfoOf(reflect.TypeOf(sample))
@@ -50,10 +49,11 @@ func Prepare(query string, samples ...any) (*Statement, error) {
 	return &Statement{src: query, sql: sql, inputs: inputs, outputs: outputs, types: typesByName}, nil
 }
 
-// MustPrepare is Prepare that panics on error — for package-level statement
-// variables, where a malformed query is a programming error.
+// MustPrepare parses a typed query like DB.Prepare, without the cache, and
+// panics on error — for package-level statement variables, where a malformed
+// query is a programming error.
 func MustPrepare(query string, samples ...any) *Statement {
-	st, err := Prepare(query, samples...)
+	st, err := prepare(query, samples...)
 	if err != nil {
 		panic(err)
 	}
@@ -129,7 +129,7 @@ func (db *DB) Prepare(query string, samples ...any) (*Statement, error) {
 		return st, nil
 	}
 	db.stmtMisses.Add(1)
-	st, err := Prepare(query, samples...)
+	st, err := prepare(query, samples...)
 	if err != nil {
 		return nil, err
 	}
@@ -145,7 +145,7 @@ func (db *DB) Prepare(query string, samples ...any) (*Statement, error) {
 
 // Stats returns a snapshot of the DB's cache counters.
 func (db *DB) Stats() Stats {
-	th, tm := TypeCacheStats()
+	th, tm := typeCacheStats()
 	return Stats{
 		StmtHits:   db.stmtHits.Load(),
 		StmtMisses: db.stmtMisses.Load(),
@@ -239,19 +239,6 @@ func (q *Query) open() (core.Statement, func(), error) {
 	return st, release, nil
 }
 
-// Run executes the statement and discards any rows — the shape for writes
-// where the caller does not need RETURNING values.
-func (q *Query) Run() error {
-	st, release, err := q.open()
-	if err != nil {
-		return err
-	}
-	defer release()
-	defer st.Close()
-	_, err = st.Exec()
-	return err
-}
-
 // Get executes the statement and scans its first row into the output
 // structs, one per `&Type` used in the query. It returns ErrNoRows when the
 // statement produced none. Rows past the first are discarded.
@@ -278,7 +265,7 @@ func (q *Query) Get(outputs ...any) error {
 // it when done — for a pool DB the connection stays checked out until then.
 func (q *Query) Iter() (*Iterator, error) {
 	if len(q.stmt.outputs) == 0 {
-		return nil, fmt.Errorf("sqlair: statement has no output expressions; use Run")
+		return nil, fmt.Errorf("sqlair: statement has no output expressions; add RETURNING &Type.column")
 	}
 	st, release, err := q.open()
 	if err != nil {

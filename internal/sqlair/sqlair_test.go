@@ -60,7 +60,8 @@ func seed(t *testing.T, db *sqlair.DB, n int) {
 	t.Helper()
 	st, err := db.Prepare(
 		"INSERT INTO customers (id, name, credit, active, since) VALUES "+
-			"($Customer.id, $Customer.name, $Customer.credit, $Customer.active, $Customer.since)",
+			"($Customer.id, $Customer.name, $Customer.credit, $Customer.active, $Customer.since) "+
+			"RETURNING &Customer.id",
 		Customer{})
 	if err != nil {
 		t.Fatal(err)
@@ -73,19 +74,16 @@ func seed(t *testing.T, db *sqlair.DB, n int) {
 			Active: i%2 == 1,
 			Since:  time.Date(1983, time.May, i, 0, 0, 0, 0, time.UTC),
 		}
-		if err := db.Query(context.Background(), st, c).Run(); err != nil {
+		if err := db.Query(context.Background(), st, c).Get(&Customer{}); err != nil {
 			t.Fatalf("seed row %d: %v", i, err)
 		}
 	}
 }
 
 func TestPrepareRewritesTypedExpressions(t *testing.T) {
-	st, err := sqlair.Prepare(
+	st := sqlair.MustPrepare(
 		"SELECT &Customer.* FROM customers WHERE credit >= $Filter.min AND name <> '&Customer.not $one'",
 		Customer{}, Filter{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	want := "SELECT id, name, credit, active, since FROM customers " +
 		"WHERE credit >= @filter_min AND name <> '&Customer.not $one'"
 	if st.SQL() != want {
@@ -105,8 +103,9 @@ func TestPrepareErrors(t *testing.T) {
 		{"SELECT * FROM t WHERE a = $Filter.*", []any{Filter{}}, "not a valid input"},
 		{"SELECT &Customer FROM t", []any{Customer{}}, "must be Type.column or Type.*"},
 	}
+	db := sessionDB(t, 0)
 	for _, tc := range cases {
-		_, err := sqlair.Prepare(tc.query, tc.samples...)
+		_, err := db.Prepare(tc.query, tc.samples...)
 		if err == nil || !strings.Contains(err.Error(), tc.wantSub) {
 			t.Errorf("Prepare(%q): err = %v, want mention of %q", tc.query, err, tc.wantSub)
 		}

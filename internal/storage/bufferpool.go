@@ -63,9 +63,9 @@ func (bp *BufferPool) Stats() BufferPoolStats {
 	return bp.stats
 }
 
-// NewPage allocates a fresh page, pins it and returns it. Its frame starts
+// newPage allocates a fresh page, pins it and returns it. Its frame starts
 // dirty, so the page is on disk before it can be evicted and read back.
-func (bp *BufferPool) NewPage() (PageID, *Page, error) {
+func (bp *BufferPool) newPage() (PageID, *Page, error) {
 	id, err := bp.disk.AllocatePage()
 	if err != nil {
 		return InvalidPageID, nil, err
@@ -75,13 +75,13 @@ func (bp *BufferPool) NewPage() (PageID, *Page, error) {
 	if _, err := bp.ensureRoom(); err != nil {
 		return InvalidPageID, nil, err
 	}
-	f := &frame{page: NewPage(), id: id, pins: 1, dirty: true}
+	f := &frame{page: newPage(), id: id, pins: 1, dirty: true}
 	bp.frames[id] = f
 	return id, f.page, nil
 }
 
-// Fetch pins page id and returns it, reading it from disk on a miss.
-func (bp *BufferPool) Fetch(id PageID) (*Page, error) {
+// fetch pins page id and returns it, reading it from disk on a miss.
+func (bp *BufferPool) fetch(id PageID) (*Page, error) {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
 	if f, ok := bp.frames[id]; ok {
@@ -101,16 +101,16 @@ func (bp *BufferPool) Fetch(id PageID) (*Page, error) {
 	if p == nil {
 		p = new(Page)
 	}
-	if err := bp.disk.ReadPage(id, p.Bytes()); err != nil {
+	if err := bp.disk.ReadPage(id, p.bytes()); err != nil {
 		return nil, err
 	}
 	bp.frames[id] = &frame{page: p, id: id, pins: 1}
 	return p, nil
 }
 
-// Unpin releases one pin on page id. dirty marks the page as modified so it
+// unpin releases one pin on page id. dirty marks the page as modified so it
 // is written back before eviction.
-func (bp *BufferPool) Unpin(id PageID, dirty bool) error {
+func (bp *BufferPool) unpin(id PageID, dirty bool) error {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
 	f, ok := bp.frames[id]
@@ -147,7 +147,7 @@ func (bp *BufferPool) ensureRoom() (*Page, error) {
 	id := elem.Value.(PageID)
 	f := bp.frames[id]
 	if f.dirty {
-		if err := bp.disk.WritePage(id, f.page.Bytes()); err != nil {
+		if err := bp.disk.WritePage(id, f.page.bytes()); err != nil {
 			return nil, err
 		}
 		bp.stats.Writes++

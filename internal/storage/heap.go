@@ -34,9 +34,6 @@ func NewHeapFile(pool *BufferPool) *HeapFile {
 	return &HeapFile{pool: pool, owned: make(map[PageID]struct{})}
 }
 
-// Pool returns the buffer pool the heap file allocates from.
-func (h *HeapFile) Pool() *BufferPool { return h.pool }
-
 // Count returns the number of live records.
 func (h *HeapFile) Count() int {
 	h.mu.RLock()
@@ -44,16 +41,9 @@ func (h *HeapFile) Count() int {
 	return h.count
 }
 
-// NumPages returns the number of pages the heap file owns.
-func (h *HeapFile) NumPages() int {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	return len(h.pages)
-}
-
-// Insert stores record and returns its identifier. It tries the last page
+// insert stores record and returns its identifier. It tries the last page
 // first (the common append pattern) and allocates a new page when full.
-func (h *HeapFile) Insert(record []byte) (RecordID, error) {
+func (h *HeapFile) insert(record []byte) (RecordID, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	// Try the most recently used pages first; scanning every page on every
@@ -64,56 +54,56 @@ func (h *HeapFile) Insert(record []byte) (RecordID, error) {
 	}
 	for i := tryFrom; i < len(h.pages); i++ {
 		id := h.pages[i]
-		page, err := h.pool.Fetch(id)
+		page, err := h.pool.fetch(id)
 		if err != nil {
 			return RecordID{}, err
 		}
-		slot, err := page.Insert(record)
+		slot, err := page.insert(record)
 		if err == nil {
 			h.count++
-			return RecordID{Page: id, Slot: uint16(slot)}, h.pool.Unpin(id, true)
+			return RecordID{Page: id, Slot: uint16(slot)}, h.pool.unpin(id, true)
 		}
-		if unpinErr := h.pool.Unpin(id, false); unpinErr != nil {
+		if unpinErr := h.pool.unpin(id, false); unpinErr != nil {
 			return RecordID{}, unpinErr
 		}
 		if !errors.Is(err, ErrPageFull) {
 			return RecordID{}, err
 		}
 	}
-	id, page, err := h.pool.NewPage()
+	id, page, err := h.pool.newPage()
 	if err != nil {
 		return RecordID{}, err
 	}
 	h.pages = append(h.pages, id)
 	h.owned[id] = struct{}{}
-	slot, err := page.Insert(record)
+	slot, err := page.insert(record)
 	if err != nil {
 		return RecordID{}, errors.Join(
 			fmt.Errorf("storage: record of %d bytes does not fit in an empty page: %w", len(record), err),
-			h.pool.Unpin(id, false))
+			h.pool.unpin(id, false))
 	}
 	h.count++
-	return RecordID{Page: id, Slot: uint16(slot)}, h.pool.Unpin(id, true)
+	return RecordID{Page: id, Slot: uint16(slot)}, h.pool.unpin(id, true)
 }
 
-// Get returns a copy of the record at rid.
-func (h *HeapFile) Get(rid RecordID) ([]byte, error) {
+// get returns a copy of the record at rid.
+func (h *HeapFile) get(rid RecordID) ([]byte, error) {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
 	if !h.owns(rid.Page) {
 		return nil, ErrRecordNotFound
 	}
-	page, err := h.pool.Fetch(rid.Page)
+	page, err := h.pool.fetch(rid.Page)
 	if err != nil {
 		return nil, err
 	}
-	raw, err := page.Get(int(rid.Slot))
+	raw, err := page.get(int(rid.Slot))
 	if err != nil {
-		return nil, errors.Join(ErrRecordNotFound, h.pool.Unpin(rid.Page, false))
+		return nil, errors.Join(ErrRecordNotFound, h.pool.unpin(rid.Page, false))
 	}
 	out := make([]byte, len(raw))
 	copy(out, raw)
-	return out, h.pool.Unpin(rid.Page, false)
+	return out, h.pool.unpin(rid.Page, false)
 }
 
 // Update replaces the record at rid. When the new record no longer fits on
@@ -125,31 +115,31 @@ func (h *HeapFile) Update(rid RecordID, record []byte) (RecordID, error) {
 	if !h.owns(rid.Page) {
 		return rid, ErrRecordNotFound
 	}
-	page, err := h.pool.Fetch(rid.Page)
+	page, err := h.pool.fetch(rid.Page)
 	if err != nil {
 		return rid, err
 	}
-	err = page.Update(int(rid.Slot), record)
+	err = page.update(int(rid.Slot), record)
 	switch {
 	case err == nil:
-		return rid, h.pool.Unpin(rid.Page, true)
+		return rid, h.pool.unpin(rid.Page, true)
 	case errors.Is(err, ErrPageFull):
 		// Relocate: delete here, insert elsewhere.
-		if delErr := page.Delete(int(rid.Slot)); delErr != nil {
-			return rid, errors.Join(delErr, h.pool.Unpin(rid.Page, false))
+		if delErr := page.delete(int(rid.Slot)); delErr != nil {
+			return rid, errors.Join(delErr, h.pool.unpin(rid.Page, false))
 		}
-		if unpinErr := h.pool.Unpin(rid.Page, true); unpinErr != nil {
+		if unpinErr := h.pool.unpin(rid.Page, true); unpinErr != nil {
 			return rid, unpinErr
 		}
 		h.count-- // insertLocked will re-increment
 		h.mu.Unlock()
-		newRID, insErr := h.Insert(record)
+		newRID, insErr := h.insert(record)
 		h.mu.Lock()
 		return newRID, insErr
 	case errors.Is(err, ErrNoSuchSlot):
-		return rid, errors.Join(ErrRecordNotFound, h.pool.Unpin(rid.Page, false))
+		return rid, errors.Join(ErrRecordNotFound, h.pool.unpin(rid.Page, false))
 	default:
-		return rid, errors.Join(err, h.pool.Unpin(rid.Page, false))
+		return rid, errors.Join(err, h.pool.unpin(rid.Page, false))
 	}
 }
 
@@ -160,15 +150,15 @@ func (h *HeapFile) Delete(rid RecordID) error {
 	if !h.owns(rid.Page) {
 		return ErrRecordNotFound
 	}
-	page, err := h.pool.Fetch(rid.Page)
+	page, err := h.pool.fetch(rid.Page)
 	if err != nil {
 		return err
 	}
-	if err := page.Delete(int(rid.Slot)); err != nil {
-		return errors.Join(ErrRecordNotFound, h.pool.Unpin(rid.Page, false))
+	if err := page.delete(int(rid.Slot)); err != nil {
+		return errors.Join(ErrRecordNotFound, h.pool.unpin(rid.Page, false))
 	}
 	h.count--
-	return h.pool.Unpin(rid.Page, true)
+	return h.pool.unpin(rid.Page, true)
 }
 
 func (h *HeapFile) owns(id PageID) bool {
@@ -207,7 +197,7 @@ func (h *HeapFile) Scan(fn func(rid RecordID, record []byte) error) error {
 func (h *HeapFile) readPage(id PageID) ([]RecordID, [][]byte, error) {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
-	page, err := h.pool.Fetch(id)
+	page, err := h.pool.fetch(id)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -215,9 +205,9 @@ func (h *HeapFile) readPage(id PageID) ([]RecordID, [][]byte, error) {
 		rids []RecordID
 		recs [][]byte
 	)
-	n := page.NumSlots()
+	n := page.numSlots()
 	for slot := 0; slot < n; slot++ {
-		raw, err := page.Get(slot)
+		raw, err := page.get(slot)
 		if err != nil {
 			continue // tombstone
 		}
@@ -226,7 +216,7 @@ func (h *HeapFile) readPage(id PageID) ([]RecordID, [][]byte, error) {
 		rids = append(rids, RecordID{Page: id, Slot: uint16(slot)})
 		recs = append(recs, rec)
 	}
-	return rids, recs, h.pool.Unpin(id, false)
+	return rids, recs, h.pool.unpin(id, false)
 }
 
 // Iterator returns a pull-style iterator over the heap file, used by the

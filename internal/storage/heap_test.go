@@ -17,7 +17,7 @@ func TestHeapInsertGetDelete(t *testing.T) {
 	h := newTestHeap()
 	rids := make([]RecordID, 0, 100)
 	for i := 0; i < 100; i++ {
-		rid, err := h.Insert([]byte(fmt.Sprintf("record-%03d", i)))
+		rid, err := h.insert([]byte(fmt.Sprintf("record-%03d", i)))
 		if err != nil {
 			t.Fatalf("Insert %d: %v", i, err)
 		}
@@ -27,7 +27,7 @@ func TestHeapInsertGetDelete(t *testing.T) {
 		t.Errorf("Count = %d", h.Count())
 	}
 	for i, rid := range rids {
-		got, err := h.Get(rid)
+		got, err := h.get(rid)
 		if err != nil {
 			t.Fatalf("Get %d: %v", i, err)
 		}
@@ -38,7 +38,7 @@ func TestHeapInsertGetDelete(t *testing.T) {
 	if err := h.Delete(rids[10]); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := h.Get(rids[10]); !errors.Is(err, ErrRecordNotFound) {
+	if _, err := h.get(rids[10]); !errors.Is(err, ErrRecordNotFound) {
 		t.Errorf("Get deleted = %v", err)
 	}
 	if err := h.Delete(rids[10]); !errors.Is(err, ErrRecordNotFound) {
@@ -47,7 +47,7 @@ func TestHeapInsertGetDelete(t *testing.T) {
 	if h.Count() != 99 {
 		t.Errorf("Count after delete = %d", h.Count())
 	}
-	if _, err := h.Get(RecordID{Page: 9999, Slot: 0}); !errors.Is(err, ErrRecordNotFound) {
+	if _, err := h.get(RecordID{Page: 9999, Slot: 0}); !errors.Is(err, ErrRecordNotFound) {
 		t.Errorf("Get from foreign page = %v", err)
 	}
 }
@@ -56,12 +56,12 @@ func TestHeapSpansPages(t *testing.T) {
 	h := newTestHeap()
 	rec := bytes.Repeat([]byte("x"), 3000)
 	for i := 0; i < 20; i++ {
-		if _, err := h.Insert(rec); err != nil {
+		if _, err := h.insert(rec); err != nil {
 			t.Fatalf("Insert %d: %v", i, err)
 		}
 	}
-	if h.NumPages() < 10 {
-		t.Errorf("expected records to span many pages, got %d", h.NumPages())
+	if len(h.pages) < 10 {
+		t.Errorf("expected records to span many pages, got %d", len(h.pages))
 	}
 	n := 0
 	if err := h.Scan(func(rid RecordID, record []byte) error {
@@ -80,11 +80,11 @@ func TestHeapSpansPages(t *testing.T) {
 
 func TestHeapUpdateInPlaceAndRelocate(t *testing.T) {
 	h := newTestHeap()
-	rid, _ := h.Insert([]byte("small"))
+	rid, _ := h.insert([]byte("small"))
 	// Fill the first page so a growing update must relocate.
 	filler := bytes.Repeat([]byte("f"), 2000)
 	for i := 0; i < 4; i++ {
-		_, _ = h.Insert(filler)
+		_, _ = h.insert(filler)
 	}
 	// In-place update.
 	newRID, err := h.Update(rid, []byte("tiny"))
@@ -100,7 +100,7 @@ func TestHeapUpdateInPlaceAndRelocate(t *testing.T) {
 	if movedRID == rid {
 		t.Log("update fitted in place (page had room after compaction); acceptable")
 	}
-	got, err := h.Get(movedRID)
+	got, err := h.get(movedRID)
 	if err != nil || !bytes.Equal(got, big) {
 		t.Errorf("after relocation: %d bytes, %v", len(got), err)
 	}
@@ -118,7 +118,7 @@ func TestHeapIterator(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		s := fmt.Sprintf("it-%d", i)
 		want[s] = true
-		if _, err := h.Insert([]byte(s)); err != nil {
+		if _, err := h.insert([]byte(s)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -145,7 +145,7 @@ func TestHeapIterator(t *testing.T) {
 func TestHeapScanEarlyStop(t *testing.T) {
 	h := newTestHeap()
 	for i := 0; i < 10; i++ {
-		_, _ = h.Insert([]byte("x"))
+		_, _ = h.insert([]byte("x"))
 	}
 	sentinel := errors.New("stop")
 	n := 0
@@ -168,7 +168,7 @@ func TestBufferPoolEvictionAndStats(t *testing.T) {
 	rec := bytes.Repeat([]byte("y"), 4000)
 	var rids []RecordID
 	for i := 0; i < 20; i++ { // 2 records per page => 10 pages > capacity 4
-		rid, err := h.Insert(rec)
+		rid, err := h.insert(rec)
 		if err != nil {
 			t.Fatalf("Insert %d: %v", i, err)
 		}
@@ -176,7 +176,7 @@ func TestBufferPoolEvictionAndStats(t *testing.T) {
 	}
 	// All records must still be readable through eviction + reload.
 	for i, rid := range rids {
-		got, err := h.Get(rid)
+		got, err := h.get(rid)
 		if err != nil || !bytes.Equal(got, rec) {
 			t.Fatalf("Get %d after eviction: %v", i, err)
 		}
@@ -193,30 +193,30 @@ func TestBufferPoolEvictionAndStats(t *testing.T) {
 func TestBufferPoolExhaustion(t *testing.T) {
 	pool := NewBufferPool(NewMemDiskManager(), 2)
 	// Pin two pages and never unpin; the third allocation must fail.
-	if _, _, err := pool.NewPage(); err != nil {
+	if _, _, err := pool.newPage(); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := pool.NewPage(); err != nil {
+	if _, _, err := pool.newPage(); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := pool.NewPage(); err == nil {
+	if _, _, err := pool.newPage(); err == nil {
 		t.Error("expected exhaustion error when every frame is pinned")
 	}
 }
 
 func TestBufferPoolUnpinErrors(t *testing.T) {
 	pool := NewBufferPool(NewMemDiskManager(), 2)
-	if err := pool.Unpin(PageID(7), false); err == nil {
+	if err := pool.unpin(PageID(7), false); err == nil {
 		t.Error("unpin of uncached page should error")
 	}
-	id, _, err := pool.NewPage()
+	id, _, err := pool.newPage()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := pool.Unpin(id, true); err != nil {
+	if err := pool.unpin(id, true); err != nil {
 		t.Fatal(err)
 	}
-	if err := pool.Unpin(id, false); err == nil {
+	if err := pool.unpin(id, false); err == nil {
 		t.Error("unpin below zero should error")
 	}
 }
@@ -253,7 +253,7 @@ func TestFileDiskManagerIsScratch(t *testing.T) {
 	var rids []RecordID
 	for i := 0; i < 20; i++ {
 		rec[0] = byte(i)
-		rid, err := h.Insert(rec)
+		rid, err := h.insert(rec)
 		if err != nil {
 			t.Fatalf("Insert %d: %v", i, err)
 		}
@@ -261,7 +261,7 @@ func TestFileDiskManagerIsScratch(t *testing.T) {
 	}
 	for i, rid := range rids {
 		rec[0] = byte(i)
-		if got, err := h.Get(rid); err != nil || !bytes.Equal(got, rec) {
+		if got, err := h.get(rid); err != nil || !bytes.Equal(got, rec) {
 			t.Fatalf("Get %d through the spill file: %v", i, err)
 		}
 	}
@@ -303,7 +303,7 @@ func BenchmarkHeapInsert(b *testing.B) {
 	rec := bytes.Repeat([]byte("r"), 100)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := h.Insert(rec); err != nil {
+		if _, err := h.insert(rec); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -313,7 +313,7 @@ func BenchmarkHeapScan(b *testing.B) {
 	h := NewHeapFile(NewBufferPool(NewMemDiskManager(), 1024))
 	rec := bytes.Repeat([]byte("r"), 100)
 	for i := 0; i < 10000; i++ {
-		if _, err := h.Insert(rec); err != nil {
+		if _, err := h.insert(rec); err != nil {
 			b.Fatal(err)
 		}
 	}

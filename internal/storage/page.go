@@ -44,25 +44,16 @@ type Page struct {
 	data [PageSize]byte
 }
 
-// NewPage returns an initialised empty page.
-func NewPage() *Page {
+// newPage returns an initialised empty page.
+func newPage() *Page {
 	p := &Page{}
 	p.setSlotCount(0)
 	p.setFreeEnd(PageSize)
 	return p
 }
 
-// Bytes returns the raw page image (for the disk manager and the WAL).
-func (p *Page) Bytes() []byte { return p.data[:] }
-
-// LoadBytes overwrites the page image with data, which must be PageSize long.
-func (p *Page) LoadBytes(data []byte) error {
-	if len(data) != PageSize {
-		return fmt.Errorf("storage: page image is %d bytes, want %d", len(data), PageSize)
-	}
-	copy(p.data[:], data)
-	return nil
-}
+// bytes returns the raw page image (for the disk manager and the WAL).
+func (p *Page) bytes() []byte { return p.data[:] }
 
 func (p *Page) slotCount() int     { return int(binary.LittleEndian.Uint16(p.data[0:2])) }
 func (p *Page) setSlotCount(n int) { binary.LittleEndian.PutUint16(p.data[0:2], uint16(n)) }
@@ -80,22 +71,12 @@ func (p *Page) setSlot(i, offset, length int) {
 	binary.LittleEndian.PutUint16(p.data[p.slotBase(i)+2:p.slotBase(i)+4], uint16(length))
 }
 
-// NumSlots returns the number of slots ever allocated on the page, including
+// numSlots returns the number of slots ever allocated on the page, including
 // tombstoned ones. Slot numbers range over [0, NumSlots).
-func (p *Page) NumSlots() int { return p.slotCount() }
+func (p *Page) numSlots() int { return p.slotCount() }
 
-// FreeSpace returns the number of payload bytes that can still be inserted
-// (accounting for the slot directory entry a new record needs).
-func (p *Page) FreeSpace() int {
-	free := p.freeEnd() - (pageHeaderSize + p.slotCount()*slotSize) - slotSize
-	if free < 0 {
-		return 0
-	}
-	return free
-}
-
-// Insert stores the record on the page and returns its slot number.
-func (p *Page) Insert(record []byte) (int, error) {
+// insert stores the record on the page and returns its slot number.
+func (p *Page) insert(record []byte) (int, error) {
 	if len(record) > PageSize-pageHeaderSize-slotSize {
 		return 0, fmt.Errorf("storage: record of %d bytes can never fit in a page", len(record))
 	}
@@ -137,9 +118,9 @@ func (p *Page) Insert(record []byte) (int, error) {
 	return slot, nil
 }
 
-// Get returns the record stored in the slot. The returned slice aliases the
+// get returns the record stored in the slot. The returned slice aliases the
 // page buffer; callers must copy or decode it before unpinning the page.
-func (p *Page) Get(slot int) ([]byte, error) {
+func (p *Page) get(slot int) ([]byte, error) {
 	if slot < 0 || slot >= p.slotCount() {
 		return nil, ErrNoSuchSlot
 	}
@@ -150,9 +131,9 @@ func (p *Page) Get(slot int) ([]byte, error) {
 	return p.data[off : off+length], nil
 }
 
-// Delete tombstones the slot. The space it occupied is reclaimed lazily by
+// delete tombstones the slot. The space it occupied is reclaimed lazily by
 // compaction on a later insert.
-func (p *Page) Delete(slot int) error {
+func (p *Page) delete(slot int) error {
 	if slot < 0 || slot >= p.slotCount() {
 		return ErrNoSuchSlot
 	}
@@ -163,10 +144,10 @@ func (p *Page) Delete(slot int) error {
 	return nil
 }
 
-// Update replaces the record in the slot. If the new record no longer fits on
+// update replaces the record in the slot. If the new record no longer fits on
 // the page, Update returns ErrPageFull and leaves the old record in place;
 // the caller (the heap file) then relocates the record to another page.
-func (p *Page) Update(slot int, record []byte) error {
+func (p *Page) update(slot int, record []byte) error {
 	if slot < 0 || slot >= p.slotCount() {
 		return ErrNoSuchSlot
 	}
@@ -234,17 +215,6 @@ func (p *Page) compact() {
 	p.setFreeEnd(writeEnd)
 }
 
-// LiveRecords returns the number of non-tombstoned records on the page.
-func (p *Page) LiveRecords() int {
-	n := 0
-	for i := 0; i < p.slotCount(); i++ {
-		if !(p.slotOffset(i) == 0 && p.slotLength(i) == 0) {
-			n++
-		}
-	}
-	return n
-}
-
 // RecordID addresses a record: the page it lives on and its slot there.
 // Record identifiers are stable across updates (the heap file relocates
 // oversized updates by delete+insert and reports the new identifier).
@@ -255,11 +225,3 @@ type RecordID struct {
 
 // String renders the record identifier as "page:slot".
 func (r RecordID) String() string { return fmt.Sprintf("%d:%d", r.Page, r.Slot) }
-
-// Less orders record identifiers by page then slot.
-func (r RecordID) Less(o RecordID) bool {
-	if r.Page != o.Page {
-		return r.Page < o.Page
-	}
-	return r.Slot < o.Slot
-}

@@ -9,18 +9,18 @@ import (
 )
 
 func TestPageInsertGet(t *testing.T) {
-	p := NewPage()
+	p := newPage()
 	recs := [][]byte{[]byte("alpha"), []byte("beta"), []byte(""), []byte("gamma gamma gamma")}
 	slots := make([]int, len(recs))
 	for i, r := range recs {
-		s, err := p.Insert(r)
+		s, err := p.insert(r)
 		if err != nil {
 			t.Fatalf("Insert %d: %v", i, err)
 		}
 		slots[i] = s
 	}
 	for i, r := range recs {
-		got, err := p.Get(slots[i])
+		got, err := p.get(slots[i])
 		if err != nil {
 			t.Fatalf("Get %d: %v", i, err)
 		}
@@ -28,41 +28,41 @@ func TestPageInsertGet(t *testing.T) {
 			t.Errorf("Get %d = %q, want %q", i, got, r)
 		}
 	}
-	if p.LiveRecords() != len(recs) {
-		t.Errorf("LiveRecords = %d, want %d", p.LiveRecords(), len(recs))
+	if liveRecords(p) != len(recs) {
+		t.Errorf("LiveRecords = %d, want %d", liveRecords(p), len(recs))
 	}
 }
 
 func TestPageDelete(t *testing.T) {
-	p := NewPage()
-	s1, _ := p.Insert([]byte("one"))
-	s2, _ := p.Insert([]byte("two"))
-	if err := p.Delete(s1); err != nil {
+	p := newPage()
+	s1, _ := p.insert([]byte("one"))
+	s2, _ := p.insert([]byte("two"))
+	if err := p.delete(s1); err != nil {
 		t.Fatalf("Delete: %v", err)
 	}
-	if _, err := p.Get(s1); !errors.Is(err, ErrNoSuchSlot) {
+	if _, err := p.get(s1); !errors.Is(err, ErrNoSuchSlot) {
 		t.Errorf("Get deleted slot: %v", err)
 	}
-	if err := p.Delete(s1); !errors.Is(err, ErrNoSuchSlot) {
+	if err := p.delete(s1); !errors.Is(err, ErrNoSuchSlot) {
 		t.Errorf("double Delete: %v", err)
 	}
-	if err := p.Delete(99); !errors.Is(err, ErrNoSuchSlot) {
+	if err := p.delete(99); !errors.Is(err, ErrNoSuchSlot) {
 		t.Errorf("Delete bad slot: %v", err)
 	}
-	got, err := p.Get(s2)
+	got, err := p.get(s2)
 	if err != nil || !bytes.Equal(got, []byte("two")) {
 		t.Errorf("Get surviving record = %q, %v", got, err)
 	}
-	if p.LiveRecords() != 1 {
-		t.Errorf("LiveRecords = %d, want 1", p.LiveRecords())
+	if liveRecords(p) != 1 {
+		t.Errorf("LiveRecords = %d, want 1", liveRecords(p))
 	}
 }
 
 func TestPageSlotReuse(t *testing.T) {
-	p := NewPage()
-	s1, _ := p.Insert([]byte("one"))
-	_ = p.Delete(s1)
-	s2, err := p.Insert([]byte("newcomer"))
+	p := newPage()
+	s1, _ := p.insert([]byte("one"))
+	_ = p.delete(s1)
+	s2, err := p.insert([]byte("newcomer"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,34 +72,34 @@ func TestPageSlotReuse(t *testing.T) {
 }
 
 func TestPageUpdateInPlaceAndGrow(t *testing.T) {
-	p := NewPage()
-	s, _ := p.Insert([]byte("0123456789"))
-	if err := p.Update(s, []byte("short")); err != nil {
+	p := newPage()
+	s, _ := p.insert([]byte("0123456789"))
+	if err := p.update(s, []byte("short")); err != nil {
 		t.Fatalf("shrink update: %v", err)
 	}
-	got, _ := p.Get(s)
+	got, _ := p.get(s)
 	if string(got) != "short" {
 		t.Errorf("after shrink: %q", got)
 	}
 	long := bytes.Repeat([]byte("x"), 500)
-	if err := p.Update(s, long); err != nil {
+	if err := p.update(s, long); err != nil {
 		t.Fatalf("grow update: %v", err)
 	}
-	got, _ = p.Get(s)
+	got, _ = p.get(s)
 	if !bytes.Equal(got, long) {
 		t.Errorf("after grow: %d bytes", len(got))
 	}
-	if err := p.Update(42, []byte("x")); !errors.Is(err, ErrNoSuchSlot) {
+	if err := p.update(42, []byte("x")); !errors.Is(err, ErrNoSuchSlot) {
 		t.Errorf("update bad slot: %v", err)
 	}
 }
 
 func TestPageFullAndCompaction(t *testing.T) {
-	p := NewPage()
+	p := newPage()
 	rec := bytes.Repeat([]byte("a"), 1000)
 	var slots []int
 	for {
-		s, err := p.Insert(rec)
+		s, err := p.insert(rec)
 		if err != nil {
 			if !errors.Is(err, ErrPageFull) {
 				t.Fatalf("unexpected error: %v", err)
@@ -113,18 +113,18 @@ func TestPageFullAndCompaction(t *testing.T) {
 	}
 	// Delete every other record; compaction should then make room again.
 	for i := 0; i < len(slots); i += 2 {
-		if err := p.Delete(slots[i]); err != nil {
+		if err := p.delete(slots[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < len(slots)/2; i++ {
-		if _, err := p.Insert(rec); err != nil {
+		if _, err := p.insert(rec); err != nil {
 			t.Fatalf("insert after delete+compact %d: %v", i, err)
 		}
 	}
 	// Surviving originals must be intact after compaction moved them.
 	for i := 1; i < len(slots); i += 2 {
-		got, err := p.Get(slots[i])
+		got, err := p.get(slots[i])
 		if err != nil || !bytes.Equal(got, rec) {
 			t.Errorf("record %d corrupted after compaction", i)
 		}
@@ -132,59 +132,64 @@ func TestPageFullAndCompaction(t *testing.T) {
 }
 
 func TestPageOversizeRecord(t *testing.T) {
-	p := NewPage()
-	if _, err := p.Insert(make([]byte, PageSize)); err == nil {
+	p := newPage()
+	if _, err := p.insert(make([]byte, PageSize)); err == nil {
 		t.Error("a record larger than a page must be rejected")
 	}
 }
 
 func TestPageUpdateGrowRelocationNeeded(t *testing.T) {
-	p := NewPage()
-	small, _ := p.Insert([]byte("tiny"))
+	p := newPage()
+	small, _ := p.insert([]byte("tiny"))
 	// Fill the page almost completely.
 	filler := bytes.Repeat([]byte("f"), 2000)
 	for {
-		if _, err := p.Insert(filler); err != nil {
+		if _, err := p.insert(filler); err != nil {
 			break
 		}
 	}
 	big := bytes.Repeat([]byte("B"), 4000)
-	err := p.Update(small, big)
+	err := p.update(small, big)
 	if !errors.Is(err, ErrPageFull) {
 		t.Fatalf("expected ErrPageFull, got %v", err)
 	}
 	// The original record must still be readable after the failed update.
-	got, err := p.Get(small)
+	got, err := p.get(small)
 	if err != nil || string(got) != "tiny" {
 		t.Errorf("original record lost after failed grow: %q, %v", got, err)
 	}
 }
 
 func TestPageLoadBytesRoundTrip(t *testing.T) {
-	p := NewPage()
-	s, _ := p.Insert([]byte("persist me"))
-	q := NewPage()
-	if err := q.LoadBytes(p.Bytes()); err != nil {
+	p := newPage()
+	s, _ := p.insert([]byte("persist me"))
+	disk := NewMemDiskManager()
+	id, err := disk.AllocatePage()
+	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := q.Get(s)
+	if err := disk.WritePage(id, p.bytes()); err != nil {
+		t.Fatal(err)
+	}
+	q := newPage()
+	if err := disk.ReadPage(id, q.bytes()); err != nil {
+		t.Fatal(err)
+	}
+	got, err := q.get(s)
 	if err != nil || string(got) != "persist me" {
 		t.Errorf("round trip through bytes: %q, %v", got, err)
-	}
-	if err := q.LoadBytes([]byte("short")); err == nil {
-		t.Error("LoadBytes must reject wrong-size images")
 	}
 }
 
 func TestPagePropertyInsertGetConsistency(t *testing.T) {
 	f := func(payloads [][]byte) bool {
-		p := NewPage()
+		p := newPage()
 		inserted := map[int][]byte{}
 		for _, rec := range payloads {
 			if len(rec) > 1024 {
 				rec = rec[:1024]
 			}
-			s, err := p.Insert(rec)
+			s, err := p.insert(rec)
 			if errors.Is(err, ErrPageFull) {
 				break
 			}
@@ -194,7 +199,7 @@ func TestPagePropertyInsertGetConsistency(t *testing.T) {
 			inserted[s] = rec
 		}
 		for s, want := range inserted {
-			got, err := p.Get(s)
+			got, err := p.get(s)
 			if err != nil || !bytes.Equal(got, want) {
 				return false
 			}
@@ -213,28 +218,39 @@ func TestRecordIDStringAndLess(t *testing.T) {
 	if a.String() != "1:2" {
 		t.Errorf("String = %q", a.String())
 	}
-	if !a.Less(b) || !b.Less(c) || c.Less(a) {
-		t.Error("RecordID ordering wrong")
+	if b.String() != "1:3" || c.String() != "2:0" {
+		t.Errorf("String = %q, %q", b.String(), c.String())
 	}
 }
 
 func TestFreeSpaceDecreases(t *testing.T) {
-	p := NewPage()
-	before := p.FreeSpace()
-	_, _ = p.Insert(make([]byte, 100))
-	after := p.FreeSpace()
-	if after >= before {
-		t.Errorf("free space should shrink: %d -> %d", before, after)
+	p := newPage()
+	_, _ = p.insert(make([]byte, 100))
+	// What is left after one record and its slot, less the new slot.
+	room := PageSize - pageHeaderSize - 2*slotSize - 100
+	if _, err := p.insert(make([]byte, room+1)); !errors.Is(err, ErrPageFull) {
+		t.Errorf("a record one byte over the free space: %v, want ErrPageFull", err)
 	}
-	if before != PageSize-pageHeaderSize-slotSize {
-		t.Errorf("empty page free space = %d", before)
+	if _, err := p.insert(make([]byte, room)); err != nil {
+		t.Errorf("a record filling the free space exactly: %v", err)
 	}
 }
 
-func ExampleNewPage() {
-	p := NewPage()
-	slot, _ := p.Insert([]byte("hello"))
-	rec, _ := p.Get(slot)
+func ExampleNewHeapFile() {
+	h := NewHeapFile(NewBufferPool(NewMemDiskManager(), 8))
+	rid, _ := h.InsertVersion(VersionMeta{Xmin: 1}, []byte("hello"))
+	_, rec, _ := h.GetVersion(rid)
 	fmt.Println(string(rec))
 	// Output: hello
+}
+
+// liveRecords counts the page's non-tombstoned records.
+func liveRecords(p *Page) int {
+	n := 0
+	for i := 0; i < p.numSlots(); i++ {
+		if _, err := p.get(i); err == nil {
+			n++
+		}
+	}
+	return n
 }

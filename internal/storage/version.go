@@ -84,12 +84,12 @@ func DecodeVersion(rec []byte) (VersionMeta, []byte, error) {
 
 // InsertVersion stores payload as a new row version stamped with meta.
 func (h *HeapFile) InsertVersion(meta VersionMeta, payload []byte) (RecordID, error) {
-	return h.Insert(EncodeVersion(meta, payload))
+	return h.insert(EncodeVersion(meta, payload))
 }
 
 // GetVersion returns the version header and a copy of the payload at rid.
 func (h *HeapFile) GetVersion(rid RecordID) (VersionMeta, []byte, error) {
-	rec, err := h.Get(rid)
+	rec, err := h.get(rid)
 	if err != nil {
 		return VersionMeta{}, nil, err
 	}
@@ -109,19 +109,19 @@ func (h *HeapFile) SetXmax(rid RecordID, xid uint64) (VersionMeta, []byte, error
 	if !h.owns(rid.Page) {
 		return VersionMeta{}, nil, ErrRecordNotFound
 	}
-	page, err := h.pool.Fetch(rid.Page)
+	page, err := h.pool.fetch(rid.Page)
 	if err != nil {
 		return VersionMeta{}, nil, err
 	}
-	raw, err := page.Get(int(rid.Slot))
+	raw, err := page.get(int(rid.Slot))
 	if err != nil {
-		return VersionMeta{}, nil, errors.Join(ErrRecordNotFound, h.pool.Unpin(rid.Page, false))
+		return VersionMeta{}, nil, errors.Join(ErrRecordNotFound, h.pool.unpin(rid.Page, false))
 	}
 	meta, payload, err := DecodeVersion(raw)
 	if err != nil {
-		return VersionMeta{}, nil, errors.Join(err, h.pool.Unpin(rid.Page, false))
+		return VersionMeta{}, nil, errors.Join(err, h.pool.unpin(rid.Page, false))
 	}
 	binary.LittleEndian.PutUint64(raw[8:16], xid)
 	meta.Xmax = xid
-	return meta, append([]byte(nil), payload...), h.pool.Unpin(rid.Page, true)
+	return meta, append([]byte(nil), payload...), h.pool.unpin(rid.Page, true)
 }

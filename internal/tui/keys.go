@@ -73,7 +73,7 @@ func (e Event) String() string {
 }
 
 // Rune returns a printable-character event.
-func RuneEvent(r rune) Event { return Event{Key: KeyRune, Rune: r} }
+func runeEvent(r rune) Event { return Event{Key: KeyRune, Rune: r} }
 
 // KeyEvent returns a special-key event.
 func KeyEvent(k Key) Event { return Event{Key: k} }
@@ -82,7 +82,7 @@ func KeyEvent(k Key) Event { return Event{Key: k} }
 func TypeString(s string) []Event {
 	out := make([]Event, 0, len(s))
 	for _, r := range s {
-		out = append(out, RuneEvent(r))
+		out = append(out, runeEvent(r))
 	}
 	return out
 }
@@ -99,12 +99,12 @@ func ParseScript(script string) ([]Event, error) {
 	for i < len(script) {
 		c := script[i]
 		if c != '<' {
-			out = append(out, RuneEvent(rune(c)))
+			out = append(out, runeEvent(rune(c)))
 			i++
 			continue
 		}
 		if i+1 < len(script) && script[i+1] == '<' {
-			out = append(out, RuneEvent('<'))
+			out = append(out, runeEvent('<'))
 			i += 2
 			continue
 		}
@@ -127,18 +127,4 @@ func ParseScript(script string) ([]Event, error) {
 		i += end + 1
 	}
 	return out, nil
-}
-
-// Script renders events back into script notation; ParseScript(Script(ev))
-// round-trips.
-func Script(events []Event) string {
-	var b strings.Builder
-	for _, e := range events {
-		if e.Key == KeyRune && e.Rune == '<' {
-			b.WriteString("<<")
-			continue
-		}
-		b.WriteString(e.String())
-	}
-	return b.String()
 }

@@ -11,7 +11,6 @@
 package tui
 
 import (
-	"fmt"
 	"strings"
 )
 
@@ -37,10 +36,9 @@ type Cell struct {
 type Screen struct {
 	width, height int
 	cells         []Cell
-	// painted counts cells written since the last ResetStats; repaints
-	// counts Flush calls; window statistics report both.
-	painted  uint64
-	repaints uint64
+	// painted counts cells written since the screen was created; window
+	// statistics report it.
+	painted uint64
 }
 
 // NewScreen creates a cleared screen of the given size.
@@ -53,7 +51,7 @@ func NewScreen(width, height int) *Screen {
 	}
 	s := &Screen{width: width, height: height, cells: make([]Cell, width*height)}
 	s.Clear()
-	s.ResetStats()
+	s.painted = 0 // a blank screen has painted nothing yet
 	return s
 }
 
@@ -71,27 +69,18 @@ func (s *Screen) Clear() {
 	s.painted += uint64(len(s.cells))
 }
 
-// ResetStats zeroes the paint counters.
-func (s *Screen) ResetStats() { s.painted, s.repaints = 0, 0 }
-
-// CellsPainted returns how many cells have been written since ResetStats.
+// CellsPainted returns how many cells have been written since the screen was
+// created.
 func (s *Screen) CellsPainted() uint64 { return s.painted }
 
-// Repaints returns how many Flush calls happened since ResetStats.
-func (s *Screen) Repaints() uint64 { return s.repaints }
-
-// Flush marks the end of one repaint cycle. A real terminal driver would emit
-// the damaged region here; the simulation only counts it.
-func (s *Screen) Flush() { s.repaints++ }
-
-// InBounds reports whether the cell coordinate is on the screen.
-func (s *Screen) InBounds(row, col int) bool {
+// inBounds reports whether the cell coordinate is on the screen.
+func (s *Screen) inBounds(row, col int) bool {
 	return row >= 0 && row < s.height && col >= 0 && col < s.width
 }
 
 // SetCell writes one cell.
 func (s *Screen) SetCell(row, col int, ch rune, style Style) {
-	if !s.InBounds(row, col) {
+	if !s.inBounds(row, col) {
 		return
 	}
 	s.cells[row*s.width+col] = Cell{Ch: ch, Style: style}
@@ -100,7 +89,7 @@ func (s *Screen) SetCell(row, col int, ch rune, style Style) {
 
 // CellAt returns the cell at the coordinate (a space cell when out of bounds).
 func (s *Screen) CellAt(row, col int) Cell {
-	if !s.InBounds(row, col) {
+	if !s.inBounds(row, col) {
 		return Cell{Ch: ' '}
 	}
 	return s.cells[row*s.width+col]
@@ -110,15 +99,6 @@ func (s *Screen) CellAt(row, col int) Cell {
 func (s *Screen) DrawText(row, col int, text string, style Style) {
 	for i, ch := range text {
 		s.SetCell(row, col+i, ch, style)
-	}
-}
-
-// FillRegion fills a rectangle with a character.
-func (s *Screen) FillRegion(row, col, height, width int, ch rune, style Style) {
-	for r := row; r < row+height; r++ {
-		for c := col; c < col+width; c++ {
-			s.SetCell(r, c, ch, style)
-		}
 	}
 }
 
@@ -148,9 +128,9 @@ func (s *Screen) DrawBox(row, col, height, width int, title string, style Style)
 	}
 }
 
-// Line returns the text content of one screen row with trailing spaces
+// line returns the text content of one screen row with trailing spaces
 // trimmed. Tests and the snapshot renderer use it.
-func (s *Screen) Line(row int) string {
+func (s *Screen) line(row int) string {
 	if row < 0 || row >= s.height {
 		return ""
 	}
@@ -165,7 +145,7 @@ func (s *Screen) Line(row int) string {
 func (s *Screen) String() string {
 	var b strings.Builder
 	for r := 0; r < s.height; r++ {
-		b.WriteString(s.Line(r))
+		b.WriteString(s.line(r))
 		b.WriteByte('\n')
 	}
 	return b.String()
@@ -213,27 +193,4 @@ func ansiFor(style Style) string {
 		codes = append(codes, "2")
 	}
 	return "\x1b[0m\x1b[" + strings.Join(codes, ";") + "m"
-}
-
-// Diff counts the cells at which the two screens differ; the screens must be
-// the same size. The window manager uses it to report damage between frames.
-func Diff(a, b *Screen) (int, error) {
-	if a.width != b.width || a.height != b.height {
-		return 0, fmt.Errorf("tui: cannot diff %dx%d against %dx%d", a.width, a.height, b.width, b.height)
-	}
-	n := 0
-	for i := range a.cells {
-		if a.cells[i] != b.cells[i] {
-			n++
-		}
-	}
-	return n, nil
-}
-
-// Snapshot returns a deep copy of the screen (without its statistics).
-func (s *Screen) Snapshot() *Screen {
-	out := NewScreen(s.width, s.height)
-	copy(out.cells, s.cells)
-	out.ResetStats()
-	return out
 }

@@ -12,7 +12,7 @@ func TestScreenBasics(t *testing.T) {
 		t.Fatalf("size = %dx%d", s.Width(), s.Height())
 	}
 	s.DrawText(1, 2, "hello", StyleBold)
-	if got := s.Line(1); got != "  hello" {
+	if got := s.line(1); got != "  hello" {
 		t.Errorf("Line(1) = %q", got)
 	}
 	if cell := s.CellAt(1, 2); cell.Ch != 'h' || cell.Style != StyleBold {
@@ -31,54 +31,38 @@ func TestScreenBasics(t *testing.T) {
 func TestScreenClipping(t *testing.T) {
 	s := NewScreen(10, 2)
 	s.DrawText(0, 6, "overflowing", StyleNone)
-	if got := s.Line(0); got != "      over" {
+	if got := s.line(0); got != "      over" {
 		t.Errorf("clipped line = %q", got)
 	}
 }
 
 func TestScreenStats(t *testing.T) {
 	s := NewScreen(10, 10)
-	s.ResetStats()
-	s.DrawText(0, 0, "12345", StyleNone)
-	s.Flush()
-	if s.CellsPainted() != 5 || s.Repaints() != 1 {
-		t.Errorf("painted = %d repaints = %d", s.CellsPainted(), s.Repaints())
-	}
-	s.ResetStats()
 	if s.CellsPainted() != 0 {
-		t.Error("ResetStats should zero counters")
+		t.Errorf("a new screen painted %d cells", s.CellsPainted())
+	}
+	s.DrawText(0, 0, "12345", StyleNone)
+	if s.CellsPainted() != 5 {
+		t.Errorf("painted = %d, want 5", s.CellsPainted())
+	}
+	s.DrawText(9, 8, "xyz", StyleNone) // one cell clipped
+	if s.CellsPainted() != 7 {
+		t.Errorf("painted = %d, want 7: clipped cells are not painted", s.CellsPainted())
 	}
 }
 
 func TestDrawBoxAndFill(t *testing.T) {
 	s := NewScreen(20, 6)
 	s.DrawBox(0, 0, 5, 12, "Orders", StyleNone)
-	top := s.Line(0)
+	top := s.line(0)
 	if !strings.HasPrefix(top, "+") || !strings.Contains(top, "Orders") {
 		t.Errorf("box top = %q", top)
 	}
 	if s.CellAt(4, 0).Ch != '+' || s.CellAt(2, 11).Ch != '|' {
 		t.Error("box corners/edges missing")
 	}
-	s.FillRegion(1, 1, 3, 10, '.', StyleNone)
-	if s.CellAt(2, 5).Ch != '.' {
-		t.Error("fill missing")
-	}
 	// Degenerate boxes are ignored.
 	s.DrawBox(0, 0, 1, 1, "", StyleNone)
-}
-
-func TestDiffAndSnapshot(t *testing.T) {
-	a := NewScreen(10, 3)
-	b := a.Snapshot()
-	a.DrawText(0, 0, "abc", StyleNone)
-	n, err := Diff(a, b)
-	if err != nil || n != 3 {
-		t.Errorf("Diff = %d, %v", n, err)
-	}
-	if _, err := Diff(a, NewScreen(5, 5)); err == nil {
-		t.Error("size mismatch should error")
-	}
 }
 
 func TestRenderANSI(t *testing.T) {
@@ -91,16 +75,16 @@ func TestRenderANSI(t *testing.T) {
 }
 
 func TestKeyScriptRoundTrip(t *testing.T) {
-	script := "Ada<TAB>Boston<ENTER><F6><ESC>x"
-	events, err := ParseScript(script)
+	text := "Ada<TAB>Boston<ENTER><F6><ESC>x"
+	events, err := ParseScript(text)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(events) != len("Ada")+1+len("Boston")+4 {
 		t.Errorf("event count = %d", len(events))
 	}
-	if Script(events) != script {
-		t.Errorf("round trip = %q", Script(events))
+	if script(events) != text {
+		t.Errorf("round trip = %q", script(events))
 	}
 	if _, err := ParseScript("<NOSUCHKEY>"); err == nil {
 		t.Error("unknown key should fail")
@@ -127,7 +111,7 @@ func TestParseScriptProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return Script(events) == clean
+		return script(events) == clean
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -139,48 +123,11 @@ func TestTypeStringAndEventString(t *testing.T) {
 	if len(events) != 2 || events[0].Rune != 'a' {
 		t.Errorf("TypeString = %v", events)
 	}
-	if KeyEvent(KeyEnter).String() != "<ENTER>" || RuneEvent('z').String() != "z" {
+	if KeyEvent(KeyEnter).String() != "<ENTER>" || runeEvent('z').String() != "z" {
 		t.Error("Event.String wrong")
 	}
 	if KeyF6.String() != "F6" {
 		t.Errorf("KeyF6 = %q", KeyF6.String())
-	}
-}
-
-func TestTextFieldEditing(t *testing.T) {
-	f := &TextField{Row: 0, Col: 0, Width: 10}
-	for _, e := range TypeString("Boston") {
-		f.HandleKey(e)
-	}
-	if f.Value != "Boston" || f.Cursor != 6 {
-		t.Errorf("value = %q cursor = %d", f.Value, f.Cursor)
-	}
-	f.HandleKey(KeyEvent(KeyBackspace))
-	if f.Value != "Bosto" {
-		t.Errorf("after backspace = %q", f.Value)
-	}
-	f.HandleKey(KeyEvent(KeyHome))
-	f.HandleKey(KeyEvent(KeyDelete))
-	if f.Value != "osto" {
-		t.Errorf("after home+delete = %q", f.Value)
-	}
-	f.HandleKey(KeyEvent(KeyRight))
-	f.HandleKey(RuneEvent('X'))
-	if f.Value != "oXsto" {
-		t.Errorf("after insert = %q", f.Value)
-	}
-	f.HandleKey(KeyEvent(KeyEnd))
-	if f.Cursor != len(f.Value) {
-		t.Errorf("cursor = %d", f.Cursor)
-	}
-	// Unconsumed keys.
-	if f.HandleKey(KeyEvent(KeyEnter)) || f.HandleKey(KeyEvent(KeyTab)) {
-		t.Error("ENTER/TAB should not be consumed by the field")
-	}
-	// Read-only fields ignore edits.
-	ro := &TextField{ReadOnly: true}
-	if ro.HandleKey(RuneEvent('x')) || ro.Value != "" {
-		t.Error("read-only field must ignore input")
 	}
 }
 
@@ -191,12 +138,8 @@ func TestTextFieldScrollingAndDraw(t *testing.T) {
 	f.Draw(s)
 	// The visible window must show the tail of the value with one cell kept
 	// free for the cursor (cursor sits at the end of the text).
-	if got := s.Line(0); !strings.Contains(got, "ghij") || strings.Contains(got, "abc") {
+	if got := s.line(0); !strings.Contains(got, "ghij") || strings.Contains(got, "abc") {
 		t.Errorf("scrolled field = %q", got)
-	}
-	f.Clear()
-	if f.Value != "" || f.Cursor != 0 {
-		t.Error("Clear failed")
 	}
 }
 
@@ -210,36 +153,28 @@ func TestTableGridNavigation(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		rows = append(rows, []string{itoa(i), "row" + itoa(i)})
 	}
-	g.SetRows(rows)
-	g.HandleKey(KeyEvent(KeyDown))
-	g.HandleKey(KeyEvent(KeyDown))
-	if g.Selected != 2 {
-		t.Errorf("Selected = %d", g.Selected)
+	g.Source = stringRows(rows)
+	// The scroll offset follows the selection the window moves.
+	g.Selected = 5
+	g.clampSelection()
+	if g.Offset != 3 {
+		t.Errorf("selected 5: offset = %d, want 3", g.Offset)
 	}
-	g.HandleKey(KeyEvent(KeyPgDn))
-	if g.Selected != 5 || g.Offset == 0 {
-		t.Errorf("after PgDn: selected=%d offset=%d", g.Selected, g.Offset)
+	g.Selected = 12 // past the end
+	g.clampSelection()
+	if g.Selected != 9 || g.Offset != 7 {
+		t.Errorf("past the end = %d/%d, want 9/7", g.Selected, g.Offset)
 	}
-	g.HandleKey(KeyEvent(KeyEnd))
-	if g.Selected != 9 {
-		t.Errorf("End = %d", g.Selected)
-	}
-	g.HandleKey(KeyEvent(KeyHome))
+	g.Selected = -1 // above the top
+	g.clampSelection()
 	if g.Selected != 0 || g.Offset != 0 {
-		t.Errorf("Home = %d/%d", g.Selected, g.Offset)
-	}
-	g.HandleKey(KeyEvent(KeyUp)) // clamped at top
-	if g.Selected != 0 {
-		t.Errorf("clamp = %d", g.Selected)
-	}
-	if g.HandleKey(RuneEvent('x')) {
-		t.Error("grids do not consume character keys")
+		t.Errorf("above the top = %d/%d, want 0/0", g.Selected, g.Offset)
 	}
 
 	s := NewScreen(20, 6)
 	g.Row, g.Col = 0, 0
 	g.Draw(s)
-	if !strings.Contains(s.Line(0), "id") || !strings.Contains(s.Line(1), "row0") {
+	if !strings.Contains(s.line(0), "id") || !strings.Contains(s.line(1), "row0") {
 		t.Errorf("grid draw:\n%s", s.String())
 	}
 }
@@ -258,15 +193,16 @@ func TestTableGridShrinkUnderCursor(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		rows = append(rows, []string{itoa(i)})
 	}
-	g.SetRows(rows)
-	g.HandleKey(KeyEvent(KeyEnd)) // Selected = 9, Offset = 7
+	g.Source = stringRows(rows)
+	g.Selected = 9
+	g.clampSelection() // Offset = 7
 	if g.Selected != 9 || g.Offset != 7 {
 		t.Fatalf("before shrink: selected=%d offset=%d", g.Selected, g.Offset)
 	}
 
 	// The data set shrinks under the cursor: 10 rows become 2.
-	g.SetRows(rows[:2])
-	g.ClampSelection()
+	g.Source = stringRows(rows[:2])
+	g.clampSelection()
 	if g.Selected != 1 {
 		t.Errorf("after shrink: selected = %d, want 1 (the last remaining row)", g.Selected)
 	}
@@ -275,25 +211,26 @@ func TestTableGridShrinkUnderCursor(t *testing.T) {
 	}
 	s := NewScreen(10, 5)
 	g.Draw(s) // must not index past the shrunken data
-	if !strings.Contains(s.Line(1), "0") || !strings.Contains(s.Line(2), "1") {
+	if !strings.Contains(s.line(1), "0") || !strings.Contains(s.line(2), "1") {
 		t.Errorf("after shrink the remaining rows should be visible:\n%s", s.String())
 	}
 
 	// Shrinking to empty clamps everything to the origin and still draws.
-	g.SetRows(nil)
-	g.HandleKey(KeyEvent(KeyDown))
+	g.Source = stringRows(nil)
+	g.Selected++
+	g.clampSelection()
 	if g.Selected != 0 || g.Offset != 0 {
 		t.Errorf("empty grid: selected=%d offset=%d", g.Selected, g.Offset)
 	}
 	g.Draw(NewScreen(10, 5))
 
-	// A provider with an unknown row count (-1): End pages forward instead of
-	// jumping, and the selection is never forced back to a known end.
+	// A provider with an unknown row count (-1): the selection is never
+	// forced back to a known end.
 	g.Source = openEnded{}
-	g.Selected, g.Offset = 0, 0
-	g.HandleKey(KeyEvent(KeyEnd))
-	if g.Selected != g.VisibleRows {
-		t.Errorf("open-ended End: selected = %d, want one page (%d)", g.Selected, g.VisibleRows)
+	g.Selected, g.Offset = g.VisibleRows, 0
+	g.clampSelection()
+	if g.Selected != g.VisibleRows || g.Offset != 1 {
+		t.Errorf("open-ended: selected=%d offset=%d, want %d and 1", g.Selected, g.Offset, g.VisibleRows)
 	}
 }
 
@@ -307,9 +244,9 @@ func (openEnded) GridRow(i int) ([]string, bool) {
 
 func TestStatusBarAndLabel(t *testing.T) {
 	s := NewScreen(30, 3)
-	Label{Row: 0, Col: 1, Text: "Customer", Style: StyleBold}.Draw(s)
+	s.DrawText(0, 1, "Customer", StyleBold)
 	StatusBar{Row: 2, Width: 30, Text: "1 row(s) saved"}.Draw(s)
-	if !strings.Contains(s.Line(0), "Customer") || !strings.Contains(s.Line(2), "saved") {
+	if !strings.Contains(s.line(0), "Customer") || !strings.Contains(s.line(2), "saved") {
 		t.Errorf("draw:\n%s", s.String())
 	}
 }
@@ -334,7 +271,6 @@ func BenchmarkFullScreenRepaint(b *testing.B) {
 		for row := 0; row < 24; row++ {
 			s.DrawText(row, 0, "field value and label text for one row of the form", StyleNone)
 		}
-		s.Flush()
 	}
 }
 
@@ -349,4 +285,30 @@ func BenchmarkRenderANSI(b *testing.B) {
 			b.Fatal("empty render")
 		}
 	}
+}
+
+// script renders events back into script notation, so that
+// ParseScript(script(ev)) round-trips.
+func script(events []Event) string {
+	var b strings.Builder
+	for _, e := range events {
+		if e.Key == KeyRune && e.Rune == '<' {
+			b.WriteString("<<")
+			continue
+		}
+		b.WriteString(e.String())
+	}
+	return b.String()
+}
+
+// stringRows serves a materialised slice of rows to a grid.
+type stringRows [][]string
+
+func (r stringRows) GridRowCount() int { return len(r) }
+
+func (r stringRows) GridRow(i int) ([]string, bool) {
+	if i < 0 || i >= len(r) {
+		return nil, false
+	}
+	return r[i], true
 }

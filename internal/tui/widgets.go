@@ -4,18 +4,6 @@ import (
 	"strings"
 )
 
-// Label is a static piece of text at a fixed position.
-type Label struct {
-	Row, Col int
-	Text     string
-	Style    Style
-}
-
-// Draw paints the label.
-func (l Label) Draw(s *Screen) {
-	s.DrawText(l.Row, l.Col, l.Text, l.Style)
-}
-
 // TextField is a single-line editable field: the building block every form
 // field is rendered with. It owns its text buffer and cursor; the forms
 // runtime feeds it key events while it has focus.
@@ -40,48 +28,6 @@ func (f *TextField) SetValue(v string) {
 	f.Value = v
 	f.Cursor = len(v)
 	f.clampScroll()
-}
-
-// Clear empties the field.
-func (f *TextField) Clear() { f.SetValue("") }
-
-// HandleKey applies one keystroke to the field and reports whether the field
-// consumed it (navigation keys like TAB and ENTER are not consumed; the form
-// interprets them).
-func (f *TextField) HandleKey(e Event) bool {
-	if f.ReadOnly {
-		return false
-	}
-	switch e.Key {
-	case KeyRune:
-		f.Value = f.Value[:f.Cursor] + string(e.Rune) + f.Value[f.Cursor:]
-		f.Cursor++
-	case KeyBackspace:
-		if f.Cursor > 0 {
-			f.Value = f.Value[:f.Cursor-1] + f.Value[f.Cursor:]
-			f.Cursor--
-		}
-	case KeyDelete:
-		if f.Cursor < len(f.Value) {
-			f.Value = f.Value[:f.Cursor] + f.Value[f.Cursor+1:]
-		}
-	case KeyLeft:
-		if f.Cursor > 0 {
-			f.Cursor--
-		}
-	case KeyRight:
-		if f.Cursor < len(f.Value) {
-			f.Cursor++
-		}
-	case KeyHome:
-		f.Cursor = 0
-	case KeyEnd:
-		f.Cursor = len(f.Value)
-	default:
-		return false
-	}
-	f.clampScroll()
-	return true
 }
 
 func (f *TextField) clampScroll() {
@@ -149,21 +95,6 @@ type RowProvider interface {
 	GridRow(i int) (cells []string, ok bool)
 }
 
-// StringRows adapts a materialised slice of rows to the RowProvider
-// interface, for grids over small in-memory data sets.
-type StringRows [][]string
-
-// GridRowCount returns the slice length.
-func (r StringRows) GridRowCount() int { return len(r) }
-
-// GridRow returns row i of the slice.
-func (r StringRows) GridRow(i int) ([]string, bool) {
-	if i < 0 || i >= len(r) {
-		return nil, false
-	}
-	return r[i], true
-}
-
 // TableGrid renders rows of text in columns with a heading, a selection bar
 // and vertical scrolling: the widget behind browse windows and detail blocks.
 // Rows come from a RowProvider — the grid shows a window of VisibleRows rows
@@ -171,17 +102,13 @@ func (r StringRows) GridRow(i int) ([]string, bool) {
 type TableGrid struct {
 	Row, Col int
 	Columns  []GridColumn
-	// Source provides the rows. Use SetRows (or StringRows) for a
-	// materialised data set, or any paging RowProvider for a large one.
+	// Source provides the rows, a page at a time.
 	Source      RowProvider
 	VisibleRows int
 	Offset      int
 	Selected    int
 	Focused     bool
 }
-
-// SetRows points the grid at a materialised data set.
-func (g *TableGrid) SetRows(rows [][]string) { g.Source = StringRows(rows) }
 
 // rowCount returns the provider's row count (0 with no provider; -1 when the
 // provider does not know).
@@ -192,12 +119,12 @@ func (g *TableGrid) rowCount() int {
 	return g.Source.GridRowCount()
 }
 
-// ClampSelection keeps the selection and scroll offset within the data. The
+// clampSelection keeps the selection and scroll offset within the data. The
 // row count is read once and both Selected and Offset are clamped against the
 // same value, so a data set shrinking between keystrokes (rows deleted while
 // the selection sat past the new end) cannot leave the offset pointing past
 // the data.
-func (g *TableGrid) ClampSelection() {
+func (g *TableGrid) clampSelection() {
 	count := g.rowCount()
 	if g.VisibleRows <= 0 {
 		g.VisibleRows = 1
@@ -223,38 +150,10 @@ func (g *TableGrid) ClampSelection() {
 	}
 }
 
-// HandleKey moves the selection; it reports whether the key was consumed.
-// When the provider does not know the total row count, End advances by one
-// page instead of jumping (the provider has no end to jump to yet).
-func (g *TableGrid) HandleKey(e Event) bool {
-	switch e.Key {
-	case KeyUp:
-		g.Selected--
-	case KeyDown:
-		g.Selected++
-	case KeyPgUp:
-		g.Selected -= g.VisibleRows
-	case KeyPgDn:
-		g.Selected += g.VisibleRows
-	case KeyHome:
-		g.Selected = 0
-	case KeyEnd:
-		if count := g.rowCount(); count >= 0 {
-			g.Selected = count - 1
-		} else {
-			g.Selected += g.VisibleRows
-		}
-	default:
-		return false
-	}
-	g.ClampSelection()
-	return true
-}
-
 // Draw paints the heading and the visible window of rows, asking the provider
 // only for rows inside the window.
 func (g *TableGrid) Draw(s *Screen) {
-	g.ClampSelection()
+	g.clampSelection()
 	col := g.Col
 	for _, c := range g.Columns {
 		s.DrawText(g.Row, col, pad(c.Title, c.Width), StyleBold|StyleUnderline)

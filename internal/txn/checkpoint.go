@@ -73,7 +73,7 @@ func (img *CheckpointImage) buildActiveSet() {
 }
 
 // Rows returns the total number of rows captured in the image.
-func (img *CheckpointImage) RowCount() int {
+func (img *CheckpointImage) rowCount() int {
 	n := 0
 	for _, t := range img.Tables {
 		n += len(t.Rows)
@@ -262,7 +262,7 @@ func (m *Manager) Checkpoint(cat *catalog.Catalog) (CheckpointStats, error) {
 
 	return CheckpointStats{
 		Tables: len(img.Tables),
-		Rows:   img.RowCount(),
+		Rows:   img.rowCount(),
 		Bytes:  len(encoded),
 		Start:  img.Start,
 		Offset: off,
@@ -492,7 +492,7 @@ func ReplayLog(image *CheckpointImage, tail []Record, cat *catalog.Catalog, appl
 		}
 	}
 
-	committed := CommittedTransactions(tail)
+	committed := committedTransactions(tail)
 	for _, r := range tail {
 		if r.Kind == RecordCheckpoint {
 			continue // images are only entered through the pointer file

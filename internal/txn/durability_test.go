@@ -73,14 +73,11 @@ func (c *crashMedium) snapshot() (written []byte, synced int) {
 // recovered accounts table.
 func replayBytes(t *testing.T, data []byte) *catalog.Table {
 	t.Helper()
-	records, err := ReadLog(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
+	records := readLog(t, bytes.NewReader(data))
 	// The schema is created up front (not every scenario logs DDL), so the
 	// replayed DDL callback is a no-op.
 	cat, _ := newCatalogWithAccounts(t)
-	if _, err := Recover(records, cat, func(string) error { return nil }); err != nil {
+	if _, err := ReplayLog(nil, records, cat, func(string) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
 	table, err := cat.GetTable("accounts")
@@ -93,12 +90,8 @@ func replayBytes(t *testing.T, data []byte) *catalog.Table {
 func accountIDs(t *testing.T, table *catalog.Table) map[int64]bool {
 	t.Helper()
 	ids := map[int64]bool{}
-	err := table.Scan(func(_ storage.RecordID, row catalog.Tuple) error {
+	for _, row := range liveTuples(t, table) {
 		ids[row[0].Int()] = true
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 	return ids
 }
@@ -134,16 +127,16 @@ func TestCommitNotDurableReleasesEverything(t *testing.T) {
 	if !errors.Is(err, boom) {
 		t.Fatalf("Commit error %v does not wrap the fsync cause", err)
 	}
-	if tx.State() != StateAborted {
-		t.Errorf("state after failed commit = %v, want aborted", tx.State())
+	if stateOf(tx) != StateAborted {
+		t.Errorf("state after failed commit = %v, want aborted", stateOf(tx))
 	}
-	if mgr.ActiveCount() != 0 {
-		t.Errorf("active transactions = %d after failed commit, want 0", mgr.ActiveCount())
+	if activeCount(mgr) != 0 {
+		t.Errorf("active transactions = %d after failed commit, want 0", activeCount(mgr))
 	}
-	if accounts.RowCount() != 0 {
-		t.Errorf("row survived a failed commit: RowCount = %d", accounts.RowCount())
+	if len(liveTuples(t, accounts)) != 0 {
+		t.Errorf("row survived a failed commit: RowCount = %d", len(liveTuples(t, accounts)))
 	}
-	if h := mgr.Horizon(); h != mgr.lastID+1 {
+	if h := mgr.horizon(); h != mgr.lastID+1 {
 		t.Errorf("GC horizon %d pinned after failed commit (want %d)", h, mgr.lastID+1)
 	}
 
@@ -181,7 +174,7 @@ func TestCommitVisibleOnlyAfterDurable(t *testing.T) {
 	go func() { done <- tx.Commit() }()
 	<-entered // the commit record is appended, its fsync is in flight
 
-	if st := tx.State(); st != StateCommitting {
+	if st := stateOf(tx); st != StateCommitting {
 		t.Errorf("state during fsync = %v, want committing", st)
 	}
 	snap := mgr.AcquireSnapshot()
@@ -208,8 +201,8 @@ func TestCommitVisibleOnlyAfterDurable(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	if tx.State() != StateCommitted {
-		t.Errorf("state after durable commit = %v", tx.State())
+	if stateOf(tx) != StateCommitted {
+		t.Errorf("state after durable commit = %v", stateOf(tx))
 	}
 	snap = mgr.AcquireSnapshot()
 	defer snap.Release()
@@ -361,7 +354,7 @@ func TestGroupCommitBatchesConcurrentCommitters(t *testing.T) {
 	// Every acknowledged commit is durable: the synced prefix replays all rows.
 	written, synced := medium.snapshot()
 	table := replayBytes(t, written[:synced])
-	if got := table.RowCount(); got != commits {
+	if got := len(liveTuples(t, table)); got != commits {
 		t.Errorf("recovered %d rows from the durable prefix, want %d", got, commits)
 	}
 }

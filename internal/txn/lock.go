@@ -77,8 +77,8 @@ type LockManager struct {
 	deadlocks uint64
 }
 
-// NewLockManager creates an empty lock manager.
-func NewLockManager() *LockManager {
+// newLockManager creates an empty lock manager.
+func newLockManager() *LockManager {
 	return &LockManager{
 		locks:     make(map[lockKey]*rowLock),
 		held:      make(map[uint64]map[lockKey]struct{}),
@@ -86,15 +86,15 @@ func NewLockManager() *LockManager {
 	}
 }
 
-// LockRow acquires the exclusive lock on one row version for owner, blocking
+// lockRow acquires the exclusive lock on one row version for owner, blocking
 // until it is granted or the wait would deadlock. Re-acquiring a lock the
 // owner already holds is a no-op.
-func (lm *LockManager) LockRow(owner uint64, table string, rid storage.RecordID) error {
+func (lm *LockManager) lockRow(owner uint64, table string, rid storage.RecordID) error {
 	return lm.lock(owner, lockKey{table: table, rid: rid})
 }
 
-// LockKey acquires the exclusive lock on a unique-index key for owner.
-func (lm *LockManager) LockKey(owner uint64, table, index string, key []byte) error {
+// lockKey acquires the exclusive lock on a unique-index key for owner.
+func (lm *LockManager) lockKey(owner uint64, table, index string, key []byte) error {
 	return lm.lock(owner, lockKey{table: table, index: index, key: string(key)})
 }
 
@@ -174,8 +174,8 @@ func (lm *LockManager) noteHeld(owner uint64, k lockKey) {
 	set[k] = struct{}{}
 }
 
-// ReleaseAll drops every lock owner holds, waking the waiters of each.
-func (lm *LockManager) ReleaseAll(owner uint64) {
+// releaseAll drops every lock owner holds, waking the waiters of each.
+func (lm *LockManager) releaseAll(owner uint64) {
 	lm.mu.Lock()
 	defer lm.mu.Unlock()
 	for k := range lm.held[owner] {
@@ -191,13 +191,6 @@ func (lm *LockManager) ReleaseAll(owner uint64) {
 		l.cond.Broadcast()
 	}
 	delete(lm.held, owner)
-}
-
-// HeldCount returns the number of locks owner currently holds.
-func (lm *LockManager) HeldCount(owner uint64) int {
-	lm.mu.Lock()
-	defer lm.mu.Unlock()
-	return len(lm.held[owner])
 }
 
 // Stats returns how many lock requests had to wait and how many deadlocks

@@ -116,11 +116,11 @@ func (m *Manager) acquireSnapshotLocked(owner uint64) *Snapshot {
 	return s
 }
 
-// Horizon returns the transaction id below which every transaction has
+// horizon returns the transaction id below which every transaction has
 // finished and every live snapshot sees it as finished: a dead version whose
 // deleting transaction id is below the horizon is invisible to every present
 // and future snapshot and can be physically reclaimed.
-func (m *Manager) Horizon() uint64 {
+func (m *Manager) horizon() uint64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	h := m.lastID + 1
@@ -135,11 +135,12 @@ func (m *Manager) Horizon() uint64 {
 // Sweep runs one table's sweep at the current horizon (see
 // catalog.Table.Sweep) and counts the versions it reclaimed. A commit sweeps
 // each table it wrote from the head of the table's unsettled list; whole
-// walks the entire list (Database.Vacuum). A sweep fails only when the buffer
-// pool cannot fetch a page, and the versions it did not reach stay listed for
-// the next one.
+// walks the entire list. A sweep fails only when the buffer pool cannot fetch
+// a page, and the versions it did not reach stay listed for the next one.
+//
+//wowvet:ignore deadapi -- whole-list sweeps are the vacuum the engine, catalog and server tests run against pinned snapshots
 func (m *Manager) Sweep(t *catalog.Table, whole bool) (int, error) {
-	n, err := t.Sweep(m.Horizon(), whole)
+	n, err := t.Sweep(m.horizon(), whole)
 	if n > 0 {
 		m.mu.Lock()
 		m.versionsGCed += uint64(n)

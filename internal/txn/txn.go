@@ -84,7 +84,7 @@ type Manager struct {
 // NewManager creates a transaction manager. wal may be nil to disable logging.
 func NewManager(wal *WAL) *Manager {
 	return &Manager{
-		locks:     NewLockManager(),
+		locks:     newLockManager(),
 		wal:       wal,
 		active:    make(map[uint64]*Txn),
 		snapshots: make(map[uint64]*Snapshot),
@@ -123,13 +123,6 @@ func (m *Manager) MVCC() MVCCStats {
 		DeadlocksDetected: deadlocks,
 		VersionsGCed:      m.versionsGCed,
 	}
-}
-
-// ActiveCount returns the number of in-flight transactions.
-func (m *Manager) ActiveCount() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.active)
 }
 
 // AdvanceTo moves the transaction-id sequence past id, so ids stamped into
@@ -204,19 +197,9 @@ type Txn struct {
 	pendingDDL []string // DDL run under this txn, joins ddlHistory on commit
 }
 
-// ID returns the transaction's identifier.
-func (t *Txn) ID() uint64 { return t.id }
-
 // Snapshot returns the transaction's begin-timestamp snapshot. It is owned
 // by the transaction and released when the transaction finishes.
 func (t *Txn) Snapshot() *Snapshot { return t.snap }
-
-// State returns the transaction's lifecycle state.
-func (t *Txn) State() State {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.state
-}
 
 // lockUniqueKeys serialises the unique-constraint probes for row: it locks
 // each unique key and verifies no live version holds it. changedOnly (with
@@ -230,7 +213,7 @@ func (t *Txn) lockUniqueKeys(table *catalog.Table, row types.Tuple, oldRow types
 		if oldRow != nil && string(idx.KeyFor(oldRow)) == string(key) {
 			continue // key unchanged: the only live holder is the row itself
 		}
-		if err := t.mgr.locks.LockKey(t.id, table.Name(), idx.Name, key); err != nil {
+		if err := t.mgr.locks.lockKey(t.id, table.Name(), idx.Name, key); err != nil {
 			return err
 		}
 		if table.LiveKeyExists(idx, key) {
@@ -241,11 +224,18 @@ func (t *Txn) lockUniqueKeys(table *catalog.Table, row types.Tuple, oldRow types
 	return nil
 }
 
+// active reports whether the transaction can still read and write.
+func (t *Txn) active() bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.state == StateActive
+}
+
 // Insert inserts a row into the table under this transaction: it locks the
 // row's unique keys, probes for live duplicates, stamps the new version with
 // the transaction id, logs it and records undo information.
 func (t *Txn) Insert(table *catalog.Table, row types.Tuple) (storage.RecordID, error) {
-	if t.State() != StateActive {
+	if !t.active() {
 		return storage.RecordID{}, ErrNotActive
 	}
 	validated, err := row.ValidateAgainst(table.Schema())
@@ -273,7 +263,7 @@ func (t *Txn) Insert(table *catalog.Table, row types.Tuple) (storage.RecordID, e
 // claimVersion locks the version at rid and re-reads it, failing with
 // ErrWriteConflict when another transaction got there first.
 func (t *Txn) claimVersion(table *catalog.Table, rid storage.RecordID) (types.Tuple, error) {
-	if err := t.mgr.locks.LockRow(t.id, table.Name(), rid); err != nil {
+	if err := t.mgr.locks.lockRow(t.id, table.Name(), rid); err != nil {
 		return nil, err
 	}
 	meta, oldRow, err := table.GetVersion(rid)
@@ -294,7 +284,7 @@ func (t *Txn) claimVersion(table *catalog.Table, rid storage.RecordID) (types.Tu
 // transaction: the old version is stamped deleted-by-t, the new version is
 // inserted stamped created-by-t with a chain link back to the old one.
 func (t *Txn) Update(table *catalog.Table, rid storage.RecordID, newRow types.Tuple) (storage.RecordID, error) {
-	if t.State() != StateActive {
+	if !t.active() {
 		return rid, ErrNotActive
 	}
 	validated, err := newRow.ValidateAgainst(table.Schema())
@@ -324,7 +314,7 @@ func (t *Txn) Update(table *catalog.Table, rid storage.RecordID, newRow types.Tu
 // Delete marks the row version at rid deleted by this transaction. The
 // version stays in place for older snapshots until a sweep reclaims it.
 func (t *Txn) Delete(table *catalog.Table, rid storage.RecordID) error {
-	if t.State() != StateActive {
+	if !t.active() {
 		return ErrNotActive
 	}
 	oldRow, err := t.claimVersion(table, rid)
@@ -347,7 +337,7 @@ func (t *Txn) Delete(table *catalog.Table, rid storage.RecordID) error {
 // The statement joins the manager's committed DDL history when this
 // transaction commits, which is how checkpoint images carry the schema.
 func (t *Txn) LogDDL(text string) error {
-	if t.State() != StateActive {
+	if !t.active() {
 		return ErrNotActive
 	}
 	if err := t.mgr.wal.Append(Record{Kind: RecordDDL, Txn: t.id, DDL: text}); err != nil {
@@ -473,7 +463,7 @@ func applyUndo(undo []undoEntry) error {
 // snapshot holds the horizon at or below t.id, so no sweep can settle one of
 // t's versions while a new snapshot could still find t in flight.
 func (t *Txn) finish(committed bool) {
-	t.mgr.locks.ReleaseAll(t.id)
+	t.mgr.locks.releaseAll(t.id)
 	t.mgr.mu.Lock()
 	delete(t.mgr.active, t.id)
 	if committed {
@@ -487,16 +477,4 @@ func (t *Txn) finish(committed bool) {
 	}
 	t.mgr.mu.Unlock()
 	t.snap.Release()
-}
-
-// Recover replays the committed transactions of a log into the catalog.
-// DDL records are executed through applyDDL (supplied by the engine, which
-// owns the SQL front end); DML records are applied directly to tables, with
-// inserts stamped by their original transaction id so version metadata
-// survives a restart. It returns the highest transaction id seen, which the
-// caller must feed to Manager.AdvanceTo before starting new transactions.
-// Checkpoint-aware recovery goes through LoadLog + ReplayLog instead.
-func Recover(records []Record, cat *catalog.Catalog, applyDDL func(string) error) (uint64, error) {
-	st, err := ReplayLog(nil, records, cat, applyDDL)
-	return st.MaxID, err
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"strings"
 	"sync"
 	"testing"
@@ -29,38 +30,38 @@ func newCatalogWithAccounts(t testing.TB) (*catalog.Catalog, *catalog.Table) {
 }
 
 func TestLockManagerRowLocksAreIndependent(t *testing.T) {
-	lm := NewLockManager()
+	lm := newLockManager()
 	r1 := storage.RecordID{Page: 1, Slot: 0}
 	r2 := storage.RecordID{Page: 1, Slot: 1}
-	if err := lm.LockRow(1, "t", r1); err != nil {
+	if err := lm.lockRow(1, "t", r1); err != nil {
 		t.Fatal(err)
 	}
 	// A different row never blocks: locks are per version, not per table.
-	if err := lm.LockRow(2, "t", r2); err != nil {
+	if err := lm.lockRow(2, "t", r2); err != nil {
 		t.Fatalf("different rows must not conflict: %v", err)
 	}
 	// Re-acquiring an already-held lock is a no-op.
-	if err := lm.LockRow(1, "t", r1); err != nil {
+	if err := lm.lockRow(1, "t", r1); err != nil {
 		t.Fatalf("re-entrant lock: %v", err)
 	}
-	if got := lm.HeldCount(1); got != 1 {
+	if got := heldCount(lm, 1); got != 1 {
 		t.Errorf("HeldCount(1) = %d, want 1", got)
 	}
-	lm.ReleaseAll(1)
-	if got := lm.HeldCount(1); got != 0 {
+	lm.releaseAll(1)
+	if got := heldCount(lm, 1); got != 0 {
 		t.Errorf("HeldCount(1) after release = %d, want 0", got)
 	}
 }
 
 func TestLockManagerWaitsForRelease(t *testing.T) {
-	lm := NewLockManager()
+	lm := newLockManager()
 	rid := storage.RecordID{Page: 1, Slot: 0}
-	if err := lm.LockRow(1, "t", rid); err != nil {
+	if err := lm.lockRow(1, "t", rid); err != nil {
 		t.Fatal(err)
 	}
 	done := make(chan error, 1)
 	go func() {
-		done <- lm.LockRow(2, "t", rid)
+		done <- lm.lockRow(2, "t", rid)
 	}()
 	time.Sleep(20 * time.Millisecond)
 	select {
@@ -68,7 +69,7 @@ func TestLockManagerWaitsForRelease(t *testing.T) {
 		t.Fatalf("waiter acquired a held lock: %v", err)
 	default:
 	}
-	lm.ReleaseAll(1)
+	lm.releaseAll(1)
 	select {
 	case err := <-done:
 		if err != nil {
@@ -84,20 +85,20 @@ func TestLockManagerWaitsForRelease(t *testing.T) {
 }
 
 func TestLockManagerKeyLocks(t *testing.T) {
-	lm := NewLockManager()
-	if err := lm.LockKey(1, "t", "t_pk", []byte("k")); err != nil {
+	lm := newLockManager()
+	if err := lm.lockKey(1, "t", "t_pk", []byte("k")); err != nil {
 		t.Fatal(err)
 	}
 	// A different key on the same index never blocks.
-	if err := lm.LockKey(2, "t", "t_pk", []byte("other")); err != nil {
+	if err := lm.lockKey(2, "t", "t_pk", []byte("other")); err != nil {
 		t.Fatalf("different keys must not conflict: %v", err)
 	}
 	done := make(chan error, 1)
 	go func() {
-		done <- lm.LockKey(2, "t", "t_pk", []byte("k"))
+		done <- lm.lockKey(2, "t", "t_pk", []byte("k"))
 	}()
 	time.Sleep(10 * time.Millisecond)
-	lm.ReleaseAll(1)
+	lm.releaseAll(1)
 	if err := <-done; err != nil {
 		t.Fatalf("key waiter after release: %v", err)
 	}
@@ -107,24 +108,24 @@ func TestLockManagerKeyLocks(t *testing.T) {
 // graph: a two-transaction cycle must fail one of the requests with
 // ErrDeadlock well under 100ms — there is no timeout to ride out.
 func TestLockManagerDetectsDeadlock(t *testing.T) {
-	lm := NewLockManager()
+	lm := newLockManager()
 	rA := storage.RecordID{Page: 1, Slot: 0}
 	rB := storage.RecordID{Page: 1, Slot: 1}
-	if err := lm.LockRow(1, "t", rA); err != nil {
+	if err := lm.lockRow(1, "t", rA); err != nil {
 		t.Fatal(err)
 	}
-	if err := lm.LockRow(2, "t", rB); err != nil {
+	if err := lm.lockRow(2, "t", rB); err != nil {
 		t.Fatal(err)
 	}
 	// Txn 2 blocks on A (held by 1). Then txn 1 requesting B closes the cycle.
 	go func() {
-		if err := lm.LockRow(2, "t", rA); err != nil {
+		if err := lm.lockRow(2, "t", rA); err != nil {
 			t.Errorf("victim should be the cycle-closing requester, not the sleeper: %v", err)
 		}
 	}()
 	time.Sleep(20 * time.Millisecond) // let txn 2 publish its wait edge
 	start := time.Now()
-	err := lm.LockRow(1, "t", rB)
+	err := lm.lockRow(1, "t", rB)
 	elapsed := time.Since(start)
 	if !errors.Is(err, ErrDeadlock) {
 		t.Fatalf("cycle-closing request = %v, want ErrDeadlock", err)
@@ -137,7 +138,7 @@ func TestLockManagerDetectsDeadlock(t *testing.T) {
 		t.Errorf("deadlocks = %d, want 1", deadlocks)
 	}
 	// Unblock the sleeping waiter so the goroutine exits.
-	lm.ReleaseAll(1)
+	lm.releaseAll(1)
 }
 
 func TestTxnCommitAndStats(t *testing.T) {
@@ -147,26 +148,26 @@ func TestTxnCommitAndStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tx.State() != StateActive || tx.ID() == 0 {
-		t.Errorf("fresh txn state = %v id = %d", tx.State(), tx.ID())
+	if stateOf(tx) != StateActive || tx.id == 0 {
+		t.Errorf("fresh txn state = %v id = %d", stateOf(tx), tx.id)
 	}
 	if _, err := tx.Insert(accounts, types.Tuple{types.NewInt(1), types.NewString("ada"), types.NewFloat(100)}); err != nil {
 		t.Fatal(err)
 	}
-	if mgr.ActiveCount() != 1 {
-		t.Errorf("ActiveCount = %d", mgr.ActiveCount())
+	if activeCount(mgr) != 1 {
+		t.Errorf("ActiveCount = %d", activeCount(mgr))
 	}
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if tx.State() != StateCommitted {
-		t.Errorf("state = %v", tx.State())
+	if stateOf(tx) != StateCommitted {
+		t.Errorf("state = %v", stateOf(tx))
 	}
 	if err := tx.Commit(); !errors.Is(err, ErrNotActive) {
 		t.Errorf("double commit = %v", err)
 	}
-	if accounts.RowCount() != 1 {
-		t.Errorf("RowCount = %d", accounts.RowCount())
+	if len(liveTuples(t, accounts)) != 1 {
+		t.Errorf("RowCount = %d", len(liveTuples(t, accounts)))
 	}
 	committed, aborted := mgr.Stats()
 	if committed != 1 || aborted != 0 {
@@ -204,19 +205,15 @@ func TestTxnRollbackUndoesEverything(t *testing.T) {
 	if err := tx.Rollback(); err != nil {
 		t.Fatal(err)
 	}
-	if tx.State() != StateAborted {
-		t.Errorf("state = %v", tx.State())
+	if stateOf(tx) != StateAborted {
+		t.Errorf("state = %v", stateOf(tx))
 	}
 
 	// The table must contain exactly the seeded row with its original balance.
-	if accounts.RowCount() != 1 {
-		t.Fatalf("RowCount after rollback = %d", accounts.RowCount())
+	if len(liveTuples(t, accounts)) != 1 {
+		t.Fatalf("RowCount after rollback = %d", len(liveTuples(t, accounts)))
 	}
-	var got types.Tuple
-	_ = accounts.Scan(func(_ storage.RecordID, tuple catalog.Tuple) error {
-		got = tuple
-		return nil
-	})
+	got := liveTuples(t, accounts)[0]
 	if got[0].Int() != 1 || got[2].Float() != 100 {
 		t.Errorf("row after rollback = %v", got)
 	}
@@ -246,8 +243,8 @@ func TestConcurrentInsertsDoNotBlock(t *testing.T) {
 	if err := t2.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if accounts.RowCount() != 2 {
-		t.Errorf("RowCount = %d", accounts.RowCount())
+	if len(liveTuples(t, accounts)) != 2 {
+		t.Errorf("RowCount = %d", len(liveTuples(t, accounts)))
 	}
 }
 
@@ -371,11 +368,8 @@ func TestConcurrentTransfersPreserveTotal(t *testing.T) {
 	}
 	wg.Wait()
 	total := 0.0
-	if err := accounts.Scan(func(_ storage.RecordID, tuple catalog.Tuple) error {
+	for _, tuple := range liveTuples(t, accounts) {
 		total += tuple[2].Float()
-		return nil
-	}); err != nil {
-		t.Fatal(err)
 	}
 	if total != 2000 {
 		t.Errorf("total = %v, want 2000 (money must be conserved)", total)
@@ -428,8 +422,8 @@ func TestVacuumReclaimsDeadVersions(t *testing.T) {
 	if got := mgr.MVCC().VersionsGCed; got != 1 {
 		t.Errorf("VersionsGCed = %d, want 1", got)
 	}
-	if accounts.RowCount() != 1 {
-		t.Errorf("RowCount = %d, want 1", accounts.RowCount())
+	if len(liveTuples(t, accounts)) != 1 {
+		t.Errorf("RowCount = %d, want 1", len(liveTuples(t, accounts)))
 	}
 }
 
@@ -511,13 +505,10 @@ func TestWALRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if wal.Writes() != uint64(len(records)) {
-		t.Errorf("Writes = %d", wal.Writes())
+	if wal.Stats().Writes != uint64(len(records)) {
+		t.Errorf("Writes = %d", wal.Stats().Writes)
 	}
-	got, err := ReadLog(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := readLog(t, &buf)
 	if len(got) != len(records) {
 		t.Fatalf("read %d records, want %d", len(got), len(records))
 	}
@@ -532,7 +523,7 @@ func TestWALRoundTrip(t *testing.T) {
 			t.Errorf("record %d old image mismatch", i)
 		}
 	}
-	committed := CommittedTransactions(got)
+	committed := committedTransactions(got)
 	if !committed[1] || len(committed) != 1 {
 		t.Errorf("committed = %v", committed)
 	}
@@ -552,7 +543,7 @@ func TestWALNilIsSafe(t *testing.T) {
 }
 
 // TestReadLogTornTail: a crash mid-append leaves an incomplete final frame.
-// ReadLog must return every record before the tear and no error — refusing
+// The log scan must return every record before the tear and no error — refusing
 // to start on a torn tail was the old behaviour, and it turned every unclean
 // shutdown into a database that would not open.
 func TestReadLogTornTail(t *testing.T) {
@@ -586,20 +577,15 @@ func TestReadLogTornTail(t *testing.T) {
 	}
 
 	// A complete log reads back whole.
-	records, err := ReadLog(bytes.NewReader(whole))
-	if err != nil || len(records) != 3 {
-		t.Fatalf("full read: %d records, err %v", len(records), err)
+	if records := readLog(t, bytes.NewReader(whole)); len(records) != 3 {
+		t.Fatalf("full read: %d records", len(records))
 	}
 
 	// A bit flip in a record body fails that record's CRC; the log is cut
 	// there, not rejected.
 	flipped := append([]byte(nil), whole...)
 	flipped[len(flipped)-1] ^= 0x40
-	records, err = ReadLog(bytes.NewReader(flipped))
-	if err != nil {
-		t.Fatalf("bit-flipped tail: %v", err)
-	}
-	if len(records) != 2 {
+	if records := readLog(t, bytes.NewReader(flipped)); len(records) != 2 {
 		t.Fatalf("bit-flipped tail: %d records, want 2 (corrupt commit dropped)", len(records))
 	}
 }
@@ -625,10 +611,7 @@ func TestRecoverReplaysOnlyCommitted(t *testing.T) {
 	_, _ = t2.Insert(srcAccounts, types.Tuple{types.NewInt(3), types.NewString("eve"), types.NewFloat(1000000)})
 	// (no commit)
 
-	records, err := ReadLog(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
+	records := readLog(t, bytes.NewReader(buf.Bytes()))
 
 	// Recover into a fresh catalog. The DDL callback creates the table.
 	freshCat := catalog.New(storage.NewBufferPool(storage.NewMemDiskManager(), 256))
@@ -640,25 +623,24 @@ func TestRecoverReplaysOnlyCommitted(t *testing.T) {
 		))
 		return err
 	}
-	maxID, err := Recover(records, freshCat, applyDDL)
+	st, err := ReplayLog(nil, records, freshCat, applyDDL)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if maxID != 2 {
-		t.Errorf("recovered maxID = %d, want 2", maxID)
+	if st.MaxID != 2 {
+		t.Errorf("recovered maxID = %d, want 2", st.MaxID)
 	}
 	recovered, err := freshCat.GetTable("accounts")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if recovered.RowCount() != 2 {
-		t.Fatalf("recovered rows = %d, want 2", recovered.RowCount())
+	if len(liveTuples(t, recovered)) != 2 {
+		t.Fatalf("recovered rows = %d, want 2", len(liveTuples(t, recovered)))
 	}
 	var balances []float64
-	_ = recovered.Scan(func(_ storage.RecordID, tuple catalog.Tuple) error {
+	for _, tuple := range liveTuples(t, recovered) {
 		balances = append(balances, tuple[2].Float())
-		return nil
-	})
+	}
 	sum := 0.0
 	for _, b := range balances {
 		sum += b
@@ -696,8 +678,8 @@ func TestReplayFailsOnMissingBeforeImage(t *testing.T) {
 		if msg := err.Error(); !strings.Contains(msg, diverged.Kind.String()) || !strings.Contains(msg, "accounts") {
 			t.Errorf("error %q does not name the record kind and the table", msg)
 		}
-		if st.TailApplied != 1 || accounts.RowCount() != 1 {
-			t.Errorf("replay applied %d records and left %d rows, want the insert alone", st.TailApplied, accounts.RowCount())
+		if st.TailApplied != 1 || len(liveTuples(t, accounts)) != 1 {
+			t.Errorf("replay applied %d records and left %d rows, want the insert alone", st.TailApplied, len(liveTuples(t, accounts)))
 		}
 	}
 }
@@ -754,6 +736,53 @@ func ExampleManager() {
 	tx, _ := mgr.Begin()
 	_, _ = tx.Insert(table, types.Tuple{types.NewInt(1)})
 	_ = tx.Rollback()
-	fmt.Println(table.RowCount())
-	// Output: 0
+	_, _, _, left, _ := table.VersionIterator().Next()
+	fmt.Println(left)
+	// Output: false
+}
+
+// readLog scans a whole log the way recovery does, tolerating a torn tail.
+func readLog(t *testing.T, r io.Reader) []Record {
+	t.Helper()
+	scan, err := scanLog(r, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return scan.Records
+}
+
+// liveTuples returns the rows of the table's versions without an xmax.
+func liveTuples(t *testing.T, table *catalog.Table) []types.Tuple {
+	t.Helper()
+	var rows []types.Tuple
+	for it := table.VersionIterator(); ; {
+		_, meta, row, ok, err := it.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			return rows
+		}
+		if meta.Xmax == 0 {
+			rows = append(rows, row)
+		}
+	}
+}
+
+func stateOf(tx *Txn) State {
+	tx.mu.Lock()
+	defer tx.mu.Unlock()
+	return tx.state
+}
+
+func activeCount(m *Manager) int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return len(m.active)
+}
+
+func heldCount(lm *LockManager, owner uint64) int {
+	lm.mu.Lock()
+	defer lm.mu.Unlock()
+	return len(lm.held[owner])
 }

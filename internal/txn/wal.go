@@ -174,13 +174,6 @@ func OpenWALFile(path string) (*WAL, error) {
 	return w, nil
 }
 
-// Writes returns the number of records appended so far.
-func (w *WAL) Writes() uint64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.writes
-}
-
 // Size returns the byte offset the next record will be appended at.
 func (w *WAL) Size() int64 {
 	if w == nil {
@@ -433,17 +426,6 @@ func readFrame(br *bufio.Reader) (body []byte, consumed int, err error) {
 	return body, n, nil
 }
 
-// ReadLog decodes records from r, tolerating a torn tail: a log that ends in
-// an incomplete or corrupt frame yields the records before the tear and no
-// error. I/O errors other than EOF are still reported.
-func ReadLog(r io.Reader) ([]Record, error) {
-	scan, err := scanLog(r, 0)
-	if err != nil {
-		return scan.Records, err
-	}
-	return scan.Records, nil
-}
-
 func decodeRecord(body []byte) (Record, error) {
 	var rec Record
 	if len(body) < 1 {
@@ -510,9 +492,9 @@ func readBytes(b []byte) ([]byte, []byte, error) {
 	return rest[:length], rest[length:], nil
 }
 
-// CommittedTransactions scans records and returns the set of transaction ids
+// committedTransactions scans records and returns the set of transaction ids
 // that committed, used by recovery to decide what to replay.
-func CommittedTransactions(records []Record) map[uint64]bool {
+func committedTransactions(records []Record) map[uint64]bool {
 	committed := map[uint64]bool{}
 	for _, r := range records {
 		if r.Kind == RecordCommit {

@@ -110,42 +110,6 @@ func DecodeTuple(data []byte) (Tuple, error) {
 	return t, nil
 }
 
-// EncodedSize returns the number of bytes EncodeTuple will append for t.
-func EncodedSize(t Tuple) int {
-	size := uvarintLen(uint64(len(t)))
-	for _, v := range t {
-		size++ // kind byte
-		switch v.kind {
-		case KindInt, KindDate:
-			size += varintLen(v.i)
-		case KindFloat:
-			size += 8
-		case KindBool:
-			size++
-		case KindString:
-			size += uvarintLen(uint64(len(v.s))) + len(v.s)
-		}
-	}
-	return size
-}
-
-func uvarintLen(v uint64) int {
-	n := 1
-	for v >= 0x80 {
-		v >>= 7
-		n++
-	}
-	return n
-}
-
-func varintLen(v int64) int {
-	uv := uint64(v) << 1
-	if v < 0 {
-		uv = ^uv
-	}
-	return uvarintLen(uv)
-}
-
 // EncodeKey builds an order-preserving byte encoding of the given values, for
 // use as B+tree keys: comparing two encoded keys bytewise orders the same way
 // as comparing the tuples value-by-value with Value.Compare.

@@ -24,9 +24,9 @@ type Column struct {
 	Default *Value
 }
 
-// QualifiedName returns "table.name" when the column has a qualifier and the
+// qualifiedName returns "table.name" when the column has a qualifier and the
 // bare name otherwise.
-func (c Column) QualifiedName() string {
+func (c Column) qualifiedName() string {
 	if c.Table == "" {
 		return c.Name
 	}
@@ -93,7 +93,7 @@ func (s *Schema) ColumnIndex(name string) (int, error) {
 		found = i
 	}
 	if found < 0 {
-		return -1, fmt.Errorf("types: unknown column %q (have %s)", name, strings.Join(s.ColumnNames(), ", "))
+		return -1, fmt.Errorf("types: unknown column %q (have %s)", name, strings.Join(s.columnNames(), ", "))
 	}
 	return found, nil
 }
@@ -104,11 +104,11 @@ func (s *Schema) HasColumn(name string) bool {
 	return err == nil
 }
 
-// ColumnNames returns the qualified names of all columns, in order.
-func (s *Schema) ColumnNames() []string {
+// columnNames returns the qualified names of all columns, in order.
+func (s *Schema) columnNames() []string {
 	names := make([]string, len(s.Columns))
 	for i, c := range s.Columns {
-		names[i] = c.QualifiedName()
+		names[i] = c.qualifiedName()
 	}
 	return names
 }
@@ -122,15 +122,6 @@ func (s *Schema) PrimaryKey() []int {
 		}
 	}
 	return pk
-}
-
-// Project returns a new schema containing the columns at the given indexes.
-func (s *Schema) Project(indexes []int) *Schema {
-	cols := make([]Column, len(indexes))
-	for i, idx := range indexes {
-		cols[i] = s.Columns[idx]
-	}
-	return &Schema{Columns: cols}
 }
 
 // Concat returns a schema holding this schema's columns followed by o's, as
@@ -149,19 +140,6 @@ func (s *Schema) WithTable(table string) *Schema {
 	copy(cols, s.Columns)
 	for i := range cols {
 		cols[i].Table = table
-	}
-	return &Schema{Columns: cols}
-}
-
-// Clone returns a deep copy of the schema.
-func (s *Schema) Clone() *Schema {
-	cols := make([]Column, len(s.Columns))
-	copy(cols, s.Columns)
-	for i := range cols {
-		if cols[i].Default != nil {
-			d := *cols[i].Default
-			cols[i].Default = &d
-		}
 	}
 	return &Schema{Columns: cols}
 }
@@ -205,15 +183,6 @@ func (t Tuple) Concat(o Tuple) Tuple {
 	out := make(Tuple, 0, len(t)+len(o))
 	out = append(out, t...)
 	out = append(out, o...)
-	return out
-}
-
-// Project returns the values at the given indexes.
-func (t Tuple) Project(indexes []int) Tuple {
-	out := make(Tuple, len(indexes))
-	for i, idx := range indexes {
-		out[i] = t[idx]
-	}
 	return out
 }
 

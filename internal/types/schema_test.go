@@ -55,18 +55,13 @@ func TestColumnIndexAmbiguous(t *testing.T) {
 
 func TestSchemaProjectConcatClone(t *testing.T) {
 	s := testSchema()
-	p := s.Project([]int{1, 3})
-	if p.Len() != 2 || p.Columns[0].Name != "name" || p.Columns[1].Name != "credit" {
-		t.Errorf("Project = %v", p)
+	c := s.Concat(s)
+	if c.Len() != 2*s.Len() || c.Columns[s.Len()].Name != "id" {
+		t.Errorf("Concat = %v", c)
 	}
-	c := s.Concat(p)
-	if c.Len() != 6 {
-		t.Errorf("Concat len = %d", c.Len())
-	}
-	cl := s.Clone()
-	cl.Columns[0].Name = "changed"
+	c.Columns[0].Name = "changed"
 	if s.Columns[0].Name != "id" {
-		t.Error("Clone should not share column storage")
+		t.Error("Concat should not share column storage")
 	}
 }
 
@@ -101,10 +96,7 @@ func TestTupleOperations(t *testing.T) {
 	if tup[0].Int() != 1 {
 		t.Error("Clone should not share storage")
 	}
-	p := tup.Project([]int{1, 2})
-	if len(p) != 2 || p[0].Str() != "Ada" {
-		t.Errorf("Project = %v", p)
-	}
+	p := Tuple{tup[1], tup[2]}
 	cat := tup.Concat(Tuple{NewBool(true)})
 	if len(cat) != 5 {
 		t.Errorf("Concat len = %d", len(cat))
@@ -147,11 +139,11 @@ func TestTupleValidateAgainst(t *testing.T) {
 
 func TestQualifiedName(t *testing.T) {
 	c := Column{Name: "total", Table: "orders"}
-	if c.QualifiedName() != "orders.total" {
-		t.Errorf("QualifiedName = %q", c.QualifiedName())
+	if c.qualifiedName() != "orders.total" {
+		t.Errorf("QualifiedName = %q", c.qualifiedName())
 	}
 	c.Table = ""
-	if c.QualifiedName() != "total" {
-		t.Errorf("QualifiedName = %q", c.QualifiedName())
+	if c.qualifiedName() != "total" {
+		t.Errorf("QualifiedName = %q", c.qualifiedName())
 	}
 }

@@ -105,8 +105,8 @@ func NewDate(year int, month time.Month, day int) Value {
 // NewDateFromDays returns a date value from a count of days since 1970-01-01.
 func NewDateFromDays(days int64) Value { return Value{kind: KindDate, i: days} }
 
-// ParseDate parses a date in ISO form YYYY-MM-DD.
-func ParseDate(s string) (Value, error) {
+// parseDate parses a date in ISO form YYYY-MM-DD.
+func parseDate(s string) (Value, error) {
 	t, err := time.Parse("2006-01-02", strings.TrimSpace(s))
 	if err != nil {
 		return Null(), fmt.Errorf("types: invalid date %q: %w", s, err)
@@ -262,16 +262,6 @@ func (v Value) Compare(o Value) (int, error) {
 	return 0, &ErrIncomparable{Left: v.kind, Right: o.kind}
 }
 
-// MustCompare is Compare for callers that have already verified the kinds are
-// comparable (e.g. sort keys validated at plan time). It panics on error.
-func (v Value) MustCompare(o Value) int {
-	c, err := v.Compare(o)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
 // Equal reports whether the two values are of the same kind and equal.
 // Unlike Compare it never treats an int as equal to a float unless the
 // numeric values coincide; NULL equals only NULL.
@@ -365,7 +355,7 @@ func (v Value) Cast(to Kind) (Value, error) {
 	case KindDate:
 		switch v.kind {
 		case KindString:
-			return ParseDate(v.s)
+			return parseDate(v.s)
 		case KindInt:
 			return NewDateFromDays(v.i), nil
 		}

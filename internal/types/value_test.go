@@ -77,15 +77,15 @@ func TestValueConstructorsAndAccessors(t *testing.T) {
 }
 
 func TestParseDate(t *testing.T) {
-	v, err := ParseDate("1983-05-23")
+	v, err := parseDate("1983-05-23")
 	if err != nil {
-		t.Fatalf("ParseDate: %v", err)
+		t.Fatalf("parseDate: %v", err)
 	}
 	if v.String() != "1983-05-23" {
-		t.Errorf("ParseDate = %q", v.String())
+		t.Errorf("parseDate = %q", v.String())
 	}
-	if _, err := ParseDate("not-a-date"); err == nil {
-		t.Error("ParseDate should reject garbage")
+	if _, err := parseDate("not-a-date"); err == nil {
+		t.Error("parseDate should reject garbage")
 	}
 }
 
@@ -272,13 +272,4 @@ func TestComparable(t *testing.T) {
 	if !Comparable(KindNull, KindString) {
 		t.Error("NULL is comparable with anything")
 	}
-}
-
-func TestMustComparePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("MustCompare should panic on incomparable kinds")
-		}
-	}()
-	NewString("a").MustCompare(NewInt(1))
 }

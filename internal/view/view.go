@@ -287,9 +287,9 @@ func rewriteToBase(e sql.Expr, alias, fromName string, baseMap map[string]string
 	}
 }
 
-// BaseColumn maps a view output column name to the base-table column it
+// baseColumn maps a view output column name to the base-table column it
 // stores into.
-func (u *Updatable) BaseColumn(viewCol string) (string, error) {
+func (u *Updatable) baseColumn(viewCol string) (string, error) {
 	lower := strings.ToLower(viewCol)
 	for _, c := range u.Columns {
 		if c.ViewColumn == lower {
@@ -297,15 +297,6 @@ func (u *Updatable) BaseColumn(viewCol string) (string, error) {
 		}
 	}
 	return "", fmt.Errorf("view: %q has no column named %q", u.ViewName, viewCol)
-}
-
-// ViewColumnNames returns the view's output column names in order.
-func (u *Updatable) ViewColumnNames() []string {
-	out := make([]string, len(u.Columns))
-	for i, c := range u.Columns {
-		out[i] = c.ViewColumn
-	}
-	return out
 }
 
 // TranslateAssignments rewrites UPDATE assignments from view column names to
@@ -317,7 +308,7 @@ func (u *Updatable) TranslateAssignments(assignments []sql.Assignment) ([]sql.As
 	}
 	out := make([]sql.Assignment, len(assignments))
 	for i, a := range assignments {
-		baseCol, err := u.BaseColumn(a.Column)
+		baseCol, err := u.baseColumn(a.Column)
 		if err != nil {
 			return nil, err
 		}
@@ -378,25 +369,13 @@ func (u *Updatable) TranslateInsert(viewColumns []string, values []sql.Expr) ([]
 	}
 	cols := make([]string, len(viewColumns))
 	for i, vc := range viewColumns {
-		baseCol, err := u.BaseColumn(vc)
+		baseCol, err := u.baseColumn(vc)
 		if err != nil {
 			return nil, nil, err
 		}
 		cols[i] = baseCol
 	}
 	return cols, values, nil
-}
-
-// CheckRow verifies that a base-table row satisfies the view's predicate.
-// It implements WITH CHECK OPTION for inserts and updates through the view.
-// Callers on a hot path should compile the check once with CompileCheck and
-// reuse it instead.
-func (u *Updatable) CheckRow(baseSchema *types.Schema, row types.Tuple) error {
-	check, err := u.CompileCheck(baseSchema)
-	if err != nil {
-		return err
-	}
-	return check.Check(row)
 }
 
 // RowCheck is a view's CHECK OPTION predicate compiled against the base

@@ -53,15 +53,15 @@ func TestAnalyzeSimpleRestriction(t *testing.T) {
 	if u.Where == nil || !strings.Contains(u.Where.String(), "credit") {
 		t.Errorf("where = %v", u.Where)
 	}
-	base, err := u.BaseColumn("name")
+	base, err := u.baseColumn("name")
 	if err != nil || base != "name" {
 		t.Errorf("BaseColumn = %q, %v", base, err)
 	}
-	if _, err := u.BaseColumn("city"); err == nil {
+	if _, err := u.baseColumn("city"); err == nil {
 		t.Error("city is not in the view and must not resolve")
 	}
-	if got := u.ViewColumnNames(); len(got) != 3 || got[0] != "id" {
-		t.Errorf("ViewColumnNames = %v", got)
+	if len(u.Columns) != 3 || u.Columns[0].ViewColumn != "id" {
+		t.Errorf("view columns = %v", u.Columns)
 	}
 }
 
@@ -83,10 +83,10 @@ func TestAnalyzeRenamedColumns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := u.BaseColumn("cust"); got != "id" {
+	if got, _ := u.baseColumn("cust"); got != "id" {
 		t.Errorf("cust -> %q", got)
 	}
-	if got, _ := u.BaseColumn("amount"); got != "credit" {
+	if got, _ := u.baseColumn("amount"); got != "credit" {
 		t.Errorf("amount -> %q", got)
 	}
 }
@@ -244,12 +244,16 @@ func TestCheckRow(t *testing.T) {
 	}
 	table, _ := cat.GetTable("customers")
 	schema := table.Schema()
+	check, err := u.CompileCheck(schema)
+	if err != nil {
+		t.Fatal(err)
+	}
 	good := types.Tuple{types.NewInt(1), types.NewString("Ada"), types.NewString("Boston"), types.NewFloat(2000)}
-	if err := u.CheckRow(schema, good); err != nil {
+	if err := check.Check(good); err != nil {
 		t.Errorf("good row rejected: %v", err)
 	}
 	bad := types.Tuple{types.NewInt(2), types.NewString("Bob"), types.NewString("Boston"), types.NewFloat(10)}
-	if err := u.CheckRow(schema, bad); err == nil {
+	if err := check.Check(bad); err == nil {
 		t.Error("row violating the view predicate must be rejected")
 	}
 	// A view without a predicate accepts everything.
@@ -257,7 +261,11 @@ func TestCheckRow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := all.CheckRow(schema, bad); err != nil {
+	unchecked, err := all.CompileCheck(schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := unchecked.Check(bad); err != nil {
 		t.Errorf("unrestricted view rejected a row: %v", err)
 	}
 }

@@ -25,7 +25,7 @@ func PopulateRemote(pool *client.Pool, sizes Sizes) error {
 	if err := execScriptRemote(pool, StandardSchema); err != nil {
 		return fmt.Errorf("workload: remote schema: %w", err)
 	}
-	for _, load := range Loads(sizes) {
+	for _, load := range loads(sizes) {
 		if err := loadRemote(pool, load); err != nil {
 			return fmt.Errorf("workload: remote %s: %w", load.Name, err)
 		}
@@ -72,8 +72,12 @@ func loadRemote(pool *client.Pool, load TableLoad) error {
 		go func() {
 			defer wg.Done()
 			err := pool.With(func(h *client.PooledConn) error {
+				st, err := h.Prepare(load.InsertSQL)
+				if err != nil {
+					return err
+				}
 				for batch := range batches {
-					res, err := h.ExecBatch(load.InsertSQL, batch)
+					res, err := st.ExecBatch(batch)
 					if err != nil {
 						return err
 					}

@@ -119,7 +119,7 @@ end
 
 // TableLoad describes one table's synthetic load: a parameterized one-row
 // INSERT and the generator for its i'th parameter row. Generators share one
-// seeded random stream, so the loads of one Loads call must be consumed in
+// seeded random stream, so the loads of one loads call must be consumed in
 // slice order, each drained completely, for runs to be repeatable.
 type TableLoad struct {
 	Name      string
@@ -128,11 +128,11 @@ type TableLoad struct {
 	Bind      func(i int) []types.Value
 }
 
-// Loads returns the standard tables' loads for the given sizes. Both the
+// loads returns the standard tables' loads for the given sizes. Both the
 // embedded loader (Populate) and the remote loader (PopulateRemote) feed from
 // this, so a local and a remote database built at the same sizes hold
 // identical rows.
-func Loads(sizes Sizes) []TableLoad {
+func loads(sizes Sizes) []TableLoad {
 	rng := rand.New(rand.NewSource(19830523))
 	return []TableLoad{
 		{
@@ -198,7 +198,7 @@ func Populate(db *engine.Database, sizes Sizes) error {
 	if _, err := s.ExecuteScript(StandardSchema); err != nil {
 		return fmt.Errorf("workload: schema: %w", err)
 	}
-	for _, load := range Loads(sizes) {
+	for _, load := range loads(sizes) {
 		if err := batchInsert(s, load.InsertSQL, load.N, 200, load.Bind); err != nil {
 			return fmt.Errorf("workload: %s: %w", load.Name, err)
 		}
@@ -264,16 +264,3 @@ func CreditChangeScript(newCredit string) string {
 func OrderEntryScript(orderID, customerID int, total string) string {
 	return fmt.Sprintf("<F5>%d<TAB>%d<TAB>1983-06-01<TAB><F3>%s<F6>", orderID, customerID, total)
 }
-
-// NewCustomerScript is the keystroke script for inserting a customer through
-// the customer form.
-func NewCustomerScript(id int, name, city string, credit string) string {
-	return fmt.Sprintf("<F5>%d<TAB>%s<TAB>%s<TAB>%s<TAB>1983-06-01<F6>", id, name, city, credit)
-}
-
-// CityAt returns the i'th city name, for sweeps that need a deterministic
-// selection of cities.
-func CityAt(i int) string { return cities[i%len(cities)] }
-
-// Cities returns the number of distinct cities the generator uses.
-func Cities() int { return len(cities) }
