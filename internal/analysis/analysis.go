@@ -191,6 +191,11 @@ func (s suppression) covers(d Diagnostic) bool {
 // comments and appends a diagnostic for every unjustified suppression.
 func applySuppressions(fset *token.FileSet, files []*ast.File, diags []Diagnostic) []Diagnostic {
 	sups, bad := collectSuppressions(fset, files)
+	return append(suppress(sups, diags), bad...)
+}
+
+// suppress drops the diagnostics a suppression covers.
+func suppress(sups []suppression, diags []Diagnostic) []Diagnostic {
 	var out []Diagnostic
 	for _, d := range diags {
 		suppressed := false
@@ -204,7 +209,6 @@ func applySuppressions(fset *token.FileSet, files []*ast.File, diags []Diagnosti
 			out = append(out, d)
 		}
 	}
-	out = append(out, bad...)
 	return out
 }
 

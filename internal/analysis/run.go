@@ -44,11 +44,8 @@ func RunPackages(prog *Program, analyzers []*Analyzer) ([]Diagnostic, error) {
 			}
 		}
 		// The per-package runs already reported unjustified suppressions.
-		for _, d := range applySuppressions(prog.Fset, files, diags) {
-			if d.Analyzer != "wowvet" {
-				all = append(all, d)
-			}
-		}
+		sups, _ := collectSuppressions(prog.Fset, files)
+		all = append(all, suppress(sups, diags)...)
 	}
 	sortDiagnostics(all)
 	return all, nil
