@@ -1,11 +1,12 @@
 // Command wowvet is the repository's domain-specific static-analysis suite:
-// four analyzers that prove the engine's lifecycle, locking and wire
-// invariants (see docs/ANALYSIS.md).
+// five analyzers that prove the engine's lifecycle, locking, wire and
+// API-surface invariants (see docs/ANALYSIS.md).
 //
 // It runs in two modes:
 //
 //   - standalone, over the whole module at once (strongest for lockorder,
-//     which then sees every package's acquisition graph in one process):
+//     which then sees every package's acquisition graph in one process, and
+//     the only mode that runs deadapi, which needs every caller):
 //
 //     wowvet ./...
 //
@@ -128,11 +129,14 @@ func printVersion() int {
 }
 
 func usage() {
-	fmt.Println("wowvet proves the repository's lifecycle, locking and wire invariants.")
+	fmt.Println("wowvet proves the repository's lifecycle, locking, wire and API-surface invariants.")
 	fmt.Println()
 	fmt.Println("usage:")
 	fmt.Println("  wowvet [packages]                      analyze the module (default ./...)")
 	fmt.Println("  go vet -vettool=$(command -v wowvet)   run under go vet per compilation unit")
+	fmt.Println()
+	fmt.Println("deadapi needs the whole program: it runs only for ./... from the module root,")
+	fmt.Println("never under go vet.")
 	fmt.Println()
 	fmt.Println("analyzers:")
 	for _, a := range analyzers() {

@@ -138,7 +138,6 @@ func load(fixtureDir string, pkgPaths []string) (*analysis.Program, error) {
 		imp.local[path] = pkg
 		prog.Packages = append(prog.Packages, &analysis.LoadedPackage{
 			Path:   path,
-			Dir:    filepath.Join(fixtureDir, "src", filepath.FromSlash(path)),
 			Files:  parsed[path],
 			Pkg:    pkg,
 			Info:   info,

@@ -20,12 +20,10 @@ import (
 // A LoadedPackage is one module package parsed and type-checked from source,
 // ready to be analyzed.
 type LoadedPackage struct {
-	Path    string
-	Dir     string
-	Files   []*ast.File
-	Pkg     *types.Package
-	Info    *types.Info
-	Imports []string
+	Path  string
+	Files []*ast.File
+	Pkg   *types.Package
+	Info  *types.Info
 	// Nested marks a package of a module nested inside the analyzed one
 	// (bench/): whole-program analyzers count its references, and no
 	// analyzer reports findings in it.
@@ -46,7 +44,6 @@ type Program struct {
 // listedPackage is the subset of `go list -json` output the loader reads.
 type listedPackage struct {
 	ImportPath string
-	Name       string
 	Dir        string
 	Export     string
 	Standard   bool
@@ -106,7 +103,7 @@ func LoadPackages(dir string, patterns ...string) (*Program, error) {
 func loadModule(prog *Program, dir string, patterns []string, nested bool) (string, error) {
 	args := append([]string{
 		"list", "-export", "-deps",
-		"-json=ImportPath,Name,Dir,Export,Standard,DepOnly,GoFiles,Imports,Module",
+		"-json=ImportPath,Dir,Export,Standard,DepOnly,GoFiles,Imports,Module",
 	}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
@@ -222,12 +219,10 @@ func typeCheckListed(fset *token.FileSet, lp *listedPackage, imp types.Importer)
 		return nil, err
 	}
 	return &LoadedPackage{
-		Path:    lp.ImportPath,
-		Dir:     lp.Dir,
-		Files:   files,
-		Pkg:     pkg,
-		Info:    info,
-		Imports: lp.Imports,
+		Path:  lp.ImportPath,
+		Files: files,
+		Pkg:   pkg,
+		Info:  info,
 	}, nil
 }
 

@@ -37,7 +37,6 @@ type Tree struct {
 	root   node
 	unique bool
 	size   int // number of (key, rid) entries
-	height int
 }
 
 type node interface {
@@ -68,7 +67,7 @@ func (*innerNode) isLeaf() bool { return false }
 
 // New creates an empty tree. A unique tree rejects duplicate keys.
 func New(unique bool) *Tree {
-	return &Tree{root: &leafNode{}, unique: unique, height: 1}
+	return &Tree{root: &leafNode{}, unique: unique}
 }
 
 // Insert adds (key, rid) to the tree. In a unique tree an existing key causes
@@ -93,7 +92,6 @@ func (t *Tree) Insert(key []byte, rid storage.RecordID) error {
 			children: []node{t.root, right},
 			counts:   []int{t.size - rc, rc},
 		}
-		t.height++
 	}
 	return nil
 }

@@ -29,8 +29,8 @@ func TestInsertSearchUnique(t *testing.T) {
 	if tr.size != 1000 {
 		t.Errorf("Len = %d", tr.size)
 	}
-	if tr.height < 2 {
-		t.Errorf("expected a multi-level tree, height = %d", tr.height)
+	if tr.height() < 2 {
+		t.Errorf("expected a multi-level tree, height = %d", tr.height())
 	}
 	for i := 0; i < 1000; i++ {
 		got := tr.Search(intKey(int64(i)))
@@ -277,7 +277,7 @@ func TestLargeTreeHeightLogarithmic(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if h := tr.height; h > 5 {
+	if h := tr.height(); h > 5 {
 		t.Errorf("height %d too large for %d keys with fanout %d", h, n, fanout)
 	}
 	if err := tr.Validate(); err != nil {

@@ -101,7 +101,7 @@ func TestCountRangeAgainstCursor(t *testing.T) {
 				t.Fatalf("seed %d step %d: CountRange(%+v) = %d, the cursor enumerates %d", seed, step, r, got, want)
 			}
 		}
-		if tr.height < 2 {
+		if tr.height() < 2 {
 			t.Fatalf("seed %d: the tree never grew past one leaf; inner counts went untested", seed)
 		}
 	}

@@ -61,3 +61,15 @@ func validateNode(n node) (int, error) {
 	}
 	return total, nil
 }
+
+// height counts the tree's levels, 1 for a single leaf.
+func (t *Tree) height() int {
+	h := 1
+	for n := t.root; ; h++ {
+		inner, ok := n.(*innerNode)
+		if !ok {
+			return h
+		}
+		n = inner.children[0]
+	}
+}

@@ -162,7 +162,7 @@ func TestInsertGetUpdateDelete(t *testing.T) {
 		t.Errorf("after update: %v", row)
 	}
 
-	if err := tbl.Delete(newRID); err != nil {
+	if err := tbl.RemoveVersion(newRID); err != nil {
 		t.Fatal(err)
 	}
 	if n := liveRows(t, tbl); n != 0 {
@@ -171,7 +171,7 @@ func TestInsertGetUpdateDelete(t *testing.T) {
 	if _, _, err := tbl.GetVersion(newRID); err == nil {
 		t.Error("GetVersion after delete should fail")
 	}
-	if err := tbl.Delete(newRID); err == nil {
+	if err := tbl.RemoveVersion(newRID); err == nil {
 		t.Error("double delete should fail")
 	}
 }

@@ -37,7 +37,7 @@ var ErrNoMatchingRow = errors.New("catalog: no row matches the before-image")
 // Every heap record carries a storage.VersionMeta header. Rows written through
 // the transaction layer are stamped with the writing transaction's id; crash
 // recovery installs versions with their logged xmin (InstallVersion) and
-// replays updates and deletes in place (Update, Delete).
+// replays updates and deletes in place (Update, RemoveVersion).
 // Indexes hold entries for every version, live or dead: scans filter by
 // visibility per record id at fetch time instead of chasing version chains.
 //
@@ -169,13 +169,9 @@ func (t *Table) createIndex(name string, columns []string, unique bool) (*Index,
 // versions sharing a key are the normal MVCC shape, not a violation).
 func (t *Table) backfillIndex(idx *Index) error {
 	liveKeys := make(map[string]struct{})
-	return t.heap.Scan(func(rid storage.RecordID, record []byte) error {
-		meta, payload, err := storage.DecodeVersion(record)
-		if err != nil {
-			return err
-		}
-		tuple, err := types.DecodeTuple(payload)
-		if err != nil {
+	for it := t.VersionIterator(); ; {
+		rid, meta, tuple, ok, err := it.Next()
+		if err != nil || !ok {
 			return err
 		}
 		key := idx.KeyFor(tuple)
@@ -186,8 +182,10 @@ func (t *Table) backfillIndex(idx *Index) error {
 			}
 			liveKeys[string(key)] = struct{}{}
 		}
-		return idx.Tree.Insert(key, rid)
-	})
+		if err := idx.Tree.Insert(key, rid); err != nil {
+			return err
+		}
+	}
 }
 
 // dropIndex removes an index by name.
@@ -302,7 +300,7 @@ func (t *Table) ClearXmax(rid storage.RecordID) error {
 }
 
 // RemoveVersion physically deletes the version at rid and its index entries
-// (rollback undo for inserts, and the legacy physical delete).
+// (rollback undo for inserts, and recovery's replay of a delete).
 func (t *Table) RemoveVersion(rid storage.RecordID) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -363,7 +361,7 @@ func (t *Table) LiveKeyExists(idx *Index, key []byte) bool {
 }
 
 // Update replaces the row at rid with tuple in place, keeping every index
-// consistent. This is the legacy physical path (recovery, tests, baselines):
+// consistent. This is the physical path crash recovery replays updates with:
 // it preserves the existing version header rather than growing the chain.
 // It returns the row's (possibly new) record identifier.
 func (t *Table) Update(rid storage.RecordID, tuple Tuple) (storage.RecordID, error) {
@@ -411,12 +409,6 @@ func (t *Table) Update(rid storage.RecordID, tuple Tuple) (storage.RecordID, err
 	return newRID, nil
 }
 
-// Delete physically removes the row at rid and its index entries (legacy
-// path; transactional deletes use MarkDeleted and let a sweep reclaim).
-func (t *Table) Delete(rid storage.RecordID) error {
-	return t.RemoveVersion(rid)
-}
-
 // VersionIterator returns a pull iterator over every row version, with its
 // MVCC header, for visibility-aware scans.
 func (t *Table) VersionIterator() *TableVersionIterator {
@@ -430,11 +422,7 @@ type TableVersionIterator struct {
 
 // Next returns the next version, or ok=false at the end.
 func (it *TableVersionIterator) Next() (storage.RecordID, storage.VersionMeta, Tuple, bool, error) {
-	return decodeNext(it.inner)
-}
-
-func decodeNext(inner *storage.HeapIterator) (storage.RecordID, storage.VersionMeta, Tuple, bool, error) {
-	rid, record, ok, err := inner.Next()
+	rid, record, ok, err := it.inner.Next()
 	if err != nil || !ok {
 		return rid, storage.VersionMeta{}, nil, false, err
 	}

@@ -31,9 +31,9 @@ func (w *Window) Render() {
 			Col:      col,
 			Width:    field.Def.Width,
 			ReadOnly: field.Def.ReadOnly || field.computed(),
+			Value:    w.fieldText(field),
 			Focused:  i == w.focus && w.mode != ModeBrowse,
 		}
-		tf.SetValue(w.fieldText(field))
 		tf.Draw(s)
 	}
 
@@ -46,7 +46,7 @@ func (w *Window) Render() {
 		w.renderDetail(s, link, child)
 	}
 
-	// row position and status line.
+	// Row position and status line.
 	position := "no rows"
 	if w.cursor >= 0 {
 		position = fmt.Sprintf("row %d of %d", w.cursor+1, w.RowCount())

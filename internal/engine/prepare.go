@@ -619,7 +619,7 @@ func (st *Stmt) ExecBatch(rows [][]types.Value) (*Result, error) {
 	if st.write.Returning() != nil {
 		return nil, ErrBatchReturning
 	}
-	res, err := st.session.runWriteBody(st.entry.stmt, st.write.Table().Name(), func(t *txn.Txn) (int, []types.Tuple, error) {
+	res, err := st.session.runWriteBody(st.entry.stmt, func(t *txn.Txn) (int, []types.Tuple, error) {
 		affected := 0
 		for _, row := range rows {
 			if err := st.Bind(row...); err != nil {

@@ -125,14 +125,14 @@ func (s *Session) Query(text string) (*Result, error) {
 	return st.queryAll()
 }
 
-// ExecuteStmt runs an already-parsed statement. Parameter placeholders are
+// ExecuteStmt runs an already-parsed statement. Queries and writes run
+// through the prepared path, keyed on the statement's rendered text, so a
+// script shares plans with prepared statements. Parameter placeholders are
 // not allowed on this path — prepare the statement instead.
 func (s *Session) ExecuteStmt(stmt sql.Statement) (*Result, error) {
 	switch stmt := stmt.(type) {
-	case *sql.SelectStmt:
-		return s.executeSelect(stmt)
-	case *sql.InsertStmt, *sql.UpdateStmt, *sql.DeleteStmt:
-		return s.execDML(stmt, nil)
+	case *sql.SelectStmt, *sql.InsertStmt, *sql.UpdateStmt, *sql.DeleteStmt:
+		return s.Execute(stmt.String())
 	case *sql.ExplainStmt:
 		return s.executeExplain(stmt)
 	case *sql.CreateTableStmt:
@@ -319,31 +319,6 @@ func (s *Session) logDDL(text string) error {
 	return s.finishWrite(t, autocommit, err)
 }
 
-// --- SELECT ----------------------------------------------------------------
-
-func (s *Session) executeSelect(stmt *sql.SelectStmt) (*Result, error) {
-	node, err := plan.NewBuilder(s.db.cat).Build(stmt)
-	if err != nil {
-		return nil, err
-	}
-	// Inside an explicit transaction the read uses the transaction's
-	// begin-timestamp snapshot (repeatable reads without locking anything);
-	// outside, it registers a fresh snapshot for the statement's duration.
-	snap, release := s.readSnapshot()
-	defer release()
-	rt := exec.NewRuntime()
-	rt.SetSnapshot(snap)
-	res, err := exec.RunWithRuntime(node, rt)
-	if err != nil {
-		return nil, err
-	}
-	out := &Result{Rows: res.Rows}
-	for _, col := range res.Schema.Columns {
-		out.Columns = append(out.Columns, col.Name)
-	}
-	return out, nil
-}
-
 // --- DML ---------------------------------------------------------------------
 //
 // INSERT, UPDATE and DELETE run through the same planner/executor pipeline as
@@ -352,28 +327,14 @@ func (s *Session) executeSelect(stmt *sql.SelectStmt) (*Result, error) {
 // equality and range access paths, parameter operands and NULL-key semantics
 // exactly like reads — and exec.BuildWrite compiles the write operator that
 // applies the changes. Prepared statements cache the plan and reuse the
-// compiled operator across rebinds; this path plans per execution.
-
-// execDML plans and runs a DML statement that arrived pre-parsed (scripts,
-// ExecuteStmt). The prepared path reuses cached plans instead.
-func (s *Session) execDML(stmt sql.Statement, params *expr.Params) (*Result, error) {
-	node, err := plan.NewBuilder(s.db.cat).BuildStatement(stmt)
-	if err != nil {
-		return nil, err
-	}
-	op, err := exec.BuildWrite(node, params)
-	if err != nil {
-		return nil, err
-	}
-	return s.runWrite(stmt, op)
-}
+// compiled operator across rebinds.
 
 // runWrite executes a compiled write operator with the session's transaction
 // discipline: the open explicit transaction if there is one, otherwise one
 // autocommit transaction around the statement. A RETURNING clause's rows and
 // column names land in the result alongside the affected count.
 func (s *Session) runWrite(stmt sql.Statement, op exec.WriteOperator) (*Result, error) {
-	res, err := s.runWriteBody(stmt, op.Table().Name(), op.Run)
+	res, err := s.runWriteBody(stmt, op.Run)
 	if err != nil {
 		return nil, err
 	}
@@ -389,8 +350,7 @@ func (s *Session) runWrite(stmt sql.Statement, op exec.WriteOperator) (*Result, 
 // batch — in the session's write discipline: the explicit-or-autocommit
 // transaction, and commit-or-rollback on the body's outcome. The body
 // returns how many rows it affected plus any RETURNING projection of them.
-func (s *Session) runWriteBody(stmt sql.Statement, table string, body func(t *txn.Txn) (int, []types.Tuple, error)) (*Result, error) {
-	_ = table // writes no longer lock tables; kept for the call shape
+func (s *Session) runWriteBody(stmt sql.Statement, body func(t *txn.Txn) (int, []types.Tuple, error)) (*Result, error) {
 	t, autocommit, err := s.writeTxn()
 	if err != nil {
 		return nil, err

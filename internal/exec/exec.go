@@ -1,7 +1,6 @@
 // Package exec runs plan trees. Each plan node maps to a pull-style operator
 // (Open / Next / Close); BuildWithRuntime compiles the expressions once and
-// wires the operators together, and RunWithRuntime drains the tree into a
-// result set.
+// wires the operators together.
 package exec
 
 import (
@@ -87,40 +86,6 @@ func BuildWithRuntime(node plan.Node, params *expr.Params, rt *Runtime) (Operato
 		return &limitOperator{input: input, limit: n.Limit, offset: n.Offset}, nil
 	default:
 		return nil, fmt.Errorf("exec: unsupported plan node %T", node)
-	}
-}
-
-// Result is a fully materialised query result.
-type Result struct {
-	Schema *types.Schema
-	Rows   []types.Tuple
-}
-
-// RunWithRuntime builds, opens, drains and closes the plan in one call,
-// reading through rt's snapshot.
-func RunWithRuntime(node plan.Node, rt *Runtime) (res *Result, err error) {
-	op, err := BuildWithRuntime(node, nil, rt)
-	if err != nil {
-		return nil, err
-	}
-	if err := op.Open(); err != nil {
-		return nil, err
-	}
-	defer func() {
-		if cerr := op.Close(); cerr != nil && err == nil {
-			res, err = nil, cerr
-		}
-	}()
-	res = &Result{Schema: op.Schema()}
-	for {
-		tuple, ok, err := op.Next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return res, nil
-		}
-		res.Rows = append(res.Rows, tuple)
 	}
 }
 

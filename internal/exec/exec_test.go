@@ -81,7 +81,7 @@ func setup(t testing.TB) *catalog.Catalog {
 	return cat
 }
 
-func query(t testing.TB, cat *catalog.Catalog, q string) *Result {
+func query(t testing.TB, cat *catalog.Catalog, q string) *result {
 	t.Helper()
 	sel, err := sql.ParseSelect(q)
 	if err != nil {
@@ -91,7 +91,7 @@ func query(t testing.TB, cat *catalog.Catalog, q string) *Result {
 	if err != nil {
 		t.Fatalf("plan %q: %v", q, err)
 	}
-	res, err := RunWithRuntime(node, NewRuntime())
+	res, err := run(node)
 	if err != nil {
 		t.Fatalf("run %q: %v", q, err)
 	}
@@ -327,7 +327,7 @@ func TestDeletedRowSkippedInIndexScan(t *testing.T) {
 			bobRID = rid
 		}
 	}
-	if err := customers.Delete(bobRID); err != nil {
+	if err := customers.RemoveVersion(bobRID); err != nil {
 		t.Fatal(err)
 	}
 	res := query(t, cat, "SELECT name FROM customers WHERE city = 'Boston'")
@@ -395,7 +395,7 @@ func TestRunErrorsOnBadExpression(t *testing.T) {
 	if err != nil {
 		return // the planner may reject it, which is fine
 	}
-	if _, err := RunWithRuntime(node, NewRuntime()); err == nil {
+	if _, err := run(node); err == nil {
 		t.Error("adding a string to a float should fail at runtime")
 	}
 }
@@ -409,7 +409,7 @@ func BenchmarkSeqScanFilter10k(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := RunWithRuntime(node, NewRuntime()); err != nil {
+		if _, err := run(node); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -424,7 +424,7 @@ func BenchmarkIndexLookup10k(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := RunWithRuntime(node, NewRuntime()); err != nil {
+		if _, err := run(node); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -439,7 +439,7 @@ func BenchmarkHashJoin(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := RunWithRuntime(node, NewRuntime()); err != nil {
+		if _, err := run(node); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -467,4 +467,38 @@ func benchCatalog(b *testing.B, n int) *catalog.Catalog {
 		}
 	}
 	return cat
+}
+
+// result is a fully materialised query result.
+type result struct {
+	Schema *types.Schema
+	Rows   []types.Tuple
+}
+
+// run builds, opens, drains and closes the plan, reading the latest live
+// versions (no snapshot).
+func run(node plan.Node) (res *result, err error) {
+	op, err := BuildWithRuntime(node, nil, NewRuntime())
+	if err != nil {
+		return nil, err
+	}
+	if err := op.Open(); err != nil {
+		return nil, err
+	}
+	defer func() {
+		if cerr := op.Close(); cerr != nil && err == nil {
+			res, err = nil, cerr
+		}
+	}()
+	res = &result{Schema: op.Schema()}
+	for {
+		tuple, ok, err := op.Next()
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			return res, nil
+		}
+		res.Rows = append(res.Rows, tuple)
+	}
 }

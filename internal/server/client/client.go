@@ -1,12 +1,13 @@
 // Package client is the Go client for the wowserver wire protocol. It
-// mirrors the engine's prepared-statement API — Prepare, Stmt.Bind,
+// mirrors the engine's prepared-statement API — Prepare, Stmt.BindNamed,
 // Stmt.Query returning a streaming Rows cursor — so code written against a
 // local engine.Session ports to a remote server by swapping the constructor.
 //
 //	pool := client.NewPool("127.0.0.1:4045", client.PoolConfig{})
 //	defer pool.Close()
-//	h, _ := pool.Get()
-//	rows, _ := h.Query("SELECT name FROM customers WHERE id = ?", types.NewInt(7))
+//	h, _ := pool.GetContext(ctx)
+//	st, _ := h.Prepare("SELECT name FROM customers WHERE id = ?")
+//	rows, _ := st.Query(types.NewInt(7))
 //	for rows.Next() { ... rows.Row() ... }
 //	rows.Close()
 //	h.Release()
@@ -24,9 +25,9 @@
 // a pre-v2 server (one that does not know the handshake at all) surfaces as
 // *HandshakeError with a message naming the problem instead of a codec error.
 //
-// Running a statement is one round trip: Bind and BindNamed only accumulate
-// values locally, and Query or Exec ships them with the execution in a single
-// Run frame whose answer already carries the first batch of rows. Longer
+// Running a statement is one round trip: BindNamed and the arguments of Query
+// or Exec only accumulate values locally, and the execution ships them in a
+// single Run frame whose answer already carries the first batch of rows. Longer
 // results pull further batches with Fetch. The batch size is the statement's
 // (Stmt.SetFetchSize): a paging consumer like the forms window pager pins it
 // to its page size so one page arrives with the Run. The protocol itself is
@@ -440,7 +441,7 @@ type Stmt struct {
 	// (a SELECT, or DML with a RETURNING clause).
 	returnsRows bool
 	// args holds the parameter values by ordinal and bound marks which ones
-	// Bind or BindNamed has set. Binding is local: every Run ships the whole
+	// bind or BindNamed has set. Binding is local: every Run ships the whole
 	// tuple, and like the engine statement it mirrors, values stay bound
 	// across executions.
 	args  types.Tuple
@@ -494,7 +495,7 @@ func (st *Stmt) bind(args ...types.Value) error {
 }
 
 // BindNamed sets every occurrence of the named parameter ("@name" or "name"),
-// mirroring the engine API. Like Bind it only records the value; every
+// mirroring the engine API. It only records the value; every
 // parameter must be bound by the time the statement runs.
 func (st *Stmt) BindNamed(name string, v types.Value) error {
 	if st.closed {
@@ -516,8 +517,8 @@ func (st *Stmt) BindNamed(name string, v types.Value) error {
 
 // run is the one execution path: a single Run frame carrying the statement
 // id, every parameter and the first batch's size, answered by a Result or by
-// a Cursor that already holds that batch. Optional args are a shorthand for
-// bind.
+// a Cursor that already holds that batch. Optional args bind every
+// parameter positionally first.
 func (st *Stmt) run(args []types.Value) (byte, *wire.Cursor, error) {
 	if st.closed {
 		return 0, nil, fmt.Errorf("client: statement is closed")
@@ -552,8 +553,8 @@ func (st *Stmt) run(args []types.Value) (byte, *wire.Cursor, error) {
 	return respType, cur, nil
 }
 
-// Exec runs the statement and materialises its outcome. Optional args are a
-// shorthand for Bind. Running a SELECT through Exec drains its cursor.
+// Exec runs the statement and materialises its outcome. Optional args bind
+// every parameter positionally first. Running a SELECT through Exec drains its cursor.
 func (st *Stmt) Exec(args ...types.Value) (*Result, error) {
 	respType, cur, err := st.run(args)
 	if err != nil {
@@ -607,7 +608,8 @@ func (st *Stmt) ExecBatch(rows [][]types.Value) (*Result, error) {
 }
 
 // Query runs the statement and returns a streaming cursor over its result,
-// already holding the first batch. Optional args are a shorthand for Bind.
+// already holding the first batch. Optional args bind every parameter
+// positionally first.
 func (st *Stmt) Query(args ...types.Value) (*Rows, error) {
 	respType, cur, err := st.run(args)
 	if err != nil {

@@ -166,33 +166,6 @@ func (h *HeapFile) owns(id PageID) bool {
 	return ok
 }
 
-// Scan calls fn for every live record in the heap file, in physical order.
-// The record slice passed to fn is a copy the callback may retain. Scanning
-// stops early if fn returns an error, which Scan then returns.
-//
-// Each page is copied out under the heap latch, and fn runs with no lock
-// held: under MVCC there are no table locks, so h.mu is the only thing
-// keeping readers off pages a writer is mutating, and fn may re-enter the
-// heap (e.g. recovery deleting rows it just matched).
-func (h *HeapFile) Scan(fn func(rid RecordID, record []byte) error) error {
-	h.mu.RLock()
-	pages := make([]PageID, len(h.pages))
-	copy(pages, h.pages)
-	h.mu.RUnlock()
-	for _, id := range pages {
-		rids, recs, err := h.readPage(id)
-		if err != nil {
-			return err
-		}
-		for i, rid := range rids {
-			if err := fn(rid, recs[i]); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
 // readPage copies every live record off one page under the heap latch.
 func (h *HeapFile) readPage(id PageID) ([]RecordID, [][]byte, error) {
 	h.mu.RLock()

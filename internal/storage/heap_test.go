@@ -63,18 +63,14 @@ func TestHeapSpansPages(t *testing.T) {
 	if len(h.pages) < 10 {
 		t.Errorf("expected records to span many pages, got %d", len(h.pages))
 	}
-	n := 0
-	if err := h.Scan(func(rid RecordID, record []byte) error {
+	records := scanAll(t, h)
+	for i, record := range records {
 		if !bytes.Equal(record, rec) {
-			t.Errorf("scan record mismatch at %v", rid)
+			t.Errorf("scan record %d mismatch", i)
 		}
-		n++
-		return nil
-	}); err != nil {
-		t.Fatal(err)
 	}
-	if n != 20 {
-		t.Errorf("scan saw %d records, want 20", n)
+	if len(records) != 20 {
+		t.Errorf("scan saw %d records, want 20", len(records))
 	}
 }
 
@@ -147,17 +143,19 @@ func TestHeapScanEarlyStop(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		_, _ = h.insert([]byte("x"))
 	}
-	sentinel := errors.New("stop")
-	n := 0
-	err := h.Scan(func(RecordID, []byte) error {
-		n++
-		if n == 3 {
-			return sentinel
+	// A scan abandoned part-way holds no latch and no pin: writes go on,
+	// and the next scan sees them.
+	it := h.Iterator()
+	for i := 0; i < 3; i++ {
+		if _, _, ok, err := it.Next(); err != nil || !ok {
+			t.Fatalf("record %d: ok=%v err=%v", i, ok, err)
 		}
-		return nil
-	})
-	if !errors.Is(err, sentinel) || n != 3 {
-		t.Errorf("early stop: n=%d err=%v", n, err)
+	}
+	if _, err := h.insert([]byte("y")); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(scanAll(t, h)); n != 11 {
+		t.Errorf("scan after an abandoned one saw %d records, want 11", n)
 	}
 }
 
@@ -319,10 +317,24 @@ func BenchmarkHeapScan(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		n := 0
-		_ = h.Scan(func(RecordID, []byte) error { n++; return nil })
-		if n != 10000 {
+		if n := len(scanAll(b, h)); n != 10000 {
 			b.Fatal("bad scan")
 		}
+	}
+}
+
+// scanAll returns a copy of every live record, in physical order.
+func scanAll(t testing.TB, h *HeapFile) [][]byte {
+	t.Helper()
+	var out [][]byte
+	for it := h.Iterator(); ; {
+		_, record, ok, err := it.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			return out
+		}
+		out = append(out, record)
 	}
 }

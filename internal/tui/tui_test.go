@@ -133,8 +133,7 @@ func TestTypeStringAndEventString(t *testing.T) {
 
 func TestTextFieldScrollingAndDraw(t *testing.T) {
 	s := NewScreen(12, 2)
-	f := &TextField{Row: 0, Col: 0, Width: 5, Focused: true}
-	f.SetValue("abcdefghij")
+	f := &TextField{Row: 0, Col: 0, Width: 5, Focused: true, Value: "abcdefghij"}
 	f.Draw(s)
 	// The visible window must show the tail of the value with one cell kept
 	// free for the cursor (cursor sits at the end of the text).

@@ -4,50 +4,22 @@ import (
 	"strings"
 )
 
-// TextField is a single-line editable field: the building block every form
-// field is rendered with. It owns its text buffer and cursor; the forms
-// runtime feeds it key events while it has focus.
+// TextField is a single-line field: the building block every form field is
+// rendered with. The forms runtime edits the text; the field draws it, with
+// the cursor after its last character.
 type TextField struct {
 	Row, Col int
 	Width    int
 	// Value is the field's current text.
 	Value string
-	// Cursor is the insertion position within Value.
-	Cursor int
 	// Focused fields render in reverse video with a visible cursor.
 	Focused bool
-	// ReadOnly fields ignore editing keys.
+	// ReadOnly fields render dimmed.
 	ReadOnly bool
-	// scroll is the index of the first visible character when the value is
-	// wider than the field.
-	scroll int
 }
 
-// SetValue replaces the field's text and moves the cursor to its end.
-func (f *TextField) SetValue(v string) {
-	f.Value = v
-	f.Cursor = len(v)
-	f.clampScroll()
-}
-
-func (f *TextField) clampScroll() {
-	if f.Width <= 0 {
-		f.scroll = 0
-		return
-	}
-	if f.Cursor < f.scroll {
-		f.scroll = f.Cursor
-	}
-	if f.Cursor > f.scroll+f.Width-1 {
-		f.scroll = f.Cursor - f.Width + 1
-	}
-	if f.scroll < 0 {
-		f.scroll = 0
-	}
-}
-
-// Draw paints the field: its visible window of text padded to the field
-// width, in reverse video when focused.
+// Draw paints the field: the tail of its text that fits beside the cursor,
+// padded to the field width, in reverse video when focused.
 func (f *TextField) Draw(s *Screen) {
 	style := StyleUnderline
 	if f.Focused {
@@ -56,19 +28,16 @@ func (f *TextField) Draw(s *Screen) {
 	if f.ReadOnly {
 		style |= StyleDim
 	}
-	visible := f.Value
-	if f.scroll < len(visible) {
-		visible = visible[f.scroll:]
-	} else {
-		visible = ""
-	}
+	// Scroll so the cursor, one cell past the text, stays visible.
+	scroll := max(0, len(f.Value)-f.Width+1)
+	visible := f.Value[min(scroll, len(f.Value)):]
 	if len(visible) > f.Width {
-		visible = visible[:f.Width]
+		visible = visible[:max(f.Width, 0)]
 	}
-	padded := visible + strings.Repeat(" ", f.Width-len(visible))
+	padded := visible + strings.Repeat(" ", max(f.Width-len(visible), 0))
 	s.DrawText(f.Row, f.Col, padded, style)
 	if f.Focused {
-		cursorCol := f.Col + f.Cursor - f.scroll
+		cursorCol := f.Col + len(f.Value) - scroll
 		if cursorCol >= f.Col && cursorCol < f.Col+f.Width {
 			cell := s.CellAt(f.Row, cursorCol)
 			s.SetCell(f.Row, cursorCol, cell.Ch, StyleReverse|StyleBold|StyleUnderline)

@@ -543,7 +543,7 @@ func replayRow(cat *catalog.Catalog, r Record) error {
 		return err
 	}
 	if r.Kind == RecordDelete {
-		return table.Delete(rid)
+		return table.RemoveVersion(rid)
 	}
 	_, err = table.Update(rid, r.New)
 	return err
