@@ -30,7 +30,7 @@ type PageID uint32
 // InvalidPageID is a sentinel for "no page".
 const InvalidPageID = PageID(^uint32(0))
 
-// ErrPageFull is returned by Page.Insert when the record does not fit.
+// ErrPageFull is returned by Page.insert when the record does not fit.
 var ErrPageFull = errors.New("storage: page full")
 
 // ErrNoSuchSlot is returned when a slot number does not exist or is deleted.

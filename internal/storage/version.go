@@ -9,7 +9,7 @@ import (
 // VersionHeaderSize is the fixed number of bytes prepended to every heap
 // record to carry its MVCC metadata. The header is fixed-width on purpose:
 // stamping xmax on commit-time deletes and updates rewrites the header in
-// place (an equal-length Page.Update never relocates the record), so record
+// place (an equal-length Page.update never relocates the record), so record
 // identifiers held by concurrent snapshots and index entries stay valid.
 const VersionHeaderSize = 24
 
