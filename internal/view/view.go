@@ -48,12 +48,10 @@ type Updatable struct {
 	// Columns lists the view's output columns in order with their base names.
 	Columns []ColumnPair
 	// Where is the view's predicate expressed over base-table columns
-	// (nil when the view has no predicate).
+	// (nil when the view has no predicate). Rows written through the view
+	// must still satisfy it, as the forms runtime needs: a row edited in a
+	// window must stay visible in it.
 	Where sql.Expr
-	// CheckOption controls whether rows written through the view must still
-	// satisfy Where. It is always enabled here, matching the behaviour the
-	// forms runtime needs (a row edited in a window must stay visible in it).
-	CheckOption bool
 }
 
 // Analyze determines whether the view is updatable and, if so, how writes
@@ -107,7 +105,7 @@ func analyze(def *catalog.ViewDef, cat *catalog.Catalog, visiting map[string]boo
 		if err != nil {
 			return nil, err
 		}
-		base = &Updatable{BaseTable: table.Name(), CheckOption: true}
+		base = &Updatable{BaseTable: table.Name()}
 		for _, col := range table.Schema().Columns {
 			base.Columns = append(base.Columns, ColumnPair{ViewColumn: strings.ToLower(col.Name), BaseColumn: strings.ToLower(col.Name)})
 		}
@@ -130,10 +128,9 @@ func analyze(def *catalog.ViewDef, cat *catalog.Catalog, visiting map[string]boo
 	}
 
 	out := &Updatable{
-		ViewName:    def.Name,
-		BaseTable:   base.BaseTable,
-		Where:       base.Where,
-		CheckOption: true,
+		ViewName:  def.Name,
+		BaseTable: base.BaseTable,
+		Where:     base.Where,
 	}
 
 	// Map the select list.
@@ -390,7 +387,7 @@ type RowCheck struct {
 // evaluation — the planned write operators compile at build time and check
 // per row. It returns nil (no check needed) when the view has no predicate.
 func (u *Updatable) CompileCheck(baseSchema *types.Schema) (*RowCheck, error) {
-	if !u.CheckOption || u.Where == nil {
+	if u.Where == nil {
 		return nil, nil
 	}
 	compiled, err := expr.Compile(u.Where, baseSchema)
