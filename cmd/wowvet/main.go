@@ -2,31 +2,25 @@
 // five analyzers that prove the engine's lifecycle, locking, wire and
 // API-surface invariants (see docs/ANALYSIS.md).
 //
-// It runs in two modes:
+// Run it with no arguments from the module root:
 //
-//   - standalone, over the whole module at once (strongest for lockorder,
-//     which then sees every package's acquisition graph in one process, and
-//     the only mode that runs deadapi, which needs every caller):
+//	wowvet
 //
-//     wowvet ./...
+// It loads every package of the module, plus the modules nested in it
+// (bench/), as one program. closecheck and errpropagate run on each module
+// package; lockorder, wireconform and deadapi run once over the program.
+// It takes no package patterns, so no run ever checks part of the module.
 //
-//   - as a `go vet` tool, speaking the unitchecker protocol (one compilation
-//     unit per process, cross-package state carried in serialized facts):
-//
-//     go vet -vettool=$(command -v wowvet) ./...
-//
-// Both modes exit 0 when the tree is clean, 1 when diagnostics were
-// reported, and 2 on internal errors. Findings can be suppressed one line
-// at a time with `//wowvet:ignore <analyzer> -- <justification>`; a
-// suppression without a justification is itself a finding.
+// It exits 0 when the tree is clean, 1 when diagnostics were reported, and
+// 2 on usage or internal errors. Findings can be suppressed one line at a
+// time with `//wowvet:ignore <analyzer> -- <justification>`; a suppression
+// without a justification is itself a finding.
 package main
 
 import (
-	"crypto/sha256"
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"repro/internal/analysis"
 	"repro/internal/analysis/closecheck"
@@ -51,41 +45,15 @@ func main() {
 }
 
 func run(args []string) int {
-	// The `go vet -vettool` protocol probes the tool before use:
-	// `-V=full` must print a content-addressed version line, `-flags` the
-	// tool's extra flags as JSON. Handle both before anything else.
-	for _, arg := range args {
-		switch {
-		case arg == "-V=full" || arg == "--V=full":
-			return printVersion()
-		case arg == "-flags" || arg == "--flags":
-			fmt.Println("[]")
-			return 0
-		case arg == "-V" || strings.HasPrefix(arg, "-V="):
-			fmt.Fprintln(os.Stderr, "wowvet: unsupported flag value: use -V=full")
-			return 2
-		case arg == "help" || arg == "-h" || arg == "-help" || arg == "--help":
-			usage()
-			return 0
-		}
-	}
-
-	// One *.cfg argument: a vet compilation unit.
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		return analysis.RunUnit(args[0], analyzers(), os.Stderr)
-	}
-
-	// Standalone: analyze the module packages matching the patterns.
-	patterns := args
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-	cwd, err := os.Getwd()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "wowvet:", err)
+	switch {
+	case len(args) == 1 && (args[0] == "help" || args[0] == "-h" || args[0] == "-help" || args[0] == "--help"):
+		usage(os.Stdout)
+		return 0
+	case len(args) > 0:
+		usage(os.Stderr)
 		return 2
 	}
-	prog, err := analysis.LoadPackages(cwd, patterns...)
+	prog, err := analysis.LoadPackages(".")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "wowvet:", err)
 		return 2
@@ -104,45 +72,18 @@ func run(args []string) int {
 	return 0
 }
 
-// printVersion implements the -V=full contract go vet uses to fingerprint
-// the tool for its action cache: the executable path and a sha256 of its
-// own binary.
-func printVersion() int {
-	exe, err := os.Executable()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "wowvet:", err)
-		return 2
-	}
-	f, err := os.Open(exe)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "wowvet:", err)
-		return 2
-	}
-	defer f.Close()
-	h := sha256.New()
-	if _, err := io.Copy(h, f); err != nil {
-		fmt.Fprintln(os.Stderr, "wowvet:", err)
-		return 2
-	}
-	fmt.Printf("%s version devel comments-go-here buildID=%02x\n", exe, string(h.Sum(nil)))
-	return 0
-}
-
-func usage() {
-	fmt.Println("wowvet proves the repository's lifecycle, locking, wire and API-surface invariants.")
-	fmt.Println()
-	fmt.Println("usage:")
-	fmt.Println("  wowvet [packages]                      analyze the module (default ./...)")
-	fmt.Println("  go vet -vettool=$(command -v wowvet)   run under go vet per compilation unit")
-	fmt.Println()
-	fmt.Println("deadapi needs the whole program: it runs only for ./... from the module root,")
-	fmt.Println("never under go vet.")
-	fmt.Println()
-	fmt.Println("analyzers:")
+func usage(w io.Writer) {
+	fmt.Fprintln(w, "wowvet proves the repository's lifecycle, locking, wire and API-surface invariants.")
+	fmt.Fprintln(w)
+	fmt.Fprintln(w, "usage: wowvet    (from the module root; takes no package arguments)")
+	fmt.Fprintln(w)
+	fmt.Fprintln(w, "It analyzes the whole module plus the modules nested in it, as one program.")
+	fmt.Fprintln(w)
+	fmt.Fprintln(w, "analyzers:")
 	for _, a := range analyzers() {
-		fmt.Printf("  %-12s %s\n", a.Name, a.Doc)
+		fmt.Fprintf(w, "  %-12s %s\n", a.Name, a.Doc)
 	}
-	fmt.Println()
-	fmt.Println("suppress one finding with a justified comment on or above its line:")
-	fmt.Println("  //wowvet:ignore <analyzer> -- <why the invariant holds here>")
+	fmt.Fprintln(w)
+	fmt.Fprintln(w, "suppress one finding with a justified comment on or above its line:")
+	fmt.Fprintln(w, "  //wowvet:ignore <analyzer> -- <why the invariant holds here>")
 }

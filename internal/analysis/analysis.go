@@ -1,18 +1,11 @@
 // Package analysis is the stdlib-only core of wowvet, the repository's
 // domain-specific static-analysis suite. It mirrors the shape of
-// golang.org/x/tools/go/analysis — Analyzer, Pass, diagnostics, package
-// facts — without depending on it (the tree builds with no third-party
-// modules), and adds the two drivers the tool needs:
-//
-//   - a standalone whole-module driver (LoadPackages + RunPackages) behind
-//     `wowvet ./...`, which sees every package at once, and
-//   - the `go vet -vettool` unit protocol (RunUnit), which analyzes one
-//     compilation unit per process and carries cross-package state in
-//     serialized facts, exactly like x/tools' unitchecker.
-//
-// Analyzers communicate across packages through JSON-encoded package facts:
-// an analyzer running on package P may export one fact for P and import the
-// facts its dependencies exported, in both drivers.
+// golang.org/x/tools/go/analysis — Analyzer, Pass, diagnostics — without
+// depending on it (the tree builds with no third-party modules), and has one
+// driver: LoadPackages loads the whole module, plus the modules nested in
+// it, as one Program, and RunPackages runs every per-package analyzer on
+// each module package and every whole-program analyzer once over the
+// Program.
 //
 // Findings can be suppressed one line at a time with a justification:
 //
@@ -40,10 +33,9 @@ type Analyzer struct {
 	// Run analyzes one package. It reports findings through the Pass and
 	// returns an error only for internal failures (which abort the drive).
 	Run func(*Pass) error
-	// RunProgram, set instead of Run, analyzes the whole program at once.
-	// Only the whole-module driver runs it, and only over a whole module:
-	// a `go vet` unit sees its dependencies but never its dependents, so a
-	// question like "does anything call this?" has no answer there.
+	// RunProgram, set instead of Run, analyzes the whole program at once,
+	// for questions one package cannot answer: does anything call this,
+	// does any package take these locks in the other order.
 	RunProgram func(*ProgramPass) error
 }
 
@@ -65,16 +57,8 @@ type Pass struct {
 	Files     []*ast.File
 	Pkg       *types.Package
 	TypesInfo *types.Info
-	// InModule reports whether the package belongs to the module under
-	// analysis (as opposed to a dependency the driver only loaded for type
-	// information). Analyzers skip packages outside the module.
-	InModule bool
-	// ModuleDir is the module root directory, when known. Analyzers that
-	// check repository-level artifacts (docs/WIRE.md) resolve paths off it.
-	ModuleDir string
 
 	report func(Diagnostic)
-	facts  *FactStore
 }
 
 // Reportf records a finding at pos.
@@ -104,19 +88,6 @@ func newDiagnostic(fset *token.FileSet, a *Analyzer, pos token.Pos, format strin
 	}
 }
 
-// ExportPackageFact records fact (any JSON-serializable value) for the
-// current package under the current analyzer. Later passes of the same
-// analyzer over packages that import this one can read it back.
-func (p *Pass) ExportPackageFact(fact any) error {
-	return p.facts.set(p.Analyzer.Name, p.Pkg.Path(), fact)
-}
-
-// ImportPackageFact decodes the fact the current analyzer exported for the
-// package with the given path into out, reporting whether one exists.
-func (p *Pass) ImportPackageFact(path string, out any) bool {
-	return p.facts.get(p.Analyzer.Name, path, out)
-}
-
 // --- suppressions -------------------------------------------------------------
 
 // ignorePrefix opens a suppression comment.
@@ -128,8 +99,6 @@ type suppression struct {
 	line      int  // the comment's line
 	ownLine   bool // the comment starts its line and also covers the next one
 	analyzers []string
-	justified bool
-	pos       token.Position
 }
 
 // collectSuppressions parses every //wowvet:ignore comment in the files.
@@ -161,8 +130,6 @@ func collectSuppressions(fset *token.FileSet, files []*ast.File) (sups []suppres
 					line:      pos.Line,
 					ownLine:   !hasCode || col >= pos.Column,
 					analyzers: names,
-					justified: true,
-					pos:       pos,
 				})
 			}
 		}
@@ -187,15 +154,10 @@ func (s suppression) covers(d Diagnostic) bool {
 	return false
 }
 
-// applySuppressions filters diags through the files' //wowvet:ignore
-// comments and appends a diagnostic for every unjustified suppression.
+// applySuppressions drops the diagnostics the files' //wowvet:ignore
+// comments cover and appends a diagnostic for every unjustified suppression.
 func applySuppressions(fset *token.FileSet, files []*ast.File, diags []Diagnostic) []Diagnostic {
 	sups, bad := collectSuppressions(fset, files)
-	return append(suppress(sups, diags), bad...)
-}
-
-// suppress drops the diagnostics a suppression covers.
-func suppress(sups []suppression, diags []Diagnostic) []Diagnostic {
 	var out []Diagnostic
 	for _, d := range diags {
 		suppressed := false
@@ -209,7 +171,7 @@ func suppress(sups []suppression, diags []Diagnostic) []Diagnostic {
 			out = append(out, d)
 		}
 	}
-	return out
+	return append(out, bad...)
 }
 
 // firstCodeColumns maps each line holding a non-comment token to the column

@@ -8,8 +8,8 @@
 //
 // A fixture package at or below a directory holding a go.mod stands for a
 // package of a nested module: it is loaded for its references only, like
-// bench/ in the real tree. The fixture is a whole program, so
-// whole-program analyzers run over it.
+// bench/ in the real tree. The fixture is a whole program, like the tree
+// wowvet loads.
 //
 // Fixture sources carry expectations as comments on the offending line:
 //
@@ -69,7 +69,7 @@ func Run(t *testing.T, fixtureDir string, analyzers []*analysis.Analyzer, pkgPat
 // standard library.
 func load(fixtureDir string, pkgPaths []string) (*analysis.Program, error) {
 	fset := token.NewFileSet()
-	prog := &analysis.Program{Fset: fset, ModuleDir: fixtureDir, Whole: true}
+	prog := &analysis.Program{Fset: fset, ModuleDir: fixtureDir}
 
 	// Parse everything first so stdlib imports are known before any
 	// type-checking starts.

@@ -70,9 +70,6 @@ func specFor(t types.Type) *resourceSpec {
 }
 
 func run(pass *analysis.Pass) error {
-	if !pass.InModule {
-		return nil
-	}
 	for _, file := range pass.Files {
 		if isTestFile(pass, file) {
 			continue

@@ -21,9 +21,7 @@
 // spells. Deliberate API takes `//wowvet:ignore deadapi -- <reason>`.
 //
 // The question "does anything call this?" needs every dependent of a
-// package, so deadapi is a whole-program analyzer: the whole-module driver
-// runs it, and the `go vet` unit driver, whose unit sees its dependencies
-// but never its dependents, skips it.
+// package, so deadapi is a whole-program analyzer.
 //
 // Each package is type-checked against its dependencies' export data, so an
 // object seen from an importer is not the object its own package declared.

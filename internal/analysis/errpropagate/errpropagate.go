@@ -39,9 +39,6 @@ var targetPkgs = []string{
 }
 
 func run(pass *analysis.Pass) error {
-	if !pass.InModule {
-		return nil
-	}
 	target := false
 	for _, suffix := range targetPkgs {
 		if analysis.PathHasSuffix(pass.Pkg.Path(), suffix) {

@@ -30,15 +30,13 @@ type LoadedPackage struct {
 	Nested bool
 }
 
-// A Program is the standalone driver's whole-module view: every package the
-// patterns matched, in dependency order, over one shared file set.
+// A Program is the driver's whole-module view: every package of the module
+// and of the modules nested in it, in dependency order, over one shared
+// file set.
 type Program struct {
 	Fset      *token.FileSet
 	Packages  []*LoadedPackage
 	ModuleDir string
-	// Whole reports that the program is the entire module plus the modules
-	// nested in it, so whole-program analyzers can run.
-	Whole bool
 }
 
 // listedPackage is the subset of `go list -json` output the loader reads.
@@ -50,68 +48,49 @@ type listedPackage struct {
 	DepOnly    bool
 	GoFiles    []string
 	Imports    []string
-	Module     *struct {
-		Path string
-		Dir  string
-	}
 }
 
-// LoadPackages loads the packages matching the patterns (plus type
-// information for their dependencies) without any third-party machinery: it
-// drives `go list -export` for package metadata and compiled export data,
-// parses the matched packages' sources, and type-checks them against their
-// dependencies' export files. Test files are not loaded — wowvet's
-// invariants are about production code. Loading "./..." from the module root
-// also loads the modules nested below it as Nested packages and marks the
-// program Whole.
-func LoadPackages(dir string, patterns ...string) (*Program, error) {
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-	prog := &Program{Fset: token.NewFileSet()}
-	moduleDir, err := loadModule(prog, dir, patterns, false)
+// LoadPackages loads the module rooted at dir — every package `./...`
+// matches there, plus the packages of the modules nested below it as Nested
+// packages — without any third-party machinery: it drives `go list -export`
+// for package metadata and compiled export data, parses the packages'
+// sources, and type-checks them against their dependencies' export files.
+// Test files are not loaded — wowvet's invariants are about production code.
+// A dir without a go.mod is an error, so no run ever sees part of a module.
+func LoadPackages(dir string) (*Program, error) {
+	root, err := filepath.Abs(dir)
 	if err != nil {
 		return nil, err
 	}
-	prog.ModuleDir = moduleDir
-	abs, err := filepath.Abs(dir)
+	if _, err := os.Stat(filepath.Join(root, "go.mod")); err != nil {
+		return nil, fmt.Errorf("%s is not a module root: %w", root, err)
+	}
+	nested, err := nestedModules(root)
 	if err != nil {
 		return nil, err
 	}
-	if len(patterns) != 1 || patterns[0] != "./..." || abs != moduleDir || moduleDir == "" {
-		return prog, nil
-	}
-	// The whole module: add the modules nested in it, which its own
-	// `./...` never matches, so their references count too.
-	nested, err := nestedModules(moduleDir)
-	if err != nil {
-		return nil, err
-	}
-	for _, nd := range nested {
-		if _, err := loadModule(prog, nd, []string{"./..."}, true); err != nil {
+	prog := &Program{Fset: token.NewFileSet(), ModuleDir: root}
+	for i, d := range append([]string{root}, nested...) {
+		if err := loadModule(prog, d, i > 0); err != nil {
 			return nil, err
 		}
 	}
-	prog.Whole = true
 	return prog, nil
 }
 
-// loadModule lists the packages matching the patterns in dir, type-checks
-// them from source against their dependencies' export data, appends them to
-// prog in dependency order and returns the listed module's root directory.
-// Each call has its own importer, so objects are not shared across calls.
-func loadModule(prog *Program, dir string, patterns []string, nested bool) (string, error) {
-	args := append([]string{
-		"list", "-export", "-deps",
-		"-json=ImportPath,Dir,Export,Standard,DepOnly,GoFiles,Imports,Module",
-	}, patterns...)
-	cmd := exec.Command("go", args...)
+// loadModule lists the packages of the module in dir, type-checks them from
+// source against their dependencies' export data and appends them to prog
+// in dependency order. Each call has its own importer, so objects are not
+// shared across calls.
+func loadModule(prog *Program, dir string, nested bool) error {
+	cmd := exec.Command("go", "list", "-export", "-deps",
+		"-json=ImportPath,Dir,Export,Standard,DepOnly,GoFiles,Imports", "./...")
 	cmd.Dir = dir
 	var stdout, stderr bytes.Buffer
 	cmd.Stdout = &stdout
 	cmd.Stderr = &stderr
 	if err := cmd.Run(); err != nil {
-		return "", fmt.Errorf("go list in %s: %v\n%s", dir, err, stderr.String())
+		return fmt.Errorf("go list in %s: %v\n%s", dir, err, stderr.String())
 	}
 
 	byPath := make(map[string]*listedPackage)
@@ -123,7 +102,7 @@ func loadModule(prog *Program, dir string, patterns []string, nested bool) (stri
 			if err == io.EOF {
 				break
 			}
-			return "", fmt.Errorf("go list output: %w", err)
+			return fmt.Errorf("go list output: %w", err)
 		}
 		byPath[lp.ImportPath] = lp
 		if !lp.DepOnly && !lp.Standard && len(lp.GoFiles) > 0 {
@@ -140,7 +119,6 @@ func loadModule(prog *Program, dir string, patterns []string, nested bool) (stri
 	}
 	imp := importer.ForCompiler(prog.Fset, "gc", exportLookup)
 
-	moduleDir := ""
 	loaded := make(map[string]bool)
 	var visit func(lp *listedPackage) error
 	visiting := make(map[string]bool)
@@ -150,8 +128,8 @@ func loadModule(prog *Program, dir string, patterns []string, nested bool) (stri
 		}
 		visiting[lp.ImportPath] = true
 		defer delete(visiting, lp.ImportPath)
-		// Dependency-first order, so facts exported by an imported package
-		// are available when its importers are analyzed.
+		// Dependency-first order, so a whole-program analyzer walking the
+		// packages in order meets every callee before its callers.
 		for _, path := range lp.Imports {
 			if dep, ok := byPath[path]; ok && !dep.DepOnly && !dep.Standard && len(dep.GoFiles) > 0 {
 				if err := visit(dep); err != nil {
@@ -166,17 +144,14 @@ func loadModule(prog *Program, dir string, patterns []string, nested bool) (stri
 		pkg.Nested = nested
 		loaded[lp.ImportPath] = true
 		prog.Packages = append(prog.Packages, pkg)
-		if moduleDir == "" && lp.Module != nil {
-			moduleDir = lp.Module.Dir
-		}
 		return nil
 	}
 	for _, lp := range targets {
 		if err := visit(lp); err != nil {
-			return "", err
+			return err
 		}
 	}
-	return moduleDir, nil
+	return nil
 }
 
 // nestedModules returns the directories below root that hold a go.mod of
@@ -227,7 +202,7 @@ func typeCheckListed(fset *token.FileSet, lp *listedPackage, imp types.Importer)
 }
 
 // TypeCheck type-checks one package's parsed files with the standard
-// go/types configuration every driver shares.
+// go/types configuration the loader and the test fixtures share.
 func TypeCheck(fset *token.FileSet, path string, files []*ast.File, imp types.Importer) (*types.Package, *types.Info, error) {
 	info := &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),

@@ -19,13 +19,14 @@
 // The walk is flow-aware within a function (branches fork the held set,
 // deferred unlocks keep the lock held to function end, goroutine bodies
 // start with nothing held) and summary-based across functions: each
-// function's transitive may-acquire set flows to its callers, within the
-// package by fixpoint and across packages as an exported package fact, so
-// the full graph exists in both the standalone and the `go vet` unit driver.
+// function's transitive may-acquire set flows to its callers, within a
+// package by fixpoint and across packages in dependency order. Every module
+// package feeds one acquisition graph, so a cycle whose edges live in
+// sibling packages is found, and each edge on it is reported at its own
+// acquire site.
 package lockorder
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -37,9 +38,9 @@ import (
 
 // Analyzer is the lockorder pass.
 var Analyzer = &analysis.Analyzer{
-	Name: "lockorder",
-	Doc:  "mutexes and row locks must be acquired in one global order; cycle-creating acquisitions are rejected",
-	Run:  run,
+	Name:       "lockorder",
+	Doc:        "mutexes and row locks must be acquired in one global order; cycle-creating acquisitions are rejected",
+	RunProgram: run,
 }
 
 // rowClassSuffix names the synthetic lock class for the txn package's
@@ -69,104 +70,53 @@ const (
 	opRelease
 )
 
-// lockFact is the package fact: the cumulative acquisition graph and
-// function summaries for this package and everything it imports.
-type lockFact struct {
-	// Funcs maps a function's FullName to the classes it may acquire,
-	// transitively.
-	Funcs map[string][]string
-	// Edges lists every known ordered pair: From was held when To was
-	// acquired.
-	Edges []factEdge
-}
-
-type factEdge struct{ From, To string }
-
-// ownEdge is an edge observed in the package under analysis, with the
-// acquisition site for reporting.
-type ownEdge struct {
+// edge is one observed acquisition: from was held when to was acquired at
+// pos.
+type edge struct {
 	from, to string
 	pos      token.Pos
 }
 
-func run(pass *analysis.Pass) error {
-	if !pass.InModule {
-		return nil
-	}
-
-	// Merge the graphs exported by every direct import.
-	merged := lockFact{Funcs: make(map[string][]string)}
-	edgeSet := make(map[factEdge]bool)
-	for _, imp := range pass.Pkg.Imports() {
-		var f lockFact
-		if !pass.ImportPackageFact(imp.Path(), &f) {
+func run(pass *analysis.ProgramPass) error {
+	// Packages come in dependency order, so every callee outside the package
+	// being walked already has its summary.
+	summaries := make(map[string]classSet)
+	var edges []edge
+	for _, pkg := range pass.Prog.Packages {
+		if pkg.Nested {
 			continue
 		}
-		for name, classes := range f.Funcs {
-			merged.Funcs[name] = classes
-		}
-		for _, e := range f.Edges {
-			edgeSet[e] = true
-		}
+		w := &walker{fset: pass.Prog.Fset, files: pkg.Files, info: pkg.Info, summaries: summaries}
+		w.computeSummaries()
+		w.walkPackage()
+		edges = append(edges, w.edges...)
 	}
 
-	w := &walker{pass: pass, depFuncs: merged.Funcs}
-	w.computeSummaries()
-	w.walkPackage()
-
-	// The global graph: dependency edges plus this package's own.
 	adj := make(map[string][]string)
-	addEdge := func(e factEdge) {
-		if !edgeSet[e] {
-			edgeSet[e] = true
-			adj[e.From] = append(adj[e.From], e.To)
-		}
-	}
-	for e := range edgeSet {
-		adj[e.From] = append(adj[e.From], e.To)
-	}
-	for _, e := range w.edges {
-		addEdge(factEdge{From: e.from, To: e.to})
+	for _, e := range edges {
+		adj[e.from] = append(adj[e.from], e.to)
 	}
 
-	// Report each own edge that participates in a cycle, at its acquire site.
-	reported := make(map[string]bool)
-	for _, e := range w.edges {
-		key := fmt.Sprintf("%s->%s@%d", e.from, e.to, e.pos)
-		if reported[key] {
+	// Report each edge that lies on a cycle, at its acquire site.
+	reported := make(map[edge]bool)
+	for _, e := range edges {
+		if reported[e] {
 			continue
 		}
+		reported[e] = true
 		if e.from == e.to {
 			if !strings.HasSuffix(e.from, rowClassSuffix) {
-				reported[key] = true
 				pass.Reportf(e.pos, "%s is acquired while already held: self-deadlock", e.from)
 			}
 			continue
 		}
 		if path := findPath(adj, e.to, e.from); path != nil {
-			reported[key] = true
 			cycle := append([]string{e.from}, path...)
 			pass.Reportf(e.pos, "acquiring %s while holding %s creates a lock-order cycle: %s",
 				e.to, e.from, strings.Join(cycle, " -> "))
 		}
 	}
-
-	// Export the cumulative graph for importers.
-	out := lockFact{Funcs: merged.Funcs}
-	for name, classes := range w.summaries {
-		sorted := append([]string(nil), classes.slice()...)
-		out.Funcs[name] = sorted
-	}
-	for e := range edgeSet {
-		out.Edges = append(out.Edges, e)
-	}
-	sort.Slice(out.Edges, func(i, j int) bool {
-		if out.Edges[i].From != out.Edges[j].From {
-			return out.Edges[i].From < out.Edges[j].From
-		}
-		return out.Edges[i].To < out.Edges[j].To
-	})
-	return pass.ExportPackageFact(out)
+	return nil
 }
 
 // findPath returns the node path from -> ... -> to (inclusive) if one
@@ -218,12 +168,13 @@ func (s classSet) slice() []string {
 	return out
 }
 
-// walker carries the per-package analysis state.
+// walker carries one package's analysis state.
 type walker struct {
-	pass      *analysis.Pass
-	depFuncs  map[string][]string // imported function summaries (transitive)
-	summaries map[string]classSet // this package's function summaries
-	edges     []ownEdge
+	fset      *token.FileSet
+	files     []*ast.File
+	info      *types.Info
+	summaries map[string]classSet // every function summarized so far, by FullName
+	edges     []edge
 }
 
 // heldLock is one entry of the ordered held set.
@@ -238,7 +189,7 @@ func (w *walker) computeSummaries() {
 		callees []string
 	}
 	infos := make(map[string]*funcInfo)
-	for _, file := range w.pass.Files {
+	for _, file := range w.files {
 		if w.isTestFile(file) {
 			continue
 		}
@@ -272,7 +223,6 @@ func (w *walker) computeSummaries() {
 		}
 	}
 
-	w.summaries = make(map[string]classSet, len(infos))
 	for key, info := range infos {
 		s := make(classSet)
 		for c := range info.direct {
@@ -295,19 +245,15 @@ func (w *walker) computeSummaries() {
 	}
 }
 
-// acquiresOf returns the transitive acquire set of the named function, from
-// this package's summaries or the imported facts.
+// acquiresOf returns the transitive acquire set of the named function.
 func (w *walker) acquiresOf(funcKey string) []string {
-	if s, ok := w.summaries[funcKey]; ok {
-		return s.slice()
-	}
-	return w.depFuncs[funcKey]
+	return w.summaries[funcKey].slice()
 }
 
 // --- edge walk ---------------------------------------------------------------
 
 func (w *walker) walkPackage() {
-	for _, file := range w.pass.Files {
+	for _, file := range w.files {
 		if w.isTestFile(file) {
 			continue
 		}
@@ -322,7 +268,7 @@ func (w *walker) walkPackage() {
 }
 
 func (w *walker) isTestFile(file *ast.File) bool {
-	return strings.HasSuffix(w.pass.Fset.Position(file.Pos()).Filename, "_test.go")
+	return strings.HasSuffix(w.fset.Position(file.Pos()).Filename, "_test.go")
 }
 
 // stmts folds the held set through a statement list.
@@ -527,7 +473,7 @@ func (w *walker) call(call *ast.CallExpr, held []heldLock, mutate bool) []heldLo
 				if h.class == class && strings.HasSuffix(class, rowClassSuffix) {
 					continue // row-on-row waits are the waits-for graph's job
 				}
-				w.edges = append(w.edges, ownEdge{from: h.class, to: class, pos: call.Pos()})
+				w.edges = append(w.edges, edge{from: h.class, to: class, pos: call.Pos()})
 			}
 			if mutate {
 				held = append(held, heldLock{class: class})
@@ -545,7 +491,7 @@ func (w *walker) call(call *ast.CallExpr, held []heldLock, mutate bool) []heldLo
 				if h.class == c && strings.HasSuffix(c, rowClassSuffix) {
 					continue
 				}
-				w.edges = append(w.edges, ownEdge{from: h.class, to: c, pos: call.Pos()})
+				w.edges = append(w.edges, edge{from: h.class, to: c, pos: call.Pos()})
 			}
 		}
 	}
@@ -582,7 +528,7 @@ func (w *walker) classifyLockCall(call *ast.CallExpr) (string, lockOp) {
 	if !ok {
 		return "", opNone
 	}
-	fn, ok := w.pass.TypesInfo.Uses[sel.Sel].(*types.Func)
+	fn, ok := w.info.Uses[sel.Sel].(*types.Func)
 	if !ok || fn.Pkg() == nil {
 		return "", opNone
 	}
@@ -639,10 +585,10 @@ func receiverNamed(fn *types.Func) *types.Named {
 func (w *walker) mutexClass(x ast.Expr) string {
 	switch x := x.(type) {
 	case *ast.SelectorExpr:
-		selInfo, ok := w.pass.TypesInfo.Selections[x]
+		selInfo, ok := w.info.Selections[x]
 		if !ok {
 			// Qualified package-level var: pkg.Mu
-			if obj, ok := w.pass.TypesInfo.Uses[x.Sel].(*types.Var); ok && obj.Pkg() != nil && !obj.IsField() {
+			if obj, ok := w.info.Uses[x.Sel].(*types.Var); ok && obj.Pkg() != nil && !obj.IsField() {
 				return obj.Pkg().Path() + "." + obj.Name()
 			}
 			return ""
@@ -661,7 +607,7 @@ func (w *walker) mutexClass(x ast.Expr) string {
 		}
 		return named.Obj().Pkg().Path() + "." + named.Obj().Name() + "." + field.Name()
 	case *ast.Ident:
-		obj, ok := w.pass.TypesInfo.Uses[x].(*types.Var)
+		obj, ok := w.info.Uses[x].(*types.Var)
 		if !ok || obj.Pkg() == nil {
 			return ""
 		}
@@ -689,7 +635,7 @@ func (w *walker) calleeKey(call *ast.CallExpr) string {
 	default:
 		return ""
 	}
-	fn, ok := w.pass.TypesInfo.Uses[id].(*types.Func)
+	fn, ok := w.info.Uses[id].(*types.Func)
 	if !ok || fn.Pkg() == nil {
 		return ""
 	}
@@ -698,7 +644,7 @@ func (w *walker) calleeKey(call *ast.CallExpr) string {
 
 // funcKey is the FullName of a declared function.
 func (w *walker) funcKey(fn *ast.FuncDecl) string {
-	obj, ok := w.pass.TypesInfo.Defs[fn.Name].(*types.Func)
+	obj, ok := w.info.Defs[fn.Name].(*types.Func)
 	if !ok {
 		return ""
 	}

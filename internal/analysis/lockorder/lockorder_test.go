@@ -10,5 +10,5 @@ import (
 
 func TestOrdering(t *testing.T) {
 	analysistest.Run(t, "testdata/ordering", []*analysis.Analyzer{lockorder.Analyzer},
-		"internal/txn", "b", "base", "top")
+		"internal/txn", "b", "base", "top", "locks", "p", "q", "app")
 }

@@ -1,6 +1,6 @@
-// Package base establishes the ordering "row locks before base.Mu" and
-// exports it as a package fact; package top violates it. The split proves
-// the acquisition graph flows across package boundaries.
+// Package base establishes the ordering "row locks before base.Mu"; package
+// top, which imports base, inverts it. Both halves of the inversion are
+// reported, each in its own package.
 package base
 
 import (
@@ -17,7 +17,7 @@ func RowThenMu(t *txn.Txn) error {
 	if err := t.Update("accounts"); err != nil {
 		return err
 	}
-	Mu.Lock()
+	Mu.Lock() // want `acquiring base\.Mu while holding internal/txn\.#rows creates a lock-order cycle`
 	Mu.Unlock()
 	return t.Commit()
 }

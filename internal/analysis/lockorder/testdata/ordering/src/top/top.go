@@ -1,7 +1,5 @@
 // Package top closes a cross-package cycle: base established
 // rows -> base.Mu, and MuThenRow acquires them in the opposite order.
-// The diagnostic appears here — in the package that closes the cycle —
-// and only exists because base's graph arrived as a package fact.
 package top
 
 import (

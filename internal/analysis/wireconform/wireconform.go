@@ -6,10 +6,9 @@
 // or removed from the spec but still emitted — is exactly the class of bug
 // integration tests miss until a third-party client hits it.
 //
-// The analyzer decomposes package-locally so it works under both drivers:
-// analyzing the wire package collects the Msg* constants, checks docs/WIRE.md
-// and exports the list as a package fact; analyzing the server and client
-// packages imports that fact and checks their references against it.
+// The analyzer runs once over the whole program: it collects the wire
+// package's Msg* constants, checks docs/WIRE.md for each, and checks the
+// server and client packages' references against the same list.
 package wireconform
 
 import (
@@ -27,9 +26,9 @@ import (
 
 // Analyzer is the wireconform pass.
 var Analyzer = &analysis.Analyzer{
-	Name: "wireconform",
-	Doc:  "every Msg* wire constant must have a server dispatch arm, client handling, and a docs/WIRE.md entry",
-	Run:  run,
+	Name:       "wireconform",
+	Doc:        "every Msg* wire constant must have a server dispatch arm, client handling, and a docs/WIRE.md entry",
+	RunProgram: run,
 }
 
 // Package path suffixes locating the three parties to the protocol.
@@ -43,53 +42,57 @@ const (
 // server-to-client, values below it client-to-server.
 const s2cBase = 0x20
 
-// msgConst is one wire message constant, as carried in the package fact.
+// msgConst is one wire message constant, with its declaration site.
 type msgConst struct {
-	Name  string
-	Value uint8
+	name  string
+	value uint8
+	pos   token.Pos
 }
 
-// wireFact is the fact the wire package exports: its full message set.
-type wireFact struct {
-	Msgs []msgConst
-}
-
-func (m msgConst) isC2S() bool { return m.Value < s2cBase }
+func (m msgConst) isC2S() bool { return m.value < s2cBase }
 
 // trimmed is the spec-facing name: the constant without its Msg prefix
 // ("MsgPrepare" is written as `Prepare` in docs/WIRE.md).
-func (m msgConst) trimmed() string { return strings.TrimPrefix(m.Name, "Msg") }
+func (m msgConst) trimmed() string { return strings.TrimPrefix(m.name, "Msg") }
 
-// declaredMsg is a message constant with its declaration site.
-type declaredMsg struct {
-	msg msgConst
-	pos token.Pos
-}
-
-func run(pass *analysis.Pass) error {
-	if !pass.InModule {
+func run(pass *analysis.ProgramPass) error {
+	var wire, server, client *analysis.LoadedPackage
+	for _, pkg := range pass.Prog.Packages {
+		switch {
+		case pkg.Nested:
+		case analysis.PathHasSuffix(pkg.Path, wirePkg):
+			wire = pkg
+		case analysis.PathHasSuffix(pkg.Path, serverPkg):
+			server = pkg
+		case analysis.PathHasSuffix(pkg.Path, clientPkg):
+			client = pkg
+		}
+	}
+	if wire == nil {
 		return nil
 	}
-	switch {
-	case analysis.PathHasSuffix(pass.Pkg.Path(), wirePkg):
-		return runWire(pass)
-	case analysis.PathHasSuffix(pass.Pkg.Path(), serverPkg):
-		return runServer(pass)
-	case analysis.PathHasSuffix(pass.Pkg.Path(), clientPkg):
-		return runClient(pass)
+	msgs := wireMsgs(pass, wire)
+	if len(msgs) == 0 {
+		return nil
+	}
+	checkSpec(pass, msgs)
+	if server != nil {
+		checkServer(pass, server, msgs)
+	}
+	if client != nil {
+		checkClient(pass, client, msgs)
 	}
 	return nil
 }
 
 // --- wire package: collect constants, check the spec -------------------------
 
-func runWire(pass *analysis.Pass) error {
-	var msgs []declaredMsg
+// wireMsgs returns the wire package's Msg* constants in type-byte order,
+// reporting any that reuse another's type byte.
+func wireMsgs(pass *analysis.ProgramPass, wire *analysis.LoadedPackage) []msgConst {
+	var msgs []msgConst
 	byValue := make(map[uint8]string)
-	for _, file := range pass.Files {
-		if isTestFile(pass, file) {
-			continue
-		}
+	for _, file := range sourceFiles(pass, wire) {
 		for _, decl := range file.Decls {
 			gd, ok := decl.(*ast.GenDecl)
 			if !ok || gd.Tok != token.CONST {
@@ -104,7 +107,7 @@ func runWire(pass *analysis.Pass) error {
 					if !strings.HasPrefix(name.Name, "Msg") {
 						continue
 					}
-					c, ok := pass.TypesInfo.Defs[name].(*types.Const)
+					c, ok := wire.Info.Defs[name].(*types.Const)
 					if !ok {
 						continue
 					}
@@ -112,48 +115,34 @@ func runWire(pass *analysis.Pass) error {
 					if !exact || v > 0xff {
 						continue
 					}
-					m := msgConst{Name: name.Name, Value: uint8(v)}
-					if prev, dup := byValue[m.Value]; dup {
-						pass.Reportf(name.Pos(), "%s reuses message type 0x%02x, already assigned to %s", m.Name, m.Value, prev)
+					m := msgConst{name: name.Name, value: uint8(v), pos: name.Pos()}
+					if prev, dup := byValue[m.value]; dup {
+						pass.Reportf(m.pos, "%s reuses message type 0x%02x, already assigned to %s", m.name, m.value, prev)
 					} else {
-						byValue[m.Value] = m.Name
+						byValue[m.value] = m.name
 					}
-					msgs = append(msgs, declaredMsg{msg: m, pos: name.Pos()})
+					msgs = append(msgs, m)
 				}
 			}
 		}
 	}
-	if len(msgs) == 0 {
-		return nil
-	}
-	sort.Slice(msgs, func(i, j int) bool { return msgs[i].msg.Value < msgs[j].msg.Value })
-
-	checkSpec(pass, msgs)
-
-	fact := wireFact{}
-	for _, d := range msgs {
-		fact.Msgs = append(fact.Msgs, d.msg)
-	}
-	return pass.ExportPackageFact(fact)
+	sort.Slice(msgs, func(i, j int) bool { return msgs[i].value < msgs[j].value })
+	return msgs
 }
 
 // checkSpec requires docs/WIRE.md to contain, for every message, a line
 // carrying both the backticked spec name and the hex type byte (a table row
 // like "| 0x01 | `Prepare` |" or a heading item like "**`Stmt` (0x21)**").
-func checkSpec(pass *analysis.Pass, msgs []declaredMsg) {
-	if pass.ModuleDir == "" {
-		return
-	}
-	specPath := filepath.Join(pass.ModuleDir, "docs", "WIRE.md")
-	data, err := os.ReadFile(specPath)
+func checkSpec(pass *analysis.ProgramPass, msgs []msgConst) {
+	data, err := os.ReadFile(filepath.Join(pass.Prog.ModuleDir, "docs", "WIRE.md"))
 	if err != nil {
 		pass.Reportf(msgs[0].pos, "wire constants are declared but the protocol spec docs/WIRE.md is missing: %v", err)
 		return
 	}
 	lines := strings.Split(string(data), "\n")
-	for _, d := range msgs {
-		name := "`" + d.msg.trimmed() + "`"
-		hex := strings.ToLower(formatByte(d.msg.Value))
+	for _, m := range msgs {
+		name := "`" + m.trimmed() + "`"
+		hex := formatByte(m.value)
 		found := false
 		for _, line := range lines {
 			if strings.Contains(line, name) && strings.Contains(strings.ToLower(line), hex) {
@@ -162,8 +151,8 @@ func checkSpec(pass *analysis.Pass, msgs []declaredMsg) {
 			}
 		}
 		if !found {
-			pass.Reportf(d.pos, "%s (%s) has no entry in docs/WIRE.md: the spec needs a line naming %s with its type byte %s",
-				d.msg.Name, hex, name, hex)
+			pass.Reportf(m.pos, "%s (%s) has no entry in docs/WIRE.md: the spec needs a line naming %s with its type byte %s",
+				m.name, hex, name, hex)
 		}
 	}
 }
@@ -175,19 +164,12 @@ func formatByte(v uint8) string {
 
 // --- server package: dispatch arms + response encoding -----------------------
 
-func runServer(pass *analysis.Pass) error {
-	fact, ok := importWireFact(pass)
-	if !ok {
-		return nil
-	}
-
+func checkServer(pass *analysis.ProgramPass, server *analysis.LoadedPackage, msgs []msgConst) {
+	files := sourceFiles(pass, server)
 	// Every constant named in a case clause of any switch in the package.
 	dispatched := make(map[string]bool)
 	var firstSwitch token.Pos
-	for _, file := range pass.Files {
-		if isTestFile(pass, file) {
-			continue
-		}
+	for _, file := range files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			sw, ok := n.(*ast.SwitchStmt)
 			if !ok {
@@ -199,7 +181,7 @@ func runServer(pass *analysis.Pass) error {
 					continue
 				}
 				for _, e := range cc.List {
-					if name, ok := wireConstRef(pass, e); ok {
+					if name, ok := wireConstRef(server.Info, e); ok {
 						if firstSwitch == token.NoPos {
 							firstSwitch = sw.Pos()
 						}
@@ -211,64 +193,46 @@ func runServer(pass *analysis.Pass) error {
 		})
 	}
 
-	referenced := wireConstUses(pass)
-	for _, m := range fact.Msgs {
+	referenced := wireConstUses(server.Info, files)
+	for _, m := range msgs {
 		if m.isC2S() {
-			if !dispatched[m.Name] {
+			if !dispatched[m.name] {
 				pos := firstSwitch
 				if pos == token.NoPos {
-					pos = pass.Files[0].Name.Pos()
+					pos = server.Files[0].Name.Pos()
 				}
 				pass.Reportf(pos, "server dispatch has no `case wire.%s:` arm; every client-to-server message (here %s, %s) must be dispatched or explicitly rejected",
-					m.Name, m.Name, formatByte(m.Value))
+					m.name, m.name, formatByte(m.value))
 			}
-		} else if !referenced[m.Name] {
-			pass.Reportf(pass.Files[0].Name.Pos(), "server never encodes %s (%s); every server-to-client message must have an encode site",
-				m.Name, formatByte(m.Value))
+		} else if !referenced[m.name] {
+			pass.Reportf(server.Files[0].Name.Pos(), "server never encodes %s (%s); every server-to-client message must have an encode site",
+				m.name, formatByte(m.value))
 		}
 	}
-	return nil
 }
 
 // --- client package: full coverage -------------------------------------------
 
-func runClient(pass *analysis.Pass) error {
-	fact, ok := importWireFact(pass)
-	if !ok {
-		return nil
-	}
-	referenced := wireConstUses(pass)
-	for _, m := range fact.Msgs {
-		if referenced[m.Name] {
+func checkClient(pass *analysis.ProgramPass, client *analysis.LoadedPackage, msgs []msgConst) {
+	referenced := wireConstUses(client.Info, sourceFiles(pass, client))
+	for _, m := range msgs {
+		if referenced[m.name] {
 			continue
 		}
 		verb := "encodes"
 		if !m.isC2S() {
 			verb = "decodes"
 		}
-		pass.Reportf(pass.Files[0].Name.Pos(), "client never %s %s (%s); the client must cover the full message set",
-			verb, m.Name, formatByte(m.Value))
+		pass.Reportf(client.Files[0].Name.Pos(), "client never %s %s (%s); the client must cover the full message set",
+			verb, m.name, formatByte(m.value))
 	}
-	return nil
 }
 
 // --- shared helpers ----------------------------------------------------------
 
-// importWireFact finds the wire package among the imports and loads its
-// exported message set.
-func importWireFact(pass *analysis.Pass) (wireFact, bool) {
-	var fact wireFact
-	for _, imp := range pass.Pkg.Imports() {
-		if analysis.PathHasSuffix(imp.Path(), wirePkg) && pass.ImportPackageFact(imp.Path(), &fact) {
-			return fact, len(fact.Msgs) > 0
-		}
-	}
-	return fact, false
-}
-
 // wireConstRef reports whether e references a Msg* constant of the wire
 // package, returning its name.
-func wireConstRef(pass *analysis.Pass, e ast.Expr) (string, bool) {
+func wireConstRef(info *types.Info, e ast.Expr) (string, bool) {
 	var id *ast.Ident
 	switch e := e.(type) {
 	case *ast.SelectorExpr:
@@ -278,7 +242,7 @@ func wireConstRef(pass *analysis.Pass, e ast.Expr) (string, bool) {
 	default:
 		return "", false
 	}
-	c, ok := pass.TypesInfo.Uses[id].(*types.Const)
+	c, ok := info.Uses[id].(*types.Const)
 	if !ok || c.Pkg() == nil || !strings.HasPrefix(c.Name(), "Msg") {
 		return "", false
 	}
@@ -288,17 +252,14 @@ func wireConstRef(pass *analysis.Pass, e ast.Expr) (string, bool) {
 	return c.Name(), true
 }
 
-// wireConstUses collects every wire Msg* constant name the package's
-// non-test files reference anywhere.
-func wireConstUses(pass *analysis.Pass) map[string]bool {
+// wireConstUses collects every wire Msg* constant name the files reference
+// anywhere.
+func wireConstUses(info *types.Info, files []*ast.File) map[string]bool {
 	out := make(map[string]bool)
-	for _, file := range pass.Files {
-		if isTestFile(pass, file) {
-			continue
-		}
+	for _, file := range files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			if e, ok := n.(ast.Expr); ok {
-				if name, ok := wireConstRef(pass, e); ok {
+				if name, ok := wireConstRef(info, e); ok {
 					out[name] = true
 				}
 			}
@@ -308,6 +269,13 @@ func wireConstUses(pass *analysis.Pass) map[string]bool {
 	return out
 }
 
-func isTestFile(pass *analysis.Pass, file *ast.File) bool {
-	return strings.HasSuffix(pass.Fset.Position(file.Pos()).Filename, "_test.go")
+// sourceFiles returns the package's non-test files.
+func sourceFiles(pass *analysis.ProgramPass, pkg *analysis.LoadedPackage) []*ast.File {
+	var out []*ast.File
+	for _, file := range pkg.Files {
+		if !strings.HasSuffix(pass.Prog.Fset.Position(file.Pos()).Filename, "_test.go") {
+			out = append(out, file)
+		}
+	}
+	return out
 }

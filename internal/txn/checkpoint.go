@@ -72,7 +72,7 @@ func (img *CheckpointImage) buildActiveSet() {
 	}
 }
 
-// Rows returns the total number of rows captured in the image.
+// rowCount returns the total number of rows captured in the image.
 func (img *CheckpointImage) rowCount() int {
 	n := 0
 	for _, t := range img.Tables {
