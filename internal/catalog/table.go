@@ -37,9 +37,9 @@ var ErrNoMatchingRow = errors.New("catalog: no row matches the before-image")
 // Every heap record carries a storage.VersionMeta header. Rows written through
 // the transaction layer are stamped with the writing transaction's id; crash
 // recovery installs versions with their logged xmin (InstallVersion) and
-// replays updates and deletes in place (Update, RemoveVersion).
+// removes the versions a logged update or delete replaced (RemoveVersion).
 // Indexes hold entries for every version, live or dead: scans filter by
-// visibility per record id at fetch time instead of chasing version chains.
+// visibility per record id at fetch time; versions of a row are not linked.
 //
 // The versions that are not settled — not yet visible to every snapshot, or
 // carrying an xmax — are also kept in one list (see unsettled.go), changed in
@@ -254,9 +254,9 @@ func (t *Table) insertVersionLocked(validated Tuple, meta storage.VersionMeta, u
 
 // AddVersion supersedes the version at oldRID with a new version of the row:
 // it stamps xmax=xid on the old version in place and inserts the new tuple
-// stamped xmin=xid with its version-chain link pointing at oldRID. Index
-// entries for the old version remain (snapshots may still need them); a sweep
-// reclaims both together. Returns the new version's record id.
+// stamped xmin=xid. Index entries for the old version remain (snapshots may
+// still need them); a sweep reclaims both together. Returns the new
+// version's record id.
 func (t *Table) AddVersion(oldRID storage.RecordID, tuple Tuple, xid uint64) (storage.RecordID, error) {
 	validated, err := tuple.ValidateAgainst(t.schema)
 	if err != nil {
@@ -267,9 +267,7 @@ func (t *Table) AddVersion(oldRID storage.RecordID, tuple Tuple, xid uint64) (st
 	if err := t.stampXmaxLocked(oldRID, xid); err != nil {
 		return storage.RecordID{}, err
 	}
-	newRID, err := t.insertVersionLocked(validated, storage.VersionMeta{
-		Xmin: xid, Prev: oldRID, HasPrev: true,
-	}, true)
+	newRID, err := t.insertVersionLocked(validated, storage.VersionMeta{Xmin: xid}, true)
 	if err != nil {
 		_ = t.stampXmaxLocked(oldRID, 0) // restore the old version
 		return storage.RecordID{}, err
@@ -300,7 +298,8 @@ func (t *Table) ClearXmax(rid storage.RecordID) error {
 }
 
 // RemoveVersion physically deletes the version at rid and its index entries
-// (rollback undo for inserts, and recovery's replay of a delete).
+// (rollback undo for inserts, and recovery's replay of a delete or of the
+// old side of an update).
 func (t *Table) RemoveVersion(rid storage.RecordID) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -358,55 +357,6 @@ func (t *Table) LiveKeyExists(idx *Index, key []byte) bool {
 		}
 	}
 	return false
-}
-
-// Update replaces the row at rid with tuple in place, keeping every index
-// consistent. This is the physical path crash recovery replays updates with:
-// it preserves the existing version header rather than growing the chain.
-// It returns the row's (possibly new) record identifier.
-func (t *Table) Update(rid storage.RecordID, tuple Tuple) (storage.RecordID, error) {
-	validated, err := tuple.ValidateAgainst(t.schema)
-	if err != nil {
-		return rid, err
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	meta, oldPayload, err := t.heap.GetVersion(rid)
-	if err != nil {
-		return rid, err
-	}
-	oldTuple, err := types.DecodeTuple(oldPayload)
-	if err != nil {
-		return rid, err
-	}
-	// Unique checks: only when the key actually changes.
-	for _, idx := range t.indexes {
-		if !idx.Unique {
-			continue
-		}
-		oldKey, newKey := idx.KeyFor(oldTuple), idx.KeyFor(validated)
-		if string(oldKey) != string(newKey) && t.LiveKeyExists(idx, newKey) {
-			return rid, fmt.Errorf("%w: duplicate value for %s(%s)",
-				ErrUniqueViolation, idx.Name, strings.Join(idx.Columns, ", "))
-		}
-	}
-	newRID, err := t.heap.Update(rid, storage.EncodeVersion(meta, types.EncodeTuple(nil, validated)))
-	if err != nil {
-		return rid, err
-	}
-	if e := t.unsettled.get(rid); e != nil {
-		e.row = validated
-		if newRID != rid {
-			t.unsettled.move(e, newRID)
-		}
-	}
-	for _, idx := range t.indexes {
-		idx.Tree.Delete(idx.KeyFor(oldTuple), rid)
-		if err := idx.Tree.Insert(idx.KeyFor(validated), newRID); err != nil {
-			return newRID, err
-		}
-	}
-	return newRID, nil
 }
 
 // VersionIterator returns a pull iterator over every row version, with its

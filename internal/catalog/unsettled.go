@@ -73,13 +73,6 @@ func (l *unsettledList) remove(e *unsettledVersion) {
 	delete(l.byRID, e.rid)
 }
 
-// move re-keys e after its version was relocated to rid.
-func (l *unsettledList) move(e *unsettledVersion, rid storage.RecordID) {
-	delete(l.byRID, e.rid)
-	e.rid = rid
-	l.byRID[rid] = e
-}
-
 // stampXmaxLocked sets the xmax of the version at rid (0 clears it) and keeps
 // the list's copy of the header equal to the heap's: a version that was
 // settled joins the list, since a stamped version is unsettled. The caller

@@ -213,8 +213,9 @@ func OpenMemory() *Database {
 // Afterwards the transaction-id sequence is advanced past every recovered
 // version stamp and the schema history is seeded for the next checkpoint.
 // Replay lists no version (catalog.Table.InstallVersion) and leaves none dead
-// (a replayed update or delete is physical), so once the sequence has
-// advanced every version is settled and every unsettled list is empty.
+// (a replayed delete removes its version; a replayed update removes it and
+// installs the new row), so once the sequence has advanced every version is
+// settled and every unsettled list is empty.
 func (db *Database) replay(load *txn.LogLoad) (txn.ReplayStats, error) {
 	session := db.Session()
 	session.recovering = true

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"errors"
+	"fmt"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -100,16 +101,36 @@ func TestInsertErrors(t *testing.T) {
 func TestUniqueKeysRejectDuplicates(t *testing.T) {
 	s := OpenMemory().Session()
 	if _, err := s.ExecuteScript(`CREATE TABLE users (id INT PRIMARY KEY, email TEXT UNIQUE);
-		INSERT INTO users VALUES (1, 'a@x.com');`); err != nil {
+		INSERT INTO users VALUES (1, 'a@x.com');
+		INSERT INTO users VALUES (2, 'b@x.com');`); err != nil {
 		t.Fatal(err)
 	}
 	for _, q := range []string{
-		"INSERT INTO users VALUES (2, 'a@x.com')", // duplicate UNIQUE column
-		"INSERT INTO users VALUES (1, 'b@x.com')", // duplicate primary key
+		"INSERT INTO users VALUES (3, 'a@x.com')",         // duplicate UNIQUE column
+		"INSERT INTO users VALUES (1, 'c@x.com')",         // duplicate primary key
+		"UPDATE users SET id = 2 WHERE id = 1",            // onto another row's primary key
+		"UPDATE users SET email = 'b@x.com' WHERE id = 1", // onto another row's UNIQUE value
 	} {
 		if _, err := s.Execute(q); !errors.Is(err, catalog.ErrUniqueViolation) {
 			t.Errorf("Execute(%q) = %v, want a unique violation", q, err)
 		}
+	}
+	// A row keeping its own key, or changing it to a free one, conflicts
+	// with nothing: its old version is not a duplicate.
+	for _, q := range []string{
+		"UPDATE users SET email = 'a@x.com' WHERE id = 1",
+		"UPDATE users SET id = 1, email = 'c@x.com' WHERE id = 1",
+	} {
+		if _, err := s.Execute(q); err != nil {
+			t.Errorf("Execute(%q) = %v", q, err)
+		}
+	}
+	res, err := s.Query("SELECT id, email FROM users ORDER BY id")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprint(res.Rows); got != "[(1, c@x.com) (2, b@x.com)]" {
+		t.Errorf("users = %s", got)
 	}
 }
 

@@ -348,16 +348,15 @@ func (c *conn) handshake() bool {
 	if c.srv.readOnly.Load() {
 		role = wire.RoleReplica
 	}
+	// Count before the reply, as refuse does: a client that has read
+	// HelloOK must find the handshake in Stats.
+	c.srv.handshakes.Add(1)
 	var b wire.Buffer
 	wire.HelloOK{Version: negotiated, Banner: Banner, Role: role}.Encode(&b)
 	if err := wire.WriteFrame(c.w, wire.MsgHelloOK, b.B); err != nil {
 		return false
 	}
-	if err := c.w.Flush(); err != nil {
-		return false
-	}
-	c.srv.handshakes.Add(1)
-	return true
+	return c.w.Flush() == nil
 }
 
 // cleanup releases everything the connection holds against the shared

@@ -41,19 +41,15 @@ func (h *HeapFile) Count() int {
 	return h.count
 }
 
-// insert stores record and returns its identifier. It tries the last page
-// first (the common append pattern) and allocates a new page when full.
+// insert stores record and returns its identifier. It appends: only the
+// last page is tried, and a new page is allocated when that one is full, so
+// an insert fetches one page and a page is compacted once, when it fills.
+// Space freed on earlier pages is not reused.
 func (h *HeapFile) insert(record []byte) (RecordID, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	// Try the most recently used pages first; scanning every page on every
-	// insert would be quadratic for large loads.
-	tryFrom := len(h.pages) - 2
-	if tryFrom < 0 {
-		tryFrom = 0
-	}
-	for i := tryFrom; i < len(h.pages); i++ {
-		id := h.pages[i]
+	if n := len(h.pages); n > 0 {
+		id := h.pages[n-1]
 		page, err := h.pool.fetch(id)
 		if err != nil {
 			return RecordID{}, err
@@ -106,43 +102,6 @@ func (h *HeapFile) get(rid RecordID) ([]byte, error) {
 	return out, h.pool.unpin(rid.Page, false)
 }
 
-// Update replaces the record at rid. When the new record no longer fits on
-// its page the record moves; the returned RecordID is its new address (equal
-// to rid when it did not move).
-func (h *HeapFile) Update(rid RecordID, record []byte) (RecordID, error) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if !h.owns(rid.Page) {
-		return rid, ErrRecordNotFound
-	}
-	page, err := h.pool.fetch(rid.Page)
-	if err != nil {
-		return rid, err
-	}
-	err = page.update(int(rid.Slot), record)
-	switch {
-	case err == nil:
-		return rid, h.pool.unpin(rid.Page, true)
-	case errors.Is(err, ErrPageFull):
-		// Relocate: delete here, insert elsewhere.
-		if delErr := page.delete(int(rid.Slot)); delErr != nil {
-			return rid, errors.Join(delErr, h.pool.unpin(rid.Page, false))
-		}
-		if unpinErr := h.pool.unpin(rid.Page, true); unpinErr != nil {
-			return rid, unpinErr
-		}
-		h.count-- // insertLocked will re-increment
-		h.mu.Unlock()
-		newRID, insErr := h.insert(record)
-		h.mu.Lock()
-		return newRID, insErr
-	case errors.Is(err, ErrNoSuchSlot):
-		return rid, errors.Join(ErrRecordNotFound, h.pool.unpin(rid.Page, false))
-	default:
-		return rid, errors.Join(err, h.pool.unpin(rid.Page, false))
-	}
-}
-
 // Delete removes the record at rid.
 func (h *HeapFile) Delete(rid RecordID) error {
 	h.mu.Lock()
@@ -178,7 +137,7 @@ func (h *HeapFile) readPage(id PageID) ([]RecordID, [][]byte, error) {
 		rids []RecordID
 		recs [][]byte
 	)
-	n := page.numSlots()
+	n := page.slotCount()
 	for slot := 0; slot < n; slot++ {
 		raw, err := page.get(slot)
 		if err != nil {

@@ -74,37 +74,31 @@ func TestHeapSpansPages(t *testing.T) {
 	}
 }
 
-func TestHeapUpdateInPlaceAndRelocate(t *testing.T) {
-	h := newTestHeap()
-	rid, _ := h.insert([]byte("small"))
-	// Fill the first page so a growing update must relocate.
-	filler := bytes.Repeat([]byte("f"), 2000)
-	for i := 0; i < 4; i++ {
-		_, _ = h.insert(filler)
+// TestHeapInsertFetchesOnePage holds the append rule: once a heap spans
+// several pages, an insert fetches only the last page, also when that page
+// is full and a new one is allocated (allocation is not a fetch).
+func TestHeapInsertFetchesOnePage(t *testing.T) {
+	pool := NewBufferPool(NewMemDiskManager(), 64)
+	h := NewHeapFile(pool)
+	rec := bytes.Repeat([]byte("p"), 1000) // 8 records to a page
+	for len(h.pages) < 3 {
+		if _, err := h.insert(rec); err != nil {
+			t.Fatal(err)
+		}
 	}
-	// In-place update.
-	newRID, err := h.Update(rid, []byte("tiny"))
-	if err != nil || newRID != rid {
-		t.Fatalf("in-place update: %v %v", newRID, err)
+	before := pool.Stats()
+	const n = 40
+	for i := 0; i < n; i++ {
+		if _, err := h.insert(rec); err != nil {
+			t.Fatalf("Insert %d: %v", i, err)
+		}
 	}
-	// Growing update that must relocate to another page.
-	big := bytes.Repeat([]byte("B"), 5000)
-	movedRID, err := h.Update(rid, big)
-	if err != nil {
-		t.Fatalf("relocating update: %v", err)
+	after := pool.Stats()
+	if fetches := (after.Hits + after.Misses) - (before.Hits + before.Misses); fetches != n {
+		t.Errorf("%d inserts fetched %d pages, want %d", n, fetches, n)
 	}
-	if movedRID == rid {
-		t.Log("update fitted in place (page had room after compaction); acceptable")
-	}
-	got, err := h.get(movedRID)
-	if err != nil || !bytes.Equal(got, big) {
-		t.Errorf("after relocation: %d bytes, %v", len(got), err)
-	}
-	if h.Count() != 5 {
-		t.Errorf("Count after relocation = %d, want 5", h.Count())
-	}
-	if _, err := h.Update(RecordID{Page: 999, Slot: 1}, []byte("x")); !errors.Is(err, ErrRecordNotFound) {
-		t.Errorf("update of bogus rid: %v", err)
+	if len(h.pages) < 7 {
+		t.Errorf("heap spans %d pages; the inserts should have allocated new ones", len(h.pages))
 	}
 }
 

@@ -71,10 +71,6 @@ func (p *Page) setSlot(i, offset, length int) {
 	binary.LittleEndian.PutUint16(p.data[p.slotBase(i)+2:p.slotBase(i)+4], uint16(length))
 }
 
-// numSlots returns the number of slots ever allocated on the page, including
-// tombstoned ones. Slot numbers range over [0, NumSlots).
-func (p *Page) numSlots() int { return p.slotCount() }
-
 // insert stores the record on the page and returns its slot number.
 func (p *Page) insert(record []byte) (int, error) {
 	if len(record) > PageSize-pageHeaderSize-slotSize {
@@ -93,7 +89,7 @@ func (p *Page) insert(record []byte) (int, error) {
 		needDirectory = slotSize
 	}
 	if p.freeEnd()-(pageHeaderSize+p.slotCount()*slotSize)-needDirectory < len(record) {
-		// Try reclaiming space left by deleted/updated records.
+		// Try reclaiming space left by deleted records.
 		p.compact()
 		if p.freeEnd()-(pageHeaderSize+p.slotCount()*slotSize)-needDirectory < len(record) {
 			return 0, ErrPageFull
@@ -144,50 +140,8 @@ func (p *Page) delete(slot int) error {
 	return nil
 }
 
-// update replaces the record in the slot. If the new record no longer fits on
-// the page, Update returns ErrPageFull and leaves the old record in place;
-// the caller (the heap file) then relocates the record to another page.
-func (p *Page) update(slot int, record []byte) error {
-	if slot < 0 || slot >= p.slotCount() {
-		return ErrNoSuchSlot
-	}
-	off, length := p.slotOffset(slot), p.slotLength(slot)
-	if off == 0 && length == 0 {
-		return ErrNoSuchSlot
-	}
-	if len(record) <= length {
-		// Overwrite in place; the tail of the old record becomes dead space.
-		copy(p.data[off:], record)
-		p.setSlot(slot, off, len(record))
-		return nil
-	}
-	// Need a larger allocation: remember the old record bytes (compaction
-	// relocates them), tombstone, compact if necessary, then either place
-	// the new record or restore the old one.
-	old := make([]byte, length)
-	copy(old, p.data[off:off+length])
-	p.setSlot(slot, 0, 0)
-	if p.freeEnd()-(pageHeaderSize+p.slotCount()*slotSize) < len(record) {
-		p.compact()
-	}
-	if p.freeEnd()-(pageHeaderSize+p.slotCount()*slotSize) < len(record) {
-		// Not enough room even after compaction: restore the old record
-		// (which fits, having just been removed) so the caller can relocate.
-		restoreOff := p.freeEnd() - len(old)
-		copy(p.data[restoreOff:], old)
-		p.setFreeEnd(restoreOff)
-		p.setSlot(slot, restoreOff, len(old))
-		return ErrPageFull
-	}
-	newOff := p.freeEnd() - len(record)
-	copy(p.data[newOff:], record)
-	p.setFreeEnd(newOff)
-	p.setSlot(slot, newOff, len(record))
-	return nil
-}
-
 // compact rewrites all live records contiguously at the end of the page,
-// reclaiming space left behind by deletes and shrinking updates.
+// reclaiming space left behind by deletes.
 func (p *Page) compact() {
 	type rec struct {
 		slot, off, length int
@@ -215,9 +169,9 @@ func (p *Page) compact() {
 	p.setFreeEnd(writeEnd)
 }
 
-// RecordID addresses a record: the page it lives on and its slot there.
-// Record identifiers are stable across updates (the heap file relocates
-// oversized updates by delete+insert and reports the new identifier).
+// RecordID addresses a record: the page it lives on and its slot there. A
+// record keeps its identifier until it is deleted (compaction moves bytes
+// within the page, not slots); after that the slot may be reused.
 type RecordID struct {
 	Page PageID
 	Slot uint16

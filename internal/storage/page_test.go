@@ -71,29 +71,6 @@ func TestPageSlotReuse(t *testing.T) {
 	}
 }
 
-func TestPageUpdateInPlaceAndGrow(t *testing.T) {
-	p := newPage()
-	s, _ := p.insert([]byte("0123456789"))
-	if err := p.update(s, []byte("short")); err != nil {
-		t.Fatalf("shrink update: %v", err)
-	}
-	got, _ := p.get(s)
-	if string(got) != "short" {
-		t.Errorf("after shrink: %q", got)
-	}
-	long := bytes.Repeat([]byte("x"), 500)
-	if err := p.update(s, long); err != nil {
-		t.Fatalf("grow update: %v", err)
-	}
-	got, _ = p.get(s)
-	if !bytes.Equal(got, long) {
-		t.Errorf("after grow: %d bytes", len(got))
-	}
-	if err := p.update(42, []byte("x")); !errors.Is(err, ErrNoSuchSlot) {
-		t.Errorf("update bad slot: %v", err)
-	}
-}
-
 func TestPageFullAndCompaction(t *testing.T) {
 	p := newPage()
 	rec := bytes.Repeat([]byte("a"), 1000)
@@ -135,28 +112,6 @@ func TestPageOversizeRecord(t *testing.T) {
 	p := newPage()
 	if _, err := p.insert(make([]byte, PageSize)); err == nil {
 		t.Error("a record larger than a page must be rejected")
-	}
-}
-
-func TestPageUpdateGrowRelocationNeeded(t *testing.T) {
-	p := newPage()
-	small, _ := p.insert([]byte("tiny"))
-	// Fill the page almost completely.
-	filler := bytes.Repeat([]byte("f"), 2000)
-	for {
-		if _, err := p.insert(filler); err != nil {
-			break
-		}
-	}
-	big := bytes.Repeat([]byte("B"), 4000)
-	err := p.update(small, big)
-	if !errors.Is(err, ErrPageFull) {
-		t.Fatalf("expected ErrPageFull, got %v", err)
-	}
-	// The original record must still be readable after the failed update.
-	got, err := p.get(small)
-	if err != nil || string(got) != "tiny" {
-		t.Errorf("original record lost after failed grow: %q, %v", got, err)
 	}
 }
 
@@ -247,7 +202,7 @@ func ExampleNewHeapFile() {
 // liveRecords counts the page's non-tombstoned records.
 func liveRecords(p *Page) int {
 	n := 0
-	for i := 0; i < p.numSlots(); i++ {
+	for i := 0; i < p.slotCount(); i++ {
 		if _, err := p.get(i); err == nil {
 			n++
 		}

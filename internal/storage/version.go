@@ -7,15 +7,11 @@ import (
 )
 
 // VersionHeaderSize is the fixed number of bytes prepended to every heap
-// record to carry its MVCC metadata. The header is fixed-width on purpose:
-// stamping xmax on commit-time deletes and updates rewrites the header in
-// place (an equal-length Page.update never relocates the record), so record
-// identifiers held by concurrent snapshots and index entries stay valid.
-const VersionHeaderSize = 24
-
-// headerFlagHasPrev marks a header whose Prev field points at the older
-// version this one superseded.
-const headerFlagHasPrev = 1 << 0
+// record to carry its MVCC metadata: xmin, then xmax, 8 bytes each. The
+// header is fixed-width on purpose: SetXmax rewrites xmax in the page bytes
+// and never moves the record, so record identifiers held by concurrent
+// snapshots and index entries stay valid.
+const VersionHeaderSize = 16
 
 // ErrNotVersioned reports a heap record too short to carry a version header.
 var ErrNotVersioned = errors.New("storage: record has no version header")
@@ -30,36 +26,22 @@ var ErrNotVersioned = errors.New("storage: record has no version header")
 // a transaction's writes, any non-zero stamp that survives belongs to a
 // transaction that either committed or is still in flight.
 //
-// Prev links to the older version this one replaced (HasPrev reports whether
-// the link is set). The chain is newest-to-oldest and is consulted by the
-// version garbage collector and debugging tools, not by scans: every version
-// is indexed, so visibility is decided per record id at fetch time.
+// There is no link between the versions of a row: every version is
+// indexed, so visibility is decided per record id at fetch time, and the
+// garbage collector walks each table's unsettled versions.
 type VersionMeta struct {
-	Xmin    uint64
-	Xmax    uint64
-	Prev    RecordID
-	HasPrev bool
+	Xmin uint64
+	Xmax uint64
 }
 
-// EncodeVersion prepends the version header to payload, returning the heap
+// encodeVersion prepends the version header to payload, returning the heap
 // record image.
-func EncodeVersion(m VersionMeta, payload []byte) []byte {
+func encodeVersion(m VersionMeta, payload []byte) []byte {
 	rec := make([]byte, VersionHeaderSize+len(payload))
-	putVersionHeader(rec, m)
+	binary.LittleEndian.PutUint64(rec[0:8], m.Xmin)
+	binary.LittleEndian.PutUint64(rec[8:16], m.Xmax)
 	copy(rec[VersionHeaderSize:], payload)
 	return rec
-}
-
-func putVersionHeader(dst []byte, m VersionMeta) {
-	binary.LittleEndian.PutUint64(dst[0:8], m.Xmin)
-	binary.LittleEndian.PutUint64(dst[8:16], m.Xmax)
-	binary.LittleEndian.PutUint32(dst[16:20], uint32(m.Prev.Page))
-	binary.LittleEndian.PutUint16(dst[20:22], m.Prev.Slot)
-	var flags uint16
-	if m.HasPrev {
-		flags |= headerFlagHasPrev
-	}
-	binary.LittleEndian.PutUint16(dst[22:24], flags)
 }
 
 // DecodeVersion splits a heap record image into its version header and
@@ -72,19 +54,12 @@ func DecodeVersion(rec []byte) (VersionMeta, []byte, error) {
 		Xmin: binary.LittleEndian.Uint64(rec[0:8]),
 		Xmax: binary.LittleEndian.Uint64(rec[8:16]),
 	}
-	if binary.LittleEndian.Uint16(rec[22:24])&headerFlagHasPrev != 0 {
-		m.HasPrev = true
-		m.Prev = RecordID{
-			Page: PageID(binary.LittleEndian.Uint32(rec[16:20])),
-			Slot: binary.LittleEndian.Uint16(rec[20:22]),
-		}
-	}
 	return m, rec[VersionHeaderSize:], nil
 }
 
 // InsertVersion stores payload as a new row version stamped with meta.
 func (h *HeapFile) InsertVersion(meta VersionMeta, payload []byte) (RecordID, error) {
-	return h.insert(EncodeVersion(meta, payload))
+	return h.insert(encodeVersion(meta, payload))
 }
 
 // GetVersion returns the version header and a copy of the payload at rid.

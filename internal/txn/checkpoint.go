@@ -528,7 +528,9 @@ func ReplayLog(image *CheckpointImage, tail []Record, cat *catalog.Catalog, appl
 // names its row by before-image: Table.Locate resolves it among the live
 // versions (replay leaves no dead ones), and a miss is an error — the log
 // says a committed change happened to a row this catalog does not hold, and
-// dropping the change would hand back a database that never existed.
+// dropping the change would hand back a database that never existed. A
+// DELETE removes that version; an UPDATE removes it and installs the new row
+// stamped with the updating transaction's id, as the live update did.
 func replayRow(cat *catalog.Catalog, r Record) error {
 	table, err := cat.GetTable(r.Table)
 	if err != nil {
@@ -542,9 +544,9 @@ func replayRow(cat *catalog.Catalog, r Record) error {
 	if err != nil {
 		return err
 	}
-	if r.Kind == RecordDelete {
-		return table.RemoveVersion(rid)
+	if err := table.RemoveVersion(rid); err != nil || r.Kind == RecordDelete {
+		return err
 	}
-	_, err = table.Update(rid, r.New)
+	_, err = table.InstallVersion(r.New, r.Txn)
 	return err
 }

@@ -281,8 +281,8 @@ func (t *Txn) claimVersion(table *catalog.Table, rid storage.RecordID) (types.Tu
 }
 
 // Update supersedes the row version at rid with newRow under this
-// transaction: the old version is stamped deleted-by-t, the new version is
-// inserted stamped created-by-t with a chain link back to the old one.
+// transaction: the old version is stamped deleted-by-t, and the new version
+// is inserted stamped created-by-t.
 func (t *Txn) Update(table *catalog.Table, rid storage.RecordID, newRow types.Tuple) (storage.RecordID, error) {
 	if !t.active() {
 		return rid, ErrNotActive
