@@ -491,9 +491,9 @@ func (p *Pager) keysetBinds(anchor types.Tuple) (map[string]types.Value, bool) {
 
 // fetch runs one page query through the prepared-statement cache and pulls at
 // most limit rows off its cursor (0 = all), closing it early once the page is
-// full — locally that releases the cursor's read lease, remotely it closes
-// the server-side cursor. On a remote statement the fetch size is pinned to
-// the page, so a page is one wire round trip.
+// full — locally that releases the cursor's read lease. A remote statement is
+// told the limit first, so its server ends the cursor with the page: a page
+// is one wire round trip, and the close sends nothing.
 func (p *Pager) fetch(text string, binds map[string]types.Value, limit int) ([]types.Tuple, error) {
 	st, err := p.prepare(text)
 	if err != nil {

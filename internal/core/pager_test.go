@@ -1,8 +1,10 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"net"
+	"slices"
 	"strings"
 	"testing"
 
@@ -339,14 +341,11 @@ func TestWindowPagedBrowse(t *testing.T) {
 	}
 }
 
-// TestWindowRemotePagedBrowse opens the same window over a wire connection:
-// the pager's page fetches become page-sized Run round trips against the
-// server, and the server streams O(page) rows per navigation step.
-func TestWindowRemotePagedBrowse(t *testing.T) {
-	const n = 1500
-	db, form := bigTableEnv(t, n)
-	defer db.Close()
-
+// serveRemote serves db on a loopback port until the test ends, then closes
+// the server and the database, and returns the server and its address.
+func serveRemote(t *testing.T, db *engine.Database) (*server.Server, string) {
+	t.Helper()
+	t.Cleanup(func() { db.Close() })
 	srv := server.New(db)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -354,12 +353,22 @@ func TestWindowRemotePagedBrowse(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() { done <- srv.Serve(ln) }()
-	defer func() {
+	t.Cleanup(func() {
 		srv.Close()
 		<-done
-	}()
+	})
+	return srv, ln.Addr().String()
+}
 
-	conn, err := client.Dial(ln.Addr().String())
+// TestWindowRemotePagedBrowse opens the same window over a wire connection:
+// the pager's page fetches become page-sized Run round trips against the
+// server, and the server streams O(page) rows per navigation step.
+func TestWindowRemotePagedBrowse(t *testing.T) {
+	const n = 1500
+	db, form := bigTableEnv(t, n)
+	srv, addr := serveRemote(t, db)
+
+	conn, err := client.Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,8 +398,8 @@ func TestWindowRemotePagedBrowse(t *testing.T) {
 	if err := w.lastRow(); err != nil {
 		t.Fatal(err)
 	}
-	// A page is one Run that binds, executes and carries the rows back, plus
-	// at most a CloseCursor when the page filled before the cursor ran dry.
+	// A page is one Run that binds, executes and carries the rows back, and
+	// the server ends the cursor with the page, so no CloseCursor follows.
 	// Home then End repeats statements the walk has already prepared.
 	if err := w.firstRow(); err != nil {
 		t.Fatal(err)
@@ -400,8 +409,8 @@ func TestWindowRemotePagedBrowse(t *testing.T) {
 		t.Fatal(err)
 	}
 	queries, msgs = w.Stats().Queries-queries, srv.Stats().MessagesServed-msgs
-	if queries == 0 || msgs > 2*queries {
-		t.Fatalf("End ran %d page queries in %d messages, want <= 2 per page", queries, msgs)
+	if queries == 0 || msgs != queries {
+		t.Fatalf("End ran %d page queries in %d messages, want exactly one per page", queries, msgs)
 	}
 	row, _ := w.CurrentRow()
 	if w.Cursor() != n-1 || int(row[0].Int()) != n {
@@ -431,6 +440,149 @@ func TestWindowRemotePagedBrowse(t *testing.T) {
 	}
 	if got := res.Rows[0][0].Str(); got != "edited" {
 		t.Fatalf("remote save wrote %q", got)
+	}
+}
+
+// keystrokeFrames is one keystroke's traffic in a remote window: the server
+// messages it cost and the pager queries it ran.
+type keystrokeFrames struct {
+	step            string
+	frames, queries uint64
+}
+
+// remoteKeystrokeFrames opens the browse form over n rows in a remote window,
+// runs the keystroke script once to warm the window's statements, and returns
+// what each keystroke of a second run cost, and how many server cursors that
+// run kept open past their Run.
+func remoteKeystrokeFrames(t *testing.T, n int) (steps []keystrokeFrames, keptOpen uint64) {
+	t.Helper()
+	db, form := bigTableEnv(t, n)
+	srv, addr := serveRemote(t, db)
+	conn, err := client.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	w, err := NewManager(db, 100, 30).OpenOn(form, NewRemoteSource(conn), 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	page := w.pageSize()
+	keys := func(script string) func() error { return func() error { return w.HandleScript(script) } }
+	jump := func(pages int) func() error { return func() error { return w.MoveCursor(pages * page) } }
+	// The script starts and ends on the first page of the unfiltered result,
+	// where opening the window left it.
+	script := []struct {
+		step string
+		do   func() error
+	}{
+		{"PgDn in the buffer", keys("<PGDN>")},
+		{"PgDn in the buffer", keys("<PGDN>")},
+		{"PgDn past the buffer", keys("<PGDN>")},
+		{"jump forward", jump(10)},
+		{"jump back", jump(-10)},
+		{"End", keys("<END>")},
+		{"anchored Refresh", w.Refresh},
+		{"Home", keys("<HOME>")},
+		{"QBF query", keys("<F2>>=300<F4>")},
+		{"PgDn in the buffer", keys("<PGDN>")},
+		{"jump forward", jump(20)},
+		{"End", keys("<END>")},
+		{"anchored Refresh", w.Refresh},
+		{"Home", keys("<HOME>")},
+		{"clear the query", keys("<F2><F4>")},
+	}
+	for run := 0; run < 2; run++ {
+		steps = nil
+		kept := srv.Stats().CursorsKeptOpen
+		for _, s := range script {
+			msgs, queries := srv.Stats().MessagesServed, w.Stats().Queries
+			if err := s.do(); err != nil {
+				t.Fatalf("%s: %v", s.step, err)
+			}
+			if w.statusError {
+				t.Fatalf("%s: window status %q", s.step, w.Status())
+			}
+			steps = append(steps, keystrokeFrames{s.step, srv.Stats().MessagesServed - msgs, w.Stats().Queries - queries})
+		}
+		keptOpen = srv.Stats().CursorsKeptOpen - kept
+	}
+	return steps, keptOpen
+}
+
+// TestRemoteKeystrokeFrames is the mechanism test for one frame per query: on
+// a warm window every fetching PgDn, jump, End and Home is one Run, an
+// anchored Refresh three (the count and the two halves of the page around the
+// cursor), and a QBF query or its clearing two (the count and the first
+// page). No page pays a CloseCursor, and the counts are the same over 1 000
+// rows as over 20 000.
+func TestRemoteKeystrokeFrames(t *testing.T) {
+	want := []uint64{0, 0, 1, 1, 1, 1, 3, 1, 2, 0, 1, 1, 3, 1, 2}
+	small, kept := remoteKeystrokeFrames(t, 1000)
+	for i, k := range small {
+		if k.frames != want[i] || k.queries != want[i] {
+			t.Errorf("step %d (%s) over 1000 rows: %d frames for %d queries, want %d of each", i, k.step, k.frames, k.queries, want[i])
+		}
+	}
+	large, keptLarge := remoteKeystrokeFrames(t, 20000)
+	if kept != 0 || keptLarge != 0 {
+		t.Errorf("the warm runs kept %d (1000 rows) and %d (20000 rows) server cursors open past their Run, want 0", kept, keptLarge)
+	}
+	if !slices.Equal(small, large) {
+		t.Fatalf("keystroke frames depend on the table size:\n 1000 rows: %v\n20000 rows: %v", small, large)
+	}
+}
+
+// TestWindowLeavesPooledFetchSizeAlone is the regression test for a window
+// writing its page size into a pooled connection's cached statement: the next
+// borrower of the connection streams the same SQL at DefaultFetchSize.
+func TestWindowLeavesPooledFetchSizeAlone(t *testing.T) {
+	const n = 600
+	db, form := bigTableEnv(t, n)
+	srv, addr := serveRemote(t, db)
+	pool := client.NewPool(addr, client.PoolConfig{Size: 1})
+	defer pool.Close()
+
+	h, err := pool.GetContext(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := NewManager(db, 100, 30)
+	w, err := m.OpenOn(form, NewPooledSource(h), 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.HandleScript("<PGDN><PGDN><PGDN><END><HOME>"); err != nil {
+		t.Fatal(err)
+	}
+	firstPage := w.pager.pageSQL("", false)
+	m.Close(w)
+	h.Release()
+
+	h, err = pool.GetContext(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Release()
+	st, err := h.Prepare(firstPage)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := srv.Stats().MessagesServed
+	rows, err := st.Query()
+	if err != nil {
+		t.Fatal(err)
+	}
+	count := 0
+	for rows.Next() {
+		count++
+	}
+	if err := rows.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if msgs := srv.Stats().MessagesServed - before; count != n || msgs != 3 {
+		t.Fatalf("draining %d rows of the window's page SQL took %d messages, want %d rows in 3 (Run + 2 Fetch at %d)",
+			count, msgs, n, client.DefaultFetchSize)
 	}
 }
 

@@ -52,9 +52,10 @@ type ExecSummary struct {
 // Statement.BindNamed.
 type NamedArgs map[string]types.Value
 
-// fetchSizer is implemented by statements that can bound how many rows one
-// fetch round trip pulls (the remote statement). The window pager sets it to
-// its page size so a page costs one round trip.
+// fetchSizer is implemented by statements that can be told the next Query
+// returns at most n rows (the remote statement, which then asks the server for
+// exactly that and no more). The window pager sets it to its page size before
+// every query, so a page or a count costs one round trip.
 type fetchSizer interface {
 	SetFetchSize(n int)
 }
@@ -118,11 +119,11 @@ type remotePreparer interface {
 }
 
 // remoteSource adapts a wowserver connection to the Source interface: the
-// window's queries prepare on the server, rows arrive in page-sized fetch
-// batches, and writes run remotely. One connection serves any number of
-// windows (the server keeps statements and cursors apart by id), and windows
-// are driven by one goroutine, so detail children share their master's
-// connection.
+// window's queries prepare on the server, a page arrives in the one exchange
+// that runs its query, and writes run remotely. One connection serves any
+// number of windows (the server keeps statements and cursors apart by id),
+// and windows are driven by one goroutine, so detail children share their
+// master's connection.
 type remoteSource struct {
 	conn remotePreparer
 }
@@ -153,6 +154,10 @@ func (r remoteSource) NewSource() Source { return r }
 // remoteStatement narrows a *client.Stmt to the Statement interface.
 type remoteStatement struct {
 	st *client.Stmt
+	// limit is the most rows the next Query returns (0: all of them). It
+	// lives here, not in the client statement, whose fetch size a pooled
+	// connection shares with its next borrower.
+	limit int
 }
 
 func (s *remoteStatement) BindNamed(name string, value types.Value) error {
@@ -160,7 +165,13 @@ func (s *remoteStatement) BindNamed(name string, value types.Value) error {
 }
 
 func (s *remoteStatement) Query() (RowStream, error) {
-	rows, err := s.st.Query()
+	var rows *client.Rows
+	var err error
+	if s.limit > 0 {
+		rows, err = s.st.QueryFirst(s.limit)
+	} else {
+		rows, err = s.st.Query()
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -175,8 +186,9 @@ func (s *remoteStatement) Exec() (ExecSummary, error) {
 	return ExecSummary{RowsAffected: int(res.RowsAffected)}, nil
 }
 
-// SetFetchSize bounds the rows per fetch round trip for cursors opened from
-// this statement — the wire Fetch frame's max-rows field.
-func (s *remoteStatement) SetFetchSize(n int) { s.st.SetFetchSize(n) }
+// SetFetchSize makes the next Query return at most n rows, one Run that ends
+// its cursor with them (client.Stmt.QueryFirst); n of 0 or less returns every
+// row.
+func (s *remoteStatement) SetFetchSize(n int) { s.limit = max(n, 0) }
 
 func (s *remoteStatement) Close() error { return s.st.Close() }

@@ -29,9 +29,11 @@
 // or Exec only accumulate values locally, and the execution ships them in a
 // single Run frame whose answer already carries the first batch of rows. Longer
 // results pull further batches with Fetch. The batch size is the statement's
-// (Stmt.SetFetchSize): a paging consumer like the forms window pager pins it
-// to its page size so one page arrives with the Run. The protocol itself is
-// specified in docs/WIRE.md.
+// (Stmt.SetFetchSize). A consumer that wants only the first n rows — the forms
+// window pager's page or count — calls Stmt.QueryFirst instead: on a 3.1
+// connection its Run asks the server to end the cursor with that batch, so the
+// rows cost one round trip and closing the cursor sends nothing. The protocol
+// itself is specified in docs/WIRE.md.
 package client
 
 import (
@@ -459,9 +461,9 @@ type Stmt struct {
 
 // SetFetchSize sets how many rows each batch carries on cursors opened from
 // this statement — the one that arrives with the Run and every Fetch after it.
-// A paging caller (the TUI's window pager) sets it to its page size, so one
-// visible page costs one round trip and the server streams no further. Zero
-// or negative restores DefaultFetchSize.
+// It trades round trips against batch memory for a caller that drains long
+// results; a caller that wants only the first n rows uses QueryFirst, which
+// leaves it alone. Zero or negative restores DefaultFetchSize.
 func (st *Stmt) SetFetchSize(n int) {
 	if n > 0 {
 		st.fetchSize = uint32(n)
@@ -518,8 +520,10 @@ func (st *Stmt) BindNamed(name string, v types.Value) error {
 // run is the one execution path: a single Run frame carrying the statement
 // id, every parameter and the first batch's size, answered by a Result or by
 // a Cursor that already holds that batch. Optional args bind every
-// parameter positionally first.
-func (st *Stmt) run(args []types.Value) (byte, *wire.Cursor, error) {
+// parameter positionally first. oneBatch appends 3.1's flag, so it must be
+// set only on a connection that negotiated 3.1; a Run without it is
+// byte-identical to 3.0's.
+func (st *Stmt) run(args []types.Value, maxRows uint32, oneBatch bool) (byte, *wire.Cursor, error) {
 	if st.closed {
 		return 0, nil, fmt.Errorf("client: statement is closed")
 	}
@@ -539,7 +543,10 @@ func (st *Stmt) run(args []types.Value) (byte, *wire.Cursor, error) {
 	var b wire.Buffer
 	b.Uint32(st.id)
 	b.Tuple(st.args)
-	b.Uint32(st.fetchSize)
+	b.Uint32(maxRows)
+	if oneBatch {
+		b.Bool(true)
+	}
 	respType, cur, err := st.conn.roundTrip(wire.MsgRun, b.B)
 	if err != nil {
 		if st.endsTxn {
@@ -556,7 +563,7 @@ func (st *Stmt) run(args []types.Value) (byte, *wire.Cursor, error) {
 // Exec runs the statement and materialises its outcome. Optional args bind
 // every parameter positionally first. Running a SELECT through Exec drains its cursor.
 func (st *Stmt) Exec(args ...types.Value) (*Result, error) {
-	respType, cur, err := st.run(args)
+	respType, cur, err := st.run(args, st.fetchSize, false)
 	if err != nil {
 		return nil, err
 	}
@@ -611,7 +618,31 @@ func (st *Stmt) ExecBatch(rows [][]types.Value) (*Result, error) {
 // already holding the first batch. Optional args bind every parameter
 // positionally first.
 func (st *Stmt) Query(args ...types.Value) (*Rows, error) {
-	respType, cur, err := st.run(args)
+	return st.query(args, st.fetchSize, false)
+}
+
+// QueryFirst runs the statement and returns a cursor over at most n of its
+// rows, normally in one exchange: on a 3.1 connection the Run asks the server
+// to end its cursor with the first batch once that batch holds n rows, so
+// closing the cursor sends nothing. A 3.0 server keeps the cursor open, and
+// Close sends a CloseCursor for it, as for any cursor abandoned early. Only a
+// batch the server's byte budget cut short costs a Fetch. The statement's
+// fetch size is left as it is.
+func (st *Stmt) QueryFirst(n int, args ...types.Value) (*Rows, error) {
+	if n < 1 {
+		return nil, fmt.Errorf("client: QueryFirst wants at least 1 row, got %d", n)
+	}
+	rows, err := st.query(args, uint32(n), st.conn.version.Minor >= 1)
+	if err != nil {
+		return nil, err
+	}
+	rows.limit = n
+	return rows, nil
+}
+
+// query runs the statement and decodes the Cursor it must answer with.
+func (st *Stmt) query(args []types.Value, maxRows uint32, oneBatch bool) (*Rows, error) {
+	respType, cur, err := st.run(args, maxRows, oneBatch)
 	if err != nil {
 		return nil, err
 	}
@@ -658,15 +689,18 @@ func (st *Stmt) close() error {
 // Rows is a streaming cursor over a remote query's result. Rows arrive in
 // batches of the statement's fetch size (Stmt.SetFetchSize) — the first with
 // the cursor itself; Next serves from the batch and asks the server for the
-// next one when it runs dry.
+// next one when it runs dry. A cursor from QueryFirst ends after its n rows.
 type Rows struct {
 	conn    *Conn
 	id      uint32
 	columns []string
 	// fetchSize is the statement's batch size when the cursor opened.
 	fetchSize uint32
-	buf       []types.Tuple
-	pos       int
+	// limit is QueryFirst's n, the most rows Next yields (0: no limit), and
+	// served counts the rows Next has yielded.
+	limit, served int
+	buf           []types.Tuple
+	pos           int
 	// done records that the server reported the result exhausted — and closed
 	// its cursor — with the last batch.
 	done   bool
@@ -691,6 +725,14 @@ func (r *Rows) Next() bool {
 	if r.closed || r.err != nil {
 		return false
 	}
+	if r.limit > 0 && r.served == r.limit {
+		// QueryFirst's rows are all out: end the cursor as if it had drained.
+		if err := r.Close(); err != nil {
+			r.err = err
+		}
+		r.buf, r.pos = nil, 0
+		return false
+	}
 	if r.pos >= len(r.buf) {
 		if r.done {
 			r.finish()
@@ -705,14 +747,19 @@ func (r *Rows) Next() bool {
 		}
 	}
 	r.pos++
+	r.served++
 	return true
 }
 
 // fetch pulls the next batch; it reports whether any progress can be made.
 func (r *Rows) fetch() bool {
+	maxRows := r.fetchSize
+	if r.limit > 0 {
+		maxRows = min(maxRows, uint32(r.limit-r.served))
+	}
 	var b wire.Buffer
 	b.Uint32(r.id)
-	b.Uint32(r.fetchSize)
+	b.Uint32(maxRows)
 	cur, err := r.conn.expect(wire.MsgFetch, b.B, wire.MsgRows)
 	if err != nil {
 		r.err = err

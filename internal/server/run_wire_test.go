@@ -447,3 +447,208 @@ func TestReplannedSelectStarReportsNewColumns(t *testing.T) {
 		t.Fatalf("row after the re-plan = %v (err %v)", rows.Row(), rows.Err())
 	}
 }
+
+// queryFirstIDs runs QueryFirst(n) on st, drains it and returns the first
+// column of every row.
+func queryFirstIDs(t *testing.T, st *client.Stmt, n int) []int64 {
+	t.Helper()
+	rows, err := st.QueryFirst(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []int64
+	for rows.Next() {
+		ids = append(ids, rows.Row()[0].Int())
+	}
+	if err := rows.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if err := rows.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return ids
+}
+
+// TestOneBatchRunCutByByteBudgetKeepsCursor: a one-batch Run ends its cursor
+// only when the first batch holds max rows. Rows so wide that the 4 MiB batch
+// budget cuts the first batch short leave the cursor open, and QueryFirst
+// fetches the rest of its rows instead of returning a silent prefix.
+func TestOneBatchRunCutByByteBudgetKeepsCursor(t *testing.T) {
+	db, srv, addr := startServer(t)
+	s := db.Session()
+	if _, err := s.Execute("CREATE TABLE blobs (id INT PRIMARY KEY, payload TEXT)"); err != nil {
+		t.Fatal(err)
+	}
+	insert, err := s.Prepare("INSERT INTO blobs (id, payload) VALUES (?, ?)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer insert.Close()
+	// A stored row must fit a page, so the query widens each 7 000-byte
+	// payload fifteenfold: ~100 KiB a row, ~10 MiB for the 100 rows, so the
+	// first batch holds well under n rows.
+	part := strings.Repeat("x", 7000)
+	const n, copies = 100, 15
+	batch := make([][]types.Value, n)
+	for i := range batch {
+		batch[i] = []types.Value{types.NewInt(int64(i)), types.NewString(part)}
+	}
+	if _, err := insert.ExecBatch(batch); err != nil {
+		t.Fatal(err)
+	}
+
+	c, err := client.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	st, err := c.Prepare("SELECT id, payload" + strings.Repeat(" + payload", copies-1) + " FROM blobs ORDER BY id")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	rows, err := st.QueryFirst(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	count := 0
+	for rows.Next() {
+		if row := rows.Row(); row[0].Int() != int64(count) || len(row[1].Str()) != copies*len(part) {
+			t.Fatalf("row %d: id %d, %d payload bytes", count, row[0].Int(), len(row[1].Str()))
+		}
+		count++
+	}
+	if err := rows.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if err := rows.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if count != n {
+		t.Fatalf("QueryFirst(%d) returned %d rows", n, count)
+	}
+	if kept := srv.Stats().CursorsKeptOpen; kept != 1 {
+		t.Fatalf("CursorsKeptOpen = %d, want 1: the budget-cut first batch must keep its cursor", kept)
+	}
+	// Nothing is left open: the statement runs again.
+	if ids := queryFirstIDs(t, st, 1); !reflect.DeepEqual(ids, []int64{0}) {
+		t.Fatalf("QueryFirst(1) after the cut cursor: ids %v", ids)
+	}
+}
+
+// TestRunWithoutOneBatchFlagIsV30: the flag is an optional trailing field. A
+// Run that omits it on a 3.1 connection is answered byte for byte like the
+// same Run on a 3.0 connection, and a 3.0 connection that sends the byte
+// anyway has it ignored, since 3.0 has no such field.
+func TestRunWithoutOneBatchFlagIsV30(t *testing.T) {
+	_, srv, addr := startServer(t)
+	c, err := client.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seedCustomers(t, c, 5)
+	c.Close()
+
+	// run opens a raw connection at version v, prepares the SELECT and sends
+	// one Run with max rows 2, followed by tail; it returns the answer.
+	run := func(v wire.Version, tail ...byte) (byte, []byte) {
+		nc, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer nc.Close()
+		exchange := func(msgType byte, payload []byte) (byte, []byte) {
+			if err := wire.WriteFrame(nc, msgType, payload); err != nil {
+				t.Fatal(err)
+			}
+			respType, resp, err := wire.ReadFrame(nc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return respType, resp
+		}
+		var hello wire.Buffer
+		wire.Hello{Magic: wire.HelloMagic, Version: v}.Encode(&hello)
+		if respType, resp := exchange(wire.MsgHello, hello.B); respType != wire.MsgHelloOK || wire.DecodeHelloOK(wire.NewCursor(resp)).Version != v {
+			t.Fatalf("handshake at v%s answered 0x%02x", v, respType)
+		}
+		var prep wire.Buffer
+		prep.String("SELECT id FROM customers ORDER BY id")
+		respType, resp := exchange(wire.MsgPrepare, prep.B)
+		if respType != wire.MsgStmt {
+			t.Fatalf("Prepare answered 0x%02x", respType)
+		}
+		var b wire.Buffer
+		b.Uint32(wire.NewCursor(resp).Uint32())
+		b.Tuple(nil)
+		b.Uint32(2)
+		return exchange(wire.MsgRun, append(b.B, tail...))
+	}
+	v30, v31 := wire.Version{Major: 3, Minor: 0}, wire.Version{Major: 3, Minor: 1}
+	kept := srv.Stats().CursorsKeptOpen
+	wantType, want := run(v30)
+	if wantType != wire.MsgCursor || wire.NewCursor(want).Uint32() == 0 {
+		t.Fatalf("3.0 Run of 2 of 5 rows answered 0x%02x with no open cursor", wantType)
+	}
+	for _, tc := range []struct {
+		name string
+		v    wire.Version
+		tail []byte
+	}{
+		{"3.1 Run without the flag", v31, nil},
+		{"3.0 Run carrying a flag byte", v30, []byte{1}},
+	} {
+		if gotType, got := run(tc.v, tc.tail...); gotType != wantType || !reflect.DeepEqual(got, want) {
+			t.Errorf("%s answered 0x%02x %x, want the 3.0 answer 0x%02x %x", tc.name, gotType, got, wantType, want)
+		}
+	}
+	if got := srv.Stats().CursorsKeptOpen - kept; got != 3 {
+		t.Errorf("CursorsKeptOpen rose by %d, want 3: none of these Runs ends its cursor", got)
+	}
+	// The control: with the flag on 3.1 the cursor ends with the batch.
+	if _, got := run(v31, 1); wire.NewCursor(got).Uint32() != 0 {
+		t.Errorf("3.1 one-batch Run left cursor %d open", wire.NewCursor(got).Uint32())
+	}
+}
+
+// TestQueryFirstOnBothMinors: QueryFirst returns the same rows whatever the
+// negotiated minor. On 3.1 its one-batch Run is the whole exchange and leaves
+// no cursor open; a client that negotiated 3.0 never sends the flag and pays
+// a CloseCursor for the cursor the server kept.
+func TestQueryFirstOnBothMinors(t *testing.T) {
+	_, srv, addr := startServer(t)
+	c, err := client.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	seedCustomers(t, c, 5)
+	for _, tc := range []struct {
+		v          wire.Version
+		msgs, kept uint64
+	}{
+		{wire.Version{Major: 3, Minor: 1}, 1, 0},
+		{wire.Version{Major: 3, Minor: 0}, 2, 1},
+	} {
+		conn, err := client.DialWith(addr, client.DialOptions{Version: tc.v})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		if v := conn.ProtocolVersion(); v != tc.v {
+			t.Fatalf("negotiated v%s, want v%s", v, tc.v)
+		}
+		st, err := conn.Prepare("SELECT id FROM customers ORDER BY id")
+		if err != nil {
+			t.Fatal(err)
+		}
+		kept := srv.Stats().CursorsKeptOpen
+		var ids []int64
+		if n := served(t, srv, func() { ids = queryFirstIDs(t, st, 2) }); n != tc.msgs || !reflect.DeepEqual(ids, []int64{1, 2}) {
+			t.Errorf("v%s QueryFirst(2) of 5 rows: %d message(s), ids %v; want %d, ids [1 2]", tc.v, n, ids, tc.msgs)
+		}
+		if got := srv.Stats().CursorsKeptOpen - kept; got != tc.kept {
+			t.Errorf("v%s: CursorsKeptOpen rose by %d, want %d", tc.v, got, tc.kept)
+		}
+	}
+}

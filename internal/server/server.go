@@ -78,7 +78,8 @@ type Stats struct {
 	RowsSent            uint64
 	// CursorsKeptOpen counts cursors that outlived the first batch their Run
 	// carried — how often an operation needed a second round trip (a Fetch or
-	// a CloseCursor).
+	// a CloseCursor). A one-batch Run whose first batch filled is not one of
+	// them: the server ended its cursor with that batch.
 	CursorsKeptOpen uint64
 	Panics          uint64
 	// HandshakesAccepted and HandshakesRejected count protocol negotiation
@@ -230,6 +231,9 @@ type conn struct {
 	stmts   map[uint32]*engine.Stmt
 	cursors map[uint32]*engine.Rows
 	nextID  uint32
+	// minor is the negotiated protocol minor: Run's one-batch flag is read
+	// only from a 3.1 peer.
+	minor uint32
 }
 
 // serveConn runs one connection's message loop and always — clean EOF, read
@@ -351,6 +355,7 @@ func (c *conn) handshake() bool {
 	// Count before the reply, as refuse does: a client that has read
 	// HelloOK must find the handshake in Stats.
 	c.srv.handshakes.Add(1)
+	c.minor = negotiated.Minor
 	var b wire.Buffer
 	wire.HelloOK{Version: negotiated, Banner: Banner, Role: role}.Encode(&b)
 	if err := wire.WriteFrame(c.w, wire.MsgHelloOK, b.B); err != nil {
@@ -476,11 +481,14 @@ func (c *conn) refuseReadOnly(what string) (byte, []byte) {
 // handleRun is the whole statement execution in one round trip: bind every
 // parameter, execute, and — for a statement that yields rows — answer with the
 // cursor and its first batch together. A result that fits the batch is done
-// in this one frame and leaves nothing open; a failed bind executes nothing.
+// in this one frame and leaves nothing open, and so is a one-batch Run whose
+// batch filled; a failed bind executes nothing.
 func (c *conn) handleRun(cur *wire.Cursor) (byte, []byte) {
 	id := cur.Uint32()
 	args := cur.Tuple()
 	maxRows := cur.Uint32()
+	// The one-batch flag is 3.1's appended field; absent means false.
+	oneBatch := c.minor >= 1 && cur.Remaining() > 0 && cur.Bool()
 	if err := cur.Err(); err != nil {
 		return errFrame(err)
 	}
@@ -510,9 +518,9 @@ func (c *conn) handleRun(cur *wire.Cursor) (byte, []byte) {
 		return errFrame(err)
 	}
 	var b wire.Buffer
-	b.Uint32(0) // cursor id: stays 0 when this batch already drains the result
+	b.Uint32(0) // cursor id: stays 0 when this batch drains the result or ends its cursor
 	b.Strings(rows.Columns())
-	done, err := c.appendBatch(&b, rows, maxRows)
+	done, err := c.appendBatch(&b, rows, maxRows, oneBatch)
 	if err != nil {
 		return errFrame(err)
 	}
@@ -577,7 +585,7 @@ func (c *conn) handleFetch(cur *wire.Cursor) (byte, []byte) {
 		return errFrame(fmt.Errorf("server: no cursor %d", id))
 	}
 	var b wire.Buffer
-	done, err := c.appendBatch(&b, rows, maxRows)
+	done, err := c.appendBatch(&b, rows, maxRows, false)
 	if done || err != nil {
 		delete(c.cursors, id)
 	}
@@ -589,9 +597,10 @@ func (c *conn) handleFetch(cur *wire.Cursor) (byte, []byte) {
 
 // appendBatch pulls the cursor's next batch and appends it to b in the Rows
 // layout — done, row count, tuples — which a Cursor frame carries after its
-// header too. done or an error means the cursor is closed and the caller must
-// not keep it registered.
-func (c *conn) appendBatch(b *wire.Buffer, rows *engine.Rows, maxRows uint32) (done bool, err error) {
+// header too. With endFull it also closes a cursor whose batch holds maxRows
+// rows, as a one-batch Run asks. done or an error means the cursor is closed
+// and the caller must not keep it registered.
+func (c *conn) appendBatch(b *wire.Buffer, rows *engine.Rows, maxRows uint32, endFull bool) (done bool, err error) {
 	if maxRows == 0 {
 		maxRows = 1
 	}
@@ -623,6 +632,13 @@ func (c *conn) appendBatch(b *wire.Buffer, rows *engine.Rows, maxRows uint32) (d
 		// statement, not the connection.
 		rows.Close()
 		return true, fmt.Errorf("server: result row exceeds the %d-byte frame limit", wire.MaxFrame)
+	}
+	if endFull && !done && count == maxRows {
+		// Only a batch that reached max rows ends the cursor early: one the
+		// byte budget cut short stays open, so the rows it could not carry
+		// are still fetchable.
+		rows.Close()
+		done = true
 	}
 	if done {
 		b.B[head] = 1

@@ -13,6 +13,11 @@
 //	Begin / Commit / Rollback             -> Result
 //	Ping        -> liveness check         -> OK      (pool health checks)
 //
+// A Run may end with a one-batch flag (minor 3.1): the server then closes the
+// cursor after the first batch once that batch holds max rows, so a reader
+// that wants no more than those rows — a window's page, a COUNT(*) — pays one
+// round trip and never a CloseCursor.
+//
 // A connection can instead become a replication stream: Subscribe carries a
 // start LSN, the server pushes WALSegment frames (raw bytes of the primary's
 // CRC-framed log) from there on, and the replica acknowledges progress with
@@ -48,7 +53,7 @@ import (
 const (
 	MsgPrepare byte = 0x01 // sql string
 	// 0x02 was v2's Bind; v3 retired it and the byte is never reused.
-	MsgRun         byte = 0x03 // stmt id, all parameter values, max rows of the first batch
+	MsgRun         byte = 0x03 // stmt id, all parameter values, max rows of the first batch, optional one-batch flag (3.1)
 	MsgFetch       byte = 0x04 // cursor id, max rows
 	MsgCloseStmt   byte = 0x05 // stmt id
 	MsgCloseCursor byte = 0x06 // cursor id
@@ -86,8 +91,9 @@ const (
 const HelloMagic uint32 = 0x574f5721 // "WOW!"
 
 // Version is a protocol version. The major number gates compatibility: both
-// ends must speak the same major. Minors are informational — a higher minor
-// may only append fields to existing payloads, which older decoders ignore.
+// ends must speak the same major. A higher minor may only append fields to
+// existing payloads, which older decoders ignore; a peer sends an appended
+// field only when the negotiated minor includes it.
 type Version struct {
 	Major uint32
 	Minor uint32
@@ -98,9 +104,12 @@ type Version struct {
 // v3.0 replaced v2's Bind/Execute pair with Run — bind, execute and the first
 // row batch in one round trip — and folded every v2 minor's appended field
 // (the Stmt returns-rows flag, the HelloOK role, the LSN tails) into the base
-// payloads. A major bump leaves no older peer to interoperate with, so no
-// behaviour keys off the negotiated minor.
-var Current = Version{Major: 3, Minor: 0}
+// payloads. v3.1 appends one optional field, Run's one-batch flag: a Run that
+// sets it ends its cursor with the first batch once that batch holds max rows,
+// so a reader that wants only those rows pays no CloseCursor. The flag is the
+// one behaviour that keys off the negotiated minor: a client sends it only
+// when the handshake negotiated 3.1, and a server reads it only then.
+var Current = Version{Major: 3, Minor: 1}
 
 // String renders the version as "2.0".
 func (v Version) String() string { return fmt.Sprintf("%d.%d", v.Major, v.Minor) }
