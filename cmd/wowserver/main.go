@@ -2,7 +2,7 @@
 // manager in front of one shared database, one goroutine per connection, all
 // connections sharing the engine-wide plan cache so concurrent clients
 // preparing the same statements compile them once. Connections negotiate
-// protocol v3 at connect (Hello/HelloOK); incompatible clients are refused
+// protocol v4 at connect (Hello/HelloOK); incompatible clients are refused
 // with a versioned error.
 //
 // Usage:

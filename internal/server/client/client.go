@@ -13,11 +13,12 @@
 //	h.Release()
 //
 // Pool is the remote handle. It multiplexes any number of workers over a
-// bounded set of health-checked connections, keeps the statements each
-// connection has prepared, and, when given replica addresses, routes GetRead
-// to a replica within a staleness bound. A Conn (Dial) is one bare
-// connection: like an engine.Session it must not be used from more than one
-// goroutine at a time.
+// bounded set of health-checked connections and keeps the statements each
+// connection has prepared. A Conn (Dial) is one bare connection: like an
+// engine.Session it must not be used from more than one goroutine at a time.
+// A replica is read by dialing it; every response carries the server's LSN
+// (Conn.LastLSN), so a reader can wait until the replica has applied a write.
+// Transactions are SQL: BEGIN, COMMIT and ROLLBACK run through Exec.
 //
 // Dial negotiates the protocol version before returning: it sends a Hello
 // frame and refuses to hand back a connection unless the server answered
@@ -30,10 +31,10 @@
 // single Run frame whose answer already carries the first batch of rows. Longer
 // results pull further batches with Fetch. The batch size is the statement's
 // (Stmt.SetFetchSize). A consumer that wants only the first n rows — the forms
-// window pager's page or count — calls Stmt.QueryFirst instead: on a 3.1
-// connection its Run asks the server to end the cursor with that batch, so the
-// rows cost one round trip and closing the cursor sends nothing. The protocol
-// itself is specified in docs/WIRE.md.
+// window pager's page or count — calls Stmt.QueryFirst instead: its Run asks
+// the server to end the cursor with that batch, so the rows cost one round
+// trip and closing the cursor sends nothing. The protocol itself is specified
+// in docs/WIRE.md.
 package client
 
 import (
@@ -96,7 +97,7 @@ type Conn struct {
 	version wire.Version
 	banner  string
 	// lsn is the highest durable LSN the server has piggybacked on a
-	// response: the freshness signal Pool.GetRead steers by.
+	// response.
 	lsn uint64
 	// ctx, when set, governs every round trip: cancellation (or deadline
 	// expiry) mid-round-trip closes the socket to unblock the read, breaking
@@ -212,8 +213,8 @@ func (c *Conn) ServerBanner() string { return c.banner }
 
 // LastLSN returns the highest durable LSN the server has reported on this
 // connection's responses. On a primary it is the WAL durable frontier; on a
-// replica, the applied frontier. Comparing the two is how Pool.GetRead
-// bounds read staleness.
+// replica, the applied frontier. A replica whose LastLSN has reached the
+// primary's has applied every write the primary had made durable by then.
 func (c *Conn) LastLSN() uint64 { return c.lsn }
 
 // noteLSNTail records the durable-LSN tail every success response ends with,
@@ -380,36 +381,6 @@ func (c *Conn) Query(text string, args ...types.Value) (*Rows, error) {
 	return rows, nil
 }
 
-// Begin, Commit and Rollback send WIRE.md's transaction-control messages,
-// the same as running BEGIN, COMMIT or ROLLBACK through Exec.
-
-// Begin opens an explicit transaction on the connection's server session.
-//
-//wowvet:ignore deadapi -- implements WIRE.md's Begin message, which wireconform requires the client to send
-func (c *Conn) Begin() error { return c.txnControl(wire.MsgBegin) }
-
-// Commit commits the open transaction.
-//
-//wowvet:ignore deadapi -- implements WIRE.md's Commit message, which wireconform requires the client to send
-func (c *Conn) Commit() error { return c.txnControl(wire.MsgCommit) }
-
-// Rollback rolls the open transaction back.
-//
-//wowvet:ignore deadapi -- implements WIRE.md's Rollback message, which wireconform requires the client to send
-func (c *Conn) Rollback() error { return c.txnControl(wire.MsgRollback) }
-
-func (c *Conn) txnControl(msgType byte) error {
-	cur, err := c.expect(msgType, nil, wire.MsgResult)
-	if err != nil {
-		if msgType != wire.MsgBegin {
-			c.inTxn = false // the engine ends the transaction either way
-		}
-		return err
-	}
-	_, err = c.readResult(cur)
-	return err
-}
-
 // readResult decodes a MsgResult payload and notes the LSN that ends it.
 func (c *Conn) readResult(cur *wire.Cursor) (*Result, error) {
 	res := &Result{}
@@ -520,9 +491,8 @@ func (st *Stmt) BindNamed(name string, v types.Value) error {
 // run is the one execution path: a single Run frame carrying the statement
 // id, every parameter and the first batch's size, answered by a Result or by
 // a Cursor that already holds that batch. Optional args bind every
-// parameter positionally first. oneBatch appends 3.1's flag, so it must be
-// set only on a connection that negotiated 3.1; a Run without it is
-// byte-identical to 3.0's.
+// parameter positionally first. oneBatch asks the server to end the cursor
+// with that batch once it holds maxRows rows.
 func (st *Stmt) run(args []types.Value, maxRows uint32, oneBatch bool) (byte, *wire.Cursor, error) {
 	if st.closed {
 		return 0, nil, fmt.Errorf("client: statement is closed")
@@ -544,9 +514,7 @@ func (st *Stmt) run(args []types.Value, maxRows uint32, oneBatch bool) (byte, *w
 	b.Uint32(st.id)
 	b.Tuple(st.args)
 	b.Uint32(maxRows)
-	if oneBatch {
-		b.Bool(true)
-	}
+	b.Bool(oneBatch)
 	respType, cur, err := st.conn.roundTrip(wire.MsgRun, b.B)
 	if err != nil {
 		if st.endsTxn {
@@ -622,17 +590,15 @@ func (st *Stmt) Query(args ...types.Value) (*Rows, error) {
 }
 
 // QueryFirst runs the statement and returns a cursor over at most n of its
-// rows, normally in one exchange: on a 3.1 connection the Run asks the server
-// to end its cursor with the first batch once that batch holds n rows, so
-// closing the cursor sends nothing. A 3.0 server keeps the cursor open, and
-// Close sends a CloseCursor for it, as for any cursor abandoned early. Only a
-// batch the server's byte budget cut short costs a Fetch. The statement's
-// fetch size is left as it is.
+// rows, normally in one exchange: the Run asks the server to end its cursor
+// with the first batch once that batch holds n rows, so closing the cursor
+// sends nothing. Only a batch the server's byte budget cut short costs a
+// Fetch. The statement's fetch size is left as it is.
 func (st *Stmt) QueryFirst(n int, args ...types.Value) (*Rows, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("client: QueryFirst wants at least 1 row, got %d", n)
 	}
-	rows, err := st.query(args, uint32(n), st.conn.version.Minor >= 1)
+	rows, err := st.query(args, uint32(n), true)
 	if err != nil {
 		return nil, err
 	}

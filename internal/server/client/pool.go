@@ -13,15 +13,6 @@ import (
 // DefaultPoolSize bounds a pool that was configured with a zero size.
 const DefaultPoolSize = 4
 
-// DefaultMaxLagBytes is the staleness bound applied when PoolConfig leaves
-// MaxLagBytes zero: a replica more than this many WAL bytes behind the
-// primary's durable frontier is skipped for reads.
-const DefaultMaxLagBytes = 1 << 20
-
-// probeInterval is how often a pool with replicas pings the primary and every
-// replica to refresh their LSN views.
-const probeInterval = 50 * time.Millisecond
-
 // ErrPoolClosed is returned by Get after Close.
 var ErrPoolClosed = fmt.Errorf("client: pool is closed")
 
@@ -40,13 +31,6 @@ type PoolConfig struct {
 	// operation on it fails, the handle is discarded at Release, and the
 	// caller retries on a fresh connection.
 	HealthCheckAfter time.Duration
-	// Replicas lists read replicas of the pool's server (the primary).
-	// GetRead routes to them; Get never does. Each replica gets its own
-	// connections, bounded by Size like the primary's.
-	Replicas []string
-	// MaxLagBytes is GetRead's staleness bound in WAL bytes
-	// (DefaultMaxLagBytes when zero).
-	MaxLagBytes uint64
 }
 
 // Pool is the remote handle: a bounded set of wowserver connections shared by
@@ -56,17 +40,6 @@ type PoolConfig struct {
 // under its size limit. Each pooled connection keeps the statements it has
 // prepared, keyed by SQL text, so a worker re-running a shape the connection
 // has seen skips the Prepare round trip entirely.
-//
-// Writes, DDL and explicit transactions run on Get's connections, which are
-// always the primary's. A pool configured with Replicas also serves GetRead,
-// which round-robins across replicas whose applied LSN is within MaxLagBytes
-// of the primary's durable frontier and falls back to the primary when none
-// is: correctness degrades to "slower", never to "stale beyond the bound".
-// Freshness flows through the LSN every response carries: each pool folds
-// what its connections see into an LSN high-water mark, and both numbers are
-// byte offsets into the same log, so primary minus replica is the lag in WAL
-// bytes. A background prober pings every member each probeInterval so an
-// idle replica's view cannot go stale enough to wedge routing.
 //
 // A checked-out PooledConn is single-goroutine, like the Conn it wraps; the
 // Pool itself is safe for concurrent use from any number of workers.
@@ -89,19 +62,6 @@ type Pool struct {
 	stmtHits    atomic.Uint64
 	healthFails atomic.Uint64
 	discards    atomic.Uint64
-
-	// lsnHW is the highest durable LSN any of the pool's connections has
-	// seen the server report. On the primary it is the frontier GetRead
-	// measures lag against; on a replica's pool, the replica's applied
-	// position as last seen.
-	lsnHW atomic.Uint64
-
-	// replicas holds one pool per PoolConfig.Replicas address; rr spreads
-	// GetRead across them. proberDone is closed when the prober exits (nil
-	// without replicas, which start no prober).
-	replicas   []*Pool
-	rr         atomic.Uint64
-	proberDone chan struct{}
 }
 
 // PoolStats summarises the pool's counters.
@@ -122,9 +82,6 @@ type PoolStats struct {
 	Discards            uint64
 	// Idle is the current idle-connection count.
 	Idle int
-	// LSNHighWater is the highest durable LSN the pool's connections have
-	// seen the server report.
-	LSNHighWater uint64
 }
 
 // poolConn is one pooled connection plus its prepared-statement cache.
@@ -137,30 +94,17 @@ type poolConn struct {
 }
 
 // NewPool creates a pool over the server address. No connection is dialed
-// until the first checkout; only a pool with replicas starts a goroutine, its
-// prober, which Close stops.
+// until the first checkout, and the pool starts no goroutine.
 func NewPool(addr string, cfg PoolConfig) *Pool {
 	if cfg.Size <= 0 {
 		cfg.Size = DefaultPoolSize
 	}
-	if cfg.MaxLagBytes == 0 {
-		cfg.MaxLagBytes = DefaultMaxLagBytes
-	}
-	p := &Pool{
+	return &Pool{
 		addr:   addr,
 		cfg:    cfg,
 		tokens: make(chan struct{}, cfg.Size),
 		done:   make(chan struct{}),
 	}
-	if len(cfg.Replicas) > 0 {
-		member := PoolConfig{Size: cfg.Size, HealthCheckAfter: cfg.HealthCheckAfter}
-		for _, raddr := range cfg.Replicas {
-			p.replicas = append(p.replicas, NewPool(raddr, member))
-		}
-		p.proberDone = make(chan struct{})
-		go p.probeLoop()
-	}
-	return p
 }
 
 // Stats returns a snapshot of the pool's counters.
@@ -176,19 +120,6 @@ func (p *Pool) Stats() PoolStats {
 		HealthCheckFailures: p.healthFails.Load(),
 		Discards:            p.discards.Load(),
 		Idle:                idle,
-		LSNHighWater:        p.lsnHW.Load(),
-	}
-}
-
-// noteLSN folds a connection's latest observed LSN into the pool's
-// high-water mark.
-func (p *Pool) noteLSN(c *Conn) {
-	lsn := c.LastLSN()
-	for {
-		prev := p.lsnHW.Load()
-		if lsn <= prev || p.lsnHW.CompareAndSwap(prev, lsn) {
-			return
-		}
 	}
 }
 
@@ -258,67 +189,6 @@ func (p *Pool) needsPing(pc *poolConn) bool {
 	return time.Since(pc.lastUsed) >= p.cfg.HealthCheckAfter
 }
 
-// GetRead checks out a connection for a read-only statement, preferring a
-// replica whose last seen applied LSN is within MaxLagBytes of the primary's
-// high-water mark. Replicas are tried round-robin; a stale one, or one that
-// cannot be reached, is skipped, and with none left the read goes to the
-// primary. The second result reports whether the connection is a replica's —
-// a write sent there anyway hits the replica's read-only refusal, not silent
-// divergence. Without replicas GetRead checks out a primary connection.
-//
-//wowvet:ignore deadapi -- ROADMAP item 3 routes the remote pager's reads through it
-func (p *Pool) GetRead() (*PooledConn, bool, error) {
-	if n := uint64(len(p.replicas)); n > 0 {
-		floor := p.lagFloor()
-		start := p.rr.Add(1)
-		for i := uint64(0); i < n; i++ {
-			r := p.replicas[(start+i)%n]
-			if r.lsnHW.Load() < floor {
-				continue
-			}
-			// A dead replica must not fail reads while the primary is up.
-			if h, err := r.GetContext(context.Background()); err == nil {
-				return h, true, nil
-			}
-		}
-	}
-	h, err := p.GetContext(context.Background())
-	return h, false, err
-}
-
-// lagFloor is the lowest applied LSN a replica must have reached to serve
-// reads right now.
-func (p *Pool) lagFloor() uint64 {
-	lsn := p.lsnHW.Load()
-	if lsn <= p.cfg.MaxLagBytes {
-		return 0
-	}
-	return lsn - p.cfg.MaxLagBytes
-}
-
-// probeLoop pings the primary and every replica each probeInterval until
-// Close. Without it a replica's LSN view only moves with read traffic, and
-// one that fell behind once would never be routed to again.
-func (p *Pool) probeLoop() {
-	defer close(p.proberDone)
-	t := time.NewTicker(probeInterval)
-	defer t.Stop()
-	members := append([]*Pool{p}, p.replicas...)
-	for {
-		select {
-		case <-p.done:
-			return
-		case <-t.C:
-		}
-		for _, member := range members {
-			if h, err := member.GetContext(context.Background()); err == nil {
-				_ = h.pc.conn.ping() // a failed ping breaks the conn; Release discards it
-				h.Release()
-			}
-		}
-	}
-}
-
 // With checks a connection out, runs fn and releases it — the convenience
 // shape for workers whose whole unit of work fits one function.
 func (p *Pool) With(fn func(*PooledConn) error) error {
@@ -337,9 +207,8 @@ func (p *Pool) discard(pc *poolConn) {
 	pc.conn.Close()
 }
 
-// Close closes every idle connection, stops the prober and closes the replica
-// pools, and fails all future checkouts. Connections currently checked out
-// are closed when released.
+// Close closes every idle connection and fails all future checkouts.
+// Connections currently checked out are closed when released.
 func (p *Pool) Close() error {
 	p.mu.Lock()
 	if p.closed {
@@ -353,14 +222,6 @@ func (p *Pool) Close() error {
 	close(p.done)
 	for _, pc := range idle {
 		pc.conn.Close()
-	}
-	// The replicas close first: a prober blocked checking one out is released
-	// by its closing, so waiting for the prober cannot hang.
-	for _, r := range p.replicas {
-		r.Close()
-	}
-	if p.proberDone != nil {
-		<-p.proberDone
 	}
 	return nil
 }
@@ -403,23 +264,29 @@ func (h *PooledConn) Prepare(text string) (*Stmt, error) {
 	if err := h.use(); err != nil {
 		return nil, err
 	}
-	if st, ok := h.pc.stmts[text]; ok {
-		h.pool.stmtHits.Add(1)
+	return h.pool.prepare(h.pc, text)
+}
+
+// prepare returns pc's cached statement for the text, preparing and caching
+// it on first use.
+func (p *Pool) prepare(pc *poolConn, text string) (*Stmt, error) {
+	if st, ok := pc.stmts[text]; ok {
+		p.stmtHits.Add(1)
 		return st, nil
 	}
-	if len(h.pc.stmts) >= maxCachedStmts {
-		for evictText, evictStmt := range h.pc.stmts {
-			delete(h.pc.stmts, evictText)
+	if len(pc.stmts) >= maxCachedStmts {
+		for evictText, evictStmt := range pc.stmts {
+			delete(pc.stmts, evictText)
 			evictStmt.close()
 			break
 		}
 	}
-	st, err := h.pc.conn.Prepare(text)
+	st, err := pc.conn.Prepare(text)
 	if err != nil {
 		return nil, err
 	}
 	st.pooled = true
-	h.pc.stmts[text] = st
+	pc.stmts[text] = st
 	return st, nil
 }
 
@@ -434,8 +301,9 @@ func (h *PooledConn) Exec(text string, args ...types.Value) (*Result, error) {
 
 // Release returns the connection to the pool, unbinding the context
 // GetContext bound to it. A connection that hit a transport error is
-// discarded instead; one released with a transaction still open is rolled
-// back first (and discarded if the rollback fails). Release is idempotent.
+// discarded instead; one released with a transaction still open runs
+// ROLLBACK first, through the statement cache as Exec would (and is discarded
+// if the rollback fails). Release is idempotent.
 func (h *PooledConn) Release() {
 	if h.released {
 		return
@@ -445,13 +313,16 @@ func (h *PooledConn) Release() {
 	pc := h.pc
 	defer func() { <-p.tokens }()
 	pc.conn.setContext(nil)
-	p.noteLSN(pc.conn)
 	if !pc.conn.healthy() {
 		p.discard(pc)
 		return
 	}
 	if pc.conn.inTxn {
-		if err := pc.conn.Rollback(); err != nil {
+		st, err := p.prepare(pc, "ROLLBACK")
+		if err == nil {
+			_, err = st.Exec()
+		}
+		if err != nil {
 			p.discard(pc)
 			return
 		}

@@ -2,10 +2,8 @@ package client_test
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"net"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -162,28 +160,37 @@ func TestPoolHealthCheckDiscardsDeadConnections(t *testing.T) {
 
 // TestPoolRollsBackAbandonedTransaction: a worker that releases a connection
 // with its transaction still open must not leak that transaction (or its
-// locks) to the next worker.
+// locks) to the next worker. Release runs ROLLBACK through the connection's
+// statement cache: a Prepare and a Run the first time, one Run once cached.
 func TestPoolRollsBackAbandonedTransaction(t *testing.T) {
-	db, _, addr := startServer(t)
+	db, srv, addr := startServer(t)
 	seedTable(t, addr, 3)
 	pool := client.NewPool(addr, client.PoolConfig{Size: 1})
 	defer pool.Close()
 
-	h, err := pool.GetContext(context.Background())
-	if err != nil {
-		t.Fatal(err)
+	for round, wantFrames := range []uint64{2, 1} {
+		h, err := pool.GetContext(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := h.Exec("BEGIN"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := h.Exec("UPDATE customers SET name = 'leaked' WHERE id = 1"); err != nil {
+			t.Fatal(err)
+		}
+		abortedBefore := db.Stats().Aborted
+		before := srv.Stats().MessagesServed
+		h.Release() // forgot to commit or roll back
+		if got := srv.Stats().MessagesServed - before; got != wantFrames {
+			t.Errorf("round %d: Release sent %d frame(s), want %d", round, got, wantFrames)
+		}
+		if got := db.Stats().Aborted; got != abortedBefore+1 {
+			t.Fatalf("round %d: aborted %d -> %d, want the abandoned transaction rolled back", round, abortedBefore, got)
+		}
 	}
-	if _, err := h.Exec("BEGIN"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := h.Exec("UPDATE customers SET name = 'leaked' WHERE id = 1"); err != nil {
-		t.Fatal(err)
-	}
-	abortedBefore := db.Stats().Aborted
-	h.Release() // forgot to commit or roll back
-
-	if got := db.Stats().Aborted; got != abortedBefore+1 {
-		t.Fatalf("aborted %d -> %d, want the abandoned transaction rolled back", abortedBefore, got)
+	if dials := pool.Stats().Dials; dials != 1 {
+		t.Fatalf("Dials = %d, want 1: both rounds must reuse the rolled-back connection", dials)
 	}
 	h2, err := pool.GetContext(context.Background())
 	if err != nil {
@@ -498,328 +505,6 @@ func TestPoolHealthCheckAfterConcurrent(t *testing.T) {
 	// tight loop never produces. HealthCheckFailures must certainly be zero.
 	if st.HealthCheckFailures != 0 {
 		t.Errorf("health-check failures = %d, want 0", st.HealthCheckFailures)
-	}
-}
-
-// The tests below route reads over a fleet: one primary plus replicas
-// streaming its WAL, behind one Pool configured with Replicas.
-
-// startPrimaryServer serves a file-backed database that can stream its WAL.
-func startPrimaryServer(t *testing.T) (*engine.Database, string) {
-	t.Helper()
-	wal := filepath.Join(t.TempDir(), "primary.wal")
-	db, err := engine.Open(engine.Options{WALPath: wal})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := server.New(db)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve(ln)
-	t.Cleanup(func() {
-		srv.Close()
-		db.Close()
-	})
-	return db, ln.Addr().String()
-}
-
-// startReplicaServer runs the full replica stack against primaryAddr.
-func startReplicaServer(t *testing.T, primaryAddr string) (*server.Replica, string) {
-	t.Helper()
-	db, err := engine.Open(engine.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep := server.NewReplica(db, primaryAddr)
-	srv := server.New(db)
-	srv.SetReadOnly(true)
-	srv.SetLSNSource(rep.AppliedLSN)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve(ln)
-	rep.Start()
-	t.Cleanup(func() {
-		rep.Stop()
-		srv.Close()
-		db.Close()
-	})
-	return rep, ln.Addr().String()
-}
-
-// waitApplied blocks until the replica reaches the primary's current durable
-// frontier.
-func waitApplied(t *testing.T, primary *engine.Database, rep *server.Replica) {
-	t.Helper()
-	target := uint64(primary.Transactions().WAL().DurableLSN())
-	deadline := time.Now().Add(10 * time.Second)
-	for rep.AppliedLSN() < target {
-		if time.Now().After(deadline) {
-			t.Fatalf("replica stuck at %d of %d: %+v", rep.AppliedLSN(), target, rep.Stats())
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-}
-
-// readV runs the kv point read on a routed connection and releases it,
-// returning the value and the LSN the serving server reported with it.
-func readV(t *testing.T, h *client.PooledConn) (string, uint64) {
-	t.Helper()
-	defer h.Release()
-	rows, err := query(h, "SELECT v FROM kv WHERE k = ?", types.NewInt(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var v string
-	for rows.Next() {
-		v = rows.Row()[0].Str()
-	}
-	if err := rows.Err(); err != nil {
-		t.Fatal(err)
-	}
-	rows.Close()
-	return v, client.ConnOf(h).LastLSN()
-}
-
-func TestFleetRoutesReadsToReplicas(t *testing.T) {
-	db, primaryAddr := startPrimaryServer(t)
-	repA, addrA := startReplicaServer(t, primaryAddr)
-	repB, addrB := startReplicaServer(t, primaryAddr)
-
-	pool := client.NewPool(primaryAddr, client.PoolConfig{Replicas: []string{addrA, addrB}})
-	defer pool.Close()
-
-	// Writes go to the primary, and observing them teaches the pool the
-	// primary's frontier.
-	w, err := pool.GetContext(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := w.Exec("CREATE TABLE kv (k INT PRIMARY KEY, v TEXT)"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := w.Exec("INSERT INTO kv (k, v) VALUES (1, 'one')"); err != nil {
-		t.Fatal(err)
-	}
-	w.Release()
-	if pool.Stats().LSNHighWater == 0 {
-		t.Fatal("write traffic did not teach the pool the primary LSN")
-	}
-	waitApplied(t, db, repA)
-	waitApplied(t, db, repB)
-
-	for i := 0; i < 6; i++ {
-		h, replica, err := pool.GetRead()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !replica {
-			t.Fatalf("read %d did not land on a replica", i)
-		}
-		if _, err := h.Exec("INSERT INTO kv (k, v) VALUES (2, 'two')"); err == nil || !strings.Contains(err.Error(), "read-only replica") {
-			t.Fatalf("read %d: a write on the routed connection = %v, want the replica's read-only refusal", i, err)
-		}
-		v, lsn := readV(t, h)
-		if v != "one" {
-			t.Fatalf("read %d: v = %q, want \"one\"", i, v)
-		}
-		if lsn == 0 {
-			t.Errorf("read %d: the replica reported no applied LSN", i)
-		}
-	}
-}
-
-func TestFleetFallsBackWhenAllReplicasStale(t *testing.T) {
-	db, primaryAddr := startPrimaryServer(t)
-	rep, replicaAddr := startReplicaServer(t, primaryAddr)
-
-	pool := client.NewPool(primaryAddr, client.PoolConfig{
-		Replicas:    []string{replicaAddr},
-		MaxLagBytes: 1, // almost any write pushes the replica out of bounds
-	})
-	defer pool.Close()
-
-	if err := pool.With(func(h *client.PooledConn) error {
-		_, err := h.Exec("CREATE TABLE kv (k INT PRIMARY KEY, v TEXT)")
-		return err
-	}); err != nil {
-		t.Fatal(err)
-	}
-	waitApplied(t, db, rep)
-
-	// Freeze the applier, then write past the bound: the replica's applied
-	// LSN stops while the primary's frontier moves on.
-	rep.Stop()
-	if err := pool.With(func(h *client.PooledConn) error {
-		_, err := h.Exec("INSERT INTO kv (k, v) VALUES (1, 'after-freeze')")
-		return err
-	}); err != nil {
-		t.Fatal(err)
-	}
-
-	h, replica, err := pool.GetRead()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if replica {
-		t.Fatal("read landed on a replica lagging past the bound")
-	}
-	// The primary fallback must see the write the replica has not applied.
-	if v, _ := readV(t, h); v != "after-freeze" {
-		t.Errorf("fallback read v = %q, want \"after-freeze\"", v)
-	}
-}
-
-// TestFleetBoundedStaleness hammers writes and routed reads concurrently and
-// asserts the routing contract: every read lands on a server whose reported
-// LSN is within MaxLagBytes of the primary frontier the pool knew when the
-// read was routed.
-func TestFleetBoundedStaleness(t *testing.T) {
-	db, primaryAddr := startPrimaryServer(t)
-	rep, replicaAddr := startReplicaServer(t, primaryAddr)
-
-	const maxLag = 4096
-	pool := client.NewPool(primaryAddr, client.PoolConfig{
-		Replicas:    []string{replicaAddr},
-		MaxLagBytes: maxLag,
-	})
-	defer pool.Close()
-
-	if err := pool.With(func(h *client.PooledConn) error {
-		if _, err := h.Exec("CREATE TABLE kv (k INT PRIMARY KEY, v TEXT)"); err != nil {
-			return err
-		}
-		_, err := h.Exec("INSERT INTO kv (k, v) VALUES (1, 'x')")
-		return err
-	}); err != nil {
-		t.Fatal(err)
-	}
-	waitApplied(t, db, rep)
-
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			err := pool.With(func(h *client.PooledConn) error {
-				_, err := h.Exec("UPDATE kv SET v = 'y' WHERE k = 1")
-				return err
-			})
-			if err != nil {
-				t.Errorf("writer: %v", err)
-				return
-			}
-		}
-	}()
-
-	violations, replicaReads := 0, 0
-	for i := 0; i < 200; i++ {
-		required := pool.Stats().LSNHighWater // what the pool knew before routing
-		h, replica, err := pool.GetRead()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if replica {
-			replicaReads++
-		}
-		v, got := readV(t, h)
-		if v != "x" && v != "y" {
-			t.Fatalf("routed read %d: v = %q", i, v)
-		}
-		if got+maxLag < required {
-			violations++
-			t.Errorf("read %d: server LSN %d lags required %d by more than %d", i, got, required, maxLag)
-		}
-	}
-	close(stop)
-	wg.Wait()
-	if violations != 0 {
-		t.Fatalf("%d bounded-staleness violations", violations)
-	}
-	t.Logf("%d of 200 reads served by the replica", replicaReads)
-}
-
-func TestFleetNoReplicasDegeneratesToPrimary(t *testing.T) {
-	_, primaryAddr := startPrimaryServer(t)
-	pool := client.NewPool(primaryAddr, client.PoolConfig{})
-	defer pool.Close()
-	h, replica, err := pool.GetRead()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer h.Release()
-	if replica {
-		t.Error("replica=true from a pool with no replicas")
-	}
-	if _, err := h.Exec("CREATE TABLE t (id INT PRIMARY KEY)"); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestFleetDeadReplicaFallsBack: a replica that cannot be reached must not
-// fail reads while the primary is up.
-func TestFleetDeadReplicaFallsBack(t *testing.T) {
-	_, _, addr := startServer(t)
-	seedTable(t, addr, 1)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	dead := ln.Addr().String()
-	ln.Close()
-
-	pool := client.NewPool(addr, client.PoolConfig{Size: 1, Replicas: []string{dead}})
-	defer pool.Close()
-	h, replica, err := pool.GetRead()
-	if err != nil {
-		t.Fatalf("a dead replica failed the read: %v", err)
-	}
-	defer h.Release()
-	if replica {
-		t.Fatal("replica=true for a read the dead replica cannot have served")
-	}
-	if _, err := h.Exec("SELECT name FROM customers WHERE id = 1"); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestFleetCloseStopsRouting: Close on a pool with replicas returns — its
-// prober exits — and every later checkout, routed or not, is refused.
-func TestFleetCloseStopsRouting(t *testing.T) {
-	db, primaryAddr := startPrimaryServer(t)
-	rep, replicaAddr := startReplicaServer(t, primaryAddr)
-	pool := client.NewPool(primaryAddr, client.PoolConfig{Replicas: []string{replicaAddr}})
-
-	if err := pool.With(func(h *client.PooledConn) error {
-		_, err := h.Exec("CREATE TABLE kv (k INT PRIMARY KEY, v TEXT)")
-		return err
-	}); err != nil {
-		t.Fatal(err)
-	}
-	waitApplied(t, db, rep)
-	h, replica, err := pool.GetRead()
-	if err != nil || !replica {
-		t.Fatalf("GetRead = replica %v, err %v; want a replica", replica, err)
-	}
-	h.Release()
-
-	if err := pool.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := pool.GetContext(context.Background()); !errors.Is(err, client.ErrPoolClosed) {
-		t.Fatalf("Get after Close = %v, want ErrPoolClosed", err)
-	}
-	if _, _, err := pool.GetRead(); !errors.Is(err, client.ErrPoolClosed) {
-		t.Fatalf("GetRead after Close = %v, want ErrPoolClosed", err)
 	}
 }
 

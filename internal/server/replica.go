@@ -8,8 +8,8 @@
 //
 // Progress is tracked as two LSNs. applied is the processed-through
 // frontier: every commit record ending at or below it has been applied, so
-// it is the number the read-only server stamps on responses and the fleet
-// router compares with the primary's durable frontier. resume is the safe
+// it is the number the read-only server stamps on responses, which a reader
+// compares with the primary's durable frontier. resume is the safe
 // resubscribe point — the applied frontier rolled back to the oldest
 // still-open transaction's BEGIN, because an open transaction's buffered
 // records live only in memory and must be re-streamed after a reconnect.

@@ -124,7 +124,7 @@ func TestReplicaStreamsAndServesReads(t *testing.T) {
 	mustExec("DELETE FROM ledger WHERE id = 3")
 	mustExec("UPDATE ledger SET amount = 350 WHERE id = 2")
 	if pc.LastLSN() == 0 {
-		t.Error("primary connection never reported a durable LSN on v2.2 responses")
+		t.Error("primary connection never reported a durable LSN on its responses")
 	}
 
 	waitCaughtUp(t, db, rep)
@@ -188,7 +188,7 @@ func TestReplicaRefusesWrites(t *testing.T) {
 		name string
 		run  func() error
 	}{
-		{"BEGIN", func() error { return rc.Begin() }},
+		{"BEGIN", func() error { _, err := rc.Exec("BEGIN"); return err }},
 		{"INSERT", func() error {
 			_, err := rc.Exec("INSERT INTO t (id, v) VALUES (2, 'y')")
 			return err
@@ -375,7 +375,7 @@ func TestReplicaResubscribesAfterSeveredStream(t *testing.T) {
 	// severance so the resume point has to rewind to its BEGIN.
 	proxy.Sever()
 	insert(50, 100)
-	if err := pc.Begin(); err != nil {
+	if _, err := pc.Exec("BEGIN"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := pc.Exec("INSERT INTO ledger (id, owner, amount) VALUES (1000, 'txn', 1)"); err != nil {
@@ -385,7 +385,7 @@ func TestReplicaResubscribesAfterSeveredStream(t *testing.T) {
 	if _, err := pc.Exec("INSERT INTO ledger (id, owner, amount) VALUES (1001, 'txn', 1)"); err != nil {
 		t.Fatal(err)
 	}
-	if err := pc.Commit(); err != nil {
+	if _, err := pc.Exec("COMMIT"); err != nil {
 		t.Fatal(err)
 	}
 	insert(100, 120)
@@ -580,7 +580,7 @@ func TestReplicationSnapshotAtomicity(t *testing.T) {
 // longer matches the replica's row (same key, different tuple), the applier
 // must stop rather than guess. The operator sees the cause in
 // Stats().LastError, the applied frontier never passes the commit that could
-// not be applied — so a fleet router's lag bound keeps reads off this replica —
+// not be applied — so a reader waiting for that LSN never reads here early —
 // and every resubscribe fails the same way instead of skipping ahead.
 func TestReplicaSurfacesDivergence(t *testing.T) {
 	pdb, _, primaryAddr := startPrimary(t)

@@ -260,26 +260,33 @@ func TestCursorLongerThanFirstBatch(t *testing.T) {
 	rows.Close()
 }
 
-// runFrame sends one raw Run and returns the response type and payload.
-func runFrame(t *testing.T, nc net.Conn, stmt uint32, args types.Tuple) (byte, []byte) {
-	t.Helper()
+// runPayload encodes a Run of stmt with args, a first batch of 16 rows and
+// the one-batch flag clear.
+func runPayload(stmt uint32, args types.Tuple) []byte {
 	var b wire.Buffer
 	b.Uint32(stmt)
 	b.Tuple(args)
 	b.Uint32(16)
-	if err := wire.WriteFrame(nc, wire.MsgRun, b.B); err != nil {
+	b.Bool(false)
+	return b.B
+}
+
+// runFrame sends one raw Run payload and returns the response type and payload.
+func runFrame(t *testing.T, nc net.Conn, payload []byte) (byte, []byte) {
+	t.Helper()
+	if err := wire.WriteFrame(nc, wire.MsgRun, payload); err != nil {
 		t.Fatal(err)
 	}
-	msgType, payload, err := wire.ReadFrame(nc)
+	msgType, resp, err := wire.ReadFrame(nc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return msgType, payload
+	return msgType, resp
 }
 
 // TestFailedRunWritesNothing: the bind and the execute cannot be separated,
-// so a Run that fails to bind — or names no statement — executes nothing and
-// leaves the connection usable for the next Run.
+// so a Run that fails to bind, names no statement or is cut short executes
+// nothing and leaves the connection usable for the next Run.
 func TestFailedRunWritesNothing(t *testing.T) {
 	db, _, addr := startServer(t)
 	c, err := client.Dial(addr)
@@ -320,20 +327,23 @@ func TestFailedRunWritesNothing(t *testing.T) {
 
 	// A first, valid Run leaves bindings behind on the server-side statement;
 	// a later short Run must not execute against them.
-	if msgType, _ := runFrame(t, nc, stmt, types.Tuple{types.NewFloat(1), types.NewInt(99)}); msgType != wire.MsgResult {
+	if msgType, _ := runFrame(t, nc, runPayload(stmt, types.Tuple{types.NewFloat(1), types.NewInt(99)})); msgType != wire.MsgResult {
 		t.Fatalf("valid Run answered 0x%02x", msgType)
 	}
+	// A valid statement and arguments, cut before the required one-batch flag.
+	noFlag := runPayload(stmt, types.Tuple{types.NewFloat(0), types.NewInt(1)})
+	noFlag = noFlag[:len(noFlag)-1]
 	for _, bad := range []struct {
-		name string
-		stmt uint32
-		args types.Tuple
+		name    string
+		payload []byte
 	}{
-		{"wrong arity", stmt, types.Tuple{types.NewFloat(0)}},
-		{"no parameters", stmt, nil},
-		{"uncastable bind", stmt, types.Tuple{types.NewFloat(0), types.NewString("x")}},
-		{"unknown stmt id", stmt + 100, types.Tuple{types.NewFloat(0), types.NewInt(1)}},
+		{"wrong arity", runPayload(stmt, types.Tuple{types.NewFloat(0)})},
+		{"no parameters", runPayload(stmt, nil)},
+		{"uncastable bind", runPayload(stmt, types.Tuple{types.NewFloat(0), types.NewString("x")})},
+		{"unknown stmt id", runPayload(stmt+100, types.Tuple{types.NewFloat(0), types.NewInt(1)})},
+		{"no one-batch flag", noFlag},
 	} {
-		if msgType, _ := runFrame(t, nc, bad.stmt, bad.args); msgType != wire.MsgErr {
+		if msgType, _ := runFrame(t, nc, bad.payload); msgType != wire.MsgErr {
 			t.Fatalf("%s: Run answered 0x%02x, want Err", bad.name, msgType)
 		}
 		if after := credits(); after != before {
@@ -354,7 +364,7 @@ func TestFailedRunWritesNothing(t *testing.T) {
 	}
 
 	// Same raw connection, next Run succeeds.
-	msgType, payload = runFrame(t, nc, stmt, types.Tuple{types.NewFloat(5), types.NewInt(3)})
+	msgType, payload = runFrame(t, nc, runPayload(stmt, types.Tuple{types.NewFloat(5), types.NewInt(3)}))
 	if msgType != wire.MsgResult {
 		t.Fatalf("Run after the failures answered 0x%02x", msgType)
 	}
@@ -536,85 +546,9 @@ func TestOneBatchRunCutByByteBudgetKeepsCursor(t *testing.T) {
 	}
 }
 
-// TestRunWithoutOneBatchFlagIsV30: the flag is an optional trailing field. A
-// Run that omits it on a 3.1 connection is answered byte for byte like the
-// same Run on a 3.0 connection, and a 3.0 connection that sends the byte
-// anyway has it ignored, since 3.0 has no such field.
-func TestRunWithoutOneBatchFlagIsV30(t *testing.T) {
-	_, srv, addr := startServer(t)
-	c, err := client.Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seedCustomers(t, c, 5)
-	c.Close()
-
-	// run opens a raw connection at version v, prepares the SELECT and sends
-	// one Run with max rows 2, followed by tail; it returns the answer.
-	run := func(v wire.Version, tail ...byte) (byte, []byte) {
-		nc, err := net.Dial("tcp", addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer nc.Close()
-		exchange := func(msgType byte, payload []byte) (byte, []byte) {
-			if err := wire.WriteFrame(nc, msgType, payload); err != nil {
-				t.Fatal(err)
-			}
-			respType, resp, err := wire.ReadFrame(nc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return respType, resp
-		}
-		var hello wire.Buffer
-		wire.Hello{Magic: wire.HelloMagic, Version: v}.Encode(&hello)
-		if respType, resp := exchange(wire.MsgHello, hello.B); respType != wire.MsgHelloOK || wire.DecodeHelloOK(wire.NewCursor(resp)).Version != v {
-			t.Fatalf("handshake at v%s answered 0x%02x", v, respType)
-		}
-		var prep wire.Buffer
-		prep.String("SELECT id FROM customers ORDER BY id")
-		respType, resp := exchange(wire.MsgPrepare, prep.B)
-		if respType != wire.MsgStmt {
-			t.Fatalf("Prepare answered 0x%02x", respType)
-		}
-		var b wire.Buffer
-		b.Uint32(wire.NewCursor(resp).Uint32())
-		b.Tuple(nil)
-		b.Uint32(2)
-		return exchange(wire.MsgRun, append(b.B, tail...))
-	}
-	v30, v31 := wire.Version{Major: 3, Minor: 0}, wire.Version{Major: 3, Minor: 1}
-	kept := srv.Stats().CursorsKeptOpen
-	wantType, want := run(v30)
-	if wantType != wire.MsgCursor || wire.NewCursor(want).Uint32() == 0 {
-		t.Fatalf("3.0 Run of 2 of 5 rows answered 0x%02x with no open cursor", wantType)
-	}
-	for _, tc := range []struct {
-		name string
-		v    wire.Version
-		tail []byte
-	}{
-		{"3.1 Run without the flag", v31, nil},
-		{"3.0 Run carrying a flag byte", v30, []byte{1}},
-	} {
-		if gotType, got := run(tc.v, tc.tail...); gotType != wantType || !reflect.DeepEqual(got, want) {
-			t.Errorf("%s answered 0x%02x %x, want the 3.0 answer 0x%02x %x", tc.name, gotType, got, wantType, want)
-		}
-	}
-	if got := srv.Stats().CursorsKeptOpen - kept; got != 3 {
-		t.Errorf("CursorsKeptOpen rose by %d, want 3: none of these Runs ends its cursor", got)
-	}
-	// The control: with the flag on 3.1 the cursor ends with the batch.
-	if _, got := run(v31, 1); wire.NewCursor(got).Uint32() != 0 {
-		t.Errorf("3.1 one-batch Run left cursor %d open", wire.NewCursor(got).Uint32())
-	}
-}
-
-// TestQueryFirstOnBothMinors: QueryFirst returns the same rows whatever the
-// negotiated minor. On 3.1 its one-batch Run is the whole exchange and leaves
-// no cursor open; a client that negotiated 3.0 never sends the flag and pays
-// a CloseCursor for the cursor the server kept.
+// TestQueryFirstOnBothMinors: QueryFirst's one-batch Run is the whole
+// exchange and leaves no cursor open. v4 has one minor, so one version is
+// checked: 3.0's row, whose Run had no flag and paid a CloseCursor, is gone.
 func TestQueryFirstOnBothMinors(t *testing.T) {
 	_, srv, addr := startServer(t)
 	c, err := client.Dial(addr)
@@ -623,32 +557,20 @@ func TestQueryFirstOnBothMinors(t *testing.T) {
 	}
 	defer c.Close()
 	seedCustomers(t, c, 5)
-	for _, tc := range []struct {
-		v          wire.Version
-		msgs, kept uint64
-	}{
-		{wire.Version{Major: 3, Minor: 1}, 1, 0},
-		{wire.Version{Major: 3, Minor: 0}, 2, 1},
-	} {
-		conn, err := client.DialWith(addr, client.DialOptions{Version: tc.v})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer conn.Close()
-		if v := conn.ProtocolVersion(); v != tc.v {
-			t.Fatalf("negotiated v%s, want v%s", v, tc.v)
-		}
-		st, err := conn.Prepare("SELECT id FROM customers ORDER BY id")
-		if err != nil {
-			t.Fatal(err)
-		}
-		kept := srv.Stats().CursorsKeptOpen
-		var ids []int64
-		if n := served(t, srv, func() { ids = queryFirstIDs(t, st, 2) }); n != tc.msgs || !reflect.DeepEqual(ids, []int64{1, 2}) {
-			t.Errorf("v%s QueryFirst(2) of 5 rows: %d message(s), ids %v; want %d, ids [1 2]", tc.v, n, ids, tc.msgs)
-		}
-		if got := srv.Stats().CursorsKeptOpen - kept; got != tc.kept {
-			t.Errorf("v%s: CursorsKeptOpen rose by %d, want %d", tc.v, got, tc.kept)
-		}
+	if v := c.ProtocolVersion(); v != wire.Current {
+		t.Fatalf("negotiated v%s, want v%s", v, wire.Current)
+	}
+	st, err := c.Prepare("SELECT id FROM customers ORDER BY id")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	kept := srv.Stats().CursorsKeptOpen
+	var ids []int64
+	if n := served(t, srv, func() { ids = queryFirstIDs(t, st, 2) }); n != 1 || !reflect.DeepEqual(ids, []int64{1, 2}) {
+		t.Errorf("QueryFirst(2) of 5 rows: %d message(s), ids %v; want 1, ids [1 2]", n, ids)
+	}
+	if got := srv.Stats().CursorsKeptOpen - kept; got != 0 {
+		t.Errorf("CursorsKeptOpen rose by %d, want 0", got)
 	}
 }

@@ -91,8 +91,8 @@ type Stats struct {
 	// parameter rows they carried.
 	BatchFrames       uint64
 	BatchRowsReceived uint64
-	// ReadOnly reports replica mode; ReadOnlyDenied counts the writes,
-	// DDL and transaction-control messages it refused.
+	// ReadOnly reports replica mode; ReadOnlyDenied counts the writes, DDL
+	// and transaction-control statements it refused.
 	ReadOnly       bool
 	ReadOnlyDenied uint64
 	// DurableLSN is the value the server currently piggybacks on success
@@ -122,8 +122,8 @@ func New(db *engine.Database) *Server {
 // to success responses. Must be called before Serve.
 func (s *Server) SetLSNSource(fn func() uint64) { s.lsn = fn }
 
-// SetReadOnly switches the server into replica mode: every write, DDL and
-// explicit-transaction message is refused with a statement-level error, so
+// SetReadOnly switches the server into replica mode: every statement but a
+// query — writes, DDL, BEGIN — is refused with a statement-level error, so
 // the replication applier stays the only writer and reads see nothing but
 // clean snapshots of applied commits.
 func (s *Server) SetReadOnly(on bool) { s.readOnly.Store(on) }
@@ -231,9 +231,6 @@ type conn struct {
 	stmts   map[uint32]*engine.Stmt
 	cursors map[uint32]*engine.Rows
 	nextID  uint32
-	// minor is the negotiated protocol minor: Run's one-batch flag is read
-	// only from a 3.1 peer.
-	minor uint32
 }
 
 // serveConn runs one connection's message loop and always — clean EOF, read
@@ -293,9 +290,9 @@ func (s *Server) serveConn(nc net.Conn) {
 			continue
 		}
 		respType, resp := c.dispatch(msgType, payload)
-		// The server's durable LSN rides on every success response, so clients
-		// track each node's frontier for free and fleet routing can bound read
-		// staleness without extra probes.
+		// The server's durable LSN rides on every success response, so a client
+		// tracks each node's frontier for free: a writer reads the primary's,
+		// then waits until a replica's reaches it before reading there.
 		switch respType {
 		case wire.MsgResult, wire.MsgCursor, wire.MsgRows, wire.MsgOK:
 			resp = binary.BigEndian.AppendUint64(resp, s.lsn())
@@ -332,7 +329,7 @@ func (c *conn) handshake() bool {
 		return false
 	}
 	if msgType != wire.MsgHello {
-		// A pre-v2 client starts straight in with Prepare/Begin; anything else
+		// A pre-v2 client starts straight in with Prepare; anything else
 		// that is not a Hello gets the same refusal.
 		return refuse(wire.Version{})
 	}
@@ -355,7 +352,6 @@ func (c *conn) handshake() bool {
 	// Count before the reply, as refuse does: a client that has read
 	// HelloOK must find the handshake in Stats.
 	c.srv.handshakes.Add(1)
-	c.minor = negotiated.Minor
 	var b wire.Buffer
 	wire.HelloOK{Version: negotiated, Banner: Banner, Role: role}.Encode(&b)
 	if err := wire.WriteFrame(c.w, wire.MsgHelloOK, b.B); err != nil {
@@ -430,23 +426,6 @@ func (c *conn) dispatch(msgType byte, payload []byte) (byte, []byte) {
 		// The handshake already ran; a second Hello is a protocol error, but
 		// not one worth dropping the connection for.
 		return errFrame(fmt.Errorf("server: duplicate Hello (handshake already negotiated v%s)", wire.Current))
-	case wire.MsgBegin:
-		// Explicit transactions exist to write; a replica pins them to the
-		// primary rather than hand out a transaction that must fail later.
-		if c.srv.readOnly.Load() {
-			return c.refuseReadOnly("BEGIN")
-		}
-		return c.execText("BEGIN")
-	case wire.MsgCommit:
-		if c.srv.readOnly.Load() {
-			return c.refuseReadOnly("COMMIT")
-		}
-		return c.execText("COMMIT")
-	case wire.MsgRollback:
-		if c.srv.readOnly.Load() {
-			return c.refuseReadOnly("ROLLBACK")
-		}
-		return c.execText("ROLLBACK")
 	default:
 		return errFrame(fmt.Errorf("server: unknown message type 0x%02x", msgType))
 	}
@@ -487,8 +466,7 @@ func (c *conn) handleRun(cur *wire.Cursor) (byte, []byte) {
 	id := cur.Uint32()
 	args := cur.Tuple()
 	maxRows := cur.Uint32()
-	// The one-batch flag is 3.1's appended field; absent means false.
-	oneBatch := c.minor >= 1 && cur.Remaining() > 0 && cur.Bool()
+	oneBatch := cur.Bool()
 	if err := cur.Err(); err != nil {
 		return errFrame(err)
 	}
@@ -646,16 +624,6 @@ func (c *conn) appendBatch(b *wire.Buffer, rows *engine.Rows, maxRows uint32, en
 	binary.BigEndian.PutUint32(b.B[head+1:], count)
 	c.srv.rowsSent.Add(uint64(count))
 	return done, nil
-}
-
-// execText runs a statement given as text (transaction control) and returns
-// its result frame.
-func (c *conn) execText(text string) (byte, []byte) {
-	res, err := c.session.Execute(text)
-	if err != nil {
-		return errFrame(err)
-	}
-	return resultFrame(res, &c.srv.rowsSent)
 }
 
 // resultFrame renders a materialised result (DML counts, DDL messages,

@@ -175,13 +175,13 @@ func TestExplainAndTransactionsOverTheWire(t *testing.T) {
 		t.Fatalf("EXPLAIN result = %+v", res)
 	}
 
-	if err := c.Begin(); err != nil {
+	if _, err := c.Exec("BEGIN"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.Exec("UPDATE customers SET credit = 1 WHERE id = 1"); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Rollback(); err != nil {
+	if _, err := c.Exec("ROLLBACK"); err != nil {
 		t.Fatal(err)
 	}
 	res, err = c.Exec("SELECT credit FROM customers WHERE id = 1")
@@ -192,13 +192,13 @@ func TestExplainAndTransactionsOverTheWire(t *testing.T) {
 		t.Fatalf("rollback did not undo the update: credit = %v", res.Rows[0][0])
 	}
 
-	if err := c.Begin(); err != nil {
+	if _, err := c.Exec("BEGIN"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.Exec("UPDATE customers SET credit = 7 WHERE id = 1"); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Commit(); err != nil {
+	if _, err := c.Exec("COMMIT"); err != nil {
 		t.Fatal(err)
 	}
 	res, err = c.Exec("SELECT credit FROM customers WHERE id = 1")
@@ -454,7 +454,7 @@ func TestAbruptDisconnectRollsBackTransaction(t *testing.T) {
 	}
 	seedCustomers(t, c, 5)
 
-	if err := c.Begin(); err != nil {
+	if _, err := c.Exec("BEGIN"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.Exec("UPDATE customers SET credit = 12345 WHERE id = 2"); err != nil {
@@ -636,12 +636,13 @@ func TestHandshakeNegotiatesVersion(t *testing.T) {
 }
 
 // TestHandshakeRefusesUnknownMajor: the acceptance path for version skew — a
-// client offering a major the server does not speak, a future one or the v2.2
-// this tree spoke before Run replaced Bind/Execute, is refused with a typed
+// client offering a major the server does not speak, a future one, the v3.1
+// this tree spoke before v4 retired the transaction-control messages, or the
+// v2.2 it spoke before Run replaced Bind/Execute, is refused with a typed
 // *wire.VersionError naming both versions.
 func TestHandshakeRefusesUnknownMajor(t *testing.T) {
 	_, srv, addr := startServer(t)
-	for i, offered := range []wire.Version{{Major: 9, Minor: 0}, {Major: 2, Minor: 2}} {
+	for i, offered := range []wire.Version{{Major: 9, Minor: 0}, {Major: 3, Minor: 1}, {Major: 2, Minor: 2}} {
 		_, err := client.DialWith(addr, client.DialOptions{Version: offered})
 		if err == nil {
 			t.Fatalf("a v%s client must be refused", offered)

@@ -18,8 +18,8 @@ import (
 func FuzzFrame(f *testing.F) {
 	// A well-formed Prepare frame.
 	f.Add([]byte("\x00\x00\x00\x09\x01SELECT 1"))
-	// A well-formed Hello frame: magic "WOW!", version 3.0.
-	f.Add([]byte("\x00\x00\x00\x0d\x0aWOW!\x00\x00\x00\x03\x00\x00\x00\x00"))
+	// A well-formed Hello frame: magic "WOW!", version 4.0.
+	f.Add([]byte("\x00\x00\x00\x0d\x0aWOW!\x00\x00\x00\x04\x00\x00\x00\x00"))
 	// Truncated length prefix, hostile length, zero length.
 	f.Add([]byte("\x00\x00"))
 	f.Add([]byte("\xff\xff\xff\xff"))
@@ -39,9 +39,10 @@ func FuzzFrame(f *testing.F) {
 	}
 	f.Add(frame.Bytes())
 
-	// A Run frame — stmt 1, parameters (int 7, NULL), first batch of 20 rows —
-	// and the Cursor frame that answers it with the whole result inline:
-	// cursor id 0, one column, done, one row, the LSN tail.
+	// A Run frame — stmt 1, parameters (int 7, NULL), first batch of 20 rows,
+	// one-batch flag clear — and the Cursor frame that answers it with the
+	// whole result inline: cursor id 0, one column, done, one row, the LSN
+	// tail.
 	var run Buffer
 	run.Uint32(1)
 	run.Uint32(2)
@@ -49,6 +50,7 @@ func FuzzFrame(f *testing.F) {
 	run.Uint64(7)
 	run.writeByte(0) // KindNull
 	run.Uint32(20)
+	run.Bool(false)
 	var runFrame bytes.Buffer
 	if err := WriteFrame(&runFrame, MsgRun, run.B); err != nil {
 		f.Fatal(err)

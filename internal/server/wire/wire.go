@@ -10,19 +10,19 @@
 //	CloseStmt   -> Stmt.Close             -> OK
 //	CloseCursor -> Rows.Close             -> OK
 //	ExecBatch   -> Stmt.ExecBatch         -> Result  (array-bind in one round trip)
-//	Begin / Commit / Rollback             -> Result
 //	Ping        -> liveness check         -> OK      (pool health checks)
 //
-// A Run may end with a one-batch flag (minor 3.1): the server then closes the
-// cursor after the first batch once that batch holds max rows, so a reader
-// that wants no more than those rows — a window's page, a COUNT(*) — pays one
-// round trip and never a CloseCursor.
+// Transaction control is SQL: BEGIN, COMMIT and ROLLBACK run through Run like
+// any other statement. A Run ends with a one-batch flag: when it is set the
+// server closes the cursor after the first batch once that batch holds max
+// rows, so a reader that wants no more than those rows — a window's page, a
+// COUNT(*) — pays one round trip and never a CloseCursor.
 //
 // A connection can instead become a replication stream: Subscribe carries a
 // start LSN, the server pushes WALSegment frames (raw bytes of the primary's
 // CRC-framed log) from there on, and the replica acknowledges progress with
 // ReplicaStatus frames. Result, Cursor, Rows and OK frames end with the
-// server's durable LSN — the lag signal fleet routing steers by.
+// server's durable LSN, so a client can tell how far a replica has applied.
 //
 // Framing: every message is one frame — a 4-byte big-endian payload length,
 // then the payload, whose first byte is the message type. Integers are
@@ -53,16 +53,15 @@ import (
 const (
 	MsgPrepare byte = 0x01 // sql string
 	// 0x02 was v2's Bind; v3 retired it and the byte is never reused.
-	MsgRun         byte = 0x03 // stmt id, all parameter values, max rows of the first batch, optional one-batch flag (3.1)
+	MsgRun         byte = 0x03 // stmt id, all parameter values, max rows of the first batch, one-batch flag
 	MsgFetch       byte = 0x04 // cursor id, max rows
 	MsgCloseStmt   byte = 0x05 // stmt id
 	MsgCloseCursor byte = 0x06 // cursor id
-	MsgBegin       byte = 0x07
-	MsgCommit      byte = 0x08
-	MsgRollback    byte = 0x09
-	MsgHello       byte = 0x0a // magic, client version — must be the first frame
-	MsgExecBatch   byte = 0x0b // stmt id, row count, parameter rows
-	MsgPing        byte = 0x0c // liveness probe, answered with OK
+	// 0x07–0x09 were v3's Begin, Commit and Rollback; v4 retired them (transaction
+	// control is SQL through Run) and the bytes are never reused.
+	MsgHello     byte = 0x0a // magic, client version — must be the first frame
+	MsgExecBatch byte = 0x0b // stmt id, row count, parameter rows
+	MsgPing      byte = 0x0c // liveness probe, answered with OK
 
 	// Replication family. Subscribe turns the connection into a WAL stream:
 	// the server pushes WALSegment frames and the request/response discipline
@@ -104,12 +103,10 @@ type Version struct {
 // v3.0 replaced v2's Bind/Execute pair with Run — bind, execute and the first
 // row batch in one round trip — and folded every v2 minor's appended field
 // (the Stmt returns-rows flag, the HelloOK role, the LSN tails) into the base
-// payloads. v3.1 appends one optional field, Run's one-batch flag: a Run that
-// sets it ends its cursor with the first batch once that batch holds max rows,
-// so a reader that wants only those rows pays no CloseCursor. The flag is the
-// one behaviour that keys off the negotiated minor: a client sends it only
-// when the handshake negotiated 3.1, and a server reads it only then.
-var Current = Version{Major: 3, Minor: 1}
+// payloads. v4.0 retired the Begin/Commit/Rollback messages, which repeated
+// what SQL through Run already does, and folded 3.1's optional one-batch flag
+// into the base Run as a required field. No behaviour keys off the minor.
+var Current = Version{Major: 4, Minor: 0}
 
 // String renders the version as "2.0".
 func (v Version) String() string { return fmt.Sprintf("%d.%d", v.Major, v.Minor) }
