@@ -69,18 +69,16 @@ func main() {
 	switch {
 	case *demo:
 		if remote != nil {
-			// Load the demo workload into the server over the wire, and the
-			// schema DDL into the local shadow catalog for form compilation.
-			pool := client.NewPool(*connect, client.PoolConfig{Size: 2})
-			err := workload.PopulateRemote(pool, workload.SmallSizes)
-			pool.Close()
-			if err != nil {
+			// Load the demo workload into the server over the connection the
+			// windows browse on, and the schema DDL into the local shadow
+			// catalog for form compilation.
+			if err := workload.Populate(core.NewRemoteSource(remote), workload.SmallSizes); err != nil {
 				fatal(fmt.Errorf("loading the demo workload into %s (is the server fresh?): %w", *connect, err))
 			}
 			if _, err := session.ExecuteScript(workload.StandardSchema); err != nil {
 				fatal(err)
 			}
-		} else if err := workload.Populate(db, workload.SmallSizes); err != nil {
+		} else if err := workload.Populate(core.NewEngineSource(session), workload.SmallSizes); err != nil {
 			fatal(err)
 		}
 		formSource = workload.StandardForms

@@ -2,12 +2,12 @@
 // manager in front of one shared database, one goroutine per connection, all
 // connections sharing the engine-wide plan cache so concurrent clients
 // preparing the same statements compile them once. Connections negotiate
-// protocol v4 at connect (Hello/HelloOK); incompatible clients are refused
+// protocol v5 at connect (Hello/HelloOK); incompatible clients are refused
 // with a versioned error.
 //
 // Usage:
 //
-//	wowserver [-addr 127.0.0.1:4045] [-data file.db] [-wal file.wal] [-cache 256]
+//	wowserver [-addr 127.0.0.1:4045] [-data file.db] [-wal file.wal]
 //	          [-metrics 127.0.0.1:4046] [-checkpoint 30s] [-replica-of addr]
 //
 // With -replica-of, the server runs as a read-only physical replica: it
@@ -57,7 +57,6 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:4045", "TCP address to listen on")
 	dataPath := flag.String("data", "", "spill file for evicted pages, removed on exit; not durable, only -wal persists (default: in-memory)")
 	walPath := flag.String("wal", "", "write-ahead log file, the only durable state (default: in-memory)")
-	cacheSize := flag.Int("cache", 0, "shared plan cache size in statements (default 256)")
 	metricsAddr := flag.String("metrics", "", "HTTP address serving /metrics as JSON (default: disabled)")
 	checkpoint := flag.Duration("checkpoint", 0, "periodic WAL checkpoint interval, e.g. 30s (default: disabled)")
 	replicaOf := flag.String("replica-of", "", "run as a read-only replica streaming from the primary at this address")
@@ -68,8 +67,7 @@ func main() {
 	}
 
 	db, err := engine.Open(engine.Options{
-		DataPath: *dataPath, WALPath: *walPath,
-		PlanCacheSize: *cacheSize, CheckpointInterval: *checkpoint,
+		DataPath: *dataPath, WALPath: *walPath, CheckpointInterval: *checkpoint,
 	})
 	if err != nil {
 		fatal(err)
@@ -142,8 +140,8 @@ func main() {
 		fmt.Printf("wowserver: replica applied %d transaction(s) through LSN %d\n", rst.TxnsApplied, rst.AppliedLSN)
 	}
 	stats := srv.Stats()
-	fmt.Printf("wowserver: served %d connection(s), %d message(s), %d row(s) sent, %d batch row(s) received, %d handshake(s) rejected\n",
-		stats.ConnectionsAccepted, stats.MessagesServed, stats.RowsSent, stats.BatchRowsReceived, stats.HandshakesRejected)
+	fmt.Printf("wowserver: served %d connection(s), %d message(s), %d row(s) sent, %d handshake(s) rejected\n",
+		stats.ConnectionsAccepted, stats.MessagesServed, stats.RowsSent, stats.HandshakesRejected)
 	if err := db.Close(); err != nil {
 		fatal(err)
 	}

@@ -19,7 +19,7 @@ import (
 
 func main() {
 	db := engine.OpenMemory()
-	if err := workload.Populate(db, workload.SmallSizes); err != nil {
+	if err := workload.Populate(core.NewEngineSource(db.Session()), workload.SmallSizes); err != nil {
 		log.Fatal(err)
 	}
 	forms, err := core.NewCompiler(db).CompileSource(workload.StandardForms)

@@ -3,6 +3,7 @@ package baseline
 import (
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/workload"
 )
@@ -10,7 +11,7 @@ import (
 func newApp(t *testing.T) (*App, *engine.Database) {
 	t.Helper()
 	db := engine.OpenMemory()
-	if err := workload.Populate(db, workload.SmallSizes); err != nil {
+	if err := workload.Populate(core.NewEngineSource(db.Session()), workload.SmallSizes); err != nil {
 		t.Fatal(err)
 	}
 	return New(db), db

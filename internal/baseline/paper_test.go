@@ -22,7 +22,7 @@ import (
 func formEnv(tb testing.TB, form string) (*core.Window, *App) {
 	tb.Helper()
 	db := engine.OpenMemory()
-	if err := workload.Populate(db, workload.SmallSizes); err != nil {
+	if err := workload.Populate(core.NewEngineSource(db.Session()), workload.SmallSizes); err != nil {
 		tb.Fatal(err)
 	}
 	forms, err := core.NewCompiler(db).CompileSource(workload.StandardForms)

@@ -109,7 +109,7 @@ func TestCompileBindsFormsToCatalog(t *testing.T) {
 	if card == nil {
 		t.Fatal("customer_card not compiled")
 	}
-	if card.BaseTable.Name() != "customers" || card.IsView || card.ReadOnly {
+	if card.Relation != "customers" || card.BaseTable.Name() != "customers" || card.ReadOnly {
 		t.Errorf("card binding = %+v", card)
 	}
 	if len(card.Key) != 1 || card.Schema.Columns[card.Key[0]].Name != "id" {
@@ -133,7 +133,7 @@ func TestCompileBindsFormsToCatalog(t *testing.T) {
 	}
 
 	rich := forms["rich_card"]
-	if !rich.IsView || rich.ReadOnly || rich.Updatable == nil || rich.BaseTable.Name() != "customers" {
+	if rich.Relation == "customers" || rich.ReadOnly || rich.BaseTable.Name() != "customers" {
 		t.Errorf("rich binding = %+v", rich)
 	}
 	report := forms["spending_report"]

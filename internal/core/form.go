@@ -80,15 +80,10 @@ type Form struct {
 	Def *fdl.FormDef
 	// Relation is the bound relation's name (table or view).
 	Relation string
-	// IsView reports whether the relation is a view.
-	IsView bool
 	// BaseTable is the underlying base table (the relation itself for a
 	// table, the view's base table for an updatable view, nil for a
 	// read-only view).
 	BaseTable *catalog.Table
-	// Updatable carries the view-update translation when the form is bound
-	// to an updatable view.
-	Updatable *view.Updatable
 	// ReadOnly is true when writes through the form are impossible (the
 	// relation is a non-updatable view).
 	ReadOnly bool
@@ -170,7 +165,9 @@ func (c *Compiler) compile(def *fdl.FormDef) (*Form, error) {
 	cat := c.db.Catalog()
 	form := &Form{Def: def, Relation: def.Relation}
 
-	// Resolve the relation and decide updatability.
+	// Resolve the relation and decide updatability. Key columns are explicit,
+	// or the primary key when the form is bound directly to a table.
+	keyNames := def.KeyColumns
 	switch {
 	case cat.HasTable(def.Relation):
 		table, err := cat.GetTable(def.Relation)
@@ -179,8 +176,12 @@ func (c *Compiler) compile(def *fdl.FormDef) (*Form, error) {
 		}
 		form.BaseTable = table
 		form.Schema = table.Schema()
+		if len(keyNames) == 0 {
+			for _, pos := range form.Schema.PrimaryKey() {
+				keyNames = append(keyNames, form.Schema.Columns[pos].Name)
+			}
+		}
 	case cat.HasView(def.Relation):
-		form.IsView = true
 		viewDef, err := cat.GetView(def.Relation)
 		if err != nil {
 			return nil, err
@@ -192,7 +193,6 @@ func (c *Compiler) compile(def *fdl.FormDef) (*Form, error) {
 		form.Schema = schema
 		updatable, err := view.Analyze(viewDef, cat)
 		if err == nil {
-			form.Updatable = updatable
 			base, err := cat.GetTable(updatable.BaseTable)
 			if err != nil {
 				return nil, err
@@ -205,14 +205,6 @@ func (c *Compiler) compile(def *fdl.FormDef) (*Form, error) {
 		return nil, fmt.Errorf("core: form %q: no table or view named %q", def.Name, def.Relation)
 	}
 
-	// Key columns: explicit, or the base table's primary key when the form
-	// is bound directly to a table.
-	keyNames := def.KeyColumns
-	if len(keyNames) == 0 && !form.IsView && form.BaseTable != nil {
-		for _, pos := range form.Schema.PrimaryKey() {
-			keyNames = append(keyNames, form.Schema.Columns[pos].Name)
-		}
-	}
 	for _, name := range keyNames {
 		pos, err := form.Schema.ColumnIndex(name)
 		if err != nil {

@@ -31,9 +31,6 @@ type Options struct {
 	WALPath string
 	// BufferPoolPages is the page cache size (default 1024 pages = 8 MiB).
 	BufferPoolPages int
-	// PlanCacheSize bounds the engine-wide shared prepared-plan cache
-	// (default 256 statements).
-	PlanCacheSize int
 	// CheckpointInterval starts a background checkpointer writing a
 	// checkpoint record every interval, so recovery replays only the log
 	// tail. Zero disables it; Database.Checkpoint can still be called
@@ -161,7 +158,7 @@ func Open(opts Options) (_ *Database, err error) {
 		cat:   cat,
 		wal:   wal,
 		txns:  txn.NewManager(wal),
-		plans: newPlanCache(opts.PlanCacheSize),
+		plans: newPlanCache(defaultPlanCacheSize),
 	}
 	if load != nil && (load.Image != nil || len(load.Tail) > 0) {
 		start := time.Now()

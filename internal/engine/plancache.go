@@ -22,8 +22,10 @@ import (
 type cachedStatement struct {
 	key  string
 	stmt sql.Statement
-	// paramNames has one entry per parameter ordinal ("" = positional).
-	paramNames []string
+	// paramNames has one entry per parameter ordinal ("" = positional), and
+	// paramOrdinals maps each name to the ordinals it occupies.
+	paramNames    []string
+	paramOrdinals map[string][]int
 	// paramKinds holds the inferred kind per ordinal (KindNull = unknown).
 	paramKinds []types.Kind
 	// node is the plan tree (SELECT, INSERT, UPDATE, DELETE and EXPLAIN;
@@ -63,10 +65,9 @@ type planCache struct {
 // of shapes per window; 256 gives plenty of headroom before eviction.
 const defaultPlanCacheSize = 256
 
+// newPlanCache makes a cache of the given capacity: Open passes
+// defaultPlanCacheSize, and the eviction tests a smaller one.
 func newPlanCache(capacity int) *planCache {
-	if capacity <= 0 {
-		capacity = defaultPlanCacheSize
-	}
 	return &planCache{
 		capacity: capacity,
 		entries:  make(map[string]*cachedStatement),

@@ -136,10 +136,14 @@ func (s *Session) buildSkeleton(text, key string) (*cachedStatement, error) {
 		return nil, err
 	}
 	entry := &cachedStatement{
-		key:        key,
-		stmt:       stmt,
-		paramNames: sql.StatementParams(stmt),
-		catVersion: s.db.cat.Version(),
+		key:           key,
+		stmt:          stmt,
+		paramNames:    sql.StatementParams(stmt),
+		paramOrdinals: map[string][]int{},
+		catVersion:    s.db.cat.Version(),
+	}
+	for i, name := range entry.paramNames {
+		entry.paramOrdinals[name] = append(entry.paramOrdinals[name], i)
 	}
 	switch stmt := stmt.(type) {
 	case *sql.SelectStmt:
@@ -439,17 +443,14 @@ func (st *Stmt) BindNamed(name string, v types.Value) error {
 		return errStmtClosed
 	}
 	name = strings.ToLower(strings.TrimPrefix(name, "@"))
-	found := false
-	for i, n := range st.entry.paramNames {
-		if n == name {
-			found = true
-			if err := st.bindIndex(i, v); err != nil {
-				return err
-			}
-		}
-	}
-	if !found {
+	ordinals := st.entry.paramOrdinals[name]
+	if len(ordinals) == 0 {
 		return fmt.Errorf("engine: statement has no parameter named @%s", name)
+	}
+	for _, i := range ordinals {
+		if err := st.bindIndex(i, v); err != nil {
+			return err
+		}
 	}
 	return nil
 }

@@ -185,10 +185,8 @@ func TestPlanCacheHitMissCounters(t *testing.T) {
 }
 
 func TestPlanCacheEviction(t *testing.T) {
-	db, err := Open(Options{PlanCacheSize: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	db := OpenMemory()
+	db.plans = newPlanCache(2)
 	s := db.Session()
 	if _, err := s.ExecuteScript(prepareSchema); err != nil {
 		t.Fatal(err)

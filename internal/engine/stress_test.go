@@ -52,13 +52,9 @@ func tolerable(err error) bool {
 // have invalidated). Errors and empty results are fine — the next
 // drop/create window is always open — but an old generation is not.
 func TestSharedPlanCacheConcurrentStress(t *testing.T) {
-	db, err := Open(Options{
-		// Small enough that eviction happens under the churn queries below.
-		PlanCacheSize: 32,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	db := OpenMemory()
+	// Small enough that eviction happens under the churn queries below.
+	db.plans = newPlanCache(32)
 	defer db.Close()
 
 	const workers = 8

@@ -259,7 +259,7 @@ func (c *Conn) roundTrip(msgType byte, payload []byte) (byte, *wire.Cursor, erro
 	}
 	if len(payload)+1 > wire.MaxFrame {
 		// Too big to frame: refused before a byte hits the socket, so the
-		// connection itself stays usable (split the batch and retry).
+		// connection itself stays usable (send fewer parameters and retry).
 		return 0, nil, fmt.Errorf("client: message of %d bytes exceeds the %d-byte frame limit", len(payload)+1, wire.MaxFrame)
 	}
 	if c.ctx != nil {
@@ -344,6 +344,10 @@ func (c *Conn) Prepare(text string) (*Stmt, error) {
 	}
 	st.args = make(types.Tuple, len(st.paramNames))
 	st.bound = make([]bool, len(st.paramNames))
+	st.ordinals = map[string][]int{}
+	for i, name := range st.paramNames {
+		st.ordinals[name] = append(st.ordinals[name], i)
+	}
 	return st, nil
 }
 
@@ -409,7 +413,9 @@ type Stmt struct {
 	conn       *Conn
 	id         uint32
 	paramNames []string
-	columns    []string
+	// ordinals maps each parameter name to the ordinals it occupies.
+	ordinals map[string][]int
+	columns  []string
 	// returnsRows records the server's flag: Run on this statement yields rows
 	// (a SELECT, or DML with a RETURNING clause).
 	returnsRows bool
@@ -475,15 +481,12 @@ func (st *Stmt) BindNamed(name string, v types.Value) error {
 		return fmt.Errorf("client: statement is closed")
 	}
 	name = strings.ToLower(strings.TrimPrefix(name, "@"))
-	found := false
-	for i, n := range st.paramNames {
-		if n == name {
-			st.args[i], st.bound[i] = v, true
-			found = true
-		}
-	}
-	if !found {
+	ordinals := st.ordinals[name]
+	if len(ordinals) == 0 {
 		return fmt.Errorf("client: statement has no parameter named @%s", name)
+	}
+	for _, i := range ordinals {
+		st.args[i], st.bound[i] = v, true
 	}
 	return nil
 }
@@ -557,29 +560,6 @@ func (st *Stmt) Exec(args ...types.Value) (*Result, error) {
 		res.RowsAffected = int64(len(res.Rows))
 	}
 	return res, nil
-}
-
-// ExecBatch array-binds a prepared DML statement across every parameter row
-// in one round trip: the server runs the whole batch through the engine's
-// Stmt.ExecBatch — one cached plan, one compiled write operator and (outside
-// an explicit transaction) one transaction. A bulk load therefore pays one
-// network round trip and one commit per batch instead of one per row. The
-// batch must fit one frame (wire.MaxFrame); split larger loads into chunks.
-func (st *Stmt) ExecBatch(rows [][]types.Value) (*Result, error) {
-	if st.closed {
-		return nil, fmt.Errorf("client: statement is closed")
-	}
-	var b wire.Buffer
-	b.Uint32(st.id)
-	b.Uint32(uint32(len(rows)))
-	for _, row := range rows {
-		b.Tuple(types.Tuple(row))
-	}
-	cur, err := st.conn.expect(wire.MsgExecBatch, b.B, wire.MsgResult)
-	if err != nil {
-		return nil, err
-	}
-	return st.conn.readResult(cur)
 }
 
 // Query runs the statement and returns a streaming cursor over its result,

@@ -49,16 +49,11 @@ func seedTable(t *testing.T, addr string, n int) {
 	if _, err := c.Exec("CREATE TABLE customers (id INT PRIMARY KEY, name TEXT)"); err != nil {
 		t.Fatal(err)
 	}
-	st, err := c.Prepare("INSERT INTO customers (id, name) VALUES (?, ?)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	rows := make([][]types.Value, n)
+	rows := make([]string, n)
 	for i := range rows {
-		rows[i] = []types.Value{types.NewInt(int64(i + 1)), types.NewString(fmt.Sprintf("Customer %d", i+1))}
+		rows[i] = fmt.Sprintf("(%d, 'Customer %d')", i+1, i+1)
 	}
-	if _, err := st.ExecBatch(rows); err != nil {
+	if _, err := c.Exec("INSERT INTO customers (id, name) VALUES " + strings.Join(rows, ", ")); err != nil {
 		t.Fatal(err)
 	}
 }

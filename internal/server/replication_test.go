@@ -196,15 +196,6 @@ func TestReplicaRefusesWrites(t *testing.T) {
 		{"UPDATE", func() error { _, err := rc.Exec("UPDATE t SET v = 'z' WHERE id = 1"); return err }},
 		{"DDL", func() error { _, err := rc.Exec("CREATE TABLE nope (id INT PRIMARY KEY)"); return err }},
 		{"EXPLAIN", func() error { _, err := rc.Exec("EXPLAIN SELECT id FROM t"); return err }},
-		{"ExecBatch", func() error {
-			st, err := rc.Prepare("INSERT INTO t (id, v) VALUES (?, ?)")
-			if err != nil {
-				return err
-			}
-			defer st.Close()
-			_, err = st.ExecBatch([][]types.Value{{types.NewInt(9), types.NewString("b")}})
-			return err
-		}},
 	}
 	for _, tc := range refused {
 		err := tc.run()

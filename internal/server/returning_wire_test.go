@@ -5,7 +5,6 @@ package server_test
 import (
 	"context"
 	"errors"
-	"strings"
 	"testing"
 	"time"
 
@@ -53,30 +52,6 @@ func TestReturningOverWireStreamsCursor(t *testing.T) {
 	// write-then-read pair.
 	if trips := srv.Stats().MessagesServed - before; trips != 1 {
 		t.Fatalf("RETURNING write cost %d round trips, want 1", trips)
-	}
-}
-
-func TestExecBatchReturningRejectedOverWire(t *testing.T) {
-	_, _, addr := startServer(t)
-	c, err := client.Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	seedCustomers(t, c, 1)
-
-	st, err := c.Prepare("INSERT INTO customers (id, name) VALUES (?, ?) RETURNING id")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	_, err = st.ExecBatch([][]types.Value{{types.NewInt(10), types.NewString("x")}})
-	var serverErr *client.Error
-	if !errors.As(err, &serverErr) {
-		t.Fatalf("ExecBatch+RETURNING: err = %v, want server-reported *client.Error", err)
-	}
-	if !strings.Contains(serverErr.Msg, "RETURNING") {
-		t.Fatalf("error %q does not name RETURNING", serverErr.Msg)
 	}
 }
 

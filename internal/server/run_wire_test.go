@@ -7,6 +7,7 @@ package server_test
 
 import (
 	"context"
+	"encoding/binary"
 	"net"
 	"reflect"
 	"strings"
@@ -333,18 +334,38 @@ func TestFailedRunWritesNothing(t *testing.T) {
 	// A valid statement and arguments, cut before the required one-batch flag.
 	noFlag := runPayload(stmt, types.Tuple{types.NewFloat(0), types.NewInt(1)})
 	noFlag = noFlag[:len(noFlag)-1]
+	// Hostile tuples: one claims 2^32-1 values and carries two, one holds a
+	// string whose length runs past the frame. The decoder refuses both
+	// before anything is allocated for them or bound.
+	hugeCount := binary.BigEndian.AppendUint32(nil, stmt)
+	hugeCount = binary.AppendUvarint(hugeCount, 1<<32-1)
+	hugeCount = append(hugeCount, byte(types.KindNull), byte(types.KindNull))
+	hugeCount = append(hugeCount, 0, 0, 0, 16, 0) // max rows, one-batch flag
+	longString := binary.BigEndian.AppendUint32(nil, stmt)
+	longString = binary.AppendUvarint(longString, 2)
+	longString = append(longString, byte(types.KindString))
+	longString = binary.AppendUvarint(longString, 1<<20)
+	longString = append(longString, "5"...)
+	longString = append(longString, 0, 0, 0, 16, 0)
 	for _, bad := range []struct {
 		name    string
 		payload []byte
+		want    string // in the error text, when set
 	}{
-		{"wrong arity", runPayload(stmt, types.Tuple{types.NewFloat(0)})},
-		{"no parameters", runPayload(stmt, nil)},
-		{"uncastable bind", runPayload(stmt, types.Tuple{types.NewFloat(0), types.NewString("x")})},
-		{"unknown stmt id", runPayload(stmt+100, types.Tuple{types.NewFloat(0), types.NewInt(1)})},
-		{"no one-batch flag", noFlag},
+		{"wrong arity", runPayload(stmt, types.Tuple{types.NewFloat(0)}), ""},
+		{"no parameters", runPayload(stmt, nil), ""},
+		{"uncastable bind", runPayload(stmt, types.Tuple{types.NewFloat(0), types.NewString("x")}), ""},
+		{"unknown stmt id", runPayload(stmt+100, types.Tuple{types.NewFloat(0), types.NewInt(1)}), ""},
+		{"no one-batch flag", noFlag, ""},
+		{"tuple claims 2^32-1 values", hugeCount, "claims 4294967295 values"},
+		{"string runs past the frame", longString, "truncated string"},
 	} {
-		if msgType, _ := runFrame(t, nc, bad.payload); msgType != wire.MsgErr {
+		msgType, payload := runFrame(t, nc, bad.payload)
+		if msgType != wire.MsgErr {
 			t.Fatalf("%s: Run answered 0x%02x, want Err", bad.name, msgType)
+		}
+		if msg := wire.NewCursor(payload).String(); !strings.Contains(msg, bad.want) {
+			t.Fatalf("%s: error %q does not say %q", bad.name, msg, bad.want)
 		}
 		if after := credits(); after != before {
 			t.Fatalf("%s: a failed Run wrote: credits %s -> %s", bad.name, before, after)

@@ -5,8 +5,8 @@
 // maps onto the prepared-statement lifecycle: Prepare once, then every
 // execution is one Run round trip that binds, executes and carries the first
 // batch of rows back; longer results stream in further Fetch batches instead
-// of materialising, and ExecBatch array-binds a whole bulk load into one
-// round trip and one transaction.
+// of materialising. A bulk load is a multi-row INSERT .. VALUES: one Run, one
+// autocommit transaction per batch of rows.
 //
 // Every connection opens with a protocol handshake: the first frame must be
 // a Hello carrying the wire magic and the client's version. A compatible
@@ -31,7 +31,6 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/server/wire"
-	"repro/internal/types"
 )
 
 // Server accepts connections and serves the wire protocol over a database.
@@ -52,16 +51,14 @@ type Server struct {
 	closed bool
 	wg     sync.WaitGroup
 
-	accepted    atomic.Uint64
-	active      atomic.Int64
-	statements  atomic.Uint64
-	rowsSent    atomic.Uint64
-	panics      atomic.Uint64
-	handshakes  atomic.Uint64
-	rejected    atomic.Uint64
-	batchRowsIn atomic.Uint64
-	batchFrames atomic.Uint64
-	keptOpen    atomic.Uint64
+	accepted   atomic.Uint64
+	active     atomic.Int64
+	statements atomic.Uint64
+	rowsSent   atomic.Uint64
+	panics     atomic.Uint64
+	handshakes atomic.Uint64
+	rejected   atomic.Uint64
+	keptOpen   atomic.Uint64
 
 	subscribers    atomic.Int64
 	walSegments    atomic.Uint64
@@ -87,10 +84,6 @@ type Stats struct {
 	// client that never sent a Hello.
 	HandshakesAccepted uint64
 	HandshakesRejected uint64
-	// BatchFrames counts ExecBatch messages served; BatchRowsReceived the
-	// parameter rows they carried.
-	BatchFrames       uint64
-	BatchRowsReceived uint64
 	// ReadOnly reports replica mode; ReadOnlyDenied counts the writes, DDL
 	// and transaction-control statements it refused.
 	ReadOnly       bool
@@ -139,8 +132,6 @@ func (s *Server) Stats() Stats {
 		Panics:              s.panics.Load(),
 		HandshakesAccepted:  s.handshakes.Load(),
 		HandshakesRejected:  s.rejected.Load(),
-		BatchFrames:         s.batchFrames.Load(),
-		BatchRowsReceived:   s.batchRowsIn.Load(),
 		ReadOnly:            s.readOnly.Load(),
 		ReadOnlyDenied:      s.readOnlyDenied.Load(),
 		DurableLSN:          s.lsn(),
@@ -418,8 +409,6 @@ func (c *conn) dispatch(msgType byte, payload []byte) (byte, []byte) {
 			delete(c.cursors, id)
 		}
 		return wire.MsgOK, nil
-	case wire.MsgExecBatch:
-		return c.handleExecBatch(cur)
 	case wire.MsgPing:
 		return wire.MsgOK, nil
 	case wire.MsgHello:
@@ -451,12 +440,6 @@ func (c *conn) handlePrepare(cur *wire.Cursor) (byte, []byte) {
 	return wire.MsgStmt, b.B
 }
 
-// refuseReadOnly answers a mutating message on a replica server.
-func (c *conn) refuseReadOnly(what string) (byte, []byte) {
-	c.srv.readOnlyDenied.Add(1)
-	return errFrame(fmt.Errorf("server: read-only replica: cannot run %q here; writes and transactions go to the primary", what))
-}
-
 // handleRun is the whole statement execution in one round trip: bind every
 // parameter, execute, and — for a statement that yields rows — answer with the
 // cursor and its first batch together. A result that fits the batch is done
@@ -477,7 +460,8 @@ func (c *conn) handleRun(cur *wire.Cursor) (byte, []byte) {
 	// A replica serves nothing but pure SELECTs: DML, DDL, EXPLAIN and
 	// transaction control all belong on the primary.
 	if !st.IsQuery() && c.srv.readOnly.Load() {
-		return c.refuseReadOnly(st.Text())
+		c.srv.readOnlyDenied.Add(1)
+		return errFrame(fmt.Errorf("server: read-only replica: cannot run %q here; writes and transactions go to the primary", st.Text()))
 	}
 	if err := st.Bind(args...); err != nil {
 		return errFrame(err)
@@ -509,47 +493,6 @@ func (c *conn) handleRun(cur *wire.Cursor) (byte, []byte) {
 		c.srv.keptOpen.Add(1)
 	}
 	return wire.MsgCursor, b.B
-}
-
-// handleExecBatch array-binds one prepared DML statement across every
-// parameter row in the frame — the whole batch is one round trip and (outside
-// an explicit transaction) one autocommit transaction on the engine side.
-func (c *conn) handleExecBatch(cur *wire.Cursor) (byte, []byte) {
-	id := cur.Uint32()
-	n := cur.Uint32()
-	if err := cur.Err(); err != nil {
-		return errFrame(err)
-	}
-	// Look the statement up before decoding: a bogus id must not cost a full
-	// payload decode (nor mask the real error with a truncation one).
-	st, ok := c.stmts[id]
-	if !ok {
-		return errFrame(fmt.Errorf("server: no statement %d", id))
-	}
-	if c.srv.readOnly.Load() {
-		return c.refuseReadOnly(st.Text())
-	}
-	// The row count is bounded by what the frame can physically hold (a row
-	// is at least its own 4-byte count), so a hostile count fails decoding
-	// instead of allocating unboundedly.
-	if int(n) > cur.Remaining()/4+1 {
-		return errFrame(fmt.Errorf("server: ExecBatch claims %d rows but only %d payload bytes follow", n, cur.Remaining()))
-	}
-	rows := make([][]types.Value, 0, n)
-	for i := uint32(0); i < n; i++ {
-		row := cur.Tuple()
-		if err := cur.Err(); err != nil {
-			return errFrame(fmt.Errorf("server: ExecBatch row %d: %w", i, err))
-		}
-		rows = append(rows, row)
-	}
-	res, err := st.ExecBatch(rows)
-	if err != nil {
-		return errFrame(err)
-	}
-	c.srv.batchFrames.Add(1)
-	c.srv.batchRowsIn.Add(uint64(len(rows)))
-	return resultFrame(res, &c.srv.rowsSent)
 }
 
 func (c *conn) handleFetch(cur *wire.Cursor) (byte, []byte) {

@@ -10,11 +10,11 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/server"
 	"repro/internal/server/client"
 	"repro/internal/server/wire"
-	"repro/internal/sql"
 	"repro/internal/types"
 	"repro/internal/workload"
 )
@@ -706,244 +706,116 @@ func TestHandshakeRefusesV1Client(t *testing.T) {
 	}
 }
 
-// TestExecBatchOverTheWire: one ExecBatch frame loads a whole batch through
-// the engine's array-bind path — one round trip, one transaction.
-func TestExecBatchOverTheWire(t *testing.T) {
-	db, srv, addr := startServer(t)
-	c, err := client.Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if _, err := c.Exec(testSchema); err != nil {
-		t.Fatal(err)
-	}
-	st, err := c.Prepare("INSERT INTO customers (id, name, credit) VALUES (?, ?, ?)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	const n = 120
-	rows := make([][]types.Value, n)
-	for i := range rows {
-		rows[i] = []types.Value{
-			types.NewInt(int64(i + 1)),
-			types.NewString(fmt.Sprintf("Batch %d", i+1)),
-			types.NewFloat(float64(i)),
-		}
-	}
-	committedBefore := db.Stats().Committed
-	res, err := st.ExecBatch(rows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.RowsAffected != n {
-		t.Fatalf("RowsAffected = %d, want %d", res.RowsAffected, n)
-	}
-	stats := db.Stats()
-	if stats.BatchRowsExecuted < n {
-		t.Fatalf("engine BatchRowsExecuted = %d, want >= %d", stats.BatchRowsExecuted, n)
-	}
-	if got := stats.Committed - committedBefore; got != 1 {
-		t.Fatalf("batch committed %d transactions, want 1", got)
-	}
-	if ss := srv.Stats(); ss.BatchFrames != 1 || ss.BatchRowsReceived != n {
-		t.Fatalf("server batch counters = %+v", ss)
-	}
-	check, err := c.Exec("SELECT id FROM customers ORDER BY id")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(check.Rows) != n {
-		t.Fatalf("table holds %d rows after batch, want %d", len(check.Rows), n)
-	}
-	// A failing row rolls the whole batch back: duplicate of id 1.
-	if _, err := st.ExecBatch([][]types.Value{
-		{types.NewInt(999), types.NewString("ok"), types.NewFloat(0)},
-		{types.NewInt(1), types.NewString("dup"), types.NewFloat(0)},
-	}); err == nil {
-		t.Fatal("batch with a duplicate key must fail")
-	}
-	check, err = c.Exec("SELECT id FROM customers WHERE id = 999")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(check.Rows) != 0 {
-		t.Fatal("failed batch left its earlier rows behind")
-	}
+// countingSource wraps a core.Source and records what the loader asks of
+// it: every statement text it prepares, how many times statements run, and
+// the rows each INSERT wrote.
+type countingSource struct {
+	inner    core.Source
+	prepared []string
+	execs    int
+	inserts  []int
 }
 
-// TestPooledBatchIngestCutsRoundTrips: loading the standard workload over a
-// pool in ExecBatch frames (workload.PopulateRemote) loads the same rows as
-// one autocommit Exec per row, in far fewer round trips.
-func TestPooledBatchIngestCutsRoundTrips(t *testing.T) {
-	sizes := workload.SmallSizes
-	ingest := func(load func(addr string) error) (trips uint64, rows int64) {
-		t.Helper()
-		db, srv, addr := startServer(t)
-		if err := load(addr); err != nil {
-			t.Fatal(err)
-		}
-		trips = srv.Stats().MessagesServed
-		for _, table := range []string{"customers", "orders", "order_items"} {
-			res, err := db.Session().Execute("SELECT COUNT(*) FROM " + table)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rows += res.Rows[0][0].Int()
-		}
-		return trips, rows
+func (s *countingSource) Prepare(text string) (core.Statement, error) {
+	st, err := s.inner.Prepare(text)
+	if err != nil {
+		return nil, err
 	}
+	s.prepared = append(s.prepared, text)
+	return countingStatement{Statement: st, src: s, insert: strings.HasPrefix(text, "INSERT")}, nil
+}
 
-	// The per-row side inserts the rows the embedded loader puts in a
-	// reference database, one autocommit Exec each.
+func (s *countingSource) NewSource() core.Source { return s }
+
+type countingStatement struct {
+	core.Statement
+	src    *countingSource
+	insert bool
+}
+
+func (st countingStatement) Exec() (core.ExecSummary, error) {
+	res, err := st.Statement.Exec()
+	st.src.execs++
+	if st.insert && err == nil {
+		st.src.inserts = append(st.src.inserts, res.RowsAffected)
+	}
+	return res, err
+}
+
+// TestRemotePopulateCostsOneRunPerBatch: the one loader fills a server over
+// the wire with exactly the rows it puts in a local database, and every
+// batch of rows is one Run. Each distinct statement text costs one Prepare
+// and one CloseStmt on top, so the whole load takes a small fraction of the
+// messages a per-row load would, which needs a Run for every row.
+func TestRemotePopulateCostsOneRunPerBatch(t *testing.T) {
+	sizes := workload.SmallSizes
 	ref := engine.OpenMemory()
 	defer ref.Close()
-	if err := workload.Populate(ref, sizes); err != nil {
+	if err := workload.Populate(core.NewEngineSource(ref.Session()), sizes); err != nil {
 		t.Fatal(err)
 	}
-	perRowTrips, perRowRows := ingest(func(addr string) error {
-		conn, err := client.Dial(addr)
+
+	db, srv, addr := startServer(t)
+	conn, err := client.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	src := &countingSource{inner: core.NewRemoteSource(conn)}
+	if err := workload.Populate(src, sizes); err != nil {
+		t.Fatal(err)
+	}
+	messages := srv.Stats().MessagesServed
+
+	rows := sizes.Customers + sizes.Orders + sizes.Orders*sizes.ItemsPerOrder
+	for _, table := range []string{"customers", "orders", "order_items"} {
+		q := "SELECT * FROM " + table + " ORDER BY id"
+		want, err := ref.Session().Query(q)
 		if err != nil {
-			return err
+			t.Fatal(err)
 		}
-		defer conn.Close()
-		stmts, err := sql.ParseAll(workload.StandardSchema)
+		got, err := db.Session().Query(q)
 		if err != nil {
-			return err
+			t.Fatal(err)
 		}
-		for _, stmt := range stmts {
-			if _, err := conn.Exec(stmt.String()); err != nil {
-				return err
+		if len(got.Rows) != len(want.Rows) {
+			t.Fatalf("%s: remote holds %d rows, local %d", table, len(got.Rows), len(want.Rows))
+		}
+		for i := range want.Rows {
+			if got.Rows[i].String() != want.Rows[i].String() {
+				t.Fatalf("%s row %d: remote %v, local %v", table, i, got.Rows[i], want.Rows[i])
 			}
 		}
-		for _, table := range []string{"customers", "orders", "order_items"} {
-			res, err := ref.Session().Query("SELECT * FROM " + table)
-			if err != nil {
-				return err
-			}
-			marks := strings.TrimSuffix(strings.Repeat("?, ", len(res.Columns)), ", ")
-			for i, row := range res.Rows {
-				if _, err := conn.Exec("INSERT INTO "+table+" VALUES ("+marks+")", row...); err != nil {
-					return fmt.Errorf("%s row %d: %w", table, i, err)
-				}
-			}
-		}
-		return nil
-	})
-	pooledTrips, pooledRows := ingest(func(addr string) error {
-		pool := client.NewPool(addr, client.PoolConfig{Size: 4})
-		defer pool.Close()
-		return workload.PopulateRemote(pool, sizes)
-	})
-
-	want := int64(sizes.Customers + sizes.Orders + sizes.Orders*sizes.ItemsPerOrder)
-	if perRowRows != want || pooledRows != want {
-		t.Fatalf("loaded %d (per-row) and %d (pooled) rows, want %d", perRowRows, pooledRows, want)
-	}
-	if pooledTrips == 0 || perRowTrips <= pooledTrips {
-		t.Errorf("round trips did not shrink: per-row %d vs pooled %d", perRowTrips, pooledTrips)
-	}
-}
-
-// TestExecBatchTruncatedFrame: a batch frame whose payload lies about its row
-// count must come back as MsgErr with the connection still usable.
-func TestExecBatchTruncatedFrame(t *testing.T) {
-	db, _, addr := startServer(t)
-	s := db.Session()
-	if _, err := s.Execute(testSchema); err != nil {
-		t.Fatal(err)
-	}
-	nc, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nc.Close()
-	rawHandshake(t, nc)
-
-	// A batch against a statement id that was never prepared fails on the
-	// lookup, before any row decoding.
-	var b wire.Buffer
-	b.Uint32(42)
-	b.Uint32(1000)
-	if err := wire.WriteFrame(nc, wire.MsgExecBatch, b.B); err != nil {
-		t.Fatal(err)
-	}
-	msgType, payload, err := wire.ReadFrame(nc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if msgType != wire.MsgErr {
-		t.Fatalf("unknown-statement batch answered 0x%02x, want MsgErr", msgType)
-	}
-	if msg := wire.NewCursor(payload).String(); !strings.Contains(msg, "no statement 42") {
-		t.Fatalf("error %q, want the statement lookup failure", msg)
 	}
 
-	// Prepare a real statement over the raw connection to aim the bad
-	// payloads at.
-	b = wire.Buffer{}
-	b.String("INSERT INTO customers (id, name) VALUES (?, ?)")
-	if err := wire.WriteFrame(nc, wire.MsgPrepare, b.B); err != nil {
-		t.Fatal(err)
+	// One Prepare per distinct text, one Run per execution, one CloseStmt
+	// per prepared statement, and nothing else.
+	distinct := map[string]bool{}
+	for _, text := range src.prepared {
+		distinct[text] = true
 	}
-	msgType, payload, err = wire.ReadFrame(nc)
-	if err != nil {
-		t.Fatal(err)
+	if len(distinct) != len(src.prepared) {
+		t.Errorf("prepared %d statements for %d distinct texts", len(src.prepared), len(distinct))
 	}
-	if msgType != wire.MsgStmt {
-		t.Fatalf("Prepare answered 0x%02x", msgType)
+	if want := uint64(2*len(src.prepared) + src.execs); messages != want {
+		t.Errorf("load cost %d messages, want %d: %d Prepare and CloseStmt pairs, %d Runs",
+			messages, want, len(src.prepared), src.execs)
 	}
-	stmtID := wire.NewCursor(payload).Uint32()
-
-	// Claims 1000 rows, carries none.
-	b = wire.Buffer{}
-	b.Uint32(stmtID)
-	b.Uint32(1000) // row count
-	if err := wire.WriteFrame(nc, wire.MsgExecBatch, b.B); err != nil {
-		t.Fatal(err)
+	// Every batch is full but each table's last, so the largest batch is the
+	// batch size and the Runs of INSERT are one per batch.
+	batch, loaded := 0, 0
+	for _, n := range src.inserts {
+		batch, loaded = max(batch, n), loaded+n
 	}
-	msgType, payload, err = wire.ReadFrame(nc)
-	if err != nil {
-		t.Fatal(err)
+	if loaded != rows {
+		t.Fatalf("INSERT batches wrote %d rows, want %d", loaded, rows)
 	}
-	if msgType != wire.MsgErr {
-		t.Fatalf("truncated ExecBatch answered 0x%02x, want MsgErr", msgType)
+	ceil := func(n int) int { return (n + batch - 1) / batch }
+	if want := ceil(sizes.Customers) + ceil(sizes.Orders) + ceil(sizes.Orders*sizes.ItemsPerOrder); len(src.inserts) != want {
+		t.Errorf("loaded %d rows in %d INSERT Runs, want %d batches of up to %d", rows, len(src.inserts), want, batch)
 	}
-	if msg := wire.NewCursor(payload).String(); !strings.Contains(msg, "1000") {
-		t.Fatalf("error %q does not name the bogus row count", msg)
-	}
-
-	// A row that is cut off mid-tuple sticks in the cursor decode.
-	b = wire.Buffer{}
-	b.Uint32(stmtID)
-	b.Uint32(2)
-	b.Tuple(types.Tuple{types.NewInt(7)})
-	b.Uint32(3) // second row claims 3 values, then the payload ends
-	if err := wire.WriteFrame(nc, wire.MsgExecBatch, b.B); err != nil {
-		t.Fatal(err)
-	}
-	msgType, payload, err = wire.ReadFrame(nc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if msgType != wire.MsgErr {
-		t.Fatalf("mid-tuple truncation answered 0x%02x, want MsgErr", msgType)
-	}
-	if msg := wire.NewCursor(payload).String(); !strings.Contains(msg, "row 1") {
-		t.Fatalf("error %q does not locate the truncated row", msg)
-	}
-
-	// The connection survived both: a Ping still answers.
-	if err := wire.WriteFrame(nc, wire.MsgPing, nil); err != nil {
-		t.Fatal(err)
-	}
-	msgType, _, err = wire.ReadFrame(nc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if msgType != wire.MsgOK {
-		t.Fatalf("Ping after bad batches answered 0x%02x, want MsgOK", msgType)
+	if messages*10 > uint64(rows) {
+		t.Errorf("load cost %d messages for %d rows; a per-row load costs at least %d", messages, rows, rows)
 	}
 }
 

@@ -2,7 +2,10 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
+
+	"repro/internal/types"
 )
 
 // FuzzFrame round-trips the frame layer and the value codec over arbitrary
@@ -18,37 +21,33 @@ import (
 func FuzzFrame(f *testing.F) {
 	// A well-formed Prepare frame.
 	f.Add([]byte("\x00\x00\x00\x09\x01SELECT 1"))
-	// A well-formed Hello frame: magic "WOW!", version 4.0.
-	f.Add([]byte("\x00\x00\x00\x0d\x0aWOW!\x00\x00\x00\x04\x00\x00\x00\x00"))
+	// A well-formed Hello frame: magic "WOW!", version 5.0.
+	f.Add([]byte("\x00\x00\x00\x0d\x0aWOW!\x00\x00\x00\x05\x00\x00\x00\x00"))
 	// Truncated length prefix, hostile length, zero length.
 	f.Add([]byte("\x00\x00"))
 	f.Add([]byte("\xff\xff\xff\xff"))
 	f.Add([]byte("\x00\x00\x00\x00"))
-	// An ExecBatch frame: stmt 1, one row of (int 7, string "x").
-	var batch Buffer
-	batch.Uint32(1)
-	batch.Uint32(1)
-	batch.Uint32(2)
-	batch.writeByte(1) // KindInt
-	batch.Uint64(7)
-	batch.writeByte(3) // KindString
-	batch.String("x")
+	// A Run frame whose tuple claims 2^32-1 values and carries two: the
+	// decoder must refuse the count, not allocate for it.
+	var hostile Buffer
+	hostile.Uint32(1)
+	hostile.B = binary.AppendUvarint(hostile.B, 1<<32-1)
+	hostile.B = append(hostile.B, 0, 0) // two NULLs
+	hostile.Uint32(20)
+	hostile.Bool(false)
 	var frame bytes.Buffer
-	if err := WriteFrame(&frame, MsgExecBatch, batch.B); err != nil {
+	if err := WriteFrame(&frame, MsgRun, hostile.B); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(frame.Bytes())
 
-	// A Run frame — stmt 1, parameters (int 7, NULL), first batch of 20 rows,
-	// one-batch flag clear — and the Cursor frame that answers it with the
-	// whole result inline: cursor id 0, one column, done, one row, the LSN
-	// tail.
+	// A Run frame — stmt 1, parameters (int 7, NULL, string "x"), first
+	// batch of 20 rows, one-batch flag clear — and the Cursor frame that
+	// answers it with the whole result inline: cursor id 0, one column, done,
+	// one row, the LSN tail. Tuples are log records (types.EncodeTuple).
 	var run Buffer
 	run.Uint32(1)
-	run.Uint32(2)
-	run.writeByte(1) // KindInt
-	run.Uint64(7)
-	run.writeByte(0) // KindNull
+	run.Tuple(types.Tuple{types.NewInt(7), types.Null(), types.NewString("x")})
 	run.Uint32(20)
 	run.Bool(false)
 	var runFrame bytes.Buffer
@@ -61,9 +60,7 @@ func FuzzFrame(f *testing.F) {
 	cursor.Strings([]string{"id"})
 	cursor.Bool(true)
 	cursor.Uint32(1)
-	cursor.Uint32(1)
-	cursor.writeByte(1) // KindInt
-	cursor.Uint64(7)
+	cursor.Tuple(types.Tuple{types.NewInt(7)})
 	cursor.Uint64(4096)
 	var cursorFrame bytes.Buffer
 	if err := WriteFrame(&cursorFrame, MsgCursor, cursor.B); err != nil {
@@ -133,7 +130,7 @@ func FuzzFrame(f *testing.F) {
 		case MsgSubscribe:
 			c := NewCursor(payload)
 			sub := DecodeSubscribe(c)
-			if c.Err() == nil && c.Remaining() == 0 {
+			if c.Err() == nil && c.remaining() == 0 {
 				var re Buffer
 				sub.Encode(&re)
 				if !bytes.Equal(re.B, payload) {
@@ -143,7 +140,7 @@ func FuzzFrame(f *testing.F) {
 		case MsgReplicaStatus:
 			c := NewCursor(payload)
 			st := DecodeReplicaStatus(c)
-			if c.Err() == nil && c.Remaining() == 0 {
+			if c.Err() == nil && c.remaining() == 0 {
 				var re Buffer
 				st.Encode(&re)
 				if !bytes.Equal(re.B, payload) {
@@ -153,7 +150,7 @@ func FuzzFrame(f *testing.F) {
 		case MsgWALSegment:
 			c := NewCursor(payload)
 			seg := DecodeWALSegment(c)
-			if c.Err() == nil && c.Remaining() == 0 {
+			if c.Err() == nil && c.remaining() == 0 {
 				var re Buffer
 				seg.Encode(&re)
 				if !bytes.Equal(re.B, payload) {

@@ -9,14 +9,14 @@
 //	Fetch       -> Rows.Next x maxRows    -> Rows (a later batch; done closes the cursor)
 //	CloseStmt   -> Stmt.Close             -> OK
 //	CloseCursor -> Rows.Close             -> OK
-//	ExecBatch   -> Stmt.ExecBatch         -> Result  (array-bind in one round trip)
 //	Ping        -> liveness check         -> OK      (pool health checks)
 //
 // Transaction control is SQL: BEGIN, COMMIT and ROLLBACK run through Run like
-// any other statement. A Run ends with a one-batch flag: when it is set the
-// server closes the cursor after the first batch once that batch holds max
-// rows, so a reader that wants no more than those rows — a window's page, a
-// COUNT(*) — pays one round trip and never a CloseCursor.
+// any other statement, and so is a bulk write: a multi-row INSERT .. VALUES.
+// A Run ends with a one-batch flag: when it is set the server closes the
+// cursor after the first batch once that batch holds max rows, so a reader
+// that wants no more than those rows — a window's page, a COUNT(*) — pays one
+// round trip and never a CloseCursor.
 //
 // A connection can instead become a replication stream: Subscribe carries a
 // start LSN, the server pushes WALSegment frames (raw bytes of the primary's
@@ -27,7 +27,10 @@
 // Framing: every message is one frame — a 4-byte big-endian payload length,
 // then the payload, whose first byte is the message type. Integers are
 // big-endian and fixed width; strings are a uint32 length followed by UTF-8
-// bytes; values are a kind byte followed by the kind's fixed encoding.
+// bytes. A tuple of values is one record in the row encoding of package types
+// (types.EncodeTuple), the bytes the heap and the log store: a varint count,
+// then per value a kind byte and a varint, the IEEE bits or length-prefixed
+// bytes, so a value is not fixed width.
 //
 // Versioning: the Hello frame carries a magic word and the client's version;
 // the server refuses a major it does not speak (with a *VersionError whose
@@ -44,7 +47,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 
 	"repro/internal/types"
 )
@@ -59,9 +61,10 @@ const (
 	MsgCloseCursor byte = 0x06 // cursor id
 	// 0x07–0x09 were v3's Begin, Commit and Rollback; v4 retired them (transaction
 	// control is SQL through Run) and the bytes are never reused.
-	MsgHello     byte = 0x0a // magic, client version — must be the first frame
-	MsgExecBatch byte = 0x0b // stmt id, row count, parameter rows
-	MsgPing      byte = 0x0c // liveness probe, answered with OK
+	MsgHello byte = 0x0a // magic, client version — must be the first frame
+	// 0x0b was v4's ExecBatch; v5 retired it (a bulk write is a multi-row
+	// INSERT through Run) and the byte is never reused.
+	MsgPing byte = 0x0c // liveness probe, answered with OK
 
 	// Replication family. Subscribe turns the connection into a WAL stream:
 	// the server pushes WALSegment frames and the request/response discipline
@@ -105,8 +108,10 @@ type Version struct {
 // (the Stmt returns-rows flag, the HelloOK role, the LSN tails) into the base
 // payloads. v4.0 retired the Begin/Commit/Rollback messages, which repeated
 // what SQL through Run already does, and folded 3.1's optional one-batch flag
-// into the base Run as a required field. No behaviour keys off the minor.
-var Current = Version{Major: 4, Minor: 0}
+// into the base Run as a required field. v5.0 retired ExecBatch, which repeated
+// what a multi-row INSERT through Run already does, and encodes a tuple as a
+// log record instead of in a codec of its own. No behaviour keys off the minor.
+var Current = Version{Major: 5, Minor: 0}
 
 // String renders the version as "2.0".
 func (v Version) String() string { return fmt.Sprintf("%d.%d", v.Major, v.Minor) }
@@ -255,7 +260,7 @@ func EncodeVersionError(e *VersionError) []byte {
 // payload cursor (positioned after the error text). It returns nil when the
 // tail is absent — an ordinary error frame.
 func DecodeVersionTail(c *Cursor) *VersionError {
-	if c.Err() != nil || c.Remaining() < 16 {
+	if c.Err() != nil || c.remaining() < 16 {
 		return nil
 	}
 	return &VersionError{
@@ -352,31 +357,8 @@ func (b *Buffer) Strings(ss []string) {
 	}
 }
 
-// writeValue appends one SQL value: a kind byte, then the kind's encoding.
-func (b *Buffer) writeValue(v types.Value) {
-	b.writeByte(byte(v.Kind()))
-	switch v.Kind() {
-	case types.KindNull:
-	case types.KindInt:
-		b.Uint64(uint64(v.Int()))
-	case types.KindFloat:
-		b.Uint64(math.Float64bits(v.Float()))
-	case types.KindString:
-		b.String(v.Str())
-	case types.KindBool:
-		b.Bool(v.Bool())
-	case types.KindDate:
-		b.Uint64(uint64(v.Days()))
-	}
-}
-
-// Tuple appends a counted list of values.
-func (b *Buffer) Tuple(t types.Tuple) {
-	b.Uint32(uint32(len(t)))
-	for _, v := range t {
-		b.writeValue(v)
-	}
-}
+// Tuple appends a row in the record encoding (types.EncodeTuple).
+func (b *Buffer) Tuple(t types.Tuple) { b.B = types.EncodeTuple(b.B, t) }
 
 // --- payload reading ---------------------------------------------------------
 
@@ -395,10 +377,10 @@ func NewCursor(b []byte) *Cursor { return &Cursor{b: b} }
 // Err returns the first decoding error, if any.
 func (c *Cursor) Err() error { return c.err }
 
-// Remaining returns how many undecoded bytes are left. Payloads are allowed
+// remaining returns how many undecoded bytes are left. Payloads are allowed
 // to carry more than a decoder reads (minor versions append fields), so this
 // is for optional tails, not validation.
-func (c *Cursor) Remaining() int {
+func (c *Cursor) remaining() int {
 	if c.err != nil {
 		return 0
 	}
@@ -487,43 +469,16 @@ func (c *Cursor) Strings() []string {
 	return out
 }
 
-// readValue reads one SQL value.
-func (c *Cursor) readValue() types.Value {
-	kind := types.Kind(c.readByte())
-	if c.err != nil {
-		return types.Null()
-	}
-	switch kind {
-	case types.KindNull:
-		return types.Null()
-	case types.KindInt:
-		return types.NewInt(int64(c.Uint64()))
-	case types.KindFloat:
-		return types.NewFloat(math.Float64frombits(c.Uint64()))
-	case types.KindString:
-		return types.NewString(c.String())
-	case types.KindBool:
-		return types.NewBool(c.Bool())
-	case types.KindDate:
-		return types.NewDateFromDays(int64(c.Uint64()))
-	default:
-		c.err = fmt.Errorf("wire: unknown value kind %d", kind)
-		return types.Null()
-	}
-}
-
-// Tuple reads a counted list of values.
+// Tuple reads a row in the record encoding (types.ReadTuple).
 func (c *Cursor) Tuple() types.Tuple {
-	n := c.Uint32()
 	if c.err != nil {
 		return nil
 	}
-	out := make(types.Tuple, 0, min(int(n), 1024))
-	for i := 0; i < int(n); i++ {
-		out = append(out, c.readValue())
-		if c.err != nil {
-			return nil
-		}
+	t, n, err := types.ReadTuple(c.b[c.pos:])
+	if err != nil {
+		c.err = fmt.Errorf("wire: tuple at offset %d: %w", c.pos, err)
+		return nil
 	}
-	return out
+	c.pos += n
+	return t
 }

@@ -133,12 +133,12 @@ func TestVersionCompatibility(t *testing.T) {
 
 // TestOversizedFrameRefusedBeforeWrite: WriteFrame must reject a payload over
 // the frame cap without emitting a single byte, so the statement fails but
-// the stream stays in sync. (This is the client-side guard for an ExecBatch
-// that outgrew one frame.)
+// the stream stays in sync. (This is the client-side guard for a Run whose
+// parameters outgrew one frame.)
 func TestOversizedFrameRefusedBeforeWrite(t *testing.T) {
 	var buf bytes.Buffer
 	huge := make([]byte, MaxFrame)
-	if err := WriteFrame(&buf, MsgExecBatch, huge); err == nil {
+	if err := WriteFrame(&buf, MsgRun, huge); err == nil {
 		t.Fatal("oversized frame must be refused")
 	}
 	if buf.Len() != 0 {
@@ -146,17 +146,17 @@ func TestOversizedFrameRefusedBeforeWrite(t *testing.T) {
 	}
 }
 
-// TestExecBatchPayloadTruncation: a batch payload cut off mid-row decodes
-// into a sticky cursor error, never a partial batch.
-func TestExecBatchPayloadTruncation(t *testing.T) {
+// TestRowsPayloadTruncation: a Rows payload cut off mid-row decodes into a
+// sticky cursor error, never a partial batch.
+func TestRowsPayloadTruncation(t *testing.T) {
 	var b Buffer
-	b.Uint32(1) // stmt id
-	b.Uint32(2) // two rows
+	b.Bool(true) // done
+	b.Uint32(2)  // two rows
 	b.Tuple(types.Tuple{types.NewInt(1), types.NewString("whole row")})
 	b.Tuple(types.Tuple{types.NewInt(2), types.NewString("cut off")})
-	for cut := len(b.B) - 1; cut > 9; cut -= 7 {
+	for cut := len(b.B) - 1; cut > 6; cut -= 3 {
 		c := NewCursor(b.B[:cut])
-		_ = c.Uint32() // stmt id
+		_ = c.Bool() // done
 		n := c.Uint32()
 		decoded := 0
 		for i := uint32(0); i < n && c.Err() == nil; i++ {

@@ -22,8 +22,8 @@ import (
 //	         | len:uvarint bytes    for TEXT
 //
 // The format is deliberately simple and allocation-light: EncodeTuple appends
-// into a caller-supplied buffer, DecodeTuple decodes into a caller-supplied
-// tuple when capacity allows.
+// into a caller-supplied buffer. It is the one row encoding: heap records, log
+// records and the wire protocol's tuples (docs/WIRE.md §2) all use it.
 
 // EncodeTuple appends the encoding of t to dst and returns the extended slice.
 func EncodeTuple(dst []byte, t Tuple) []byte {
@@ -54,15 +54,28 @@ func EncodeTuple(dst []byte, t Tuple) []byte {
 // does not alias data: string payloads are copied so the page buffer they
 // came from may be evicted or overwritten.
 func DecodeTuple(data []byte) (Tuple, error) {
+	t, _, err := ReadTuple(data)
+	return t, err
+}
+
+// ReadTuple decodes the record at the front of data, which may continue past
+// it, and reports how many bytes the record took. Every value takes at least
+// its kind byte, so a count larger than the bytes that follow is an error
+// before anything is allocated: a hostile count costs nothing.
+func ReadTuple(data []byte) (Tuple, int, error) {
+	total := len(data)
 	n, read := binary.Uvarint(data)
 	if read <= 0 {
-		return nil, fmt.Errorf("types: corrupt record header")
+		return nil, 0, fmt.Errorf("types: corrupt record header")
 	}
 	data = data[read:]
+	if n > uint64(len(data)) {
+		return nil, 0, fmt.Errorf("types: record claims %d values but only %d bytes follow", n, len(data))
+	}
 	t := make(Tuple, 0, n)
 	for i := uint64(0); i < n; i++ {
 		if len(data) == 0 {
-			return nil, fmt.Errorf("types: truncated record at value %d", i)
+			return nil, 0, fmt.Errorf("types: truncated record at value %d", i)
 		}
 		kind := Kind(data[0])
 		data = data[1:]
@@ -72,42 +85,38 @@ func DecodeTuple(data []byte) (Tuple, error) {
 		case KindInt, KindDate:
 			v, read := binary.Varint(data)
 			if read <= 0 {
-				return nil, fmt.Errorf("types: corrupt integer at value %d", i)
+				return nil, 0, fmt.Errorf("types: corrupt integer at value %d", i)
 			}
 			data = data[read:]
-			if kind == KindInt {
-				t = append(t, NewInt(v))
-			} else {
-				t = append(t, NewDateFromDays(v))
-			}
+			t = append(t, Value{kind: kind, i: v})
 		case KindFloat:
 			if len(data) < 8 {
-				return nil, fmt.Errorf("types: corrupt float at value %d", i)
+				return nil, 0, fmt.Errorf("types: corrupt float at value %d", i)
 			}
 			t = append(t, NewFloat(math.Float64frombits(binary.BigEndian.Uint64(data))))
 			data = data[8:]
 		case KindBool:
 			if len(data) < 1 {
-				return nil, fmt.Errorf("types: corrupt bool at value %d", i)
+				return nil, 0, fmt.Errorf("types: corrupt bool at value %d", i)
 			}
 			t = append(t, NewBool(data[0] != 0))
 			data = data[1:]
 		case KindString:
 			l, read := binary.Uvarint(data)
 			if read <= 0 {
-				return nil, fmt.Errorf("types: corrupt string length at value %d", i)
+				return nil, 0, fmt.Errorf("types: corrupt string length at value %d", i)
 			}
 			data = data[read:]
 			if uint64(len(data)) < l {
-				return nil, fmt.Errorf("types: truncated string at value %d", i)
+				return nil, 0, fmt.Errorf("types: truncated string at value %d", i)
 			}
 			t = append(t, NewString(string(data[:l])))
 			data = data[l:]
 		default:
-			return nil, fmt.Errorf("types: unknown value kind %d at value %d", kind, i)
+			return nil, 0, fmt.Errorf("types: unknown value kind %d at value %d", kind, i)
 		}
 	}
-	return t, nil
+	return t, total - len(data), nil
 }
 
 // EncodeKey builds an order-preserving byte encoding of the given values, for

@@ -2,7 +2,9 @@ package types
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 	"time"
@@ -52,6 +54,28 @@ func TestDecodeCorrupt(t *testing.T) {
 	bad[1] = 0xEE // unknown kind
 	if _, err := DecodeTuple(bad); err == nil {
 		t.Error("unknown kind should fail")
+	}
+}
+
+// TestReadTupleStopsAtRecordEnd: a record followed by more bytes decodes
+// alone and reports its own length, and a count no payload could hold fails
+// before anything is allocated for it.
+func TestReadTupleStopsAtRecordEnd(t *testing.T) {
+	rec := EncodeTuple(nil, Tuple{NewInt(-3), NewString("ab"), Null()})
+	got, n, err := ReadTuple(append(append([]byte{}, rec...), 0xFF, 0xFF))
+	if err != nil || n != len(rec) || len(got) != 3 || got[1].Str() != "ab" {
+		t.Fatalf("ReadTuple = %v, %d, %v; want 3 values in %d bytes", got, n, err, len(rec))
+	}
+	hostile := binary.AppendUvarint(nil, 1<<32-1)
+	hostile = append(hostile, byte(KindNull), byte(KindNull))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, _, err := ReadTuple(hostile); err == nil {
+		t.Fatal("a count of 2^32-1 values over 2 bytes must fail")
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<10 {
+		t.Fatalf("a hostile count allocated %d bytes", grew)
 	}
 }
 

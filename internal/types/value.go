@@ -102,9 +102,6 @@ func NewDate(year int, month time.Month, day int) Value {
 	return Value{kind: KindDate, i: t.Unix() / 86400}
 }
 
-// NewDateFromDays returns a date value from a count of days since 1970-01-01.
-func NewDateFromDays(days int64) Value { return Value{kind: KindDate, i: days} }
-
 // parseDate parses a date in ISO form YYYY-MM-DD.
 func parseDate(s string) (Value, error) {
 	t, err := time.Parse("2006-01-02", strings.TrimSpace(s))
@@ -137,9 +134,6 @@ func (v Value) Str() string { return v.s }
 
 // Bool returns the boolean payload. It is only meaningful for KindBool values.
 func (v Value) Bool() bool { return v.b }
-
-// Days returns the date payload as days since 1970-01-01.
-func (v Value) Days() int64 { return v.i }
 
 // Time returns the date payload as a UTC time at midnight.
 func (v Value) Time() time.Time { return time.Unix(v.i*86400, 0).UTC() }
@@ -357,7 +351,7 @@ func (v Value) Cast(to Kind) (Value, error) {
 		case KindString:
 			return parseDate(v.s)
 		case KindInt:
-			return NewDateFromDays(v.i), nil
+			return Value{kind: KindDate, i: v.i}, nil
 		}
 	}
 	return Null(), fmt.Errorf("types: cannot cast %s to %s", v.kind, to)

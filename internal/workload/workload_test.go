@@ -12,7 +12,7 @@ import (
 func TestPopulateCreatesConsistentData(t *testing.T) {
 	db := engine.OpenMemory()
 	sizes := Sizes{Customers: 100, Orders: 300, ItemsPerOrder: 2}
-	if err := Populate(db, sizes); err != nil {
+	if err := Populate(core.NewEngineSource(db.Session()), sizes); err != nil {
 		t.Fatal(err)
 	}
 	s := db.Session()
@@ -47,7 +47,7 @@ func TestPopulateCreatesConsistentData(t *testing.T) {
 func TestPopulateIsDeterministic(t *testing.T) {
 	sum := func() float64 {
 		db := engine.OpenMemory()
-		if err := Populate(db, SmallSizes); err != nil {
+		if err := Populate(core.NewEngineSource(db.Session()), SmallSizes); err != nil {
 			t.Fatal(err)
 		}
 		res, err := db.Session().Query("SELECT SUM(credit) FROM customers")
@@ -63,7 +63,7 @@ func TestPopulateIsDeterministic(t *testing.T) {
 
 func TestStandardFormsCompileAndRun(t *testing.T) {
 	db := engine.OpenMemory()
-	if err := Populate(db, SmallSizes); err != nil {
+	if err := Populate(core.NewEngineSource(db.Session()), SmallSizes); err != nil {
 		t.Fatal(err)
 	}
 	forms, err := core.NewCompiler(db).CompileSource(StandardForms)
