@@ -1,7 +1,15 @@
 // Package btree implements the ordered index structure the engine uses for
 // primary keys, UNIQUE constraints and secondary indexes: an in-memory B+tree
 // keyed by order-preserving byte strings (see types.EncodeKey) whose leaves
-// hold record identifiers.
+// hold record identifiers. The tree is physically non-unique: a key maps to
+// a posting list of records, because every version of a row is indexed and
+// several versions share a key. Uniqueness is a rule over live versions,
+// enforced by the catalog and transaction layers, not by the tree.
+//
+// A tree is filled either one entry at a time (Insert) or, when it is empty,
+// in one bottom-up pass over a whole set of entries (Load): crash recovery
+// installs a checkpoint image's indexes that way, and CREATE INDEX backfills
+// an index over a populated table the same way.
 //
 // Leaves are chained in both directions, so range scans — the access path
 // behind query-by-form predicates such as "credit > 1000" and behind ordered
@@ -16,7 +24,6 @@ package btree
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"sync"
 
@@ -26,17 +33,12 @@ import (
 // fanout is the maximum number of keys per node before it splits.
 const fanout = 64
 
-// ErrDuplicateKey is returned when inserting a key that already exists in a
-// unique index.
-var ErrDuplicateKey = errors.New("btree: duplicate key")
-
 // Tree is a B+tree from encoded keys to record identifiers.
 // It is safe for concurrent use; a single RWMutex guards the whole tree.
 type Tree struct {
-	mu     sync.RWMutex
-	root   node
-	unique bool
-	size   int // number of (key, rid) entries
+	mu   sync.RWMutex
+	root node
+	size int // number of (key, rid) entries
 }
 
 type node interface {
@@ -46,8 +48,7 @@ type node interface {
 
 type leafNode struct {
 	keys [][]byte
-	// vals[i] holds every record with keys[i]; len(vals[i]) > 1 only in
-	// non-unique indexes.
+	// vals[i] holds every record with keys[i].
 	vals       [][]storage.RecordID
 	next, prev *leafNode
 }
@@ -65,23 +66,19 @@ type innerNode struct {
 
 func (*innerNode) isLeaf() bool { return false }
 
-// New creates an empty tree. A unique tree rejects duplicate keys.
-func New(unique bool) *Tree {
-	return &Tree{root: &leafNode{}, unique: unique}
+// New creates an empty tree.
+func New() *Tree {
+	return &Tree{root: &leafNode{}}
 }
 
-// Insert adds (key, rid) to the tree. In a unique tree an existing key causes
-// ErrDuplicateKey; in a non-unique tree the rid is appended to the key's
-// posting list (inserting the same (key, rid) pair twice is a no-op).
-func (t *Tree) Insert(key []byte, rid storage.RecordID) error {
+// Insert adds (key, rid) to the tree: the rid is appended to the key's
+// posting list, and inserting the same (key, rid) pair twice is a no-op.
+func (t *Tree) Insert(key []byte, rid storage.RecordID) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	k := make([]byte, len(key))
 	copy(k, key)
-	promoted, right, added, err := t.insert(t.root, k, rid)
-	if err != nil {
-		return err
-	}
+	promoted, right, added := insert(t.root, k, rid)
 	if added {
 		t.size++
 	}
@@ -93,32 +90,28 @@ func (t *Tree) Insert(key []byte, rid storage.RecordID) error {
 			counts:   []int{t.size - rc, rc},
 		}
 	}
-	return nil
 }
 
 // insert recurses into n. added reports whether an entry was added (an
 // existing pair is not added twice). When n splits, it returns the key to
 // promote and the new right sibling.
-func (t *Tree) insert(n node, key []byte, rid storage.RecordID) (promoted []byte, right node, added bool, err error) {
+func insert(n node, key []byte, rid storage.RecordID) (promoted []byte, right node, added bool) {
 	switch n := n.(type) {
 	case *leafNode:
 		i, found := findKey(n.keys, key)
 		if found {
-			if t.unique {
-				return nil, nil, false, fmt.Errorf("%w: %q", ErrDuplicateKey, key)
-			}
 			for _, existing := range n.vals[i] {
 				if existing == rid {
-					return nil, nil, false, nil
+					return nil, nil, false
 				}
 			}
 			n.vals[i] = append(n.vals[i], rid)
-			return nil, nil, true, nil
+			return nil, nil, true
 		}
 		n.keys = insertAt(n.keys, i, key)
 		n.vals = insertAt(n.vals, i, []storage.RecordID{rid})
 		if len(n.keys) <= fanout {
-			return nil, nil, true, nil
+			return nil, nil, true
 		}
 		// Split the leaf in half.
 		mid := len(n.keys) / 2
@@ -134,19 +127,16 @@ func (t *Tree) insert(n node, key []byte, rid storage.RecordID) (promoted []byte
 		n.keys = n.keys[:mid:mid]
 		n.vals = n.vals[:mid:mid]
 		n.next = sibling
-		return sibling.keys[0], sibling, true, nil
+		return sibling.keys[0], sibling, true
 
 	case *innerNode:
 		i := childFor(n, key)
-		promoted, right, added, err := t.insert(n.children[i], key, rid)
-		if err != nil {
-			return nil, nil, false, err
-		}
+		promoted, right, added := insert(n.children[i], key, rid)
 		if added {
 			n.counts[i]++
 		}
 		if right == nil {
-			return nil, nil, added, nil
+			return nil, nil, added
 		}
 		rc := subtreeSize(right)
 		n.counts[i] -= rc
@@ -154,7 +144,7 @@ func (t *Tree) insert(n node, key []byte, rid storage.RecordID) (promoted []byte
 		n.children = insertAt(n.children, i+1, right)
 		n.counts = insertAt(n.counts, i+1, rc)
 		if len(n.keys) <= fanout {
-			return nil, nil, added, nil
+			return nil, nil, added
 		}
 		mid := len(n.keys) / 2
 		promote := n.keys[mid]
@@ -166,9 +156,9 @@ func (t *Tree) insert(n node, key []byte, rid storage.RecordID) (promoted []byte
 		n.keys = n.keys[:mid:mid]
 		n.children = n.children[: mid+1 : mid+1]
 		n.counts = n.counts[: mid+1 : mid+1]
-		return promote, sibling, added, nil
+		return promote, sibling, added
 	}
-	return nil, nil, false, fmt.Errorf("btree: unknown node type %T", n)
+	panic(fmt.Sprintf("btree: unknown node type %T", n))
 }
 
 // subtreeSize returns the number of entries under n: the posting lists of a

@@ -2,7 +2,6 @@ package btree
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -20,11 +19,9 @@ func rid(n int) storage.RecordID {
 }
 
 func TestInsertSearchUnique(t *testing.T) {
-	tr := New(true)
+	tr := New()
 	for i := 0; i < 1000; i++ {
-		if err := tr.Insert(intKey(int64(i)), rid(i)); err != nil {
-			t.Fatalf("Insert %d: %v", i, err)
-		}
+		tr.Insert(intKey(int64(i)), rid(i))
 	}
 	if tr.size != 1000 {
 		t.Errorf("Len = %d", tr.size)
@@ -46,31 +43,14 @@ func TestInsertSearchUnique(t *testing.T) {
 	}
 }
 
-func TestDuplicateKeyRejectedInUnique(t *testing.T) {
-	tr := New(true)
-	if err := tr.Insert(intKey(1), rid(1)); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Insert(intKey(1), rid(2)); !errors.Is(err, ErrDuplicateKey) {
-		t.Errorf("expected ErrDuplicateKey, got %v", err)
-	}
-	if !tr.unique {
-		t.Error("Unique() should be true")
-	}
-}
-
 func TestNonUniquePostingLists(t *testing.T) {
-	tr := New(false)
+	tr := New()
 	key := types.EncodeKey(nil, types.NewString("Boston"))
 	for i := 0; i < 10; i++ {
-		if err := tr.Insert(key, rid(i)); err != nil {
-			t.Fatal(err)
-		}
+		tr.Insert(key, rid(i))
 	}
 	// Same (key, rid) twice is a no-op.
-	if err := tr.Insert(key, rid(3)); err != nil {
-		t.Fatal(err)
-	}
+	tr.Insert(key, rid(3))
 	if tr.size != 10 {
 		t.Errorf("Len = %d, want 10", tr.size)
 	}
@@ -84,9 +64,9 @@ func TestNonUniquePostingLists(t *testing.T) {
 }
 
 func TestDelete(t *testing.T) {
-	tr := New(false)
+	tr := New()
 	for i := 0; i < 500; i++ {
-		_ = tr.Insert(intKey(int64(i)), rid(i))
+		tr.Insert(intKey(int64(i)), rid(i))
 	}
 	for i := 0; i < 500; i += 2 {
 		if !tr.Delete(intKey(int64(i)), rid(i)) {
@@ -126,9 +106,9 @@ func scan(tr *Tree, r Range) []Entry {
 }
 
 func TestCursorRange(t *testing.T) {
-	tr := New(true)
+	tr := New()
 	for i := 0; i < 1000; i++ {
-		_ = tr.Insert(intKey(int64(i)), rid(i))
+		tr.Insert(intKey(int64(i)), rid(i))
 	}
 	got := scan(tr, Range{Low: intKey(100), High: intKey(200), HighOpen: true})
 	if len(got) != 100 {
@@ -161,12 +141,10 @@ func TestCursorRange(t *testing.T) {
 }
 
 func TestScanOrderIsSorted(t *testing.T) {
-	tr := New(true)
+	tr := New()
 	perm := rand.New(rand.NewSource(42)).Perm(2000)
 	for _, i := range perm {
-		if err := tr.Insert(intKey(int64(i)), rid(i)); err != nil {
-			t.Fatal(err)
-		}
+		tr.Insert(intKey(int64(i)), rid(i))
 	}
 	var prev []byte
 	for _, e := range scan(tr, Range{}) {
@@ -181,25 +159,23 @@ func TestScanOrderIsSorted(t *testing.T) {
 }
 
 func TestMin(t *testing.T) {
-	tr := New(true)
+	tr := New()
 	if got := scan(tr, Range{}); len(got) != 0 {
 		t.Errorf("empty tree scans %d entries", len(got))
 	}
-	_ = tr.Insert(intKey(50), rid(50))
-	_ = tr.Insert(intKey(10), rid(10))
-	_ = tr.Insert(intKey(90), rid(90))
+	tr.Insert(intKey(50), rid(50))
+	tr.Insert(intKey(10), rid(10))
+	tr.Insert(intKey(90), rid(90))
 	if got := scan(tr, Range{}); !bytes.Equal(got[0].Key, intKey(10)) {
 		t.Error("a full scan should start at the smallest key")
 	}
 }
 
 func TestStringKeys(t *testing.T) {
-	tr := New(false)
+	tr := New()
 	cities := []string{"Boston", "Austin", "Chicago", "Denver", "Austin", "Erie"}
 	for i, c := range cities {
-		if err := tr.Insert(types.EncodeKey(nil, types.NewString(c)), rid(i)); err != nil {
-			t.Fatal(err)
-		}
+		tr.Insert(types.EncodeKey(nil, types.NewString(c)), rid(i))
 	}
 	if got := tr.Search(types.EncodeKey(nil, types.NewString("Austin"))); len(got) != 2 {
 		t.Errorf("Austin posting list = %v", got)
@@ -214,10 +190,10 @@ func TestStringKeys(t *testing.T) {
 
 func TestPropertyMatchesSortedMap(t *testing.T) {
 	f := func(keys []int16) bool {
-		tr := New(false)
+		tr := New()
 		ref := map[int64]int{}
 		for i, k := range keys {
-			_ = tr.Insert(intKey(int64(k)), rid(i))
+			tr.Insert(intKey(int64(k)), rid(i))
 			ref[int64(k)]++
 		}
 		if err := tr.Validate(); err != nil {
@@ -253,9 +229,9 @@ func TestPropertyMatchesSortedMap(t *testing.T) {
 
 func TestPropertyInsertDeleteInverse(t *testing.T) {
 	f := func(keys []uint8) bool {
-		tr := New(false)
+		tr := New()
 		for i, k := range keys {
-			_ = tr.Insert(intKey(int64(k)), rid(i))
+			tr.Insert(intKey(int64(k)), rid(i))
 		}
 		for i, k := range keys {
 			if !tr.Delete(intKey(int64(k)), rid(i)) {
@@ -270,12 +246,10 @@ func TestPropertyInsertDeleteInverse(t *testing.T) {
 }
 
 func TestLargeTreeHeightLogarithmic(t *testing.T) {
-	tr := New(true)
+	tr := New()
 	n := 100000
 	for i := 0; i < n; i++ {
-		if err := tr.Insert(intKey(int64(i)), rid(i)); err != nil {
-			t.Fatal(err)
-		}
+		tr.Insert(intKey(int64(i)), rid(i))
 	}
 	if h := tr.height(); h > 5 {
 		t.Errorf("height %d too large for %d keys with fanout %d", h, n, fanout)
@@ -286,17 +260,35 @@ func TestLargeTreeHeightLogarithmic(t *testing.T) {
 }
 
 func BenchmarkInsert(b *testing.B) {
-	tr := New(true)
+	tr := New()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = tr.Insert(intKey(int64(i)), rid(i))
+		tr.Insert(intKey(int64(i)), rid(i))
+	}
+}
+
+func BenchmarkLoad(b *testing.B) {
+	const n = 100000
+	rng := rand.New(rand.NewSource(1))
+	pairs := make([]Pair, n)
+	for i := range pairs {
+		pairs[i] = Pair{intKey(int64(rng.Intn(n))), rid(i)}
+	}
+	work := make([]Pair, n)
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		copy(work, pairs)
+		if err := New().Load(work); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
 func BenchmarkSearch(b *testing.B) {
-	tr := New(true)
+	tr := New()
 	for i := 0; i < 100000; i++ {
-		_ = tr.Insert(intKey(int64(i)), rid(i))
+		tr.Insert(intKey(int64(i)), rid(i))
 	}
 	b.ResetTimer()
 	b.ReportAllocs()
@@ -308,9 +300,9 @@ func BenchmarkSearch(b *testing.B) {
 }
 
 func BenchmarkRangeScan100(b *testing.B) {
-	tr := New(true)
+	tr := New()
 	for i := 0; i < 100000; i++ {
-		_ = tr.Insert(intKey(int64(i)), rid(i))
+		tr.Insert(intKey(int64(i)), rid(i))
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -327,9 +319,9 @@ func BenchmarkRangeScan100(b *testing.B) {
 }
 
 func ExampleTree_Cursor() {
-	tr := New(true)
+	tr := New()
 	for _, name := range []string{"ada", "bob", "cyd"} {
-		_ = tr.Insert(types.EncodeKey(nil, types.NewString(name)), storage.RecordID{})
+		tr.Insert(types.EncodeKey(nil, types.NewString(name)), storage.RecordID{})
 	}
 	c := tr.Cursor(Range{Reverse: true})
 	for batch := c.Next(); batch != nil; batch = c.Next() {

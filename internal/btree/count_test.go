@@ -50,7 +50,7 @@ func TestCountRangeAgainstCursor(t *testing.T) {
 	}
 	for seed := int64(1); seed <= 12; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		tr := New(false)
+		tr := New()
 		var live []pair
 		nextRID := 0
 		for step := 0; step < 1500; step++ {
@@ -65,9 +65,7 @@ func TestCountRangeAgainstCursor(t *testing.T) {
 				}
 				p := pair{k, rid(nextRID)}
 				nextRID++
-				if err := tr.Insert(keyOf(k), p.rid); err != nil {
-					t.Fatalf("seed %d step %d: %v", seed, step, err)
-				}
+				tr.Insert(keyOf(k), p.rid)
 				live = append(live, p)
 			case op < 19:
 				i := rng.Intn(len(live))
@@ -110,15 +108,11 @@ func TestCountRangeAgainstCursor(t *testing.T) {
 // TestCountRangeRepeatedPair checks that inserting a (key, rid) pair twice
 // counts once, and that deleting a pair that is absent changes no count.
 func TestCountRangeRepeatedPair(t *testing.T) {
-	tr := New(false)
+	tr := New()
 	for i := 0; i < 500; i++ {
-		if err := tr.Insert(intKey(int64(i%50)), storage.RecordID{Page: 1, Slot: uint16(i)}); err != nil {
-			t.Fatal(err)
-		}
+		tr.Insert(intKey(int64(i%50)), storage.RecordID{Page: 1, Slot: uint16(i)})
 	}
-	if err := tr.Insert(intKey(3), storage.RecordID{Page: 1, Slot: 3}); err != nil {
-		t.Fatal(err)
-	}
+	tr.Insert(intKey(3), storage.RecordID{Page: 1, Slot: 3})
 	tr.Delete(intKey(3), storage.RecordID{Page: 9, Slot: 9})
 	if got := tr.CountRange(Range{Low: intKey(3), High: intKey(3)}); got != 10 {
 		t.Errorf("key 3 counts %d entries, want 10", got)

@@ -58,15 +58,13 @@ func TestCursorAgainstModel(t *testing.T) {
 	keyOf := keyDecoder(keySpace)
 	for seed := int64(1); seed <= 60; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		tr := New(false)
+		tr := New()
 		m := model{}
 		nextRID := 0
 		insert := func(key int64) {
 			p := pair{key, rid(nextRID)}
 			nextRID++
-			if err := tr.Insert(intKey(p.key), p.rid); err != nil {
-				t.Fatal(err)
-			}
+			tr.Insert(intKey(p.key), p.rid)
 			m[p] = true
 		}
 		// deleteBand removes every pair with lo <= key < hi: wide bands
@@ -190,11 +188,9 @@ func TestCursorAgainstModel(t *testing.T) {
 // must come back exactly once and in order. Run with -race.
 func TestCursorConcurrentWriter(t *testing.T) {
 	const n = 4000
-	tr := New(false)
+	tr := New()
 	for k := int64(0); k < n; k += 2 {
-		if err := tr.Insert(intKey(k), rid(int(k))); err != nil {
-			t.Fatal(err)
-		}
+		tr.Insert(intKey(k), rid(int(k)))
 	}
 	keyOf := keyDecoder(n)
 	stop := make(chan struct{})
@@ -213,9 +209,8 @@ func TestCursorConcurrentWriter(t *testing.T) {
 			k := int64(rng.Intn(n/2))*2 + 1
 			if live[k] {
 				tr.Delete(intKey(k), rid(int(k)))
-			} else if err := tr.Insert(intKey(k), rid(int(k))); err != nil {
-				t.Error(err)
-				return
+			} else {
+				tr.Insert(intKey(k), rid(int(k)))
 			}
 			live[k] = !live[k]
 		}

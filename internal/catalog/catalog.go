@@ -166,10 +166,6 @@ func (c *Catalog) CreateIndex(indexName, tableName string, columns []string, uni
 	if err != nil {
 		return nil, err
 	}
-	if err := t.backfillIndex(idx); err != nil {
-		t.dropIndex(indexName)
-		return nil, err
-	}
 	c.version++
 	return idx, nil
 }

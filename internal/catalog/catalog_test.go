@@ -273,6 +273,57 @@ func TestCreateUniqueIndexOverDuplicateDataFails(t *testing.T) {
 	}
 }
 
+// TestInstallImage covers the bulk install's contract: rows arrive with
+// their xmins and behind every index, a bad row installs nothing, and a table
+// that already holds a version refuses an image.
+func TestInstallImage(t *testing.T) {
+	c := newTestCatalog()
+	tbl, _ := c.CreateTable("customers", customerSchema())
+	if _, err := c.CreateIndex("customers_city", "customers", []string{"city"}, false); err != nil {
+		t.Fatal(err)
+	}
+	bad := []Tuple{
+		{types.NewInt(1), types.NewString("Ada"), types.NewString("Boston"), types.Null()},
+		{types.NewInt(2), types.Null(), types.NewString("Erie"), types.Null()}, // name is NOT NULL
+	}
+	if err := tbl.InstallImage(bad, []uint64{0, 0}); err == nil {
+		t.Fatal("an image with a NULL in a NOT NULL column installed")
+	}
+	if err := tbl.InstallImage(bad[:1], []uint64{0, 0}); err == nil {
+		t.Fatal("an image with more xmins than rows installed")
+	}
+	if n := tbl.heap.Count(); n != 0 {
+		t.Fatalf("the refused images left %d versions", n)
+	}
+
+	var rows []Tuple
+	var xmins []uint64
+	for i := 0; i < 300; i++ {
+		rows = append(rows, Tuple{types.NewInt(int64(i)), types.NewString("x"), types.NewString([]string{"Boston", "Erie"}[i%2]), types.Null()})
+		xmins = append(xmins, uint64(i%5))
+	}
+	if err := tbl.InstallImage(rows, xmins); err != nil {
+		t.Fatal(err)
+	}
+	for i, row := range rows {
+		rids := tbl.PrimaryIndex().Tree.Search(tbl.PrimaryIndex().KeyFor(row))
+		if len(rids) != 1 {
+			t.Fatalf("row %d is under %d primary-key entries", i, len(rids))
+		}
+		meta, got, err := tbl.GetVersion(rids[0])
+		if err != nil || meta.Xmin != xmins[i] || !got.Equal(row) {
+			t.Fatalf("row %d reads back as %v with %+v (%v)", i, got, meta, err)
+		}
+	}
+	city := tbl.indexByName("customers_city")
+	if got := len(city.Tree.Search(city.KeyFor(rows[1]))); got != 150 {
+		t.Errorf("city index holds %d Erie entries, want 150", got)
+	}
+	if err := tbl.InstallImage(rows[:1], xmins[:1]); err == nil {
+		t.Error("a second image installed into a table that holds rows")
+	}
+}
+
 func TestScanAndIterator(t *testing.T) {
 	c := newTestCatalog()
 	tbl, _ := c.CreateTable("customers", customerSchema())

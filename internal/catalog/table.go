@@ -128,8 +128,9 @@ func (t *Table) PrimaryIndex() *Index {
 	return nil
 }
 
-// createIndex registers an index over the named columns. The caller is
-// responsible for backfilling when the table already has rows.
+// createIndex builds an index over the named columns, filled from every row
+// version the table holds, and registers it. Writers wait on t.mu meanwhile,
+// so no version can slip in between the backfill and the registration.
 func (t *Table) createIndex(name string, columns []string, unique bool) (*Index, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -158,23 +159,36 @@ func (t *Table) createIndex(name string, columns []string, unique bool) (*Index,
 		// The tree is physically non-unique even for unique indexes: it holds
 		// an entry per version, and several versions of one row share a key.
 		// Logical uniqueness is enforced over live versions at write time.
-		Tree: btree.New(false),
+		Tree: btree.New(),
+	}
+	if err := t.backfillIndex(idx); err != nil {
+		return nil, err
 	}
 	t.indexes = append(t.indexes, idx)
 	return idx, nil
 }
 
-// backfillIndex inserts every existing row version into the index. For a
-// unique index, duplicate keys among *live* versions fail the backfill (dead
-// versions sharing a key are the normal MVCC shape, not a violation).
+// backfillIndex builds idx from every row version in the heap with one
+// Tree.Load, the keys encoded into one shared arena. For a unique index,
+// duplicate keys among *live* versions fail the backfill (dead versions
+// sharing a key are the normal MVCC shape, not a violation). The caller holds
+// t.mu.
 func (t *Table) backfillIndex(idx *Index) error {
+	var (
+		pairs []btree.Pair
+		arena []byte
+	)
 	liveKeys := make(map[string]struct{})
 	for it := t.VersionIterator(); ; {
 		rid, meta, tuple, ok, err := it.Next()
-		if err != nil || !ok {
+		if err != nil {
 			return err
 		}
-		key := idx.KeyFor(tuple)
+		if !ok {
+			break
+		}
+		var key []byte
+		arena, key = idx.appendKey(arena, tuple)
 		if idx.Unique && meta.Xmax == 0 {
 			if _, dup := liveKeys[string(key)]; dup {
 				return fmt.Errorf("%w: cannot create unique index %q: duplicate value for (%s)",
@@ -182,10 +196,9 @@ func (t *Table) backfillIndex(idx *Index) error {
 			}
 			liveKeys[string(key)] = struct{}{}
 		}
-		if err := idx.Tree.Insert(key, rid); err != nil {
-			return err
-		}
+		pairs = append(pairs, btree.Pair{Key: key, RID: rid})
 	}
+	return idx.Tree.Load(pairs)
 }
 
 // dropIndex removes an index by name.
@@ -233,23 +246,72 @@ func (t *Table) insertVersionLocked(validated Tuple, meta storage.VersionMeta, u
 		return storage.RecordID{}, err
 	}
 	for _, idx := range t.indexes {
-		if err := idx.Tree.Insert(idx.KeyFor(validated), rid); err != nil {
-			// Roll the row and earlier index entries back so the table and
-			// indexes stay consistent.
-			_ = t.heap.Delete(rid)
-			for _, undo := range t.indexes {
-				if undo == idx {
-					break
-				}
-				undo.Tree.Delete(undo.KeyFor(validated), rid)
-			}
-			return storage.RecordID{}, err
-		}
+		idx.Tree.Insert(idx.KeyFor(validated), rid)
 	}
 	if unsettled {
 		t.unsettled.push(rid, meta, validated)
 	}
 	return rid, nil
+}
+
+// InstallImage installs a checkpoint image's rows, rows[i] stamped
+// xmin=xmins[i], into this table, which must hold no row. It is the bulk
+// form of InstallVersion: every row is validated against the schema first,
+// so a bad row installs nothing; the rows are then encoded into one reused
+// buffer and appended to the heap in one batch, which fills each page under
+// one pin; last, each index is built with one Tree.Load over keys encoded
+// into one arena the indexes share. Like InstallVersion, the versions join
+// no unsettled list.
+func (t *Table) InstallImage(rows []Tuple, xmins []uint64) error {
+	if len(rows) != len(xmins) {
+		return fmt.Errorf("catalog: image for %s has %d rows and %d xmins", t.name, len(rows), len(xmins))
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if n := t.heap.Count(); n != 0 {
+		return fmt.Errorf("catalog: image installed into %s, which holds %d versions", t.name, n)
+	}
+	validated := make([]Tuple, len(rows))
+	for i, row := range rows {
+		v, err := row.ValidateAgainst(t.schema)
+		if err != nil {
+			return fmt.Errorf("catalog: image row %d of %s: %w", i, t.name, err)
+		}
+		validated[i] = v
+	}
+
+	// The payloads are encoded back to back into one buffer, sized from the
+	// first row; once the heap has copied them, the buffer is reused as the
+	// arena of the keys.
+	metas := make([]storage.VersionMeta, len(rows))
+	payloads := make([][]byte, len(rows))
+	var buf []byte
+	if len(validated) > 0 {
+		buf = make([]byte, 0, len(validated)*len(types.EncodeTuple(nil, validated[0]))*5/4)
+	}
+	for i, row := range validated {
+		metas[i].Xmin = xmins[i]
+		start := len(buf)
+		buf = types.EncodeTuple(buf, row)
+		payloads[i] = buf[start:]
+	}
+	rids := make([]storage.RecordID, len(rows))
+	if err := t.heap.InsertVersions(metas, payloads, rids); err != nil {
+		return fmt.Errorf("catalog: image rows into %s: %w", t.name, err)
+	}
+
+	arena := buf[:0]
+	for _, idx := range t.indexes {
+		pairs := make([]btree.Pair, len(rows))
+		for i, row := range validated {
+			arena, pairs[i].Key = idx.appendKey(arena, row)
+			pairs[i].RID = rids[i]
+		}
+		if err := idx.Tree.Load(pairs); err != nil {
+			return fmt.Errorf("catalog: image index %s: %w", idx.Name, err)
+		}
+	}
+	return nil
 }
 
 // AddVersion supersedes the version at oldRID with a new version of the row:
@@ -459,9 +521,17 @@ type Index struct {
 
 // KeyFor computes the index key for a row of the owning table.
 func (idx *Index) KeyFor(tuple Tuple) []byte {
-	vals := make([]types.Value, len(idx.colIdx))
-	for i, pos := range idx.colIdx {
-		vals[i] = tuple[pos]
+	_, key := idx.appendKey(nil, tuple)
+	return key
+}
+
+// appendKey encodes tuple's key for idx onto arena and returns the grown
+// arena and the key, a slice of it capped at its own end. Keys appended to
+// one arena never overlap, so a tree may own each of them.
+func (idx *Index) appendKey(arena []byte, tuple Tuple) (grown, key []byte) {
+	start := len(arena)
+	for _, pos := range idx.colIdx {
+		arena = types.EncodeKey(arena, tuple[pos])
 	}
-	return types.EncodeKey(nil, vals...)
+	return arena, arena[start:len(arena):len(arena)]
 }

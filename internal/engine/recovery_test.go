@@ -10,7 +10,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/btree"
 	"repro/internal/catalog"
+	"repro/internal/storage"
 	"repro/internal/txn"
 	"repro/internal/types"
 )
@@ -506,6 +508,82 @@ func TestRestartFootprintIsFlat(t *testing.T) {
 		}
 		if again := footprint(fmt.Sprintf("round %d restart", round)); again != written {
 			t.Fatalf("round %d: a restart that wrote nothing grew the directory %d -> %d bytes", round, written, again)
+		}
+	}
+}
+
+// TestImageInstallFetchesEachPageOnce counts the bulk install of a
+// checkpoint image. Recovering 24 000 image rows into a table with two
+// indexes must cost the buffer pool one fetch per heap page it fills, plus a
+// small constant, where installing row by row fetched the last page once per
+// row.
+func TestImageInstallFetchesEachPageOnce(t *testing.T) {
+	const rows = 24000
+	walPath := filepath.Join(t.TempDir(), "wow.wal")
+	db, err := Open(Options{WALPath: walPath})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := db.Session()
+	for _, q := range []string{
+		"CREATE TABLE big (id INT PRIMARY KEY, grp INT, pad TEXT)",
+		"CREATE INDEX big_grp ON big (grp)",
+	} {
+		if _, err := s.Execute(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ins, err := s.Prepare("INSERT INTO big VALUES (?, ?, ?)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := make([][]types.Value, 0, 1000)
+	for i := 0; i < rows; i++ {
+		batch = append(batch, []types.Value{intv(i), intv(i % 97), strv(strings.Repeat("p", i%40))})
+		if len(batch) == cap(batch) {
+			if _, err := ins.ExecBatch(batch); err != nil {
+				t.Fatal(err)
+			}
+			batch = batch[:0]
+		}
+	}
+	if _, err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := errors.Join(s.Close(), db.Close()); err != nil {
+		t.Fatal(err)
+	}
+
+	db, err = Open(Options{WALPath: walPath})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	fetches := db.Stats().BufferPool
+	if rec := db.Recovery(); rec.ImageRows != rows || rec.TailApplied != 0 {
+		t.Fatalf("recovery = %+v, want %d image rows and no tail", rec, rows)
+	}
+	table, err := db.Catalog().GetTable("big")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pages := map[storage.PageID]bool{}
+	for it := table.VersionIterator(); ; {
+		rid, _, _, ok, err := it.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			break
+		}
+		pages[rid.Page] = true
+	}
+	if got, limit := fetches.Hits+fetches.Misses, uint64(len(pages)+4); got > limit {
+		t.Errorf("recovering %d rows on %d heap pages fetched %d pages, want at most %d", rows, len(pages), got, limit)
+	}
+	for _, idx := range table.Indexes() {
+		if n := idx.Tree.CountRange(btree.Range{}); n != rows {
+			t.Errorf("index %s holds %d entries after recovery, want %d", idx.Name, n, rows)
 		}
 	}
 }

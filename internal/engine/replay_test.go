@@ -6,15 +6,20 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/types"
 )
 
 // TestReplayMatchesLiveDatabase is a generated oracle for recovery. Each
-// seeded history writes a keyed table through SQL — inserts, updates that
-// change both unique keys, updates that grow a row to about 5 KB, deletes,
-// and explicit transactions of which some roll back — and takes one
-// checkpoint part-way. After close and reopen, the table must read exactly
-// as it read live, by either key, and the reopen must have started from the
-// checkpoint and applied a log tail after it.
+// seeded history starts from more rows than a two-level B+tree holds (64·65
+// keys), so the checkpoint image's key indexes install three levels deep,
+// then writes a keyed table through SQL — inserts, updates that change both
+// unique keys and the heavily duplicated indexed column g, updates that grow
+// a row to about 5 KB, deletes, and explicit transactions of which some roll
+// back — and takes one checkpoint part-way. After close and reopen, the
+// table must read exactly as it read live, by either key and through the
+// index on g, and the reopen must have started from the checkpoint and
+// applied a log tail after it.
 func TestReplayMatchesLiveDatabase(t *testing.T) {
 	const ops = 600
 	for _, seed := range []int64{1, 2, 3, 4, 5} {
@@ -31,28 +36,42 @@ func TestReplayMatchesLiveDatabase(t *testing.T) {
 					t.Fatalf("seed %d: %.80s: %v", seed, q, err)
 				}
 			}
-			exec("CREATE TABLE t (id INT PRIMARY KEY, k INT UNIQUE, pad TEXT)")
+			exec("CREATE TABLE t (id INT PRIMARY KEY, k INT UNIQUE, g INT, pad TEXT)")
+			exec("CREATE INDEX t_g ON t (g)")
 
 			r := rand.New(rand.NewSource(seed))
 			// ids approximates the live ids: statements naming an id that
 			// is gone affect no row, which is harmless. New keys come from
 			// counters, so no statement can hit a unique violation.
 			var ids []int
-			nextID, nextK := 1, 1
+			const preload = 64*65 + 340
+			ins, err := s.Prepare("INSERT INTO t VALUES (?, ?, ?, 'p')")
+			if err != nil {
+				t.Fatal(err)
+			}
+			batch := make([][]types.Value, preload)
+			for i := range batch {
+				batch[i] = []types.Value{intv(i + 1), intv(i + 1), intv(i % 7)}
+				ids = append(ids, i+1)
+			}
+			if _, err := ins.ExecBatch(batch); err != nil {
+				t.Fatal(err)
+			}
+			nextID, nextK := preload+1, preload+1
 			pick := func() int { return ids[r.Intn(len(ids))] }
 			// write issues one random row statement; with no row left it
 			// inserts.
 			write := func() {
 				switch op := r.Intn(10); {
 				case op < 4 || len(ids) == 0:
-					exec(fmt.Sprintf("INSERT INTO t VALUES (%d, %d, '%s')",
-						nextID, nextK, strings.Repeat("i", r.Intn(40))))
+					exec(fmt.Sprintf("INSERT INTO t VALUES (%d, %d, %d, '%s')",
+						nextID, nextK, r.Intn(7), strings.Repeat("i", r.Intn(40))))
 					ids = append(ids, nextID)
 					nextID++
 					nextK++
 				case op < 6:
 					old := pick()
-					exec(fmt.Sprintf("UPDATE t SET id = %d, k = %d WHERE id = %d", nextID, nextK, old))
+					exec(fmt.Sprintf("UPDATE t SET id = %d, k = %d, g = %d WHERE id = %d", nextID, nextK, r.Intn(7), old))
 					for i, id := range ids {
 						if id == old {
 							ids[i] = nextID
@@ -97,7 +116,13 @@ func TestReplayMatchesLiveDatabase(t *testing.T) {
 				}
 			}
 
-			queries := []string{"SELECT * FROM t ORDER BY id", "SELECT * FROM t ORDER BY k"}
+			queries := []string{
+				"SELECT * FROM t ORDER BY id",
+				"SELECT * FROM t ORDER BY k",
+				"SELECT * FROM t WHERE g = 3 ORDER BY id",
+				"SELECT id, g FROM t WHERE g >= 5 ORDER BY g, id",
+				"SELECT COUNT(*) FROM t WHERE g < 2",
+			}
 			read := func(s *Session) []string {
 				t.Helper()
 				var out []string

@@ -41,45 +41,72 @@ func (h *HeapFile) Count() int {
 	return h.count
 }
 
-// insert stores record and returns its identifier. It appends: only the
-// last page is tried, and a new page is allocated when that one is full, so
-// an insert fetches one page and a page is compacted once, when it fills.
-// Space freed on earlier pages is not reused.
+// insert stores record and returns its identifier: the one-record case of
+// append.
 func (h *HeapFile) insert(record []byte) (RecordID, error) {
+	var rid [1]RecordID
+	err := h.append(rid[:], func(int, []byte) []byte { return record })
+	return rid[0], err
+}
+
+// append stores len(rids) records at the end of the heap and writes their
+// identifiers into rids. build(i, buf) returns the i-th record; it may build
+// it in buf, which holds the previous record's bytes and is reused once the
+// page has copied them. Only the last page is tried, and it stays pinned
+// while records fill it; when it is full a new page is allocated and pinned
+// in its place. So a batch fetches each page it writes once, a page is
+// compacted once, when it fills, and space freed on earlier pages is not
+// reused.
+func (h *HeapFile) append(rids []RecordID, build func(i int, buf []byte) []byte) (err error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if n := len(h.pages); n > 0 {
-		id := h.pages[n-1]
-		page, err := h.pool.fetch(id)
-		if err != nil {
-			return RecordID{}, err
+	var (
+		id    PageID
+		page  *Page // pinned while non-nil
+		dirty bool  // a record went onto page
+		buf   []byte
+	)
+	defer func() {
+		if page != nil {
+			err = errors.Join(err, h.pool.unpin(id, dirty))
 		}
-		slot, err := page.insert(record)
-		if err == nil {
-			h.count++
-			return RecordID{Page: id, Slot: uint16(slot)}, h.pool.unpin(id, true)
-		}
-		if unpinErr := h.pool.unpin(id, false); unpinErr != nil {
-			return RecordID{}, unpinErr
-		}
-		if !errors.Is(err, ErrPageFull) {
-			return RecordID{}, err
+	}()
+	if n := len(h.pages); n > 0 && len(rids) > 0 {
+		id = h.pages[n-1]
+		if page, err = h.pool.fetch(id); err != nil {
+			return err
 		}
 	}
-	id, page, err := h.pool.newPage()
-	if err != nil {
-		return RecordID{}, err
+	for i := range rids {
+		buf = build(i, buf)
+		slot, full := 0, page == nil
+		if !full {
+			slot, err = page.insert(buf)
+			if full = errors.Is(err, ErrPageFull); err != nil && !full {
+				return err
+			}
+		}
+		if full {
+			if page != nil {
+				err, page = h.pool.unpin(id, dirty), nil
+				if err != nil {
+					return err
+				}
+			}
+			if id, page, err = h.pool.newPage(); err != nil {
+				return err
+			}
+			h.pages = append(h.pages, id)
+			h.owned[id] = struct{}{}
+			if slot, err = page.insert(buf); err != nil {
+				return fmt.Errorf("storage: record of %d bytes does not fit in an empty page: %w", len(buf), err)
+			}
+		}
+		dirty = true
+		h.count++
+		rids[i] = RecordID{Page: id, Slot: uint16(slot)}
 	}
-	h.pages = append(h.pages, id)
-	h.owned[id] = struct{}{}
-	slot, err := page.insert(record)
-	if err != nil {
-		return RecordID{}, errors.Join(
-			fmt.Errorf("storage: record of %d bytes does not fit in an empty page: %w", len(record), err),
-			h.pool.unpin(id, false))
-	}
-	h.count++
-	return RecordID{Page: id, Slot: uint16(slot)}, h.pool.unpin(id, true)
+	return nil
 }
 
 // get returns a copy of the record at rid.

@@ -102,6 +102,58 @@ func TestHeapInsertFetchesOnePage(t *testing.T) {
 	}
 }
 
+// TestInsertVersionsFetchesOncePerBatch checks the batch append: a batch
+// that fills the heap's last page and several new ones fetches only that last
+// page, once, and every version reads back with its own header and payload.
+func TestInsertVersionsFetchesOncePerBatch(t *testing.T) {
+	pool := NewBufferPool(NewMemDiskManager(), 64)
+	h := NewHeapFile(pool)
+	if _, err := h.InsertVersion(VersionMeta{Xmin: 1}, []byte("first")); err != nil {
+		t.Fatal(err)
+	}
+	const n = 40
+	metas := make([]VersionMeta, n)
+	payloads := make([][]byte, n)
+	for i := range payloads {
+		metas[i] = VersionMeta{Xmin: uint64(i + 2)}
+		payloads[i] = bytes.Repeat([]byte{byte('a' + i%26)}, 900+i) // 8 or 9 to a page
+	}
+	rids := make([]RecordID, n)
+	before := pool.Stats()
+	if err := h.InsertVersions(metas, payloads, rids); err != nil {
+		t.Fatal(err)
+	}
+	after := pool.Stats()
+	if fetches := (after.Hits + after.Misses) - (before.Hits + before.Misses); fetches != 1 {
+		t.Errorf("a batch of %d versions fetched %d pages, want 1", n, fetches)
+	}
+	if rids[0].Page != h.pages[0] {
+		t.Errorf("the batch started on page %d, not on the heap's last page %d", rids[0].Page, h.pages[0])
+	}
+	if len(h.pages) < 5 || h.Count() != n+1 {
+		t.Errorf("heap spans %d pages holding %d records", len(h.pages), h.Count())
+	}
+	for i, rid := range rids {
+		meta, payload, err := h.GetVersion(rid)
+		if err != nil {
+			t.Fatalf("version %d at %v: %v", i, rid, err)
+		}
+		if meta != metas[i] || !bytes.Equal(payload, payloads[i]) {
+			t.Errorf("version %d reads back as %+v with %d bytes", i, meta, len(payload))
+		}
+	}
+	// A record that can never fit fails the batch and leaves nothing pinned.
+	err := h.InsertVersions([]VersionMeta{{}}, [][]byte{make([]byte, PageSize)}, make([]RecordID, 1))
+	if err == nil {
+		t.Fatal("a version larger than a page was stored")
+	}
+	for id, f := range pool.frames {
+		if f.pins != 0 {
+			t.Errorf("page %d is left with %d pins", id, f.pins)
+		}
+	}
+}
+
 func TestHeapIterator(t *testing.T) {
 	h := newTestHeap()
 	want := map[string]bool{}

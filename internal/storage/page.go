@@ -18,8 +18,8 @@ import (
 const PageSize = 8192
 
 // pageHeaderSize is the number of bytes reserved at the start of each page:
-// 2 bytes slot count + 2 bytes free-space pointer.
-const pageHeaderSize = 4
+// 2 bytes slot count + 2 bytes free-space pointer + 2 bytes tombstone count.
+const pageHeaderSize = 6
 
 // slotSize is the per-slot directory entry size: 2 bytes offset + 2 bytes length.
 const slotSize = 4
@@ -71,14 +71,19 @@ func (p *Page) setSlot(i, offset, length int) {
 	binary.LittleEndian.PutUint16(p.data[p.slotBase(i)+2:p.slotBase(i)+4], uint16(length))
 }
 
+// tombstones is the number of deleted slots an insert may reuse.
+func (p *Page) tombstones() int     { return int(binary.LittleEndian.Uint16(p.data[4:6])) }
+func (p *Page) setTombstones(n int) { binary.LittleEndian.PutUint16(p.data[4:6], uint16(n)) }
+
 // insert stores the record on the page and returns its slot number.
 func (p *Page) insert(record []byte) (int, error) {
 	if len(record) > PageSize-pageHeaderSize-slotSize {
 		return 0, fmt.Errorf("storage: record of %d bytes can never fit in a page", len(record))
 	}
 	// Reuse a tombstoned slot when one exists to keep the directory compact.
+	// The header counts them, so a page without one is not searched.
 	slot := -1
-	for i := 0; i < p.slotCount(); i++ {
+	for i := 0; i < p.slotCount() && p.tombstones() > 0; i++ {
 		if p.slotLength(i) == 0 && p.slotOffset(i) == 0 {
 			slot = i
 			break
@@ -101,6 +106,8 @@ func (p *Page) insert(record []byte) (int, error) {
 	if slot < 0 {
 		slot = p.slotCount()
 		p.setSlotCount(slot + 1)
+	} else {
+		p.setTombstones(p.tombstones() - 1)
 	}
 	p.setSlot(slot, offset, len(record))
 	if len(record) == 0 {
@@ -137,6 +144,7 @@ func (p *Page) delete(slot int) error {
 		return ErrNoSuchSlot
 	}
 	p.setSlot(slot, 0, 0)
+	p.setTombstones(p.tombstones() + 1)
 	return nil
 }
 

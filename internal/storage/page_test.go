@@ -69,6 +69,32 @@ func TestPageSlotReuse(t *testing.T) {
 	if s2 != s1 {
 		t.Errorf("tombstoned slot should be reused: got %d, want %d", s2, s1)
 	}
+	// The header's tombstone count lets an insert skip the directory search
+	// only when no slot is free: every freed slot is still found.
+	for i := 0; i < 5; i++ {
+		if _, err := p.insert([]byte("more")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	freed := map[int]bool{1: true, 4: true, 5: true}
+	for s := range freed {
+		if err := p.delete(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for n := len(freed); n > 0; n-- {
+		s, err := p.insert([]byte("refill"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !freed[s] {
+			t.Errorf("an insert took slot %d while a freed slot was left", s)
+		}
+		delete(freed, s)
+	}
+	if s, _ := p.insert([]byte("last")); s != 6 || p.tombstones() != 0 {
+		t.Errorf("with no slot free an insert took slot %d, %d tombstones counted", s, p.tombstones())
+	}
 }
 
 func TestPageFullAndCompaction(t *testing.T) {

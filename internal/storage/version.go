@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // VersionHeaderSize is the fixed number of bytes prepended to every heap
@@ -34,14 +35,13 @@ type VersionMeta struct {
 	Xmax uint64
 }
 
-// encodeVersion prepends the version header to payload, returning the heap
-// record image.
-func encodeVersion(m VersionMeta, payload []byte) []byte {
-	rec := make([]byte, VersionHeaderSize+len(payload))
-	binary.LittleEndian.PutUint64(rec[0:8], m.Xmin)
-	binary.LittleEndian.PutUint64(rec[8:16], m.Xmax)
-	copy(rec[VersionHeaderSize:], payload)
-	return rec
+// appendVersion appends the heap record image of a version, the header and
+// then payload, to dst.
+func appendVersion(dst []byte, m VersionMeta, payload []byte) []byte {
+	dst = slices.Grow(dst, VersionHeaderSize+len(payload))
+	dst = binary.LittleEndian.AppendUint64(dst, m.Xmin)
+	dst = binary.LittleEndian.AppendUint64(dst, m.Xmax)
+	return append(dst, payload...)
 }
 
 // DecodeVersion splits a heap record image into its version header and
@@ -59,7 +59,17 @@ func DecodeVersion(rec []byte) (VersionMeta, []byte, error) {
 
 // InsertVersion stores payload as a new row version stamped with meta.
 func (h *HeapFile) InsertVersion(meta VersionMeta, payload []byte) (RecordID, error) {
-	return h.insert(encodeVersion(meta, payload))
+	return h.insert(appendVersion(nil, meta, payload))
+}
+
+// InsertVersions stores each payloads[i] as a new row version stamped with
+// metas[i] and writes its identifier into rids[i]. It appends the batch with
+// the last page pinned while it fills, building every record in one reused
+// buffer: one page fetch per page written, not one per row.
+func (h *HeapFile) InsertVersions(metas []VersionMeta, payloads [][]byte, rids []RecordID) error {
+	return h.append(rids, func(i int, buf []byte) []byte {
+		return appendVersion(buf[:0], metas[i], payloads[i])
+	})
 }
 
 // GetVersion returns the version header and a copy of the payload at rid.

@@ -458,8 +458,9 @@ type ReplayStats struct {
 
 // ReplayLog rebuilds the catalog from a checkpoint image (may be nil) plus a
 // record tail. The image is applied first — DDL history through applyDDL,
-// then rows stamped with their original creating transaction — and then the
-// tail is replayed in log order, applying only records of committed
+// then each table's rows in one bulk install (Table.InstallImage), stamped
+// with their original creating transaction — and then the tail is replayed
+// in log order, record by record, applying only records of committed
 // transactions whose effects the image does not already capture. Applying
 // the image first matters: a tail UPDATE or DELETE finds its target row by
 // before-image among the rows the image installed.
@@ -483,12 +484,10 @@ func ReplayLog(image *CheckpointImage, tail []Record, cat *catalog.Catalog, appl
 			if err != nil {
 				return st, fmt.Errorf("txn: checkpoint table %s: %w", t.Name, err)
 			}
-			for i, row := range t.Rows {
-				if _, err := table.InstallVersion(row, t.Xmins[i]); err != nil {
-					return st, fmt.Errorf("txn: checkpoint row into %s: %w", t.Name, err)
-				}
-				st.ImageRows++
+			if err := table.InstallImage(t.Rows, t.Xmins); err != nil {
+				return st, fmt.Errorf("txn: checkpoint rows into %s: %w", t.Name, err)
 			}
+			st.ImageRows += len(t.Rows)
 		}
 	}
 
