@@ -12,11 +12,14 @@
 //
 // With -replica-of, the server runs as a read-only physical replica: it
 // subscribes to the primary at addr, streams the primary's WAL from the
-// beginning into a fresh in-memory engine, and serves SELECTs against its
-// own MVCC snapshots while refusing writes and explicit transactions.
-// Replicas take no -data/-wal of their own; a restarted replica simply
-// re-streams the full history (checkpoints never truncate the primary's
-// log, so LSN 0 is always available).
+// beginning into a fresh in-memory engine through the log applier crash
+// recovery uses — each primary transaction adopted under the primary's id,
+// visible whole at its COMMIT — and serves SELECTs against its own MVCC
+// snapshots while refusing writes and explicit transactions. A severed
+// stream resubscribes from the applied frontier. Replicas take no -data/-wal
+// of their own; a restarted replica simply re-streams the full history
+// (checkpoints never truncate the primary's log, so LSN 0 is always
+// available).
 //
 // The -wal log is the only durable state: a restart rebuilds the database
 // from it. -data names a spill file for pages evicted from the buffer pool;

@@ -152,13 +152,13 @@ func TestInsertGetUpdateDelete(t *testing.T) {
 		t.Errorf("live rows = %d", n)
 	}
 
-	// An update as recovery replays it: remove the old version, install
-	// the new row.
+	// Replace the version physically: remove the old one, insert the new
+	// row frozen.
 	if err := tbl.RemoveVersion(rid); err != nil {
 		t.Fatal(err)
 	}
 	updated := Tuple{types.NewInt(1), types.NewString("Ada"), types.NewString("Chicago"), types.NewFloat(250)}
-	newRID, err := tbl.InstallVersion(updated, 0)
+	newRID, err := tbl.InsertVersion(updated, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

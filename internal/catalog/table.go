@@ -35,11 +35,12 @@ var ErrNoMatchingRow = errors.New("catalog: no row matches the before-image")
 // and the indexes kept consistent with it.
 //
 // Every heap record carries a storage.VersionMeta header. Rows written through
-// the transaction layer are stamped with the writing transaction's id; crash
-// recovery installs versions with their logged xmin (InstallVersion) and
-// removes the versions a logged update or delete replaced (RemoveVersion).
-// Indexes hold entries for every version, live or dead: scans filter by
-// visibility per record id at fetch time; versions of a row are not linked.
+// the transaction layer are stamped with the writing transaction's id, which
+// for a logged change crash recovery or a replica applies is the id the log
+// names; a checkpoint image's rows are installed with their logged xmin
+// (InstallImage). Indexes hold entries for every version, live or dead:
+// scans filter by visibility per record id at fetch time; versions of a row
+// are not linked.
 //
 // The versions that are not settled — not yet visible to every snapshot, or
 // carrying an xmax — are also kept in one list (see unsettled.go), changed in
@@ -215,27 +216,17 @@ func (t *Table) dropIndex(name string) {
 
 // InsertVersion appends a new row version stamped xmin=xid and maintains
 // every index. Unique constraints are NOT checked here: the transaction
-// layer probes live versions under its key locks before calling.
+// layer probes live versions under its key locks before calling. A version
+// stamped with a transaction id joins the unsettled list; xid 0 writes a
+// frozen version, visible to every snapshot.
 func (t *Table) InsertVersion(tuple Tuple, xid uint64) (storage.RecordID, error) {
-	return t.insertStamped(tuple, xid, xid != 0)
-}
-
-// InstallVersion is InsertVersion for crash recovery, whose versions join no
-// unsettled list: recovery installs every version before it advances the id
-// sequence past the log and before any snapshot exists, and once the
-// sequence has advanced every such version is settled.
-func (t *Table) InstallVersion(tuple Tuple, xmin uint64) (storage.RecordID, error) {
-	return t.insertStamped(tuple, xmin, false)
-}
-
-func (t *Table) insertStamped(tuple Tuple, xmin uint64, unsettled bool) (storage.RecordID, error) {
 	validated, err := tuple.ValidateAgainst(t.schema)
 	if err != nil {
 		return storage.RecordID{}, err
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.insertVersionLocked(validated, storage.VersionMeta{Xmin: xmin}, unsettled)
+	return t.insertVersionLocked(validated, storage.VersionMeta{Xmin: xid}, xid != 0)
 }
 
 // insertVersionLocked writes the version and its index entries, and lists it
@@ -255,13 +246,14 @@ func (t *Table) insertVersionLocked(validated Tuple, meta storage.VersionMeta, u
 }
 
 // InstallImage installs a checkpoint image's rows, rows[i] stamped
-// xmin=xmins[i], into this table, which must hold no row. It is the bulk
-// form of InstallVersion: every row is validated against the schema first,
-// so a bad row installs nothing; the rows are then encoded into one reused
-// buffer and appended to the heap in one batch, which fills each page under
-// one pin; last, each index is built with one Tree.Load over keys encoded
-// into one arena the indexes share. Like InstallVersion, the versions join
-// no unsettled list.
+// xmin=xmins[i], into this table, which must hold no row. Every row is
+// validated against the schema first, so a bad row installs nothing; the
+// rows are then encoded into one reused buffer and appended to the heap in
+// one batch, which fills each page under one pin; last, each index is built
+// with one Tree.Load over keys encoded into one arena the indexes share. The
+// versions join no unsettled list: each image row's creator committed before
+// the checkpoint, and recovery installs the image before any snapshot exists
+// and resumes the id sequence past it, so every such version is settled.
 func (t *Table) InstallImage(rows []Tuple, xmins []uint64) error {
 	if len(rows) != len(xmins) {
 		return fmt.Errorf("catalog: image for %s has %d rows and %d xmins", t.name, len(rows), len(xmins))
@@ -360,8 +352,7 @@ func (t *Table) ClearXmax(rid storage.RecordID) error {
 }
 
 // RemoveVersion physically deletes the version at rid and its index entries
-// (rollback undo for inserts, and recovery's replay of a delete or of the
-// old side of an update).
+// (rollback undo of an insert, and of the new side of an update).
 func (t *Table) RemoveVersion(rid storage.RecordID) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()

@@ -255,6 +255,50 @@ func TestRecoveryLeavesNoUnsettledVersions(t *testing.T) {
 	}
 }
 
+// TestRecoveryOfInterleavedTransactionsLeavesNoUnsettledVersions: replay
+// applies the log's transactions as they interleaved, so a commit's sweep of
+// the table it wrote can be held back by a transaction still open on another
+// table — here T2 commits b while T1 is open on a. Recovery ends with every
+// table swept whole, so no unsettled version is left for either table.
+func TestRecoveryOfInterleavedTransactionsLeavesNoUnsettledVersions(t *testing.T) {
+	walPath := filepath.Join(t.TempDir(), "db.wal")
+	db, err := Open(Options{WALPath: walPath})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t1, t2 := db.Session(), db.Session()
+	for _, step := range []struct {
+		s    *Session
+		stmt string
+	}{
+		{t1, "CREATE TABLE a (id INT PRIMARY KEY)"},
+		{t1, "CREATE TABLE b (id INT PRIMARY KEY)"},
+		{t1, "BEGIN"},
+		{t1, "INSERT INTO a VALUES (1)"},
+		{t2, "INSERT INTO b VALUES (1)"},
+		{t1, "COMMIT"},
+	} {
+		if _, err := step.s.Execute(step.stmt); err != nil {
+			t.Fatalf("%s: %v", step.stmt, err)
+		}
+	}
+	t1.Close()
+	t2.Close()
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db, err = Open(Options{WALPath: walPath})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	for _, table := range db.tables() {
+		if n := table.UnsettledVersions(); n != 0 {
+			t.Errorf("table %s has %d unsettled versions after recovery, want 0", table.Name(), n)
+		}
+	}
+}
+
 // TestCountInsideTransactionUnderConcurrentWriters: one session counts
 // inside BEGIN … COMMIT — a whole-table COUNT(*) and a primary-key range
 // COUNT(*), each beside the SELECT * it must agree with under the shared

@@ -202,32 +202,28 @@ func OpenMemory() *Database {
 	return db
 }
 
-// replay recovers the previous run's state: the checkpoint image (when one
-// was loaded) and then the committed transactions of the log tail. The
-// session that re-executes recovered DDL runs in recovery mode — its schema
-// statements must NOT be logged again, or every restart would append a
-// duplicate copy of the schema history to the very log being recovered.
-// Afterwards the transaction-id sequence is advanced past every recovered
-// version stamp and the schema history is seeded for the next checkpoint.
-// Replay lists no version (catalog.Table.InstallVersion) and leaves none dead
-// (a replayed delete removes its version; a replayed update removes it and
-// installs the new row), so once the sequence has advanced every version is
-// settled and every unsettled list is empty.
+// replay recovers the previous run's state through the applier: the
+// checkpoint image (when one was loaded), then the log tail record by record.
+// The transactions the log leaves open — a crash cut them short — are aborted
+// in the log and undone, so every BEGIN the log holds is followed by a COMMIT
+// or an ABORT. Last, every table is swept whole: once nothing is in flight,
+// every replayed version is settled or reclaimed, and every unsettled list is
+// empty.
 func (db *Database) replay(load *txn.LogLoad) (txn.ReplayStats, error) {
-	session := db.Session()
-	session.recovering = true
-	defer func() {
-		// Recovery DDL opens no cursors and leaves no transaction dangling;
-		// closing just balances the session gauge.
-		_ = session.Close()
-	}()
-	st, err := txn.ReplayLog(load.Image, load.Tail, db.cat, func(ddl string) error {
-		_, err := session.Execute(ddl)
-		return err
-	})
-	db.txns.AdvanceTo(st.MaxID)
-	db.txns.SeedDDL(st.DDL)
-	return st, err
+	a := db.applier()
+	st, err := txn.ReplayLog(a, load.Image, load.Tail)
+	if err != nil {
+		return st, err
+	}
+	if _, err := a.AbortOpen(db.wal); err != nil {
+		return st, fmt.Errorf("engine: closing the transactions the log left open: %w", err)
+	}
+	for _, table := range db.tables() {
+		if _, err := db.txns.Sweep(table, true); err != nil {
+			return st, err
+		}
+	}
+	return st, nil
 }
 
 // Recovery reports what the replay at Open did.
@@ -292,15 +288,27 @@ func (db *Database) Session() *Session {
 	return &Session{db: db}
 }
 
-// recoverySession creates a session in the mode crash-recovery replay runs
-// in: DDL executes against the catalog without being re-logged, since the
-// statements it applies already live in some log. Replication appliers use
-// it to execute a primary's DDL records on a replica without growing a
-// second history.
-func (db *Database) recoverySession() *Session {
-	s := db.Session()
-	s.recovering = true
-	return s
+// applier returns a log applier into this database (see txn.Applier). Its
+// DDL runs in a recovery session, which does not log it again: the statement
+// already lives in the log being applied.
+func (db *Database) applier() *txn.Applier {
+	return txn.NewApplier(db.txns, db.cat, func(ddl string) error {
+		s := db.Session()
+		s.recovering = true
+		defer s.Close()
+		_, err := s.Execute(ddl)
+		return err
+	})
+}
+
+// Follow makes this database follow another database's log, as a replica
+// does, and returns the applier to feed that log to, record by record from
+// offset 0. Open's replay applies the database's own log through the same
+// code. A transaction begun locally afterwards diverges the database from the
+// log (txn.Manager.Follow).
+func (db *Database) Follow() *txn.Applier {
+	db.txns.Follow()
+	return db.applier()
 }
 
 // PlanCacheLen returns how many statement skeletons the engine's shared plan

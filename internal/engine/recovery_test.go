@@ -629,3 +629,233 @@ func TestCheckpointAndCloseWriteNoPages(t *testing.T) {
 		t.Errorf("Checkpoint and Close wrote %d pages, want none", got-before.Writes)
 	}
 }
+
+// TestOpenClosesTransactionsTheLogLeftOpen: a crash image whose log holds a
+// BEGIN with no COMMIT or ABORT — a transaction cut short — reopens with an
+// ABORT for it appended, so the log closes every transaction it opens. A
+// second reopen finds nothing open and writes nothing, and an applier fed the
+// whole log from offset 0, as a replica is, ends with nothing adopted and no
+// unsettled version.
+func TestOpenClosesTransactionsTheLogLeftOpen(t *testing.T) {
+	dir := t.TempDir()
+	walPath := filepath.Join(dir, "db.wal")
+	db, err := Open(Options{WALPath: walPath})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	s := db.Session()
+	for _, stmt := range []string{
+		replLedgerDDL,
+		"INSERT INTO ledger VALUES (1, 'ada', 100)",
+		"INSERT INTO ledger VALUES (2, 'bob', 100)",
+		"BEGIN",
+		"INSERT INTO ledger VALUES (3, 'eve', 5)",
+		"UPDATE ledger SET amount = 0 WHERE id = 1",
+	} {
+		if _, err := s.Execute(stmt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The crash image: the log as it stands with the transaction open.
+	image, err := os.ReadFile(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	crashPath := filepath.Join(t.TempDir(), "db.wal")
+	if err := os.WriteFile(crashPath, image, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	openID := lastBegin(t, crashPath)
+
+	want := []string{"1:ada:100", "2:bob:100"}
+	reopen := func(when string) int64 {
+		t.Helper()
+		rdb, err := Open(Options{WALPath: crashPath})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rs := rdb.Session()
+		if got := ledgerRows(t, rs); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("%s: ledger reads %v, want %v", when, got, want)
+		}
+		rs.Close()
+		if n := rdb.Stats().UnsettledVersions; n != 0 {
+			t.Errorf("%s: %d unsettled versions", when, n)
+		}
+		if err := rdb.Close(); err != nil {
+			t.Fatal(err)
+		}
+		info, err := os.Stat(crashPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return info.Size()
+	}
+	first := reopen("first reopen")
+	load, err := txn.LoadLog(crashPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if last := load.Tail[len(load.Tail)-1]; last.Kind != txn.RecordAbort || last.Txn != openID {
+		t.Errorf("the reopened log ends in %s of transaction %d, want ABORT of %d", last.Kind, last.Txn, openID)
+	}
+	if second := reopen("second reopen"); second != first {
+		t.Errorf("a reopen with nothing open grew the log %d -> %d bytes", first, second)
+	}
+
+	replica := OpenMemory()
+	defer replica.Close()
+	a := replica.Follow()
+	if err := apply(a, load.Tail...); err != nil {
+		t.Fatal(err)
+	}
+	if open, err := a.AbortOpen(nil); err != nil || len(open) != 0 {
+		t.Errorf("the applier fed the reopened log keeps %v adopted (%v)", open, err)
+	}
+	if n := replica.Stats().UnsettledVersions; n != 0 {
+		t.Errorf("the applier fed the reopened log left %d unsettled versions", n)
+	}
+	rs := replica.Session()
+	defer rs.Close()
+	if got := ledgerRows(t, rs); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("the applier's ledger reads %v, want %v", got, want)
+	}
+}
+
+// TestUncommittedDDLIsNotRecovered: a crash between a DDL record's append and
+// its COMMIT leaves BEGIN + DDL with no COMMIT in the log. The statement did
+// not commit, so recovery must not run it: a CREATE leaves no table behind
+// (rows committed into it would reach a checkpoint image that has no CREATE
+// for them), and a DROP loses no committed row. A checkpoint after the
+// reopen, and the reopen after it, succeed.
+func TestUncommittedDDLIsNotRecovered(t *testing.T) {
+	for _, ddl := range []string{"CREATE TABLE x (id INT PRIMARY KEY)", "DROP TABLE ledger"} {
+		t.Run(ddl, func(t *testing.T) {
+			walPath := filepath.Join(t.TempDir(), "db.wal")
+			db, err := Open(Options{WALPath: walPath})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := db.Session()
+			for _, stmt := range []string{replLedgerDDL, "INSERT INTO ledger VALUES (1, 'ada', 100)"} {
+				if _, err := s.Execute(stmt); err != nil {
+					t.Fatal(err)
+				}
+			}
+			s.Close()
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+			// The crash image: the DDL's BEGIN and record, and no COMMIT.
+			id := lastBegin(t, walPath) + 1
+			w, err := txn.OpenWALFile(walPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range []txn.Record{{Kind: txn.RecordBegin, Txn: id}, {Kind: txn.RecordDDL, Txn: id, DDL: ddl}} {
+				if err := w.Append(r); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			want := []string{"1:ada:100"}
+			for _, when := range []string{"reopen", "reopen after a checkpoint"} {
+				rdb, err := Open(Options{WALPath: walPath})
+				if err != nil {
+					t.Fatalf("%s: %v", when, err)
+				}
+				rs := rdb.Session()
+				if got := ledgerRows(t, rs); fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Errorf("%s: ledger reads %v, want %v", when, got, want)
+				}
+				if _, err := rs.Query("SELECT COUNT(*) FROM x"); err == nil {
+					t.Errorf("%s: table x exists", when)
+				}
+				rs.Close()
+				if _, err := rdb.Checkpoint(); err != nil {
+					t.Fatalf("%s: checkpoint: %v", when, err)
+				}
+				if err := rdb.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// lastBegin returns the id of the last BEGIN in the log at path.
+func lastBegin(t *testing.T, path string) uint64 {
+	t.Helper()
+	load, err := txn.LoadLog(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var id uint64
+	for _, r := range load.Tail {
+		if r.Kind == txn.RecordBegin {
+			id = r.Txn
+		}
+	}
+	return id
+}
+
+// TestDDLRefusedInsideATransaction: a schema statement changes the catalog at
+// once and commits on its own, so inside an explicit transaction it is
+// refused with ErrDDLInTransaction before it changes anything — the catalog
+// and the log stay as they were, and a ROLLBACK leaves no table behind that
+// a restart would lose.
+func TestDDLRefusedInsideATransaction(t *testing.T) {
+	walPath := filepath.Join(t.TempDir(), "db.wal")
+	db, err := Open(Options{WALPath: walPath})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := db.Session()
+	if _, err := s.Execute(replLedgerDDL); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Execute("BEGIN"); err != nil {
+		t.Fatal(err)
+	}
+	tables, logSize := db.cat.TableNames(), db.wal.Size()
+	for _, ddl := range []string{
+		"CREATE TABLE x (id INT PRIMARY KEY)",
+		"CREATE INDEX ledger_owner ON ledger (owner)",
+		"CREATE VIEW rich AS SELECT id FROM ledger WHERE amount > 100",
+		"DROP TABLE ledger",
+	} {
+		if _, err := s.Execute(ddl); !errors.Is(err, ErrDDLInTransaction) {
+			t.Errorf("%s inside BEGIN = %v, want ErrDDLInTransaction", ddl, err)
+		}
+	}
+	if got := db.cat.TableNames(); fmt.Sprint(got) != fmt.Sprint(tables) {
+		t.Errorf("tables %v after the refusals, want %v", got, tables)
+	}
+	ledger, err := db.cat.GetTable("ledger")
+	if err != nil || len(ledger.Indexes()) != 1 {
+		t.Errorf("ledger after the refusals: %v, err %v; want it with its primary key alone", ledger, err)
+	}
+	if _, err := db.cat.GetView("rich"); err == nil {
+		t.Error("the refused CREATE VIEW registered the view")
+	}
+	if got := db.wal.Size(); got != logSize {
+		t.Errorf("the refusals grew the log %d -> %d bytes", logSize, got)
+	}
+	if _, err := s.Execute("ROLLBACK"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Query("SELECT COUNT(*) FROM x"); err == nil {
+		t.Error("table x exists after its CREATE was refused")
+	}
+	if _, err := s.Execute("CREATE TABLE x (id INT PRIMARY KEY)"); err != nil {
+		t.Errorf("CREATE TABLE outside a transaction = %v", err)
+	}
+	s.Close()
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
@@ -42,9 +43,9 @@ type Session struct {
 	// snapshots when a connection drops with cursors still streaming.
 	openRows map[*Rows]struct{}
 	closed   bool
-	// recovering marks the session Open's replay uses to re-execute logged
-	// DDL. Schema statements it runs must not be appended to the log again —
-	// they are already in it (or in the checkpoint image being applied).
+	// recovering marks the session a log applier runs logged DDL in. Schema
+	// statements it runs must not be appended to the log again — they are
+	// already in it (or in the checkpoint image being applied).
 	recovering bool
 }
 
@@ -130,6 +131,9 @@ func (s *Session) Query(text string) (*Result, error) {
 // script shares plans with prepared statements. Parameter placeholders are
 // not allowed on this path — prepare the statement instead.
 func (s *Session) ExecuteStmt(stmt sql.Statement) (*Result, error) {
+	if s.current != nil && isDDL(stmt) {
+		return nil, ErrDDLInTransaction
+	}
 	switch stmt := stmt.(type) {
 	case *sql.SelectStmt, *sql.InsertStmt, *sql.UpdateStmt, *sql.DeleteStmt:
 		return s.Execute(stmt.String())
@@ -222,6 +226,21 @@ func (s *Session) finishWrite(t *txn.Txn, autocommit bool, execErr error) error 
 
 // --- DDL -------------------------------------------------------------------
 
+// ErrDDLInTransaction refuses a schema statement inside an explicit
+// transaction. DDL changes the catalog at once and commits in a transaction
+// of its own, so a ROLLBACK of the transaction around it could not take it
+// back; it is refused before it changes anything.
+var ErrDDLInTransaction = errors.New("engine: DDL is not allowed inside an explicit transaction")
+
+// isDDL reports whether stmt changes the schema.
+func isDDL(stmt sql.Statement) bool {
+	switch stmt.(type) {
+	case *sql.CreateTableStmt, *sql.CreateIndexStmt, *sql.CreateViewStmt, *sql.DropStmt:
+		return true
+	}
+	return false
+}
+
 func (s *Session) executeCreateTable(stmt *sql.CreateTableStmt) (*Result, error) {
 	cols := make([]types.Column, len(stmt.Columns))
 	for i, def := range stmt.Columns {
@@ -305,18 +324,18 @@ func (s *Session) executeDrop(stmt *sql.DropStmt) (*Result, error) {
 }
 
 // logDDL records a schema change in the WAL so that recovery rebuilds the
-// catalog. DDL is autocommitted in its own transaction. During recovery the
-// statement being executed came FROM the log, so it is not logged again.
+// catalog. DDL is autocommitted in its own transaction (ExecuteStmt refuses
+// it inside an explicit one). In a recovery session the statement being
+// executed came FROM the log, so it is not logged again.
 func (s *Session) logDDL(text string) error {
 	if s.recovering {
 		return nil
 	}
-	t, autocommit, err := s.writeTxn()
+	t, err := s.db.txns.Begin()
 	if err != nil {
 		return err
 	}
-	err = t.LogDDL(text)
-	return s.finishWrite(t, autocommit, err)
+	return s.finishWrite(t, true, t.LogDDL(text))
 }
 
 // --- DML ---------------------------------------------------------------------

@@ -1,21 +1,21 @@
 // Replica applier: the consumer end of WAL streaming. A Replica dials the
-// primary, subscribes from its resume point, reassembles the pushed
-// segments into the primary's byte-exact log, and continuously replays
-// committed transactions into a local engine. The local engine serves
-// read-only sessions through the ordinary server path; MVCC snapshots make
-// each applied transaction visible atomically, so a reader on the replica
-// sees exactly the prefix of primary history the applier has reached.
+// primary, subscribes from its applied frontier, reassembles the pushed
+// segments into the primary's byte-exact log, and feeds every record to the
+// local engine's log applier (txn.Applier) — the same code crash recovery
+// replays a log tail with, under the primary's transaction ids. The local
+// engine serves read-only sessions through the ordinary server path: a
+// primary transaction is adopted as a live transaction at its BEGIN and
+// becomes visible, whole, when its COMMIT applies, so a reader on the replica
+// sees exactly a prefix of the primary's commits.
 //
-// Progress is tracked as two LSNs. applied is the processed-through
-// frontier: every commit record ending at or below it has been applied, so
-// it is the number the read-only server stamps on responses, which a reader
-// compares with the primary's durable frontier. resume is the safe
-// resubscribe point — the applied frontier rolled back to the oldest
-// still-open transaction's BEGIN, because an open transaction's buffered
-// records live only in memory and must be re-streamed after a reconnect.
-// Re-received commits are skipped by their end offset, which is what makes
-// killing and restarting the stream (or the whole replica process, which
-// simply re-streams from LSN 0 into a fresh engine) idempotent.
+// Progress is one LSN, the applied frontier: every record ending at or below
+// it has been applied. The read-only server stamps it on responses, which a
+// reader compares with the primary's durable frontier, and a resubscribe
+// starts there. The applier outlives the stream, so a transaction still open
+// on the primary stays adopted across a reconnect and its remaining records
+// apply on top of the ones already applied; nothing is applied twice and
+// nothing is buffered. A restarted replica process starts a fresh engine and
+// re-streams from LSN 0.
 package server
 
 import (
@@ -32,24 +32,18 @@ import (
 
 // Replica streams a primary's WAL into a local engine.
 type Replica struct {
-	db   *engine.Database
-	addr string
+	addr    string
+	applier *txn.Applier
 
 	mu      sync.Mutex
 	stream  *client.WALStream
 	stopped bool
 	done    chan struct{}
 
-	// applied is the processed-through LSN; resume the safe resubscribe
-	// point. appliedCommitEnd guards against re-applying a commit that a
-	// resubscribe re-delivers; it only ever grows.
-	applied          atomic.Uint64
-	resume           atomic.Uint64
-	appliedCommitEnd int64
+	// applied is the applied frontier; only the streaming loop moves it.
+	applied atomic.Uint64
 
 	txnsApplied  atomic.Uint64
-	txnsSkipped  atomic.Uint64
-	recsSeen     atomic.Uint64
 	connects     atomic.Uint64
 	streamErrors atomic.Uint64
 	lastErr      atomic.Value
@@ -57,17 +51,13 @@ type Replica struct {
 
 // ReplicaStats is a snapshot of the applier's progress.
 type ReplicaStats struct {
-	// AppliedLSN is the processed-through log position; ResumeLSN is where
-	// the next (re)subscribe would start.
+	// AppliedLSN is the applied frontier, where the next (re)subscribe starts.
 	AppliedLSN uint64
-	ResumeLSN  uint64
-	// TxnsApplied counts primary transactions replayed locally; TxnsSkipped
-	// counts commits a resubscribe re-delivered that were already applied.
+	// TxnsApplied counts primary transactions committed locally. TxnsSkipped
+	// is always 0: a resubscribe starts at the applied frontier, so no commit
+	// is delivered twice. It stays for the benchmark's counter.
 	TxnsApplied uint64
 	TxnsSkipped uint64
-	// RecordsSeen counts log records scanned (including those of
-	// transactions still open on the primary).
-	RecordsSeen uint64
 	// Connects counts successful subscriptions; StreamErrors counts streams
 	// that ended in an error (each is followed by a backoff and reconnect).
 	Connects     uint64
@@ -80,7 +70,7 @@ type ReplicaStats struct {
 // into db. The database should be fresh (the applier replays from LSN 0) and
 // must not take local writes — run the serving Server with SetReadOnly.
 func NewReplica(db *engine.Database, primaryAddr string) *Replica {
-	return &Replica{db: db, addr: primaryAddr, done: make(chan struct{})}
+	return &Replica{addr: primaryAddr, applier: db.Follow(), done: make(chan struct{})}
 }
 
 // Start launches the streaming loop. It returns immediately; the replica
@@ -114,10 +104,7 @@ func (r *Replica) AppliedLSN() uint64 { return r.applied.Load() }
 func (r *Replica) Stats() ReplicaStats {
 	st := ReplicaStats{
 		AppliedLSN:   r.applied.Load(),
-		ResumeLSN:    r.resume.Load(),
 		TxnsApplied:  r.txnsApplied.Load(),
-		TxnsSkipped:  r.txnsSkipped.Load(),
-		RecordsSeen:  r.recsSeen.Load(),
 		Connects:     r.connects.Load(),
 		StreamErrors: r.streamErrors.Load(),
 	}
@@ -153,7 +140,7 @@ func (r *Replica) clearStream() {
 }
 
 // run is the reconnect loop: stream until the connection dies, back off,
-// resubscribe from the resume point. Backoff doubles from 50ms to 1s and
+// resubscribe from the applied frontier. Backoff doubles from 50ms to 1s and
 // resets whenever a stream made progress.
 func (r *Replica) run() {
 	defer close(r.done)
@@ -179,13 +166,15 @@ func (r *Replica) run() {
 }
 
 // streamOnce runs one subscription to exhaustion. It reports whether any
-// record was processed (for backoff reset) and why the stream ended.
+// record was applied (for backoff reset) and why the stream ended. A record
+// the applier refuses ends the stream before the frontier passes it, so the
+// next subscription delivers it again.
 func (r *Replica) streamOnce() (progressed bool, err error) {
 	conn, err := client.Dial(r.addr)
 	if err != nil {
 		return false, err
 	}
-	start := r.resume.Load()
+	start := r.applied.Load()
 	ws, err := conn.Subscribe(start)
 	if err != nil {
 		conn.Close()
@@ -198,82 +187,29 @@ func (r *Replica) streamOnce() (progressed bool, err error) {
 	defer r.clearStream()
 	r.connects.Add(1)
 
-	// pending buffers each open primary transaction's records; beginOff
-	// remembers where its BEGIN frame started, the floor for resume.
-	pending := map[uint64][]txn.Record{}
-	beginOff := map[uint64]int64{}
 	sc := txn.NewFrameScanner(&segmentReader{stream: ws, next: int64(start)}, int64(start))
 	for {
-		rec, startOff, end, err := sc.Next()
+		rec, end, err := sc.Next()
 		if err != nil {
 			if err == io.EOF {
 				err = io.ErrUnexpectedEOF // a live stream has no clean end
 			}
 			return progressed, err
 		}
+		applied, err := r.applier.Apply(rec)
+		if err != nil {
+			return progressed, err
+		}
 		progressed = true
-		r.recsSeen.Add(1)
-		switch rec.Kind {
-		case txn.RecordBegin:
-			pending[rec.Txn] = nil
-			beginOff[rec.Txn] = startOff
-			r.advance(end, beginOff)
-		case txn.RecordCommit:
-			recs := pending[rec.Txn]
-			delete(pending, rec.Txn)
-			delete(beginOff, rec.Txn)
-			if end <= r.appliedCommitEnd {
-				r.txnsSkipped.Add(1) // re-delivered by a resubscribe
-			} else {
-				if len(recs) > 0 {
-					if aerr := r.db.ApplyReplicated(recs); aerr != nil {
-						return progressed, aerr
-					}
-				}
-				r.appliedCommitEnd = end
-				r.txnsApplied.Add(1)
-			}
-			r.advance(end, beginOff)
-			ws.Ack(r.applied.Load())
-		case txn.RecordAbort:
-			delete(pending, rec.Txn)
-			delete(beginOff, rec.Txn)
-			r.advance(end, beginOff)
-		case txn.RecordCheckpoint:
-			// Checkpoints compress recovery for the primary; a replica's
-			// state is already live, so the image is pure skip.
-			r.advance(end, beginOff)
-			ws.Ack(r.applied.Load())
-		default:
-			if _, ok := pending[rec.Txn]; !ok {
-				// A record for a transaction whose BEGIN we never saw can
-				// only be one the resume point already covers.
-				r.advance(end, beginOff)
-				continue
-			}
-			pending[rec.Txn] = append(pending[rec.Txn], rec)
-			r.advance(end, beginOff)
+		r.applied.Store(uint64(end))
+		switch {
+		case rec.Kind == txn.RecordCommit && applied:
+			r.txnsApplied.Add(1)
+			ws.Ack(uint64(end))
+		case rec.Kind == txn.RecordCheckpoint:
+			ws.Ack(uint64(end))
 		}
 	}
-}
-
-// advance publishes the processed-through frontier (end) and recomputes the
-// resume point: end itself when no transaction is open, else the oldest
-// open transaction's BEGIN offset.
-func (r *Replica) advance(end int64, beginOff map[uint64]int64) {
-	for {
-		prev := r.applied.Load()
-		if uint64(end) <= prev || r.applied.CompareAndSwap(prev, uint64(end)) {
-			break
-		}
-	}
-	resume := end
-	for _, off := range beginOff {
-		if off < resume {
-			resume = off
-		}
-	}
-	r.resume.Store(uint64(resume))
 }
 
 // segmentReader turns the pushed WALSegment frames back into the primary's

@@ -601,12 +601,28 @@ func TestReplicaSurfacesDivergence(t *testing.T) {
 	})
 	waitCaughtUp(t, pdb, rep)
 
-	// Diverge the replica behind the applier's back.
-	local := rdb.Session()
-	defer local.Close()
-	if _, err := local.Execute("UPDATE ledger SET amount = 1 WHERE id = 1"); err != nil {
+	// Diverge the replica behind the applier's back: rewrite the row in the
+	// catalog, outside any transaction. (A local UPDATE would also take the
+	// transaction id the primary's next transaction names, a divergence the
+	// applier reports at that BEGIN: TestFollowerRefusesAnIDUsedLocally.)
+	ledger, err := rdb.Catalog().GetTable("ledger")
+	if err != nil {
 		t.Fatal(err)
 	}
+	pk := ledger.PrimaryIndex()
+	alice := types.Tuple{types.NewInt(1), types.NewString("alice"), types.NewInt(700)}
+	rids := pk.Tree.Search(pk.KeyFor(alice))
+	if len(rids) != 1 {
+		t.Fatalf("the replica holds %d versions of row 1, want 1", len(rids))
+	}
+	if err := ledger.RemoveVersion(rids[0]); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ledger.InsertVersion(types.Tuple{types.NewInt(1), types.NewString("alice"), types.NewInt(1)}, 0); err != nil {
+		t.Fatal(err)
+	}
+	local := rdb.Session()
+	defer local.Close()
 
 	if _, err := pc.Exec("UPDATE ledger SET amount = 650 WHERE id = 1"); err != nil {
 		t.Fatal(err)
@@ -636,5 +652,135 @@ func TestReplicaSurfacesDivergence(t *testing.T) {
 	}
 	if located := rdb.Stats().RowsLocatedBySeek; located < 2 {
 		t.Errorf("RowsLocatedBySeek = %d, want one seek per attempt", located)
+	}
+}
+
+// liveXmins maps each live row's id to the transaction id that created its
+// version.
+func liveXmins(t *testing.T, db *engine.Database) map[int64]uint64 {
+	t.Helper()
+	table, err := db.Catalog().GetTable("ledger")
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[int64]uint64{}
+	for it := table.VersionIterator(); ; {
+		_, meta, row, ok, err := it.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			return out
+		}
+		if meta.Xmax == 0 {
+			out[row[0].Int()] = meta.Xmin
+		}
+	}
+}
+
+// TestReplicaAppliesCommitsOutOfIDOrder: primary transactions commit out of
+// id order. T1 begins and updates row 1; T2 begins, updates row 2 and
+// commits; then T1 commits. A replica cursor opened between the two commits
+// sees T2 and not T1, and keeps that view after T1 applies; a fresh reader
+// sees both. The replica's versions carry the primary's transaction ids.
+func TestReplicaAppliesCommitsOutOfIDOrder(t *testing.T) {
+	pdb, _, primaryAddr := startPrimary(t)
+	setup := pdb.Session()
+	defer setup.Close()
+	for _, sql := range []string{
+		"CREATE TABLE ledger (id INT PRIMARY KEY, owner TEXT, amount INT)",
+		"INSERT INTO ledger (id, owner, amount) VALUES (1, 'alice', 0)",
+		"INSERT INTO ledger (id, owner, amount) VALUES (2, 'bob', 0)",
+	} {
+		if _, err := setup.Execute(sql); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rdb, err := engine.Open(engine.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := server.NewReplica(rdb, primaryAddr)
+	rep.Start()
+	t.Cleanup(func() {
+		rep.Stop()
+		rdb.Close()
+	})
+
+	t1, t2 := pdb.Session(), pdb.Session()
+	defer t1.Close()
+	defer t2.Close()
+	for _, step := range []struct {
+		s   *engine.Session
+		sql string
+	}{
+		{t1, "BEGIN"},
+		{t1, "UPDATE ledger SET amount = 1 WHERE id = 1"},
+		{t2, "BEGIN"},
+		{t2, "UPDATE ledger SET amount = 2 WHERE id = 2"},
+		{t2, "COMMIT"},
+	} {
+		if _, err := step.s.Execute(step.sql); err != nil {
+			t.Fatalf("%s: %v", step.sql, err)
+		}
+	}
+	waitCaughtUp(t, pdb, rep)
+
+	reader := rdb.Session()
+	defer reader.Close()
+	amounts := func(rows *engine.Rows, err error) string {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rows.Close()
+		var out []string
+		for rows.Next() {
+			out = append(out, fmt.Sprintf("%d:%d", rows.Row()[0].Int(), rows.Row()[1].Int()))
+		}
+		if err := rows.Err(); err != nil {
+			t.Fatal(err)
+		}
+		return strings.Join(out, " ")
+	}
+	const query = "SELECT id, amount FROM ledger ORDER BY id"
+	between, err := reader.Prepare(query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer between.Close()
+	cursor, cursorErr := between.Query()
+	onlyT2 := "1:0 2:2"
+	fresh := func() string {
+		s := rdb.Session()
+		defer s.Close()
+		st, err := s.Prepare(query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		return amounts(st.Query())
+	}
+	if got := fresh(); got != onlyT2 {
+		t.Errorf("between the commits the replica reads %q, want %q", got, onlyT2)
+	}
+
+	if _, err := t1.Execute("COMMIT"); err != nil {
+		t.Fatal(err)
+	}
+	waitCaughtUp(t, pdb, rep)
+	if got := amounts(cursor, cursorErr); got != onlyT2 {
+		t.Errorf("the cursor opened between the commits reads %q after T1 applied, want %q", got, onlyT2)
+	}
+	if got, want := fresh(), "1:1 2:2"; got != want {
+		t.Errorf("a fresh reader reads %q, want %q", got, want)
+	}
+
+	primary, replica := liveXmins(t, pdb), liveXmins(t, rdb)
+	if fmt.Sprint(replica) != fmt.Sprint(primary) {
+		t.Errorf("replica versions carry xmins %v, primary's %v", replica, primary)
+	}
+	if primary[1] >= primary[2] {
+		t.Errorf("T1's id %d is not below T2's %d: the commits were not out of id order", primary[1], primary[2])
 	}
 }

@@ -5,11 +5,11 @@ import (
 	"encoding/binary"
 	"fmt"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
 	"repro/internal/catalog"
-	"repro/internal/storage"
 	"repro/internal/types"
 )
 
@@ -38,8 +38,6 @@ type CheckpointImage struct {
 	DDL []string
 	// Tables holds the visible rows of each non-empty table.
 	Tables []CheckpointTable
-
-	activeSet map[uint64]struct{}
 }
 
 // CheckpointTable is one table's visible rows: Xmins[i] is the creating
@@ -52,24 +50,10 @@ type CheckpointTable struct {
 }
 
 // sees reports whether transaction x's effects are captured in the image.
-// Mirrors Snapshot.sees with no owner: tail replay applies a record iff its
-// transaction committed and the image does not already carry its effects.
+// Mirrors Snapshot.sees with no owner: tail replay adopts a BEGIN only when
+// the image does not already carry its transaction's effects.
 func (img *CheckpointImage) sees(x uint64) bool {
-	if x == 0 {
-		return true
-	}
-	if x >= img.Xmax {
-		return false
-	}
-	_, inFlight := img.activeSet[x]
-	return !inFlight
-}
-
-func (img *CheckpointImage) buildActiveSet() {
-	img.activeSet = make(map[uint64]struct{}, len(img.Active))
-	for _, id := range img.Active {
-		img.activeSet[id] = struct{}{}
-	}
+	return x == 0 || x < img.Xmax && !slices.Contains(img.Active, x)
 }
 
 // rowCount returns the total number of rows captured in the image.
@@ -178,7 +162,6 @@ func decodeCheckpointImage(data []byte) (*CheckpointImage, error) {
 		}
 		img.Tables = append(img.Tables, t)
 	}
-	img.buildActiveSet()
 	return img, nil
 }
 
@@ -274,14 +257,6 @@ func (m *Manager) Checkpoints() uint64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.checkpoints
-}
-
-// SeedDDL installs the recovered schema history, so the next checkpoint's
-// image carries the statements that rebuilt this catalog.
-func (m *Manager) SeedDDL(history []string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.ddlHistory = append([]string(nil), history...)
 }
 
 // appendCheckpointDurable appends the checkpoint record, waits for it to
@@ -441,46 +416,36 @@ func readCheckpointFrame(f *os.File, off int64) *CheckpointImage {
 
 // ReplayStats describes what one recovery replay did.
 type ReplayStats struct {
-	// MaxID is the highest transaction id seen; the caller must feed it to
-	// Manager.AdvanceTo before starting new transactions.
-	MaxID uint64
 	// ImageRows is the number of rows installed from the checkpoint image.
 	ImageRows int
 	// TailRecords is the number of log records scanned after the image.
 	TailRecords int
-	// TailApplied is how many of those were applied (committed transactions
-	// whose effects the image did not already carry).
+	// TailApplied is how many of those changed the database: the DDL and row
+	// records of transactions whose effects the image did not already carry.
 	TailApplied int
-	// DDL is the full committed schema history after replay, in order —
-	// image history first, then tail statements. Feed it to Manager.SeedDDL.
-	DDL []string
 }
 
-// ReplayLog rebuilds the catalog from a checkpoint image (may be nil) plus a
-// record tail. The image is applied first — DDL history through applyDDL,
-// then each table's rows in one bulk install (Table.InstallImage), stamped
-// with their original creating transaction — and then the tail is replayed
-// in log order, record by record, applying only records of committed
-// transactions whose effects the image does not already capture. Applying
-// the image first matters: a tail UPDATE or DELETE finds its target row by
-// before-image among the rows the image installed.
-func ReplayLog(image *CheckpointImage, tail []Record, cat *catalog.Catalog, applyDDL func(string) error) (ReplayStats, error) {
+// ReplayLog rebuilds a database from a checkpoint image (may be nil) plus a
+// record tail, through a's manager and catalog. The image is applied first —
+// DDL history through the applier's DDL function, then each table's rows in
+// one bulk install (Table.InstallImage), stamped with their original
+// creating transaction — and the id sequence and schema history resume from
+// it. Then the tail goes through the applier in log order, record by record,
+// except that a BEGIN whose transaction the image already carries adopts
+// nothing, so that transaction's records are skipped. Applying the image
+// first matters: a tail UPDATE or DELETE finds its target row by before-image
+// among the rows the image installed. Transactions the tail leaves open stay
+// adopted; AbortOpen closes them.
+func ReplayLog(a *Applier, image *CheckpointImage, tail []Record) (ReplayStats, error) {
 	var st ReplayStats
 	if image != nil {
-		if image.activeSet == nil {
-			image.buildActiveSet()
-		}
-		if image.Xmax > 0 {
-			st.MaxID = image.Xmax - 1
-		}
 		for _, ddl := range image.DDL {
-			if err := applyDDL(ddl); err != nil {
+			if err := a.applyDDL(ddl); err != nil {
 				return st, fmt.Errorf("txn: checkpoint DDL %q: %w", ddl, err)
 			}
-			st.DDL = append(st.DDL, ddl)
 		}
 		for _, t := range image.Tables {
-			table, err := cat.GetTable(t.Name)
+			table, err := a.cat.GetTable(t.Name)
 			if err != nil {
 				return st, fmt.Errorf("txn: checkpoint table %s: %w", t.Name, err)
 			}
@@ -489,63 +454,31 @@ func ReplayLog(image *CheckpointImage, tail []Record, cat *catalog.Catalog, appl
 			}
 			st.ImageRows += len(t.Rows)
 		}
+		// The next checkpoint's image carries the history that rebuilt this
+		// catalog, and no id an image row carries is issued again.
+		a.mgr.mu.Lock()
+		a.mgr.ddlHistory = append([]string(nil), image.DDL...)
+		if image.Xmax > a.mgr.lastID {
+			a.mgr.lastID = image.Xmax - 1
+		}
+		a.mgr.mu.Unlock()
 	}
 
-	committed := committedTransactions(tail)
 	for _, r := range tail {
 		if r.Kind == RecordCheckpoint {
 			continue // images are only entered through the pointer file
 		}
-		if r.Txn > st.MaxID {
-			st.MaxID = r.Txn
-		}
 		st.TailRecords++
-		if !committed[r.Txn] {
-			continue
-		}
-		if image != nil && image.sees(r.Txn) {
+		if r.Kind == RecordBegin && image != nil && image.sees(r.Txn) {
 			continue // the image already carries this transaction's effects
 		}
-		switch r.Kind {
-		case RecordDDL:
-			if err := applyDDL(r.DDL); err != nil {
-				return st, fmt.Errorf("txn: recovery DDL %q: %w", r.DDL, err)
-			}
-			st.DDL = append(st.DDL, r.DDL)
-			st.TailApplied++
-		case RecordInsert, RecordUpdate, RecordDelete:
-			if err := replayRow(cat, r); err != nil {
-				return st, fmt.Errorf("txn: recovery %s on %s: %w", r.Kind, r.Table, err)
-			}
+		applied, err := a.Apply(r)
+		if err != nil {
+			return st, err
+		}
+		if applied && (r.Kind == RecordDDL || r.Kind == RecordInsert || r.Kind == RecordUpdate || r.Kind == RecordDelete) {
 			st.TailApplied++
 		}
 	}
 	return st, nil
-}
-
-// replayRow applies one committed row record physically. An UPDATE or DELETE
-// names its row by before-image: Table.Locate resolves it among the live
-// versions (replay leaves no dead ones), and a miss is an error — the log
-// says a committed change happened to a row this catalog does not hold, and
-// dropping the change would hand back a database that never existed. A
-// DELETE removes that version; an UPDATE removes it and installs the new row
-// stamped with the updating transaction's id, as the live update did.
-func replayRow(cat *catalog.Catalog, r Record) error {
-	table, err := cat.GetTable(r.Table)
-	if err != nil {
-		return err
-	}
-	if r.Kind == RecordInsert {
-		_, err = table.InstallVersion(r.New, r.Txn)
-		return err
-	}
-	rid, err := table.Locate(r.Old, func(m storage.VersionMeta) bool { return m.Xmax == 0 })
-	if err != nil {
-		return err
-	}
-	if err := table.RemoveVersion(rid); err != nil || r.Kind == RecordDelete {
-		return err
-	}
-	_, err = table.InstallVersion(r.New, r.Txn)
-	return err
 }

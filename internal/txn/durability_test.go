@@ -77,7 +77,11 @@ func replayBytes(t *testing.T, data []byte) *catalog.Table {
 	// The schema is created up front (not every scenario logs DDL), so the
 	// replayed DDL callback is a no-op.
 	cat, _ := newCatalogWithAccounts(t)
-	if _, err := ReplayLog(nil, records, cat, func(string) error { return nil }); err != nil {
+	a := NewApplier(NewManager(nil), cat, func(string) error { return nil })
+	if _, err := ReplayLog(a, nil, records); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.AbortOpen(nil); err != nil {
 		t.Fatal(err)
 	}
 	table, err := cat.GetTable("accounts")
@@ -498,7 +502,8 @@ func TestCheckpointAndTailReplay(t *testing.T) {
 		))
 		return err
 	}
-	stats, err := ReplayLog(image, tail, fresh, applyDDL)
+	mgr2 := NewManager(nil)
+	stats, err := ReplayLog(NewApplier(mgr2, fresh, applyDDL), image, tail)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -518,10 +523,10 @@ func TestCheckpointAndTailReplay(t *testing.T) {
 	if len(ids) != 5 {
 		t.Errorf("replay produced %d rows, want 5: %v", len(ids), ids)
 	}
-	if stats.MaxID < 3 {
-		t.Errorf("MaxID = %d", stats.MaxID)
+	if mgr2.lastID != 3 {
+		t.Errorf("recovered id sequence at %d, want 3", mgr2.lastID)
 	}
-	if len(stats.DDL) != 1 || stats.DDL[0] != ddl {
-		t.Errorf("recovered DDL history = %v", stats.DDL)
+	if len(mgr2.ddlHistory) != 1 || mgr2.ddlHistory[0] != ddl {
+		t.Errorf("recovered DDL history = %v", mgr2.ddlHistory)
 	}
 }

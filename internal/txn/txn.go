@@ -52,6 +52,10 @@ var ErrNotActive = errors.New("txn: transaction is not active")
 // new transaction against a healthy log.
 var ErrCommitNotDurable = errors.New("txn: commit not durable")
 
+// ErrDiverged is returned by the Applier for a BEGIN naming an id this
+// database has already used (see Follow): the log describes another history.
+var ErrDiverged = errors.New("txn: database diverged from the log")
+
 // Manager creates transactions and owns the shared lock manager, the log,
 // the transaction-id sequence and the snapshot registry.
 type Manager struct {
@@ -60,7 +64,9 @@ type Manager struct {
 
 	mu     sync.Mutex
 	lastID uint64
-	active map[uint64]*Txn
+	// follower marks a manager that takes its ids from another's log.
+	follower bool
+	active   map[uint64]*Txn
 	// snapshots registers every live snapshot (transactional or pure read)
 	// so the GC horizon can be computed; snapSeq keys the registry.
 	snapshots map[uint64]*Snapshot
@@ -125,44 +131,67 @@ func (m *Manager) MVCC() MVCCStats {
 	}
 }
 
-// AdvanceTo moves the transaction-id sequence past id, so ids stamped into
-// recovered row versions are never reissued.
-func (m *Manager) AdvanceTo(id uint64) {
+// Follow marks the manager as following another database's log, as a
+// replica does: the Applier adopts its BEGINs in increasing id order and
+// refuses one at or below the last id this manager assigned or adopted. A
+// local transaction takes the id the log's next BEGIN names, so it diverges
+// a follower; a replica's reads take snapshots, which take no id.
+func (m *Manager) Follow() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if id > m.lastID {
-		m.lastID = id
-	}
+	m.follower = true
 }
 
-// Begin starts a transaction. The id is assigned, the transaction is
-// registered as active and its snapshot is taken in one critical section, so
-// no concurrent snapshot can observe the id as assigned-but-untracked.
+// Begin starts a transaction: it assigns the id, registers the transaction
+// as active and takes its snapshot in one m.mu critical section, so no
+// concurrent snapshot can observe the id as assigned-but-untracked. With a
+// log, that section runs under the log's mutex, at the offset the BEGIN
+// record then lands at: the log carries BEGIN records in id order, and a
+// checkpoint that finds the transaction active finds its BEGIN offset too.
+// Snapshots do not wait on the write, which happens after m.mu is released.
 func (m *Manager) Begin() (*Txn, error) {
-	m.mu.Lock()
-	m.lastID++
-	id := m.lastID
-	t := &Txn{id: id, mgr: m, state: StateActive, beginOff: -1}
-	m.active[id] = t
-	t.snap = m.acquireSnapshotLocked(id)
-	m.mu.Unlock()
-	if m.wal != nil {
-		_, off, err := m.wal.append(Record{Kind: RecordBegin, Txn: id})
-		if err != nil {
-			m.mu.Lock()
-			delete(m.active, id)
-			m.mu.Unlock()
-			t.snap.Release()
-			return nil, err
-		}
-		// A checkpoint takes this offset as a lower bound for tail replay
-		// while the transaction is in flight, so every record the
-		// transaction will ever write stays reachable from the checkpoint.
-		m.mu.Lock()
-		t.beginOff = off
-		m.mu.Unlock()
+	if m.wal == nil {
+		return m.begin(-1), nil
+	}
+	m.wal.mu.Lock()
+	defer m.wal.mu.Unlock()
+	t := m.begin(m.wal.off)
+	if _, _, err := m.wal.writeLocked(encodeFrame(Record{Kind: RecordBegin, Txn: t.id})); err != nil {
+		t.finish(false)
+		return nil, err
 	}
 	return t, nil
+}
+
+// begin assigns the next id to a new active transaction whose BEGIN record
+// starts at log offset beginOff (-1 without a log). A checkpoint takes that
+// offset as a lower bound for tail replay while the transaction is in
+// flight, so every record the transaction will ever write stays reachable.
+func (m *Manager) begin(beginOff int64) *Txn {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.lastID++
+	return m.registerLocked(&Txn{id: m.lastID, mgr: m, state: StateActive, beginOff: beginOff, wal: m.wal})
+}
+
+// adopt registers a transaction under a logged id for the Applier, as Begin
+// registers one; it takes no locks and logs nothing.
+func (m *Manager) adopt(id uint64) (*Txn, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if _, live := m.active[id]; live || (m.follower && id <= m.lastID) {
+		return nil, fmt.Errorf("%w: the log begins transaction %d, an id this database has already used", ErrDiverged, id)
+	}
+	m.lastID = max(m.lastID, id)
+	return m.registerLocked(&Txn{id: id, mgr: m, state: StateActive, beginOff: -1, adopted: true}), nil
+}
+
+// registerLocked enters t into the active set and takes its snapshot; m.mu
+// must be held.
+func (m *Manager) registerLocked(t *Txn) *Txn {
+	m.active[t.id] = t
+	t.snap = m.acquireSnapshotLocked(t.id)
+	return t
 }
 
 // undoEntry reverses one change on rollback.
@@ -171,8 +200,6 @@ type undoEntry struct {
 	table  *catalog.Table
 	rid    storage.RecordID // the pre-existing version (insert: the new one)
 	newRID storage.RecordID // update only: the version this txn created
-	old    types.Tuple
-	new    types.Tuple
 }
 
 // Txn is one transaction: a snapshot, a row-lock scope and the undo records
@@ -188,9 +215,15 @@ type Txn struct {
 	state State
 	snap  *Snapshot
 	// beginOff is the log offset of this transaction's Begin record (-1 when
-	// logging is disabled or not yet recorded). Guarded by mgr.mu — the
-	// checkpointer reads it while computing its tail-replay start.
+	// logging is disabled or the transaction is adopted). Set before the
+	// transaction joins the active set; the checkpointer reads it under
+	// mgr.mu while computing its tail-replay start.
 	beginOff int64
+	// wal is where the transaction's records go: none for one the Applier
+	// adopted, whose records are in the log being applied; nor does such a
+	// transaction take row or key locks.
+	wal     *WAL
+	adopted bool
 
 	mu         sync.Mutex
 	undo       []undoEntry
@@ -202,9 +235,17 @@ type Txn struct {
 func (t *Txn) Snapshot() *Snapshot { return t.snap }
 
 // lockUniqueKeys serialises the unique-constraint probes for row: it locks
-// each unique key and verifies no live version holds it. changedOnly (with
-// oldRow) restricts the check to keys the update actually changes.
+// each unique key and verifies no live version holds it. A non-nil oldRow
+// restricts the check to keys the update actually changes.
+//
+// An adopted transaction probes nothing: its log was checked as it was
+// written, in an order the log cannot replay. A DELETE stamps its version
+// before it appends its record, so an INSERT of the freed key can be logged
+// first, and a probe would fail that INSERT on replay.
 func (t *Txn) lockUniqueKeys(table *catalog.Table, row types.Tuple, oldRow types.Tuple) error {
+	if t.adopted {
+		return nil
+	}
 	for _, idx := range table.Indexes() {
 		if !idx.Unique {
 			continue
@@ -252,19 +293,22 @@ func (t *Txn) Insert(table *catalog.Table, row types.Tuple) (storage.RecordID, e
 	// Undo is recorded before the log append: if the append fails, rollback
 	// must still be able to remove the version that already exists.
 	t.mu.Lock()
-	t.undo = append(t.undo, undoEntry{kind: RecordInsert, table: table, rid: rid, new: validated})
+	t.undo = append(t.undo, undoEntry{kind: RecordInsert, table: table, rid: rid})
 	t.mu.Unlock()
-	if err := t.mgr.wal.Append(Record{Kind: RecordInsert, Txn: t.id, Table: table.Name(), New: validated}); err != nil {
+	if err := t.wal.Append(Record{Kind: RecordInsert, Txn: t.id, Table: table.Name(), New: validated}); err != nil {
 		return rid, err
 	}
 	return rid, nil
 }
 
-// claimVersion locks the version at rid and re-reads it, failing with
-// ErrWriteConflict when another transaction got there first.
+// claimVersion locks the version at rid (unless the transaction is adopted)
+// and re-reads it, failing with ErrWriteConflict when another transaction got
+// there first.
 func (t *Txn) claimVersion(table *catalog.Table, rid storage.RecordID) (types.Tuple, error) {
-	if err := t.mgr.locks.lockRow(t.id, table.Name(), rid); err != nil {
-		return nil, err
+	if !t.adopted {
+		if err := t.mgr.locks.lockRow(t.id, table.Name(), rid); err != nil {
+			return nil, err
+		}
 	}
 	meta, oldRow, err := table.GetVersion(rid)
 	if err != nil {
@@ -303,9 +347,9 @@ func (t *Txn) Update(table *catalog.Table, rid storage.RecordID, newRow types.Tu
 		return rid, err
 	}
 	t.mu.Lock()
-	t.undo = append(t.undo, undoEntry{kind: RecordUpdate, table: table, rid: rid, newRID: newRID, old: oldRow, new: validated})
+	t.undo = append(t.undo, undoEntry{kind: RecordUpdate, table: table, rid: rid, newRID: newRID})
 	t.mu.Unlock()
-	if err := t.mgr.wal.Append(Record{Kind: RecordUpdate, Txn: t.id, Table: table.Name(), Old: oldRow, New: validated}); err != nil {
+	if err := t.wal.Append(Record{Kind: RecordUpdate, Txn: t.id, Table: table.Name(), Old: oldRow, New: validated}); err != nil {
 		return newRID, err
 	}
 	return newRID, nil
@@ -325,9 +369,9 @@ func (t *Txn) Delete(table *catalog.Table, rid storage.RecordID) error {
 		return err
 	}
 	t.mu.Lock()
-	t.undo = append(t.undo, undoEntry{kind: RecordDelete, table: table, rid: rid, old: oldRow})
+	t.undo = append(t.undo, undoEntry{kind: RecordDelete, table: table, rid: rid})
 	t.mu.Unlock()
-	if err := t.mgr.wal.Append(Record{Kind: RecordDelete, Txn: t.id, Table: table.Name(), Old: oldRow}); err != nil {
+	if err := t.wal.Append(Record{Kind: RecordDelete, Txn: t.id, Table: table.Name(), Old: oldRow}); err != nil {
 		return err
 	}
 	return nil
@@ -340,7 +384,7 @@ func (t *Txn) LogDDL(text string) error {
 	if !t.active() {
 		return ErrNotActive
 	}
-	if err := t.mgr.wal.Append(Record{Kind: RecordDDL, Txn: t.id, DDL: text}); err != nil {
+	if err := t.wal.Append(Record{Kind: RecordDDL, Txn: t.id, DDL: text}); err != nil {
 		return err
 	}
 	t.mu.Lock()
@@ -371,7 +415,7 @@ func (t *Txn) Commit() error {
 	undo := t.undo
 	t.mu.Unlock()
 
-	if err := t.mgr.wal.AppendDurable(Record{Kind: RecordCommit, Txn: t.id}); err != nil {
+	if err := t.wal.AppendDurable(Record{Kind: RecordCommit, Txn: t.id}); err != nil {
 		// The log is poisoned past this point (sticky failure), so no abort
 		// record can be written either; recovery treats a transaction with
 		// no durable commit record as aborted, which is now the truth.
@@ -393,10 +437,16 @@ func (t *Txn) Commit() error {
 	t.undo = nil
 	t.mu.Unlock()
 	t.finish(true)
+	t.sweepWritten(undo)
+	return nil
+}
 
-	// Now that the locks and snapshot are gone, sweep each written table
-	// from the head of its unsettled list: this transaction's versions
-	// joined its tail, and older ones may have settled or died meanwhile.
+// sweepWritten sweeps each table the undo entries name from the head of its
+// unsettled list, once the transaction's locks and snapshot are gone: a
+// committed transaction's versions joined the list's tail, a rolled-back
+// update left the version it restored listed, and older entries may have
+// settled or died meanwhile.
+func (t *Txn) sweepWritten(undo []undoEntry) {
 	var written []*catalog.Table
 	for _, e := range undo {
 		if slices.Contains(written, e.table) {
@@ -404,16 +454,15 @@ func (t *Txn) Commit() error {
 		}
 		written = append(written, e.table)
 		if _, err := t.mgr.Sweep(e.table, false); err != nil {
-			// The commit stands: what the failed sweep did not reach stays
-			// listed, and the table's next sweep retries it.
+			// A failed sweep changes no outcome: what it did not reach
+			// stays listed, and the table's next sweep retries it.
 			continue
 		}
 	}
-	return nil
 }
 
 // Rollback physically undoes the transaction's changes in reverse order,
-// then releases its row locks and snapshot. The transaction stays registered
+// then releases its row locks and snapshot and sweeps the tables it wrote. The transaction stays registered
 // as active until the undo completes, so concurrent snapshots never treat
 // its surviving stamps as committed.
 func (t *Txn) Rollback() error {
@@ -428,10 +477,11 @@ func (t *Txn) Rollback() error {
 	t.mu.Unlock()
 
 	firstErr := applyUndo(undo)
-	if err := t.mgr.wal.Append(Record{Kind: RecordAbort, Txn: t.id}); err != nil && firstErr == nil {
+	if err := t.wal.Append(Record{Kind: RecordAbort, Txn: t.id}); err != nil && firstErr == nil {
 		firstErr = err
 	}
 	t.finish(false)
+	t.sweepWritten(undo)
 	return firstErr
 }
 

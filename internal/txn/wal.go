@@ -238,13 +238,22 @@ func encodeRecord(r Record) []byte {
 // append writes one framed record and returns its sequence number and the
 // byte offset its frame starts at. The caller must not hold w.mu.
 func (w *WAL) append(r Record) (seq uint64, off int64, err error) {
+	frame := encodeFrame(r)
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.writeLocked(frame)
+}
+
+// encodeFrame frames r: its body's length, the body's checksum, the body.
+func encodeFrame(r Record) []byte {
 	body := encodeRecord(r)
 	frame := binary.AppendUvarint(nil, uint64(len(body)))
 	frame = binary.LittleEndian.AppendUint32(frame, crc32.ChecksumIEEE(body))
-	frame = append(frame, body...)
+	return append(frame, body...)
+}
 
-	w.mu.Lock()
-	defer w.mu.Unlock()
+// writeLocked writes one frame at the end of the log; w.mu must be held.
+func (w *WAL) writeLocked(frame []byte) (seq uint64, off int64, err error) {
 	if w.failed != nil {
 		return 0, 0, w.failed
 	}
@@ -490,16 +499,4 @@ func readBytes(b []byte) ([]byte, []byte, error) {
 		return nil, nil, fmt.Errorf("txn: truncated wal field")
 	}
 	return rest[:length], rest[length:], nil
-}
-
-// committedTransactions scans records and returns the set of transaction ids
-// that committed, used by recovery to decide what to replay.
-func committedTransactions(records []Record) map[uint64]bool {
-	committed := map[uint64]bool{}
-	for _, r := range records {
-		if r.Kind == RecordCommit {
-			committed[r.Txn] = true
-		}
-	}
-	return committed
 }

@@ -138,23 +138,22 @@ func NewFrameScanner(r io.Reader, base int64) *FrameScanner {
 	return &FrameScanner{br: bufio.NewReader(r), off: base}
 }
 
-// Next returns the next record together with the log offsets its frame
-// spans: [start, end). It returns io.EOF when the stream ends cleanly at a
-// record boundary, and ErrCorruptStream for a torn or CRC-invalid frame —
-// including a stream cut mid-frame.
-func (s *FrameScanner) Next() (rec Record, start, end int64, err error) {
+// Next returns the next record together with the log offset its frame ends
+// at. It returns io.EOF when the stream ends cleanly at a record boundary,
+// and ErrCorruptStream for a torn or CRC-invalid frame — including a stream
+// cut mid-frame.
+func (s *FrameScanner) Next() (rec Record, end int64, err error) {
 	body, n, err := readFrame(s.br)
 	if err != nil {
-		return Record{}, s.off, s.off, err
+		return Record{}, s.off, err
 	}
 	if body == nil {
-		return Record{}, s.off, s.off, ErrCorruptStream
+		return Record{}, s.off, ErrCorruptStream
 	}
 	rec, derr := decodeRecord(body)
 	if derr != nil {
-		return Record{}, s.off, s.off, fmt.Errorf("%w: %v", ErrCorruptStream, derr)
+		return Record{}, s.off, fmt.Errorf("%w: %v", ErrCorruptStream, derr)
 	}
-	start = s.off
 	s.off += int64(n)
-	return rec, start, s.off, nil
+	return rec, s.off, nil
 }
