@@ -21,22 +21,24 @@
 // (checkpoints never truncate the primary's log, so LSN 0 is always
 // available).
 //
-// The -wal log is the only durable state: a restart rebuilds the database
-// from it. -data names a spill file for pages evicted from the buffer pool;
-// it is created empty at startup, removed at shutdown, and never read by
-// recovery.
+// The -wal log and its checkpoint file are the only durable state: a restart
+// rebuilds the database from them, and the log alone still holds
+// everything. -data names a spill file for pages evicted from the buffer
+// pool; it is created empty at startup, removed at shutdown, and never read
+// by recovery.
 //
 // With -metrics, a side-channel HTTP listener serves the server, engine and
 // plan-cache counters as JSON under /metrics (see README for the fields).
 // With -checkpoint, a background checkpointer periodically writes a
-// snapshot-consistent image of the database into the WAL so a restart
-// replays only the log tail after it; at startup the server reports what
-// recovery did (image rows, tail records, torn bytes discarded).
+// snapshot-consistent image of the database into a checkpoint file beside
+// the WAL (file.wal.ckpt, replaced by rename) so a restart replays only the
+// log tail after it; at startup the server reports what recovery did (image
+// rows, tail records, torn bytes discarded).
 //
 // The server runs until SIGINT/SIGTERM, then disconnects every client
 // (rolling back their open transactions), closes the log, removes the spill
-// file and exits 0; a failed close exits 1. Clients connect
-// with internal/server/client (one Conn per worker, or a client.Pool to
+// file and exits 0; a failed close exits 1. Clients connect with
+// internal/server/client (one Conn per worker, or a client.Pool to
 // multiplex), "wowsql -connect addr", or anything speaking the frame format
 // documented in the README.
 package main

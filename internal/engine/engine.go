@@ -31,10 +31,10 @@ type Options struct {
 	WALPath string
 	// BufferPoolPages is the page cache size (default 1024 pages = 8 MiB).
 	BufferPoolPages int
-	// CheckpointInterval starts a background checkpointer writing a
-	// checkpoint record every interval, so recovery replays only the log
-	// tail. Zero disables it; Database.Checkpoint can still be called
-	// manually.
+	// CheckpointInterval starts a background checkpointer writing the
+	// checkpoint file beside the log every interval, so recovery replays
+	// only the log tail. Zero disables it; Database.Checkpoint can still be
+	// called manually.
 	CheckpointInterval time.Duration
 }
 
@@ -133,8 +133,8 @@ func Open(opts Options) (_ *Database, err error) {
 	if opts.WALPath == "" {
 		wal = txn.NewWAL(&discardWriter{})
 	} else {
-		// Load any existing log first — seeking to the last checkpoint when
-		// one is reachable — then append to it. A torn final frame (crash
+		// Load any existing log first — from the checkpoint image when one
+		// is usable — then append to it. A torn final frame (crash
 		// mid-append) is truncated away before the log is reused: past the
 		// tear nothing is framed, so nothing there was ever acknowledged as
 		// committed.
@@ -168,7 +168,7 @@ func Open(opts Options) (_ *Database, err error) {
 		}
 		db.recovery = RecoveryInfo{
 			Recovered:      true,
-			FromCheckpoint: load.FromCheckpoint,
+			FromCheckpoint: load.Image != nil,
 			ImageRows:      st.ImageRows,
 			TailRecords:    st.TailRecords,
 			TailApplied:    st.TailApplied,
@@ -229,10 +229,10 @@ func (db *Database) replay(load *txn.LogLoad) (txn.ReplayStats, error) {
 // Recovery reports what the replay at Open did.
 func (db *Database) Recovery() RecoveryInfo { return db.recovery }
 
-// Checkpoint writes a durable checkpoint record (a snapshot-consistent image
-// of the catalog) and publishes its offset, so the next recovery starts from
-// it instead of replaying the whole log. It writes no pages: the log is the
-// only durable state. Safe to call while transactions are running.
+// Checkpoint writes a snapshot-consistent image of the catalog into the
+// checkpoint file beside the log, so the next recovery starts from it
+// instead of replaying the whole log. It writes no pages and appends nothing
+// to the log. Safe to call while transactions are running.
 func (db *Database) Checkpoint() (txn.CheckpointStats, error) {
 	return db.txns.Checkpoint(db.cat)
 }
@@ -250,7 +250,7 @@ func (db *Database) checkpointLoop(interval time.Duration) {
 		case <-ticker.C:
 			if _, err := db.Checkpoint(); err != nil {
 				// A failed checkpoint costs recovery time, not correctness:
-				// the previous pointer (or a full replay) still recovers
+				// the previous image (or a full replay) still recovers
 				// everything. Count it so operators can see it happening.
 				db.checkpointFailures.Add(1)
 			}

@@ -113,7 +113,7 @@ func TestCheckpointFastRestart(t *testing.T) {
 		t.Fatalf("checkpoint captured %d rows / %d tables", ckpt.Rows, ckpt.Tables)
 	}
 	if _, err := os.Stat(walPath + ".ckpt"); err != nil {
-		t.Fatalf("checkpoint pointer not written: %v", err)
+		t.Fatalf("checkpoint file not written: %v", err)
 	}
 	for i := 0; i < 5; i++ {
 		if _, err := ins.Exec(intv(2000+i), strv("post")); err != nil {
@@ -345,7 +345,7 @@ func TestFailedOpenLeaksNoDescriptors(t *testing.T) {
 // TestRecoverFilesCopiedWhileOpen: the files as they stand after the last
 // acknowledged commit — copied with the database still open, no clean
 // shutdown — recover every row concurrent committers committed, from the
-// checkpoint image plus the log tail. Only the log and its checkpoint pointer
+// checkpoint image plus the log tail. Only the log and its checkpoint file
 // are copied: the page file is a spill cache nothing recovers from. (That
 // those committers share fsyncs is txn's
 // TestGroupCommitBatchesConcurrentCommitters.)
@@ -431,7 +431,7 @@ func TestRecoverFilesCopiedWhileOpen(t *testing.T) {
 }
 
 // TestRestartFootprintIsFlat: the log is the only durable state. After every
-// close the database's directory holds the log and its checkpoint pointer and
+// close the database's directory holds the log and its checkpoint file and
 // nothing else, and a restart that writes nothing leaves it byte for byte the
 // size it was. A page file flushed at checkpoint and close, and appended
 // after its own orphans on every reopen, grew on each restart.

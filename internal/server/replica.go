@@ -202,11 +202,8 @@ func (r *Replica) streamOnce() (progressed bool, err error) {
 		}
 		progressed = true
 		r.applied.Store(uint64(end))
-		switch {
-		case rec.Kind == txn.RecordCommit && applied:
+		if rec.Kind == txn.RecordCommit && applied {
 			r.txnsApplied.Add(1)
-			ws.Ack(uint64(end))
-		case rec.Kind == txn.RecordCheckpoint:
 			ws.Ack(uint64(end))
 		}
 	}

@@ -3,20 +3,24 @@ package txn
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"hash/crc32"
+	"io"
 	"os"
+	"path/filepath"
 	"slices"
-	"strconv"
-	"strings"
 
 	"repro/internal/catalog"
 	"repro/internal/types"
 )
 
-// CheckpointImage is a snapshot-consistent copy of the database embedded in
-// a single RecordCheckpoint frame: the DDL history that rebuilds the catalog,
-// every row version visible to the checkpoint's snapshot (with its creating
-// transaction id), and the log offset recovery must replay the tail from.
+// CheckpointImage is a snapshot-consistent copy of the database, the one
+// frame of the checkpoint file beside the log (checkpointPath): the DDL
+// history that rebuilds the catalog, every row version visible to the
+// checkpoint's snapshot (with its creating transaction id), the log offset
+// recovery must replay the tail from, and the durable log frontier the image
+// is valid against.
 //
 // The image is logical, like the log itself: the catalog lives in memory and
 // data pages are rebuilt on restart, so a checkpoint preserves what a
@@ -34,6 +38,14 @@ type CheckpointImage struct {
 	// size before the snapshot was taken and the Begin offsets of the active
 	// transactions.
 	Start int64
+	// End is the log's durable frontier when the image was written: at or
+	// past Start and past every COMMIT the image's snapshot sees. Recovery
+	// uses the image only when the log's valid data reaches End.
+	End int64
+	// EndSum binds the image to the log it was taken from: the CRC-32 of
+	// the log's last endSumWindow bytes below End (logSum). A different log
+	// that happens to reach End almost never matches it.
+	EndSum uint32
 	// DDL is the committed schema history, in execution order.
 	DDL []string
 	// Tables holds the visible rows of each non-empty table.
@@ -67,7 +79,7 @@ func (img *CheckpointImage) rowCount() int {
 
 // encodeCheckpointImage serialises the image:
 //
-//	image := xmax:uvarint start:uvarint
+//	image := xmax:uvarint start:uvarint end:uvarint endSum:uvarint
 //	         nActive:uvarint active...
 //	         nDDL:uvarint (len:uvarint text)...
 //	         nTables:uvarint table...
@@ -76,6 +88,8 @@ func encodeCheckpointImage(img *CheckpointImage) []byte {
 	buf := make([]byte, 0, 1024)
 	buf = binary.AppendUvarint(buf, img.Xmax)
 	buf = binary.AppendUvarint(buf, uint64(img.Start))
+	buf = binary.AppendUvarint(buf, uint64(img.End))
+	buf = binary.AppendUvarint(buf, uint64(img.EndSum))
 	buf = binary.AppendUvarint(buf, uint64(len(img.Active)))
 	for _, id := range img.Active {
 		buf = binary.AppendUvarint(buf, id)
@@ -101,66 +115,25 @@ func encodeCheckpointImage(img *CheckpointImage) []byte {
 }
 
 func decodeCheckpointImage(data []byte) (*CheckpointImage, error) {
-	img := &CheckpointImage{}
-	var err error
-	var v uint64
-	if img.Xmax, data, err = readUvarint(data); err != nil {
-		return nil, err
+	d := decoder{b: data}
+	img := &CheckpointImage{Xmax: d.uvarint(), Start: int64(d.uvarint()),
+		End: int64(d.uvarint()), EndSum: uint32(d.uvarint())}
+	for n := d.uvarint(); n > 0 && d.err == nil; n-- {
+		img.Active = append(img.Active, d.uvarint())
 	}
-	if v, data, err = readUvarint(data); err != nil {
-		return nil, err
+	for n := d.uvarint(); n > 0 && d.err == nil; n-- {
+		img.DDL = append(img.DDL, string(d.bytes()))
 	}
-	img.Start = int64(v)
-	if v, data, err = readUvarint(data); err != nil {
-		return nil, err
-	}
-	for i := uint64(0); i < v; i++ {
-		var id uint64
-		if id, data, err = readUvarint(data); err != nil {
-			return nil, err
-		}
-		img.Active = append(img.Active, id)
-	}
-	if v, data, err = readUvarint(data); err != nil {
-		return nil, err
-	}
-	for i := uint64(0); i < v; i++ {
-		var text []byte
-		if text, data, err = readBytes(data); err != nil {
-			return nil, err
-		}
-		img.DDL = append(img.DDL, string(text))
-	}
-	if v, data, err = readUvarint(data); err != nil {
-		return nil, err
-	}
-	for i := uint64(0); i < v; i++ {
-		var name []byte
-		if name, data, err = readBytes(data); err != nil {
-			return nil, err
-		}
-		t := CheckpointTable{Name: string(name)}
-		var rows uint64
-		if rows, data, err = readUvarint(data); err != nil {
-			return nil, err
-		}
-		for j := uint64(0); j < rows; j++ {
-			var xmin uint64
-			if xmin, data, err = readUvarint(data); err != nil {
-				return nil, err
-			}
-			var image []byte
-			if image, data, err = readBytes(data); err != nil {
-				return nil, err
-			}
-			row, err := types.DecodeTuple(image)
-			if err != nil {
-				return nil, err
-			}
-			t.Xmins = append(t.Xmins, xmin)
-			t.Rows = append(t.Rows, row)
+	for n := d.uvarint(); n > 0 && d.err == nil; n-- {
+		t := CheckpointTable{Name: string(d.bytes())}
+		for rows := d.uvarint(); rows > 0 && d.err == nil; rows-- {
+			t.Xmins = append(t.Xmins, d.uvarint())
+			t.Rows = append(t.Rows, d.tuple())
 		}
 		img.Tables = append(img.Tables, t)
+	}
+	if d.err != nil {
+		return nil, d.err
 	}
 	return img, nil
 }
@@ -171,19 +144,24 @@ type CheckpointStats struct {
 	Rows   int   // rows captured in the image
 	Bytes  int   // encoded image size
 	Start  int64 // tail-replay start offset recorded in the image
-	Offset int64 // log offset of the checkpoint record itself
+	End    int64 // durable log frontier the image requires (CheckpointImage.End)
 }
 
-// Checkpoint captures a snapshot-consistent image of the catalog, appends it
-// to the log as a single durable RecordCheckpoint, and publishes its offset
-// in the pointer file so the next recovery seeks to it instead of replaying
-// from offset zero. Concurrent transactions keep running: the image simply
-// excludes what its snapshot cannot see, and Start covers everything the
-// tail replay will need.
+// Checkpoint captures a snapshot-consistent image of the catalog and writes
+// it to the checkpoint file beside the log (checkpointPath), so the next
+// recovery installs it and replays only the log from its Start offset. It
+// appends nothing to the log. Concurrent transactions keep running: the
+// image simply excludes what its snapshot cannot see, and Start covers
+// everything the tail replay will need. A log without a file has nothing to
+// recover from, so there Checkpoint does nothing and returns zero stats.
 func (m *Manager) Checkpoint(cat *catalog.Catalog) (CheckpointStats, error) {
-	if m.wal == nil {
-		return CheckpointStats{}, nil // nothing to recover from, nothing to do
+	if m.wal == nil || m.wal.path == "" {
+		return CheckpointStats{}, nil
 	}
+	// Checkpoints share the temporary file, and one at a time also lands
+	// the images in the order they were taken.
+	m.ckptMu.Lock()
+	defer m.ckptMu.Unlock()
 
 	// The log size must be read before the snapshot: a transaction invisible
 	// to the snapshot either was active (its Begin offset bounds Start) or
@@ -233,9 +211,19 @@ func (m *Manager) Checkpoint(cat *catalog.Catalog) (CheckpointStats, error) {
 		}
 	}
 
-	encoded := encodeCheckpointImage(img)
-	off, err := m.wal.appendCheckpointDurable(Record{Kind: RecordCheckpoint, Image: encoded})
+	// Every COMMIT the snapshot sees was durable before it became visible;
+	// after this sync the durable frontier is also at or past Start.
+	if err := m.wal.Sync(); err != nil {
+		return CheckpointStats{}, err
+	}
+	img.End = m.wal.DurableLSN()
+	sum, err := logSum(m.wal.file, img.End)
 	if err != nil {
+		return CheckpointStats{}, fmt.Errorf("txn: checkpoint: %w", err)
+	}
+	img.EndSum = sum
+	encoded := encodeCheckpointImage(img)
+	if err := writeCheckpointFile(checkpointPath(m.wal.path), encoded); err != nil {
 		return CheckpointStats{}, err
 	}
 
@@ -248,7 +236,7 @@ func (m *Manager) Checkpoint(cat *catalog.Catalog) (CheckpointStats, error) {
 		Rows:   img.rowCount(),
 		Bytes:  len(encoded),
 		Start:  img.Start,
-		Offset: off,
+		End:    img.End,
 	}, nil
 }
 
@@ -259,82 +247,97 @@ func (m *Manager) Checkpoints() uint64 {
 	return m.checkpoints
 }
 
-// appendCheckpointDurable appends the checkpoint record, waits for it to
-// reach stable storage, and then (for file-backed logs) publishes its offset
-// in the pointer file. The pointer is written only after the fsync: a
-// pointer must never name a frame that a crash could erase.
-func (w *WAL) appendCheckpointDurable(r Record) (int64, error) {
-	seq, off, err := w.append(r)
-	if err != nil {
-		return 0, err
-	}
-	if err := w.gc.syncTo(w, seq); err != nil {
-		return 0, err
-	}
-	if w.path != "" {
-		if err := writeCheckpointPointer(w.path, off); err != nil {
-			return 0, err
-		}
-	}
-	return off, nil
-}
+// --- checkpoint file ---------------------------------------------------------
 
-// --- checkpoint pointer file -------------------------------------------------
+// checkpointPath names the checkpoint file of the log at walPath. It holds
+// one frame in the log's own framing whose body is an encoded
+// CheckpointImage. The log keeps every record from offset 0, so losing or
+// corrupting the file costs replay time, never data.
+func checkpointPath(walPath string) string { return walPath + ".ckpt" }
 
-const checkpointPointerMagic = "wowckpt1"
-
-func checkpointPointerPath(walPath string) string { return walPath + ".ckpt" }
-
-// writeCheckpointPointer durably records the offset of the newest checkpoint
-// frame next to the log (write temp, fsync, rename). Losing or corrupting
-// the pointer is safe: recovery falls back to a full replay from offset zero,
-// slower but identical in outcome.
-func writeCheckpointPointer(walPath string, off int64) error {
-	path := checkpointPointerPath(walPath)
+// writeCheckpointFile replaces the checkpoint file with one framed image:
+// write a temporary file, fsync it, rename it into place. A crash before the
+// rename is persisted leaves the previous image, which still describes a
+// prefix of the log, so the directory needs no fsync.
+func writeCheckpointFile(path string, image []byte) error {
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
-		return fmt.Errorf("txn: checkpoint pointer: %w", err)
+		return fmt.Errorf("txn: checkpoint file: %w", err)
 	}
-	_, werr := fmt.Fprintf(f, "%s %d\n", checkpointPointerMagic, off)
-	if werr == nil {
-		werr = f.Sync()
+	_, err = f.Write(encodeFrame(image))
+	if err == nil {
+		err = f.Sync()
 	}
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
+	if err = errors.Join(err, f.Close()); err == nil {
+		err = os.Rename(tmp, path)
 	}
-	if werr != nil {
-		return fmt.Errorf("txn: checkpoint pointer: %w", werr)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("txn: checkpoint pointer: %w", err)
+	if err != nil {
+		return fmt.Errorf("txn: checkpoint file: %w", err)
 	}
 	return nil
 }
 
-// readCheckpointPointer returns the recorded checkpoint offset, or ok=false
-// when the pointer is absent or malformed.
-func readCheckpointPointer(walPath string) (int64, bool) {
-	data, err := os.ReadFile(checkpointPointerPath(walPath))
+// readCheckpointFile returns the image in the checkpoint file at path, or
+// nil when the file cannot be used: it is unreadable, torn, fails its CRC,
+// is not exactly one image frame (the text pointer of older releases is
+// not), or its offsets are inconsistent. present reports whether the file
+// exists at all.
+func readCheckpointFile(path string) (img *CheckpointImage, present bool) {
+	f, err := os.Open(path)
 	if err != nil {
-		return 0, false
+		return nil, !os.IsNotExist(err)
 	}
-	fields := strings.Fields(string(data))
-	if len(fields) != 2 || fields[0] != checkpointPointerMagic {
-		return 0, false
+	br := bufio.NewReader(f)
+	body, _, err := readFrame(br)
+	_, rest := br.ReadByte()
+	if errors.Join(err, f.Close()) != nil || body == nil || rest != io.EOF {
+		return nil, true
 	}
-	off, err := strconv.ParseInt(fields[1], 10, 64)
-	if err != nil || off < 0 {
-		return 0, false
+	img, err = decodeCheckpointImage(body)
+	if err != nil || img.Start < 0 || img.Start > img.End {
+		return nil, true
 	}
-	return off, true
+	return img, true
+}
+
+// endSumWindow is how many log bytes below an image's End its EndSum covers:
+// enough to span several whole frames, little enough to read on every
+// checkpoint and recovery.
+const endSumWindow = 4096
+
+// logSum returns the CRC-32 of the log's bytes in
+// [max(0, end-endSumWindow), end).
+func logSum(log io.ReaderAt, end int64) (uint32, error) {
+	from := max(0, end-endSumWindow)
+	buf := make([]byte, end-from)
+	if _, err := log.ReadAt(buf, from); err != nil {
+		return 0, err
+	}
+	return crc32.ChecksumIEEE(buf), nil
+}
+
+// removeDurably removes the file at path and fsyncs its directory, so the
+// removal survives a crash.
+func removeDurably(path string) error {
+	if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
+		return fmt.Errorf("txn: remove %s: %w", path, err)
+	}
+	dir, err := os.Open(filepath.Dir(path))
+	if err == nil {
+		err = errors.Join(dir.Sync(), dir.Close())
+	}
+	if err != nil {
+		return fmt.Errorf("txn: sync directory of %s: %w", path, err)
+	}
+	return nil
 }
 
 // --- recovery ---------------------------------------------------------------
 
-// LogLoad is everything recovery needs from a log file: the newest durable
-// checkpoint image (nil when none is reachable) and the record tail that
-// must be replayed on top of it.
+// LogLoad is everything recovery needs from a log file: the newest usable
+// checkpoint image (nil when there is none) and the record tail that must be
+// replayed on top of it.
 type LogLoad struct {
 	Image *CheckpointImage
 	// Tail holds the records from TailStart to the end of valid data.
@@ -345,21 +348,25 @@ type LogLoad struct {
 	// is appended to again.
 	End       int64
 	Discarded int64
-	// FromCheckpoint reports whether the tail starts at a checkpoint's Start
-	// offset rather than offset zero.
-	FromCheckpoint bool
 }
 
-// LoadLog reads the log at path for recovery. It returns (nil, nil) when the
-// file does not exist. When a valid checkpoint pointer names a readable
-// checkpoint frame, only the tail from the image's Start offset is read;
-// otherwise the whole log is scanned from offset zero (every record is still
-// in the log — a checkpoint adds an image, it removes nothing — so losing
-// the pointer only costs time, never data).
+// LoadLog reads the log at path, and its checkpoint file, for recovery. It
+// returns (nil, nil) when the log does not exist. An image is used only when
+// it was taken from this log (its EndSum matches the log's bytes below End)
+// and the log's valid data reaches the image's End; then only the tail from
+// the image's Start is read. Otherwise the whole log is scanned from offset
+// zero. A checkpoint file that was not used, also one left beside a missing
+// log, is removed durably before LoadLog returns: the log will grow past the
+// point the file was checked against, and a stale image must never be
+// matched against it later.
 func LoadLog(path string) (load *LogLoad, err error) {
+	ckpt := checkpointPath(path)
 	f, err := os.Open(path)
 	if err != nil {
 		if os.IsNotExist(err) {
+			if _, err := os.Lstat(ckpt); err == nil {
+				return nil, removeDurably(ckpt)
+			}
 			return nil, nil
 		}
 		return nil, fmt.Errorf("txn: open wal %s: %w", path, err)
@@ -370,48 +377,49 @@ func LoadLog(path string) (load *LogLoad, err error) {
 		}
 	}()
 
-	load = &LogLoad{}
-	if off, ok := readCheckpointPointer(path); ok {
-		if img := readCheckpointFrame(f, off); img != nil {
-			load.Image = img
-			load.TailStart = img.Start
-			load.FromCheckpoint = true
+	img, present := readCheckpointFile(ckpt)
+	if img != nil {
+		// The image must come from this log: its bytes below End give
+		// EndSum. No log shorter than End can be read there, which also
+		// keeps a Start past the file's end from scanning as an empty,
+		// valid tail.
+		if sum, err := logSum(f, img.End); err != nil || sum != img.EndSum {
+			img = nil
 		}
 	}
+	load, err = scanFrom(f, img)
+	if err == nil && img != nil && load.End < img.End {
+		// The log's valid data stops short of what the image requires.
+		load, err = scanFrom(f, nil)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("txn: scan wal %s: %w", path, err)
+	}
+	if present && load.Image == nil {
+		if err := removeDurably(ckpt); err != nil {
+			return nil, err
+		}
+	}
+	return load, nil
+}
 
-	if _, err := f.Seek(load.TailStart, 0); err != nil {
-		return nil, fmt.Errorf("txn: seek wal %s: %w", path, err)
+// scanFrom scans f from img's Start (from offset zero when img is nil).
+func scanFrom(f *os.File, img *CheckpointImage) (*LogLoad, error) {
+	load := &LogLoad{Image: img}
+	if img != nil {
+		load.TailStart = img.Start
+	}
+	if _, err := f.Seek(load.TailStart, io.SeekStart); err != nil {
+		return nil, err
 	}
 	scan, err := scanLog(f, load.TailStart)
 	if err != nil {
-		return nil, fmt.Errorf("txn: scan wal %s: %w", path, err)
+		return nil, err
 	}
 	load.Tail = scan.Records
 	load.End = scan.End
 	load.Discarded = scan.Discarded
 	return load, nil
-}
-
-// readCheckpointFrame reads and validates the frame at off, returning its
-// decoded image or nil when anything about it is off — the caller then falls
-// back to a full scan.
-func readCheckpointFrame(f *os.File, off int64) *CheckpointImage {
-	if _, err := f.Seek(off, 0); err != nil {
-		return nil
-	}
-	body, _, err := readFrame(bufio.NewReader(f))
-	if err != nil || body == nil {
-		return nil
-	}
-	rec, err := decodeRecord(body)
-	if err != nil || rec.Kind != RecordCheckpoint {
-		return nil
-	}
-	img, err := decodeCheckpointImage(rec.Image)
-	if err != nil || img.Start > off {
-		return nil
-	}
-	return img
 }
 
 // ReplayStats describes what one recovery replay did.
@@ -425,17 +433,19 @@ type ReplayStats struct {
 	TailApplied int
 }
 
-// ReplayLog rebuilds a database from a checkpoint image (may be nil) plus a
-// record tail, through a's manager and catalog. The image is applied first —
-// DDL history through the applier's DDL function, then each table's rows in
-// one bulk install (Table.InstallImage), stamped with their original
+// ReplayLog rebuilds a database from a checkpoint image (may be nil), as
+// LoadLog read it from the checkpoint file, plus the log tail from the
+// image's Start, through a's manager and catalog. The image is applied first
+// — DDL history through the applier's DDL function, then each table's rows
+// in one bulk install (Table.InstallImage), stamped with their original
 // creating transaction — and the id sequence and schema history resume from
 // it. Then the tail goes through the applier in log order, record by record,
 // except that a BEGIN whose transaction the image already carries adopts
-// nothing, so that transaction's records are skipped. Applying the image
-// first matters: a tail UPDATE or DELETE finds its target row by before-image
-// among the rows the image installed. Transactions the tail leaves open stay
-// adopted; AbortOpen closes them.
+// nothing, so that transaction's records are skipped; a record of no
+// transaction (the retired kind 8 of older logs) applies nothing. Applying
+// the image first matters: a tail UPDATE or DELETE finds its target row by
+// before-image among the rows the image installed. Transactions the tail
+// leaves open stay adopted; AbortOpen closes them.
 func ReplayLog(a *Applier, image *CheckpointImage, tail []Record) (ReplayStats, error) {
 	var st ReplayStats
 	if image != nil {
@@ -465,9 +475,6 @@ func ReplayLog(a *Applier, image *CheckpointImage, tail []Record) (ReplayStats, 
 	}
 
 	for _, r := range tail {
-		if r.Kind == RecordCheckpoint {
-			continue // images are only entered through the pointer file
-		}
 		st.TailRecords++
 		if r.Kind == RecordBegin && image != nil && image.sees(r.Txn) {
 			continue // the image already carries this transaction's effects

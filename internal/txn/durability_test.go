@@ -3,6 +3,8 @@ package txn
 import (
 	"bytes"
 	"errors"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -369,6 +371,8 @@ func TestCheckpointImageRoundTrip(t *testing.T) {
 		Xmax:   42,
 		Active: []uint64{7, 9},
 		Start:  12345,
+		End:    12400,
+		EndSum: 0xdeadbeef,
 		DDL:    []string{"CREATE TABLE a (id INT PRIMARY KEY)", "CREATE INDEX a_idx ON a (id)"},
 		Tables: []CheckpointTable{{
 			Name:  "a",
@@ -383,8 +387,8 @@ func TestCheckpointImageRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if decoded.Xmax != img.Xmax || decoded.Start != img.Start {
-		t.Errorf("xmax/start = %d/%d", decoded.Xmax, decoded.Start)
+	if decoded.Xmax != img.Xmax || decoded.Start != img.Start || decoded.End != img.End || decoded.EndSum != img.EndSum {
+		t.Errorf("xmax/start/end/endSum = %d/%d/%d/%#x", decoded.Xmax, decoded.Start, decoded.End, decoded.EndSum)
 	}
 	if len(decoded.Active) != 2 || decoded.Active[0] != 7 || decoded.Active[1] != 9 {
 		t.Errorf("active = %v", decoded.Active)
@@ -409,10 +413,14 @@ func TestCheckpointImageRoundTrip(t *testing.T) {
 // TestCheckpointAndTailReplay: a checkpoint taken mid-stream must let
 // recovery rebuild the same state from image + tail that a full replay
 // produces — including a transaction that was still in flight at checkpoint
-// time and committed after.
+// time and committed after. The image is read back from the checkpoint file.
 func TestCheckpointAndTailReplay(t *testing.T) {
-	medium := &crashMedium{}
-	wal := NewWAL(medium)
+	path := filepath.Join(t.TempDir(), "accounts.wal")
+	wal, err := OpenWALFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wal.Close()
 	mgr := NewManager(wal)
 	cat, accounts := newCatalogWithAccounts(t)
 
@@ -459,40 +467,27 @@ func TestCheckpointAndTailReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	written, _ := medium.snapshot()
-	scan, err := scanLog(bytes.NewReader(written), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var image *CheckpointImage
-	var imageOff int64
-	for i, r := range scan.Records {
-		if r.Kind == RecordCheckpoint {
-			image, err = decodeCheckpointImage(r.Image)
-			if err != nil {
-				t.Fatal(err)
-			}
-			imageOff = scan.Offsets[i]
-		}
-	}
+	image, present := readCheckpointFile(checkpointPath(path))
 	if image == nil {
-		t.Fatal("no checkpoint record in log")
+		t.Fatalf("no usable image in the checkpoint file (present %v)", present)
 	}
-	if image.Start > imageOff {
-		t.Fatalf("image start %d past its own frame %d", image.Start, imageOff)
+	if image.Start > image.End || image.Start != st.Start || image.End != st.End {
+		t.Fatalf("image start/end %d/%d, checkpoint reported %d/%d", image.Start, image.End, st.Start, st.End)
 	}
 	// t2 was active: the tail must start at or before its Begin record.
 	if len(image.Active) != 1 {
 		t.Fatalf("image active = %v, want exactly t2", image.Active)
 	}
 
-	// Replay image + tail into a fresh catalog.
-	var tail []Record
-	for i, r := range scan.Records {
-		if scan.Offsets[i] >= image.Start {
-			tail = append(tail, r)
-		}
+	load, err := LoadLog(path)
+	if err != nil {
+		t.Fatal(err)
 	}
+	if load.Image == nil || load.TailStart != image.Start {
+		t.Fatalf("LoadLog image %v, tail from %d; want the file's image, tail from %d", load.Image != nil, load.TailStart, image.Start)
+	}
+
+	// Replay image + tail into a fresh catalog.
 	fresh := catalog.New(storage.NewBufferPool(storage.NewMemDiskManager(), 256))
 	applyDDL := func(string) error {
 		_, err := fresh.CreateTable("accounts", types.NewSchema(
@@ -503,7 +498,7 @@ func TestCheckpointAndTailReplay(t *testing.T) {
 		return err
 	}
 	mgr2 := NewManager(nil)
-	stats, err := ReplayLog(NewApplier(mgr2, fresh, applyDDL), image, tail)
+	stats, err := ReplayLog(NewApplier(mgr2, fresh, applyDDL), load.Image, load.Tail)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -528,5 +523,87 @@ func TestCheckpointAndTailReplay(t *testing.T) {
 	}
 	if len(mgr2.ddlHistory) != 1 || mgr2.ddlHistory[0] != ddl {
 		t.Errorf("recovered DDL history = %v", mgr2.ddlHistory)
+	}
+}
+
+// TestCheckpointAppendsNothingToTheLog: a checkpoint lives in its own file.
+// On a quiet database it leaves the log's size as it was, its image ends at
+// that size, and a log written across several checkpoints holds only
+// transaction records.
+func TestCheckpointAppendsNothingToTheLog(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "accounts.wal")
+	wal, err := OpenWALFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wal.Close()
+	mgr := NewManager(wal)
+	cat, accounts := newCatalogWithAccounts(t)
+	for round := int64(0); round < 4; round++ {
+		tx, err := mgr.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if round == 0 {
+			if err := tx.LogDDL("CREATE TABLE accounts (id INT PRIMARY KEY, owner TEXT, balance FLOAT)"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		mustInsert(t, tx, accounts, round)
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		before := wal.Size()
+		st, err := mgr.Checkpoint(cat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if after := wal.Size(); after != before {
+			t.Fatalf("round %d: a checkpoint grew the log %d -> %d bytes", round, before, after)
+		}
+		if st.Start > st.End || st.End != before {
+			t.Errorf("round %d: image start/end %d/%d, want start <= end == %d", round, st.Start, st.End, before)
+		}
+	}
+	if got := mgr.Checkpoints(); got != 4 {
+		t.Errorf("Checkpoints() = %d, want 4", got)
+	}
+
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range readLog(t, bytes.NewReader(data)) {
+		switch r.Kind {
+		case RecordBegin, RecordCommit, RecordAbort, RecordInsert, RecordUpdate, RecordDelete, RecordDDL:
+		default:
+			t.Errorf("the log holds a %s record", r.Kind)
+		}
+	}
+}
+
+// TestCheckpointWithoutALogFileWritesNothing: a log with no file has nothing
+// to recover from, so a checkpoint there captures and counts nothing.
+func TestCheckpointWithoutALogFileWritesNothing(t *testing.T) {
+	medium := &crashMedium{}
+	mgr := NewManager(NewWAL(medium))
+	cat, accounts := newCatalogWithAccounts(t)
+	tx, err := mgr.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustInsert(t, tx, accounts, 1)
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	before, _ := medium.snapshot()
+	st, err := mgr.Checkpoint(cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after, _ := medium.snapshot()
+	if st != (CheckpointStats{}) || mgr.Checkpoints() != 0 || len(after) != len(before) {
+		t.Errorf("checkpoint without a log file = %+v (%d taken, log %d -> %d bytes), want nothing",
+			st, mgr.Checkpoints(), len(before), len(after))
 	}
 }

@@ -8,18 +8,19 @@ import (
 
 // groupCommit coordinates leader/follower commit batching.
 //
-// Every durable append already holds a log sequence number by the time it
-// gets here. A committer whose sequence is not yet durable either waits (a
-// follower, when someone else's fsync is in flight) or becomes the leader:
-// it reads the highest sequence appended so far, issues one fsync, marks
-// everything up to that sequence durable, and wakes the cohort. Committers
-// that arrived while the leader was syncing ride the same fsync if it covers
-// them; the first one it doesn't cover becomes the next leader. One fsync
-// therefore retires an entire convoy of commits, and durable commits/sec
-// scales with concurrency instead of fsync rate.
+// Every durable append already knows the log offset its record ends at by
+// the time it gets here. A committer whose end offset is not yet below the
+// durable frontier (WAL.durableOff) either waits (a follower, when someone
+// else's fsync is in flight) or becomes the leader: it reads the log's
+// appended frontier, issues one fsync, publishes that frontier as durable,
+// and wakes the cohort. Committers that arrived while the leader was syncing
+// ride the same fsync if it covers them; the first one it doesn't cover
+// becomes the next leader. One fsync therefore retires an entire convoy of
+// commits, and durable commits/sec scales with concurrency instead of fsync
+// rate.
 //
 // The coordinator has its own mutex, never taken together with WAL.mu or
-// Manager.mu: the leader reads the append sequence through an atomic and
+// Manager.mu: the leader reads the appended frontier through an atomic and
 // drops gc.mu across the fsync itself, so the lock-order graph stays flat.
 //
 // Failure is sticky. fsync gives no second chances — after an error the
@@ -37,7 +38,6 @@ type groupCommit struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
 	syncing bool   // a leader's fsync is in flight
-	durable uint64 // highest sequence known to be on stable storage
 	err     error  // sticky first failure
 	batches uint64 // fsyncs issued
 	riders  uint64 // committers who rode someone else's fsync
@@ -53,8 +53,8 @@ func (g *groupCommit) stats() (batches, riders uint64) {
 	return g.batches, g.riders
 }
 
-// syncTo blocks until sequence seq is durable (or the log is poisoned).
-func (g *groupCommit) syncTo(w *WAL, seq uint64) error {
+// syncTo blocks until the log is durable up to offset end (or poisoned).
+func (g *groupCommit) syncTo(w *WAL, end int64) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	led := false
@@ -62,7 +62,7 @@ func (g *groupCommit) syncTo(w *WAL, seq uint64) error {
 		if g.err != nil {
 			return g.err
 		}
-		if g.durable >= seq {
+		if w.durableOff.Load() >= end {
 			if !led {
 				g.riders++
 			}
@@ -73,7 +73,7 @@ func (g *groupCommit) syncTo(w *WAL, seq uint64) error {
 			continue
 		}
 		// Become the leader: flush everything appended so far, which is at
-		// least seq and usually more — the convoy that queued behind us.
+		// least end and usually more — the convoy that queued behind us.
 		g.syncing = true
 		g.mu.Unlock()
 		// Give every runnable committer one scheduling slot to reach the
@@ -98,11 +98,9 @@ func (g *groupCommit) syncTo(w *WAL, seq uint64) error {
 				runtime.Gosched()
 			}
 		}
-		target := w.seq.Load()
-		// The durable byte frontier is captured at the same instant as the
-		// sequence target: any record counted by target was fully appended
-		// under WAL.mu before either load, so offTarget covers its bytes.
-		offTarget := w.appendedOff.Load()
+		// Every record below target was fully written under WAL.mu before
+		// this load, so the fsync covers its bytes.
+		target := w.appendedOff.Load()
 		err := w.syncMedium()
 		g.mu.Lock()
 		g.syncing = false
@@ -110,11 +108,8 @@ func (g *groupCommit) syncTo(w *WAL, seq uint64) error {
 		led = true
 		if err != nil {
 			g.err = err
-		} else if target > g.durable {
-			g.durable = target
-		}
-		if err == nil {
-			w.publishDurable(offTarget)
+		} else {
+			w.publishDurable(target)
 		}
 		g.cond.Broadcast()
 	}

@@ -62,6 +62,8 @@ type Manager struct {
 	locks *LockManager
 	wal   *WAL
 
+	ckptMu sync.Mutex // serialises Checkpoint, from its image to the rename
+
 	mu     sync.Mutex
 	lastID uint64
 	// follower marks a manager that takes its ids from another's log.
@@ -156,7 +158,7 @@ func (m *Manager) Begin() (*Txn, error) {
 	m.wal.mu.Lock()
 	defer m.wal.mu.Unlock()
 	t := m.begin(m.wal.off)
-	if _, _, err := m.wal.writeLocked(encodeFrame(Record{Kind: RecordBegin, Txn: t.id})); err != nil {
+	if _, err := m.wal.writeLocked(encodeFrame(encodeRecord(Record{Kind: RecordBegin, Txn: t.id}))); err != nil {
 		t.finish(false)
 		return nil, err
 	}

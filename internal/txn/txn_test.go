@@ -789,7 +789,7 @@ func TestRecordKindString(t *testing.T) {
 	for kind, want := range map[RecordKind]string{
 		RecordBegin: "BEGIN", RecordCommit: "COMMIT", RecordAbort: "ABORT",
 		RecordInsert: "INSERT", RecordDelete: "DELETE", RecordUpdate: "UPDATE",
-		RecordDDL: "DDL", RecordCheckpoint: "CHECKPOINT",
+		RecordDDL: "DDL",
 	} {
 		if kind.String() != want {
 			t.Errorf("RecordKind(%d).String() = %q", kind, kind.String())

@@ -25,11 +25,9 @@ const (
 	RecordDelete
 	RecordUpdate
 	RecordDDL
-	// RecordCheckpoint carries a CheckpointImage: a snapshot-consistent copy
-	// of the database (DDL history + visible row versions) plus the replay
-	// start offset. Recovery that finds a durable checkpoint applies the
-	// image and replays only the log tail after its start offset.
-	RecordCheckpoint
+	// Kind 8 is retired: it framed a checkpoint image inside the log, before
+	// checkpoints moved to their own file. Such a frame still decodes, as a
+	// record of no transaction that nothing applies. Never reuse it.
 )
 
 func (k RecordKind) String() string {
@@ -48,16 +46,13 @@ func (k RecordKind) String() string {
 		return "UPDATE"
 	case RecordDDL:
 		return "DDL"
-	case RecordCheckpoint:
-		return "CHECKPOINT"
 	default:
 		return fmt.Sprintf("RecordKind(%d)", uint8(k))
 	}
 }
 
 // Record is one logical log entry. DML records carry the affected table and
-// the before/after images of the row; DDL records carry the statement text;
-// checkpoint records carry an encoded CheckpointImage.
+// the before/after images of the row; DDL records carry the statement text.
 type Record struct {
 	Kind  RecordKind
 	Txn   uint64
@@ -68,8 +63,6 @@ type Record struct {
 	New types.Tuple
 	// DDL is the statement text for RecordDDL.
 	DDL string
-	// Image is the encoded CheckpointImage for RecordCheckpoint.
-	Image []byte
 }
 
 // maxRecordBody bounds a decoded record frame. A length prefix larger than
@@ -85,47 +78,46 @@ const maxRecordBody = 1 << 28 // 256 MiB
 //	frame  := bodyLen:uvarint crc32:4 body
 //	body   := kind:byte txn:uvarint tableLen:uvarint table
 //	          oldLen:uvarint old newLen:uvarint new ddlLen:uvarint ddl
-//	          [imageLen:uvarint image]
 //
-// where old/new are types.EncodeTuple images (length 0 means absent), the
-// CRC is IEEE CRC-32 over body, and the trailing image field is present only
-// on checkpoint records. The CRC is what lets recovery distinguish "the log
-// ends in a torn frame from a crash mid-append" (truncate and continue) from
-// a complete record.
+// where old/new are types.EncodeTuple images (length 0 means absent) and the
+// CRC is IEEE CRC-32 over body. Bytes after the ddl field are ignored: the
+// retired kind 8 carried an image there. The CRC is what lets recovery
+// distinguish "the log ends in a torn frame from a crash mid-append"
+// (truncate and continue) from a complete record. The log holds only
+// transactions; a checkpoint image is one frame in its own file beside it
+// (see checkpoint.go).
 //
-// Durability is leader/follower group commit: AppendDurable enqueues the
-// record and rides a shared fsync — the first blocked committer becomes the
-// leader, flushes everything appended up to that point with one Sync, and
-// wakes the cohort (see groupcommit.go). A failed write or fsync poisons the
+// Durability is leader/follower group commit: AppendDurable appends the
+// record and rides a shared fsync until the durable frontier passes the
+// record's end offset — the first blocked committer becomes the leader,
+// flushes everything appended up to that point with one Sync, and wakes the
+// cohort (see groupcommit.go). A failed write or fsync poisons the
 // log permanently: after a failure nothing later can claim durability, so
 // every subsequent append or commit fails fast with the original error.
 type WAL struct {
 	mu     sync.Mutex
 	w      io.Writer
 	file   *os.File // non-nil when backed by a file (enables Sync, Truncate)
-	path   string   // file path when file-backed (for the checkpoint pointer)
+	path   string   // file path when file-backed (the checkpoint file sits beside it)
 	syncer interface{ Sync() error }
 	failed error // sticky: a torn write or failed fsync poisons the log
 	writes uint64
 	off    int64 // byte offset the next frame lands at
 
-	// seq numbers appended records; group commit tracks durability in seq
-	// space. Atomic so the sync leader can read it without taking mu.
-	seq atomic.Uint64
-
 	// pending counts appends in flight: committers that have entered
 	// AppendDurable but whose record is not yet in the log (so not yet
-	// covered by w.seq). A sync leader that sees pending > 0 holds the
+	// below appendedOff). A sync leader that sees pending > 0 holds the
 	// barrier open for up to groupCommitWindow so those records land under
 	// its fsync. Committers already parked at the barrier are not counted —
-	// their records are in w.seq and waiting on them would waste the window.
+	// their records are appended and waiting on them would waste the window.
 	pending atomic.Int64
 
-	// Replication frontiers, in byte offsets of the log (the LSN space the
-	// streaming protocol speaks). appendedOff mirrors off: it is stored under
-	// w.mu so the sync leader can load it lock-free together with w.seq.
-	// durableOff is published only after the fsync covering those bytes
-	// succeeded — a replica may be streamed anything below it and nothing
+	// Durability frontiers, in byte offsets of the log (the LSN space group
+	// commit, checkpoints and the streaming protocol all speak). appendedOff
+	// mirrors off: it is stored under w.mu so the sync leader can load it
+	// lock-free. durableOff is published only after the fsync covering those
+	// bytes succeeded — a commit is durable once it passes the commit's end
+	// offset, and a replica may be streamed anything below it and nothing
 	// above it (see walstream.go).
 	appendedOff atomic.Int64
 	durableOff  atomic.Int64
@@ -228,46 +220,41 @@ func encodeRecord(r Record) []byte {
 	buf = append(buf, newImage...)
 	buf = binary.AppendUvarint(buf, uint64(len(r.DDL)))
 	buf = append(buf, r.DDL...)
-	if len(r.Image) > 0 {
-		buf = binary.AppendUvarint(buf, uint64(len(r.Image)))
-		buf = append(buf, r.Image...)
-	}
 	return buf
 }
 
-// append writes one framed record and returns its sequence number and the
-// byte offset its frame starts at. The caller must not hold w.mu.
-func (w *WAL) append(r Record) (seq uint64, off int64, err error) {
-	frame := encodeFrame(r)
+// append writes one framed record and returns the byte offset its frame
+// ends at. The caller must not hold w.mu.
+func (w *WAL) append(r Record) (end int64, err error) {
+	frame := encodeFrame(encodeRecord(r))
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.writeLocked(frame)
 }
 
-// encodeFrame frames r: its body's length, the body's checksum, the body.
-func encodeFrame(r Record) []byte {
-	body := encodeRecord(r)
+// encodeFrame frames body: its length, its checksum, the body.
+func encodeFrame(body []byte) []byte {
 	frame := binary.AppendUvarint(nil, uint64(len(body)))
 	frame = binary.LittleEndian.AppendUint32(frame, crc32.ChecksumIEEE(body))
 	return append(frame, body...)
 }
 
-// writeLocked writes one frame at the end of the log; w.mu must be held.
-func (w *WAL) writeLocked(frame []byte) (seq uint64, off int64, err error) {
+// writeLocked writes one frame at the end of the log and returns the offset
+// it ends at; w.mu must be held.
+func (w *WAL) writeLocked(frame []byte) (end int64, err error) {
 	if w.failed != nil {
-		return 0, 0, w.failed
+		return 0, w.failed
 	}
-	off = w.off
 	if _, err := w.w.Write(frame); err != nil {
 		// The frame may be half on disk: everything after it would be
 		// unreadable, so nothing later may claim durability either.
 		w.failed = fmt.Errorf("txn: wal append: %w", err)
-		return 0, 0, w.failed
+		return 0, w.failed
 	}
 	w.off += int64(len(frame))
 	w.writes++
 	w.appendedOff.Store(w.off)
-	return w.seq.Add(1), off, nil
+	return w.off, nil
 }
 
 // Append writes one record without forcing it to stable storage. It becomes
@@ -276,7 +263,7 @@ func (w *WAL) Append(r Record) error {
 	if w == nil {
 		return nil // logging disabled
 	}
-	_, _, err := w.append(r)
+	_, err := w.append(r)
 	return err
 }
 
@@ -287,12 +274,12 @@ func (w *WAL) AppendDurable(r Record) error {
 		return nil
 	}
 	w.pending.Add(1)
-	seq, _, err := w.append(r)
+	end, err := w.append(r)
 	w.pending.Add(-1)
 	if err != nil {
 		return err
 	}
-	return w.gc.syncTo(w, seq)
+	return w.gc.syncTo(w, end)
 }
 
 // syncMedium flushes the underlying medium, if it has a durability barrier.
@@ -311,7 +298,7 @@ func (w *WAL) Sync() error {
 	if w == nil {
 		return nil
 	}
-	return w.gc.syncTo(w, w.seq.Load())
+	return w.gc.syncTo(w, w.appendedOff.Load())
 }
 
 // Close closes the underlying file when file-backed.
@@ -436,67 +423,58 @@ func readFrame(br *bufio.Reader) (body []byte, consumed int, err error) {
 }
 
 func decodeRecord(body []byte) (Record, error) {
-	var rec Record
 	if len(body) < 1 {
-		return rec, fmt.Errorf("txn: empty wal record")
+		return Record{}, fmt.Errorf("txn: empty wal record")
 	}
-	rec.Kind = RecordKind(body[0])
-	body = body[1:]
-	var err error
-	if rec.Txn, body, err = readUvarint(body); err != nil {
-		return rec, err
-	}
-	var table []byte
-	if table, body, err = readBytes(body); err != nil {
-		return rec, err
-	}
-	rec.Table = string(table)
-	var oldImage, newImage, ddl []byte
-	if oldImage, body, err = readBytes(body); err != nil {
-		return rec, err
-	}
-	if newImage, body, err = readBytes(body); err != nil {
-		return rec, err
-	}
-	if ddl, body, err = readBytes(body); err != nil {
-		return rec, err
-	}
-	if len(body) > 0 {
-		var image []byte
-		if image, _, err = readBytes(body); err != nil {
-			return rec, err
-		}
-		rec.Image = image
-	}
-	if len(oldImage) > 0 {
-		if rec.Old, err = types.DecodeTuple(oldImage); err != nil {
-			return rec, err
-		}
-	}
-	if len(newImage) > 0 {
-		if rec.New, err = types.DecodeTuple(newImage); err != nil {
-			return rec, err
-		}
-	}
-	rec.DDL = string(ddl)
-	return rec, nil
+	d := decoder{b: body[1:]}
+	rec := Record{Kind: RecordKind(body[0]), Txn: d.uvarint(), Table: string(d.bytes()),
+		Old: d.tuple(), New: d.tuple(), DDL: string(d.bytes())}
+	return rec, d.err
 }
 
-func readUvarint(b []byte) (uint64, []byte, error) {
-	v, n := binary.Uvarint(b)
+// decoder reads the fields of a record or image body in order. The first
+// malformed field sticks in err, and every read after it returns zero.
+type decoder struct {
+	b   []byte
+	err error
+}
+
+func (d *decoder) uvarint() uint64 {
+	if d.err != nil {
+		return 0
+	}
+	v, n := binary.Uvarint(d.b)
 	if n <= 0 {
-		return 0, nil, fmt.Errorf("txn: corrupt wal varint")
+		d.err = fmt.Errorf("txn: corrupt wal varint")
+		return 0
 	}
-	return v, b[n:], nil
+	d.b = d.b[n:]
+	return v
 }
 
-func readBytes(b []byte) ([]byte, []byte, error) {
-	length, rest, err := readUvarint(b)
+// bytes reads a length-prefixed field.
+func (d *decoder) bytes() []byte {
+	n := d.uvarint()
+	if d.err == nil && uint64(len(d.b)) < n {
+		d.err = fmt.Errorf("txn: truncated wal field")
+	}
+	if d.err != nil {
+		return nil
+	}
+	field := d.b[:n]
+	d.b = d.b[n:]
+	return field
+}
+
+// tuple reads a length-prefixed types.EncodeTuple image; length 0 is absent.
+func (d *decoder) tuple() types.Tuple {
+	image := d.bytes()
+	if len(image) == 0 {
+		return nil
+	}
+	t, err := types.DecodeTuple(image)
 	if err != nil {
-		return nil, nil, err
+		d.err = err
 	}
-	if uint64(len(rest)) < length {
-		return nil, nil, fmt.Errorf("txn: truncated wal field")
-	}
-	return rest[:length], rest[length:], nil
+	return t
 }

@@ -1,13 +1,14 @@
 package txn
 
 // WAL streaming: the replication substrate. An LSN is a byte offset into the
-// log file — the same offsets scanLog reports and the checkpoint pointer
-// stores. The primary exposes its durable frontier (DurableLSN, published
-// only after the covering fsync) and lets a streamer read any byte range
-// below it through an independent file handle (OpenTail). A replica replays
-// the framed records out of that byte stream with FrameScanner; because
-// checkpoints never truncate the log, a replica subscribing from LSN 0 can
-// rebuild the full database without snapshot shipping.
+// log file — the same offsets scanLog reports, group commit waits on and a
+// checkpoint image records. The primary exposes its durable frontier
+// (DurableLSN, published only after the covering fsync) and lets a streamer
+// read any byte range below it through an independent file handle
+// (OpenTail). A replica replays the framed records out of that byte stream
+// with FrameScanner. The log holds only transactions — checkpoint images
+// live in their own file and never truncate it — so a replica subscribing
+// from LSN 0 can rebuild the full database without snapshot shipping.
 
 import (
 	"bufio"
