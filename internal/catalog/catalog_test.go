@@ -1,9 +1,11 @@
 package catalog
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
+	"repro/internal/btree"
 	"repro/internal/storage"
 	"repro/internal/types"
 )
@@ -273,7 +275,16 @@ func TestCreateUniqueIndexOverDuplicateDataFails(t *testing.T) {
 	}
 }
 
-// TestInstallImage covers the bulk install's contract: rows arrive with
+// encodeRows returns the stored payloads of rows.
+func encodeRows(rows ...Tuple) [][]byte {
+	out := make([][]byte, len(rows))
+	for i, row := range rows {
+		out[i] = types.EncodeTuple(nil, row)
+	}
+	return out
+}
+
+// TestInstallImage covers the bulk install's contract: payloads arrive with
 // their xmins and behind every index, a bad row installs nothing, and a table
 // that already holds a version refuses an image.
 func TestInstallImage(t *testing.T) {
@@ -282,18 +293,31 @@ func TestInstallImage(t *testing.T) {
 	if _, err := c.CreateIndex("customers_city", "customers", []string{"city"}, false); err != nil {
 		t.Fatal(err)
 	}
-	bad := []Tuple{
-		{types.NewInt(1), types.NewString("Ada"), types.NewString("Boston"), types.Null()},
-		{types.NewInt(2), types.Null(), types.NewString("Erie"), types.Null()}, // name is NOT NULL
+	good := types.EncodeTuple(nil, Tuple{types.NewInt(1), types.NewString("Ada"), types.NewString("Boston"), types.Null()})
+	bad := map[string][]byte{
+		// name is NOT NULL
+		"a NULL in a NOT NULL column": types.EncodeTuple(nil, Tuple{types.NewInt(2), types.Null(), types.NewString("Erie"), types.Null()}),
+		"a truncated row":             good[:len(good)-3],
+		"a row with trailing bytes":   append(append([]byte(nil), good...), 0),
+		// a kind other than the column's is refused, not cast
+		"an INT in a FLOAT column":     types.EncodeTuple(nil, Tuple{types.NewInt(2), types.NewString("Bo"), types.Null(), types.NewInt(7)}),
+		"a row with one value too few": types.EncodeTuple(nil, Tuple{types.NewInt(2), types.NewString("Bo"), types.Null()}),
 	}
-	if err := tbl.InstallImage(bad, []uint64{0, 0}); err == nil {
-		t.Fatal("an image with a NULL in a NOT NULL column installed")
+	for name, row := range bad {
+		if err := tbl.InstallImage([][]byte{good, row}, []uint64{0, 0}); err == nil {
+			t.Errorf("an image with %s installed", name)
+		}
 	}
-	if err := tbl.InstallImage(bad[:1], []uint64{0, 0}); err == nil {
+	if err := tbl.InstallImage([][]byte{good}, []uint64{0, 0}); err == nil {
 		t.Fatal("an image with more xmins than rows installed")
 	}
 	if n := tbl.heap.Count(); n != 0 {
 		t.Fatalf("the refused images left %d versions", n)
+	}
+	for _, idx := range tbl.Indexes() {
+		if n := idx.Tree.CountRange(btree.Range{}); n != 0 {
+			t.Fatalf("the refused images left %d entries in %s", n, idx.Name)
+		}
 	}
 
 	var rows []Tuple
@@ -302,7 +326,8 @@ func TestInstallImage(t *testing.T) {
 		rows = append(rows, Tuple{types.NewInt(int64(i)), types.NewString("x"), types.NewString([]string{"Boston", "Erie"}[i%2]), types.Null()})
 		xmins = append(xmins, uint64(i%5))
 	}
-	if err := tbl.InstallImage(rows, xmins); err != nil {
+	payloads := encodeRows(rows...)
+	if err := tbl.InstallImage(payloads, xmins); err != nil {
 		t.Fatal(err)
 	}
 	for i, row := range rows {
@@ -310,16 +335,16 @@ func TestInstallImage(t *testing.T) {
 		if len(rids) != 1 {
 			t.Fatalf("row %d is under %d primary-key entries", i, len(rids))
 		}
-		meta, got, err := tbl.GetVersion(rids[0])
-		if err != nil || meta.Xmin != xmins[i] || !got.Equal(row) {
-			t.Fatalf("row %d reads back as %v with %+v (%v)", i, got, meta, err)
+		meta, got, err := tbl.heap.GetVersion(rids[0])
+		if err != nil || meta.Xmin != xmins[i] || !bytes.Equal(got, payloads[i]) {
+			t.Fatalf("row %d reads back as %x with %+v (%v)", i, got, meta, err)
 		}
 	}
 	city := tbl.indexByName("customers_city")
 	if got := len(city.Tree.Search(city.KeyFor(rows[1]))); got != 150 {
 		t.Errorf("city index holds %d Erie entries, want 150", got)
 	}
-	if err := tbl.InstallImage(rows[:1], xmins[:1]); err == nil {
+	if err := tbl.InstallImage(payloads[:1], xmins[:1]); err == nil {
 		t.Error("a second image installed into a table that holds rows")
 	}
 }

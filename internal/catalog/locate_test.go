@@ -87,12 +87,16 @@ func bruteForce(t *testing.T, tbl *Table, image Tuple, admit func(storage.Versio
 	want := map[storage.RecordID]bool{}
 	it := tbl.VersionIterator()
 	for {
-		rid, meta, tuple, ok, err := it.Next()
+		rid, meta, payload, ok, err := it.Next()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !ok {
 			return want
+		}
+		tuple, err := types.DecodeTuple(payload)
+		if err != nil {
+			t.Fatal(err)
 		}
 		if admit(meta) && tuple.Equal(image) {
 			want[rid] = true

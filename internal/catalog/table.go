@@ -170,10 +170,10 @@ func (t *Table) createIndex(name string, columns []string, unique bool) (*Index,
 }
 
 // backfillIndex builds idx from every row version in the heap with one
-// Tree.Load, the keys encoded into one shared arena. For a unique index,
-// duplicate keys among *live* versions fail the backfill (dead versions
-// sharing a key are the normal MVCC shape, not a violation). The caller holds
-// t.mu.
+// Tree.Load, the keys encoded from the stored payloads, undecoded, into one
+// shared arena. For a unique index, duplicate keys among *live* versions fail
+// the backfill (dead versions sharing a key are the normal MVCC shape, not a
+// violation). The caller holds t.mu.
 func (t *Table) backfillIndex(idx *Index) error {
 	var (
 		pairs []btree.Pair
@@ -181,7 +181,7 @@ func (t *Table) backfillIndex(idx *Index) error {
 	)
 	liveKeys := make(map[string]struct{})
 	for it := t.VersionIterator(); ; {
-		rid, meta, tuple, ok, err := it.Next()
+		rid, meta, payload, ok, err := it.Next()
 		if err != nil {
 			return err
 		}
@@ -189,7 +189,9 @@ func (t *Table) backfillIndex(idx *Index) error {
 			break
 		}
 		var key []byte
-		arena, key = idx.appendKey(arena, tuple)
+		if arena, key, err = idx.appendEncodedKey(arena, payload); err != nil {
+			return err
+		}
 		if idx.Unique && meta.Xmax == 0 {
 			if _, dup := liveKeys[string(key)]; dup {
 				return fmt.Errorf("%w: cannot create unique index %q: duplicate value for (%s)",
@@ -245,58 +247,58 @@ func (t *Table) insertVersionLocked(validated Tuple, meta storage.VersionMeta, u
 	return rid, nil
 }
 
-// InstallImage installs a checkpoint image's rows, rows[i] stamped
-// xmin=xmins[i], into this table, which must hold no row. Every row is
-// validated against the schema first, so a bad row installs nothing; the
-// rows are then encoded into one reused buffer and appended to the heap in
-// one batch, which fills each page under one pin; last, each index is built
-// with one Tree.Load over keys encoded into one arena the indexes share. The
-// versions join no unsettled list: each image row's creator committed before
-// the checkpoint, and recovery installs the image before any snapshot exists
-// and resumes the id sequence past it, so every such version is settled.
-func (t *Table) InstallImage(rows []Tuple, xmins []uint64) error {
-	if len(rows) != len(xmins) {
-		return fmt.Errorf("catalog: image for %s has %d rows and %d xmins", t.name, len(rows), len(xmins))
+// InstallImage installs a checkpoint image's rows, payloads[i] stamped
+// xmin=xmins[i], into this table, which must hold no row. A payload is a
+// stored heap payload, byte for byte, and goes into the heap unchanged: every
+// one is first checked against the schema in place (types.CheckEncoded), so
+// a bad row installs nothing and a value of the wrong kind is refused, not
+// cast; the payloads are then appended to the heap in one batch, which fills
+// each page under one pin; last, each index is built with one Tree.Load over
+// keys encoded from the payloads (types.AppendEncodedKey) into one arena the
+// indexes share. The versions join no unsettled list: each image row's
+// creator committed before the checkpoint, and recovery installs the image
+// before any snapshot exists and resumes the id sequence past it, so every
+// such version is settled.
+func (t *Table) InstallImage(payloads [][]byte, xmins []uint64) error {
+	if len(payloads) != len(xmins) {
+		return fmt.Errorf("catalog: image for %s has %d rows and %d xmins", t.name, len(payloads), len(xmins))
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if n := t.heap.Count(); n != 0 {
 		return fmt.Errorf("catalog: image installed into %s, which holds %d versions", t.name, n)
 	}
-	validated := make([]Tuple, len(rows))
-	for i, row := range rows {
-		v, err := row.ValidateAgainst(t.schema)
-		if err != nil {
+	for i, payload := range payloads {
+		if err := types.CheckEncoded(payload, t.schema); err != nil {
 			return fmt.Errorf("catalog: image row %d of %s: %w", i, t.name, err)
 		}
-		validated[i] = v
 	}
 
-	// The payloads are encoded back to back into one buffer, sized from the
-	// first row; once the heap has copied them, the buffer is reused as the
-	// arena of the keys.
-	metas := make([]storage.VersionMeta, len(rows))
-	payloads := make([][]byte, len(rows))
-	var buf []byte
-	if len(validated) > 0 {
-		buf = make([]byte, 0, len(validated)*len(types.EncodeTuple(nil, validated[0]))*5/4)
-	}
-	for i, row := range validated {
+	metas := make([]storage.VersionMeta, len(payloads))
+	for i := range metas {
 		metas[i].Xmin = xmins[i]
-		start := len(buf)
-		buf = types.EncodeTuple(buf, row)
-		payloads[i] = buf[start:]
 	}
-	rids := make([]storage.RecordID, len(rows))
+	rids := make([]storage.RecordID, len(payloads))
 	if err := t.heap.InsertVersions(metas, payloads, rids); err != nil {
 		return fmt.Errorf("catalog: image rows into %s: %w", t.name, err)
 	}
 
-	arena := buf[:0]
+	// The arena is sized from the first row's keys, which cannot fail to
+	// encode: the row passed CheckEncoded.
+	var arena []byte
+	if len(payloads) > 0 {
+		for _, idx := range t.indexes {
+			arena, _, _ = idx.appendEncodedKey(arena, payloads[0])
+		}
+		arena = make([]byte, 0, len(payloads)*len(arena)*5/4)
+	}
 	for _, idx := range t.indexes {
-		pairs := make([]btree.Pair, len(rows))
-		for i, row := range validated {
-			arena, pairs[i].Key = idx.appendKey(arena, row)
+		pairs := make([]btree.Pair, len(payloads))
+		for i, payload := range payloads {
+			var err error
+			if arena, pairs[i].Key, err = idx.appendEncodedKey(arena, payload); err != nil {
+				return fmt.Errorf("catalog: image row %d of %s: %w", i, t.name, err)
+			}
 			pairs[i].RID = rids[i]
 		}
 		if err := idx.Tree.Load(pairs); err != nil {
@@ -418,13 +420,19 @@ func (t *Table) VersionIterator() *TableVersionIterator {
 	return &TableVersionIterator{inner: t.heap.Iterator()}
 }
 
-// TableVersionIterator yields each version with its header.
+// TableVersionIterator yields each version with its header and its stored
+// payload, undecoded, so that a caller decodes only the versions that pass
+// its own test (types.DecodeTuple) and a checkpoint copies them as they are.
+// The payloads of one page are copied out of the buffer pool together, once;
+// a payload never aliases a pool frame and stays valid after the page is
+// unpinned and the iterator moves on. Callers must not modify it.
 type TableVersionIterator struct {
 	inner *storage.HeapIterator
 }
 
-// Next returns the next version, or ok=false at the end.
-func (it *TableVersionIterator) Next() (storage.RecordID, storage.VersionMeta, Tuple, bool, error) {
+// Next returns the next version's record id, header and payload, or ok=false
+// at the end.
+func (it *TableVersionIterator) Next() (storage.RecordID, storage.VersionMeta, []byte, bool, error) {
 	rid, record, ok, err := it.inner.Next()
 	if err != nil || !ok {
 		return rid, storage.VersionMeta{}, nil, false, err
@@ -433,11 +441,7 @@ func (it *TableVersionIterator) Next() (storage.RecordID, storage.VersionMeta, T
 	if err != nil {
 		return rid, storage.VersionMeta{}, nil, false, err
 	}
-	tuple, err := types.DecodeTuple(payload)
-	if err != nil {
-		return rid, storage.VersionMeta{}, nil, false, err
-	}
-	return rid, meta, tuple, true, nil
+	return rid, meta, payload, true, nil
 }
 
 // Locate resolves a logged before-image to the record id of the version it
@@ -467,14 +471,21 @@ func (t *Table) Locate(image Tuple, admit func(storage.VersionMeta) bool) (stora
 	} else {
 		t.located.scans.Add(1)
 		for it := t.VersionIterator(); ; {
-			rid, meta, tuple, more, err := it.Next()
+			rid, meta, payload, more, err := it.Next()
 			if err != nil {
 				return storage.RecordID{}, err
 			}
 			if !more {
 				break
 			}
-			if admit(meta) && tuple.Equal(image) {
+			if !admit(meta) {
+				continue
+			}
+			tuple, err := types.DecodeTuple(payload)
+			if err != nil {
+				return storage.RecordID{}, err
+			}
+			if tuple.Equal(image) {
 				return rid, nil
 			}
 		}
@@ -512,17 +523,21 @@ type Index struct {
 
 // KeyFor computes the index key for a row of the owning table.
 func (idx *Index) KeyFor(tuple Tuple) []byte {
-	_, key := idx.appendKey(nil, tuple)
+	var key []byte
+	for _, pos := range idx.colIdx {
+		key = types.EncodeKey(key, tuple[pos])
+	}
 	return key
 }
 
-// appendKey encodes tuple's key for idx onto arena and returns the grown
-// arena and the key, a slice of it capped at its own end. Keys appended to
-// one arena never overlap, so a tree may own each of them.
-func (idx *Index) appendKey(arena []byte, tuple Tuple) (grown, key []byte) {
+// appendEncodedKey encodes the key of a row's stored payload, read in place,
+// onto arena and returns the grown arena and the key, a slice of it capped at
+// its own end; the key bytes are KeyFor's on the decoded row. Keys appended
+// to one arena never overlap, so a tree may own each of them.
+func (idx *Index) appendEncodedKey(arena, payload []byte) (grown, key []byte, err error) {
 	start := len(arena)
-	for _, pos := range idx.colIdx {
-		arena = types.EncodeKey(arena, tuple[pos])
+	if arena, err = types.AppendEncodedKey(arena, payload, idx.colIdx); err != nil {
+		return arena[:start], nil, err
 	}
-	return arena, arena[start:len(arena):len(arena)]
+	return arena, arena[start:len(arena):len(arena)], nil
 }

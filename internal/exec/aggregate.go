@@ -189,6 +189,11 @@ func (o *aggregateOperator) Open() error {
 	groups := map[string]*group{}
 	var order []string
 	anyRow := false
+	// One key tuple and one fingerprint buffer serve every row: a group is
+	// looked up with the buffer as it stands and copies them only when it is
+	// created, so a row of an existing group allocates nothing for its key.
+	key := make(types.Tuple, len(o.groupBy))
+	var buf []byte
 	for {
 		row, ok, err := o.input.Next()
 		if err != nil {
@@ -198,7 +203,6 @@ func (o *aggregateOperator) Open() error {
 			break
 		}
 		anyRow = true
-		key := make(types.Tuple, len(o.groupBy))
 		for i, g := range o.groupBy {
 			v, err := g.Eval(row)
 			if err != nil {
@@ -206,13 +210,14 @@ func (o *aggregateOperator) Open() error {
 			}
 			key[i] = v
 		}
-		fingerprint := string(types.EncodeTuple(nil, key))
-		grp, okGrp := groups[fingerprint]
+		buf = types.EncodeTuple(buf[:0], key)
+		grp, okGrp := groups[string(buf)]
 		if !okGrp {
-			grp = &group{key: key}
+			grp = &group{key: key.Clone()}
 			for _, a := range o.node.Aggs {
 				grp.states = append(grp.states, newAggState(a.Func))
 			}
+			fingerprint := string(buf)
 			groups[fingerprint] = grp
 			order = append(order, fingerprint)
 		}

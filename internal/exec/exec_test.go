@@ -316,14 +316,16 @@ func TestDeletedRowSkippedInIndexScan(t *testing.T) {
 	// have chosen an index path; the executor must tolerate missing rids.
 	var bobRID storage.RecordID
 	for it := customers.VersionIterator(); ; {
-		rid, _, tuple, ok, err := it.Next()
+		rid, _, payload, ok, err := it.Next()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !ok {
 			break
 		}
-		if tuple[1].Str() == "Bob" {
+		if tuple, err := types.DecodeTuple(payload); err != nil {
+			t.Fatal(err)
+		} else if tuple[1].Str() == "Bob" {
 			bobRID = rid
 		}
 	}

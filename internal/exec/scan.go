@@ -199,7 +199,7 @@ func (o *scanOperator) nextRow() (storage.RecordID, types.Tuple, bool, error) {
 		var rid storage.RecordID
 		var tuple types.Tuple
 		if o.iter != nil {
-			r, meta, t, ok, err := o.iter.Next()
+			r, meta, payload, ok, err := o.iter.Next()
 			if err != nil {
 				return storage.RecordID{}, nil, false, err
 			}
@@ -207,7 +207,11 @@ func (o *scanOperator) nextRow() (storage.RecordID, types.Tuple, bool, error) {
 				return storage.RecordID{}, nil, false, nil
 			}
 			if !o.rt.visible(meta) {
-				continue
+				continue // never decoded
+			}
+			t, err := types.DecodeTuple(payload)
+			if err != nil {
+				return storage.RecordID{}, nil, false, fmt.Errorf("exec: decoding row %v of %s: %w", r, o.node.Table.Name(), err)
 			}
 			rid, tuple = r, t
 		} else {

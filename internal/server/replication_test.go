@@ -665,12 +665,16 @@ func liveXmins(t *testing.T, db *engine.Database) map[int64]uint64 {
 	}
 	out := map[int64]uint64{}
 	for it := table.VersionIterator(); ; {
-		_, meta, row, ok, err := it.Next()
+		_, meta, payload, ok, err := it.Next()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !ok {
 			return out
+		}
+		row, err := types.DecodeTuple(payload)
+		if err != nil {
+			t.Fatal(err)
 		}
 		if meta.Xmax == 0 {
 			out[row[0].Int()] = meta.Xmin

@@ -152,28 +152,31 @@ func (h *HeapFile) owns(id PageID) bool {
 	return ok
 }
 
-// readPage copies every live record off one page under the heap latch.
-func (h *HeapFile) readPage(id PageID) ([]RecordID, [][]byte, error) {
+// readPage copies every live record off one page under the heap latch,
+// appending their identifiers to rids and the records to recs. The records
+// are copied into one buffer sized to hold them all, so a page costs one
+// copy, not one per record; each record is capped at its own end.
+func (h *HeapFile) readPage(id PageID, rids []RecordID, recs [][]byte) ([]RecordID, [][]byte, error) {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
 	page, err := h.pool.fetch(id)
 	if err != nil {
-		return nil, nil, err
+		return rids, recs, err
 	}
-	var (
-		rids []RecordID
-		recs [][]byte
-	)
-	n := page.slotCount()
+	n, size := page.slotCount(), 0
+	for slot := 0; slot < n; slot++ {
+		size += page.slotLength(slot) // a tombstone's length is 0
+	}
+	buf := make([]byte, 0, size)
 	for slot := 0; slot < n; slot++ {
 		raw, err := page.get(slot)
 		if err != nil {
 			continue // tombstone
 		}
-		rec := make([]byte, len(raw))
-		copy(rec, raw)
+		start := len(buf)
+		buf = append(buf, raw...)
 		rids = append(rids, RecordID{Page: id, Slot: uint16(slot)})
-		recs = append(recs, rec)
+		recs = append(recs, buf[start:len(buf):len(buf)])
 	}
 	return rids, recs, h.pool.unpin(id, false)
 }
@@ -193,7 +196,8 @@ func (h *HeapFile) Iterator() *HeapIterator {
 // table locks, so page bytes may be mutated by concurrent writers between
 // Next calls); records written to the current page after it was copied are
 // not observed, which is fine — MVCC visibility rules decide what the caller
-// may see, the iterator only has to hand over consistent bytes.
+// may see, the iterator only has to hand over consistent bytes. Every page
+// gets a fresh copy, so a record stays valid after the iterator moves on.
 type HeapIterator struct {
 	heap    *HeapFile
 	pages   []PageID
@@ -204,7 +208,8 @@ type HeapIterator struct {
 }
 
 // Next returns the next live record, or ok=false when the scan is exhausted.
-// The returned record is a copy.
+// The returned record is a copy, shared with no buffer-pool frame; records of
+// one page share one buffer, so a caller must not modify one.
 func (it *HeapIterator) Next() (rid RecordID, record []byte, ok bool, err error) {
 	for {
 		if it.pos < len(it.rids) {
@@ -217,7 +222,7 @@ func (it *HeapIterator) Next() (rid RecordID, record []byte, ok bool, err error)
 		}
 		id := it.pages[it.pageIdx]
 		it.pageIdx++
-		it.rids, it.recs, err = it.heap.readPage(id)
+		it.rids, it.recs, err = it.heap.readPage(id, it.rids[:0], it.recs[:0])
 		if err != nil {
 			return RecordID{}, nil, false, err
 		}

@@ -12,7 +12,6 @@ import (
 	"slices"
 
 	"repro/internal/catalog"
-	"repro/internal/types"
 )
 
 // CheckpointImage is a snapshot-consistent copy of the database, the one
@@ -24,7 +23,9 @@ import (
 //
 // The image is logical, like the log itself: the catalog lives in memory and
 // data pages are rebuilt on restart, so a checkpoint preserves what a
-// snapshot can see, not what the disk pages happen to hold. Transactions the
+// snapshot can see, not what the disk pages happen to hold. Each row is its
+// stored heap payload, byte for byte: the checkpoint copies it out of the heap
+// and recovery puts it back without decoding it. Transactions the
 // snapshot could NOT see (in flight at checkpoint time, or begun after) are
 // exactly the ones whose records the tail replay applies; Start is chosen so
 // all of their records lie at or after it.
@@ -52,13 +53,15 @@ type CheckpointImage struct {
 	Tables []CheckpointTable
 }
 
-// CheckpointTable is one table's visible rows: Xmins[i] is the creating
-// transaction id of Rows[i] (0 for frozen rows), preserved so version
-// metadata survives the restart.
+// CheckpointTable is one table's visible rows: Rows[i] is a stored heap
+// payload (a types.EncodeTuple record) and Xmins[i] the id of the transaction
+// that created it (0 for frozen rows), preserved so version metadata survives
+// the restart. A decoded image's rows are slices of the frame body it was
+// read from.
 type CheckpointTable struct {
 	Name  string
 	Xmins []uint64
-	Rows  []types.Tuple
+	Rows  [][]byte
 }
 
 // sees reports whether transaction x's effects are captured in the image.
@@ -84,8 +87,17 @@ func (img *CheckpointImage) rowCount() int {
 //	         nDDL:uvarint (len:uvarint text)...
 //	         nTables:uvarint table...
 //	table := nameLen:uvarint name nRows:uvarint (xmin:uvarint len:uvarint tuple)...
+//
+// A tuple is a stored heap payload, byte for byte: a types.EncodeTuple record
+// the checkpoint copied out of the heap without decoding it.
 func encodeCheckpointImage(img *CheckpointImage) []byte {
-	buf := make([]byte, 0, 1024)
+	size := 1024
+	for _, t := range img.Tables {
+		for _, row := range t.Rows {
+			size += len(row) + 2*binary.MaxVarintLen64
+		}
+	}
+	buf := make([]byte, 0, size)
 	buf = binary.AppendUvarint(buf, img.Xmax)
 	buf = binary.AppendUvarint(buf, uint64(img.Start))
 	buf = binary.AppendUvarint(buf, uint64(img.End))
@@ -106,9 +118,8 @@ func encodeCheckpointImage(img *CheckpointImage) []byte {
 		buf = binary.AppendUvarint(buf, uint64(len(t.Rows)))
 		for i, row := range t.Rows {
 			buf = binary.AppendUvarint(buf, t.Xmins[i])
-			image := types.EncodeTuple(nil, row)
-			buf = binary.AppendUvarint(buf, uint64(len(image)))
-			buf = append(buf, image...)
+			buf = binary.AppendUvarint(buf, uint64(len(row)))
+			buf = append(buf, row...)
 		}
 	}
 	return buf
@@ -126,9 +137,14 @@ func decodeCheckpointImage(data []byte) (*CheckpointImage, error) {
 	}
 	for n := d.uvarint(); n > 0 && d.err == nil; n-- {
 		t := CheckpointTable{Name: string(d.bytes())}
-		for rows := d.uvarint(); rows > 0 && d.err == nil; rows-- {
+		rows := d.uvarint()
+		// Every row takes at least two bytes, so a hostile count allocates
+		// no more than the body already holds.
+		size := min(rows, uint64(len(d.b)/2))
+		t.Xmins, t.Rows = make([]uint64, 0, size), make([][]byte, 0, size)
+		for ; rows > 0 && d.err == nil; rows-- {
 			t.Xmins = append(t.Xmins, d.uvarint())
-			t.Rows = append(t.Rows, d.tuple())
+			t.Rows = append(t.Rows, d.bytes())
 		}
 		img.Tables = append(img.Tables, t)
 	}
@@ -190,7 +206,7 @@ func (m *Manager) Checkpoint(cat *catalog.Catalog) (CheckpointStats, error) {
 		ct := CheckpointTable{Name: name}
 		it := table.VersionIterator()
 		for {
-			_, meta, row, ok, err := it.Next()
+			_, meta, payload, ok, err := it.Next()
 			if err != nil {
 				return CheckpointStats{}, fmt.Errorf("txn: checkpoint scan of %s: %w", name, err)
 			}
@@ -201,7 +217,7 @@ func (m *Manager) Checkpoint(cat *catalog.Catalog) (CheckpointStats, error) {
 				continue
 			}
 			ct.Xmins = append(ct.Xmins, meta.Xmin)
-			ct.Rows = append(ct.Rows, row)
+			ct.Rows = append(ct.Rows, payload)
 		}
 		// Empty tables are carried by the DDL history alone; a table with a
 		// visible row always has its CREATE in the history already (the row's
@@ -436,10 +452,10 @@ type ReplayStats struct {
 // ReplayLog rebuilds a database from a checkpoint image (may be nil), as
 // LoadLog read it from the checkpoint file, plus the log tail from the
 // image's Start, through a's manager and catalog. The image is applied first
-// — DDL history through the applier's DDL function, then each table's rows
-// in one bulk install (Table.InstallImage), stamped with their original
-// creating transaction — and the id sequence and schema history resume from
-// it. Then the tail goes through the applier in log order, record by record,
+// — DDL history through the applier's DDL function, then each table's stored
+// payloads in one bulk install (Table.InstallImage), stamped with their
+// original creating transaction — and the id sequence and schema history
+// resume from it. Then the tail goes through the applier in log order, record by record,
 // except that a BEGIN whose transaction the image already carries adopts
 // nothing, so that transaction's records are skipped; a record of no
 // transaction (the retired kind 8 of older logs) applies nothing. Applying

@@ -377,9 +377,9 @@ func TestCheckpointImageRoundTrip(t *testing.T) {
 		Tables: []CheckpointTable{{
 			Name:  "a",
 			Xmins: []uint64{3, 0},
-			Rows: []types.Tuple{
-				{types.NewInt(1), types.NewString("x")},
-				{types.NewInt(2), types.NewString("y")},
+			Rows: [][]byte{
+				types.EncodeTuple(nil, types.Tuple{types.NewInt(1), types.NewString("x")}),
+				types.EncodeTuple(nil, types.Tuple{types.NewInt(2), types.NewString("y")}),
 			},
 		}},
 	}
@@ -402,7 +402,7 @@ func TestCheckpointImageRoundTrip(t *testing.T) {
 	if decoded.Tables[0].Xmins[0] != 3 || decoded.Tables[0].Xmins[1] != 0 {
 		t.Errorf("xmins = %v", decoded.Tables[0].Xmins)
 	}
-	if !decoded.Tables[0].Rows[1].Equal(img.Tables[0].Rows[1]) {
+	if !bytes.Equal(decoded.Tables[0].Rows[1], img.Tables[0].Rows[1]) {
 		t.Error("row image mismatch")
 	}
 	if decoded.sees(7) || decoded.sees(42) || !decoded.sees(8) || !decoded.sees(0) {
@@ -605,5 +605,77 @@ func TestCheckpointWithoutALogFileWritesNothing(t *testing.T) {
 	if st != (CheckpointStats{}) || mgr.Checkpoints() != 0 || len(after) != len(before) {
 		t.Errorf("checkpoint without a log file = %+v (%d taken, log %d -> %d bytes), want nothing",
 			st, mgr.Checkpoints(), len(before), len(after))
+	}
+}
+
+// TestCheckpointFileIsStoredPayloads: a checkpoint copies each row's stored
+// payload without decoding it, and the file it writes is byte for byte the
+// file written from the same image with every row decoded and encoded again,
+// so the image format is the one a decoding writer produced. The rows cover
+// every kind: NULL, INT, a negative FLOAT, DATE, BOOL, empty TEXT and TEXT
+// holding 0x00.
+func TestCheckpointFileIsStoredPayloads(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "kinds.wal")
+	wal, err := OpenWALFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wal.Close()
+	mgr := NewManager(wal)
+	cat := catalog.New(storage.NewBufferPool(storage.NewMemDiskManager(), 64))
+	kinds, err := cat.CreateTable("kinds", types.NewSchema(
+		types.Column{Name: "id", Type: types.KindInt, PrimaryKey: true},
+		types.Column{Name: "f", Type: types.KindFloat},
+		types.Column{Name: "d", Type: types.KindDate},
+		types.Column{Name: "b", Type: types.KindBool},
+		types.Column{Name: "s", Type: types.KindString},
+	))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := []types.Tuple{
+		{types.NewInt(-7), types.NewFloat(-2.5), types.NewDate(1983, time.May, 23), types.NewBool(true), types.NewString("")},
+		{types.NewInt(1 << 40), types.Null(), types.Null(), types.NewBool(false), types.NewString("a\x00b\x00")},
+		{types.NewInt(0), types.NewFloat(-0.0), types.NewDate(1969, time.December, 31), types.Null(), types.Null()},
+	}
+	tx, err := mgr.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.LogDDL("CREATE TABLE kinds (id INT PRIMARY KEY, f FLOAT, d DATE, b BOOL, s TEXT)"); err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range rows {
+		if _, err := tx.Insert(kinds, row); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := mgr.Checkpoint(cat); err != nil {
+		t.Fatal(err)
+	}
+
+	file, err := os.ReadFile(checkpointPath(path))
+	if err != nil {
+		t.Fatal(err)
+	}
+	img, _ := readCheckpointFile(checkpointPath(path))
+	if img == nil || len(img.Tables) != 1 || len(img.Tables[0].Rows) != len(rows) {
+		t.Fatalf("checkpoint file holds %+v, want one table of %d rows", img, len(rows))
+	}
+	for i, payload := range img.Tables[0].Rows {
+		row, err := types.DecodeTuple(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !row.Equal(rows[i]) {
+			t.Errorf("image row %d = %v, want %v", i, row, rows[i])
+		}
+		img.Tables[0].Rows[i] = types.EncodeTuple(nil, row)
+	}
+	if rebuilt := encodeFrame(encodeCheckpointImage(img)); !bytes.Equal(file, rebuilt) {
+		t.Errorf("the checkpoint file (%d bytes) differs from the image written from decoded rows (%d bytes)", len(file), len(rebuilt))
 	}
 }

@@ -293,12 +293,16 @@ func TestTxnWriteConflict(t *testing.T) {
 func findVisible(tx *Txn, table *catalog.Table, id int64) (storage.RecordID, types.Tuple, bool, error) {
 	it := table.VersionIterator()
 	for {
-		rid, meta, tuple, ok, err := it.Next()
+		rid, meta, payload, ok, err := it.Next()
 		if err != nil || !ok {
 			return storage.RecordID{}, nil, false, err
 		}
 		if !tx.Snapshot().Visible(meta) {
 			continue
+		}
+		tuple, err := types.DecodeTuple(payload)
+		if err != nil {
+			return storage.RecordID{}, nil, false, err
 		}
 		if tuple[0].Int() == id {
 			return rid, tuple, true, nil
@@ -453,7 +457,7 @@ func TestSnapshotIsolation(t *testing.T) {
 	balances := map[float64]bool{}
 	it := accounts.VersionIterator()
 	for {
-		_, meta, tuple, ok, err := it.Next()
+		_, meta, payload, ok, err := it.Next()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -461,7 +465,7 @@ func TestSnapshotIsolation(t *testing.T) {
 			break
 		}
 		if old.Visible(meta) {
-			balances[tuple[2].Float()] = true
+			balances[decodeRow(t, payload)[2].Float()] = true
 		}
 	}
 	if !balances[100] || balances[999] || len(balances) != 1 {
@@ -473,7 +477,7 @@ func TestSnapshotIsolation(t *testing.T) {
 	balances = map[float64]bool{}
 	it = accounts.VersionIterator()
 	for {
-		_, meta, tuple, ok, err := it.Next()
+		_, meta, payload, ok, err := it.Next()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -481,7 +485,7 @@ func TestSnapshotIsolation(t *testing.T) {
 			break
 		}
 		if fresh.Visible(meta) {
-			balances[tuple[2].Float()] = true
+			balances[decodeRow(t, payload)[2].Float()] = true
 		}
 	}
 	if !balances[999] || balances[100] || len(balances) != 1 {
@@ -852,12 +856,22 @@ func readLog(t *testing.T, r io.Reader) []Record {
 	return scan.Records
 }
 
+// decodeRow decodes a stored payload the version iterator returned.
+func decodeRow(t *testing.T, payload []byte) types.Tuple {
+	t.Helper()
+	row, err := types.DecodeTuple(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return row
+}
+
 // liveTuples returns the rows of the table's versions without an xmax.
 func liveTuples(t *testing.T, table *catalog.Table) []types.Tuple {
 	t.Helper()
 	var rows []types.Tuple
 	for it := table.VersionIterator(); ; {
-		_, meta, row, ok, err := it.Next()
+		_, meta, payload, ok, err := it.Next()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -865,7 +879,7 @@ func liveTuples(t *testing.T, table *catalog.Table) []types.Tuple {
 			return rows
 		}
 		if meta.Xmax == 0 {
-			rows = append(rows, row)
+			rows = append(rows, decodeRow(t, payload))
 		}
 	}
 }
