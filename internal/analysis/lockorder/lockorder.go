@@ -1,20 +1,22 @@
 // Package lockorder builds a static lock-acquisition-order graph over the
-// module's mutexes and the transaction manager's logical row locks, and
-// rejects any edge that closes a cycle. Two goroutines acquiring the same
-// pair of mutexes in opposite orders is the one deadlock the runtime cannot
-// detect — the waits-for graph only sees the lock manager's own locks, not
+// module's mutexes and the transaction manager's row claims, and rejects any
+// edge that closes a cycle. Two goroutines acquiring the same pair of
+// mutexes in opposite orders is the one deadlock the runtime cannot detect —
+// the waits-for graph only sees transactions waiting on transactions, not
 // sync.Mutex — so the order is enforced at vet time instead.
 //
 // Lock classes are struct-field mutexes (`pkg.Type.field`), package-level
 // mutex variables (`pkg.var`), and one synthetic class per txn package —
-// `pkg.#rows` — representing the MVCC row- and key-lock space behind
-// LockManager.lockRow/lockKey and Txn.Insert/Update/Delete. The row class
-// may be acquired while already held (cycles inside the row-lock space are
-// detected at run time by the lock manager's waits-for graph, which aborts
-// the cycle-closing transaction); every other class reports re-acquisition
-// as a self-deadlock. What vet must still catch is a mutex taken on one
-// side of a row lock in one function and on the other side elsewhere: the
-// runtime detector is blind to that mixed cycle.
+// `pkg.#rows` — representing the row versions and unique keys transactions
+// hold through the stamps in version headers: a writer claims them in
+// Txn.Insert/Update/Delete (claimVersion, insertVersion) and waits on their
+// holder in Txn.waitFor and LockManager.wait; Commit, Rollback and finish
+// release them all. The row class may be acquired while already held
+// (cycles inside the row space are detected at run time by the waits-for
+// graph, which aborts the cycle-closing transaction); every other class
+// reports re-acquisition as a self-deadlock. What vet must still catch is a
+// mutex taken on one side of a row wait in one function and on the other
+// side elsewhere: the runtime detector is blind to that mixed cycle.
 //
 // The walk is flow-aware within a function (branches fork the held set,
 // deferred unlocks keep the lock held to function end, goroutine bodies
@@ -39,25 +41,21 @@ import (
 // Analyzer is the lockorder pass.
 var Analyzer = &analysis.Analyzer{
 	Name:       "lockorder",
-	Doc:        "mutexes and row locks must be acquired in one global order; cycle-creating acquisitions are rejected",
+	Doc:        "mutexes and row claims must be acquired in one global order; cycle-creating acquisitions are rejected",
 	RunProgram: run,
 }
 
-// rowClassSuffix names the synthetic lock class for the txn package's
-// logical row and key locks; the full class is the txn package path + this
-// suffix.
+// rowClassSuffix names the synthetic lock class for the txn package's row
+// claims; the full class is the txn package path + this suffix.
 const rowClassSuffix = "#rows"
 
 // rowOps maps txn-package receiver type -> method -> op for the synthetic
-// row-lock class.
+// row class.
 var rowOps = map[string]map[string]lockOp{
-	"LockManager": {
-		"lockRow": opAcquire, "lockKey": opAcquire, "lock": opAcquire,
-		"releaseAll": opRelease,
-	},
+	"LockManager": {"wait": opAcquire},
 	"Txn": {
 		"Insert": opAcquire, "Update": opAcquire, "Delete": opAcquire,
-		"lockUniqueKeys": opAcquire, "claimVersion": opAcquire,
+		"claimVersion": opAcquire, "insertVersion": opAcquire, "waitFor": opAcquire,
 		"Commit": opRelease, "Rollback": opRelease, "finish": opRelease,
 	},
 }
@@ -499,8 +497,8 @@ func (w *walker) call(call *ast.CallExpr, held []heldLock, mutate bool) []heldLo
 }
 
 // removeLast drops the most recent occurrence of class from held. Releasing
-// the synthetic row class drops every occurrence: ReleaseAll, Commit and
-// Rollback free all of a transaction's row locks at once.
+// the synthetic row class drops every occurrence: Commit, Rollback and finish
+// end a transaction, which frees all of its claims at once.
 func removeLast(held []heldLock, class string) []heldLock {
 	if strings.HasSuffix(class, rowClassSuffix) {
 		out := held[:0]
@@ -522,7 +520,7 @@ func removeLast(held []heldLock, class string) []heldLock {
 // --- call classification -----------------------------------------------------
 
 // classifyLockCall recognizes direct sync.Mutex/RWMutex operations on
-// nameable lock classes and the txn package's row-lock API.
+// nameable lock classes and the txn package's row-claim API.
 func (w *walker) classifyLockCall(call *ast.CallExpr) (string, lockOp) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {

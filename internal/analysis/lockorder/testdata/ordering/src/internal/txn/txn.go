@@ -1,4 +1,4 @@
-// Package txn is a fixture mirror of the transaction manager's row-lock
+// Package txn is a fixture mirror of the transaction manager's row-claim
 // API, which lockorder models as one synthetic lock class.
 package txn
 
@@ -8,20 +8,20 @@ type Manager struct{}
 // Begin starts a transaction.
 func (m *Manager) Begin() *Txn { return &Txn{} }
 
-// Txn holds row locks until Commit or Rollback.
+// Txn holds the rows it claims until Commit or Rollback.
 type Txn struct{}
 
-// Insert locks the new row's unique keys before writing it.
+// Insert waits out any transaction holding the new row's unique keys.
 func (t *Txn) Insert(table string) error { return nil }
 
-// Update locks the target row before stamping it.
+// Update claims the target row by stamping it.
 func (t *Txn) Update(table string) error { return nil }
 
-// Delete locks the target row before stamping it.
+// Delete claims the target row by stamping it.
 func (t *Txn) Delete(table string) error { return nil }
 
-// Commit releases every row lock.
+// Commit releases every claim.
 func (t *Txn) Commit() error { return nil }
 
-// Rollback releases every row lock.
+// Rollback releases every claim.
 func (t *Txn) Rollback() error { return nil }

@@ -2,6 +2,7 @@ package catalog
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"testing"
 
@@ -18,11 +19,25 @@ func newTestCatalog() *Catalog {
 // snapshot), the shape bootstrap and recovery leave behind.
 func insertFrozen(t testing.TB, tbl *Table, row Tuple) storage.RecordID {
 	t.Helper()
-	rid, err := tbl.InsertVersion(row, 0)
+	rid, _, err := tbl.InsertVersion(row, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return rid
+}
+
+// getRow reads and decodes the version at rid.
+func getRow(t testing.TB, tbl *Table, rid storage.RecordID) Tuple {
+	t.Helper()
+	_, payload, err := tbl.GetVersion(rid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	row, err := types.DecodeTuple(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return row
 }
 
 // liveRows counts the versions without an xmax.
@@ -127,18 +142,18 @@ func TestUniqueColumnIndexAutoCreated(t *testing.T) {
 	if len(tbl.Indexes()) != 2 {
 		t.Fatalf("expected 2 indexes, got %d", len(tbl.Indexes()))
 	}
-	// The transaction layer's unique probe sees a live version under the
-	// email index's key.
+	// A probing insert sees a live version under the email index's key.
 	insertFrozen(t, tbl, Tuple{types.NewInt(1), types.NewString("a@x.com")})
 	email := tbl.indexByName("users_email_key")
 	if email == nil || !email.Unique {
 		t.Fatalf("unique email index = %+v", email)
 	}
-	if !tbl.LiveKeyExists(email, types.EncodeKey(nil, types.NewString("a@x.com"))) {
-		t.Error("LiveKeyExists misses the inserted email")
+	probe := &KeyProbe{InFlight: func(uint64) bool { return false }}
+	if _, _, err := tbl.InsertVersion(Tuple{types.NewInt(2), types.NewString("a@x.com")}, 5, probe); !errors.Is(err, ErrUniqueViolation) {
+		t.Errorf("inserting a held email = %v, want ErrUniqueViolation", err)
 	}
-	if tbl.LiveKeyExists(email, types.EncodeKey(nil, types.NewString("b@x.com"))) {
-		t.Error("LiveKeyExists finds an email never inserted")
+	if _, _, err := tbl.InsertVersion(Tuple{types.NewInt(2), types.NewString("b@x.com")}, 5, probe); err != nil {
+		t.Errorf("inserting an email never inserted = %v", err)
 	}
 }
 
@@ -146,9 +161,9 @@ func TestInsertGetUpdateDelete(t *testing.T) {
 	c := newTestCatalog()
 	tbl, _ := c.CreateTable("customers", customerSchema())
 	rid := insertFrozen(t, tbl, Tuple{types.NewInt(1), types.NewString("Ada"), types.NewString("Boston"), types.NewFloat(100)})
-	_, row, err := tbl.GetVersion(rid)
-	if err != nil || row[1].Str() != "Ada" {
-		t.Fatalf("GetVersion = %v, %v", row, err)
+	row := getRow(t, tbl, rid)
+	if row[1].Str() != "Ada" {
+		t.Fatalf("GetVersion = %v", row)
 	}
 	if n := liveRows(t, tbl); n != 1 {
 		t.Errorf("live rows = %d", n)
@@ -160,16 +175,12 @@ func TestInsertGetUpdateDelete(t *testing.T) {
 		t.Fatal(err)
 	}
 	updated := Tuple{types.NewInt(1), types.NewString("Ada"), types.NewString("Chicago"), types.NewFloat(250)}
-	newRID, err := tbl.InsertVersion(updated, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, row, _ = tbl.GetVersion(newRID)
-	if row[2].Str() != "Chicago" {
+	newRID := insertFrozen(t, tbl, updated)
+	if row = getRow(t, tbl, newRID); row[2].Str() != "Chicago" {
 		t.Errorf("after update: %v", row)
 	}
 	pk := tbl.PrimaryIndex()
-	if rids := pk.Tree.Search(pk.KeyFor(updated)); len(rids) != 1 || rids[0] != newRID {
+	if rids := pk.Tree.Search(pk.keyFor(updated)); len(rids) != 1 || rids[0] != newRID {
 		t.Errorf("primary key entries after update = %v, want [%v]", rids, newRID)
 	}
 
@@ -192,19 +203,19 @@ func TestInsertConstraints(t *testing.T) {
 	tbl, _ := c.CreateTable("customers", customerSchema())
 	insertFrozen(t, tbl, Tuple{types.NewInt(1), types.NewString("Ada"), types.NewString("Boston"), types.NewFloat(1)})
 	// NULL in NOT NULL.
-	if _, err := tbl.InsertVersion(Tuple{types.NewInt(2), types.Null(), types.Null(), types.Null()}, 7); err == nil {
+	if _, _, err := tbl.InsertVersion(Tuple{types.NewInt(2), types.Null(), types.Null(), types.Null()}, 7, nil); err == nil {
 		t.Error("NOT NULL violation should fail")
 	}
 	// Wrong arity.
-	if _, err := tbl.InsertVersion(Tuple{types.NewInt(3)}, 7); err == nil {
+	if _, _, err := tbl.InsertVersion(Tuple{types.NewInt(3)}, 7, nil); err == nil {
 		t.Error("arity violation should fail")
 	}
 	// Type coercion: string credit should coerce to float.
-	rid, err := tbl.InsertVersion(Tuple{types.NewInt(4), types.NewString("Bo"), types.Null(), types.NewString("12.5")}, 7)
+	rid, _, err := tbl.InsertVersion(Tuple{types.NewInt(4), types.NewString("Bo"), types.Null(), types.NewString("12.5")}, 7, nil)
 	if err != nil {
 		t.Fatalf("coercible insert failed: %v", err)
 	}
-	if _, row, _ := tbl.GetVersion(rid); row[3].Kind() != types.KindFloat {
+	if row := getRow(t, tbl, rid); row[3].Kind() != types.KindFloat {
 		t.Errorf("credit stored as %v, want a float", row[3])
 	}
 	if n := liveRows(t, tbl); n != 2 {
@@ -331,7 +342,7 @@ func TestInstallImage(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, row := range rows {
-		rids := tbl.PrimaryIndex().Tree.Search(tbl.PrimaryIndex().KeyFor(row))
+		rids := tbl.PrimaryIndex().Tree.Search(tbl.PrimaryIndex().keyFor(row))
 		if len(rids) != 1 {
 			t.Fatalf("row %d is under %d primary-key entries", i, len(rids))
 		}
@@ -341,7 +352,7 @@ func TestInstallImage(t *testing.T) {
 		}
 	}
 	city := tbl.indexByName("customers_city")
-	if got := len(city.Tree.Search(city.KeyFor(rows[1]))); got != 150 {
+	if got := len(city.Tree.Search(city.keyFor(rows[1]))); got != 150 {
 		t.Errorf("city index holds %d Erie entries, want 150", got)
 	}
 	if err := tbl.InstallImage(payloads[:1], xmins[:1]); err == nil {
@@ -356,7 +367,7 @@ func TestScanAndIterator(t *testing.T) {
 	for i := 0; i < 25; i++ {
 		rids = append(rids, insertFrozen(t, tbl, Tuple{types.NewInt(int64(i)), types.NewString("x"), types.Null(), types.Null()}))
 	}
-	if err := tbl.MarkDeleted(rids[3], 9); err != nil {
+	if _, _, err := tbl.ClaimVersion(rids[3], 9); err != nil {
 		t.Fatal(err)
 	}
 	// The version iterator yields every version, the deleted one with its
@@ -445,7 +456,7 @@ func TestIndexKeyForAndPositions(t *testing.T) {
 		t.Fatal(err)
 	}
 	row := Tuple{types.NewInt(1), types.NewString("Ada"), types.NewString("Boston"), types.Null()}
-	key := idx.KeyFor(row)
+	key := idx.keyFor(row)
 	want := types.EncodeKey(nil, types.NewString("Boston"), types.NewString("Ada"))
 	if string(key) != string(want) {
 		t.Error("KeyFor should encode columns in index order")
@@ -458,7 +469,7 @@ func BenchmarkTableInsert(b *testing.B) {
 	tbl, _ := c.CreateTable("customers", customerSchema())
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_, err := tbl.InsertVersion(Tuple{types.NewInt(int64(i)), types.NewString("name"), types.NewString("city"), types.NewFloat(1)}, 0)
+		_, _, err := tbl.InsertVersion(Tuple{types.NewInt(int64(i)), types.NewString("name"), types.NewString("city"), types.NewFloat(1)}, 0, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

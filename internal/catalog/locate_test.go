@@ -146,16 +146,16 @@ func runLocateModel(t *testing.T, sh locateShape, seed int64) {
 		switch op := rng.Intn(10); {
 		case op < 4 || len(live) == 0:
 			row := sh.randomRow(rng)
-			rid, err := tbl.InsertVersion(row, xid)
+			rid, _, err := tbl.InsertVersion(row, xid, nil)
 			if err != nil {
 				fail("insert: %v", err)
 			}
 			live, stored = append(live, rid), append(stored, row)
 		case op < 7:
 			i := rng.Intn(len(live))
-			_, row, err := tbl.GetVersion(live[i])
-			if err != nil {
-				fail("get: %v", err)
+			_, row, err := tbl.ClaimVersion(live[i], xid)
+			if err != nil || row == nil {
+				fail("claim: %v", err)
 			}
 			// Usually keep the key and change the last column, so the key
 			// collects versions; sometimes move the row to another key.
@@ -165,14 +165,14 @@ func runLocateModel(t *testing.T, sh locateShape, seed int64) {
 			} else {
 				next[len(next)-1] = types.NewInt(int64(rng.Intn(12)))
 			}
-			rid, err := tbl.AddVersion(live[i], next, xid)
+			rid, _, err := tbl.InsertVersion(next, xid, nil)
 			if err != nil {
 				fail("update: %v", err)
 			}
 			live[i], stored = rid, append(stored, next)
 		case op < 9:
 			i := rng.Intn(len(live))
-			if err := tbl.MarkDeleted(live[i], xid); err != nil {
+			if _, _, err := tbl.ClaimVersion(live[i], xid); err != nil {
 				fail("delete: %v", err)
 			}
 			live = append(live[:i], live[i+1:]...)
@@ -224,18 +224,18 @@ func TestLocateKeyEqualityIsNotTupleEquality(t *testing.T) {
 	}
 	row := func(id int64) Tuple { return Tuple{types.NewInt(id), types.NewInt(7), types.NewString("x")} }
 	pk := tbl.PrimaryIndex()
-	if string(pk.KeyFor(row(big))) != string(pk.KeyFor(row(big+1))) {
+	if string(pk.keyFor(row(big))) != string(pk.keyFor(row(big+1))) {
 		t.Fatal("2^53 and 2^53+1 no longer share an index key: this test needs another colliding pair")
 	}
 	live := func(m storage.VersionMeta) bool { return m.Xmax == 0 }
-	first, err := tbl.InsertVersion(row(big), 1)
+	first, _, err := tbl.InsertVersion(row(big), 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := tbl.Locate(row(big+1), live); !errors.Is(err, ErrNoMatchingRow) {
 		t.Errorf("Locate(2^53+1) with only 2^53 stored = %v, want ErrNoMatchingRow", err)
 	}
-	second, err := tbl.InsertVersion(row(big+1), 2)
+	second, _, err := tbl.InsertVersion(row(big+1), 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -216,35 +216,96 @@ func (t *Table) dropIndex(name string) {
 	}
 }
 
+// KeyProbe is how InsertVersion checks a new version's unique keys against
+// the versions already indexed under them, for one writing transaction.
+type KeyProbe struct {
+	// InFlight reports whether a transaction is still in flight. It is called
+	// with the table latch held and must not take it.
+	InFlight func(xid uint64) bool
+	// Sees reports whether the writer's snapshot sees a version.
+	Sees func(storage.VersionMeta) bool
+	// Supersedes is the row the new version replaces, nil for a new row. A
+	// unique key the two share is the writer's own and is not probed.
+	Supersedes Tuple
+}
+
 // InsertVersion appends a new row version stamped xmin=xid and maintains
-// every index. Unique constraints are NOT checked here: the transaction
-// layer probes live versions under its key locks before calling. A version
+// every index. With a probe, it first looks up each unique key of the row in
+// the same step under the table latch, so no other writer can insert the key
+// between the probe and the insert. The insert fails with ErrUniqueViolation
+// when a live version holds the key, committed or the writer's own. It
+// writes nothing and returns a transaction's id instead when the key's fate
+// rests with another transaction: one in flight that inserted or deleted a
+// version holding the key, or one that committed the delete of a version
+// the writer's snapshot still sees. The writer waits for that
+// transaction to end and probes again; a deleter found again after it ended
+// committed, and freed the key under the writer's snapshot. A version
 // stamped with a transaction id joins the unsettled list; xid 0 writes a
 // frozen version, visible to every snapshot.
-func (t *Table) InsertVersion(tuple Tuple, xid uint64) (storage.RecordID, error) {
+func (t *Table) InsertVersion(tuple Tuple, xid uint64, probe *KeyProbe) (storage.RecordID, uint64, error) {
 	validated, err := tuple.ValidateAgainst(t.schema)
 	if err != nil {
-		return storage.RecordID{}, err
+		return storage.RecordID{}, 0, err
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.insertVersionLocked(validated, storage.VersionMeta{Xmin: xid}, xid != 0)
-}
-
-// insertVersionLocked writes the version and its index entries, and lists it
-// when it is unsettled. The caller holds t.mu.
-func (t *Table) insertVersionLocked(validated Tuple, meta storage.VersionMeta, unsettled bool) (storage.RecordID, error) {
+	if probe != nil {
+		if holder, err := t.probeKeysLocked(validated, xid, probe); holder != 0 || err != nil {
+			return storage.RecordID{}, holder, err
+		}
+	}
+	meta := storage.VersionMeta{Xmin: xid}
 	rid, err := t.heap.InsertVersion(meta, types.EncodeTuple(nil, validated))
 	if err != nil {
-		return storage.RecordID{}, err
+		return storage.RecordID{}, 0, err
 	}
 	for _, idx := range t.indexes {
-		idx.Tree.Insert(idx.KeyFor(validated), rid)
+		idx.Tree.Insert(idx.keyFor(validated), rid)
 	}
-	if unsettled {
+	if xid != 0 {
 		t.unsettled.push(rid, meta, validated)
 	}
-	return rid, nil
+	return rid, 0, nil
+}
+
+// probeKeysLocked judges the versions indexed under each unique key of row
+// that probe.Supersedes does not share, for InsertVersion. It returns the
+// transaction the key's fate rests with, or ErrUniqueViolation. A version
+// outside the unsettled list is settled, so live and committed, and its
+// header need not be read. The caller holds t.mu, and a rollback removes its
+// versions under t.mu before its transaction leaves the active set, so a
+// version whose inserter is not in flight was inserted by a committed one.
+func (t *Table) probeKeysLocked(row Tuple, xid uint64, probe *KeyProbe) (uint64, error) {
+	var holder uint64
+	for _, idx := range t.indexes {
+		if !idx.Unique {
+			continue
+		}
+		key := idx.keyFor(row)
+		if probe.Supersedes != nil && string(idx.keyFor(probe.Supersedes)) == string(key) {
+			continue
+		}
+		for _, rid := range idx.Tree.Search(key) {
+			e := t.unsettled.get(rid)
+			switch {
+			case e == nil:
+				// settled: live, and committed before every snapshot
+			case e.meta.Xmax == xid:
+				continue // freed by the writer itself
+			case e.meta.Xmax != 0:
+				if probe.InFlight(e.meta.Xmax) || probe.Sees(e.meta) {
+					holder = e.meta.Xmax
+				}
+				continue
+			case e.meta.Xmin != xid && probe.InFlight(e.meta.Xmin):
+				holder = e.meta.Xmin
+				continue
+			}
+			return 0, fmt.Errorf("%w: duplicate value for %s(%s)",
+				ErrUniqueViolation, idx.Name, strings.Join(idx.Columns, ", "))
+		}
+	}
+	return holder, nil
 }
 
 // InstallImage installs a checkpoint image's rows, payloads[i] stamped
@@ -308,42 +369,27 @@ func (t *Table) InstallImage(payloads [][]byte, xmins []uint64) error {
 	return nil
 }
 
-// AddVersion supersedes the version at oldRID with a new version of the row:
-// it stamps xmax=xid on the old version in place and inserts the new tuple
-// stamped xmin=xid. Index entries for the old version remain (snapshots may
-// still need them); a sweep reclaims both together. Returns the new
-// version's record id.
-func (t *Table) AddVersion(oldRID storage.RecordID, tuple Tuple, xid uint64) (storage.RecordID, error) {
-	validated, err := tuple.ValidateAgainst(t.schema)
-	if err != nil {
-		return storage.RecordID{}, err
-	}
+// ClaimVersion claims the version at rid for transaction xid in one step
+// under the table latch. When no transaction has stamped the version, it
+// stamps xmax=xid and returns the header it found and the row, the unsettled
+// list's copy, which callers must not modify. Otherwise it stamps nothing and
+// returns the header it found, whose Xmax names the holder, and no row.
+func (t *Table) ClaimVersion(rid storage.RecordID, xid uint64) (storage.VersionMeta, Tuple, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if err := t.stampXmaxLocked(oldRID, xid); err != nil {
-		return storage.RecordID{}, err
+	// A version outside the list is settled, so unstamped.
+	if e := t.unsettled.get(rid); e != nil && e.meta.Xmax != 0 {
+		return e.meta, nil, nil
 	}
-	newRID, err := t.insertVersionLocked(validated, storage.VersionMeta{Xmin: xid}, true)
-	if err != nil {
-		_ = t.stampXmaxLocked(oldRID, 0) // restore the old version
-		return storage.RecordID{}, err
-	}
-	return newRID, nil
-}
-
-// MarkDeleted stamps xmax=xid on the version at rid, hiding it from
-// snapshots that see xid as committed.
-func (t *Table) MarkDeleted(rid storage.RecordID, xid uint64) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	if err := t.stampXmaxLocked(rid, xid); err != nil {
-		return err
+		return storage.VersionMeta{}, nil, err
 	}
-	return nil
+	e := t.unsettled.get(rid)
+	return storage.VersionMeta{Xmin: e.meta.Xmin}, e.row, nil
 }
 
-// ClearXmax removes the delete/supersede stamp from the version at rid
-// (rollback undo for MarkDeleted and the AddVersion old-side stamp).
+// ClearXmax removes the stamp ClaimVersion put on the version at rid
+// (rollback undo of a delete or of an update's old side).
 func (t *Table) ClearXmax(rid storage.RecordID) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -362,16 +408,20 @@ func (t *Table) RemoveVersion(rid storage.RecordID) error {
 }
 
 // removeVersionLocked deletes the version at rid, its index entries and its
-// list entry. An unsettled version's row comes from its list entry,
-// so only the delete itself touches the heap page.
+// list entry. An unsettled version's row comes from its list entry, so only
+// the delete itself touches the heap page; only a settled version is read
+// and decoded.
 func (t *Table) removeVersionLocked(rid storage.RecordID) error {
 	e := t.unsettled.get(rid)
 	var tuple Tuple
 	if e != nil {
 		tuple = e.row
 	} else {
-		var err error
-		if _, tuple, err = t.GetVersion(rid); err != nil {
+		_, payload, err := t.GetVersion(rid)
+		if err != nil {
+			return err
+		}
+		if tuple, err = types.DecodeTuple(payload); err != nil {
 			return err
 		}
 	}
@@ -382,36 +432,17 @@ func (t *Table) removeVersionLocked(rid storage.RecordID) error {
 		t.unsettled.remove(e)
 	}
 	for _, idx := range t.indexes {
-		idx.Tree.Delete(idx.KeyFor(tuple), rid)
+		idx.Tree.Delete(idx.keyFor(tuple), rid)
 	}
 	return nil
 }
 
-// GetVersion returns the version header and row at rid.
-func (t *Table) GetVersion(rid storage.RecordID) (storage.VersionMeta, Tuple, error) {
-	meta, payload, err := t.heap.GetVersion(rid)
-	if err != nil {
-		return storage.VersionMeta{}, nil, err
-	}
-	tuple, err := types.DecodeTuple(payload)
-	if err != nil {
-		return storage.VersionMeta{}, nil, err
-	}
-	return meta, tuple, nil
-}
-
-// LiveKeyExists reports whether any live version (xmax==0, including
-// uncommitted inserts of in-flight transactions) is indexed under key.
-// First-writer-wins unique enforcement: callers hold the key lock, so a
-// concurrent insert of the same key cannot race past the probe.
-func (t *Table) LiveKeyExists(idx *Index, key []byte) bool {
-	for _, rid := range idx.Tree.Search(key) {
-		meta, _, err := t.heap.GetVersion(rid)
-		if err == nil && meta.Xmax == 0 {
-			return true
-		}
-	}
-	return false
+// GetVersion returns the version header at rid and its stored payload,
+// undecoded, as TableVersionIterator.Next does: a caller decodes the row
+// (types.DecodeTuple) only once the header has passed its test. The payload
+// is a copy and never aliases a pool frame.
+func (t *Table) GetVersion(rid storage.RecordID) (storage.VersionMeta, []byte, error) {
+	return t.heap.GetVersion(rid)
 }
 
 // VersionIterator returns a pull iterator over every row version, with its
@@ -456,15 +487,22 @@ func (it *TableVersionIterator) Next() (storage.RecordID, storage.VersionMeta, [
 func (t *Table) Locate(image Tuple, admit func(storage.VersionMeta) bool) (storage.RecordID, error) {
 	if idx := t.locateIndex(); idx != nil {
 		t.located.seeks.Add(1)
-		for _, rid := range idx.Tree.Search(idx.KeyFor(image)) {
-			meta, tuple, err := t.GetVersion(rid)
+		for _, rid := range idx.Tree.Search(idx.keyFor(image)) {
+			meta, payload, err := t.GetVersion(rid)
 			if errors.Is(err, storage.ErrRecordNotFound) {
 				continue // reclaimed between the probe and the fetch
 			}
 			if err != nil {
 				return storage.RecordID{}, err
 			}
-			if admit(meta) && tuple.Equal(image) {
+			if !admit(meta) {
+				continue
+			}
+			tuple, err := types.DecodeTuple(payload)
+			if err != nil {
+				return storage.RecordID{}, err
+			}
+			if tuple.Equal(image) {
 				return rid, nil
 			}
 		}
@@ -521,8 +559,8 @@ type Index struct {
 	Tree    *btree.Tree
 }
 
-// KeyFor computes the index key for a row of the owning table.
-func (idx *Index) KeyFor(tuple Tuple) []byte {
+// keyFor computes the index key for a row of the owning table.
+func (idx *Index) keyFor(tuple Tuple) []byte {
 	var key []byte
 	for _, pos := range idx.colIdx {
 		key = types.EncodeKey(key, tuple[pos])
@@ -532,7 +570,7 @@ func (idx *Index) KeyFor(tuple Tuple) []byte {
 
 // appendEncodedKey encodes the key of a row's stored payload, read in place,
 // onto arena and returns the grown arena and the key, a slice of it capped at
-// its own end; the key bytes are KeyFor's on the decoded row. Keys appended
+// its own end; the key bytes are keyFor's on the decoded row. Keys appended
 // to one arena never overlap, so a tree may own each of them.
 func (idx *Index) appendEncodedKey(arena, payload []byte) (grown, key []byte, err error) {
 	start := len(arena)

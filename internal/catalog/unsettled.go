@@ -127,7 +127,7 @@ func (t *Table) CountVisible(idx *Index, r btree.Range, visible func(storage.Ver
 		n = idx.Tree.CountRange(r)
 	}
 	for e := t.unsettled.head; e != nil; e = e.next {
-		if !visible(e.meta) && (idx == nil || r.Contains(idx.KeyFor(e.row))) {
+		if !visible(e.meta) && (idx == nil || r.Contains(idx.keyFor(e.row))) {
 			n--
 		}
 	}

@@ -338,9 +338,16 @@ func TestCountInsideTransactionUnderConcurrentWriters(t *testing.T) {
 					end = "ROLLBACK"
 				}
 				for _, stmt := range append(stmts, end) {
-					// A duplicate id fails its statement only; the
-					// transaction goes on.
-					if _, err := ws.Execute(stmt); err != nil && !errors.Is(err, catalog.ErrUniqueViolation) {
+					// A duplicate id fails its statement and poisons the
+					// transaction, which the writer then rolls back.
+					_, err := ws.Execute(stmt)
+					if errors.Is(err, catalog.ErrUniqueViolation) {
+						_, err = ws.Execute("ROLLBACK")
+						if err == nil {
+							break
+						}
+					}
+					if err != nil {
 						t.Errorf("writer %d: %s: %v", w, stmt, err)
 						return
 					}

@@ -331,7 +331,6 @@ func (db *Database) tables() []*catalog.Table {
 type Stats struct {
 	Committed uint64
 	Aborted   uint64
-	LockWaits uint64
 	WALWrites uint64
 
 	// Durability: fsyncs issued on behalf of commits (each one retired a
@@ -404,14 +403,12 @@ func (db *Database) unsettledVersions() uint64 {
 // Stats returns a snapshot of the engine's counters.
 func (db *Database) Stats() Stats {
 	committed, aborted := db.txns.Stats()
-	waits, _ := db.txns.Locks().Stats()
 	mvcc := db.txns.MVCC()
 	walStats := db.wal.Stats()
 	seeks, scans := db.cat.LocateStats()
 	return Stats{
 		Committed: committed,
 		Aborted:   aborted,
-		LockWaits: waits,
 		WALWrites: walStats.Writes,
 
 		GroupCommitBatches:      walStats.GroupCommitBatches,

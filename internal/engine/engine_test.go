@@ -324,7 +324,7 @@ func TestConcurrentSessionsWriteRows(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Same row: s2 blocks on the row lock until s1 commits, then aborts with
+	// Same row: s2 waits on s1's transaction until it commits, then aborts with
 	// a write conflict rather than silently overwriting.
 	if _, err := s1.Execute("BEGIN"); err != nil {
 		t.Fatal(err)
@@ -337,7 +337,7 @@ func TestConcurrentSessionsWriteRows(t *testing.T) {
 		_, err := s2.Execute("UPDATE customers SET credit = 20 WHERE id = 1")
 		done <- err
 	}()
-	time.Sleep(20 * time.Millisecond) // let s2 reach the row lock
+	time.Sleep(20 * time.Millisecond) // let s2 reach s1's claim
 	if _, err := s1.Execute("COMMIT"); err != nil {
 		t.Fatal(err)
 	}

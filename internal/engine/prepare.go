@@ -503,6 +503,14 @@ var ErrBatchReturning = errors.New("engine: ExecBatch does not support statement
 // cursor closes; inside one, the cursor shares the transaction's snapshot.
 // No locks are taken either way — an open cursor never blocks a writer.
 func (st *Stmt) Query(args ...types.Value) (*Rows, error) {
+	if err := st.session.refuse(st.entry.stmt); err != nil {
+		return nil, err
+	}
+	rows, err := st.query(args)
+	return rows, st.session.noteFailure(st.entry.stmt, err)
+}
+
+func (st *Stmt) query(args []types.Value) (*Rows, error) {
 	if st.closed {
 		return nil, errStmtClosed
 	}
@@ -567,6 +575,14 @@ func (st *Stmt) queryWrite() (*Rows, error) {
 // SELECT, an affected-row count for DML, a message for DDL. Optional args are
 // a shorthand for Bind.
 func (st *Stmt) Exec(args ...types.Value) (*Result, error) {
+	if err := st.session.refuse(st.entry.stmt); err != nil {
+		return nil, err
+	}
+	res, err := st.exec(args)
+	return res, st.session.noteFailure(st.entry.stmt, err)
+}
+
+func (st *Stmt) exec(args []types.Value) (*Result, error) {
 	if st.closed {
 		return nil, errStmtClosed
 	}
@@ -595,7 +611,7 @@ func (st *Stmt) Exec(args ...types.Value) (*Result, error) {
 		}
 		return st.session.runWrite(st.entry.stmt, st.write)
 	default:
-		return st.session.ExecuteStmt(st.entry.stmt)
+		return st.session.executeStmt(st.entry.stmt)
 	}
 }
 
@@ -604,10 +620,18 @@ func (st *Stmt) Exec(args ...types.Value) (*Result, error) {
 // one transaction across the whole batch. Outside an explicit transaction a
 // single autocommit transaction spans every row — a bulk load pays for one
 // commit instead of len(rows), and any error rolls the whole batch back.
-// Inside an explicit transaction the batch simply joins it: on error the
-// rows already applied stay pending in that transaction (no statement-level
-// atomicity), and it is the caller's COMMIT or ROLLBACK that decides them.
+// Inside an explicit transaction the batch joins it, and an error poisons
+// it like any failed statement: the rows already applied can only be rolled
+// back with the rest of the transaction.
 func (st *Stmt) ExecBatch(rows [][]types.Value) (*Result, error) {
+	if err := st.session.refuse(st.entry.stmt); err != nil {
+		return nil, err
+	}
+	res, err := st.execBatch(rows)
+	return res, st.session.noteFailure(st.entry.stmt, err)
+}
+
+func (st *Stmt) execBatch(rows [][]types.Value) (*Result, error) {
 	if st.closed {
 		return nil, errStmtClosed
 	}

@@ -358,11 +358,20 @@ func runCountOracle(t *testing.T, seed int64, sessions, keySpace, steps int) {
 			p.Release()
 		}
 	}()
-	exec := func(x *session, text string) {
+	// exec runs text and returns what became of it for the history.
+	exec := func(x *session, text string) string {
 		t.Helper()
-		if _, err := x.s.Execute(text); err != nil && !errors.Is(err, catalog.ErrUniqueViolation) {
+		_, err := x.s.Execute(text)
+		if errors.Is(err, catalog.ErrUniqueViolation) && x.inTxn {
+			// The failed statement poisoned its transaction.
+			text += " -> unique violation, ROLLBACK"
+			_, err = x.s.Execute("ROLLBACK")
+			x.inTxn = false
+		}
+		if err != nil && !errors.Is(err, catalog.ErrUniqueViolation) {
 			fail("%s: %v", text, err)
 		}
+		return text
 	}
 	var history []string
 	for step := 0; step < steps; step++ {
@@ -403,7 +412,7 @@ func runCountOracle(t *testing.T, seed int64, sessions, keySpace, steps int) {
 		}
 		if strings.HasPrefix(did, "INSERT") || strings.HasPrefix(did, "UPDATE") || strings.HasPrefix(did, "DELETE") ||
 			did == "BEGIN" || did == "COMMIT" || did == "ROLLBACK" {
-			exec(x, did)
+			did = exec(x, did)
 		}
 		history = append(history, fmt.Sprintf("s%d: %s", i, did))
 

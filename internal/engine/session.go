@@ -39,6 +39,9 @@ type Result struct {
 type Session struct {
 	db      *Database
 	current *txn.Txn
+	// failed marks current as poisoned by a failed statement: every
+	// statement but ROLLBACK and COMMIT is refused, and COMMIT rolls back.
+	failed bool
 	// openRows tracks this session's open cursors so Close can release their
 	// snapshots when a connection drops with cursors still streaming.
 	openRows map[*Rows]struct{}
@@ -53,7 +56,7 @@ type Session struct {
 // the snapshots pinning old row versions against reclaim) are closed, and
 // an open explicit transaction is rolled back. The server calls this when a
 // connection disconnects — cleanly or not — so an abandoned session can never
-// keep holding row locks or pin the GC horizon. Closing an already-closed
+// keep holding row claims or pin the GC horizon. Closing an already-closed
 // session is a no-op.
 func (s *Session) Close() error {
 	if s.closed {
@@ -72,7 +75,7 @@ func (s *Session) Close() error {
 	var err error
 	if s.current != nil {
 		err = s.current.Rollback()
-		s.current = nil
+		s.current, s.failed = nil, false
 	}
 	return err
 }
@@ -131,9 +134,15 @@ func (s *Session) Query(text string) (*Result, error) {
 // script shares plans with prepared statements. Parameter placeholders are
 // not allowed on this path — prepare the statement instead.
 func (s *Session) ExecuteStmt(stmt sql.Statement) (*Result, error) {
-	if s.current != nil && isDDL(stmt) {
-		return nil, ErrDDLInTransaction
+	if err := s.refuse(stmt); err != nil {
+		return nil, err
 	}
+	res, err := s.executeStmt(stmt)
+	return res, s.noteFailure(stmt, err)
+}
+
+// executeStmt runs stmt once refuse has let it through.
+func (s *Session) executeStmt(stmt sql.Statement) (*Result, error) {
 	switch stmt := stmt.(type) {
 	case *sql.SelectStmt, *sql.InsertStmt, *sql.UpdateStmt, *sql.DeleteStmt:
 		return s.Execute(stmt.String())
@@ -160,6 +169,48 @@ func (s *Session) ExecuteStmt(stmt sql.Statement) (*Result, error) {
 
 // --- transaction control -------------------------------------------------
 
+// ErrTxnAborted refuses a statement inside a transaction that an earlier
+// statement's error has poisoned. A failed statement may have written some
+// of its rows before it failed, and a transaction cannot keep those rows and
+// drop the rest, so it can only roll back: every statement but ROLLBACK is
+// refused, and COMMIT rolls the transaction back and returns this error.
+var ErrTxnAborted = errors.New("engine: current transaction is aborted, statements are refused until ROLLBACK")
+
+// refuse refuses stmt before it runs, inside an explicit transaction: any
+// statement but COMMIT and ROLLBACK once the transaction is poisoned, and any
+// DDL. A refused statement changes nothing, so it poisons nothing.
+func (s *Session) refuse(stmt sql.Statement) error {
+	switch {
+	case s.current == nil:
+		return nil
+	case s.failed && !isTxnControl(stmt):
+		return ErrTxnAborted
+	case isDDL(stmt):
+		return ErrDDLInTransaction
+	}
+	return nil
+}
+
+// noteFailure poisons the open transaction when a statement inside it
+// failed, and returns err. The outcome of transaction control itself poisons
+// nothing: COMMIT and ROLLBACK end the transaction, and a BEGIN inside one
+// is refused without touching it.
+func (s *Session) noteFailure(stmt sql.Statement, err error) error {
+	if err != nil && s.current != nil && !isTxnControl(stmt) {
+		s.failed = true
+	}
+	return err
+}
+
+// isTxnControl reports whether stmt is BEGIN, COMMIT or ROLLBACK.
+func isTxnControl(stmt sql.Statement) bool {
+	switch stmt.(type) {
+	case *sql.BeginStmt, *sql.CommitStmt, *sql.RollbackStmt:
+		return true
+	}
+	return false
+}
+
 func (s *Session) executeBegin() (*Result, error) {
 	if s.current != nil {
 		return nil, fmt.Errorf("engine: a transaction is already open")
@@ -176,8 +227,13 @@ func (s *Session) executeCommit() (*Result, error) {
 	if s.current == nil {
 		return nil, fmt.Errorf("engine: no transaction is open")
 	}
+	if s.failed {
+		err := s.current.Rollback()
+		s.current, s.failed = nil, false
+		return nil, errors.Join(ErrTxnAborted, err)
+	}
 	err := s.current.Commit()
-	s.current = nil
+	s.current, s.failed = nil, false
 	if err != nil {
 		return nil, err
 	}
@@ -189,7 +245,7 @@ func (s *Session) executeRollback() (*Result, error) {
 		return nil, fmt.Errorf("engine: no transaction is open")
 	}
 	err := s.current.Rollback()
-	s.current = nil
+	s.current, s.failed = nil, false
 	if err != nil {
 		return nil, err
 	}
@@ -211,8 +267,10 @@ func (s *Session) writeTxn() (*txn.Txn, bool, error) {
 
 // finishWrite commits or rolls back an autocommit transaction depending on
 // the statement's outcome. Inside an explicit transaction the error (e.g. a
-// write conflict or deadlock abort) is reported to the caller, who decides
-// whether to roll back.
+// write conflict or deadlock abort) goes back to the statement's entry
+// point, which poisons the transaction (noteFailure): the rows the statement
+// wrote before it failed stay until ROLLBACK, or a refused COMMIT, undoes
+// them with the rest.
 func (s *Session) finishWrite(t *txn.Txn, autocommit bool, execErr error) error {
 	if autocommit {
 		if execErr != nil {

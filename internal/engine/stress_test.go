@@ -97,7 +97,7 @@ func TestSharedPlanCacheConcurrentStress(t *testing.T) {
 			s := db.Session()
 			defer s.Close()
 			// The two movers transfer in opposite directions so balances
-			// keep crossing and the row locks keep colliding.
+			// keep crossing and the row claims keep colliding.
 			from, to := 1, 2
 			if m == 1 {
 				from, to = 2, 1

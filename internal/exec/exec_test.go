@@ -57,9 +57,9 @@ func setup(t testing.TB) *catalog.Catalog {
 		{6, "Fay", "Boston", 700},
 	}
 	for _, r := range custRows {
-		if _, err := customers.InsertVersion(catalog.Tuple{
+		if _, _, err := customers.InsertVersion(catalog.Tuple{
 			types.NewInt(r.id), types.NewString(r.name), types.NewString(r.city), types.NewFloat(r.credit),
-		}, 0); err != nil {
+		}, 0, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -72,9 +72,9 @@ func setup(t testing.TB) *catalog.Catalog {
 		{106, 5, 500}, {107, 9, 10}, // order 107 references a missing customer
 	}
 	for _, r := range orderRows {
-		if _, err := orders.InsertVersion(catalog.Tuple{
+		if _, _, err := orders.InsertVersion(catalog.Tuple{
 			types.NewInt(r.id), types.NewInt(r.cust), types.NewFloat(r.total),
-		}, 0); err != nil {
+		}, 0, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -271,7 +271,7 @@ func TestGlobalAggregateOnEmptyInput(t *testing.T) {
 func TestCountDistinctionBetweenStarAndColumn(t *testing.T) {
 	cat := setup(t)
 	customers, _ := cat.GetTable("customers")
-	if _, err := customers.InsertVersion(catalog.Tuple{types.NewInt(7), types.NewString("Gus"), types.Null(), types.Null()}, 0); err != nil {
+	if _, _, err := customers.InsertVersion(catalog.Tuple{types.NewInt(7), types.NewString("Gus"), types.Null(), types.Null()}, 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	res := query(t, cat, "SELECT COUNT(*), COUNT(city) FROM customers")
@@ -341,7 +341,7 @@ func TestDeletedRowSkippedInIndexScan(t *testing.T) {
 func TestIsNullAndInPredicates(t *testing.T) {
 	cat := setup(t)
 	customers, _ := cat.GetTable("customers")
-	if _, err := customers.InsertVersion(catalog.Tuple{types.NewInt(7), types.NewString("Gus"), types.Null(), types.Null()}, 0); err != nil {
+	if _, _, err := customers.InsertVersion(catalog.Tuple{types.NewInt(7), types.NewString("Gus"), types.Null(), types.Null()}, 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := query(t, cat, "SELECT name FROM customers WHERE city IS NULL"); len(got.Rows) != 1 || got.Rows[0][0].Str() != "Gus" {
@@ -461,10 +461,10 @@ func benchCatalog(b *testing.B, n int) *catalog.Catalog {
 		types.Column{Name: "total", Type: types.KindFloat},
 	))
 	for i := 0; i < n; i++ {
-		if _, err := customers.InsertVersion(catalog.Tuple{types.NewInt(int64(i)), types.NewString(fmt.Sprintf("cust-%d", i)), types.NewFloat(float64(i))}, 0); err != nil {
+		if _, _, err := customers.InsertVersion(catalog.Tuple{types.NewInt(int64(i)), types.NewString(fmt.Sprintf("cust-%d", i)), types.NewFloat(float64(i))}, 0, nil); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := orders.InsertVersion(catalog.Tuple{types.NewInt(int64(i)), types.NewInt(int64(i % (n / 2))), types.NewFloat(float64(i) / 3)}, 0); err != nil {
+		if _, _, err := orders.InsertVersion(catalog.Tuple{types.NewInt(int64(i)), types.NewInt(int64(i % (n / 2))), types.NewFloat(float64(i) / 3)}, 0, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

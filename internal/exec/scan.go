@@ -220,7 +220,7 @@ func (o *scanOperator) nextRow() (storage.RecordID, types.Tuple, bool, error) {
 			}
 			rid = o.rids[o.pos]
 			o.pos++
-			meta, t, err := o.node.Table.GetVersion(rid)
+			meta, payload, err := o.node.Table.GetVersion(rid)
 			if err != nil {
 				// A version an aborting transaction removed (or a sweep
 				// reclaimed) after the index read: skip it.
@@ -230,9 +230,11 @@ func (o *scanOperator) nextRow() (storage.RecordID, types.Tuple, bool, error) {
 				return storage.RecordID{}, nil, false, fmt.Errorf("exec: fetching row %v of %s: %w", rid, o.node.Table.Name(), err)
 			}
 			if !o.rt.visible(meta) {
-				continue
+				continue // never decoded
 			}
-			tuple = t
+			if tuple, err = types.DecodeTuple(payload); err != nil {
+				return storage.RecordID{}, nil, false, fmt.Errorf("exec: decoding row %v of %s: %w", rid, o.node.Table.Name(), err)
+			}
 		}
 		if o.filter != nil {
 			ok, err := o.filter.EvalBool(tuple)

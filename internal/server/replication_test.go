@@ -611,14 +611,14 @@ func TestReplicaSurfacesDivergence(t *testing.T) {
 	}
 	pk := ledger.PrimaryIndex()
 	alice := types.Tuple{types.NewInt(1), types.NewString("alice"), types.NewInt(700)}
-	rids := pk.Tree.Search(pk.KeyFor(alice))
+	rids := pk.Tree.Search(types.EncodeKey(nil, alice[0]))
 	if len(rids) != 1 {
 		t.Fatalf("the replica holds %d versions of row 1, want 1", len(rids))
 	}
 	if err := ledger.RemoveVersion(rids[0]); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ledger.InsertVersion(types.Tuple{types.NewInt(1), types.NewString("alice"), types.NewInt(1)}, 0); err != nil {
+	if _, _, err := ledger.InsertVersion(types.Tuple{types.NewInt(1), types.NewString("alice"), types.NewInt(1)}, 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	local := rdb.Session()

@@ -1,28 +1,27 @@
 // Package txn provides the transaction services the engine and the forms
 // runtime sit on: multi-version concurrency control with begin-timestamp
-// snapshots, exclusive row-level locks for writers with first-updater-wins
-// conflict detection, waits-for-graph deadlock detection, a logical
-// write-ahead log, and transaction objects carrying undo information for
-// rollback.
+// snapshots, first-updater-wins writes, waits-for-graph deadlock detection,
+// a logical write-ahead log, and transaction objects carrying undo
+// information for rollback.
 //
 // The paper's windows are long-lived interactive browse sessions over shared
 // relations; under the original table-granularity two-phase locking one open
 // window blocked every writer on its table. Under MVCC readers never lock
-// anything: they see the versions visible to their snapshot, and writers
-// lock only the rows they change.
+// anything: they see the versions visible to their snapshot. A writer claims
+// a row version by stamping its id into the version's header, and a writer
+// that finds a version or a unique key held by another transaction in flight
+// waits for that transaction to end.
 package txn
 
 import (
 	"errors"
 	"fmt"
 	"sync"
-
-	"repro/internal/storage"
 )
 
-// ErrDeadlock is returned to the transaction whose lock request would close a
-// cycle in the waits-for graph. The requester aborts; every other member of
-// the would-be cycle keeps its locks and proceeds.
+// ErrDeadlock is returned to the transaction whose wait would close a cycle
+// in the waits-for graph. The requester aborts; every other member of the
+// would-be cycle keeps waiting and proceeds.
 var ErrDeadlock = errors.New("txn: deadlock detected")
 
 // ErrWriteConflict is returned by first-updater-wins conflict detection: the
@@ -30,173 +29,60 @@ var ErrDeadlock = errors.New("txn: deadlock detected")
 // another transaction that committed first.
 var ErrWriteConflict = errors.New("txn: write conflict")
 
-// lockKey names one lockable resource: a row version (rid set) or a unique
-// index key (index/key set). Key locks serialise unique-constraint probes so
-// two in-flight inserts of the same key cannot both pass the liveness check.
-type lockKey struct {
-	table string
-	index string
-	key   string
-	rid   storage.RecordID
-}
-
-func (k lockKey) String() string {
-	if k.index != "" {
-		return fmt.Sprintf("%s.%s[%x]", k.table, k.index, k.key)
-	}
-	return fmt.Sprintf("%s@%s", k.table, k.rid)
-}
-
-// rowLock is one exclusive lock. owner==0 means released with waiters still
-// racing to claim it; entries with no owner and no waiters are removed.
-type rowLock struct {
-	owner   uint64
-	waiters int
-	cond    *sync.Cond
-}
-
-// LockManager hands out exclusive row and key locks to transactions.
+// LockManager is the waits-for graph between transactions. It holds no
+// per-row or per-key state: a row version is held by the stamp in its header,
+// and a waiter waits on the holding transaction itself (Txn.waitFor).
 //
-// There are no shared locks and no timeouts: readers run against snapshots
-// and never lock anything, and deadlocks are detected eagerly instead of
-// being timed out. A blocked request adds a waiter-to-holder edge to the
-// waits-for graph and walks it before sleeping; if the walk reaches the
-// requester again the request fails with ErrDeadlock immediately. Every
-// cycle is closed by whichever transaction blocks last, so checking at block
-// time (with holders resolved at walk time, not edge-insertion time) finds
-// every deadlock without a background detector.
-//
-// Waiters sleep on a per-lock condition variable and are woken by a
-// Broadcast when the lock is released — there is no polling.
+// There are no timeouts: deadlocks are detected eagerly instead. A waiter
+// adds a waiter-to-holder edge and walks the graph before it sleeps; if the
+// walk reaches the waiter again the wait fails with ErrDeadlock at once.
+// Every cycle is closed by whichever transaction waits last, so checking at
+// wait time finds every deadlock without a background detector. A waiter
+// sleeps on the holder's done channel, which the holder's finish closes —
+// there is no polling.
 type LockManager struct {
 	mu        sync.Mutex
-	locks     map[lockKey]*rowLock
-	held      map[uint64]map[lockKey]struct{}
-	waitingOn map[uint64]lockKey
-	waits     uint64
+	waitingOn map[uint64]uint64
 	deadlocks uint64
 }
 
-// newLockManager creates an empty lock manager.
+// newLockManager creates an empty waits-for graph.
 func newLockManager() *LockManager {
-	return &LockManager{
-		locks:     make(map[lockKey]*rowLock),
-		held:      make(map[uint64]map[lockKey]struct{}),
-		waitingOn: make(map[uint64]lockKey),
-	}
+	return &LockManager{waitingOn: make(map[uint64]uint64)}
 }
 
-// lockRow acquires the exclusive lock on one row version for owner, blocking
-// until it is granted or the wait would deadlock. Re-acquiring a lock the
-// owner already holds is a no-op.
-func (lm *LockManager) lockRow(owner uint64, table string, rid storage.RecordID) error {
-	return lm.lock(owner, lockKey{table: table, rid: rid})
-}
-
-// lockKey acquires the exclusive lock on a unique-index key for owner.
-func (lm *LockManager) lockKey(owner uint64, table, index string, key []byte) error {
-	return lm.lock(owner, lockKey{table: table, index: index, key: string(key)})
-}
-
-func (lm *LockManager) lock(owner uint64, k lockKey) error {
+// wait blocks transaction waiter until holder has ended, or fails with
+// ErrDeadlock when holder's chain of waits leads back to waiter.
+func (lm *LockManager) wait(waiter uint64, holder *Txn) error {
 	lm.mu.Lock()
-	defer lm.mu.Unlock()
-	for {
-		l := lm.locks[k]
-		if l == nil {
-			lm.locks[k] = &rowLock{owner: owner}
-			lm.noteHeld(owner, k)
-			return nil
-		}
-		if l.owner == owner {
-			return nil
-		}
-		if l.owner == 0 {
-			l.owner = owner
-			lm.noteHeld(owner, k)
-			return nil
-		}
-		// Blocked: publish the wait edge, then check whether it closes a
-		// cycle before going to sleep.
-		lm.waitingOn[owner] = k
-		lm.waits++
-		if lm.wouldDeadlock(owner, k) {
-			delete(lm.waitingOn, owner)
-			lm.deadlocks++
-			return fmt.Errorf("%w: transaction %d waiting for %s held by transaction %d",
-				ErrDeadlock, owner, k, l.owner)
-		}
-		if l.cond == nil {
-			l.cond = sync.NewCond(&lm.mu)
-		}
-		l.waiters++
-		for l.owner != 0 {
-			l.cond.Wait()
-		}
-		l.waiters--
-		delete(lm.waitingOn, owner)
-		// Loop to race the other waiters for the released lock.
+	if lm.closesCycle(waiter, holder.id) {
+		lm.deadlocks++
+		lm.mu.Unlock()
+		return fmt.Errorf("%w: transaction %d waiting for transaction %d", ErrDeadlock, waiter, holder.id)
 	}
+	lm.waitingOn[waiter] = holder.id
+	lm.mu.Unlock()
+	<-holder.done
+	lm.mu.Lock()
+	delete(lm.waitingOn, waiter)
+	lm.mu.Unlock()
+	return nil
 }
 
-// wouldDeadlock reports whether start's wait on k closes a waits-for cycle.
-// Holders are resolved against the live lock table at each hop, so the walk
-// reflects grants and releases that happened after other edges were added.
-func (lm *LockManager) wouldDeadlock(start uint64, k lockKey) bool {
-	visited := make(map[uint64]struct{})
-	cur := lm.locks[k].owner
-	for {
-		if cur == start {
+// closesCycle reports whether the edge waiter -> holder would close a cycle.
+// A transaction waits on at most one other, so the walk follows one chain;
+// an edge whose holder has ended has no successor, because a transaction
+// ends only after its own wait returned. lm.mu must be held.
+func (lm *LockManager) closesCycle(waiter, holder uint64) bool {
+	for cur, steps := holder, 0; steps <= len(lm.waitingOn); steps++ {
+		if cur == waiter {
 			return true
 		}
-		if _, seen := visited[cur]; seen {
-			return false
-		}
-		visited[cur] = struct{}{}
 		next, waiting := lm.waitingOn[cur]
 		if !waiting {
 			return false
 		}
-		l := lm.locks[next]
-		if l == nil || l.owner == 0 {
-			return false
-		}
-		cur = l.owner
+		cur = next
 	}
-}
-
-func (lm *LockManager) noteHeld(owner uint64, k lockKey) {
-	set := lm.held[owner]
-	if set == nil {
-		set = make(map[lockKey]struct{})
-		lm.held[owner] = set
-	}
-	set[k] = struct{}{}
-}
-
-// releaseAll drops every lock owner holds, waking the waiters of each.
-func (lm *LockManager) releaseAll(owner uint64) {
-	lm.mu.Lock()
-	defer lm.mu.Unlock()
-	for k := range lm.held[owner] {
-		l := lm.locks[k]
-		if l == nil || l.owner != owner {
-			continue
-		}
-		if l.waiters == 0 {
-			delete(lm.locks, k)
-			continue
-		}
-		l.owner = 0
-		l.cond.Broadcast()
-	}
-	delete(lm.held, owner)
-}
-
-// Stats returns how many lock requests had to wait and how many deadlocks
-// were detected.
-func (lm *LockManager) Stats() (waits, deadlocks uint64) {
-	lm.mu.Lock()
-	defer lm.mu.Unlock()
-	return lm.waits, lm.deadlocks
+	return false
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"strings"
 	"sync"
 
 	"repro/internal/catalog"
@@ -47,7 +46,7 @@ var ErrNotActive = errors.New("txn: transaction is not active")
 
 // ErrCommitNotDurable is returned by Commit when the commit record could not
 // be made durable (the log append or fsync failed). The transaction's
-// changes have been physically undone and its locks and snapshot released —
+// changes have been physically undone and its snapshot released —
 // the commit did not happen, and the caller may safely retry the work in a
 // new transaction against a healthy log.
 var ErrCommitNotDurable = errors.New("txn: commit not durable")
@@ -56,8 +55,8 @@ var ErrCommitNotDurable = errors.New("txn: commit not durable")
 // database has already used (see Follow): the log describes another history.
 var ErrDiverged = errors.New("txn: database diverged from the log")
 
-// Manager creates transactions and owns the shared lock manager, the log,
-// the transaction-id sequence and the snapshot registry.
+// Manager creates transactions and owns the waits-for graph, the log, the
+// transaction-id sequence and the snapshot registry.
 type Manager struct {
 	locks *LockManager
 	wal   *WAL
@@ -99,9 +98,6 @@ func NewManager(wal *WAL) *Manager {
 	}
 }
 
-// Locks exposes the lock manager.
-func (m *Manager) Locks() *LockManager { return m.locks }
-
 // WAL returns the manager's log (may be nil).
 func (m *Manager) WAL() *WAL { return m.wal }
 
@@ -122,7 +118,9 @@ type MVCCStats struct {
 
 // MVCC returns the manager's concurrency-control counters.
 func (m *Manager) MVCC() MVCCStats {
-	_, deadlocks := m.locks.Stats()
+	m.locks.mu.Lock()
+	deadlocks := m.locks.deadlocks
+	m.locks.mu.Unlock()
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return MVCCStats{
@@ -177,7 +175,7 @@ func (m *Manager) begin(beginOff int64) *Txn {
 }
 
 // adopt registers a transaction under a logged id for the Applier, as Begin
-// registers one; it takes no locks and logs nothing.
+// registers one; it logs nothing.
 func (m *Manager) adopt(id uint64) (*Txn, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -191,9 +189,18 @@ func (m *Manager) adopt(id uint64) (*Txn, error) {
 // registerLocked enters t into the active set and takes its snapshot; m.mu
 // must be held.
 func (m *Manager) registerLocked(t *Txn) *Txn {
+	t.done = make(chan struct{})
 	m.active[t.id] = t
 	t.snap = m.acquireSnapshotLocked(t.id)
 	return t
+}
+
+// inFlight reports whether transaction id is in the active set.
+func (m *Manager) inFlight(id uint64) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	_, ok := m.active[id]
+	return ok
 }
 
 // undoEntry reverses one change on rollback.
@@ -204,11 +211,11 @@ type undoEntry struct {
 	newRID storage.RecordID // update only: the version this txn created
 }
 
-// Txn is one transaction: a snapshot, a row-lock scope and the undo records
-// needed to roll its changes back.
+// Txn is one transaction: a snapshot, the row versions it has claimed and
+// the undo records needed to roll its changes back.
 //
-// Writes follow first-updater-wins snapshot isolation: each write locks the
-// target row version, re-reads its header under the lock, and fails with
+// Writes follow first-updater-wins snapshot isolation: each write claims the
+// target row version by stamping its header (claimVersion), and fails with
 // ErrWriteConflict when another transaction already deleted or superseded it
 // — even if that happened after this transaction's snapshot.
 type Txn struct {
@@ -223,9 +230,12 @@ type Txn struct {
 	beginOff int64
 	// wal is where the transaction's records go: none for one the Applier
 	// adopted, whose records are in the log being applied; nor does such a
-	// transaction take row or key locks.
+	// transaction probe unique keys or wait on another.
 	wal     *WAL
 	adopted bool
+	// done is closed by finish, once the transaction has left the active
+	// set; writers waiting on it sleep on this channel.
+	done chan struct{}
 
 	mu         sync.Mutex
 	undo       []undoEntry
@@ -236,35 +246,61 @@ type Txn struct {
 // by the transaction and released when the transaction finishes.
 func (t *Txn) Snapshot() *Snapshot { return t.snap }
 
-// lockUniqueKeys serialises the unique-constraint probes for row: it locks
-// each unique key and verifies no live version holds it. A non-nil oldRow
-// restricts the check to keys the update actually changes.
-//
-// An adopted transaction probes nothing: its log was checked as it was
-// written, in an order the log cannot replay. A DELETE stamps its version
-// before it appends its record, so an INSERT of the freed key can be logged
-// first, and a probe would fail that INSERT on replay.
-func (t *Txn) lockUniqueKeys(table *catalog.Table, row types.Tuple, oldRow types.Tuple) error {
-	if t.adopted {
+// waitFor blocks until transaction id has ended; it returns at once when id
+// is not in flight. ErrDeadlock refuses a wait that would close a cycle.
+func (t *Txn) waitFor(id uint64) error {
+	t.mgr.mu.Lock()
+	holder := t.mgr.active[id]
+	t.mgr.mu.Unlock()
+	if holder == nil {
 		return nil
 	}
-	for _, idx := range table.Indexes() {
-		if !idx.Unique {
-			continue
-		}
-		key := idx.KeyFor(row)
-		if oldRow != nil && string(idx.KeyFor(oldRow)) == string(key) {
-			continue // key unchanged: the only live holder is the row itself
-		}
-		if err := t.mgr.locks.lockKey(t.id, table.Name(), idx.Name, key); err != nil {
-			return err
-		}
-		if table.LiveKeyExists(idx, key) {
-			return fmt.Errorf("%w: duplicate value for %s(%s)",
-				catalog.ErrUniqueViolation, idx.Name, strings.Join(idx.Columns, ", "))
-		}
+	return t.mgr.locks.wait(t.id, holder)
+}
+
+// insertVersion writes row as a new version of table, probing its unique
+// keys in the same step (catalog.Table.InsertVersion). A key whose fate rests
+// with another transaction makes t wait for that transaction to end and
+// probe again. A key found held by the same transaction after it ended was
+// freed by a delete or update that committed after t's snapshot, which still
+// sees the freed version, so the insert fails with ErrWriteConflict, as an
+// update of that version would. supersedes is the row an update replaces,
+// whose keys are t's own.
+//
+// An adopted transaction probes nothing: its log was checked as it was
+// written, and the Applier applies one record at a time, so a wait on
+// another adopted transaction would wait on a COMMIT that only it could
+// apply. A log written before probes waited on a key's freer may also hold
+// an INSERT of the key ahead of the DELETE that freed it, which a probe
+// would fail on replay.
+func (t *Txn) insertVersion(table *catalog.Table, row, supersedes types.Tuple) (storage.RecordID, error) {
+	var probe *catalog.KeyProbe
+	if !t.adopted {
+		probe = &catalog.KeyProbe{InFlight: t.mgr.inFlight, Sees: t.snap.Visible, Supersedes: supersedes}
 	}
-	return nil
+	var ended uint64 // a holder known to have left the active set
+	for {
+		rid, holder, err := table.InsertVersion(row, t.id, probe)
+		if err != nil || holder == 0 {
+			return rid, err
+		}
+		if holder == ended {
+			return rid, t.conflict("a key of %s was freed by transaction %d after this transaction's snapshot", table.Name(), holder)
+		}
+		if err := t.waitFor(holder); err != nil {
+			return rid, err
+		}
+		ended = holder
+	}
+}
+
+// conflict counts a write conflict and returns ErrWriteConflict with the
+// formatted detail.
+func (t *Txn) conflict(format string, args ...any) error {
+	t.mgr.mu.Lock()
+	t.mgr.conflicts++
+	t.mgr.mu.Unlock()
+	return fmt.Errorf("%w: "+format, append([]any{ErrWriteConflict}, args...)...)
 }
 
 // active reports whether the transaction can still read and write.
@@ -274,9 +310,9 @@ func (t *Txn) active() bool {
 	return t.state == StateActive
 }
 
-// Insert inserts a row into the table under this transaction: it locks the
-// row's unique keys, probes for live duplicates, stamps the new version with
-// the transaction id, logs it and records undo information.
+// Insert inserts a row into the table under this transaction: it probes the
+// row's unique keys for live duplicates, stamps the new version with the
+// transaction id, logs it and records undo information.
 func (t *Txn) Insert(table *catalog.Table, row types.Tuple) (storage.RecordID, error) {
 	if !t.active() {
 		return storage.RecordID{}, ErrNotActive
@@ -285,10 +321,7 @@ func (t *Txn) Insert(table *catalog.Table, row types.Tuple) (storage.RecordID, e
 	if err != nil {
 		return storage.RecordID{}, err
 	}
-	if err := t.lockUniqueKeys(table, validated, nil); err != nil {
-		return storage.RecordID{}, err
-	}
-	rid, err := table.InsertVersion(validated, t.id)
+	rid, err := t.insertVersion(table, validated, nil)
 	if err != nil {
 		return storage.RecordID{}, err
 	}
@@ -303,27 +336,32 @@ func (t *Txn) Insert(table *catalog.Table, row types.Tuple) (storage.RecordID, e
 	return rid, nil
 }
 
-// claimVersion locks the version at rid (unless the transaction is adopted)
-// and re-reads it, failing with ErrWriteConflict when another transaction got
-// there first.
+// claimVersion claims the version at rid by stamping its xmax
+// (catalog.Table.ClaimVersion) and returns its row. A version stamped by
+// another transaction in flight makes t wait for that transaction to end and
+// try again. A stamp whose transaction has ended is a committed one — a
+// rollback clears its stamps before it leaves the active set — so it fails
+// with ErrWriteConflict, as does t's own stamp, and any stamp when t is
+// adopted, which waits on nothing.
 func (t *Txn) claimVersion(table *catalog.Table, rid storage.RecordID) (types.Tuple, error) {
-	if !t.adopted {
-		if err := t.mgr.locks.lockRow(t.id, table.Name(), rid); err != nil {
+	var ended uint64 // a holder known to have left the active set
+	for {
+		meta, row, err := table.ClaimVersion(rid, t.id)
+		if err != nil {
 			return nil, err
 		}
+		holder := meta.Xmax
+		if holder == 0 {
+			return row, nil
+		}
+		if holder == ended || holder == t.id || t.adopted {
+			return nil, t.conflict("row %s of %s was updated by transaction %d", rid, table.Name(), holder)
+		}
+		if err := t.waitFor(holder); err != nil {
+			return nil, err
+		}
+		ended = holder
 	}
-	meta, oldRow, err := table.GetVersion(rid)
-	if err != nil {
-		return nil, err
-	}
-	if meta.Xmax != 0 {
-		t.mgr.mu.Lock()
-		t.mgr.conflicts++
-		t.mgr.mu.Unlock()
-		return nil, fmt.Errorf("%w: row %s of %s was updated by transaction %d",
-			ErrWriteConflict, rid, table.Name(), meta.Xmax)
-	}
-	return oldRow, nil
 }
 
 // Update supersedes the row version at rid with newRow under this
@@ -341,11 +379,12 @@ func (t *Txn) Update(table *catalog.Table, rid storage.RecordID, newRow types.Tu
 	if err != nil {
 		return rid, err
 	}
-	if err := t.lockUniqueKeys(table, validated, oldRow); err != nil {
-		return rid, err
-	}
-	newRID, err := table.AddVersion(rid, validated, t.id)
+	newRID, err := t.insertVersion(table, validated, oldRow)
 	if err != nil {
+		// A failed update leaves the old version unclaimed, as it found it.
+		if clearErr := table.ClearXmax(rid); clearErr != nil {
+			return rid, errors.Join(err, clearErr)
+		}
 		return rid, err
 	}
 	t.mu.Lock()
@@ -365,9 +404,6 @@ func (t *Txn) Delete(table *catalog.Table, rid storage.RecordID) error {
 	}
 	oldRow, err := t.claimVersion(table, rid)
 	if err != nil {
-		return err
-	}
-	if err := table.MarkDeleted(rid, t.id); err != nil {
 		return err
 	}
 	t.mu.Lock()
@@ -395,8 +431,8 @@ func (t *Txn) LogDDL(text string) error {
 	return nil
 }
 
-// Commit makes the transaction's changes permanent, releases its row locks
-// and snapshot, and sweeps each table it wrote.
+// Commit makes the transaction's changes permanent, releases its snapshot,
+// wakes the writers waiting on it, and sweeps each table it wrote.
 //
 // Durable, then visible: the commit record must be on stable storage before
 // anything marks the transaction committed, so no reader can observe state a
@@ -404,8 +440,8 @@ func (t *Txn) LogDDL(text string) error {
 // with every other concurrent committer.
 //
 // If durability fails, the commit did not happen: the transaction's changes
-// are physically undone, its locks and snapshot are released (so the GC
-// horizon advances and later writers are not wedged), and the caller gets
+// are physically undone, its snapshot is released and its waiters woken (so
+// the GC horizon advances and later writers are not wedged), and the caller gets
 // ErrCommitNotDurable wrapping the cause.
 func (t *Txn) Commit() error {
 	t.mu.Lock()
@@ -444,7 +480,7 @@ func (t *Txn) Commit() error {
 }
 
 // sweepWritten sweeps each table the undo entries name from the head of its
-// unsettled list, once the transaction's locks and snapshot are gone: a
+// unsettled list, once the transaction has ended and its snapshot is gone: a
 // committed transaction's versions joined the list's tail, a rolled-back
 // update left the version it restored listed, and older entries may have
 // settled or died meanwhile.
@@ -464,9 +500,10 @@ func (t *Txn) sweepWritten(undo []undoEntry) {
 }
 
 // Rollback physically undoes the transaction's changes in reverse order,
-// then releases its row locks and snapshot and sweeps the tables it wrote. The transaction stays registered
-// as active until the undo completes, so concurrent snapshots never treat
-// its surviving stamps as committed.
+// then ends the transaction and sweeps the tables it wrote. The transaction
+// stays registered as active until the undo completes, so concurrent
+// snapshots never treat its surviving stamps as committed, nor does a writer
+// waiting on it.
 func (t *Txn) Rollback() error {
 	t.mu.Lock()
 	if t.state != StateActive {
@@ -513,9 +550,10 @@ func applyUndo(undo []undoEntry) error {
 
 // finish leaves the active set before releasing the snapshot: until then the
 // snapshot holds the horizon at or below t.id, so no sweep can settle one of
-// t's versions while a new snapshot could still find t in flight.
+// t's versions while a new snapshot could still find t in flight. It wakes
+// the writers waiting on t once t has left the active set, so a waiter that
+// re-reads a stamp of t's finds t ended.
 func (t *Txn) finish(committed bool) {
-	t.mgr.locks.releaseAll(t.id)
 	t.mgr.mu.Lock()
 	delete(t.mgr.active, t.id)
 	if committed {
@@ -528,5 +566,6 @@ func (t *Txn) finish(committed bool) {
 		t.mgr.aborted++
 	}
 	t.mgr.mu.Unlock()
+	close(t.done)
 	t.snap.Release()
 }

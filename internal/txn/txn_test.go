@@ -29,103 +29,224 @@ func newCatalogWithAccounts(t testing.TB) (*catalog.Catalog, *catalog.Table) {
 	return cat, accounts
 }
 
-func TestLockManagerRowLocksAreIndependent(t *testing.T) {
-	lm := newLockManager()
-	r1 := storage.RecordID{Page: 1, Slot: 0}
-	r2 := storage.RecordID{Page: 1, Slot: 1}
-	if err := lm.lockRow(1, "t", r1); err != nil {
+// seedAccounts commits one account row per id and returns their record ids.
+func seedAccounts(t *testing.T, mgr *Manager, accounts *catalog.Table, ids ...int64) []storage.RecordID {
+	t.Helper()
+	seed, err := mgr.Begin()
+	if err != nil {
 		t.Fatal(err)
 	}
-	// A different row never blocks: locks are per version, not per table.
-	if err := lm.lockRow(2, "t", r2); err != nil {
+	rids := make([]storage.RecordID, len(ids))
+	for i, id := range ids {
+		if rids[i], err = seed.Insert(accounts, account(id, 100)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := seed.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	return rids
+}
+
+func account(id int64, balance float64) types.Tuple {
+	return types.Tuple{types.NewInt(id), types.NewString(fmt.Sprintf("owner-%d", id)), types.NewFloat(balance)}
+}
+
+// awaitWaiting blocks until transaction waiter has published its wait edge,
+// so a test acts on a writer that is asleep rather than one still starting.
+func awaitWaiting(t *testing.T, mgr *Manager, waiter *Txn) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		mgr.locks.mu.Lock()
+		_, waiting := mgr.locks.waitingOn[waiter.id]
+		mgr.locks.mu.Unlock()
+		if waiting {
+			return
+		}
+	}
+	t.Fatalf("transaction %d never waited", waiter.id)
+}
+
+// waitEdges returns how many transactions are waiting on another.
+func waitEdges(mgr *Manager) int {
+	mgr.locks.mu.Lock()
+	defer mgr.locks.mu.Unlock()
+	return len(mgr.locks.waitingOn)
+}
+
+// TestWritersOfDifferentRowsDoNotBlock: a claim is per row version, not per
+// table, so two transactions update different rows without waiting; a
+// transaction updates its own new version again without waiting on itself;
+// and the waits-for graph holds no entry for any of it.
+func TestWritersOfDifferentRowsDoNotBlock(t *testing.T) {
+	_, accounts := newCatalogWithAccounts(t)
+	mgr := NewManager(nil)
+	rids := seedAccounts(t, mgr, accounts, 1, 2)
+	t1, _ := mgr.Begin()
+	t2, _ := mgr.Begin()
+	mine, err := t1.Update(accounts, rids[0], account(1, 50))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := t2.Update(accounts, rids[1], account(2, 150)); err != nil {
 		t.Fatalf("different rows must not conflict: %v", err)
 	}
-	// Re-acquiring an already-held lock is a no-op.
-	if err := lm.lockRow(1, "t", r1); err != nil {
-		t.Fatalf("re-entrant lock: %v", err)
+	if _, err := t1.Update(accounts, mine, account(1, 60)); err != nil {
+		t.Fatalf("updating the transaction's own new version: %v", err)
 	}
-	if got := heldCount(lm, 1); got != 1 {
-		t.Errorf("HeldCount(1) = %d, want 1", got)
+	if n := waitEdges(mgr); n != 0 {
+		t.Errorf("the waits-for graph holds %d edges while nobody waits", n)
 	}
-	lm.releaseAll(1)
-	if got := heldCount(lm, 1); got != 0 {
-		t.Errorf("HeldCount(1) after release = %d, want 0", got)
-	}
-}
-
-func TestLockManagerWaitsForRelease(t *testing.T) {
-	lm := newLockManager()
-	rid := storage.RecordID{Page: 1, Slot: 0}
-	if err := lm.lockRow(1, "t", rid); err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() {
-		done <- lm.lockRow(2, "t", rid)
-	}()
-	time.Sleep(20 * time.Millisecond)
-	select {
-	case err := <-done:
-		t.Fatalf("waiter acquired a held lock: %v", err)
-	default:
-	}
-	lm.releaseAll(1)
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("waiter should acquire after release: %v", err)
+	for _, tx := range []*Txn{t1, t2} {
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
 		}
-	case <-time.After(time.Second):
-		t.Fatal("waiter never woke up")
 	}
-	waits, _ := lm.Stats()
-	if waits == 0 {
-		t.Errorf("waits = %d, want > 0", waits)
+	got := map[int64]float64{}
+	for _, row := range liveTuples(t, accounts) {
+		got[row[0].Int()] = row[2].Float()
 	}
-}
-
-func TestLockManagerKeyLocks(t *testing.T) {
-	lm := newLockManager()
-	if err := lm.lockKey(1, "t", "t_pk", []byte("k")); err != nil {
-		t.Fatal(err)
-	}
-	// A different key on the same index never blocks.
-	if err := lm.lockKey(2, "t", "t_pk", []byte("other")); err != nil {
-		t.Fatalf("different keys must not conflict: %v", err)
-	}
-	done := make(chan error, 1)
-	go func() {
-		done <- lm.lockKey(2, "t", "t_pk", []byte("k"))
-	}()
-	time.Sleep(10 * time.Millisecond)
-	lm.releaseAll(1)
-	if err := <-done; err != nil {
-		t.Fatalf("key waiter after release: %v", err)
+	if got[1] != 60 || got[2] != 150 || len(got) != 2 {
+		t.Errorf("balances = %v, want 1:60 2:150", got)
 	}
 }
 
-// TestLockManagerDetectsDeadlock is the acceptance check for the waits-for
-// graph: a two-transaction cycle must fail one of the requests with
-// ErrDeadlock well under 100ms — there is no timeout to ride out.
-func TestLockManagerDetectsDeadlock(t *testing.T) {
-	lm := newLockManager()
-	rA := storage.RecordID{Page: 1, Slot: 0}
-	rB := storage.RecordID{Page: 1, Slot: 1}
-	if err := lm.lockRow(1, "t", rA); err != nil {
+// TestBlockedWriterWakesWhenHolderEnds: a writer that finds a row stamped by
+// a transaction in flight sleeps until that transaction ends. If the holder
+// commits, the stamp is a committed update and the writer fails with
+// ErrWriteConflict; if the holder rolls back, its stamp is gone and the
+// writer's claim succeeds.
+func TestBlockedWriterWakesWhenHolderEnds(t *testing.T) {
+	for _, holderCommits := range []bool{true, false} {
+		t.Run(fmt.Sprintf("commit=%v", holderCommits), func(t *testing.T) {
+			_, accounts := newCatalogWithAccounts(t)
+			mgr := NewManager(nil)
+			rid := seedAccounts(t, mgr, accounts, 1)[0]
+			holder, _ := mgr.Begin()
+			waiter, _ := mgr.Begin()
+			if err := holder.Delete(accounts, rid); err != nil {
+				t.Fatal(err)
+			}
+			done := make(chan error, 1)
+			go func() {
+				_, err := waiter.Update(accounts, rid, account(1, 7))
+				done <- err
+			}()
+			awaitWaiting(t, mgr, waiter)
+			select {
+			case err := <-done:
+				t.Fatalf("the writer claimed a row held by a transaction in flight: %v", err)
+			default:
+			}
+			end := holder.Rollback
+			if holderCommits {
+				end = holder.Commit
+			}
+			if err := end(); err != nil {
+				t.Fatal(err)
+			}
+			var err error
+			select {
+			case err = <-done:
+			case <-time.After(5 * time.Second):
+				t.Fatal("the writer never woke up")
+			}
+			if holderCommits && !errors.Is(err, ErrWriteConflict) {
+				t.Fatalf("after the holder committed, the writer got %v, want ErrWriteConflict", err)
+			}
+			if !holderCommits && err != nil {
+				t.Fatalf("after the holder rolled back, the writer got %v, want its claim", err)
+			}
+			if err := waiter.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			live := liveTuples(t, accounts)
+			if holderCommits && len(live) != 0 {
+				t.Errorf("the committed delete left %v", live)
+			}
+			if !holderCommits && (len(live) != 1 || live[0][2].Float() != 7) {
+				t.Errorf("the writer's update left %v, want balance 7", live)
+			}
+			if n := waitEdges(mgr); n != 0 {
+				t.Errorf("%d wait edges outlive the wait", n)
+			}
+		})
+	}
+}
+
+// TestConcurrentUniqueInsertsWait: two transactions insert one unique key.
+// The second waits for the first to end, then fails with a unique violation
+// if the first committed and succeeds if it rolled back. An insert of another
+// key never waits.
+func TestConcurrentUniqueInsertsWait(t *testing.T) {
+	for _, firstCommits := range []bool{true, false} {
+		t.Run(fmt.Sprintf("commit=%v", firstCommits), func(t *testing.T) {
+			_, accounts := newCatalogWithAccounts(t)
+			mgr := NewManager(nil)
+			first, _ := mgr.Begin()
+			second, _ := mgr.Begin()
+			if _, err := first.Insert(accounts, account(1, 1)); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := second.Insert(accounts, account(2, 2)); err != nil {
+				t.Fatalf("an insert of another key waited or failed: %v", err)
+			}
+			done := make(chan error, 1)
+			go func() {
+				_, err := second.Insert(accounts, account(1, 3))
+				done <- err
+			}()
+			awaitWaiting(t, mgr, second)
+			end := first.Rollback
+			if firstCommits {
+				end = first.Commit
+			}
+			if err := end(); err != nil {
+				t.Fatal(err)
+			}
+			err := <-done
+			if firstCommits && !errors.Is(err, catalog.ErrUniqueViolation) {
+				t.Fatalf("second insert after the first committed = %v, want ErrUniqueViolation", err)
+			}
+			if !firstCommits && err != nil {
+				t.Fatalf("second insert after the first rolled back = %v, want success", err)
+			}
+			if err := second.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			if n := len(liveTuples(t, accounts)); n != 2 {
+				t.Errorf("%d live rows, want 2", n)
+			}
+		})
+	}
+}
+
+// TestDeadlockAbortsExactlyOne is the acceptance check for the waits-for
+// graph: in a two-transaction cycle the request that closes it fails with
+// ErrDeadlock well under 100ms — there is no timeout to ride out — and only
+// that one. Once the victim rolls back, the survivor's wait ends and it
+// commits.
+func TestDeadlockAbortsExactlyOne(t *testing.T) {
+	_, accounts := newCatalogWithAccounts(t)
+	mgr := NewManager(nil)
+	rids := seedAccounts(t, mgr, accounts, 1, 2)
+	t1, _ := mgr.Begin()
+	t2, _ := mgr.Begin()
+	if _, err := t1.Update(accounts, rids[0], account(1, 10)); err != nil {
 		t.Fatal(err)
 	}
-	if err := lm.lockRow(2, "t", rB); err != nil {
+	if _, err := t2.Update(accounts, rids[1], account(2, 20)); err != nil {
 		t.Fatal(err)
 	}
-	// Txn 2 blocks on A (held by 1). Then txn 1 requesting B closes the cycle.
+	// t2 waits on t1 for row 1; then t1 asking for row 2 closes the cycle.
+	survivor := make(chan error, 1)
 	go func() {
-		if err := lm.lockRow(2, "t", rA); err != nil {
-			t.Errorf("victim should be the cycle-closing requester, not the sleeper: %v", err)
-		}
+		_, err := t2.Update(accounts, rids[0], account(1, 21))
+		survivor <- err
 	}()
-	time.Sleep(20 * time.Millisecond) // let txn 2 publish its wait edge
+	awaitWaiting(t, mgr, t2)
 	start := time.Now()
-	err := lm.lockRow(1, "t", rB)
+	_, err := t1.Update(accounts, rids[1], account(2, 11))
 	elapsed := time.Since(start)
 	if !errors.Is(err, ErrDeadlock) {
 		t.Fatalf("cycle-closing request = %v, want ErrDeadlock", err)
@@ -133,12 +254,25 @@ func TestLockManagerDetectsDeadlock(t *testing.T) {
 	if elapsed > 100*time.Millisecond {
 		t.Errorf("deadlock detected in %v, want < 100ms", elapsed)
 	}
-	_, deadlocks := lm.Stats()
-	if deadlocks != 1 {
-		t.Errorf("deadlocks = %d, want 1", deadlocks)
+	if err := t1.Rollback(); err != nil {
+		t.Fatal(err)
 	}
-	// Unblock the sleeping waiter so the goroutine exits.
-	lm.releaseAll(1)
+	if err := <-survivor; err != nil {
+		t.Fatalf("the survivor's wait ended with %v, want its claim", err)
+	}
+	if err := t2.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if got := mgr.MVCC().DeadlocksDetected; got != 1 {
+		t.Errorf("deadlocks = %d, want 1", got)
+	}
+	got := map[int64]float64{}
+	for _, row := range liveTuples(t, accounts) {
+		got[row[0].Int()] = row[2].Float()
+	}
+	if got[1] != 21 || got[2] != 20 {
+		t.Errorf("balances = %v, want the survivor's 1:21 2:20", got)
+	}
 }
 
 func TestTxnCommitAndStats(t *testing.T) {
@@ -894,10 +1028,4 @@ func activeCount(m *Manager) int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return len(m.active)
-}
-
-func heldCount(lm *LockManager, owner uint64) int {
-	lm.mu.Lock()
-	defer lm.mu.Unlock()
-	return len(lm.held[owner])
 }
