@@ -19,7 +19,7 @@ func newTestCatalog() *Catalog {
 // snapshot), the shape bootstrap and recovery leave behind.
 func insertFrozen(t testing.TB, tbl *Table, row Tuple) storage.RecordID {
 	t.Helper()
-	rid, _, err := tbl.InsertVersion(row, 0, nil)
+	rid, _, _, err := tbl.InsertVersion(row, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,10 +149,10 @@ func TestUniqueColumnIndexAutoCreated(t *testing.T) {
 		t.Fatalf("unique email index = %+v", email)
 	}
 	probe := &KeyProbe{InFlight: func(uint64) bool { return false }}
-	if _, _, err := tbl.InsertVersion(Tuple{types.NewInt(2), types.NewString("a@x.com")}, 5, probe); !errors.Is(err, ErrUniqueViolation) {
+	if _, _, _, err := tbl.InsertVersion(Tuple{types.NewInt(2), types.NewString("a@x.com")}, 5, probe); !errors.Is(err, ErrUniqueViolation) {
 		t.Errorf("inserting a held email = %v, want ErrUniqueViolation", err)
 	}
-	if _, _, err := tbl.InsertVersion(Tuple{types.NewInt(2), types.NewString("b@x.com")}, 5, probe); err != nil {
+	if _, _, _, err := tbl.InsertVersion(Tuple{types.NewInt(2), types.NewString("b@x.com")}, 5, probe); err != nil {
 		t.Errorf("inserting an email never inserted = %v", err)
 	}
 }
@@ -203,15 +203,15 @@ func TestInsertConstraints(t *testing.T) {
 	tbl, _ := c.CreateTable("customers", customerSchema())
 	insertFrozen(t, tbl, Tuple{types.NewInt(1), types.NewString("Ada"), types.NewString("Boston"), types.NewFloat(1)})
 	// NULL in NOT NULL.
-	if _, _, err := tbl.InsertVersion(Tuple{types.NewInt(2), types.Null(), types.Null(), types.Null()}, 7, nil); err == nil {
+	if _, _, _, err := tbl.InsertVersion(Tuple{types.NewInt(2), types.Null(), types.Null(), types.Null()}, 7, nil); err == nil {
 		t.Error("NOT NULL violation should fail")
 	}
 	// Wrong arity.
-	if _, _, err := tbl.InsertVersion(Tuple{types.NewInt(3)}, 7, nil); err == nil {
+	if _, _, _, err := tbl.InsertVersion(Tuple{types.NewInt(3)}, 7, nil); err == nil {
 		t.Error("arity violation should fail")
 	}
 	// Type coercion: string credit should coerce to float.
-	rid, _, err := tbl.InsertVersion(Tuple{types.NewInt(4), types.NewString("Bo"), types.Null(), types.NewString("12.5")}, 7, nil)
+	rid, _, _, err := tbl.InsertVersion(Tuple{types.NewInt(4), types.NewString("Bo"), types.Null(), types.NewString("12.5")}, 7, nil)
 	if err != nil {
 		t.Fatalf("coercible insert failed: %v", err)
 	}
@@ -469,7 +469,7 @@ func BenchmarkTableInsert(b *testing.B) {
 	tbl, _ := c.CreateTable("customers", customerSchema())
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_, _, err := tbl.InsertVersion(Tuple{types.NewInt(int64(i)), types.NewString("name"), types.NewString("city"), types.NewFloat(1)}, 0, nil)
+		_, _, _, err := tbl.InsertVersion(Tuple{types.NewInt(int64(i)), types.NewString("name"), types.NewString("city"), types.NewFloat(1)}, 0, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -146,7 +146,7 @@ func runLocateModel(t *testing.T, sh locateShape, seed int64) {
 		switch op := rng.Intn(10); {
 		case op < 4 || len(live) == 0:
 			row := sh.randomRow(rng)
-			rid, _, err := tbl.InsertVersion(row, xid, nil)
+			rid, _, _, err := tbl.InsertVersion(row, xid, nil)
 			if err != nil {
 				fail("insert: %v", err)
 			}
@@ -165,7 +165,7 @@ func runLocateModel(t *testing.T, sh locateShape, seed int64) {
 			} else {
 				next[len(next)-1] = types.NewInt(int64(rng.Intn(12)))
 			}
-			rid, _, err := tbl.InsertVersion(next, xid, nil)
+			rid, _, _, err := tbl.InsertVersion(next, xid, nil)
 			if err != nil {
 				fail("update: %v", err)
 			}
@@ -228,14 +228,14 @@ func TestLocateKeyEqualityIsNotTupleEquality(t *testing.T) {
 		t.Fatal("2^53 and 2^53+1 no longer share an index key: this test needs another colliding pair")
 	}
 	live := func(m storage.VersionMeta) bool { return m.Xmax == 0 }
-	first, _, err := tbl.InsertVersion(row(big), 1, nil)
+	first, _, _, err := tbl.InsertVersion(row(big), 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := tbl.Locate(row(big+1), live); !errors.Is(err, ErrNoMatchingRow) {
 		t.Errorf("Locate(2^53+1) with only 2^53 stored = %v, want ErrNoMatchingRow", err)
 	}
-	second, _, err := tbl.InsertVersion(row(big+1), 2, nil)
+	second, _, _, err := tbl.InsertVersion(row(big+1), 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -230,42 +230,48 @@ type KeyProbe struct {
 }
 
 // InsertVersion appends a new row version stamped xmin=xid and maintains
-// every index. With a probe, it first looks up each unique key of the row in
-// the same step under the table latch, so no other writer can insert the key
-// between the probe and the insert. The insert fails with ErrUniqueViolation
-// when a live version holds the key, committed or the writer's own. It
-// writes nothing and returns a transaction's id instead when the key's fate
-// rests with another transaction: one in flight that inserted or deleted a
+// every index. It is where a written row is validated, once: the tuple is
+// checked against the schema into a copy with each value cast to its
+// column's kind (Tuple.ValidateAgainst), and that copy is the row the heap,
+// the indexes and the unsettled list hold. It is returned as row, for the
+// writer's log record; no caller holds the tuple it was made from, so no
+// caller can change what was stored, and callers must not modify row.
+//
+// With a probe, it first looks up each unique key of the row in the same
+// step under the table latch, so no other writer can insert the key between
+// the probe and the insert. The insert fails with ErrUniqueViolation when a
+// live version holds the key, committed or the writer's own. It writes
+// nothing and returns a transaction's id instead when the key's fate rests
+// with another transaction: one in flight that inserted or deleted a
 // version holding the key, or one that committed the delete of a version
-// the writer's snapshot still sees. The writer waits for that
-// transaction to end and probes again; a deleter found again after it ended
-// committed, and freed the key under the writer's snapshot. A version
-// stamped with a transaction id joins the unsettled list; xid 0 writes a
-// frozen version, visible to every snapshot.
-func (t *Table) InsertVersion(tuple Tuple, xid uint64, probe *KeyProbe) (storage.RecordID, uint64, error) {
-	validated, err := tuple.ValidateAgainst(t.schema)
+// the writer's snapshot still sees. The writer waits for that transaction
+// to end and probes again; a deleter found again after it ended committed,
+// and freed the key under the writer's snapshot. A version stamped with a
+// transaction id joins the unsettled list; xid 0 writes a frozen version,
+// visible to every snapshot.
+func (t *Table) InsertVersion(tuple Tuple, xid uint64, probe *KeyProbe) (rid storage.RecordID, row Tuple, holder uint64, err error) {
+	row, err = tuple.ValidateAgainst(t.schema)
 	if err != nil {
-		return storage.RecordID{}, 0, err
+		return storage.RecordID{}, nil, 0, err
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if probe != nil {
-		if holder, err := t.probeKeysLocked(validated, xid, probe); holder != 0 || err != nil {
-			return storage.RecordID{}, holder, err
+		if holder, err = t.probeKeysLocked(row, xid, probe); holder != 0 || err != nil {
+			return storage.RecordID{}, nil, holder, err
 		}
 	}
 	meta := storage.VersionMeta{Xmin: xid}
-	rid, err := t.heap.InsertVersion(meta, types.EncodeTuple(nil, validated))
-	if err != nil {
-		return storage.RecordID{}, 0, err
+	if rid, err = t.heap.InsertVersion(meta, types.EncodeTuple(nil, row)); err != nil {
+		return storage.RecordID{}, nil, 0, err
 	}
 	for _, idx := range t.indexes {
-		idx.Tree.Insert(idx.keyFor(validated), rid)
+		idx.Tree.Insert(idx.keyFor(row), rid)
 	}
 	if xid != 0 {
-		t.unsettled.push(rid, meta, validated)
+		t.unsettled.push(rid, meta, row)
 	}
-	return rid, 0, nil
+	return rid, row, 0, nil
 }
 
 // probeKeysLocked judges the versions indexed under each unique key of row
@@ -409,21 +415,18 @@ func (t *Table) RemoveVersion(rid storage.RecordID) error {
 
 // removeVersionLocked deletes the version at rid, its index entries and its
 // list entry. An unsettled version's row comes from its list entry, so only
-// the delete itself touches the heap page; only a settled version is read
-// and decoded.
+// the delete itself touches the heap page; only a settled version is read,
+// and decoded in place.
 func (t *Table) removeVersionLocked(rid storage.RecordID) error {
 	e := t.unsettled.get(rid)
 	var tuple Tuple
 	if e != nil {
 		tuple = e.row
-	} else {
-		_, payload, err := t.GetVersion(rid)
-		if err != nil {
-			return err
-		}
-		if tuple, err = types.DecodeTuple(payload); err != nil {
-			return err
-		}
+	} else if err := t.ViewVersion(rid, func(_ storage.VersionMeta, payload []byte) (err error) {
+		tuple, err = types.DecodeTuple(payload)
+		return err
+	}); err != nil {
+		return err
 	}
 	if err := t.heap.Delete(rid); err != nil {
 		return err
@@ -437,10 +440,21 @@ func (t *Table) removeVersionLocked(rid storage.RecordID) error {
 	return nil
 }
 
-// GetVersion returns the version header at rid and its stored payload,
-// undecoded, as TableVersionIterator.Next does: a caller decodes the row
-// (types.DecodeTuple) only once the header has passed its test. The payload
-// is a copy and never aliases a pool frame.
+// ViewVersion calls fn with the version header at rid and its stored
+// payload, read in place under the heap latch and the page's pin
+// (storage.HeapFile.ViewVersion): a caller judges the header and decodes
+// (types.DecodeTuple) or copies only the payloads that pass, and pays for
+// no copy of the rest. payload is valid only until fn returns, and fn must
+// not call back into the table. A version some aborting transaction removed
+// or a sweep reclaimed is storage.ErrRecordNotFound.
+func (t *Table) ViewVersion(rid storage.RecordID, fn func(meta storage.VersionMeta, payload []byte) error) error {
+	return t.heap.ViewVersion(rid, fn)
+}
+
+// GetVersion returns the version header at rid and a copy of its stored
+// payload, undecoded. It is ViewVersion copying out, kept for callers
+// outside this module's packages (the benchmark's ladder reads versions
+// through it); code here reads in place with ViewVersion.
 func (t *Table) GetVersion(rid storage.RecordID) (storage.VersionMeta, []byte, error) {
 	return t.heap.GetVersion(rid)
 }
@@ -488,21 +502,22 @@ func (t *Table) Locate(image Tuple, admit func(storage.VersionMeta) bool) (stora
 	if idx := t.locateIndex(); idx != nil {
 		t.located.seeks.Add(1)
 		for _, rid := range idx.Tree.Search(idx.keyFor(image)) {
-			meta, payload, err := t.GetVersion(rid)
+			var match bool
+			err := t.ViewVersion(rid, func(meta storage.VersionMeta, payload []byte) error {
+				if !admit(meta) {
+					return nil
+				}
+				tuple, err := types.DecodeTuple(payload)
+				match = err == nil && tuple.Equal(image)
+				return err
+			})
 			if errors.Is(err, storage.ErrRecordNotFound) {
 				continue // reclaimed between the probe and the fetch
 			}
 			if err != nil {
 				return storage.RecordID{}, err
 			}
-			if !admit(meta) {
-				continue
-			}
-			tuple, err := types.DecodeTuple(payload)
-			if err != nil {
-				return storage.RecordID{}, err
-			}
-			if tuple.Equal(image) {
+			if match {
 				return rid, nil
 			}
 		}

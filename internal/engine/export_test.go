@@ -15,3 +15,7 @@ func (db *Database) Vacuum() int {
 	}
 	return total
 }
+
+// StoredBytes reports whether the cursor's rows are stored heap payloads,
+// which AppendNext copies without decoding (exec.AsEncoded).
+func StoredBytes(r *Rows) bool { return r.enc != nil }

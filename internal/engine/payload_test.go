@@ -118,10 +118,17 @@ func TestCheckpointAllocationsPerRow(t *testing.T) {
 // primary-key range, which fetches each version the index names. The
 // sequential scan allocates at most 4 objects per visible row, where
 // decoding every version first cost 4 times a visible row's decode. The
-// range fetch costs 2 objects per version before any decode (a copy of the
-// payload and the buffer pool's LRU entry), so its budget is 12 per visible
-// row: it allocated 16 when it decoded every version it fetched, and 10
-// now.
+// range judges each version's header in place, so a version it cannot see
+// costs nothing past its index entry: it allocated 16 objects per visible
+// row when it decoded every version it fetched, 10 when it copied each one
+// out of its page and allocated an LRU entry per pin, and 2 now, within a
+// budget of 4.
+//
+// The third input reads the same primary-key range as SELECT *, row by row
+// through Rows.AppendNext, as the server fills a Cursor frame: each visible
+// row's stored payload is appended as it is. Pulling the rows with Next and
+// encoding each, as the server did before, allocated 11 objects per visible
+// row; AppendNext allocates 0.005, within a budget of 1.
 func TestSeqScanDecodesOnlyVisibleVersions(t *testing.T) {
 	const rows = 10000
 	db, err := Open(Options{})
@@ -136,19 +143,53 @@ func TestSeqScanDecodesOnlyVisibleVersions(t *testing.T) {
 
 	queries := []struct {
 		name, text string
+		appendNext bool    // read through Rows.AppendNext, not materialised
 		budget     float64 // allocations per visible row
 	}{
-		{"seq scan", "SELECT COUNT(*), SUM(total) FROM orders", 4},
-		{"index range", "SELECT COUNT(*), SUM(total) FROM orders WHERE id >= 0", 12},
+		{"seq scan", "SELECT COUNT(*), SUM(total) FROM orders", false, 4},
+		{"index range", "SELECT COUNT(*), SUM(total) FROM orders WHERE id >= 0", false, 4},
+		{"index range", "SELECT * FROM orders WHERE id >= 0", true, 1},
+	}
+	// pull reads a query's whole result and returns what the reader compares
+	// across the updates and the number of rows it read.
+	var buf []byte
+	pull := func(text string, appendNext bool) (string, int64) {
+		if !appendNext {
+			res, err := reader.Query(text)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res.Rows[0].String(), res.Rows[0][0].Int()
+		}
+		st, err := reader.Prepare(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		cursor, err := st.Query()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var n int64
+		buf = buf[:0]
+		for {
+			var more bool
+			if buf, more = cursor.AppendNext(buf); !more {
+				break
+			}
+			n++
+		}
+		if err := cursor.Err(); err != nil {
+			t.Fatal(err)
+		}
+		return string(buf), n
 	}
 	if _, err := reader.Execute("BEGIN"); err != nil {
 		t.Fatal(err)
 	}
-	before := make([]*Result, len(queries))
+	before := make([]string, len(queries))
 	for i, q := range queries {
-		if before[i], err = reader.Query(q.text); err != nil {
-			t.Fatal(err)
-		}
+		before[i], _ = pull(q.text, q.appendNext)
 	}
 	for round := 0; round < 3; round++ {
 		if _, err := writer.Execute("UPDATE orders SET total = total + 1"); err != nil {
@@ -182,19 +223,75 @@ func TestSeqScanDecodesOnlyVisibleVersions(t *testing.T) {
 		if plan := st.ExplainPlan(); !strings.Contains(plan, q.name) {
 			t.Fatalf("%s is not a %s:\n%s", q.text, q.name, plan)
 		}
-		var res *Result
+		var after string
+		var n int64
 		allocs := testing.AllocsPerRun(5, func() {
-			if res, err = reader.Query(q.text); err != nil {
-				t.Fatal(err)
-			}
+			after, n = pull(q.text, q.appendNext)
 		})
-		if !res.Rows[0].Equal(before[i].Rows[0]) || res.Rows[0][0].Int() != rows {
-			t.Fatalf("%s: the reader's snapshot reads %v, then %v; want %d rows both times", q.name, before[i].Rows[0], res.Rows[0], rows)
+		if after != before[i] || n != rows {
+			t.Fatalf("%s: the reader's snapshot reads %d rows, and different ones after the updates; want the same %d rows both times", q.text, n, rows)
 		}
 		perRow := allocs / rows
-		t.Logf("%s over %d versions: %.0f allocations, %.3f per visible row", q.name, versions, allocs, perRow)
+		t.Logf("%s over %d versions: %.0f allocations, %.3f per visible row", q.text, versions, allocs, perRow)
 		if perRow > q.budget {
-			t.Errorf("the %s allocates %.2f objects per visible row, want at most %.0f", q.name, perRow, q.budget)
+			t.Errorf("%s allocates %.2f objects per visible row, want at most %.0f", q.text, perRow, q.budget)
 		}
+	}
+}
+
+// TestSelectStarPageAllocatesPerRow counts the allocations of one remote
+// form page as the server reads it: a prepared 30-row SELECT * primary-key
+// range, run and drained through Rows.AppendNext into a reused buffer. The
+// rows are copied from their pages as stored, so what is left is the
+// statement's per-run cost spread over its rows. Pulling the same page with
+// Next and encoding each row allocated 5.7 objects per row (a copy of each
+// payload, an LRU entry per pin, the decoded tuple and its text, and the
+// projection's copy); AppendNext allocates 0.7, within a budget of 3.
+func TestSelectStarPageAllocatesPerRow(t *testing.T) {
+	const rows, page = 2000, 30
+	db, err := Open(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	s := db.Session()
+	defer s.Close()
+	fillOrders(t, s, rows)
+	st, err := s.Prepare("SELECT * FROM orders WHERE id >= ? AND id < ? ORDER BY id")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if plan := st.ExplainPlan(); !strings.Contains(plan, "index range") || strings.Contains(plan, "Sort") {
+		t.Fatalf("the page is not read by an index range in key order:\n%s", plan)
+	}
+	var buf []byte
+	lo := 0
+	read := 0
+	allocs := testing.AllocsPerRun(50, func() {
+		lo = (lo + 97) % (rows - page)
+		cursor, err := st.Query(types.NewInt(int64(lo)), types.NewInt(int64(lo+page)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf, read = buf[:0], 0
+		for {
+			var more bool
+			if buf, more = cursor.AppendNext(buf); !more {
+				break
+			}
+			read++
+		}
+		if err := cursor.Err(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if read != page {
+		t.Fatalf("the page read %d rows, want %d", read, page)
+	}
+	perRow := allocs / page
+	t.Logf("a %d-row SELECT * page through AppendNext: %.0f allocations, %.2f per row", page, allocs, perRow)
+	if perRow > 3 {
+		t.Errorf("a SELECT * page allocates %.2f objects per row, want at most 3", perRow)
 	}
 }

@@ -542,7 +542,7 @@ func (st *Stmt) query(args []types.Value) (*Rows, error) {
 	}
 	st.busy = true
 	st.session.db.prep.cursorsOpened.Add(1)
-	rows := &Rows{stmt: st, op: st.op, columns: st.entry.columns, release: release}
+	rows := &Rows{stmt: st, op: st.op, enc: exec.AsEncoded(st.op), columns: st.entry.columns, release: release}
 	if st.session.openRows == nil {
 		st.session.openRows = make(map[*Rows]struct{})
 	}

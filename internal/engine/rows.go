@@ -27,8 +27,10 @@ import (
 // closes the cursor automatically; Close is idempotent, and closing
 // mid-iteration releases the locks immediately.
 type Rows struct {
-	stmt    *Stmt
-	op      exec.Operator
+	stmt *Stmt
+	op   exec.Operator
+	// enc is op's encoded path, nil when its rows are not stored payloads.
+	enc     exec.EncodedOperator
 	columns []string
 	release func()
 	cur     types.Tuple
@@ -63,6 +65,35 @@ func (r *Rows) Next() bool {
 	r.cur = tuple
 	r.stmt.session.db.prep.rowsStreamed.Add(1)
 	return true
+}
+
+// AppendNext advances as Next does, but appends the row to dst in its
+// types.EncodeTuple encoding, the wire's and the heap's, instead of making
+// it the current row, and returns the grown slice. When the operator tree's
+// rows are stored payloads (exec.AsEncoded) the bytes are copied from the
+// heap as they are, never decoded; otherwise the row is pulled with Next
+// and encoded. It returns dst unchanged and false when the rows are
+// exhausted or an error occurred, and the cursor has then closed itself.
+func (r *Rows) AppendNext(dst []byte) ([]byte, bool) {
+	if r.enc == nil {
+		if !r.Next() {
+			return dst, false
+		}
+		dst, r.cur = types.EncodeTuple(dst, r.cur), nil
+		return dst, true
+	}
+	if r.closed || r.err != nil {
+		return dst, false
+	}
+	out, ok, err := r.enc.NextEncoded(dst)
+	if err != nil || !ok {
+		r.err = err
+		r.close()
+		return dst, false
+	}
+	r.cur = nil
+	r.stmt.session.db.prep.rowsStreamed.Add(1)
+	return out, true
 }
 
 // Row returns the current row (valid until the next call to Next).

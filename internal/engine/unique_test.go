@@ -252,10 +252,13 @@ func duplicateKey(res *Result) string {
 // 10 000-row UPDATE inside one transaction. A writer claims each row by the
 // stamp in its version header, which is all a claim costs: no lock-table
 // entry and no held-set entry per row, and the before-image is decoded once,
-// when the claim lists the version. The same statement allocated 29.1
-// objects per row when each row also took an entry in a lock table and its
-// before-image was decoded twice; it allocates 24.1 now (25.1 under the race
-// detector), and the budget sits between the two.
+// when the claim lists the version. The new row is validated once, into the
+// copy the table stores and the log record carries. The same statement
+// allocated 29.1 objects per row when each row also took an entry in a lock
+// table and its before-image was decoded twice, and 24.1 (25.1 under the race
+// detector) when the row was validated, and copied, twice and every pin of a
+// cached page allocated an LRU entry; it allocates 21.1 now (22.1 under the
+// race detector), and the budget sits between the two.
 func TestUpdateInOneTransactionAllocatesPerRow(t *testing.T) {
 	const rows = 10000
 	db := OpenMemory()
@@ -277,7 +280,7 @@ func TestUpdateInOneTransactionAllocatesPerRow(t *testing.T) {
 	}
 	perRow := float64(after.Mallocs-before.Mallocs) / rows
 	t.Logf("UPDATE of %d rows in one transaction: %.2f allocations per row", rows, perRow)
-	if perRow > 26.5 {
-		t.Errorf("the update allocates %.2f objects per row, want at most 26.5", perRow)
+	if perRow > 23 {
+		t.Errorf("the update allocates %.2f objects per row, want at most 23", perRow)
 	}
 }

@@ -49,6 +49,41 @@ type Operator interface {
 	Close() error
 }
 
+// EncodedOperator is an operator whose rows are stored heap payloads: it can
+// hand each row over as the bytes types.EncodeTuple makes of it, copied from
+// the page, with no decode and no encode. Get one through AsEncoded, which
+// offers it only for an operator tree that has that path.
+type EncodedOperator interface {
+	Operator
+	// NextEncoded advances as Next does and appends the row's encoding to
+	// dst, returning the grown slice; at the end or on an error dst comes
+	// back as it was.
+	NextEncoded(dst []byte) ([]byte, bool, error)
+}
+
+// AsEncoded returns op's encoded path, or nil when op's rows are not stored
+// payloads. Only three operators offer one: a scan with no residual filter,
+// a projection that is the identity over an operator that offers one, and a
+// limit over such an operator. Anything that computes, drops, reorders or
+// filters on values decodes.
+func AsEncoded(op Operator) EncodedOperator {
+	switch o := op.(type) {
+	case *scanOperator:
+		if o.filter == nil {
+			return o
+		}
+	case *projectOperator:
+		if o.identity && o.encoded != nil {
+			return o
+		}
+	case *limitOperator:
+		if o.encoded != nil {
+			return o
+		}
+	}
+	return nil
+}
+
 // BuildWithRuntime compiles a plan tree into an operator tree whose scans
 // read through rt's snapshot. The caller keeps rt and re-points it at a new
 // snapshot per execution.
@@ -83,7 +118,7 @@ func BuildWithRuntime(node plan.Node, params *expr.Params, rt *Runtime) (Operato
 		if err != nil {
 			return nil, err
 		}
-		return &limitOperator{input: input, limit: n.Limit, offset: n.Offset}, nil
+		return &limitOperator{input: input, encoded: AsEncoded(input), limit: n.Limit, offset: n.Offset}, nil
 	default:
 		return nil, fmt.Errorf("exec: unsupported plan node %T", node)
 	}
@@ -105,7 +140,9 @@ func (o *derivedOperator) Next() (types.Tuple, bool, error) {
 
 // limitOperator applies OFFSET and LIMIT.
 type limitOperator struct {
-	input   Operator
+	input Operator
+	// encoded is the input's encoded path when it offers one (AsEncoded).
+	encoded EncodedOperator
 	limit   int64
 	offset  int64
 	skipped int64
@@ -120,21 +157,45 @@ func (o *limitOperator) Open() error {
 func (o *limitOperator) Close() error { return o.input.Close() }
 
 func (o *limitOperator) Next() (types.Tuple, bool, error) {
-	for {
-		if o.limit >= 0 && o.emitted >= o.limit {
-			return nil, false, nil
-		}
-		tuple, ok, err := o.input.Next()
+	var tuple types.Tuple
+	ok, err := o.pull(func() (ok bool, err error) {
+		tuple, ok, err = o.input.Next()
+		return ok, err
+	})
+	if !ok {
+		return nil, false, err
+	}
+	return tuple, true, nil
+}
+
+func (o *limitOperator) NextEncoded(dst []byte) ([]byte, bool, error) {
+	out := dst
+	ok, err := o.pull(func() (ok bool, err error) {
+		out, ok, err = o.encoded.NextEncoded(dst)
+		return ok, err
+	})
+	if !ok {
+		return dst, false, err
+	}
+	return out, true, nil
+}
+
+// pull advances the input through next past the offset's rows, and reports
+// whether it stopped on a row within the limit.
+func (o *limitOperator) pull(next func() (bool, error)) (bool, error) {
+	for o.limit < 0 || o.emitted < o.limit {
+		ok, err := next()
 		if err != nil || !ok {
-			return nil, false, err
+			return false, err
 		}
 		if o.skipped < o.offset {
 			o.skipped++
 			continue
 		}
 		o.emitted++
-		return tuple, true, nil
+		return true, nil
 	}
+	return false, nil
 }
 
 // distinctOperator drops tuples it has already emitted, keyed by the tuple's

@@ -9,6 +9,7 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/expr"
 	"repro/internal/plan"
+	"repro/internal/sql"
 	"repro/internal/storage"
 	"repro/internal/types"
 )
@@ -192,49 +193,33 @@ func (o *scanOperator) Next() (types.Tuple, bool, error) {
 	return tuple, ok, err
 }
 
+// NextEncoded appends the next visible version's stored payload to dst,
+// undecoded: the types.EncodeTuple bytes of the row Next would return. It
+// applies no residual filter, so AsEncoded offers it only for a scan
+// without one.
+func (o *scanOperator) NextEncoded(dst []byte) ([]byte, bool, error) {
+	ok, err := o.nextVisible(func(_ storage.RecordID, payload []byte) error {
+		dst = append(dst, payload...)
+		return nil
+	})
+	return dst, ok, err
+}
+
 // nextRow yields the next visible matching row together with its record id
 // (the write operators pull target rids through it; Next discards them).
 func (o *scanOperator) nextRow() (storage.RecordID, types.Tuple, bool, error) {
 	for {
 		var rid storage.RecordID
 		var tuple types.Tuple
-		if o.iter != nil {
-			r, meta, payload, ok, err := o.iter.Next()
-			if err != nil {
-				return storage.RecordID{}, nil, false, err
-			}
-			if !ok {
-				return storage.RecordID{}, nil, false, nil
-			}
-			if !o.rt.visible(meta) {
-				continue // never decoded
-			}
-			t, err := types.DecodeTuple(payload)
-			if err != nil {
-				return storage.RecordID{}, nil, false, fmt.Errorf("exec: decoding row %v of %s: %w", r, o.node.Table.Name(), err)
-			}
-			rid, tuple = r, t
-		} else {
-			if o.pos >= len(o.rids) && !o.refill() {
-				return storage.RecordID{}, nil, false, nil
-			}
-			rid = o.rids[o.pos]
-			o.pos++
-			meta, payload, err := o.node.Table.GetVersion(rid)
-			if err != nil {
-				// A version an aborting transaction removed (or a sweep
-				// reclaimed) after the index read: skip it.
-				if errors.Is(err, storage.ErrRecordNotFound) {
-					continue
-				}
-				return storage.RecordID{}, nil, false, fmt.Errorf("exec: fetching row %v of %s: %w", rid, o.node.Table.Name(), err)
-			}
-			if !o.rt.visible(meta) {
-				continue // never decoded
-			}
+		ok, err := o.nextVisible(func(r storage.RecordID, payload []byte) (err error) {
+			rid = r
 			if tuple, err = types.DecodeTuple(payload); err != nil {
-				return storage.RecordID{}, nil, false, fmt.Errorf("exec: decoding row %v of %s: %w", rid, o.node.Table.Name(), err)
+				return fmt.Errorf("exec: decoding row %v of %s: %w", r, o.node.Table.Name(), err)
 			}
+			return nil
+		})
+		if err != nil || !ok {
+			return storage.RecordID{}, nil, false, err
 		}
 		if o.filter != nil {
 			ok, err := o.filter.EvalBool(tuple)
@@ -246,6 +231,53 @@ func (o *scanOperator) nextRow() (storage.RecordID, types.Tuple, bool, error) {
 			}
 		}
 		return rid, tuple, true, nil
+	}
+}
+
+// nextVisible finds the next version the runtime's snapshot sees and hands
+// its record id and stored payload to use, which decodes or copies it: the
+// scan's one loop, which Next and NextEncoded consume. Headers are judged
+// before anything is decoded, so a version the snapshot cannot see costs no
+// decode. An index scan reads each version in place (Table.ViewVersion):
+// payload aliases the pool frame and is valid only inside use, which must
+// not call back into the table. A sequential scan's payload is its page's
+// copy. A record id that no longer resolves is a version some aborting
+// transaction removed (or a sweep reclaimed) after the index read, and is
+// skipped. use's error is returned as it is.
+func (o *scanOperator) nextVisible(use func(rid storage.RecordID, payload []byte) error) (bool, error) {
+	for {
+		if o.iter != nil {
+			rid, meta, payload, ok, err := o.iter.Next()
+			if err != nil || !ok {
+				return false, err
+			}
+			if !o.rt.visible(meta) {
+				continue
+			}
+			err = use(rid, payload)
+			return err == nil, err
+		}
+		if o.pos >= len(o.rids) && !o.refill() {
+			return false, nil
+		}
+		rid := o.rids[o.pos]
+		o.pos++
+		seen := false
+		err := o.node.Table.ViewVersion(rid, func(meta storage.VersionMeta, payload []byte) error {
+			if !o.rt.visible(meta) {
+				return nil
+			}
+			seen = true
+			return use(rid, payload)
+		})
+		switch {
+		case seen:
+			return err == nil, err
+		case errors.Is(err, storage.ErrRecordNotFound):
+			continue
+		case err != nil:
+			return false, fmt.Errorf("exec: fetching row %v of %s: %w", rid, o.node.Table.Name(), err)
+		}
 	}
 }
 
@@ -287,11 +319,16 @@ func (o *filterOperator) Next() (types.Tuple, bool, error) {
 	}
 }
 
-// projectOperator computes the SELECT list.
+// projectOperator computes the SELECT list. A list that names every input
+// column in order, each under its own name, is the identity: its rows are
+// its input's, passed on unchanged.
 type projectOperator struct {
-	input  Operator
-	exprs  []*expr.Compiled
-	schema *types.Schema
+	input    Operator
+	exprs    []*expr.Compiled
+	schema   *types.Schema
+	identity bool
+	// encoded is the input's encoded path when it offers one (AsEncoded).
+	encoded EncodedOperator
 }
 
 func newProjectOperator(n *plan.ProjectNode, params *expr.Params, rt *Runtime) (*projectOperator, error) {
@@ -299,13 +336,19 @@ func newProjectOperator(n *plan.ProjectNode, params *expr.Params, rt *Runtime) (
 	if err != nil {
 		return nil, err
 	}
-	op := &projectOperator{input: input, schema: n.Schema()}
-	for _, item := range n.Items {
-		c, err := expr.CompileWithParams(item.Expr, input.Schema(), params)
+	in := input.Schema()
+	op := &projectOperator{input: input, schema: n.Schema(), identity: len(n.Items) == len(in.Columns), encoded: AsEncoded(input)}
+	for i, item := range n.Items {
+		c, err := expr.CompileWithParams(item.Expr, in, params)
 		if err != nil {
 			return nil, fmt.Errorf("exec: projection %s: %w", item.Name, err)
 		}
 		op.exprs = append(op.exprs, c)
+		if ref, ok := item.Expr.(*sql.ColumnRef); !ok || i >= len(in.Columns) || item.Name != in.Columns[i].Name {
+			op.identity = false
+		} else if pos, err := in.ColumnIndex(ref.RefName()); err != nil || pos != i {
+			op.identity = false
+		}
 	}
 	return op, nil
 }
@@ -316,8 +359,8 @@ func (o *projectOperator) Close() error          { return o.input.Close() }
 
 func (o *projectOperator) Next() (types.Tuple, bool, error) {
 	tuple, ok, err := o.input.Next()
-	if err != nil || !ok {
-		return nil, false, err
+	if err != nil || !ok || o.identity {
+		return tuple, ok, err
 	}
 	out := make(types.Tuple, len(o.exprs))
 	for i, e := range o.exprs {
@@ -328,4 +371,10 @@ func (o *projectOperator) Next() (types.Tuple, bool, error) {
 		out[i] = v
 	}
 	return out, true, nil
+}
+
+// NextEncoded passes on the input's encoded row; AsEncoded offers it only
+// for the identity over an input that has an encoded path.
+func (o *projectOperator) NextEncoded(dst []byte) ([]byte, bool, error) {
+	return o.encoded.NextEncoded(dst)
 }

@@ -618,7 +618,7 @@ func TestReplicaSurfacesDivergence(t *testing.T) {
 	if err := ledger.RemoveVersion(rids[0]); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := ledger.InsertVersion(types.Tuple{types.NewInt(1), types.NewString("alice"), types.NewInt(1)}, 0, nil); err != nil {
+	if _, _, _, err := ledger.InsertVersion(types.Tuple{types.NewInt(1), types.NewString("alice"), types.NewInt(1)}, 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	local := rdb.Session()

@@ -518,34 +518,34 @@ func (c *conn) handleFetch(cur *wire.Cursor) (byte, []byte) {
 
 // appendBatch pulls the cursor's next batch and appends it to b in the Rows
 // layout — done, row count, tuples — which a Cursor frame carries after its
-// header too. With endFull it also closes a cursor whose batch holds maxRows
-// rows, as a one-batch Run asks. done or an error means the cursor is closed
-// and the caller must not keep it registered.
+// header too. Each tuple is appended by Rows.AppendNext: a SELECT * page is
+// its rows' stored heap payloads, copied as they are, since the heap and the
+// wire share one row encoding. With endFull it also closes a cursor whose
+// batch holds maxRows rows, as a one-batch Run asks. done or an error means
+// the cursor is closed and the caller must not keep it registered.
 func (c *conn) appendBatch(b *wire.Buffer, rows *engine.Rows, maxRows uint32, endFull bool) (done bool, err error) {
 	if maxRows == 0 {
 		maxRows = 1
 	}
-	// Rows encode as they are pulled, bounded by both the client's row count
-	// and a byte budget: a batch of wide rows must never grow past the frame
-	// cap, or WriteFrame would fail and take the whole connection down. A
-	// short batch just means the client fetches again.
+	// Rows are appended as they are pulled, bounded by both the client's row
+	// count and a byte budget: a batch of wide rows must never grow past the
+	// frame cap, or WriteFrame would fail and take the whole connection down.
+	// A short batch just means the client fetches again.
 	const batchByteBudget = 4 << 20
 	head := len(b.B)
 	b.Bool(false) // done and count are patched in once the batch is known
 	b.Uint32(0)
 	var count uint32
 	for count < maxRows && len(b.B)-head < batchByteBudget {
-		if !rows.Next() {
-			// Next returning false closed the cursor.
+		var more bool
+		if b.B, more = rows.AppendNext(b.B); !more {
+			// AppendNext returning false closed the cursor.
 			if err := rows.Err(); err != nil {
 				return true, err
 			}
 			done = true
 			break
 		}
-		// Row is valid until the next Next, and it is encoded before the next
-		// pull, so no copy is needed.
-		b.Tuple(rows.Row())
 		count++
 	}
 	if len(b.B)+16 > wire.MaxFrame {

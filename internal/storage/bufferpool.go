@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"container/list"
 	"fmt"
 	"sync"
 )
@@ -9,6 +8,11 @@ import (
 // BufferPool caches pages in memory in front of a DiskManager. Pages are
 // pinned while in use; unpinned pages are eligible for LRU eviction, with
 // dirty pages written back before reuse.
+//
+// The LRU order is a ring threaded through the unpinned frames themselves,
+// so pinning and unpinning a cached page only relinks a frame: a cache hit
+// allocates nothing. An evicted frame and its page buffer are reused for the
+// page read in its place.
 //
 // All methods are safe for concurrent use; the pool takes a single mutex,
 // which is adequate for the session counts a forms server runs (tens of
@@ -19,7 +23,10 @@ type BufferPool struct {
 	capacity int
 
 	frames map[PageID]*frame
-	lru    *list.List // of PageID, front = most recently used
+	// lru is the ring's sentinel: lru.next is the most recently unpinned
+	// frame, lru.prev the least recently unpinned, the next to be evicted.
+	// Only unpinned frames are on the ring.
+	lru frame
 
 	// Stats are cumulative counters exposed through Stats.
 	stats BufferPoolStats
@@ -36,11 +43,13 @@ type BufferPoolStats struct {
 }
 
 type frame struct {
-	page    *Page
-	id      PageID
-	pins    int
-	dirty   bool
-	lruElem *list.Element
+	page  *Page
+	id    PageID
+	pins  int
+	dirty bool
+	// prev and next link the frame into the pool's LRU ring while it is
+	// unpinned; both are nil while it is pinned.
+	prev, next *frame
 }
 
 // NewBufferPool creates a pool caching up to capacity pages over disk.
@@ -48,12 +57,13 @@ func NewBufferPool(disk DiskManager, capacity int) *BufferPool {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &BufferPool{
+	bp := &BufferPool{
 		disk:     disk,
 		capacity: capacity,
 		frames:   make(map[PageID]*frame, capacity),
-		lru:      list.New(),
 	}
+	bp.lru.prev, bp.lru.next = &bp.lru, &bp.lru
+	return bp
 }
 
 // Stats returns a snapshot of the pool's counters.
@@ -87,25 +97,25 @@ func (bp *BufferPool) fetch(id PageID) (*Page, error) {
 	if f, ok := bp.frames[id]; ok {
 		bp.stats.Hits++
 		f.pins++
-		if f.lruElem != nil {
-			bp.lru.Remove(f.lruElem)
-			f.lruElem = nil
+		if f.next != nil {
+			f.unlink()
 		}
 		return f.page, nil
 	}
 	bp.stats.Misses++
-	p, err := bp.ensureRoom()
+	f, err := bp.ensureRoom()
 	if err != nil {
 		return nil, err
 	}
-	if p == nil {
-		p = new(Page)
+	if f == nil {
+		f = &frame{page: new(Page)}
 	}
-	if err := bp.disk.ReadPage(id, p.bytes()); err != nil {
+	if err := bp.disk.ReadPage(id, f.page.bytes()); err != nil {
 		return nil, err
 	}
-	bp.frames[id] = &frame{page: p, id: id, pins: 1}
-	return p, nil
+	f.id, f.pins, f.dirty = id, 1, false
+	bp.frames[id] = f
+	return f.page, nil
 }
 
 // unpin releases one pin on page id. dirty marks the page as modified so it
@@ -125,35 +135,41 @@ func (bp *BufferPool) unpin(id PageID, dirty bool) error {
 		f.dirty = true
 	}
 	if f.pins == 0 {
-		f.lruElem = bp.lru.PushFront(f.id)
+		// Most recently unpinned: at the front of the ring.
+		f.prev, f.next = &bp.lru, bp.lru.next
+		f.prev.next, f.next.prev = f, f
 	}
 	return nil
 }
 
-// ensureRoom evicts the least recently used unpinned page if the pool is at
-// capacity, and hands back the evicted frame's page buffer (nil when nothing
-// was evicted) for the caller to read into: nobody holds an unpinned page,
-// and a scan over a table larger than the pool misses on every fetch, where
-// allocating and clearing a fresh 8 KiB page cost more than the read itself.
-// The caller must hold bp.mu.
-func (bp *BufferPool) ensureRoom() (*Page, error) {
+// unlink takes the frame off the LRU ring.
+func (f *frame) unlink() {
+	f.prev.next, f.next.prev = f.next, f.prev
+	f.prev, f.next = nil, nil
+}
+
+// ensureRoom evicts the least recently unpinned page if the pool is at
+// capacity, and hands back the evicted frame (nil when nothing was evicted)
+// for the caller to reuse, page buffer and all: nobody holds an unpinned
+// page, and a scan over a table larger than the pool misses on every fetch,
+// where allocating and clearing a fresh 8 KiB page cost more than the read
+// itself. The caller must hold bp.mu.
+func (bp *BufferPool) ensureRoom() (*frame, error) {
 	if len(bp.frames) < bp.capacity {
 		return nil, nil
 	}
-	elem := bp.lru.Back()
-	if elem == nil {
+	f := bp.lru.prev
+	if f == &bp.lru {
 		return nil, fmt.Errorf("storage: buffer pool exhausted (%d pages, all pinned)", bp.capacity)
 	}
-	id := elem.Value.(PageID)
-	f := bp.frames[id]
 	if f.dirty {
-		if err := bp.disk.WritePage(id, f.page.bytes()); err != nil {
+		if err := bp.disk.WritePage(f.id, f.page.bytes()); err != nil {
 			return nil, err
 		}
 		bp.stats.Writes++
 	}
-	bp.lru.Remove(elem)
-	delete(bp.frames, id)
+	f.unlink()
+	delete(bp.frames, f.id)
 	bp.stats.Evictions++
-	return f.page, nil
+	return f, nil
 }

@@ -17,6 +17,11 @@ var ErrRecordNotFound = errors.New("storage: record not found")
 // A heap file owns a contiguous set of pages allocated from the shared buffer
 // pool's disk manager; it remembers its own page list so several heap files
 // can share one pool and one file.
+//
+// One record is read in place, in its pinned page under the read latch
+// (ViewVersion); GetVersion is that read copying the payload out. A scan
+// copies each page's live records out together (Iterator). Every change
+// takes the latch for writing, so no reader sees a record mid-change.
 type HeapFile struct {
 	mu    sync.RWMutex
 	pool  *BufferPool
@@ -107,26 +112,6 @@ func (h *HeapFile) append(rids []RecordID, build func(i int, buf []byte) []byte)
 		rids[i] = RecordID{Page: id, Slot: uint16(slot)}
 	}
 	return nil
-}
-
-// get returns a copy of the record at rid.
-func (h *HeapFile) get(rid RecordID) ([]byte, error) {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	if !h.owns(rid.Page) {
-		return nil, ErrRecordNotFound
-	}
-	page, err := h.pool.fetch(rid.Page)
-	if err != nil {
-		return nil, err
-	}
-	raw, err := page.get(int(rid.Slot))
-	if err != nil {
-		return nil, errors.Join(ErrRecordNotFound, h.pool.unpin(rid.Page, false))
-	}
-	out := make([]byte, len(raw))
-	copy(out, raw)
-	return out, h.pool.unpin(rid.Page, false)
 }
 
 // Delete removes the record at rid.

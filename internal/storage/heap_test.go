@@ -17,7 +17,7 @@ func TestHeapInsertGetDelete(t *testing.T) {
 	h := newTestHeap()
 	rids := make([]RecordID, 0, 100)
 	for i := 0; i < 100; i++ {
-		rid, err := h.insert([]byte(fmt.Sprintf("record-%03d", i)))
+		rid, err := h.InsertVersion(VersionMeta{Xmin: uint64(i)}, []byte(fmt.Sprintf("record-%03d", i)))
 		if err != nil {
 			t.Fatalf("Insert %d: %v", i, err)
 		}
@@ -27,18 +27,18 @@ func TestHeapInsertGetDelete(t *testing.T) {
 		t.Errorf("Count = %d", h.Count())
 	}
 	for i, rid := range rids {
-		got, err := h.get(rid)
+		meta, got, err := h.GetVersion(rid)
 		if err != nil {
 			t.Fatalf("Get %d: %v", i, err)
 		}
-		if want := fmt.Sprintf("record-%03d", i); string(got) != want {
-			t.Errorf("Get %d = %q, want %q", i, got, want)
+		if want := fmt.Sprintf("record-%03d", i); string(got) != want || meta.Xmin != uint64(i) {
+			t.Errorf("Get %d = %+v %q, want xmin %d and %q", i, meta, got, i, want)
 		}
 	}
 	if err := h.Delete(rids[10]); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := h.get(rids[10]); !errors.Is(err, ErrRecordNotFound) {
+	if _, _, err := h.GetVersion(rids[10]); !errors.Is(err, ErrRecordNotFound) {
 		t.Errorf("Get deleted = %v", err)
 	}
 	if err := h.Delete(rids[10]); !errors.Is(err, ErrRecordNotFound) {
@@ -47,7 +47,7 @@ func TestHeapInsertGetDelete(t *testing.T) {
 	if h.Count() != 99 {
 		t.Errorf("Count after delete = %d", h.Count())
 	}
-	if _, err := h.get(RecordID{Page: 9999, Slot: 0}); !errors.Is(err, ErrRecordNotFound) {
+	if _, _, err := h.GetVersion(RecordID{Page: 9999, Slot: 0}); !errors.Is(err, ErrRecordNotFound) {
 		t.Errorf("Get from foreign page = %v", err)
 	}
 }
@@ -212,7 +212,7 @@ func TestBufferPoolEvictionAndStats(t *testing.T) {
 	rec := bytes.Repeat([]byte("y"), 4000)
 	var rids []RecordID
 	for i := 0; i < 20; i++ { // 2 records per page => 10 pages > capacity 4
-		rid, err := h.insert(rec)
+		rid, err := h.InsertVersion(VersionMeta{}, rec)
 		if err != nil {
 			t.Fatalf("Insert %d: %v", i, err)
 		}
@@ -220,7 +220,7 @@ func TestBufferPoolEvictionAndStats(t *testing.T) {
 	}
 	// All records must still be readable through eviction + reload.
 	for i, rid := range rids {
-		got, err := h.get(rid)
+		_, got, err := h.GetVersion(rid)
 		if err != nil || !bytes.Equal(got, rec) {
 			t.Fatalf("Get %d after eviction: %v", i, err)
 		}
@@ -297,7 +297,7 @@ func TestFileDiskManagerIsScratch(t *testing.T) {
 	var rids []RecordID
 	for i := 0; i < 20; i++ {
 		rec[0] = byte(i)
-		rid, err := h.insert(rec)
+		rid, err := h.InsertVersion(VersionMeta{}, rec)
 		if err != nil {
 			t.Fatalf("Insert %d: %v", i, err)
 		}
@@ -305,7 +305,7 @@ func TestFileDiskManagerIsScratch(t *testing.T) {
 	}
 	for i, rid := range rids {
 		rec[0] = byte(i)
-		if got, err := h.get(rid); err != nil || !bytes.Equal(got, rec) {
+		if _, got, err := h.GetVersion(rid); err != nil || !bytes.Equal(got, rec) {
 			t.Fatalf("Get %d through the spill file: %v", i, err)
 		}
 	}

@@ -72,17 +72,45 @@ func (h *HeapFile) InsertVersions(metas []VersionMeta, payloads [][]byte, rids [
 	})
 }
 
-// GetVersion returns the version header and a copy of the payload at rid.
-func (h *HeapFile) GetVersion(rid RecordID) (VersionMeta, []byte, error) {
-	rec, err := h.get(rid)
-	if err != nil {
-		return VersionMeta{}, nil, err
+// ViewVersion calls fn with the version header at rid and its payload, read
+// in place: payload aliases the page's buffer-pool frame and is valid only
+// until fn returns, so fn copies out whatever it keeps. fn runs under the
+// heap's read latch and the page's pin, which hold off writers to the heap
+// and eviction of the page; it must not call back into the heap or the
+// buffer pool. A missing record is ErrRecordNotFound, and fn's own error is
+// returned as it is.
+func (h *HeapFile) ViewVersion(rid RecordID, fn func(meta VersionMeta, payload []byte) error) error {
+	h.mu.RLock()
+	defer h.mu.RUnlock()
+	if !h.owns(rid.Page) {
+		return ErrRecordNotFound
 	}
-	meta, payload, err := DecodeVersion(rec)
+	page, err := h.pool.fetch(rid.Page)
 	if err != nil {
-		return VersionMeta{}, nil, err
+		return err
 	}
-	return meta, payload, nil
+	raw, err := page.get(int(rid.Slot))
+	if err != nil {
+		err = ErrRecordNotFound
+	} else if meta, payload, decodeErr := DecodeVersion(raw); decodeErr != nil {
+		err = decodeErr
+	} else {
+		err = fn(meta, payload)
+	}
+	if unpinErr := h.pool.unpin(rid.Page, false); unpinErr != nil {
+		return errors.Join(err, unpinErr)
+	}
+	return err
+}
+
+// GetVersion returns the version header and a copy of the payload at rid:
+// ViewVersion for a caller that keeps the payload.
+func (h *HeapFile) GetVersion(rid RecordID) (meta VersionMeta, payload []byte, err error) {
+	err = h.ViewVersion(rid, func(m VersionMeta, p []byte) error {
+		meta, payload = m, append([]byte(nil), p...)
+		return nil
+	})
+	return meta, payload, err
 }
 
 // SetXmax stamps the deleting/superseding transaction id into the version

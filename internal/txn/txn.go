@@ -259,13 +259,15 @@ func (t *Txn) waitFor(id uint64) error {
 }
 
 // insertVersion writes row as a new version of table, probing its unique
-// keys in the same step (catalog.Table.InsertVersion). A key whose fate rests
-// with another transaction makes t wait for that transaction to end and
-// probe again. A key found held by the same transaction after it ended was
-// freed by a delete or update that committed after t's snapshot, which still
-// sees the freed version, so the insert fails with ErrWriteConflict, as an
-// update of that version would. supersedes is the row an update replaces,
-// whose keys are t's own.
+// keys in the same step (catalog.Table.InsertVersion), and returns the
+// version's record id and the validated row the table stored, which the
+// caller logs and must not modify. A key whose fate rests with another
+// transaction makes t wait for that transaction to end and probe again. A
+// key found held by the same transaction after it ended was freed by a
+// delete or update that committed after t's snapshot, which still sees the
+// freed version, so the insert fails with ErrWriteConflict, as an update of
+// that version would. supersedes is the row an update replaces, whose keys
+// are t's own.
 //
 // An adopted transaction probes nothing: its log was checked as it was
 // written, and the Applier applies one record at a time, so a wait on
@@ -273,22 +275,22 @@ func (t *Txn) waitFor(id uint64) error {
 // apply. A log written before probes waited on a key's freer may also hold
 // an INSERT of the key ahead of the DELETE that freed it, which a probe
 // would fail on replay.
-func (t *Txn) insertVersion(table *catalog.Table, row, supersedes types.Tuple) (storage.RecordID, error) {
+func (t *Txn) insertVersion(table *catalog.Table, row, supersedes types.Tuple) (storage.RecordID, types.Tuple, error) {
 	var probe *catalog.KeyProbe
 	if !t.adopted {
 		probe = &catalog.KeyProbe{InFlight: t.mgr.inFlight, Sees: t.snap.Visible, Supersedes: supersedes}
 	}
 	var ended uint64 // a holder known to have left the active set
 	for {
-		rid, holder, err := table.InsertVersion(row, t.id, probe)
+		rid, stored, holder, err := table.InsertVersion(row, t.id, probe)
 		if err != nil || holder == 0 {
-			return rid, err
+			return rid, stored, err
 		}
 		if holder == ended {
-			return rid, t.conflict("a key of %s was freed by transaction %d after this transaction's snapshot", table.Name(), holder)
+			return rid, nil, t.conflict("a key of %s was freed by transaction %d after this transaction's snapshot", table.Name(), holder)
 		}
 		if err := t.waitFor(holder); err != nil {
-			return rid, err
+			return rid, nil, err
 		}
 		ended = holder
 	}
@@ -310,18 +312,14 @@ func (t *Txn) active() bool {
 	return t.state == StateActive
 }
 
-// Insert inserts a row into the table under this transaction: it probes the
-// row's unique keys for live duplicates, stamps the new version with the
-// transaction id, logs it and records undo information.
+// Insert inserts a row into the table under this transaction: it validates
+// the row and probes its unique keys for live duplicates, stamps the new
+// version with the transaction id, logs it and records undo information.
 func (t *Txn) Insert(table *catalog.Table, row types.Tuple) (storage.RecordID, error) {
 	if !t.active() {
 		return storage.RecordID{}, ErrNotActive
 	}
-	validated, err := row.ValidateAgainst(table.Schema())
-	if err != nil {
-		return storage.RecordID{}, err
-	}
-	rid, err := t.insertVersion(table, validated, nil)
+	rid, validated, err := t.insertVersion(table, row, nil)
 	if err != nil {
 		return storage.RecordID{}, err
 	}
@@ -365,21 +363,18 @@ func (t *Txn) claimVersion(table *catalog.Table, rid storage.RecordID) (types.Tu
 }
 
 // Update supersedes the row version at rid with newRow under this
-// transaction: the old version is stamped deleted-by-t, and the new version
-// is inserted stamped created-by-t.
+// transaction: the old version is stamped deleted-by-t, and the new version,
+// newRow validated when it is inserted, is stamped created-by-t. A row that
+// fails validation leaves the old version unclaimed.
 func (t *Txn) Update(table *catalog.Table, rid storage.RecordID, newRow types.Tuple) (storage.RecordID, error) {
 	if !t.active() {
 		return rid, ErrNotActive
-	}
-	validated, err := newRow.ValidateAgainst(table.Schema())
-	if err != nil {
-		return rid, err
 	}
 	oldRow, err := t.claimVersion(table, rid)
 	if err != nil {
 		return rid, err
 	}
-	newRID, err := t.insertVersion(table, validated, oldRow)
+	newRID, validated, err := t.insertVersion(table, newRow, oldRow)
 	if err != nil {
 		// A failed update leaves the old version unclaimed, as it found it.
 		if clearErr := table.ClearXmax(rid); clearErr != nil {
