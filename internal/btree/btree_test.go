@@ -1,9 +1,9 @@
 package btree
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -93,14 +93,13 @@ func TestDelete(t *testing.T) {
 	}
 }
 
-// scan drains a cursor over r into a copy of its entries.
-func scan(tr *Tree, r Range) []Entry {
-	var out []Entry
+// scan drains a cursor over r into one slice of record ids.
+func scan(tr *Tree, r Range) []storage.RecordID {
+	var out []storage.RecordID
 	c := tr.Cursor(r)
-	for batch := c.Next(); batch != nil; batch = c.Next() {
-		for _, e := range batch {
-			out = append(out, Entry{Key: e.Key, Records: append([]storage.RecordID(nil), e.Records...)})
-		}
+	for n := -1; n != len(out); {
+		n = len(out)
+		out = c.Next(out)
 	}
 	return out
 }
@@ -112,16 +111,16 @@ func TestCursorRange(t *testing.T) {
 	}
 	got := scan(tr, Range{Low: intKey(100), High: intKey(200), HighOpen: true})
 	if len(got) != 100 {
-		t.Fatalf("[100, 200) returned %d entries, want 100", len(got))
+		t.Fatalf("[100, 200) returned %d records, want 100", len(got))
 	}
-	for i, e := range got {
-		if len(e.Records) != 1 || e.Records[0] != rid(100+i) {
-			t.Errorf("entry %d = %v, want %v", i, e.Records, rid(100+i))
+	for i, id := range got {
+		if id != rid(100+i) {
+			t.Errorf("record %d = %v, want %v", i, id, rid(100+i))
 		}
 	}
 	back := scan(tr, Range{Low: intKey(100), High: intKey(200), HighOpen: true, Reverse: true})
-	if len(back) != 100 || back[0].Records[0] != rid(199) || back[99].Records[0] != rid(100) {
-		t.Errorf("[100, 200) reversed = %d entries from %v", len(back), back[0].Records)
+	if len(back) != 100 || back[0] != rid(199) || back[99] != rid(100) {
+		t.Errorf("[100, 200) reversed = %d records from %v", len(back), back[0])
 	}
 	// Open-ended scans.
 	if n := len(scan(tr, Range{High: intKey(10), HighOpen: true})); n != 10 {
@@ -135,8 +134,18 @@ func TestCursorRange(t *testing.T) {
 	}
 	// A batch never holds more than one leaf, so a caller that stops after
 	// the first has read at most fanout entries of the thousand.
-	if n := len(tr.Cursor(Range{}).Next()); n == 0 || n > fanout {
-		t.Errorf("first batch holds %d entries", n)
+	first := tr.Cursor(Range{})
+	if n := len(first.Next(nil)); n == 0 || n > fanout {
+		t.Errorf("first batch holds %d records", n)
+	}
+	// An equality interval reads the key's posting list through the same
+	// cursor, and the zero Cursor is an exhausted one.
+	if got := scan(tr, Range{Low: intKey(500), High: intKey(500)}); len(got) != 1 || got[0] != rid(500) {
+		t.Errorf("[500, 500] = %v", got)
+	}
+	var zero Cursor
+	if got := zero.Next(nil); got != nil {
+		t.Errorf("the zero Cursor returned %v", got)
 	}
 }
 
@@ -146,12 +155,15 @@ func TestScanOrderIsSorted(t *testing.T) {
 	for _, i := range perm {
 		tr.Insert(intKey(int64(i)), rid(i))
 	}
-	var prev []byte
-	for _, e := range scan(tr, Range{}) {
-		if prev != nil && bytes.Compare(prev, e.Key) >= 0 {
-			t.Fatal("scan out of order")
+	// Key i holds rid(i), so the records name their keys.
+	got := scan(tr, Range{})
+	if len(got) != len(perm) {
+		t.Fatalf("scan returned %d records, want %d", len(got), len(perm))
+	}
+	for i, id := range got {
+		if id != rid(i) {
+			t.Fatalf("scan position %d holds %v, want %v: out of order", i, id, rid(i))
 		}
-		prev = e.Key
 	}
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
@@ -166,7 +178,7 @@ func TestMin(t *testing.T) {
 	tr.Insert(intKey(50), rid(50))
 	tr.Insert(intKey(10), rid(10))
 	tr.Insert(intKey(90), rid(90))
-	if got := scan(tr, Range{}); !bytes.Equal(got[0].Key, intKey(10)) {
+	if got := scan(tr, Range{}); got[0] != rid(10) {
 		t.Error("a full scan should start at the smallest key")
 	}
 }
@@ -192,9 +204,11 @@ func TestPropertyMatchesSortedMap(t *testing.T) {
 	f := func(keys []int16) bool {
 		tr := New()
 		ref := map[int64]int{}
+		keyOf := map[storage.RecordID]int64{}
 		for i, k := range keys {
 			tr.Insert(intKey(int64(k)), rid(i))
 			ref[int64(k)]++
+			keyOf[rid(i)] = int64(k)
 		}
 		if err := tr.Validate(); err != nil {
 			return false
@@ -211,16 +225,13 @@ func TestPropertyMatchesSortedMap(t *testing.T) {
 			sortedRef = append(sortedRef, k)
 		}
 		sort.Slice(sortedRef, func(i, j int) bool { return sortedRef[i] < sortedRef[j] })
-		got := scan(tr, Range{})
-		if len(got) != len(sortedRef) {
-			return false
-		}
-		for i, e := range got {
-			if !bytes.Equal(e.Key, intKey(sortedRef[i])) {
-				return false
+		var got []int64
+		for _, id := range scan(tr, Range{}) {
+			if k := keyOf[id]; len(got) == 0 || got[len(got)-1] != k {
+				got = append(got, k)
 			}
 		}
-		return true
+		return reflect.DeepEqual(got, sortedRef) || len(got)+len(sortedRef) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
@@ -304,33 +315,39 @@ func BenchmarkRangeScan100(b *testing.B) {
 	for i := 0; i < 100000; i++ {
 		tr.Insert(intKey(int64(i)), rid(i))
 	}
+	var buf []storage.RecordID
 	b.ResetTimer()
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		lo := int64((i * 37) % 99900)
-		n := 0
+		buf = buf[:0]
 		c := tr.Cursor(Range{Low: intKey(lo), High: intKey(lo + 100), HighOpen: true})
-		for batch := c.Next(); batch != nil; batch = c.Next() {
-			n += len(batch)
+		for n := -1; n != len(buf); {
+			n = len(buf)
+			buf = c.Next(buf)
 		}
-		if n != 100 {
-			b.Fatalf("range returned %d", n)
+		if len(buf) != 100 {
+			b.Fatalf("range returned %d", len(buf))
 		}
 	}
 }
 
 func ExampleTree_Cursor() {
 	tr := New()
-	for _, name := range []string{"ada", "bob", "cyd"} {
-		tr.Insert(types.EncodeKey(nil, types.NewString(name)), storage.RecordID{})
+	names := []string{"ada", "bob", "cyd"}
+	for i, name := range names {
+		tr.Insert(types.EncodeKey(nil, types.NewString(name)), storage.RecordID{Slot: uint16(i)})
 	}
 	c := tr.Cursor(Range{Reverse: true})
-	for batch := c.Next(); batch != nil; batch = c.Next() {
-		for _, e := range batch {
-			fmt.Printf("%s %d\n", e.Key[1:4], len(e.Records))
+	var rids []storage.RecordID
+	for batch := c.Next(rids[:0]); len(batch) > 0; batch = c.Next(rids[:0]) {
+		for _, id := range batch {
+			fmt.Println(names[id.Slot])
 		}
+		rids = batch
 	}
 	// Output:
-	// cyd 1
-	// bob 1
-	// ada 1
+	// cyd
+	// bob
+	// ada
 }

@@ -39,14 +39,13 @@ func TestCountRangeAgainstCursor(t *testing.T) {
 		return r
 	}
 	enumerate := func(tr *Tree, r Range) int {
-		n := 0
+		var rids []storage.RecordID
 		c := tr.Cursor(r)
-		for batch := c.Next(); batch != nil; batch = c.Next() {
-			for _, e := range batch {
-				n += len(e.Records)
-			}
+		for n := -1; n != len(rids); {
+			n = len(rids)
+			rids = c.Next(rids)
 		}
-		return n
+		return len(rids)
 	}
 	for seed := int64(1); seed <= 12; seed++ {
 		rng := rand.New(rand.NewSource(seed))

@@ -30,73 +30,70 @@ func (r Range) Contains(key []byte) bool {
 	return true
 }
 
-// Entry is one key of a cursor batch with the records stored under it.
-type Entry struct {
-	Key     []byte
-	Records []storage.RecordID
-}
-
 // Cursor is a resumable scan over one Range of a Tree.
 //
-// Each Next copies one batch — the in-range entries of at most one leaf —
-// under the tree's read lock and then lets go of the tree: the cursor keeps
-// no node pointer between calls, only the interval still to scan, which Next
-// shrinks to strictly past the last key it returned. The following batch
-// re-descends from the root to that key, so inserts, deletes and splits
-// between batches cannot invalidate it. The work a scan does is therefore
-// proportional to the batches its caller pulls, not to the size of the range.
+// Each Next appends one batch — the record ids of the in-range keys of at
+// most one leaf — to the caller's slice under the tree's read lock and then
+// lets go of the tree: the cursor keeps no node pointer between calls, only
+// the interval still to scan, whose near bound Next moves to strictly past
+// the last key it read. That resume key is a key of the tree, which is never
+// modified after insertion, so holding it copies nothing. The following
+// batch re-descends from the root to it, so inserts, deletes and splits
+// between batches cannot invalidate the cursor. The work a scan does is
+// therefore proportional to the batches its caller pulls, not to the size of
+// the range, and a caller that reuses its slice allocates nothing per batch.
 //
-// An entry present from before the cursor was created until it is exhausted
-// is returned exactly once, in key order. An entry written or removed in the
-// meantime is seen if the change landed ahead of the cursor and missed if it
-// landed behind; a key's posting list is copied whole, as it was when its
-// batch was read. A Cursor is not safe for concurrent use.
+// A record present under its key from before the cursor was created until it
+// is exhausted is returned exactly once, in key order (the records of one key
+// in posting-list order). A record written or removed in the meantime is seen
+// if the change landed ahead of the cursor and missed if it landed behind; a
+// key's posting list is read whole, as it was when its batch was read. A
+// Cursor is a value: the zero Cursor is exhausted, and a caller may hold one
+// in a field and replace it with a fresh one per scan. It is not safe for
+// concurrent use.
 type Cursor struct {
 	t    *Tree
 	rest Range
 	done bool
-	// The batch buffers are reused by every Next; each entry's Records is a
-	// slice of rids.
-	entries []Entry
-	rids    []storage.RecordID
 }
 
 // Cursor starts a scan of r. It does not touch the tree until the first Next.
-func (t *Tree) Cursor(r Range) *Cursor {
-	return &Cursor{t: t, rest: r}
+func (t *Tree) Cursor(r Range) Cursor {
+	return Cursor{t: t, rest: r}
 }
 
-// Next returns the next batch in scan order, or nil when the range is
-// exhausted. The batch (the slice and the Records of its entries) is valid
-// until the following call; keys are immutable and may be retained.
-func (c *Cursor) Next() []Entry {
-	if c.done {
-		return nil
+// Next appends the record ids of the next batch in scan order to dst and
+// returns the grown slice, or dst unchanged when the range is exhausted:
+// every key in the tree holds at least one record, so a batch is never
+// empty.
+func (c *Cursor) Next(dst []storage.RecordID) []storage.RecordID {
+	if c.done || c.t == nil {
+		return dst
 	}
-	c.entries, c.rids = c.entries[:0], c.rids[:0]
 	c.t.mu.RLock()
+	var last []byte
+	var read bool
 	if c.rest.Reverse {
-		c.readBackward()
+		dst, last, read = c.readBackward(dst)
 	} else {
-		c.readForward()
+		dst, last, read = c.readForward(dst)
 	}
 	c.t.mu.RUnlock()
-	if len(c.entries) == 0 {
+	switch {
+	case !read:
 		c.done = true
-		return nil
-	}
-	last := c.entries[len(c.entries)-1].Key
-	if c.rest.Reverse {
+	case c.rest.Reverse:
 		c.rest.High, c.rest.HighOpen = last, true
-	} else {
+	default:
 		c.rest.Low, c.rest.LowOpen = last, true
 	}
-	return c.entries
+	return dst
 }
 
-// readForward copies the entries of the first leaf that holds any key of the
-// remaining interval. The caller holds the read lock.
-func (c *Cursor) readForward() {
+// readForward appends the records of the first leaf that holds any key of
+// the remaining interval, and returns the last key it read. The caller holds
+// the read lock.
+func (c *Cursor) readForward(dst []storage.RecordID) (_ []storage.RecordID, last []byte, read bool) {
 	leaf, i := c.t.leftmostLeaf(), 0
 	if c.rest.Low != nil {
 		leaf = c.t.findLeaf(c.rest.Low)
@@ -111,7 +108,7 @@ func (c *Cursor) readForward() {
 	for i >= len(leaf.keys) {
 		if leaf = leaf.next; leaf == nil {
 			c.done = true
-			return
+			return dst, nil, false
 		}
 		i = 0
 	}
@@ -119,16 +116,18 @@ func (c *Cursor) readForward() {
 		if c.rest.High != nil {
 			if cmp := bytes.Compare(leaf.keys[i], c.rest.High); cmp > 0 || (cmp == 0 && c.rest.HighOpen) {
 				c.done = true
-				return
+				break
 			}
 		}
-		c.add(leaf, i)
+		dst = append(dst, leaf.vals[i]...)
+		last, read = leaf.keys[i], true
 	}
+	return dst, last, read
 }
 
 // readBackward is readForward mirrored: the last leaf that holds any key of
 // the remaining interval, from its highest in-range key down.
-func (c *Cursor) readBackward() {
+func (c *Cursor) readBackward(dst []storage.RecordID) (_ []storage.RecordID, last []byte, read bool) {
 	leaf := c.t.rightmostLeaf()
 	i := len(leaf.keys) - 1
 	if c.rest.High != nil {
@@ -142,7 +141,7 @@ func (c *Cursor) readBackward() {
 	for i < 0 {
 		if leaf = leaf.prev; leaf == nil {
 			c.done = true
-			return
+			return dst, nil, false
 		}
 		i = len(leaf.keys) - 1
 	}
@@ -150,19 +149,11 @@ func (c *Cursor) readBackward() {
 		if c.rest.Low != nil {
 			if cmp := bytes.Compare(leaf.keys[i], c.rest.Low); cmp < 0 || (cmp == 0 && c.rest.LowOpen) {
 				c.done = true
-				return
+				break
 			}
 		}
-		c.add(leaf, i)
+		dst = append(dst, leaf.vals[i]...)
+		last, read = leaf.keys[i], true
 	}
-}
-
-// add copies entry i of leaf into the batch. Keys are never modified after
-// insertion, so the key is shared; posting lists are edited in place, so the
-// records are copied. (When the append outgrows rids, earlier entries keep
-// pointing into the old array, which still holds their copies.)
-func (c *Cursor) add(leaf *leafNode, i int) {
-	start := len(c.rids)
-	c.rids = append(c.rids, leaf.vals[i]...)
-	c.entries = append(c.entries, Entry{Key: leaf.keys[i], Records: c.rids[start:len(c.rids):len(c.rids)]})
+	return dst, last, read
 }

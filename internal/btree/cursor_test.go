@@ -38,31 +38,25 @@ func (m model) sorted(r Range) []pair {
 	return out
 }
 
-// keyDecoder maps the encoding of every int key below n back to the int.
-func keyDecoder(n int64) map[string]int64 {
-	out := make(map[string]int64, n)
-	for k := int64(0); k < n; k++ {
-		out[string(intKey(k))] = k
-	}
-	return out
-}
-
 // TestCursorAgainstModel scans random ranges in both directions while the
-// tree is edited between batches, and checks the contract: keys come strictly
-// in scan order inside the bounds (nothing repeated or reordered), every pair
-// that was in the tree for the whole scan is returned exactly once, and
-// nothing is returned that was never inserted. With no edits the scan must
-// equal the model exactly.
+// tree is edited between batches, and checks the contract: records come in
+// key order inside the bounds (nothing repeated or reordered, and no key
+// split across two batches), every pair that was in the tree for the whole
+// scan is returned exactly once, including across the emptied leaves a
+// deleted band leaves behind, and nothing is returned that was never
+// inserted. With no edits the scan must equal the model exactly.
 func TestCursorAgainstModel(t *testing.T) {
 	const keySpace = 3000
-	keyOf := keyDecoder(keySpace)
 	for seed := int64(1); seed <= 60; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		tr := New()
 		m := model{}
+		// Every pair gets a record id of its own, which names its key.
+		keyOf := map[storage.RecordID]int64{}
 		nextRID := 0
 		insert := func(key int64) {
 			p := pair{key, rid(nextRID)}
+			keyOf[p.rid] = key
 			nextRID++
 			tr.Insert(intKey(p.key), p.rid)
 			m[p] = true
@@ -113,22 +107,25 @@ func TestCursorAgainstModel(t *testing.T) {
 			everInserted[p], stable[p] = true, true
 		}
 		var got []pair
+		var batch []storage.RecordID
 		c := tr.Cursor(r)
-		for batch := c.Next(); batch != nil; batch = c.Next() {
-			if len(batch) > fanout {
-				t.Fatalf("seed %d: a batch of %d entries is more than one leaf", seed, len(batch))
-			}
-			for _, e := range batch {
-				key, ok := keyOf[string(e.Key)]
+		for batch = c.Next(batch[:0]); len(batch) > 0; batch = c.Next(batch[:0]) {
+			keys := 0
+			for i, id := range batch {
+				key, ok := keyOf[id]
 				if !ok {
-					t.Fatalf("seed %d: returned key %x is no key of the test", seed, e.Key)
+					t.Fatalf("seed %d: returned record %v is no record of the test", seed, id)
 				}
-				if len(e.Records) == 0 {
-					t.Fatalf("seed %d: key %d returned with no records", seed, key)
+				if i == 0 && len(got) > 0 && key == got[len(got)-1].key {
+					t.Fatalf("seed %d: key %d continues into the next batch", seed, key)
 				}
-				for _, id := range e.Records {
-					got = append(got, pair{key, id})
+				if i == 0 || key != keyOf[batch[i-1]] {
+					keys++
 				}
+				got = append(got, pair{key, id})
+			}
+			if keys > fanout {
+				t.Fatalf("seed %d: a batch of %d keys is more than one leaf", seed, keys)
 			}
 			if !edits {
 				continue
@@ -192,7 +189,11 @@ func TestCursorConcurrentWriter(t *testing.T) {
 	for k := int64(0); k < n; k += 2 {
 		tr.Insert(intKey(k), rid(int(k)))
 	}
-	keyOf := keyDecoder(n)
+	// Key k holds the one record rid(k).
+	keyOf := map[storage.RecordID]int64{}
+	for k := int64(0); k < n; k++ {
+		keyOf[rid(int(k))] = k
+	}
 	stop := make(chan struct{})
 	var writer sync.WaitGroup
 	writer.Add(1)
@@ -221,21 +222,19 @@ func TestCursorConcurrentWriter(t *testing.T) {
 		if reverse {
 			want = n - 2
 		}
+		var batch []storage.RecordID
 		c := tr.Cursor(Range{Reverse: reverse})
-		for batch := c.Next(); batch != nil; batch = c.Next() {
-			for _, e := range batch {
-				k, ok := keyOf[string(e.Key)]
+		for batch = c.Next(batch[:0]); len(batch) > 0; batch = c.Next(batch[:0]) {
+			for _, id := range batch {
+				k, ok := keyOf[id]
 				if !ok {
-					t.Fatalf("returned key %x is no key of the test", e.Key)
+					t.Fatalf("returned record %v is no record of the test", id)
 				}
 				if k%2 == 1 {
 					continue // the writer's
 				}
 				if k != want {
 					t.Fatalf("round %d (reverse=%v): even key %d where %d was due", round, reverse, k, want)
-				}
-				if len(e.Records) != 1 || e.Records[0] != rid(int(want)) {
-					t.Fatalf("key %d holds %v", want, e.Records)
 				}
 				if reverse {
 					want -= 2
@@ -252,5 +251,34 @@ func TestCursorConcurrentWriter(t *testing.T) {
 	writer.Wait()
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCursorNextAllocatesNothing holds the cursor to its promise that a
+// caller reusing its slice pays nothing per batch: a forward and a reverse
+// scan over a multi-level tree, with posting lists of several records and a
+// resumption per leaf, append into a buffer that already has room.
+func TestCursorNextAllocatesNothing(t *testing.T) {
+	tr := New()
+	for i := 0; i < 3000; i++ {
+		tr.Insert(intKey(int64(i%1000)), rid(i))
+	}
+	buf := make([]storage.RecordID, 0, 3*fanout)
+	for _, reverse := range []bool{false, true} {
+		r := Range{Low: intKey(100), High: intKey(900), HighOpen: true, Reverse: reverse}
+		read := 0
+		allocs := testing.AllocsPerRun(20, func() {
+			c := tr.Cursor(r)
+			read = 0
+			for buf = c.Next(buf[:0]); len(buf) > 0; buf = c.Next(buf[:0]) {
+				read += len(buf)
+			}
+		})
+		if read != 3*800 {
+			t.Fatalf("reverse=%v: the scan read %d records, want %d", reverse, read, 3*800)
+		}
+		if allocs != 0 {
+			t.Errorf("reverse=%v: a scan of %d records allocated %.1f objects, want 0", reverse, read, allocs)
+		}
 	}
 }

@@ -109,11 +109,13 @@ func compareTrees(t *testing.T, when string, rng *rand.Rand, bound func() []byte
 	}
 	g, w := scan(got, Range{}), scan(want, Range{})
 	if !reflect.DeepEqual(g, w) {
-		t.Fatalf("%s: full scans differ: %d keys loaded, %d inserted", when, len(g), len(w))
+		t.Fatalf("%s: full scans differ: %d records loaded, %d inserted", when, len(g), len(w))
 	}
-	for _, e := range w {
-		if s := got.Search(e.Key); !reflect.DeepEqual(s, e.Records) {
-			t.Fatalf("%s: Search(%x) = %v, want %v", when, e.Key, s, e.Records)
+	for leaf := want.leftmostLeaf(); leaf != nil; leaf = leaf.next {
+		for i, key := range leaf.keys {
+			if s := got.Search(key); !reflect.DeepEqual(s, leaf.vals[i]) {
+				t.Fatalf("%s: Search(%x) = %v, want %v", when, key, s, leaf.vals[i])
+			}
 		}
 	}
 	for i := 0; i < 200; i++ {

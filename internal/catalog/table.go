@@ -470,10 +470,16 @@ func (t *Table) VersionIterator() *TableVersionIterator {
 // its own test (types.DecodeTuple) and a checkpoint copies them as they are.
 // The payloads of one page are copied out of the buffer pool together, once;
 // a payload never aliases a pool frame and stays valid after the page is
-// unpinned and the iterator moves on. Callers must not modify it.
+// unpinned and the iterator moves on, unless Reuse was called. Callers must
+// not modify it.
 type TableVersionIterator struct {
 	inner *storage.HeapIterator
 }
+
+// Reuse makes the iterator copy every page into one buffer
+// (storage.HeapIterator.Reuse): a payload is then valid only until Next
+// reads the next page, and a scan allocates no copy per page.
+func (it *TableVersionIterator) Reuse() { it.inner.Reuse() }
 
 // Next returns the next version's record id, header and payload, or ok=false
 // at the end.

@@ -70,6 +70,7 @@ func TestConcurrentViewVersionDuringStampsAndReclaim(t *testing.T) {
 				viewed.Add(1)
 				return nil
 			}
+			var batch []storage.RecordID
 			for !stop.Load() {
 				lo := rng.Intn(rows)
 				cur := pkey.Tree.Cursor(btree.Range{
@@ -77,14 +78,12 @@ func TestConcurrentViewVersionDuringStampsAndReclaim(t *testing.T) {
 					High:    types.EncodeKey(nil, types.NewInt(int64(lo+15))),
 					Reverse: rng.Intn(2) == 0,
 				})
-				for batch := cur.Next(); batch != nil; batch = cur.Next() {
-					for _, e := range batch {
-						for _, rid := range e.Records {
-							err := table.ViewVersion(rid, check)
-							if err != nil && !errors.Is(err, storage.ErrRecordNotFound) {
-								t.Error(err)
-								return
-							}
+				for batch = cur.Next(batch[:0]); len(batch) > 0; batch = cur.Next(batch[:0]) {
+					for _, rid := range batch {
+						err := table.ViewVersion(rid, check)
+						if err != nil && !errors.Is(err, storage.ErrRecordNotFound) {
+							t.Error(err)
+							return
 						}
 					}
 				}

@@ -6,18 +6,30 @@ import (
 
 	"repro/internal/expr"
 	"repro/internal/plan"
+	"repro/internal/sql"
 	"repro/internal/types"
 )
 
 // aggregateOperator implements hash aggregation: it drains its input,
 // partitions rows by the group-by key and folds each group through the
-// aggregate functions.
+// aggregate functions. A global aggregate (no GROUP BY) has one group and
+// looks nothing up per row.
+//
+// When its input is a base table scan the aggregate does not pull rows: it
+// folds each visible version inside the scan's loop (scanOperator.fold),
+// decoding into one reused tuple only the columns its GROUP BY, its
+// arguments and the scan's residual filter name, so a row it folds costs no
+// allocation unless a named value is TEXT.
 type aggregateOperator struct {
 	node    *plan.AggregateNode
 	input   Operator
 	groupBy []*expr.Compiled
 	args    []*expr.Compiled // nil entry for COUNT(*)
 	schema  *types.Schema
+
+	// want marks the columns the fold decodes when input is a base table
+	// scan.
+	want []bool
 
 	groups []types.Tuple
 	pos    int
@@ -29,12 +41,14 @@ func newAggregateOperator(n *plan.AggregateNode, params *expr.Params, rt *Runtim
 		return nil, err
 	}
 	op := &aggregateOperator{node: n, input: input, schema: n.Schema()}
+	named := []sql.Expr{}
 	for _, g := range n.GroupBy {
 		c, err := expr.CompileWithParams(g.Expr, input.Schema(), params)
 		if err != nil {
 			return nil, fmt.Errorf("exec: GROUP BY %s: %w", g.Name, err)
 		}
 		op.groupBy = append(op.groupBy, c)
+		named = append(named, g.Expr)
 	}
 	for _, a := range n.Aggs {
 		if a.Arg == nil {
@@ -46,6 +60,19 @@ func newAggregateOperator(n *plan.AggregateNode, params *expr.Params, rt *Runtim
 			return nil, fmt.Errorf("exec: aggregate %s: %w", a.Name, err)
 		}
 		op.args = append(op.args, c)
+		named = append(named, a.Arg)
+	}
+	if scan, ok := input.(*scanOperator); ok {
+		op.want = make([]bool, len(scan.Schema().Columns))
+		for _, e := range append(named, scan.node.Filter) {
+			for _, ref := range sql.ColumnsIn(e) {
+				i, err := scan.Schema().ColumnIndex(ref.RefName())
+				if err != nil {
+					return nil, fmt.Errorf("exec: aggregate input %s: %w", ref, err)
+				}
+				op.want[i] = true
+			}
+		}
 	}
 	return op, nil
 }
@@ -63,10 +90,6 @@ type aggState struct {
 	min     types.Value
 	max     types.Value
 	seen    bool
-}
-
-func newAggState(fn plan.AggFunc) *aggState {
-	return &aggState{fn: fn, allInts: true}
 }
 
 func (s *aggState) add(v types.Value) error {
@@ -182,44 +205,50 @@ func (o *aggregateOperator) Open() error {
 	if err := o.input.Open(); err != nil {
 		return err
 	}
+	// A group's row holds its key and has room for its results.
 	type group struct {
-		key    types.Tuple
-		states []*aggState
+		row    types.Tuple
+		states []aggState
 	}
+	newGroup := func(key types.Tuple) *group {
+		grp := &group{
+			row:    append(make(types.Tuple, 0, len(key)+len(o.args)), key...),
+			states: make([]aggState, len(o.args)),
+		}
+		for i, a := range o.node.Aggs {
+			grp.states[i] = aggState{fn: a.Func, allInts: true}
+		}
+		return grp
+	}
+	// A global aggregate folds every row into its one group, which exists
+	// before the first row: over an empty input it still produces its row
+	// (COUNT(*) = 0, SUM = NULL, ...). Grouped rows are looked up by the
+	// fingerprint of their key; one key tuple and one fingerprint buffer
+	// serve every row, and a new group copies them, so a row of an existing
+	// group allocates nothing.
+	global := newGroup(nil)
 	groups := map[string]*group{}
 	var order []string
-	anyRow := false
-	// One key tuple and one fingerprint buffer serve every row: a group is
-	// looked up with the buffer as it stands and copies them only when it is
-	// created, so a row of an existing group allocates nothing for its key.
 	key := make(types.Tuple, len(o.groupBy))
 	var buf []byte
-	for {
-		row, ok, err := o.input.Next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			break
-		}
-		anyRow = true
-		for i, g := range o.groupBy {
-			v, err := g.Eval(row)
-			if err != nil {
-				return err
+	add := func(row types.Tuple) error {
+		grp := global
+		if len(o.groupBy) > 0 {
+			for i, g := range o.groupBy {
+				v, err := g.Eval(row)
+				if err != nil {
+					return err
+				}
+				key[i] = v
 			}
-			key[i] = v
-		}
-		buf = types.EncodeTuple(buf[:0], key)
-		grp, okGrp := groups[string(buf)]
-		if !okGrp {
-			grp = &group{key: key.Clone()}
-			for _, a := range o.node.Aggs {
-				grp.states = append(grp.states, newAggState(a.Func))
+			buf = types.EncodeTuple(buf[:0], key)
+			var ok bool
+			if grp, ok = groups[string(buf)]; !ok {
+				grp = newGroup(key)
+				fingerprint := string(buf)
+				groups[fingerprint] = grp
+				order = append(order, fingerprint)
 			}
-			fingerprint := string(buf)
-			groups[fingerprint] = grp
-			order = append(order, fingerprint)
 		}
 		for i, a := range o.args {
 			var v types.Value
@@ -234,30 +263,37 @@ func (o *aggregateOperator) Open() error {
 				return err
 			}
 		}
-	}
-	// A global aggregate (no GROUP BY) over an empty input still produces
-	// one row (COUNT(*) = 0, SUM = NULL, ...).
-	if !anyRow && len(o.groupBy) == 0 {
-		var states []*aggState
-		for _, a := range o.node.Aggs {
-			states = append(states, newAggState(a.Func))
-		}
-		row := make(types.Tuple, 0, len(states))
-		for _, s := range states {
-			row = append(row, s.result())
-		}
-		o.groups = append(o.groups, row)
 		return nil
 	}
+	if scan, ok := o.input.(*scanOperator); ok {
+		if err := scan.fold(o.want, add); err != nil {
+			return err
+		}
+	} else {
+		for {
+			row, ok, err := o.input.Next()
+			if err != nil {
+				return err
+			}
+			if !ok {
+				break
+			}
+			if err := add(row); err != nil {
+				return err
+			}
+		}
+	}
+	if len(o.groupBy) == 0 {
+		groups[""], order = global, []string{""}
+	}
 	sort.Strings(order)
+	o.groups = make([]types.Tuple, 0, len(order))
 	for _, fingerprint := range order {
 		grp := groups[fingerprint]
-		row := make(types.Tuple, 0, len(grp.key)+len(grp.states))
-		row = append(row, grp.key...)
-		for _, s := range grp.states {
-			row = append(row, s.result())
+		for i := range grp.states {
+			grp.row = append(grp.row, grp.states[i].result())
 		}
-		o.groups = append(o.groups, row)
+		o.groups = append(o.groups, grp.row)
 	}
 	return nil
 }
@@ -331,13 +367,16 @@ func (o *sortOperator) Open() error {
 		}
 		rows = append(rows, keyedRow{row: row, keys: keys})
 	}
+	// The first pair of keys that cannot be compared fails the statement, as
+	// it fails MIN and MAX: no order was decided for it.
+	var cmpErr error
 	sort.SliceStable(rows, func(i, j int) bool {
 		for k := range o.keys {
 			cmp, err := rows[i].keys[k].Compare(rows[j].keys[k])
-			if err != nil {
-				cmp = 0
+			if err != nil && cmpErr == nil {
+				cmpErr = err
 			}
-			if cmp == 0 {
+			if cmp == 0 || cmpErr != nil {
 				continue
 			}
 			if o.descs[k] {
@@ -347,6 +386,9 @@ func (o *sortOperator) Open() error {
 		}
 		return false
 	})
+	if cmpErr != nil {
+		return cmpErr
+	}
 	o.rows = make([]types.Tuple, len(rows))
 	for i, r := range rows {
 		o.rows[i] = r.row

@@ -21,13 +21,15 @@ import (
 // resolves is a version some aborting transaction physically removed after
 // the index was read, and is skipped.
 //
-// A range scan streams: it pulls one leaf of record ids at a time from a
-// btree.Cursor, in either direction, so a caller that closes after a page
-// has paid for a page. Between batches writers may add or remove index
-// entries; that is safe because every version the snapshot can see was
-// indexed before the snapshot was taken and cannot be reclaimed while it is
-// held, so it is in the index for the whole scan and the cursor returns it
-// exactly once — anything a writer adds meanwhile is invisible to the
+// An index scan, equality or range, streams: it pulls one leaf of record ids
+// at a time from a btree.Cursor over its key interval ([k, k] for an
+// equality), in either direction, into one ids buffer that lives as long as
+// the operator, so a caller that closes after a page has paid for a page and
+// a prepared statement's next execution allocates no batch. Between batches
+// writers may add or remove index entries; that is safe because every
+// version the snapshot can see was indexed before the snapshot was taken and
+// cannot be reclaimed while it is held, so it is in the index for the whole
+// scan and the cursor returns it exactly once — anything a writer adds meanwhile is invisible to the
 // snapshot whether or not the cursor meets it. The one reader that does see
 // concurrent additions is a write statement scanning its own transaction's
 // rows, which is why collectTargets drains the scan before the first write.
@@ -39,11 +41,11 @@ type scanOperator struct {
 
 	// Sequential scan state.
 	iter *catalog.TableVersionIterator
-	// Index scan state: the fetched record ids not yet returned, in order,
-	// and for a range scan the cursor that refills them.
+	// Index scan state: the current batch of record ids and the position of
+	// the next one to fetch, and the cursor that refills the batch.
 	rids   []storage.RecordID
 	pos    int
-	cursor *btree.Cursor
+	cursor btree.Cursor
 }
 
 func newScanOperator(n *plan.ScanNode, params *expr.Params, rt *Runtime) (*scanOperator, error) {
@@ -64,20 +66,17 @@ func (o *scanOperator) Open() error {
 	o.pos = 0
 	o.rids = o.rids[:0]
 	o.iter = nil
-	o.cursor = nil
+	o.cursor = btree.Cursor{}
 	switch o.node.Access {
 	case plan.AccessSeqScan:
 		o.iter = o.node.Table.VersionIterator()
+		o.iter.Reuse()
 	case plan.AccessIndexEq, plan.AccessIndexRange:
 		r, empty, err := o.interval()
 		if err != nil || empty {
 			return err
 		}
-		if o.node.Access == plan.AccessIndexEq {
-			o.rids = o.node.Index.Tree.Search(r.Low)
-		} else {
-			o.cursor = o.node.Index.Tree.Cursor(r)
-		}
+		o.cursor = o.node.Index.Tree.Cursor(r)
 	default:
 		return fmt.Errorf("exec: unknown access kind %v", o.node.Access)
 	}
@@ -157,16 +156,10 @@ func (o *scanOperator) boundKey(b *plan.Bound) ([]byte, error) {
 	return types.EncodeKey(nil, v), nil
 }
 
-// refill replaces the exhausted record-id batch with the range cursor's next
-// one; false means the scan is over.
+// refill replaces the exhausted record-id batch with the cursor's next one,
+// in the same buffer; false means the scan is over.
 func (o *scanOperator) refill() bool {
-	if o.cursor == nil {
-		return false
-	}
-	o.rids, o.pos = o.rids[:0], 0
-	for _, e := range o.cursor.Next() {
-		o.rids = append(o.rids, e.Records...)
-	}
+	o.rids, o.pos = o.cursor.Next(o.rids[:0]), 0
 	return len(o.rids) > 0
 }
 
@@ -205,6 +198,30 @@ func (o *scanOperator) NextEncoded(dst []byte) ([]byte, bool, error) {
 	return dst, ok, err
 }
 
+// fold hands every visible row that passes the residual filter to add, as
+// one tuple reused for every row and decoded only at the columns want marks
+// (the others read as NULL): the aggregate's input path, which builds no
+// row. add must not retain the tuple.
+func (o *scanOperator) fold(want []bool, add func(types.Tuple) error) error {
+	var row types.Tuple
+	use := func(rid storage.RecordID, payload []byte) (err error) {
+		if row, err = types.DecodeColumns(row, payload, want); err != nil {
+			return fmt.Errorf("exec: decoding row %v of %s: %w", rid, o.node.Table.Name(), err)
+		}
+		if o.filter != nil {
+			if pass, err := o.filter.EvalBool(row); err != nil || !pass {
+				return err
+			}
+		}
+		return add(row)
+	}
+	for {
+		if ok, err := o.nextVisible(use); err != nil || !ok {
+			return err
+		}
+	}
+}
+
 // nextRow yields the next visible matching row together with its record id
 // (the write operators pull target rids through it; Next discards them).
 func (o *scanOperator) nextRow() (storage.RecordID, types.Tuple, bool, error) {
@@ -236,14 +253,16 @@ func (o *scanOperator) nextRow() (storage.RecordID, types.Tuple, bool, error) {
 
 // nextVisible finds the next version the runtime's snapshot sees and hands
 // its record id and stored payload to use, which decodes or copies it: the
-// scan's one loop, which Next and NextEncoded consume. Headers are judged
+// scan's one loop, which Next, NextEncoded and fold consume. Headers are judged
 // before anything is decoded, so a version the snapshot cannot see costs no
 // decode. An index scan reads each version in place (Table.ViewVersion):
 // payload aliases the pool frame and is valid only inside use, which must
-// not call back into the table. A sequential scan's payload is its page's
-// copy. A record id that no longer resolves is a version some aborting
-// transaction removed (or a sweep reclaimed) after the index read, and is
-// skipped. use's error is returned as it is.
+// not call back into the table. A sequential scan's payload is in its
+// iterator's one page copy (TableVersionIterator.Reuse), valid until the
+// scan reads the next page; no consumer keeps it past use. A record id that
+// no longer resolves is a version some aborting transaction removed (or a
+// sweep reclaimed) after the index read, and is skipped. use's error is
+// returned as it is.
 func (o *scanOperator) nextVisible(use func(rid storage.RecordID, payload []byte) error) (bool, error) {
 	for {
 		if o.iter != nil {

@@ -222,7 +222,17 @@ type conn struct {
 	stmts   map[uint32]*engine.Stmt
 	cursors map[uint32]*engine.Rows
 	nextID  uint32
+	// out is the last response payload, written and flushed, kept for the
+	// next Cursor or Rows payload to be appended into when its capacity is
+	// at most keptResponseCap: a connection paging a window allocates no
+	// response buffer per page, and one huge batch is not held for the
+	// connection's life.
+	out []byte
 }
+
+// keptResponseCap bounds the response buffer a connection keeps between
+// messages.
+const keptResponseCap = 64 << 10
 
 // serveConn runs one connection's message loop and always — clean EOF, read
 // error, protocol error or panic — tears the connection's engine state down
@@ -293,6 +303,9 @@ func (s *Server) serveConn(nc net.Conn) {
 		}
 		if err := c.w.Flush(); err != nil {
 			return
+		}
+		if cap(resp) <= keptResponseCap {
+			c.out = resp[:0]
 		}
 	}
 }
@@ -479,7 +492,7 @@ func (c *conn) handleRun(cur *wire.Cursor) (byte, []byte) {
 	if err != nil {
 		return errFrame(err)
 	}
-	var b wire.Buffer
+	b := wire.Buffer{B: c.out[:0]}
 	b.Uint32(0) // cursor id: stays 0 when this batch drains the result or ends its cursor
 	b.Strings(rows.Columns())
 	done, err := c.appendBatch(&b, rows, maxRows, oneBatch)
@@ -505,7 +518,7 @@ func (c *conn) handleFetch(cur *wire.Cursor) (byte, []byte) {
 	if !ok {
 		return errFrame(fmt.Errorf("server: no cursor %d", id))
 	}
-	var b wire.Buffer
+	b := wire.Buffer{B: c.out[:0]}
 	done, err := c.appendBatch(&b, rows, maxRows, false)
 	if done || err != nil {
 		delete(c.cursors, id)

@@ -879,3 +879,124 @@ func sweepAll(t *testing.T, db *engine.Database, table string) int {
 	}
 	return n
 }
+
+// TestOrderByIncomparableValuesFailsRemotely: a sort whose keys cannot be
+// compared fails the statement over the wire as it does locally (engine
+// TestOrderByIncomparableValuesFails), and the connection stays usable.
+func TestOrderByIncomparableValuesFailsRemotely(t *testing.T) {
+	_, _, addr := startServer(t)
+	c, err := client.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for _, stmt := range []string{
+		"CREATE TABLE p (id INT PRIMARY KEY, city TEXT)",
+		"INSERT INTO p VALUES (1, 'b'), (2, NULL), (3, 'a'), (4, NULL), (5, 'c')",
+	} {
+		if _, err := c.Exec(stmt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rows, err := c.Query("SELECT id, COALESCE(city, id) FROM p ORDER BY COALESCE(city, id)")
+	if err == nil {
+		var got []string
+		for rows.Next() {
+			got = append(got, rows.Row().String())
+		}
+		rows.Close()
+		t.Fatalf("the sort returned %v, want a comparison error", got)
+	}
+	if !strings.Contains(err.Error(), "cannot compare") {
+		t.Fatalf("the sort failed with %v, want a comparison error", err)
+	}
+	rows, err = c.Query("SELECT id FROM p ORDER BY city DESC, id")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for rows.Next() {
+		got = append(got, rows.Row()[0].String())
+	}
+	if err := rows.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Join(got, ",") != "5,1,3,2,4" {
+		t.Errorf("ORDER BY city DESC, id = %v, want 5,1,3,2,4", got)
+	}
+}
+
+// TestResponsesBuiltInTheKeptBufferStayIntact: a connection builds each
+// Cursor and Rows payload in the buffer its last response left, keeping that
+// buffer only up to 64 KiB. One connection alternates batches of wide rows
+// well past that cap with one-row answers and short fetches, so every
+// response is built in a buffer a larger or a smaller one used before; every
+// row must still arrive whole and in order.
+func TestResponsesBuiltInTheKeptBufferStayIntact(t *testing.T) {
+	_, _, addr := startServer(t)
+	c, err := client.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	const rows, width = 60, 3000
+	text := func(id int64) string { return strings.Repeat(string(rune('a'+id%26)), width-int(id)) }
+	if _, err := c.Exec("CREATE TABLE w (id INT PRIMARY KEY, s TEXT)"); err != nil {
+		t.Fatal(err)
+	}
+	ins, err := c.Prepare("INSERT INTO w VALUES (?, ?)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id := int64(0); id < rows; id++ {
+		if _, err := ins.Exec(types.NewInt(id), types.NewString(text(id))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ins.Close()
+	page, err := c.Prepare("SELECT * FROM w WHERE id >= ? ORDER BY id")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer page.Close()
+	one, err := c.Prepare("SELECT s FROM w WHERE id = ?")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer one.Close()
+	for round := 0; round < 6; round++ {
+		// Wide batches (about 180 KB in one Cursor frame) on even rounds,
+		// batches of 3 rows fetched one after another on odd ones.
+		page.SetFetchSize(map[bool]int{true: rows, false: 3}[round%2 == 0])
+		lo := int64(round * 5)
+		cursor, err := page.Query(types.NewInt(lo))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := lo
+		for cursor.Next() {
+			row := cursor.Row()
+			if row[0].Int() != want || row[1].Str() != text(want) {
+				t.Fatalf("round %d: row %d reads id %d with %d bytes of text, want id %d", round, want-lo, row[0].Int(), len(row[1].Str()), want)
+			}
+			want++
+		}
+		if err := cursor.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if want != rows {
+			t.Fatalf("round %d: the page ended at id %d, want %d", round, want, rows)
+		}
+		id := int64(rows - 1 - round)
+		single, err := one.Query(types.NewInt(id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !single.Next() || single.Row()[0].Str() != text(id) {
+			t.Fatalf("round %d: the one-row answer for id %d is wrong", round, id)
+		}
+		if err := single.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

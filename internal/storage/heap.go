@@ -139,20 +139,23 @@ func (h *HeapFile) owns(id PageID) bool {
 
 // readPage copies every live record off one page under the heap latch,
 // appending their identifiers to rids and the records to recs. The records
-// are copied into one buffer sized to hold them all, so a page costs one
-// copy, not one per record; each record is capped at its own end.
-func (h *HeapFile) readPage(id PageID, rids []RecordID, recs [][]byte) ([]RecordID, [][]byte, error) {
+// are copied into one buffer that holds them all, so a page costs one copy,
+// not one per record; each record is capped at its own end. The buffer is
+// buf when it has room, else a new one, and is returned.
+func (h *HeapFile) readPage(id PageID, rids []RecordID, recs [][]byte, buf []byte) ([]RecordID, [][]byte, []byte, error) {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
 	page, err := h.pool.fetch(id)
 	if err != nil {
-		return rids, recs, err
+		return rids, recs, buf, err
 	}
 	n, size := page.slotCount(), 0
 	for slot := 0; slot < n; slot++ {
 		size += page.slotLength(slot) // a tombstone's length is 0
 	}
-	buf := make([]byte, 0, size)
+	if buf = buf[:0]; cap(buf) < size {
+		buf = make([]byte, 0, size)
+	}
 	for slot := 0; slot < n; slot++ {
 		raw, err := page.get(slot)
 		if err != nil {
@@ -163,7 +166,7 @@ func (h *HeapFile) readPage(id PageID, rids []RecordID, recs [][]byte) ([]Record
 		rids = append(rids, RecordID{Page: id, Slot: uint16(slot)})
 		recs = append(recs, buf[start:len(buf):len(buf)])
 	}
-	return rids, recs, h.pool.unpin(id, false)
+	return rids, recs, buf, h.pool.unpin(id, false)
 }
 
 // Iterator returns a pull-style iterator over the heap file, used by the
@@ -182,7 +185,8 @@ func (h *HeapFile) Iterator() *HeapIterator {
 // Next calls); records written to the current page after it was copied are
 // not observed, which is fine — MVCC visibility rules decide what the caller
 // may see, the iterator only has to hand over consistent bytes. Every page
-// gets a fresh copy, so a record stays valid after the iterator moves on.
+// gets a fresh copy, so a record stays valid after the iterator moves on,
+// unless Reuse was called.
 type HeapIterator struct {
 	heap    *HeapFile
 	pages   []PageID
@@ -190,7 +194,16 @@ type HeapIterator struct {
 	rids    []RecordID
 	recs    [][]byte
 	pos     int
+	// buf is the last page's copy, which Reuse keeps for the next page.
+	buf   []byte
+	reuse bool
 }
+
+// Reuse makes the iterator copy every page into the one buffer, so a scan
+// that consumes each record before it moves to the next page allocates no
+// copy per page: a record is then valid only until Next reads the next
+// page.
+func (it *HeapIterator) Reuse() { it.reuse = true }
 
 // Next returns the next live record, or ok=false when the scan is exhausted.
 // The returned record is a copy, shared with no buffer-pool frame; records of
@@ -207,7 +220,10 @@ func (it *HeapIterator) Next() (rid RecordID, record []byte, ok bool, err error)
 		}
 		id := it.pages[it.pageIdx]
 		it.pageIdx++
-		it.rids, it.recs, err = it.heap.readPage(id, it.rids[:0], it.recs[:0])
+		if !it.reuse {
+			it.buf = nil // a fresh copy per page
+		}
+		it.rids, it.recs, it.buf, err = it.heap.readPage(id, it.rids[:0], it.recs[:0], it.buf)
 		if err != nil {
 			return RecordID{}, nil, false, err
 		}

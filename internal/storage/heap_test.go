@@ -184,6 +184,53 @@ func TestHeapIterator(t *testing.T) {
 	}
 }
 
+// TestHeapIteratorReuse: an iterator told to Reuse hands over the same
+// records in the same order as a copying one, and copies every page into one
+// buffer: it allocates at least one object per page fewer than a copying
+// scan, whose per-page copy is its only per-page allocation.
+func TestHeapIteratorReuse(t *testing.T) {
+	h := newTestHeap()
+	for i := 0; i < 2000; i++ {
+		if _, err := h.insert([]byte(fmt.Sprintf("record-%d-%s", i, bytes.Repeat([]byte("r"), i%40)))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(h.pages) < 8 {
+		t.Fatalf("the heap holds %d pages, want several", len(h.pages))
+	}
+	var want []string
+	for _, rec := range scanAll(t, h) {
+		want = append(want, string(rec))
+	}
+	copying := testing.AllocsPerRun(5, func() { scanAll(t, h) })
+	read := 0
+	allocs := testing.AllocsPerRun(5, func() {
+		it := h.Iterator()
+		it.Reuse()
+		read = 0
+		for {
+			_, rec, ok, err := it.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				break
+			}
+			if read >= len(want) || string(rec) != want[read] {
+				t.Fatalf("reusing record %d = %q, copying iterator read %q", read, rec, want[read])
+			}
+			read++
+		}
+	})
+	if read != len(want) {
+		t.Fatalf("the reusing scan read %d records, want %d", read, len(want))
+	}
+	t.Logf("a scan of %d pages: %.0f allocations copying, %.0f reusing", len(h.pages), copying, allocs)
+	if saved := copying - allocs; saved < float64(len(h.pages)-1) {
+		t.Errorf("a reusing scan of %d pages allocated %.0f objects, a copying one %.0f: want at least %d fewer", len(h.pages), allocs, copying, len(h.pages)-1)
+	}
+}
+
 func TestHeapScanEarlyStop(t *testing.T) {
 	h := newTestHeap()
 	for i := 0; i < 10; i++ {

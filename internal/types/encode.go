@@ -121,6 +121,50 @@ func ReadTuple(data []byte) (Tuple, int, error) {
 	return t, total - len(data), nil
 }
 
+// DecodeColumns decodes the record at the front of data into dst's array,
+// growing it only when the record has more values than dst can hold, and
+// returns it. The values at the positions want marks are decoded as
+// ReadTuple decodes them; every other value is checked against the value
+// grammar, as ReadTuple checks it, skipped and read as NULL. A caller that
+// folds many records through one tuple and names only some of their columns
+// allocates nothing per record unless a named value is TEXT. On an error the
+// tuple's contents are undefined.
+func DecodeColumns(dst Tuple, data []byte, want []bool) (Tuple, error) {
+	n, data, err := readCount(data)
+	if err != nil {
+		return dst, err
+	}
+	if uint64(cap(dst)) < n {
+		dst = make(Tuple, n)
+	}
+	dst = dst[:n]
+	for i := range dst {
+		kind, body, rest, err := splitValue(data, uint64(i))
+		if err != nil {
+			return dst, err
+		}
+		data = rest
+		if i >= len(want) || !want[i] {
+			dst[i] = Null()
+			continue
+		}
+		switch kind {
+		case KindNull:
+			dst[i] = Null()
+		case KindInt, KindDate:
+			v, _ := binary.Varint(body)
+			dst[i] = Value{kind: kind, i: v}
+		case KindFloat:
+			dst[i] = NewFloat(math.Float64frombits(binary.BigEndian.Uint64(body)))
+		case KindBool:
+			dst[i] = NewBool(body[0] != 0)
+		case KindString:
+			dst[i] = NewString(string(body))
+		}
+	}
+	return dst, nil
+}
+
 // readCount reads a record's value count and returns it with the bytes that
 // follow, refusing a count larger than those bytes.
 func readCount(data []byte) (uint64, []byte, error) {
@@ -139,8 +183,9 @@ func readCount(data []byte) (uint64, []byte, error) {
 // kind, its body (the varint of an INT or DATE, the 8 bytes of a FLOAT, the
 // byte of a BOOL, the bytes of a TEXT after their length; nothing for NULL)
 // and the bytes that follow it. It reads the value grammar for the readers
-// that build no Value; ReadTuple keeps its own loop, the one every row decode
-// runs, and FuzzCheckEncoded holds the two to the same verdicts.
+// that build no Value or only some (DecodeColumns); ReadTuple keeps its own
+// loop, the one every whole-row decode runs, and FuzzCheckEncoded holds them
+// all to the same verdicts.
 func splitValue(data []byte, i uint64) (kind Kind, body, rest []byte, err error) {
 	if len(data) == 0 {
 		return 0, nil, nil, fmt.Errorf("types: truncated record at value %d", i)

@@ -134,6 +134,26 @@ func FuzzCheckEncoded(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, subsets, rec := fuzzSchema(data)
 		row, n, err := ReadTuple(rec)
+		// DecodeColumns reaches ReadTuple's verdict on the same bytes, and
+		// its values are ReadTuple's where wanted and NULL elsewhere.
+		want := make([]bool, len(data)%7)
+		for i := range want {
+			want[i] = (len(data)>>i)&1 == 1
+		}
+		cols, colsErr := DecodeColumns(make(Tuple, 0, 2), rec, want)
+		if (colsErr == nil) != (err == nil) {
+			t.Fatalf("DecodeColumns(%x) = %v, ReadTuple = %v", rec, colsErr, err)
+		}
+		if err == nil {
+			if len(cols) != len(row) {
+				t.Fatalf("DecodeColumns(%x) read %d values, ReadTuple %d", rec, len(cols), len(row))
+			}
+			for i := range row {
+				if w := i < len(want) && want[i]; (w && !cols[i].Equal(row[i])) || (w && cols[i].Kind() != row[i].Kind()) || (!w && !cols[i].IsNull()) {
+					t.Fatalf("DecodeColumns(%x, %v) value %d = %v, ReadTuple %v", rec, want, i, cols[i], row[i])
+				}
+			}
+		}
 		accept := err == nil && n == len(rec)
 		if accept {
 			valid, err := row.ValidateAgainst(s)
