@@ -31,7 +31,7 @@ func main() {
 		byName[f.Def.Name] = f
 	}
 
-	manager := core.NewManager(db, 120, 40)
+	manager := core.NewManager(db, 120, 33)
 
 	// Window 1: customers of Boston (query by form).
 	boston, err := manager.Open(byName["customer_form"], 0, 0)
