@@ -217,7 +217,7 @@ func (e *localExecutor) runScript(script string, out io.Writer) error {
 				return err
 			}
 		default:
-			res, err := e.session.ExecuteStmt(stmt)
+			res, err := e.session.Execute(stmt.String())
 			if err != nil {
 				return err
 			}

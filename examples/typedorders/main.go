@@ -56,9 +56,8 @@ func main() {
 	if *connect == "" {
 		edb := engine.OpenMemory()
 		defer edb.Close()
-		session := edb.Session()
-		db = sqlair.NewSessionDB(session)
-		exec = func(ddl string) error { _, err := session.Execute(ddl); return err }
+		db = sqlair.NewEngineDB(edb)
+		exec = func(ddl string) error { _, err := edb.Session().Execute(ddl); return err }
 	} else {
 		pool := client.NewPool(*connect, client.PoolConfig{Size: 2})
 		defer pool.Close()

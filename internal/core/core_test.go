@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -76,6 +77,7 @@ end
 
 form spending_report on spending
   title "Spending"
+  key customer_id
   field customer_id width 8
   field orders_placed width 8
   field spent width 10
@@ -109,7 +111,7 @@ func TestCompileBindsFormsToCatalog(t *testing.T) {
 	if card == nil {
 		t.Fatal("customer_card not compiled")
 	}
-	if card.Relation != "customers" || card.BaseTable.Name() != "customers" || card.ReadOnly {
+	if card.Relation != "customers" || card.BaseTable != "customers" || !slices.Equal(card.Tables, []string{"customers"}) {
 		t.Errorf("card binding = %+v", card)
 	}
 	if len(card.Key) != 1 || card.Schema.Columns[card.Key[0]].Name != "id" {
@@ -133,16 +135,50 @@ func TestCompileBindsFormsToCatalog(t *testing.T) {
 	}
 
 	rich := forms["rich_card"]
-	if rich.Relation == "customers" || rich.ReadOnly || rich.BaseTable.Name() != "customers" {
+	if rich.Relation != "rich" || rich.BaseTable != "customers" || !slices.Equal(rich.Tables, []string{"customers"}) {
 		t.Errorf("rich binding = %+v", rich)
 	}
 	report := forms["spending_report"]
-	if !report.ReadOnly {
-		t.Error("a form over an aggregating view must be read-only")
+	if !report.readOnly() || !slices.Equal(report.Tables, []string{"orders"}) {
+		t.Errorf("a form over an aggregating view must be read-only and read orders: %+v", report)
 	}
-	// Forms are registered in the catalog for later reloads.
-	if _, err := rich.BaseTable, error(nil); err != nil {
+	if !report.dependsOn("orders") || report.dependsOn("customers") {
+		t.Error("report dependsOn wrong")
+	}
+}
+
+// TestJoinViewFormReadsBothTables: a form over a join view is read-only and
+// reads both tables, so a write to either refreshes its windows.
+func TestJoinViewFormReadsBothTables(t *testing.T) {
+	m, forms := newTestManager(t)
+	if _, err := m.db.Session().Execute("CREATE VIEW order_names AS SELECT o.id AS order_id, c.name, o.total FROM orders o JOIN customers c ON o.customer_id = c.id"); err != nil {
 		t.Fatal(err)
+	}
+	compiled, err := NewCompiler(m.db).CompileSource("form names on order_names\n key order_id\n field order_id\n field name\n field total\nend\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := compiled[0]
+	if !f.readOnly() || len(f.Tables) != 2 || !f.dependsOn("orders") || !f.dependsOn("customers") {
+		t.Fatalf("join form: read-only %v, tables %v; want read-only over orders and customers", f.readOnly(), f.Tables)
+	}
+	names, err := m.Open(f, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Rename Ada (order 100 is hers) through a customers window.
+	card, err := m.Open(forms["customer_card"], 0, 40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := card.SetFieldText("name", "Ava"); err != nil {
+		t.Fatal(err)
+	}
+	if err := card.Save(); err != nil {
+		t.Fatal(err)
+	}
+	if row, ok := names.CurrentRow(); !ok || row[0].Int() != 100 || row[1].Str() != "Ava" {
+		t.Errorf("join window's first row after the customers Save = %v, want order 100 by Ava", row)
 	}
 }
 
@@ -152,6 +188,9 @@ func TestCompileErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	compiler := NewCompiler(db)
+	if _, err := db.Session().Execute("CREATE TABLE notes (body TEXT)"); err != nil {
+		t.Fatal(err)
+	}
 	cases := map[string]string{
 		"unknown relation": "form f on nothing\n field x\nend\n",
 		"unknown column":   "form f on customers\n field nosuch\nend\n",
@@ -163,10 +202,17 @@ func TestCompileErrors(t *testing.T) {
 		"bad trigger":      "form f on customers\n field id\n trigger before insert check nosuch = 1\nend\n",
 		"bad detail form":  "form f on customers\n field id\n detail missing link customer_id = id\nend\n",
 		"bad detail col":   "form f on customers\n field id\n detail f link nosuch = id\nend\n",
+		"keyless table":    "form f on notes\n field body\nend\n",
+		"keyless view":     "form f on spending\n field customer_id\nend\n",
 	}
 	for name, source := range cases {
-		if _, err := compiler.CompileSource(source); err == nil {
+		_, err := compiler.CompileSource(source)
+		if err == nil {
 			t.Errorf("%s: CompileSource should fail", name)
+			continue
+		}
+		if strings.HasPrefix(name, "keyless") && (!strings.Contains(err.Error(), `form "f"`) || !strings.Contains(err.Error(), "key line")) {
+			t.Errorf("%s: error %q should name the form and ask for a key line", name, err)
 		}
 	}
 }
@@ -684,6 +730,88 @@ func TestManagerPropagationBetweenWindows(t *testing.T) {
 	// must not have been refreshed by the orders write.
 	if got := richWin.Stats().Refreshes; got != 3 { // initial + two credit changes
 		t.Errorf("rich window refreshes = %d, want 3", got)
+	}
+}
+
+// TestReadOnlyViewWindowRefreshesOnWrite is the regression test for
+// propagation by read set: a window over the aggregating view spending reads
+// orders, so an order saved in another window for a customer with no orders
+// yet must show up in it as a new row, and its rows must equal a fresh query.
+func TestReadOnlyViewWindowRefreshesOnWrite(t *testing.T) {
+	m, forms := newTestManager(t)
+	report, err := m.Open(forms["spending_report"], 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if report.RowCount() != 2 {
+		t.Fatalf("report rows = %d, want 2", report.RowCount())
+	}
+	ordersForm, err := NewCompiler(m.db).CompileSource("form o on orders\n key id\n field id\n field customer_id\n field item\n field total\nend\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ow, err := m.Open(ordersForm[0], 0, 40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = ow.BeginInsert()
+	for name, text := range map[string]string{"id": "104", "customer_id": "2", "item": "bolt", "total": "10"} {
+		if err := ow.SetFieldText(name, text); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ow.Save(); err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := m.db.Session().Query("SELECT * FROM spending ORDER BY customer_id")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if report.RowCount() != len(fresh.Rows) {
+		t.Fatalf("report window shows %d rows after the orders Save, a fresh query returns %d", report.RowCount(), len(fresh.Rows))
+	}
+	for i, want := range fresh.Rows {
+		if _, err := report.pager.seek(i); err != nil {
+			t.Fatal(err)
+		}
+		got, ok := report.pager.row(i)
+		if !ok || !got.Equal(want) {
+			t.Errorf("report row %d = %v, fresh query row = %v", i, got, want)
+		}
+	}
+}
+
+// TestKeylessViewFormSavesThroughDerivedKey: a form over the updatable view
+// rich with no key line takes its key from the base table's primary key,
+// mapped through the view, and its Save updates exactly the current row.
+func TestKeylessViewFormSavesThroughDerivedKey(t *testing.T) {
+	m, _ := newTestManager(t)
+	forms, err := NewCompiler(m.db).CompileSource("form r on rich\n field id\n field name\n field city\n field credit\n order by name\nend\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := m.Open(forms[0], 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w.RowCount() != 2 { // Ada and Cyd
+		t.Fatalf("rich rows = %d", w.RowCount())
+	}
+	if err := w.nextRow(); err != nil { // Cyd
+		t.Fatal(err)
+	}
+	if err := w.SetFieldText("city", "Salem"); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Save(); err != nil {
+		t.Fatal(err)
+	}
+	res, err := m.db.Session().Query("SELECT id FROM customers WHERE city = 'Salem'")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 1 || res.Rows[0][0].Int() != 3 {
+		t.Errorf("customers in Salem = %v, want only id 3", res.Rows)
 	}
 }
 

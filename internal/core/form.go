@@ -4,9 +4,11 @@
 // The package has three parts:
 //
 //   - the form compiler (this file), which binds a parsed form definition
-//     (package fdl) to the catalog: resolving the relation, the fields, the
-//     key, validation rules, computed fields, triggers and master/detail
-//     links, and deciding whether the binding is updatable;
+//     (package fdl) to the catalog: planning the relation, which gives the
+//     form its schema, the tables it reads and — from the planner's write
+//     target — whether and where a Save writes, then resolving the fields,
+//     the key, validation rules, computed fields, triggers and master/detail
+//     links;
 //   - the window runtime (window.go, qbf.go, pager.go), which gives each
 //     open form a paging cursor over its current rows — a bounded buffer
 //     fetched page by page through keyset predicates on the engine's
@@ -23,15 +25,15 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
-	"repro/internal/catalog"
 	"repro/internal/engine"
 	"repro/internal/expr"
 	"repro/internal/fdl"
+	"repro/internal/plan"
 	"repro/internal/sql"
 	"repro/internal/types"
-	"repro/internal/view"
 )
 
 // Field is one compiled form field.
@@ -74,28 +76,30 @@ type DetailLink struct {
 	ParentColumn int
 }
 
-// Form is a compiled form: a form definition bound to the catalog.
+// Form is a compiled form: a form definition bound to the catalog. Its
+// relation, table or view, is one keyed relation: planned once, with a key
+// that orders and identifies its rows.
 type Form struct {
 	// Def is the parsed definition.
 	Def *fdl.FormDef
 	// Relation is the bound relation's name (table or view).
 	Relation string
-	// BaseTable is the underlying base table (the relation itself for a
-	// table, the view's base table for an updatable view, nil for a
-	// read-only view).
-	BaseTable *catalog.Table
-	// ReadOnly is true when writes through the form are impossible (the
-	// relation is a non-updatable view).
-	ReadOnly bool
+	// BaseTable names the table a Save writes: the relation itself for a
+	// table, the view's base table for an updatable view, "" for a
+	// read-only form.
+	BaseTable string
+	// Tables names the base tables the relation reads; a window refreshes
+	// when any of them changes.
+	Tables []string
 	// Schema is the relation's schema as the form sees it.
 	Schema *types.Schema
 	// Fields are the compiled fields in definition order.
 	Fields []*Field
-	// Key is the positions (in Schema) of the columns identifying a row.
+	// Key is the positions (in Schema) of the columns identifying a row. It
+	// is never empty: it completes the window's order and addresses writes.
 	Key []int
-	// Filter is the compiled static filter (nil when none); FilterExpr is
-	// its source expression, used when composing the window's query.
-	Filter     *expr.Compiled
+	// FilterExpr is the static filter (nil when none), composed into the
+	// window's query.
 	FilterExpr sql.Expr
 	// OrderBy is the default browse order (validated against the schema).
 	OrderBy []fdl.OrderDef
@@ -119,8 +123,12 @@ func (f *Form) fieldByName(name string) (*Field, bool) {
 // dependsOn reports whether the form displays data from the named base table
 // (directly or through its view).
 func (f *Form) dependsOn(table string) bool {
-	return f.BaseTable != nil && strings.EqualFold(f.BaseTable.Name(), table)
+	return slices.ContainsFunc(f.Tables, func(t string) bool { return strings.EqualFold(t, table) })
 }
+
+// readOnly reports whether writes through the form are impossible (its
+// relation is a view the planner cannot write through).
+func (f *Form) readOnly() bool { return f.BaseTable == "" }
 
 // Compiler binds form definitions to a database.
 type Compiler struct {
@@ -162,49 +170,41 @@ func (c *Compiler) CompileSource(source string, others ...*Form) ([]*Form, error
 // compile binds one parsed definition. Master/detail links are left
 // unresolved; CompileSource resolves those.
 func (c *Compiler) compile(def *fdl.FormDef) (*Form, error) {
-	cat := c.db.Catalog()
 	form := &Form{Def: def, Relation: def.Relation}
 
-	// Resolve the relation and decide updatability. Key columns are explicit,
-	// or the primary key when the form is bound directly to a table.
-	keyNames := def.KeyColumns
-	switch {
-	case cat.HasTable(def.Relation):
-		table, err := cat.GetTable(def.Relation)
-		if err != nil {
-			return nil, err
-		}
-		form.BaseTable = table
-		form.Schema = table.Schema()
-		if len(keyNames) == 0 {
-			for _, pos := range form.Schema.PrimaryKey() {
-				keyNames = append(keyNames, form.Schema.Columns[pos].Name)
-			}
-		}
-	case cat.HasView(def.Relation):
-		viewDef, err := cat.GetView(def.Relation)
-		if err != nil {
-			return nil, err
-		}
-		schema, err := c.viewSchema(def.Relation)
-		if err != nil {
-			return nil, err
-		}
-		form.Schema = schema
-		updatable, err := view.Analyze(viewDef, cat)
-		if err == nil {
-			base, err := cat.GetTable(updatable.BaseTable)
-			if err != nil {
-				return nil, err
-			}
-			form.BaseTable = base
-		} else {
-			form.ReadOnly = true
-		}
-	default:
-		return nil, fmt.Errorf("core: form %q: no table or view named %q", def.Name, def.Relation)
+	// Plan the relation, table or view alike: the plan gives the schema and
+	// the tables the form reads, and the write target decides updatability.
+	sel, err := sql.ParseSelect("SELECT * FROM " + def.Relation)
+	if err != nil {
+		return nil, fmt.Errorf("core: form %q: %w", def.Name, err)
 	}
+	builder := plan.NewBuilder(c.db.Catalog())
+	node, err := builder.Build(sel)
+	if err != nil {
+		return nil, fmt.Errorf("core: form %q: %w", def.Name, err)
+	}
+	form.Schema = node.Schema()
+	form.Tables = scannedTables(node, nil)
 
+	// The key is explicit, or the written table's primary key under the
+	// names the relation shows it by.
+	keyNames := def.KeyColumns
+	if table, updatable, err := builder.ResolveWriteTarget(def.Relation); err == nil {
+		form.BaseTable = table.Name()
+		if len(keyNames) == 0 {
+			var viewNames map[string]string
+			if updatable != nil {
+				viewNames = map[string]string{}
+				for _, pair := range updatable.Columns {
+					viewNames[pair.BaseColumn] = pair.ViewColumn
+				}
+			}
+			keyNames = primaryKeyNames(table.Schema(), viewNames)
+		}
+	}
+	if len(keyNames) == 0 {
+		return nil, fmt.Errorf("core: form %q: %s has no primary key the form can use; declare one with a key line", def.Name, def.Relation)
+	}
 	for _, name := range keyNames {
 		pos, err := form.Schema.ColumnIndex(name)
 		if err != nil {
@@ -228,11 +228,9 @@ func (c *Compiler) compile(def *fdl.FormDef) (*Form, error) {
 		if err != nil {
 			return nil, fmt.Errorf("core: form %q filter: %w", def.Name, err)
 		}
-		compiled, err := expr.Compile(filterExpr, form.Schema)
-		if err != nil {
+		if _, err := expr.Compile(filterExpr, form.Schema); err != nil {
 			return nil, fmt.Errorf("core: form %q filter: %w", def.Name, err)
 		}
-		form.Filter = compiled
 		form.FilterExpr = filterExpr
 	}
 
@@ -259,17 +257,35 @@ func (c *Compiler) compile(def *fdl.FormDef) (*Form, error) {
 	return form, nil
 }
 
-// viewSchema derives a view's output schema by planning "SELECT *" over it.
-func (c *Compiler) viewSchema(name string) (*types.Schema, error) {
-	sel, err := sql.ParseSelect("SELECT * FROM " + name)
-	if err != nil {
-		return nil, err
+// scannedTables appends to tables the base tables the plan's scans read,
+// each once.
+func scannedTables(node plan.Node, tables []string) []string {
+	if scan, ok := node.(*plan.ScanNode); ok && !slices.Contains(tables, scan.Table.Name()) {
+		tables = append(tables, scan.Table.Name())
 	}
-	node, err := planBuilderFor(c.db).Build(sel)
-	if err != nil {
-		return nil, fmt.Errorf("core: view %q: %w", name, err)
+	for _, child := range node.Children() {
+		tables = scannedTables(child, tables)
 	}
-	return node.Schema(), nil
+	return tables
+}
+
+// primaryKeyNames returns the schema's primary-key columns by the names a
+// relation shows them under: viewNames maps base column names to a view's
+// names, and is nil for the table itself. It returns nil when the schema has
+// no primary key or the view hides part of it.
+func primaryKeyNames(schema *types.Schema, viewNames map[string]string) []string {
+	var names []string
+	for _, pos := range schema.PrimaryKey() {
+		name := schema.Columns[pos].Name
+		if viewNames != nil {
+			var ok bool
+			if name, ok = viewNames[strings.ToLower(name)]; !ok {
+				return nil
+			}
+		}
+		names = append(names, name)
+	}
+	return names
 }
 
 func (c *Compiler) compileField(form *Form, def *fdl.FieldDef) (*Field, error) {

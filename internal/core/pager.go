@@ -35,10 +35,9 @@ import (
 // the table's short list of versions not every snapshot sees — O(log n), so
 // "row N of M" costs no more at row 200 000 than at row 1.
 //
-// Forms with no key (and hence no total order) fall back to materialising the
-// result set per refresh — their declared ORDER BY still applies, there is
-// just no keyset to page by — which is exactly the pre-pager behaviour and
-// fine at the sizes such forms are used at.
+// Every compiled form has a key, so every window has a total order. Only a
+// NULL in a nullable ORDER BY column leaves a row without a keyset; paging
+// from such a row reloads from the top (reloadThrough).
 
 // pageFactor is how many visible pages of rows one buffer page holds: the
 // lookahead that makes row-at-a-time scrolling amortise to one fetch per
@@ -65,10 +64,6 @@ type Pager struct {
 	where    []string
 	binds    map[string]types.Value
 	keys     []pagerKey
-	// keyset reports whether keys form a total order (they end in the
-	// form's key columns): only then can the pager page by keyset. Without
-	// it the keys still render as ORDER BY, but the result materialises.
-	keyset   bool
 	pageSize int
 
 	// buf holds rows [bufStart, bufStart+len(buf)) of the result.
@@ -88,18 +83,17 @@ func newPager(prepare func(string) (Statement, error), stats *Stats) *Pager {
 }
 
 // configure sets the pager's query: the relation, the WHERE conjuncts (as
-// parameter templates) with their bindings, the ordering keys, whether those
-// keys are a total order (keyset paging; otherwise the keys only order a
-// materialised result), and the buffer page size. It reports whether the
-// configuration changed — in which case buffered rows and positions are
-// meaningless and the caller must Refresh from the top.
-func (p *Pager) configure(relation string, where []string, binds map[string]types.Value, keys []pagerKey, keyset bool, pageSize int) bool {
+// parameter templates) with their bindings, the ordering keys (a total
+// order: they end in the form's key columns), and the buffer page size. It
+// reports whether the configuration changed — in which case buffered rows
+// and positions are meaningless and the caller must Refresh from the top.
+func (p *Pager) configure(relation string, where []string, binds map[string]types.Value, keys []pagerKey, pageSize int) bool {
 	if pageSize < 1 {
 		pageSize = 1
 	}
-	changed := !p.loaded || relation != p.relation || pageSize != p.pageSize || keyset != p.keyset ||
+	changed := !p.loaded || relation != p.relation || pageSize != p.pageSize ||
 		!slices.Equal(where, p.where) || !slices.Equal(keys, p.keys) || !equalBinds(binds, p.binds)
-	p.relation, p.where, p.binds, p.keys, p.keyset, p.pageSize = relation, where, binds, keys, keyset, pageSize
+	p.relation, p.where, p.binds, p.keys, p.pageSize = relation, where, binds, keys, pageSize
 	if changed {
 		p.buf, p.bufStart, p.total, p.loaded = nil, 0, -1, false
 	}
@@ -132,17 +126,6 @@ func (p *Pager) clear() {
 // the query changed) the first page loads.
 func (p *Pager) refresh(anchor types.Tuple, anchorAbs int) error {
 	p.loaded = true
-	if !p.keyset {
-		// No total order to page by: materialise, as the pre-pager windows
-		// did. The keys (the form's declared ORDER BY, if any) still order
-		// the result.
-		rows, err := p.fetch(p.pageSQL("", false), p.binds, 0)
-		if err != nil {
-			return err
-		}
-		p.buf, p.bufStart, p.total = rows, 0, len(rows)
-		return nil
-	}
 	total, err := p.count()
 	if err != nil {
 		return err
@@ -200,10 +183,6 @@ func (p *Pager) seek(abs int) (int, error) {
 	if _, ok := p.row(abs); ok {
 		return abs, nil
 	}
-	if !p.keyset {
-		// Materialised: everything there is is buffered.
-		return clamp(abs, 0, p.total-1), nil
-	}
 	bufEnd := p.bufStart + len(p.buf)
 	switch {
 	case len(p.buf) == 0:
@@ -240,9 +219,6 @@ func (p *Pager) seekLast() (int, error) {
 	}
 	if p.total == 0 {
 		return -1, nil
-	}
-	if !p.keyset {
-		return p.total - 1, nil
 	}
 	if _, ok := p.row(p.total - 1); ok {
 		// The last row is already buffered (End pressed twice, or the
@@ -490,7 +466,7 @@ func (p *Pager) keysetBinds(anchor types.Tuple) (map[string]types.Value, bool) {
 // --- fetch plumbing ----------------------------------------------------------
 
 // fetch runs one page query through the prepared-statement cache and pulls at
-// most limit rows off its cursor (0 = all), closing it early once the page is
+// most limit rows (limit >= 1) off its cursor, closing it early once the page is
 // full — locally that releases the cursor's read lease. A remote statement is
 // told the limit first, so its server ends the cursor with the page: a page
 // is one wire round trip, and the close sends nothing.
@@ -512,7 +488,7 @@ func (p *Pager) fetch(text string, binds map[string]types.Value, limit int) ([]t
 		return nil, err
 	}
 	var out []types.Tuple
-	for (limit <= 0 || len(out) < limit) && rows.Next() {
+	for len(out) < limit && rows.Next() {
 		out = append(out, rows.Row())
 	}
 	fetchErr := rows.Err()

@@ -63,7 +63,7 @@ func pagerOver(db *engine.Database, pageSize int) (*Pager, *Stats) {
 	stats := &Stats{}
 	src := NewEngineSource(db.Session())
 	p := newPager(src.Prepare, stats)
-	p.configure("t", nil, nil, []pagerKey{{column: "id", pos: 0}}, true, pageSize)
+	p.configure("t", nil, nil, []pagerKey{{column: "id", pos: 0}}, pageSize)
 	return p, stats
 }
 
@@ -586,18 +586,18 @@ func TestWindowLeavesPooledFetchSizeAlone(t *testing.T) {
 	}
 }
 
-// TestKeylessFormKeepsOrderBy is the regression test for the materialise
-// fallback: a form with a declared ORDER BY but no key (a view form with no
-// key line) cannot page by keyset, but its ordering must still apply — the
-// pre-pager windows always emitted it.
-func TestKeylessFormKeepsOrderBy(t *testing.T) {
+// TestViewFormKeepsOrderBy: a form over a view with a declared ORDER BY and
+// no key line pages by keyset like any other — its key is the base table's
+// primary key through the view, appended to the order as the tiebreak — and
+// its declared ordering applies.
+func TestViewFormKeepsOrderBy(t *testing.T) {
 	db := engine.OpenMemory()
 	defer db.Close()
 	s := db.Session()
 	if _, err := s.ExecuteScript(`
 		CREATE TABLE scores (id INT PRIMARY KEY, points INT);
 		CREATE VIEW score_view AS SELECT id, points FROM scores;
-		INSERT INTO scores VALUES (1, 30), (2, 5), (3, 20);
+		INSERT INTO scores VALUES (1, 30), (2, 5), (3, 20), (4, 20);
 	`); err != nil {
 		t.Fatal(err)
 	}
@@ -617,16 +617,19 @@ end
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got []int64
-	for i := 0; i < w.RowCount(); i++ {
-		row, ok := w.pager.row(i)
-		if !ok {
-			t.Fatalf("row %d not available in materialise mode", i)
-		}
-		got = append(got, row[1].Int())
+	if keys := w.pagerKeys(); len(keys) != 2 || keys[1].column != "id" {
+		t.Fatalf("pager keys = %+v, want points then the key id", keys)
 	}
-	if fmt.Sprint(got) != "[30 20 5]" {
-		t.Fatalf("keyless form rows = %v, want points descending [30 20 5]", got)
+	var got []string
+	for i := 0; i < w.RowCount(); i++ {
+		if _, err := w.pager.seek(i); err != nil {
+			t.Fatal(err)
+		}
+		row, _ := w.pager.row(i)
+		got = append(got, fmt.Sprintf("%d:%d", row[0].Int(), row[1].Int()))
+	}
+	if fmt.Sprint(got) != "[1:30 3:20 4:20 2:5]" {
+		t.Fatalf("view form rows = %v, want points descending, ties by id: [1:30 3:20 4:20 2:5]", got)
 	}
 }
 
@@ -701,7 +704,7 @@ func TestPagerWorkIndependentOfDepth(t *testing.T) {
 		base := 0 // rows the filter hides below the window
 		if filterFrom > 0 {
 			p.configure("t", []string{"(id >= @q_id)"}, map[string]types.Value{"q_id": types.NewInt(int64(filterFrom))},
-				[]pagerKey{{column: "id", pos: 0}}, true, page)
+				[]pagerKey{{column: "id", pos: 0}}, page)
 			base = filterFrom - 1
 		}
 		if err := p.refresh(nil, -1); err != nil {

@@ -4,16 +4,9 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/engine"
-	"repro/internal/plan"
 	"repro/internal/sql"
 	"repro/internal/types"
 )
-
-// planBuilderFor returns a fresh planner over the database's catalog.
-func planBuilderFor(db *engine.Database) *plan.Builder {
-	return plan.NewBuilder(db.Catalog())
-}
 
 // Query-by-form
 //

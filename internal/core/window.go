@@ -216,13 +216,10 @@ func (w *Window) queryPredicates() ([]string, map[string]types.Value, error) {
 	return predicates, binds, nil
 }
 
-// pagerKeys derives the window's ordering: the form's declared ORDER BY
-// columns, with the form's key columns appended as the tiebreaker. keyset
-// reports whether the result is a total order (the form has a key, which
-// identifies a row) — only then can the pager page by keyset; a keyless
-// form keeps its declared ordering but materialises, as the pre-pager
-// windows always did.
-func (w *Window) pagerKeys() (keys []pagerKey, keyset bool) {
+// pagerKeys derives the window's total order: the form's declared ORDER BY
+// columns, with the form's key columns appended as the tiebreaker. The key
+// identifies a row, so the order is total and the pager pages by keyset.
+func (w *Window) pagerKeys() (keys []pagerKey) {
 	seen := map[string]bool{}
 	for _, o := range w.form.OrderBy {
 		name := strings.ToLower(o.Column)
@@ -233,9 +230,6 @@ func (w *Window) pagerKeys() (keys []pagerKey, keyset bool) {
 		seen[name] = true
 		keys = append(keys, pagerKey{column: name, pos: pos, desc: o.Desc})
 	}
-	if len(w.form.Key) == 0 {
-		return keys, false
-	}
 	for _, pos := range w.form.Key {
 		name := strings.ToLower(w.form.Schema.Columns[pos].Name)
 		if seen[name] {
@@ -244,7 +238,7 @@ func (w *Window) pagerKeys() (keys []pagerKey, keyset bool) {
 		seen[name] = true
 		keys = append(keys, pagerKey{column: name, pos: pos})
 	}
-	return keys, true
+	return keys
 }
 
 // visibleRows is how many rows of the result the window presents at once: a
@@ -323,8 +317,7 @@ func (w *Window) Refresh() error {
 		w.setError(err)
 		return err
 	}
-	keys, keyset := w.pagerKeys()
-	changed := w.pager.configure(w.form.Relation, where, binds, keys, keyset, w.bufferPageSize())
+	changed := w.pager.configure(w.form.Relation, where, binds, w.pagerKeys(), w.bufferPageSize())
 	var anchor types.Tuple
 	anchorAbs := -1
 	if !changed {
@@ -550,7 +543,7 @@ func (w *Window) SetFieldText(name, text string) error {
 // beginEdit switches to edit mode over the current row, loading the edit
 // buffer from it.
 func (w *Window) beginEdit() error {
-	if w.form.ReadOnly {
+	if w.form.readOnly() {
 		return fmt.Errorf("core: form %q is read-only (its view cannot be updated)", w.form.Def.Name)
 	}
 	if _, ok := w.CurrentRow(); !ok {
@@ -585,7 +578,7 @@ func (w *Window) fieldTextFromRow(field *Field) string {
 // BeginInsert switches to insert mode with an empty buffer pre-filled from
 // field defaults.
 func (w *Window) BeginInsert() error {
-	if w.form.ReadOnly {
+	if w.form.readOnly() {
 		return fmt.Errorf("core: form %q is read-only (its view cannot be updated)", w.form.Def.Name)
 	}
 	w.mode = ModeInsert
@@ -767,7 +760,7 @@ func (w *Window) runTriggers(when, event string, row types.Tuple) error {
 // window and notifies the window manager so other windows on the same world
 // are refreshed too.
 func (w *Window) Save() error {
-	if w.form.ReadOnly {
+	if w.form.readOnly() {
 		return fmt.Errorf("core: form %q is read-only", w.form.Def.Name)
 	}
 	if w.mode != ModeEdit && w.mode != ModeInsert {
@@ -873,9 +866,6 @@ func (w *Window) updateStatement(row types.Tuple) (string, map[string]types.Valu
 	if !ok {
 		return "", nil, fmt.Errorf("core: no current row")
 	}
-	if len(w.form.Key) == 0 {
-		return "", nil, fmt.Errorf("core: form %q has no key; updates are not possible", w.form.Def.Name)
-	}
 	var sets []string
 	binds := map[string]types.Value{}
 	for _, field := range w.form.Fields {
@@ -903,9 +893,6 @@ func (w *Window) updateStatement(row types.Tuple) (string, map[string]types.Valu
 // keyPredicate renders "key1 = @k_key1 AND key2 = @k_key2" for the given row,
 // adding the key values to binds.
 func (w *Window) keyPredicate(row types.Tuple, binds map[string]types.Value) (string, error) {
-	if len(w.form.Key) == 0 {
-		return "", fmt.Errorf("core: form %q has no key", w.form.Def.Name)
-	}
 	var parts []string
 	for _, pos := range w.form.Key {
 		v := row[pos]
@@ -922,7 +909,7 @@ func (w *Window) keyPredicate(row types.Tuple, binds map[string]types.Value) (st
 
 // deleteCurrent deletes the row under the cursor through the bound relation.
 func (w *Window) deleteCurrent() error {
-	if w.form.ReadOnly {
+	if w.form.readOnly() {
 		return fmt.Errorf("core: form %q is read-only", w.form.Def.Name)
 	}
 	current, ok := w.CurrentRow()
@@ -954,13 +941,13 @@ func (w *Window) deleteCurrent() error {
 	return nil
 }
 
-// notifyWrite tells the window manager this window changed its base table so
-// that other windows showing the same world refresh.
+// notifyWrite tells the window manager this window wrote its base table so
+// that the other windows reading that table refresh.
 func (w *Window) notifyWrite() {
-	if w.wm == nil || w.form.BaseTable == nil {
+	if w.wm == nil {
 		return
 	}
-	w.wm.propagateChange(w.form.BaseTable.Name(), w)
+	w.wm.propagateChange(w.form.BaseTable, w)
 }
 
 // computed reports whether the field is display-only.

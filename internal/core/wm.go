@@ -165,9 +165,10 @@ func (m *Manager) HandleScript(script string) error {
 	return nil
 }
 
-// propagateChange refreshes every open window (other than the writer) whose
-// world includes the changed base table, including detail windows embedded in
-// masters. This is what keeps several windows over the same data consistent.
+// propagateChange refreshes every open window (other than the writer) that
+// reads the written table — through its own relation or a detail window
+// embedded in it. This is what keeps several windows over the same data
+// consistent.
 func (m *Manager) propagateChange(table string, writer *Window) {
 	m.propagations++
 	for _, w := range m.windows {

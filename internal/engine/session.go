@@ -97,7 +97,8 @@ func (s *Session) Execute(text string) (*Result, error) {
 }
 
 // ExecuteScript runs a semicolon-separated script, stopping at the first
-// error. It returns one result per executed statement.
+// error. Each statement runs like Execute, through Prepare and Exec. It
+// returns one result per executed statement.
 func (s *Session) ExecuteScript(text string) ([]*Result, error) {
 	stmts, err := sql.ParseAll(text)
 	if err != nil {
@@ -105,7 +106,7 @@ func (s *Session) ExecuteScript(text string) ([]*Result, error) {
 	}
 	var results []*Result
 	for _, stmt := range stmts {
-		res, err := s.ExecuteStmt(stmt)
+		res, err := s.Execute(stmt.String())
 		if err != nil {
 			return results, err
 		}
@@ -129,25 +130,10 @@ func (s *Session) Query(text string) (*Result, error) {
 	return st.queryAll()
 }
 
-// ExecuteStmt runs an already-parsed statement. Queries and writes run
-// through the prepared path, keyed on the statement's rendered text, so a
-// script shares plans with prepared statements. Parameter placeholders are
-// not allowed on this path — prepare the statement instead.
-func (s *Session) ExecuteStmt(stmt sql.Statement) (*Result, error) {
-	if err := s.refuse(stmt); err != nil {
-		return nil, err
-	}
-	res, err := s.executeStmt(stmt)
-	return res, s.noteFailure(stmt, err)
-}
-
-// executeStmt runs stmt once refuse has let it through.
+// executeStmt runs a DDL or transaction-control statement for Stmt.Exec,
+// once refuse has let it through.
 func (s *Session) executeStmt(stmt sql.Statement) (*Result, error) {
 	switch stmt := stmt.(type) {
-	case *sql.SelectStmt, *sql.InsertStmt, *sql.UpdateStmt, *sql.DeleteStmt:
-		return s.Execute(stmt.String())
-	case *sql.ExplainStmt:
-		return s.executeExplain(stmt)
 	case *sql.CreateTableStmt:
 		return s.executeCreateTable(stmt)
 	case *sql.CreateIndexStmt:
@@ -382,7 +368,7 @@ func (s *Session) executeDrop(stmt *sql.DropStmt) (*Result, error) {
 }
 
 // logDDL records a schema change in the WAL so that recovery rebuilds the
-// catalog. DDL is autocommitted in its own transaction (ExecuteStmt refuses
+// catalog. DDL is autocommitted in its own transaction (Stmt.Exec refuses
 // it inside an explicit one). In a recovery session the statement being
 // executed came FROM the log, so it is not logged again.
 func (s *Session) logDDL(text string) error {
@@ -453,19 +439,6 @@ func writeVerb(stmt sql.Statement) string {
 	default:
 		return "deleted"
 	}
-}
-
-// --- EXPLAIN -----------------------------------------------------------------
-
-// executeExplain plans the wrapped statement and renders its plan tree, one
-// node per result row. Parameter placeholders are allowed and stay unbound —
-// the plan shows where they feed access paths.
-func (s *Session) executeExplain(stmt *sql.ExplainStmt) (*Result, error) {
-	node, err := plan.NewBuilder(s.db.cat).BuildStatement(stmt.Stmt)
-	if err != nil {
-		return nil, err
-	}
-	return explainResult(node), nil
 }
 
 // explainResult renders a plan tree as a one-column result set.

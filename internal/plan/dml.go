@@ -194,9 +194,10 @@ func (b *Builder) BuildStatement(stmt sql.Statement) (Node, error) {
 	}
 }
 
-// resolveWriteTarget resolves the target of a DML statement: a base table
-// directly, or an updatable view with its translation.
-func (b *Builder) resolveWriteTarget(name string) (*catalog.Table, *view.Updatable, error) {
+// ResolveWriteTarget resolves the target of a write: a base table directly,
+// or an updatable view with its translation. An error means the relation
+// cannot be written; DML and the forms compiler both decide updatability here.
+func (b *Builder) ResolveWriteTarget(name string) (*catalog.Table, *view.Updatable, error) {
 	if b.cat.HasTable(name) {
 		table, err := b.cat.GetTable(name)
 		return table, nil, err
@@ -278,7 +279,7 @@ func (b *Builder) buildReturning(table *catalog.Table, updatable *view.Updatable
 // base table and row widths and column names are validated, so execution only
 // evaluates expressions and inserts.
 func (b *Builder) buildInsert(stmt *sql.InsertStmt) (Node, error) {
-	table, updatable, err := b.resolveWriteTarget(stmt.Table)
+	table, updatable, err := b.ResolveWriteTarget(stmt.Table)
 	if err != nil {
 		return nil, err
 	}
@@ -363,7 +364,7 @@ func (b *Builder) buildInsertSelect(stmt *sql.InsertStmt, node *InsertNode, tabl
 // becomes the filter of a child scan, which then gets the same access-path
 // selection as a SELECT over the table.
 func (b *Builder) buildUpdate(stmt *sql.UpdateStmt) (Node, error) {
-	table, updatable, err := b.resolveWriteTarget(stmt.Table)
+	table, updatable, err := b.ResolveWriteTarget(stmt.Table)
 	if err != nil {
 		return nil, err
 	}
@@ -402,7 +403,7 @@ func (b *Builder) buildUpdate(stmt *sql.UpdateStmt) (Node, error) {
 // buildDelete plans a DELETE statement the same way as an UPDATE, minus the
 // set clauses.
 func (b *Builder) buildDelete(stmt *sql.DeleteStmt) (Node, error) {
-	table, updatable, err := b.resolveWriteTarget(stmt.Table)
+	table, updatable, err := b.ResolveWriteTarget(stmt.Table)
 	if err != nil {
 		return nil, err
 	}

@@ -73,8 +73,8 @@ type Stats struct {
 }
 
 // DB runs typed statements against one database, local or remote. It holds
-// no connection itself: a session DB executes in-process, a pool DB checks a
-// connection out per operation and returns it when the operation's rows are
+// no connection itself: an engine DB opens a session per operation, a pool
+// DB checks a connection out per operation and returns it when the operation's rows are
 // closed. DB is safe for concurrent use (each operation gets its own
 // statement handle).
 type DB struct {
@@ -86,14 +86,19 @@ type DB struct {
 	stmtMisses atomic.Uint64
 }
 
-// NewSessionDB wraps a local engine session. Operations run in-process;
-// the context is checked before each operation but cannot interrupt one
-// mid-flight (the engine is synchronous).
-func NewSessionDB(session *engine.Session) *DB {
-	src := core.NewEngineSource(session)
+// NewEngineDB wraps a local engine database. Each operation opens a session
+// of its own and closes it when the operation's iterator is closed, so
+// concurrent operations never share one (an engine session is not safe for
+// concurrent use). The context is checked before each operation but cannot
+// interrupt one mid-flight (the engine is synchronous).
+func NewEngineDB(db *engine.Database) *DB {
 	return &DB{
 		acquire: func(ctx context.Context) (core.Source, func(), error) {
-			return src, func() {}, nil
+			if err := ctx.Err(); err != nil {
+				return nil, nil, err
+			}
+			session := db.Session()
+			return core.NewEngineSource(session), func() { session.Close() }, nil
 		},
 		stmts: make(map[string]*Statement),
 	}

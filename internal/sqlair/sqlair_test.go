@@ -3,8 +3,10 @@ package sqlair_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -38,20 +40,19 @@ type Pay struct {
 
 const schema = "CREATE TABLE customers (id INT PRIMARY KEY, name TEXT, credit FLOAT, active BOOL, since DATE)"
 
-// sessionDB opens a fresh in-memory database and seeds it through the typed
+// engineDB opens a fresh in-memory database and seeds it through the typed
 // API itself.
-func sessionDB(t *testing.T, n int) *sqlair.DB {
+func engineDB(t *testing.T, n int) *sqlair.DB {
 	t.Helper()
 	edb, err := engine.Open(engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { edb.Close() })
-	session := edb.Session()
-	if _, err := session.Execute(schema); err != nil {
+	if _, err := edb.Session().Execute(schema); err != nil {
 		t.Fatal(err)
 	}
-	db := sqlair.NewSessionDB(session)
+	db := sqlair.NewEngineDB(edb)
 	seed(t, db, n)
 	return db
 }
@@ -103,7 +104,7 @@ func TestPrepareErrors(t *testing.T) {
 		{"SELECT * FROM t WHERE a = $Filter.*", []any{Filter{}}, "not a valid input"},
 		{"SELECT &Customer FROM t", []any{Customer{}}, "must be Type.column or Type.*"},
 	}
-	db := sessionDB(t, 0)
+	db := engineDB(t, 0)
 	for _, tc := range cases {
 		_, err := db.Prepare(tc.query, tc.samples...)
 		if err == nil || !strings.Contains(err.Error(), tc.wantSub) {
@@ -113,7 +114,7 @@ func TestPrepareErrors(t *testing.T) {
 }
 
 func TestSessionQueryGetAndIter(t *testing.T) {
-	db := sessionDB(t, 4)
+	db := engineDB(t, 4)
 	ctx := context.Background()
 
 	st, err := db.Prepare("SELECT &Customer.* FROM customers WHERE id = $Customer.id", Customer{})
@@ -157,7 +158,7 @@ func TestSessionQueryGetAndIter(t *testing.T) {
 }
 
 func TestInsertReturningTyped(t *testing.T) {
-	db := sessionDB(t, 2)
+	db := engineDB(t, 2)
 	ctx := context.Background()
 
 	st, err := db.Prepare(
@@ -176,7 +177,7 @@ func TestInsertReturningTyped(t *testing.T) {
 }
 
 func TestMultiTypeOutputs(t *testing.T) {
-	db := sessionDB(t, 3)
+	db := engineDB(t, 3)
 	st, err := db.Prepare(
 		"UPDATE customers SET credit = credit * 2 WHERE id <= $Pay.id RETURNING &Pay.id, &Pay.credit, &Customer.name",
 		Pay{}, Customer{})
@@ -208,7 +209,7 @@ func TestMultiTypeOutputs(t *testing.T) {
 }
 
 func TestGetArgumentErrors(t *testing.T) {
-	db := sessionDB(t, 1)
+	db := engineDB(t, 1)
 	ctx := context.Background()
 	st := sqlair.MustPrepare("SELECT &Pay.* FROM customers", Pay{})
 
@@ -234,7 +235,7 @@ func TestGetArgumentErrors(t *testing.T) {
 }
 
 func TestStatementCacheHits(t *testing.T) {
-	db := sessionDB(t, 1)
+	db := engineDB(t, 1)
 	const q = "SELECT &Pay.* FROM customers"
 	if _, err := db.Prepare(q, Pay{}); err != nil {
 		t.Fatal(err)
@@ -248,6 +249,44 @@ func TestStatementCacheHits(t *testing.T) {
 	}
 	if stats.TypeHits == 0 {
 		t.Fatalf("repeated reflection over Pay should hit the type cache: %+v", stats)
+	}
+}
+
+// TestLocalDBConcurrentGets holds the DB's promise of concurrent use for a
+// local database: four goroutines read by key at once, and every read maps
+// the right row. Each operation runs on a session of its own, so under -race
+// no two goroutines touch one engine session.
+func TestLocalDBConcurrentGets(t *testing.T) {
+	const n, workers, reads = 50, 4, 200
+	db := engineDB(t, n)
+	st, err := db.Prepare("SELECT &Customer.* FROM customers WHERE id = $Customer.id", Customer{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < reads; i++ {
+				id := (w*reads+i)%n + 1
+				var got Customer
+				if err := db.Query(context.Background(), st, Customer{ID: id}).Get(&got); err != nil {
+					errs <- err
+					return
+				}
+				if got.ID != id {
+					errs <- fmt.Errorf("Get(id %d) mapped id %d", id, got.ID)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }
 
