@@ -194,9 +194,8 @@ func (b *Builder) BuildStatement(stmt sql.Statement) (Node, error) {
 	}
 }
 
-// ResolveWriteTarget resolves the target of a write: a base table directly,
-// or an updatable view with its translation. An error means the relation
-// cannot be written; DML and the forms compiler both decide updatability here.
+// ResolveWriteTarget resolves the target of a write — a base table, or an
+// updatable view with its translation — and fails when nothing can be written.
 func (b *Builder) ResolveWriteTarget(name string) (*catalog.Table, *view.Updatable, error) {
 	if b.cat.HasTable(name) {
 		table, err := b.cat.GetTable(name)
