@@ -67,5 +67,5 @@ func Example() {
 	// card window stats:  {Keystrokes:10 Repaints:13 CellsPainted:31795 Queries:7 RowsFetched:57 Saves:0 Deletes:0 Refreshes:3}
 	// order window stats: {Keystrokes:52 Repaints:53 CellsPainted:110397 Queries:5 RowsFetched:98 Saves:1 Deletes:0 Refreshes:2}
 	// windows refreshed by propagation: 1
-	// engine: 26 statements prepared, plan cache 0 hits / 26 misses, 180 rows streamed
+	// engine: 26 statements prepared, plan cache 0 hits / 18 misses, 180 rows streamed
 }

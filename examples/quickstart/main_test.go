@@ -40,5 +40,5 @@ func Example() {
 	// +----------------------------------------------------------------------------+
 	//
 	// window stats: {Keystrokes:0 Repaints:9 CellsPainted:18789 Queries:13 RowsFetched:16 Saves:3 Deletes:0 Refreshes:6}
-	// plan cache: 0 hits / 9 misses; cursors: 15 opened, 20 rows streamed
+	// plan cache: 0 hits / 8 misses; cursors: 15 opened, 20 rows streamed
 }

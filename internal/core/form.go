@@ -101,8 +101,9 @@ type Form struct {
 	// FilterExpr is the static filter (nil when none), composed into the
 	// window's query.
 	FilterExpr sql.Expr
-	// OrderBy is the default browse order (validated against the schema).
-	OrderBy []fdl.OrderDef
+	// order is the window's total order: the declared ORDER BY, then the key
+	// columns it leaves out, ending where the key is complete.
+	order []pagerKey
 	// Triggers are the compiled triggers.
 	Triggers []*Trigger
 	// Details are resolved master/detail links.
@@ -234,12 +235,27 @@ func (c *Compiler) compile(def *fdl.FormDef) (*Form, error) {
 		form.FilterExpr = filterExpr
 	}
 
-	// Order by columns must exist.
+	// The total order. Key columns are never NULL; any other column may be.
+	missing := len(form.Key) // key columns the order does not hold yet
+	add := func(name string, pos int, desc bool) {
+		if missing == 0 || slices.ContainsFunc(form.order, func(k pagerKey) bool { return k.pos == pos }) {
+			return
+		}
+		nullable := !slices.Contains(form.Key, pos)
+		if !nullable {
+			missing--
+		}
+		form.order = append(form.order, pagerKey{column: strings.ToLower(name), pos: pos, desc: desc, nullable: nullable})
+	}
 	for _, o := range def.OrderBy {
-		if _, err := form.Schema.ColumnIndex(o.Column); err != nil {
+		pos, err := form.Schema.ColumnIndex(o.Column)
+		if err != nil {
 			return nil, fmt.Errorf("core: form %q order by: %w", def.Name, err)
 		}
-		form.OrderBy = append(form.OrderBy, o)
+		add(o.Column, pos, o.Desc)
+	}
+	for _, pos := range form.Key {
+		add(form.Schema.Columns[pos].Name, pos, false)
 	}
 
 	// Triggers.

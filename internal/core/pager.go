@@ -35,9 +35,12 @@ import (
 // the table's short list of versions not every snapshot sees — O(log n), so
 // "row N of M" costs no more at row 200 000 than at row 1.
 //
-// Every compiled form has a key, so every window has a total order. Only a
-// NULL in a nullable ORDER BY column leaves a row without a keyset; paging
-// from such a row reloads from the top (reloadThrough).
+// The predicate states where NULLs sort: first, as the engine orders them,
+// so last under DESC. A NULL in the anchor row makes its equality "k IS
+// NULL" and its step past the anchor "k IS NOT NULL" (nothing, when nothing
+// sorts past NULL that way); a step from a value toward the NULLs gains a
+// clause "k IS NULL". Key columns are never NULL, so an order of key columns
+// renders as it would without NULLs. Every anchor pages by keyset.
 
 // pageFactor is how many visible pages of rows one buffer page holds: the
 // lookahead that makes row-at-a-time scrolling amortise to one fetch per
@@ -46,9 +49,10 @@ const pageFactor = 3
 
 // pagerKey is one column of the pager's total order.
 type pagerKey struct {
-	column string // column name as rendered into the query
-	pos    int    // column position in the relation's schema
-	desc   bool
+	column   string // column name as rendered into the query
+	pos      int    // column position in the relation's schema
+	desc     bool
+	nullable bool // false for the form's key columns
 }
 
 // Pager is the window cursor: a keyset-paging view of one query's result.
@@ -135,35 +139,34 @@ func (p *Pager) refresh(anchor types.Tuple, anchorAbs int) error {
 		p.buf, p.bufStart = nil, 0
 		return nil
 	}
-	if anchor != nil && anchorAbs >= 0 {
-		if binds, ok := p.keysetBinds(anchor); ok {
-			// Re-anchor around the cursor: half a page strictly before the
-			// anchor (reversed keyset, flipped back) so the rows visible
-			// above the cursor stay buffered, the rest of the page from the
-			// anchor on. Together they cost one page of rows. Position
-			// anchorAbs lands on the anchor itself — or, when it was
-			// deleted, its successor (the forms convention: deleting the
-			// current row moves to the next one).
-			back, err := p.fetch(p.pageSQL(p.keysetPredicate(false, true), true), binds, max(p.pageSize/2, 1))
-			if err != nil {
-				return err
-			}
-			slices.Reverse(back)
-			fwd, err := p.fetch(p.pageSQL(p.keysetPredicate(true, false), false), binds, max(p.pageSize-len(back), 1))
-			if err != nil {
-				return err
-			}
-			if len(fwd) > 0 {
-				p.buf = append(back, fwd...)
-				p.bufStart = clamp(anchorAbs-len(back), 0, total-len(p.buf))
-				return nil
-			}
-			// The anchor fell off the end (rows deleted behind the cursor):
-			// land on the last page.
-			return p.loadLastPage()
-		}
+	if anchor == nil || anchorAbs < 0 {
+		return p.loadFirstPage()
 	}
-	return p.loadFirstPage()
+	// Re-anchor around the cursor: half a page strictly before the anchor
+	// (reversed keyset, flipped back) so the rows visible above the cursor
+	// stay buffered, the rest of the page from the anchor on. Together they
+	// cost one page of rows. Position anchorAbs lands on the anchor itself —
+	// or, when it was deleted, its successor (the forms convention: deleting
+	// the current row moves to the next one).
+	text, binds := p.keyset(anchor, false, true)
+	back, err := p.fetch(p.pageSQL(text, true), binds, max(p.pageSize/2, 1))
+	if err != nil {
+		return err
+	}
+	slices.Reverse(back)
+	text, binds = p.keyset(anchor, true, false)
+	fwd, err := p.fetch(p.pageSQL(text, false), binds, max(p.pageSize-len(back), 1))
+	if err != nil {
+		return err
+	}
+	if len(fwd) == 0 {
+		// The anchor fell off the end (rows deleted behind the cursor): land
+		// on the last page.
+		return p.loadLastPage()
+	}
+	p.buf = append(back, fwd...)
+	p.bufStart = clamp(anchorAbs-len(back), 0, total-len(p.buf))
+	return nil
 }
 
 // seek makes the row at absolute position abs available (fetching as needed)
@@ -274,15 +277,9 @@ func (p *Pager) loadLastPage() error {
 // the rows after the last buffered one by keyset — at least a page, more when
 // the caller jumped further — then trims the front of the ring.
 func (p *Pager) extendForward(target int) (int, error) {
-	anchor := p.buf[len(p.buf)-1]
-	binds, ok := p.keysetBinds(anchor)
-	if !ok {
-		// A NULL in the anchor's keys makes the keyset comparison undefined;
-		// rebuild the window from the top instead of paging wrongly.
-		return p.reloadThrough(target)
-	}
+	text, binds := p.keyset(p.buf[len(p.buf)-1], false, false)
 	need := target - (p.bufStart + len(p.buf)) + 1
-	rows, err := p.fetch(p.pageSQL(p.keysetPredicate(false, false), false), binds, max(need, p.pageSize))
+	rows, err := p.fetch(p.pageSQL(text, false), binds, max(need, p.pageSize))
 	if err != nil {
 		return -1, err
 	}
@@ -301,13 +298,9 @@ func (p *Pager) extendForward(target int) (int, error) {
 // complementary keyset predicate — reverses them into place, then trims the
 // tail of the ring.
 func (p *Pager) extendBackward(target int) (int, error) {
-	anchor := p.buf[0]
-	binds, ok := p.keysetBinds(anchor)
-	if !ok {
-		return p.reloadThrough(target)
-	}
+	text, binds := p.keyset(p.buf[0], false, true)
 	need := p.bufStart - target
-	rows, err := p.fetch(p.pageSQL(p.keysetPredicate(false, true), true), binds, max(need, p.pageSize))
+	rows, err := p.fetch(p.pageSQL(text, true), binds, max(need, p.pageSize))
 	if err != nil {
 		return -1, err
 	}
@@ -320,21 +313,6 @@ func (p *Pager) extendBackward(target int) (int, error) {
 		p.bufStart = 0
 	}
 	p.trimBack(target)
-	return p.clampToBuffer(target), nil
-}
-
-// reloadThrough is the slow fallback when keyset anchoring is impossible
-// (NULL key values): refetch from the top, far enough to cover target.
-func (p *Pager) reloadThrough(target int) (int, error) {
-	rows, err := p.fetch(p.pageSQL("", false), p.binds, target+p.pageSize)
-	if err != nil {
-		return -1, err
-	}
-	p.buf, p.bufStart = rows, 0
-	if len(rows) <= target {
-		p.total = len(rows)
-	}
-	p.trimFront(target)
 	return p.clampToBuffer(target), nil
 }
 
@@ -409,58 +387,62 @@ func (p *Pager) countSQL() string {
 	return b.String()
 }
 
-// keysetPredicate renders "strictly after the anchor row" in the pager's
-// order (reversed flips the direction for backward fetches) as a row-value
-// comparison expanded into the dialect:
+// keyset renders "strictly after the anchor row" in the pager's order
+// (reversed flips the direction for backward fetches) as a row-value
+// comparison expanded into the dialect, and returns it with the base
+// bindings plus the anchor's non-NULL key values as the @ks_i parameters:
 //
 //	(k1 > @ks_0) OR (k1 = @ks_0 AND k2 > @ks_1) OR ...
+//
+// NULLs sort first, so they lie behind an ascending step and ahead of a
+// descending one. Per key column, the equality is "k = @ks_i", or "k IS
+// NULL" at a NULL anchor value. The step past the anchor is "k > @ks_i" (or
+// "<"), plus a clause "k IS NULL" when it moves toward the NULLs; from a
+// NULL it is "k IS NOT NULL" when it moves away from them, and no clause
+// when nothing sorts past NULL.
 //
 // inclusive admits the anchor row itself by relaxing the comparison on the
 // last key column to >= (<=) — for a one-column key the whole predicate is
 // (k1 >= @ks_0), a plain range bound the planner turns into an index seek,
 // where an added "OR k1 = @ks_0" clause would hide it from the access path.
+// The order ends with the form's key, so its last column is never NULL.
 //
-// The anchor values bind as the @ks_i parameters (keysetBinds), so every
-// re-position reuses one prepared statement per direction.
-func (p *Pager) keysetPredicate(inclusive, reversed bool) string {
-	var clauses []string
+// The text depends only on which anchor values are NULL, so every
+// re-position reuses one prepared statement per direction and NULL pattern.
+func (p *Pager) keyset(anchor types.Tuple, inclusive, reversed bool) (string, map[string]types.Value) {
+	binds := make(map[string]types.Value, len(p.binds)+len(p.keys))
+	maps.Copy(binds, p.binds)
+	var clauses, equal []string
 	for i, k := range p.keys {
-		var parts []string
-		for j := 0; j < i; j++ {
-			parts = append(parts, fmt.Sprintf("%s = @ks_%d", p.keys[j].column, j))
-		}
-		op := ">"
-		if k.desc != reversed {
-			op = "<"
-		}
-		if inclusive && i == len(p.keys)-1 {
-			op += "="
-		}
-		parts = append(parts, fmt.Sprintf("%s %s @ks_%d", k.column, op, i))
-		clauses = append(clauses, "("+strings.Join(parts, " AND ")+")")
-	}
-	return "(" + strings.Join(clauses, " OR ") + ")"
-}
-
-// keysetBinds merges the anchor row's key values (as @ks_i) into the base
-// bindings. ok is false when a key value is NULL — keyset comparison would be
-// undefined, the caller must fall back.
-func (p *Pager) keysetBinds(anchor types.Tuple) (map[string]types.Value, bool) {
-	out := make(map[string]types.Value, len(p.binds)+len(p.keys))
-	for name, v := range p.binds {
-		out[name] = v
-	}
-	for i, k := range p.keys {
-		if k.pos < 0 || k.pos >= len(anchor) {
-			return nil, false
-		}
 		v := anchor[k.pos]
+		ascending := k.desc == reversed
+		var steps []string
+		eq := k.column + " IS NULL"
 		if v.IsNull() {
-			return nil, false
+			if ascending {
+				steps = append(steps, k.column+" IS NOT NULL")
+			}
+		} else {
+			op := "<"
+			if ascending {
+				op = ">"
+			}
+			if inclusive && i == len(p.keys)-1 {
+				op += "="
+			}
+			steps = append(steps, fmt.Sprintf("%s %s @ks_%d", k.column, op, i))
+			if k.nullable && !ascending {
+				steps = append(steps, k.column+" IS NULL")
+			}
+			eq = fmt.Sprintf("%s = @ks_%d", k.column, i)
+			binds[fmt.Sprintf("ks_%d", i)] = v
 		}
-		out[fmt.Sprintf("ks_%d", i)] = v
+		for _, step := range steps {
+			clauses = append(clauses, "("+strings.Join(append(slices.Clip(equal), step), " AND ")+")")
+		}
+		equal = append(equal, eq)
 	}
-	return out, true
+	return "(" + strings.Join(clauses, " OR ") + ")", binds
 }
 
 // --- fetch plumbing ----------------------------------------------------------

@@ -617,7 +617,7 @@ end
 	if err != nil {
 		t.Fatal(err)
 	}
-	if keys := w.pagerKeys(); len(keys) != 2 || keys[1].column != "id" {
+	if keys := w.form.order; len(keys) != 2 || keys[1].column != "id" {
 		t.Fatalf("pager keys = %+v, want points then the key id", keys)
 	}
 	var got []string

@@ -190,7 +190,7 @@ func (w *Window) setError(err error) {
 // master/detail link predicate. Everything that varies per refresh — pattern
 // operands, the link value — is emitted as a named parameter and returned in
 // binds, so the texts identify reusable prepared-statement shapes. Ordering
-// and pagination are the pager's business (pagerKeys).
+// and pagination are the pager's business (Form.order).
 func (w *Window) queryPredicates() ([]string, map[string]types.Value, error) {
 	binds := map[string]types.Value{}
 	var predicates []string
@@ -214,31 +214,6 @@ func (w *Window) queryPredicates() ([]string, map[string]types.Value, error) {
 		predicates = append(predicates, link.String())
 	}
 	return predicates, binds, nil
-}
-
-// pagerKeys derives the window's total order: the form's declared ORDER BY
-// columns, with the form's key columns appended as the tiebreaker. The key
-// identifies a row, so the order is total and the pager pages by keyset.
-func (w *Window) pagerKeys() (keys []pagerKey) {
-	seen := map[string]bool{}
-	for _, o := range w.form.OrderBy {
-		name := strings.ToLower(o.Column)
-		pos, err := w.form.Schema.ColumnIndex(o.Column)
-		if err != nil || seen[name] {
-			continue
-		}
-		seen[name] = true
-		keys = append(keys, pagerKey{column: name, pos: pos, desc: o.Desc})
-	}
-	for _, pos := range w.form.Key {
-		name := strings.ToLower(w.form.Schema.Columns[pos].Name)
-		if seen[name] {
-			continue
-		}
-		seen[name] = true
-		keys = append(keys, pagerKey{column: name, pos: pos})
-	}
-	return keys
 }
 
 // visibleRows is how many rows of the result the window presents at once: a
@@ -317,7 +292,7 @@ func (w *Window) Refresh() error {
 		w.setError(err)
 		return err
 	}
-	changed := w.pager.configure(w.form.Relation, where, binds, w.pagerKeys(), w.bufferPageSize())
+	changed := w.pager.configure(w.form.Relation, where, binds, w.form.order, w.bufferPageSize())
 	var anchor types.Tuple
 	anchorAbs := -1
 	if !changed {
@@ -730,24 +705,24 @@ func (w *Window) validate(row types.Tuple, event string) error {
 			}
 		}
 	}
-	return w.runTriggers("before", event, row)
+	return w.runTriggers(event, row)
 }
 
-// runTriggers evaluates the form's triggers for the given timing and event.
-func (w *Window) runTriggers(when, event string, row types.Tuple) error {
+// runTriggers evaluates the form's before-triggers for the given event.
+func (w *Window) runTriggers(event string, row types.Tuple) error {
 	for _, trigger := range w.form.Triggers {
-		if trigger.Def.When != when || trigger.Def.Event != event {
+		if trigger.Def.Event != event {
 			continue
 		}
 		// As with field validation, a check that evaluates to NULL passes.
 		result, err := trigger.Check.Eval(row)
 		if err != nil {
-			return fmt.Errorf("core: trigger on %s %s: %v", when, event, err)
+			return fmt.Errorf("core: trigger before %s: %v", event, err)
 		}
 		if !result.IsNull() && !(result.Kind() == types.KindBool && result.Bool()) {
 			msg := trigger.Def.Message
 			if msg == "" {
-				msg = fmt.Sprintf("%s %s is not allowed for this row", when, event)
+				msg = fmt.Sprintf("%s is not allowed for this row", event)
 			}
 			return fmt.Errorf("core: %s", msg)
 		}
@@ -801,7 +776,6 @@ func (w *Window) Save() error {
 		return err
 	}
 	w.stats.Saves++
-	_ = w.runTriggers("after", event, row)
 	w.mode = ModeBrowse
 	w.buffer = map[string]string{}
 	w.dirty = false
@@ -916,7 +890,7 @@ func (w *Window) deleteCurrent() error {
 	if !ok {
 		return fmt.Errorf("core: no current row to delete")
 	}
-	if err := w.runTriggers("before", "delete", current); err != nil {
+	if err := w.runTriggers("delete", current); err != nil {
 		w.setError(err)
 		return err
 	}
@@ -932,7 +906,6 @@ func (w *Window) deleteCurrent() error {
 		return err
 	}
 	w.stats.Deletes++
-	_ = w.runTriggers("after", "delete", current)
 	w.setStatus("%d row(s) deleted", res.RowsAffected)
 	if err := w.Refresh(); err != nil {
 		return err

@@ -14,7 +14,8 @@ import (
 // does not depend on a particular bind frame. SELECT and DML entries both
 // carry their plan tree — reads and writes share one planned pipeline — so a
 // cache hit skips the parser, the planner and (for writes) view analysis and
-// access-path selection; DDL and transaction control carry only the AST.
+// access-path selection. DDL and transaction control have no plan and never
+// enter the cache.
 //
 // Entries are shared across sessions: after construction they are immutable
 // (executing a plan compiles per-statement operator state elsewhere; the AST

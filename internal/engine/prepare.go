@@ -110,15 +110,19 @@ func (st *Stmt) buildOps(entry *cachedStatement) error {
 // same normalized text already — on this connection or another — saves this
 // one the parse and plan. Entries are immutable once cached, so handing the
 // same skeleton to concurrent sessions is safe; each Stmt compiles its own
-// operators over its own bind frame.
+// operators over its own bind frame. DDL and transaction control have no
+// plan to reuse: they bypass the cache, counting neither a hit nor a miss.
 func (s *Session) statementSkeleton(text string) (*cachedStatement, error) {
 	key := normalizeSQL(text)
 	if entry := s.db.plans.get(key); entry != nil && entry.catVersion == s.db.cat.Version() {
 		s.db.prep.planHits.Add(1)
 		return entry, nil
 	}
-	s.db.prep.planMisses.Add(1)
 	entry, err := s.buildSkeleton(text, key)
+	if err == nil && entry.node == nil {
+		return entry, nil
+	}
+	s.db.prep.planMisses.Add(1)
 	if err != nil {
 		return nil, err
 	}

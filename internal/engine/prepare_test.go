@@ -211,6 +211,47 @@ func TestPlanCacheEviction(t *testing.T) {
 	}
 }
 
+// TestPlanCacheHoldsPlansOnly: DDL and transaction control have no plan, so
+// preparing and running them neither counts a hit or a miss nor takes a
+// cache slot. A one-entry cache keeps its SELECT plan through a CREATE
+// TABLE, a BEGIN and a COMMIT.
+func TestPlanCacheHoldsPlansOnly(t *testing.T) {
+	db := OpenMemory()
+	defer db.Close()
+	db.plans = newPlanCache(1)
+	s := db.Session()
+	const query = "SELECT id FROM audit WHERE id = ?"
+	if _, err := s.Execute("CREATE TABLE audit (id INT PRIMARY KEY)"); err != nil {
+		t.Fatal(err)
+	}
+	st, err := s.Prepare(query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+	before := db.Stats()
+	for _, text := range []string{"CREATE TABLE audit_archive (id INT PRIMARY KEY)", "BEGIN", "COMMIT"} {
+		st, err := s.Prepare(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := st.Exec(); err != nil {
+			t.Fatalf("%s: %v", text, err)
+		}
+		st.Close()
+	}
+	after := db.Stats()
+	if after.PlanCacheHits != before.PlanCacheHits || after.PlanCacheMisses != before.PlanCacheMisses ||
+		after.PlanCacheEvictions != before.PlanCacheEvictions {
+		t.Fatalf("plan cache hits/misses/evictions %d/%d/%d -> %d/%d/%d, want unchanged",
+			before.PlanCacheHits, before.PlanCacheMisses, before.PlanCacheEvictions,
+			after.PlanCacheHits, after.PlanCacheMisses, after.PlanCacheEvictions)
+	}
+	if got := db.plans.len(); got != 1 || db.plans.get(normalizeSQL(query)) == nil {
+		t.Fatalf("the cache holds %d entries, want only the SELECT plan", got)
+	}
+}
+
 // TestOpenCursorDoesNotBlockWriter is the MVCC acceptance regression test:
 // a reader holding an open streaming cursor must never block a concurrent
 // committed write, and the cursor must keep reading its own snapshot — it

@@ -23,9 +23,11 @@
 //	  trigger before delete check credit = 0 message "close the account first"
 //	  end
 //
-// Semantic checks that need the database (does the relation exist? do the
-// columns?) belong to the form compiler in package core; this package only
-// checks syntax and internal consistency.
+// Field validation and (before) triggers are client-side checks: the window
+// evaluates them before it writes, and the database never sees them. Semantic
+// checks that need the database (does the relation exist? do the columns?)
+// belong to the form compiler in package core; this package only checks
+// syntax and internal consistency.
 package fdl
 
 import (
@@ -58,7 +60,7 @@ type FormDef struct {
 	Filter string
 	// Details are master/detail links to other forms.
 	Details []DetailDef
-	// Triggers run checks around insert/update/delete through the form.
+	// Triggers run checks before an insert, update or delete through the form.
 	Triggers []TriggerDef
 	// Line is the source line the form started on (for error messages).
 	Line int
@@ -118,10 +120,8 @@ type DetailDef struct {
 	Line     int
 }
 
-// TriggerDef is a condition checked before or after a write through the form.
+// TriggerDef is a condition checked before a write through the form.
 type TriggerDef struct {
-	// When is "before" or "after".
-	When string
 	// Event is "insert", "update" or "delete".
 	Event string
 	// Check is a boolean expression that must hold for the write to proceed.
@@ -439,14 +439,13 @@ func parseDetail(words []string, lineNo int) (DetailDef, error) {
 }
 
 func parseTrigger(line string, words []string, lineNo int) (TriggerDef, error) {
-	// trigger <before|after> <insert|update|delete> check <expr> [message "<text>"]
+	// trigger before <insert|update|delete> check <expr> [message "<text>"]
 	trigger := TriggerDef{Line: lineNo}
 	if len(words) < 5 {
-		return trigger, errf(lineNo, "expected 'trigger before|after insert|update|delete check <expr>'")
+		return trigger, errf(lineNo, "expected 'trigger before insert|update|delete check <expr>'")
 	}
-	trigger.When = strings.ToLower(words[1])
-	if trigger.When != "before" && trigger.When != "after" {
-		return trigger, errf(lineNo, "trigger timing must be before or after")
+	if strings.ToLower(words[1]) != "before" {
+		return trigger, errf(lineNo, "trigger timing must be before: a check after the write could refuse nothing")
 	}
 	trigger.Event = strings.ToLower(words[2])
 	if trigger.Event != "insert" && trigger.Event != "update" && trigger.Event != "delete" {

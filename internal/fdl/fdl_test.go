@@ -72,7 +72,7 @@ func TestParseCustomerForm(t *testing.T) {
 	if d.Form != "order_lines" || d.ChildColumn != "customer_id" || d.ParentColumn != "id" || d.Rows != 6 || d.Row != 9 {
 		t.Errorf("detail = %+v", d)
 	}
-	if len(form.Triggers) != 1 || form.Triggers[0].When != "before" || form.Triggers[0].Event != "delete" {
+	if len(form.Triggers) != 1 || form.Triggers[0].Event != "delete" {
 		t.Errorf("triggers = %+v", form.Triggers)
 	}
 	if form.Triggers[0].Check != "credit = 0" || form.Triggers[0].Message != "close the account first" {
@@ -159,6 +159,19 @@ func TestParseErrorHasLineNumber(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "line 3") {
 		t.Errorf("error = %q", err)
+	}
+}
+
+// TestParseRefusesAfterTrigger pins that a trigger runs only before its
+// write: an after trigger would check a row already written and could refuse
+// nothing, so the parser rejects it and names its line.
+func TestParseRefusesAfterTrigger(t *testing.T) {
+	_, err := Parse("form a on t\n field x\n trigger after insert check x > 0\nend\n")
+	if err == nil {
+		t.Fatal("Parse accepted an after trigger")
+	}
+	if !strings.Contains(err.Error(), "line 3") || !strings.Contains(err.Error(), "before") {
+		t.Fatalf("error %q should name line 3 and say triggers run before the write", err)
 	}
 }
 
