@@ -27,7 +27,8 @@ type cachedStatement struct {
 	// paramOrdinals maps each name to the ordinals it occupies.
 	paramNames    []string
 	paramOrdinals map[string][]int
-	// paramKinds holds the inferred kind per ordinal (KindNull = unknown).
+	// paramKinds holds the kind the planner gave each ordinal (KindNull =
+	// any).
 	paramKinds []types.Kind
 	// node is the plan tree (SELECT, INSERT, UPDATE, DELETE and EXPLAIN;
 	// nil for DDL and transaction control).

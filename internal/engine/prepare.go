@@ -14,6 +14,12 @@
 // exactly like SELECT (cached plan trees, index access paths resolved from
 // the bind frame at run time), and ExecBatch array-binds a write across a
 // whole bulk load in one transaction.
+//
+// Everything but the values is decided at prepare, by the planner that
+// resolves the statement: it also gives each parameter the kind of the
+// column it is compared with, assigned to or inserted into — through a view
+// as through a table — and Bind checks and coerces values against those
+// kinds. The engine resolves no names of its own.
 package engine
 
 import (
@@ -149,34 +155,24 @@ func (s *Session) buildSkeleton(text, key string) (*cachedStatement, error) {
 	for i, name := range entry.paramNames {
 		entry.paramOrdinals[name] = append(entry.paramOrdinals[name], i)
 	}
+	builder := plan.NewBuilder(s.db.cat)
 	switch stmt := stmt.(type) {
-	case *sql.SelectStmt:
-		node, err := plan.NewBuilder(s.db.cat).Build(stmt)
-		if err != nil {
+	case *sql.SelectStmt, *sql.InsertStmt, *sql.UpdateStmt, *sql.DeleteStmt:
+		if entry.node, err = builder.BuildStatement(stmt); err != nil {
 			return nil, err
 		}
-		entry.node = node
-		for _, col := range node.Schema().Columns {
+		// A write without a RETURNING clause has an empty schema, leaving
+		// columns nil.
+		for _, col := range entry.node.Schema().Columns {
 			entry.columns = append(entry.columns, col.Name)
 		}
-	case *sql.InsertStmt, *sql.UpdateStmt, *sql.DeleteStmt:
-		node, err := plan.NewBuilder(s.db.cat).BuildStatement(stmt)
-		if err != nil {
-			return nil, err
+		if _, isSelect := stmt.(*sql.SelectStmt); !isSelect {
+			s.db.prep.writePlans.Add(1)
 		}
-		entry.node = node
-		// A RETURNING clause gives the write a result shape; node.Schema() is
-		// empty without one, leaving columns nil like any other write.
-		for _, col := range node.Schema().Columns {
-			entry.columns = append(entry.columns, col.Name)
-		}
-		s.db.prep.writePlans.Add(1)
 	case *sql.ExplainStmt:
-		node, err := plan.NewBuilder(s.db.cat).BuildStatement(stmt.Stmt)
-		if err != nil {
+		if entry.node, err = builder.BuildStatement(stmt.Stmt); err != nil {
 			return nil, err
 		}
-		entry.node = node
 		entry.explain = true
 		entry.columns = []string{"plan"}
 	default:
@@ -184,7 +180,7 @@ func (s *Session) buildSkeleton(text, key string) (*cachedStatement, error) {
 			return nil, fmt.Errorf("engine: bind parameters are not supported in %s statements", statementVerb(stmt))
 		}
 	}
-	entry.paramKinds = inferParamKinds(s, stmt, len(entry.paramNames))
+	entry.paramKinds = builder.ParamKinds(len(entry.paramNames))
 	return entry, nil
 }
 
@@ -207,173 +203,6 @@ func statementVerb(stmt sql.Statement) string {
 		return "EXPLAIN"
 	default:
 		return "transaction-control"
-	}
-}
-
-// inferParamKinds derives the expected kind of each parameter from where it
-// appears — compared against a column, inserted into a column, assigned to a
-// column — so Bind can type-check (and coerce) values up front. Parameters in
-// positions with no column context stay KindNull, meaning "any".
-func inferParamKinds(s *Session, stmt sql.Statement, n int) []types.Kind {
-	kinds := make([]types.Kind, n)
-	if n == 0 {
-		return kinds
-	}
-	set := func(p *sql.Param, kind types.Kind) {
-		if p.Index >= 0 && p.Index < n && kind != types.KindNull {
-			kinds[p.Index] = kind
-		}
-	}
-	switch stmt := stmt.(type) {
-	case *sql.SelectStmt:
-		kindOf := columnKindResolver(s, stmt.From)
-		sql.WalkStatementExprs(stmt, inferVisitor(kindOf, set))
-	case *sql.InsertStmt:
-		table, err := s.db.cat.GetTable(stmt.Table)
-		if err != nil {
-			return kinds
-		}
-		schema := table.Schema()
-		for _, row := range stmt.Rows {
-			for i, e := range row {
-				p, ok := e.(*sql.Param)
-				if !ok {
-					continue
-				}
-				pos := i
-				if len(stmt.Columns) > 0 {
-					if pos >= len(stmt.Columns) {
-						continue
-					}
-					idx, err := schema.ColumnIndex(stmt.Columns[pos])
-					if err != nil {
-						continue
-					}
-					pos = idx
-				}
-				if pos < schema.Len() {
-					set(p, schema.Columns[pos].Type)
-				}
-			}
-		}
-		if stmt.Select != nil {
-			kindOf := columnKindResolver(s, stmt.Select.From)
-			sql.WalkStatementExprs(stmt.Select, inferVisitor(kindOf, set))
-		}
-		inferReturning(stmt.Returning, schema, set)
-	case *sql.UpdateStmt:
-		table, err := s.db.cat.GetTable(stmt.Table)
-		if err != nil {
-			return kinds
-		}
-		schema := table.Schema()
-		for _, a := range stmt.Assignments {
-			if p, ok := a.Value.(*sql.Param); ok {
-				if idx, err := schema.ColumnIndex(a.Column); err == nil {
-					set(p, schema.Columns[idx].Type)
-				}
-			}
-		}
-		kindOf := tableKindResolver(schema)
-		sql.WalkExpr(stmt.Where, inferVisitor(kindOf, set))
-		inferReturning(stmt.Returning, schema, set)
-	case *sql.DeleteStmt:
-		table, err := s.db.cat.GetTable(stmt.Table)
-		if err != nil {
-			return kinds
-		}
-		kindOf := tableKindResolver(table.Schema())
-		sql.WalkExpr(stmt.Where, inferVisitor(kindOf, set))
-		inferReturning(stmt.Returning, table.Schema(), set)
-	}
-	return kinds
-}
-
-// inferReturning pairs parameters inside RETURNING expressions with the target
-// table's columns, the same way WHERE parameters pair with theirs.
-func inferReturning(items []sql.SelectItem, schema *types.Schema, set func(*sql.Param, types.Kind)) {
-	visit := inferVisitor(tableKindResolver(schema), set)
-	for _, item := range items {
-		sql.WalkExpr(item.Expr, visit)
-	}
-}
-
-// columnKindResolver resolves column references against the base tables of a
-// FROM clause. Columns of views (or unresolvable references) report KindNull.
-func columnKindResolver(s *Session, from []sql.TableRef) func(*sql.ColumnRef) types.Kind {
-	type source struct {
-		alias  string
-		schema *types.Schema
-	}
-	var sources []source
-	for _, ref := range from {
-		if !s.db.cat.HasTable(ref.Name) {
-			continue
-		}
-		table, err := s.db.cat.GetTable(ref.Name)
-		if err != nil {
-			continue
-		}
-		sources = append(sources, source{alias: strings.ToLower(ref.EffectiveName()), schema: table.Schema()})
-	}
-	return func(ref *sql.ColumnRef) types.Kind {
-		for _, src := range sources {
-			if ref.Table != "" && !strings.EqualFold(ref.Table, src.alias) {
-				continue
-			}
-			if idx, err := src.schema.ColumnIndex(ref.Name); err == nil {
-				return src.schema.Columns[idx].Type
-			}
-		}
-		return types.KindNull
-	}
-}
-
-// tableKindResolver resolves column references against one table's schema.
-func tableKindResolver(schema *types.Schema) func(*sql.ColumnRef) types.Kind {
-	return func(ref *sql.ColumnRef) types.Kind {
-		if idx, err := schema.ColumnIndex(ref.Name); err == nil {
-			return schema.Columns[idx].Type
-		}
-		return types.KindNull
-	}
-}
-
-// inferVisitor walks expressions pairing parameters with the columns they are
-// compared to: "col OP ?", "? OP col", "col BETWEEN ? AND ?", "col IN (?, ?)".
-func inferVisitor(kindOf func(*sql.ColumnRef) types.Kind, set func(*sql.Param, types.Kind)) func(sql.Expr) bool {
-	return func(node sql.Expr) bool {
-		switch node := node.(type) {
-		case *sql.BinaryExpr:
-			if ref, ok := node.Left.(*sql.ColumnRef); ok {
-				if p, ok := node.Right.(*sql.Param); ok {
-					set(p, kindOf(ref))
-				}
-			}
-			if ref, ok := node.Right.(*sql.ColumnRef); ok {
-				if p, ok := node.Left.(*sql.Param); ok {
-					set(p, kindOf(ref))
-				}
-			}
-		case *sql.BetweenExpr:
-			if ref, ok := node.Operand.(*sql.ColumnRef); ok {
-				if p, ok := node.Low.(*sql.Param); ok {
-					set(p, kindOf(ref))
-				}
-				if p, ok := node.High.(*sql.Param); ok {
-					set(p, kindOf(ref))
-				}
-			}
-		case *sql.InExpr:
-			if ref, ok := node.Operand.(*sql.ColumnRef); ok {
-				for _, item := range node.List {
-					if p, ok := item.(*sql.Param); ok {
-						set(p, kindOf(ref))
-					}
-				}
-			}
-		}
-		return true
 	}
 }
 
@@ -423,7 +252,7 @@ func (st *Stmt) ExplainPlan() string {
 }
 
 // Bind sets every parameter positionally. Values are type-checked against the
-// kind inferred from the statement (an INT column's parameter rejects a
+// kind the planner gave the parameter (an INT column's parameter rejects a
 // string that is not a number) and coerced to it, so index lookups always
 // compare in the column's domain.
 func (st *Stmt) Bind(args ...types.Value) error {

@@ -113,6 +113,32 @@ func TestBindTypeMismatch(t *testing.T) {
 	if len(res.Rows) != 1 || res.Rows[0][0].Str() != "Cyd" {
 		t.Fatalf("rows = %v, want [[Cyd]]", res.Rows)
 	}
+	// Through a view the parameter meets the same column and is refused at
+	// Bind with the table's text, in a read and in a write.
+	if _, err := s.Execute("CREATE VIEW rich AS SELECT * FROM customers WHERE credit > 500"); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ table, view string }{
+		{"SELECT name FROM customers WHERE id = ?", "SELECT name FROM rich WHERE id = ?"},
+		{"UPDATE customers SET credit = ? WHERE id = 1", "UPDATE rich SET credit = ? WHERE id = 1"},
+	} {
+		var texts []string
+		for _, text := range []string{tc.table, tc.view} {
+			st, err := s.Prepare(text)
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = st.Bind(types.NewString("not-a-number"))
+			st.Close()
+			if err == nil {
+				t.Fatalf("%s: binding 'not-a-number' was accepted", text)
+			}
+			texts = append(texts, err.Error())
+		}
+		if texts[0] != texts[1] {
+			t.Errorf("%s refuses with %q, %s with %q", tc.table, texts[0], tc.view, texts[1])
+		}
+	}
 }
 
 func TestUnboundParameterFails(t *testing.T) {

@@ -16,7 +16,6 @@ import (
 	"repro/internal/storage"
 	"repro/internal/txn"
 	"repro/internal/types"
-	"repro/internal/view"
 )
 
 // WriteOperator executes one DML plan. Like the read operator tree it is
@@ -52,14 +51,35 @@ func BuildWrite(node plan.Node, params *expr.Params) (WriteOperator, error) {
 	}
 }
 
-// compileCheck compiles the CHECK OPTION predicate of the view a write goes
-// through (nil updatable or predicate-free view yields a nil check, which
-// accepts every row).
-func compileCheck(updatable *view.Updatable, schema *types.Schema) (*view.RowCheck, error) {
-	if updatable == nil {
+// compileCheck compiles the CHECK OPTION of the view a write goes through —
+// the view's predicate over the base table's rows — once, for checkRow to
+// evaluate per written row. It is nil for a base table or a view without a
+// predicate, and nil accepts every row.
+func compileCheck(updatable *plan.Updatable, schema *types.Schema) (*expr.Compiled, error) {
+	if updatable == nil || updatable.Where == nil {
 		return nil, nil
 	}
-	return updatable.CompileCheck(schema)
+	check, err := expr.Compile(updatable.Where, schema)
+	if err != nil {
+		return nil, fmt.Errorf("view: check option for %q: %w", updatable.ViewName, err)
+	}
+	return check, nil
+}
+
+// checkRow refuses a row the compiled check of the updatable view does not
+// admit.
+func checkRow(check *expr.Compiled, updatable *plan.Updatable, row types.Tuple) error {
+	if check == nil {
+		return nil
+	}
+	ok, err := check.EvalBool(row)
+	if err != nil {
+		return fmt.Errorf("view: check option for %q: %w", updatable.ViewName, err)
+	}
+	if !ok {
+		return fmt.Errorf("view: row violates the predicate of view %q and would not be visible through it", updatable.ViewName)
+	}
+	return nil
 }
 
 // --- RETURNING ---------------------------------------------------------------
@@ -135,7 +155,7 @@ type insertOperator struct {
 	// Run.
 	sel   Operator
 	selRt *Runtime
-	check *view.RowCheck
+	check *expr.Compiled
 	ret   *returningEval
 }
 
@@ -244,7 +264,7 @@ func (o *insertOperator) Run(t *txn.Txn) (affected int, returned []types.Tuple, 
 			// mismatches surface through constraint checks, as with binds).
 			tuple[pos] = schema.CoerceToColumn(v, schema.Columns[pos].Name)
 		}
-		if err := o.check.Check(tuple); err != nil {
+		if err := checkRow(o.check, o.node.Check, tuple); err != nil {
 			return affected, returned, err
 		}
 		if _, err := t.Insert(o.node.Table, tuple); err != nil {
@@ -309,7 +329,7 @@ type updateOperator struct {
 		pos   int
 		value *expr.Compiled
 	}
-	check *view.RowCheck
+	check *expr.Compiled
 	ret   *returningEval
 }
 
@@ -361,7 +381,7 @@ func (o *updateOperator) Run(t *txn.Txn) (affected int, returned []types.Tuple, 
 			}
 			next[s.pos] = v
 		}
-		if err := o.check.Check(next); err != nil {
+		if err := checkRow(o.check, o.node.Check, next); err != nil {
 			return affected, returned, err
 		}
 		if _, err := t.Update(o.node.Table, target.rid, next); err != nil {

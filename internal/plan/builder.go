@@ -10,12 +10,16 @@ import (
 	"repro/internal/types"
 )
 
-// Builder turns SELECT statements into plan trees using a catalog for name
-// resolution and index information.
+// Builder turns statements into plan trees using a catalog for name
+// resolution and index information. It is the one place names are resolved,
+// so it also records the kind each bind parameter takes from the column it
+// meets (ParamKinds).
 type Builder struct {
 	cat *catalog.Catalog
 	// viewsInProgress detects recursive view definitions.
 	viewsInProgress map[string]bool
+	// kinds holds each parameter's kind by ordinal (KindNull: any).
+	kinds []types.Kind
 }
 
 // NewBuilder creates a planner over the catalog.
@@ -43,7 +47,7 @@ func (b *Builder) Build(sel *sql.SelectStmt) (Node, error) {
 	// WHERE: split into conjuncts, push single-table conjuncts down to their
 	// scans, keep the rest in a Filter above the join tree.
 	if sel.Where != nil {
-		if err := checkResolves(sel.Where, root.Schema()); err != nil {
+		if err := b.resolve(sel.Where, root.Schema()); err != nil {
 			return nil, fmt.Errorf("plan: WHERE: %w", err)
 		}
 		conjuncts := splitConjuncts(sel.Where)
@@ -85,6 +89,7 @@ func (b *Builder) Build(sel *sql.SelectStmt) (Node, error) {
 		if !aggregated {
 			return nil, fmt.Errorf("plan: HAVING requires GROUP BY or aggregates")
 		}
+		// Its parameters took their kinds in buildAggregate.
 		having := rewriteAggregateRefs(sel.Having, aggNode)
 		if err := checkResolves(having, root.Schema()); err != nil {
 			return nil, fmt.Errorf("plan: HAVING: %w", err)
@@ -116,11 +121,13 @@ func (b *Builder) Build(sel *sql.SelectStmt) (Node, error) {
 				break
 			}
 		}
+		sortSchema := project.schema
 		if !sortAfterProject {
-			for _, k := range sortKeys {
-				if err := checkResolves(k.Expr, root.Schema()); err != nil {
-					return nil, fmt.Errorf("plan: ORDER BY: %w", err)
-				}
+			sortSchema = root.Schema()
+		}
+		for _, k := range sortKeys {
+			if err := b.resolveUnlessAggregated(k.Expr, sortSchema, aggregated); err != nil {
+				return nil, fmt.Errorf("plan: ORDER BY: %w", err)
 			}
 		}
 	}
@@ -181,7 +188,7 @@ func (b *Builder) buildFrom(refs []sql.TableRef) (Node, error) {
 				join.Strategy = JoinHash
 				join.EqLeft, join.EqRight, join.Residual = eqL, eqR, residual
 			}
-			if err := checkResolves(ref.On, join.schema); err != nil {
+			if err := b.resolve(ref.On, join.schema); err != nil {
 				return nil, fmt.Errorf("plan: join condition: %w", err)
 			}
 		}
@@ -286,16 +293,19 @@ func (b *Builder) buildAggregate(input Node, sel *sql.SelectStmt) (*AggregateNod
 	inSchema := input.Schema()
 
 	for _, g := range sel.GroupBy {
-		if err := checkResolves(g, inSchema); err != nil {
+		if err := b.resolve(g, inSchema); err != nil {
 			return nil, fmt.Errorf("plan: GROUP BY: %w", err)
 		}
 		agg.GroupBy = append(agg.GroupBy, ProjectItem{Expr: g, Name: exprName(g)})
 	}
 
 	// Collect every distinct aggregate call in the SELECT list, HAVING and
-	// ORDER BY.
+	// ORDER BY. Their parameters take kinds here, from the columns of the
+	// rows being grouped: after aggregation the rewritten expressions
+	// resolve against the aggregate's outputs instead.
 	seen := map[string]bool{}
 	collect := func(e sql.Expr) error {
+		b.noteParams(e, inSchema)
 		var collectErr error
 		sql.WalkExpr(e, func(node sql.Expr) bool {
 			call, ok := node.(*sql.FuncCall)
@@ -485,7 +495,7 @@ func (b *Builder) buildProjectItems(input Node, sel *sql.SelectStmt, aggregated 
 			if aggregated {
 				e = rewriteAggregateRefs(e, aggNode)
 			}
-			if err := checkResolves(e, inSchema); err != nil {
+			if err := b.resolveUnlessAggregated(e, inSchema, aggregated); err != nil {
 				return nil, fmt.Errorf("plan: SELECT list: %w", err)
 			}
 			name := item.Alias
@@ -524,6 +534,8 @@ func exprName(e sql.Expr) string {
 }
 
 // checkResolves verifies every column in e resolves against the schema.
+// The planner probes with it; where a clause's names are finally resolved it
+// calls resolve instead.
 func checkResolves(e sql.Expr, schema *types.Schema) error {
 	for _, c := range sql.ColumnsIn(e) {
 		if _, err := schema.ColumnIndex(c.RefName()); err != nil {
@@ -531,6 +543,78 @@ func checkResolves(e sql.Expr, schema *types.Schema) error {
 		}
 	}
 	return nil
+}
+
+// resolve verifies every column in e resolves against the schema, and gives
+// each parameter e compares directly with one of those columns the column's
+// kind: "col OP ?", "? OP col", "col BETWEEN ? AND ?", "col IN (?, ...)".
+func (b *Builder) resolve(e sql.Expr, schema *types.Schema) error {
+	if err := checkResolves(e, schema); err != nil {
+		return err
+	}
+	b.noteParams(e, schema)
+	return nil
+}
+
+// resolveUnlessAggregated resolves e, recording parameter kinds only when
+// the query does not aggregate (buildAggregate records them otherwise).
+func (b *Builder) resolveUnlessAggregated(e sql.Expr, schema *types.Schema, aggregated bool) error {
+	if aggregated {
+		return checkResolves(e, schema)
+	}
+	return b.resolve(e, schema)
+}
+
+// noteParams records the kind of each parameter e pairs with a column of the
+// schema; see resolve.
+func (b *Builder) noteParams(e sql.Expr, schema *types.Schema) {
+	pair := func(col, param sql.Expr) {
+		ref, isRef := col.(*sql.ColumnRef)
+		p, isParam := param.(*sql.Param)
+		if !isRef || !isParam {
+			return
+		}
+		if idx, err := schema.ColumnIndex(ref.RefName()); err == nil {
+			b.setParamKind(p, schema.Columns[idx].Type)
+		}
+	}
+	sql.WalkExpr(e, func(node sql.Expr) bool {
+		switch node := node.(type) {
+		case *sql.BinaryExpr:
+			pair(node.Left, node.Right)
+			pair(node.Right, node.Left)
+		case *sql.BetweenExpr:
+			pair(node.Operand, node.Low)
+			pair(node.Operand, node.High)
+		case *sql.InExpr:
+			for _, item := range node.List {
+				pair(node.Operand, item)
+			}
+		}
+		return true
+	})
+}
+
+// setParamKind records that parameter p binds as kind. A later record
+// replaces an earlier one; KindNull records nothing.
+func (b *Builder) setParamKind(p *sql.Param, kind types.Kind) {
+	if p.Index < 0 || kind == types.KindNull {
+		return
+	}
+	for len(b.kinds) <= p.Index {
+		b.kinds = append(b.kinds, types.KindNull)
+	}
+	b.kinds[p.Index] = kind
+}
+
+// ParamKinds returns the kind each of the first n parameters binds as, from
+// the columns the statements this builder planned compare them with, assign
+// them to or insert them into. KindNull means the parameter met no column
+// and binds any value.
+func (b *Builder) ParamKinds(n int) []types.Kind {
+	out := make([]types.Kind, n)
+	copy(out, b.kinds)
+	return out
 }
 
 // splitConjuncts flattens a chain of ANDs into its conjuncts.
@@ -612,39 +696,62 @@ func rewriteAggregateRefs(e sql.Expr, agg *AggregateNode) sql.Expr {
 // matches a key of replacements becomes a bare column reference to the mapped
 // name.
 func substitute(e sql.Expr, replacements map[string]string) sql.Expr {
+	out, _ := rewrite(e, func(e sql.Expr) (sql.Expr, error) {
+		if name, ok := replacements[e.String()]; ok {
+			return &sql.ColumnRef{Name: name}, nil
+		}
+		return nil, nil
+	})
+	return out
+}
+
+// rewrite returns a copy of e, top down: where replace returns an expression
+// it takes the place of the sub-expression replace was given; where replace
+// returns nil the node is copied and its operands rewritten. Leaves replace
+// declines (literals, parameters, column references) are shared, not copied.
+// The first error replace returns ends the rewrite.
+func rewrite(e sql.Expr, replace func(sql.Expr) (sql.Expr, error)) (sql.Expr, error) {
 	if e == nil {
-		return nil
+		return nil, nil
 	}
-	if name, ok := replacements[e.String()]; ok {
-		return &sql.ColumnRef{Name: name}
+	if out, err := replace(e); out != nil || err != nil {
+		return out, err
 	}
+	var err error
+	sub := func(e sql.Expr) sql.Expr {
+		if err != nil {
+			return nil
+		}
+		var out sql.Expr
+		out, err = rewrite(e, replace)
+		return out
+	}
+	subs := func(list []sql.Expr) []sql.Expr {
+		out := make([]sql.Expr, len(list))
+		for i, item := range list {
+			out[i] = sub(item)
+		}
+		return out
+	}
+	var out sql.Expr
 	switch e := e.(type) {
 	case *sql.BinaryExpr:
-		return &sql.BinaryExpr{Op: e.Op, Left: substitute(e.Left, replacements), Right: substitute(e.Right, replacements)}
+		out = &sql.BinaryExpr{Op: e.Op, Left: sub(e.Left), Right: sub(e.Right)}
 	case *sql.UnaryExpr:
-		return &sql.UnaryExpr{Op: e.Op, Operand: substitute(e.Operand, replacements)}
+		out = &sql.UnaryExpr{Op: e.Op, Operand: sub(e.Operand)}
 	case *sql.IsNullExpr:
-		return &sql.IsNullExpr{Operand: substitute(e.Operand, replacements), Negate: e.Negate}
+		out = &sql.IsNullExpr{Operand: sub(e.Operand), Negate: e.Negate}
 	case *sql.BetweenExpr:
-		return &sql.BetweenExpr{
-			Operand: substitute(e.Operand, replacements),
-			Low:     substitute(e.Low, replacements),
-			High:    substitute(e.High, replacements),
-			Negate:  e.Negate,
-		}
+		out = &sql.BetweenExpr{Operand: sub(e.Operand), Low: sub(e.Low), High: sub(e.High), Negate: e.Negate}
 	case *sql.InExpr:
-		list := make([]sql.Expr, len(e.List))
-		for i, item := range e.List {
-			list[i] = substitute(item, replacements)
-		}
-		return &sql.InExpr{Operand: substitute(e.Operand, replacements), List: list, Negate: e.Negate}
+		out = &sql.InExpr{Operand: sub(e.Operand), List: subs(e.List), Negate: e.Negate}
 	case *sql.FuncCall:
-		args := make([]sql.Expr, len(e.Args))
-		for i, a := range e.Args {
-			args[i] = substitute(a, replacements)
-		}
-		return &sql.FuncCall{Name: e.Name, Args: args, Star: e.Star}
+		out = &sql.FuncCall{Name: e.Name, Args: subs(e.Args), Star: e.Star}
 	default:
-		return e
+		out = e
 	}
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }

@@ -13,7 +13,6 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/sql"
 	"repro/internal/types"
-	"repro/internal/view"
 )
 
 // emptySchema is what write nodes without a RETURNING clause report: they
@@ -73,7 +72,7 @@ type InsertNode struct {
 	// form); its output maps onto Columns positionally.
 	Select Node
 	// Check enforces the updatable view's CHECK OPTION (nil for base tables).
-	Check *view.Updatable
+	Check *Updatable
 	// Returning projects the inserted rows back to the caller (nil when the
 	// statement has no RETURNING clause).
 	Returning *Returning
@@ -125,7 +124,7 @@ type UpdateNode struct {
 	Table *catalog.Table
 	Sets  []SetClause
 	// Check enforces the updatable view's CHECK OPTION (nil for base tables).
-	Check *view.Updatable
+	Check *Updatable
 	// Returning projects the post-update rows back to the caller.
 	Returning *Returning
 }
@@ -156,7 +155,7 @@ type DeleteNode struct {
 	// Check names the view the delete goes through (its predicate is already
 	// ANDed into the child scan; deletes need no row check, but the view is
 	// kept for EXPLAIN).
-	Check *view.Updatable
+	Check *Updatable
 	// Returning projects the deleted rows (their last visible version) back
 	// to the caller.
 	Returning *Returning
@@ -196,7 +195,7 @@ func (b *Builder) BuildStatement(stmt sql.Statement) (Node, error) {
 
 // ResolveWriteTarget resolves the target of a write — a base table, or an
 // updatable view with its translation — and fails when nothing can be written.
-func (b *Builder) ResolveWriteTarget(name string) (*catalog.Table, *view.Updatable, error) {
+func (b *Builder) ResolveWriteTarget(name string) (*catalog.Table, *Updatable, error) {
 	if b.cat.HasTable(name) {
 		table, err := b.cat.GetTable(name)
 		return table, nil, err
@@ -206,7 +205,7 @@ func (b *Builder) ResolveWriteTarget(name string) (*catalog.Table, *view.Updatab
 		if err != nil {
 			return nil, nil, err
 		}
-		updatable, err := view.Analyze(def, b.cat)
+		updatable, err := analyzeView(def, b.cat, map[string]bool{})
 		if err != nil {
 			return nil, nil, err
 		}
@@ -225,7 +224,7 @@ func (b *Builder) ResolveWriteTarget(name string) (*catalog.Table, *view.Updatab
 // and aggregates are rejected. View targets reject RETURNING — the clause
 // would have to be translated back through the view's projection, which the
 // planner does not do.
-func (b *Builder) buildReturning(table *catalog.Table, updatable *view.Updatable, items []sql.SelectItem) (*Returning, error) {
+func (b *Builder) buildReturning(table *catalog.Table, updatable *Updatable, items []sql.SelectItem) (*Returning, error) {
 	if len(items) == 0 {
 		return nil, nil
 	}
@@ -250,7 +249,7 @@ func (b *Builder) buildReturning(table *catalog.Table, updatable *view.Updatable
 			}
 			continue
 		}
-		if err := checkResolves(it.Expr, schema); err != nil {
+		if err := b.resolve(it.Expr, schema); err != nil {
 			return nil, fmt.Errorf("plan: RETURNING: %w", err)
 		}
 		if sql.HasAggregate(it.Expr) {
@@ -294,7 +293,7 @@ func (b *Builder) buildInsert(stmt *sql.InsertStmt) (Node, error) {
 	for _, row := range stmt.Rows {
 		values := row
 		if updatable != nil {
-			translated, translatedValues, err := updatable.TranslateInsert(stmt.Columns, row)
+			translated, translatedValues, err := updatable.translateInsert(stmt.Columns, row)
 			if err != nil {
 				return nil, err
 			}
@@ -311,6 +310,18 @@ func (b *Builder) buildInsert(stmt *sql.InsertStmt) (Node, error) {
 	node.Columns = columns
 	if err := resolveInsertColumns(node, schema); err != nil {
 		return nil, err
+	}
+	// A parameter inserted into a column binds as the column's kind.
+	for _, row := range node.Rows {
+		for i, e := range row {
+			pos := i
+			if node.ColumnPos != nil {
+				pos = node.ColumnPos[i]
+			}
+			if p, ok := e.(*sql.Param); ok {
+				b.setParamKind(p, schema.Columns[pos].Type)
+			}
+		}
 	}
 	return node, nil
 }
@@ -335,7 +346,7 @@ func resolveInsertColumns(node *InsertNode, schema *types.Schema) error {
 // like any SELECT (index access paths, sorts, aggregates all apply) and its
 // output feeds the insert positionally — onto the named column list when one
 // is given, onto the whole schema otherwise.
-func (b *Builder) buildInsertSelect(stmt *sql.InsertStmt, node *InsertNode, table *catalog.Table, updatable *view.Updatable) (Node, error) {
+func (b *Builder) buildInsertSelect(stmt *sql.InsertStmt, node *InsertNode, table *catalog.Table, updatable *Updatable) (Node, error) {
 	if updatable != nil {
 		return nil, fmt.Errorf("plan: INSERT ... SELECT into view %s is not supported; target the base table %s", strings.ToLower(updatable.ViewName), table.Name())
 	}
@@ -370,10 +381,10 @@ func (b *Builder) buildUpdate(stmt *sql.UpdateStmt) (Node, error) {
 	assignments := stmt.Assignments
 	where := stmt.Where
 	if updatable != nil {
-		if assignments, err = updatable.TranslateAssignments(stmt.Assignments); err != nil {
+		if assignments, err = updatable.translateAssignments(stmt.Assignments); err != nil {
 			return nil, err
 		}
-		if where, err = updatable.TranslatePredicate(stmt.Where); err != nil {
+		if where, err = updatable.translatePredicate(stmt.Where); err != nil {
 			return nil, err
 		}
 	}
@@ -394,6 +405,10 @@ func (b *Builder) buildUpdate(stmt *sql.UpdateStmt) (Node, error) {
 		if err := checkResolves(a.Value, scan.Schema()); err != nil {
 			return nil, fmt.Errorf("plan: SET %s: %w", a.Column, err)
 		}
+		// A parameter assigned to a column binds as the column's kind.
+		if p, ok := a.Value.(*sql.Param); ok {
+			b.setParamKind(p, schema.Columns[pos].Type)
+		}
 		node.Sets = append(node.Sets, SetClause{Column: a.Column, Pos: pos, Expr: a.Value})
 	}
 	return node, nil
@@ -408,7 +423,7 @@ func (b *Builder) buildDelete(stmt *sql.DeleteStmt) (Node, error) {
 	}
 	where := stmt.Where
 	if updatable != nil {
-		if where, err = updatable.TranslatePredicate(stmt.Where); err != nil {
+		if where, err = updatable.translatePredicate(stmt.Where); err != nil {
 			return nil, err
 		}
 	}
@@ -437,7 +452,7 @@ func (b *Builder) buildWriteScan(table *catalog.Table, where sql.Expr) (*ScanNod
 		schema:  table.Schema().WithTable(alias),
 	}
 	if where != nil {
-		if err := checkResolves(where, scan.schema); err != nil {
+		if err := b.resolve(where, scan.schema); err != nil {
 			return nil, fmt.Errorf("plan: WHERE: %w", err)
 		}
 		if sql.HasAggregate(where) {

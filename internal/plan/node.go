@@ -6,7 +6,10 @@
 // (descending orders become reverse index scans, which is what lets keyset
 // pagination stream), and decides join strategies. INSERT/UPDATE/DELETE
 // plan through the same builder (BuildStatement), their predicates as
-// ordinary child scans. The exec package walks the resulting tree and runs
+// ordinary child scans, and a write through an updatable view is translated
+// onto its base table (view.go). Since the builder resolves every name, it
+// also gives each bind parameter the kind of the column it meets
+// (Builder.ParamKinds). The exec package walks the resulting tree and runs
 // it.
 package plan
 

@@ -1,4 +1,4 @@
-package view
+package plan
 
 import (
 	"errors"
@@ -11,7 +11,7 @@ import (
 	"repro/internal/types"
 )
 
-func newCat(t *testing.T) *catalog.Catalog {
+func newViewCatalog(t *testing.T) *catalog.Catalog {
 	t.Helper()
 	cat := catalog.New(storage.NewBufferPool(storage.NewMemDiskManager(), 256))
 	if _, err := cat.CreateTable("customers", types.NewSchema(
@@ -38,11 +38,11 @@ func analyzeQuery(t *testing.T, cat *catalog.Catalog, name, query string, cols [
 	if err != nil {
 		t.Fatal(err)
 	}
-	return Analyze(def, cat)
+	return analyzeView(def, cat, map[string]bool{})
 }
 
 func TestAnalyzeSimpleRestriction(t *testing.T) {
-	cat := newCat(t)
+	cat := newViewCatalog(t)
 	u, err := analyzeQuery(t, cat, "rich", "SELECT id, name, credit FROM customers WHERE credit > 1000", nil)
 	if err != nil {
 		t.Fatal(err)
@@ -66,7 +66,7 @@ func TestAnalyzeSimpleRestriction(t *testing.T) {
 }
 
 func TestAnalyzeStarView(t *testing.T) {
-	cat := newCat(t)
+	cat := newViewCatalog(t)
 	u, err := analyzeQuery(t, cat, "bostonians", "SELECT * FROM customers WHERE city = 'Boston'", nil)
 	if err != nil {
 		t.Fatal(err)
@@ -77,7 +77,7 @@ func TestAnalyzeStarView(t *testing.T) {
 }
 
 func TestAnalyzeRenamedColumns(t *testing.T) {
-	cat := newCat(t)
+	cat := newViewCatalog(t)
 	// Column renames both via aliases and the CREATE VIEW column list.
 	u, err := analyzeQuery(t, cat, "balances", "SELECT id AS customer, credit FROM customers", []string{"cust", "amount"})
 	if err != nil {
@@ -92,7 +92,7 @@ func TestAnalyzeRenamedColumns(t *testing.T) {
 }
 
 func TestAnalyzeViewOverView(t *testing.T) {
-	cat := newCat(t)
+	cat := newViewCatalog(t)
 	if _, err := cat.CreateView("rich", "SELECT id, name, city, credit FROM customers WHERE credit > 1000", nil); err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestAnalyzeViewOverView(t *testing.T) {
 }
 
 func TestAnalyzeNotUpdatable(t *testing.T) {
-	cat := newCat(t)
+	cat := newViewCatalog(t)
 	cases := []struct {
 		name  string
 		query string
@@ -126,15 +126,15 @@ func TestAnalyzeNotUpdatable(t *testing.T) {
 	}
 	for _, c := range cases {
 		_, err := analyzeQuery(t, cat, c.name, c.query, nil)
-		var notUpdatable *ErrNotUpdatable
+		var notUpdatable *errNotUpdatable
 		if !errors.As(err, &notUpdatable) {
-			t.Errorf("%s: expected ErrNotUpdatable, got %v", c.name, err)
+			t.Errorf("%s: expected errNotUpdatable, got %v", c.name, err)
 		}
 	}
 }
 
 func TestAnalyzeRecursiveViewRejected(t *testing.T) {
-	cat := newCat(t)
+	cat := newViewCatalog(t)
 	if _, err := cat.CreateView("a", "SELECT * FROM b", nil); err != nil {
 		t.Fatal(err)
 	}
@@ -142,26 +142,26 @@ func TestAnalyzeRecursiveViewRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Analyze(def, cat); err == nil {
+	if _, err := analyzeView(def, cat, map[string]bool{}); err == nil {
 		t.Error("mutually recursive views must not be updatable")
 	}
 }
 
 func TestAnalyzeUnknownRelation(t *testing.T) {
-	cat := newCat(t)
+	cat := newViewCatalog(t)
 	if _, err := analyzeQuery(t, cat, "ghost", "SELECT * FROM nothing", nil); err == nil {
 		t.Error("view over a missing relation should fail analysis")
 	}
 }
 
 func TestTranslateAssignments(t *testing.T) {
-	cat := newCat(t)
+	cat := newViewCatalog(t)
 	u, err := analyzeQuery(t, cat, "balances", "SELECT id AS cust, credit AS amount FROM customers", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	value, _ := sql.ParseExpr("amount + 100")
-	got, err := u.TranslateAssignments([]sql.Assignment{{Column: "amount", Value: value}})
+	got, err := u.translateAssignments([]sql.Assignment{{Column: "amount", Value: value}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,19 +171,19 @@ func TestTranslateAssignments(t *testing.T) {
 	if !strings.Contains(got[0].Value.String(), "credit") {
 		t.Errorf("value = %s", got[0].Value.String())
 	}
-	if _, err := u.TranslateAssignments([]sql.Assignment{{Column: "city", Value: value}}); err == nil {
+	if _, err := u.translateAssignments([]sql.Assignment{{Column: "city", Value: value}}); err == nil {
 		t.Error("assignment to a column outside the view must fail")
 	}
 }
 
 func TestTranslatePredicate(t *testing.T) {
-	cat := newCat(t)
+	cat := newViewCatalog(t)
 	u, err := analyzeQuery(t, cat, "rich", "SELECT id, name AS who, city FROM customers WHERE credit > 1000", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	where, _ := sql.ParseExpr("who LIKE 'A%' AND city = 'Boston'")
-	combined, err := u.TranslatePredicate(where)
+	combined, err := u.translatePredicate(where)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,19 +192,19 @@ func TestTranslatePredicate(t *testing.T) {
 		t.Errorf("combined = %s", text)
 	}
 	// A nil outer predicate degenerates to the view predicate.
-	only, err := u.TranslatePredicate(nil)
+	only, err := u.translatePredicate(nil)
 	if err != nil || only == nil || !strings.Contains(only.String(), "credit") {
 		t.Errorf("nil predicate = %v, %v", only, err)
 	}
 	// Referencing a column outside the view fails.
 	bad, _ := sql.ParseExpr("credit > 5")
-	if _, err := u.TranslatePredicate(bad); err == nil {
+	if _, err := u.translatePredicate(bad); err == nil {
 		t.Error("credit is not a view column; predicate should fail")
 	}
 }
 
 func TestTranslateInsert(t *testing.T) {
-	cat := newCat(t)
+	cat := newViewCatalog(t)
 	u, err := analyzeQuery(t, cat, "directory", "SELECT id, name AS who, city FROM customers", nil)
 	if err != nil {
 		t.Fatal(err)
@@ -213,7 +213,7 @@ func TestTranslateInsert(t *testing.T) {
 	v2, _ := sql.ParseExpr("'Ada'")
 	v3, _ := sql.ParseExpr("'Boston'")
 
-	cols, vals, err := u.TranslateInsert([]string{"id", "who"}, []sql.Expr{v1, v2})
+	cols, vals, err := u.translateInsert([]string{"id", "who"}, []sql.Expr{v1, v2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,57 +221,23 @@ func TestTranslateInsert(t *testing.T) {
 		t.Errorf("cols = %v", cols)
 	}
 	// Positional insert (no column list) covers all view columns in order.
-	cols, _, err = u.TranslateInsert(nil, []sql.Expr{v1, v2, v3})
+	cols, _, err = u.translateInsert(nil, []sql.Expr{v1, v2, v3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cols[1] != "name" || cols[2] != "city" {
 		t.Errorf("positional cols = %v", cols)
 	}
-	if _, _, err := u.TranslateInsert(nil, []sql.Expr{v1}); err == nil {
+	if _, _, err := u.translateInsert(nil, []sql.Expr{v1}); err == nil {
 		t.Error("arity mismatch must fail")
 	}
-	if _, _, err := u.TranslateInsert([]string{"credit"}, []sql.Expr{v1}); err == nil {
+	if _, _, err := u.translateInsert([]string{"credit"}, []sql.Expr{v1}); err == nil {
 		t.Error("column outside the view must fail")
 	}
 }
 
-func TestCheckRow(t *testing.T) {
-	cat := newCat(t)
-	u, err := analyzeQuery(t, cat, "rich", "SELECT id, name FROM customers WHERE credit > 1000", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	table, _ := cat.GetTable("customers")
-	schema := table.Schema()
-	check, err := u.CompileCheck(schema)
-	if err != nil {
-		t.Fatal(err)
-	}
-	good := types.Tuple{types.NewInt(1), types.NewString("Ada"), types.NewString("Boston"), types.NewFloat(2000)}
-	if err := check.Check(good); err != nil {
-		t.Errorf("good row rejected: %v", err)
-	}
-	bad := types.Tuple{types.NewInt(2), types.NewString("Bob"), types.NewString("Boston"), types.NewFloat(10)}
-	if err := check.Check(bad); err == nil {
-		t.Error("row violating the view predicate must be rejected")
-	}
-	// A view without a predicate accepts everything.
-	all, err := analyzeQuery(t, cat, "everyone", "SELECT id, name FROM customers", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	unchecked, err := all.CompileCheck(schema)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := unchecked.Check(bad); err != nil {
-		t.Errorf("unrestricted view rejected a row: %v", err)
-	}
-}
-
 func TestErrNotUpdatableMessage(t *testing.T) {
-	err := &ErrNotUpdatable{View: "v", Reason: "it contains a join"}
+	err := &errNotUpdatable{View: "v", Reason: "it contains a join"}
 	if !strings.Contains(err.Error(), "v") || !strings.Contains(err.Error(), "join") {
 		t.Errorf("Error() = %q", err.Error())
 	}

@@ -677,12 +677,12 @@ func HasAggregate(e Expr) bool {
 	return found
 }
 
-// WalkStatementExprs calls fn on every expression the statement contains
+// walkStatementExprs calls fn on every expression the statement contains
 // (select items, FROM conditions, WHERE, GROUP BY, HAVING, ORDER BY, VALUES
 // rows, an INSERT's feeding SELECT, SET assignments, RETURNING tails, DEFAULT
 // clauses, and view definitions), recursing into sub-expressions exactly like
 // WalkExpr.
-func WalkStatementExprs(stmt Statement, fn func(Expr) bool) {
+func walkStatementExprs(stmt Statement, fn func(Expr) bool) {
 	walk := func(e Expr) { WalkExpr(e, fn) }
 	walkItems := func(items []SelectItem) {
 		for _, it := range items {
@@ -710,7 +710,7 @@ func WalkStatementExprs(stmt Statement, fn func(Expr) bool) {
 			}
 		}
 		if stmt.Select != nil {
-			WalkStatementExprs(stmt.Select, fn)
+			walkStatementExprs(stmt.Select, fn)
 		}
 		walkItems(stmt.Returning)
 	case *UpdateStmt:
@@ -728,11 +728,11 @@ func WalkStatementExprs(stmt Statement, fn func(Expr) bool) {
 		}
 	case *CreateViewStmt:
 		if stmt.Query != nil {
-			WalkStatementExprs(stmt.Query, fn)
+			walkStatementExprs(stmt.Query, fn)
 		}
 	case *ExplainStmt:
 		if stmt.Stmt != nil {
-			WalkStatementExprs(stmt.Stmt, fn)
+			walkStatementExprs(stmt.Stmt, fn)
 		}
 	}
 }
@@ -742,14 +742,14 @@ func WalkStatementExprs(stmt Statement, fn func(Expr) bool) {
 // "?" placeholders. An empty slice means the statement takes no parameters.
 func StatementParams(stmt Statement) []string {
 	count := 0
-	WalkStatementExprs(stmt, func(e Expr) bool {
+	walkStatementExprs(stmt, func(e Expr) bool {
 		if p, ok := e.(*Param); ok && p.Index >= count {
 			count = p.Index + 1
 		}
 		return true
 	})
 	names := make([]string, count)
-	WalkStatementExprs(stmt, func(e Expr) bool {
+	walkStatementExprs(stmt, func(e Expr) bool {
 		if p, ok := e.(*Param); ok && p.Index >= 0 {
 			names[p.Index] = p.Name
 		}
