@@ -15,7 +15,8 @@ type Source interface {
 	// Prepare compiles one SQL statement for repeated execution.
 	Prepare(text string) (Statement, error)
 	// NewSource returns a source for a detail child window: an independent
-	// statement/cursor namespace over the same world.
+	// statement/cursor namespace over the same world. A returned source that
+	// is an io.Closer was opened for the child, which closes it.
 	NewSource() Source
 }
 
@@ -80,9 +81,13 @@ func (e engineSource) Prepare(text string) (Statement, error) {
 	return engineStatement{st: st}, nil
 }
 
+// NewSource opens a session for a detail window, which closes it.
 func (e engineSource) NewSource() Source {
 	return engineSource{session: e.session.Database().Session()}
 }
+
+// Close closes the session.
+func (e engineSource) Close() error { return e.session.Close() }
 
 type engineStatement struct {
 	st *engine.Stmt

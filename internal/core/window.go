@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"io"
 	"strings"
 
 	"repro/internal/sql"
@@ -67,8 +68,11 @@ type Stats struct {
 type Window struct {
 	form *Form
 	src  Source
-	wm   *Manager
-	id   int
+	// own is what was opened for this window — the session of a local window
+	// or detail — and closes with it; nil when src is the caller's.
+	own io.Closer
+	wm  *Manager
+	id  int
 
 	// OriginRow and OriginCol place the window on the composite screen.
 	OriginRow, OriginCol int
@@ -121,7 +125,7 @@ type Window struct {
 
 // newWindow wires a window for a compiled form. Detail child windows are
 // created recursively, each with its own source on the same world (its own
-// session locally; the shared connection remotely).
+// session locally, which the child closes; the shared connection remotely).
 func newWindow(form *Form, src Source, wm *Manager, id int) *Window {
 	w := &Window{
 		form:          form,
@@ -138,7 +142,9 @@ func newWindow(form *Form, src Source, wm *Manager, id int) *Window {
 		w.details = append(w.details, nil)
 	}
 	for i, link := range form.Details {
-		child := newWindow(link.Child, src.NewSource(), wm, -1)
+		childSrc := src.NewSource()
+		child := newWindow(link.Child, childSrc, wm, -1)
+		child.own, _ = childSrc.(io.Closer)
 		child.visibleHint = link.Def.Rows
 		w.details[i] = child
 	}
@@ -265,9 +271,9 @@ func (w *Window) preparedFor(query string) (Statement, error) {
 	return stmt, nil
 }
 
-// closeStatements releases the window's prepared statements (and those of its
-// detail windows).
-func (w *Window) closeStatements() {
+// release closes the window's prepared statements and what was opened for
+// it, and those of its detail windows.
+func (w *Window) release() {
 	for _, stmt := range w.stmts {
 		stmt.Close()
 	}
@@ -275,8 +281,12 @@ func (w *Window) closeStatements() {
 	w.stmtOrder = nil
 	for _, child := range w.details {
 		if child != nil {
-			child.closeStatements()
+			child.release()
 		}
+	}
+	if w.own != nil {
+		w.own.Close()
+		w.own = nil
 	}
 }
 

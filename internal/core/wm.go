@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"io"
 	"strings"
 
 	"repro/internal/engine"
@@ -49,21 +50,31 @@ func (m *Manager) PropagationCount() uint64 { return m.propagations }
 func (m *Manager) WindowsRefreshed() uint64 { return m.windowsRefreshed }
 
 // Open opens a window for the form at the given origin on the composite
-// screen, gives it its own session on the manager's database, runs its
-// initial query and focuses it.
+// screen, gives it its own session on the manager's database (closed when
+// the window closes), runs its initial query and focuses it.
 func (m *Manager) Open(form *Form, originRow, originCol int) (*Window, error) {
-	return m.OpenOn(form, NewEngineSource(m.db.Session()), originRow, originCol)
+	src := engineSource{session: m.db.Session()}
+	return m.open(form, src, src, originRow, originCol)
 }
 
 // OpenOn opens a window over an explicit row source — a remote wowserver
 // connection (NewRemoteSource), or any other Source implementation — so the
 // same forms runtime browses local and remote worlds. The form must be
-// compiled against a catalog matching the source's schema.
+// compiled against a catalog matching the source's schema. The source stays
+// the caller's: closing the window closes only what the window opened.
 func (m *Manager) OpenOn(form *Form, src Source, originRow, originCol int) (*Window, error) {
+	return m.open(form, src, nil, originRow, originCol)
+}
+
+// open opens a window over src; own, when not nil, is what was opened for
+// the window and closes with it.
+func (m *Manager) open(form *Form, src Source, own io.Closer, originRow, originCol int) (*Window, error) {
 	m.nextID++
 	w := newWindow(form, src, m, m.nextID)
+	w.own = own
 	w.OriginRow, w.OriginCol = originRow, originCol
 	if err := w.Refresh(); err != nil {
+		w.release()
 		return nil, err
 	}
 	m.windows = append(m.windows, w)
@@ -72,13 +83,14 @@ func (m *Manager) OpenOn(form *Form, src Source, originRow, originCol int) (*Win
 	return w, nil
 }
 
-// Close removes a window.
+// Close removes a window and releases its statements and what was opened
+// for it and its detail windows.
 func (m *Manager) Close(w *Window) {
 	for i, other := range m.windows {
 		if other == w {
 			m.windows = append(m.windows[:i], m.windows[i+1:]...)
 			w.closed = true
-			w.closeStatements()
+			w.release()
 			break
 		}
 	}
