@@ -142,6 +142,17 @@ SELECT id FROM t;
 	if !strings.Contains(stdout, "(1 row(s))") || strings.Contains(stdout, "(2 row(s))") {
 		t.Fatalf("rollback over the wire did not take effect: %q", stdout)
 	}
+	// RETURNING renders like a SELECT over the wire: a header and a row count.
+	code, stdout, stderr = runShell(t, options{connect: ln.Addr().String()}, `
+INSERT INTO t VALUES (2, 'second row');
+UPDATE t SET name = 'shipped' WHERE id >= 1 RETURNING id, name;
+`)
+	if code != 0 {
+		t.Fatalf("remote RETURNING exit code = %d, stderr = %q", code, stderr)
+	}
+	if !strings.Contains(stdout, "id | name") || !strings.Contains(stdout, "(2 row(s))") {
+		t.Fatalf("RETURNING over the wire should print its columns and 2 rows: %q", stdout)
+	}
 	// An error over the wire exits non-zero too.
 	code, _, stderr = runShell(t, options{connect: ln.Addr().String()}, "INSERT INTO missing VALUES (1);\n")
 	if code == 0 {

@@ -5,14 +5,16 @@
 //
 // Run locally (in-memory engine):  go run ./examples/typedorders
 // Run against a live wowserver:    go run ./examples/typedorders -connect host:port
-// The same statements run either way; only the DB constructor differs.
+// The same statements run either way (run); only the DB constructor differs.
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"repro/internal/engine"
 	"repro/internal/server/client"
@@ -49,26 +51,42 @@ const archiveSchema = `CREATE TABLE archive (
 func main() {
 	connect := flag.String("connect", "", "wowserver address; default runs an in-memory engine")
 	flag.Parse()
-	ctx := context.Background()
-
-	var db *sqlair.DB
-	var exec func(string) error
-	if *connect == "" {
-		edb := engine.OpenMemory()
-		defer edb.Close()
-		db = sqlair.NewEngineDB(edb)
-		exec = func(ddl string) error { _, err := edb.Session().Execute(ddl); return err }
-	} else {
-		pool := client.NewPool(*connect, client.PoolConfig{Size: 2})
-		defer pool.Close()
-		db = sqlair.NewPoolDB(pool)
-		exec = func(ddl string) error {
-			return pool.With(func(h *client.PooledConn) error { _, err := h.Exec(ddl); return err })
-		}
+	run := runLocal
+	if *connect != "" {
+		run = func(w io.Writer) error { return runRemote(*connect, w) }
 	}
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// runLocal runs the example on an in-memory engine.
+func runLocal(w io.Writer) error {
+	edb := engine.OpenMemory()
+	defer edb.Close()
+	session := edb.Session()
+	defer session.Close()
+	exec := func(ddl string) error { _, err := session.Execute(ddl); return err }
+	return run(context.Background(), sqlair.NewEngineDB(edb), exec, w)
+}
+
+// runRemote runs the example against the wowserver at addr, through a
+// connection pool.
+func runRemote(addr string, w io.Writer) error {
+	pool := client.NewPool(addr, client.PoolConfig{Size: 2})
+	defer pool.Close()
+	exec := func(ddl string) error {
+		return pool.With(func(h *client.PooledConn) error { _, err := h.Exec(ddl); return err })
+	}
+	return run(context.Background(), sqlair.NewPoolDB(pool), exec, w)
+}
+
+// run creates the schema with exec and runs the typed statements on db,
+// printing what each one returns to w.
+func run(ctx context.Context, db *sqlair.DB, exec func(ddl string) error, w io.Writer) error {
 	for _, ddl := range []string{schema, archiveSchema} {
 		if err := exec(ddl); err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
 
@@ -84,9 +102,9 @@ func main() {
 	} {
 		var stored Order
 		if err := db.Query(ctx, insert, o).Get(&stored); err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("stored order %d for %s: total %.2f shipped=%v\n",
+		fmt.Fprintf(w, "stored order %d for %s: total %.2f shipped=%v\n",
 			stored.ID, stored.Customer, stored.Total, stored.Shipped)
 	}
 
@@ -96,21 +114,21 @@ func main() {
 		"UPDATE orders SET shipped = TRUE WHERE total >= $Threshold.min RETURNING &Order.id, &Order.total",
 		Order{}, Threshold{})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	iter, err := db.Query(ctx, ship, Threshold{Min: 300}).Iter()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	for iter.Next() {
 		var o Order
 		if err := iter.Get(&o); err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("shipped order %d (%.2f)\n", o.ID, o.Total)
+		fmt.Fprintf(w, "shipped order %d (%.2f)\n", o.ID, o.Total)
 	}
 	if err := iter.Close(); err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// 3. INSERT ... SELECT: archive shipped orders server-side. The rows are
@@ -120,20 +138,20 @@ func main() {
 		Order{})
 	archived, err := db.Query(ctx, archive).Iter()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	count := 0
 	for archived.Next() {
 		var o Order
 		if err := archived.Get(&o); err != nil {
-			log.Fatal(err)
+			return err
 		}
 		count++
 	}
 	if err := archived.Close(); err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("archived %d shipped order(s)\n", count)
+	fmt.Fprintf(w, "archived %d shipped order(s)\n", count)
 
 	// 4. Typed reads with a struct parameter.
 	big := sqlair.MustPrepare(
@@ -141,19 +159,20 @@ func main() {
 		Order{}, Threshold{})
 	rows, err := db.Query(ctx, big, Threshold{Min: 100}).Iter()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	for rows.Next() {
 		var o Order
 		if err := rows.Get(&o); err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("order %d: %-20s %8.2f shipped=%v\n", o.ID, o.Customer, o.Total, o.Shipped)
+		fmt.Fprintf(w, "order %d: %-20s %8.2f shipped=%v\n", o.ID, o.Customer, o.Total, o.Shipped)
 	}
 	if err := rows.Close(); err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	stats := db.Stats()
-	fmt.Printf("caches: %d statement hit(s), %d type-reflection hit(s)\n", stats.StmtHits, stats.TypeHits)
+	fmt.Fprintf(w, "caches: %d statement hit(s), %d type-reflection hit(s)\n", stats.StmtHits, stats.TypeHits)
+	return nil
 }
