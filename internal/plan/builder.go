@@ -696,36 +696,26 @@ func rewriteAggregateRefs(e sql.Expr, agg *AggregateNode) sql.Expr {
 // matches a key of replacements becomes a bare column reference to the mapped
 // name.
 func substitute(e sql.Expr, replacements map[string]string) sql.Expr {
-	out, _ := rewrite(e, func(e sql.Expr) (sql.Expr, error) {
+	return rewrite(e, func(e sql.Expr) sql.Expr {
 		if name, ok := replacements[e.String()]; ok {
-			return &sql.ColumnRef{Name: name}, nil
+			return &sql.ColumnRef{Name: name}
 		}
-		return nil, nil
+		return nil
 	})
-	return out
 }
 
 // rewrite returns a copy of e, top down: where replace returns an expression
 // it takes the place of the sub-expression replace was given; where replace
-// returns nil the node is copied and its operands rewritten. Leaves replace
+// returns nil the node is copied with its operands rewritten. Leaves replace
 // declines (literals, parameters, column references) are shared, not copied.
-// The first error replace returns ends the rewrite.
-func rewrite(e sql.Expr, replace func(sql.Expr) (sql.Expr, error)) (sql.Expr, error) {
+func rewrite(e sql.Expr, replace func(sql.Expr) sql.Expr) sql.Expr {
 	if e == nil {
-		return nil, nil
+		return nil
 	}
-	if out, err := replace(e); out != nil || err != nil {
-		return out, err
-	}
-	var err error
-	sub := func(e sql.Expr) sql.Expr {
-		if err != nil {
-			return nil
-		}
-		var out sql.Expr
-		out, err = rewrite(e, replace)
+	if out := replace(e); out != nil {
 		return out
 	}
+	sub := func(e sql.Expr) sql.Expr { return rewrite(e, replace) }
 	subs := func(list []sql.Expr) []sql.Expr {
 		out := make([]sql.Expr, len(list))
 		for i, item := range list {
@@ -733,25 +723,20 @@ func rewrite(e sql.Expr, replace func(sql.Expr) (sql.Expr, error)) (sql.Expr, er
 		}
 		return out
 	}
-	var out sql.Expr
 	switch e := e.(type) {
 	case *sql.BinaryExpr:
-		out = &sql.BinaryExpr{Op: e.Op, Left: sub(e.Left), Right: sub(e.Right)}
+		return &sql.BinaryExpr{Op: e.Op, Left: sub(e.Left), Right: sub(e.Right)}
 	case *sql.UnaryExpr:
-		out = &sql.UnaryExpr{Op: e.Op, Operand: sub(e.Operand)}
+		return &sql.UnaryExpr{Op: e.Op, Operand: sub(e.Operand)}
 	case *sql.IsNullExpr:
-		out = &sql.IsNullExpr{Operand: sub(e.Operand), Negate: e.Negate}
+		return &sql.IsNullExpr{Operand: sub(e.Operand), Negate: e.Negate}
 	case *sql.BetweenExpr:
-		out = &sql.BetweenExpr{Operand: sub(e.Operand), Low: sub(e.Low), High: sub(e.High), Negate: e.Negate}
+		return &sql.BetweenExpr{Operand: sub(e.Operand), Low: sub(e.Low), High: sub(e.High), Negate: e.Negate}
 	case *sql.InExpr:
-		out = &sql.InExpr{Operand: sub(e.Operand), List: subs(e.List), Negate: e.Negate}
+		return &sql.InExpr{Operand: sub(e.Operand), List: subs(e.List), Negate: e.Negate}
 	case *sql.FuncCall:
-		out = &sql.FuncCall{Name: e.Name, Args: subs(e.Args), Star: e.Star}
+		return &sql.FuncCall{Name: e.Name, Args: subs(e.Args), Star: e.Star}
 	default:
-		out = e
+		return e
 	}
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }

@@ -180,20 +180,27 @@ func analyzeView(def *catalog.ViewDef, cat *catalog.Catalog, visiting map[string
 // table naming and strips qualifiers. Bind parameters pass through untouched:
 // they reference the statement's bind frame, not a column of either naming.
 func rewriteToBase(e sql.Expr, alias, fromName string, baseMap map[string]string) (sql.Expr, error) {
-	return rewrite(e, func(e sql.Expr) (sql.Expr, error) {
+	var err error
+	out := rewrite(e, func(e sql.Expr) sql.Expr {
 		ref, ok := e.(*sql.ColumnRef)
-		if !ok {
-			return nil, nil
+		if !ok || err != nil {
+			return nil
 		}
-		if ref.Table != "" && !strings.EqualFold(ref.Table, alias) && !strings.EqualFold(ref.Table, fromName) {
-			return nil, fmt.Errorf("column %s does not belong to the FROM table", ref.String())
+		baseCol, known := baseMap[strings.ToLower(ref.Name)]
+		switch {
+		case ref.Table != "" && !strings.EqualFold(ref.Table, alias) && !strings.EqualFold(ref.Table, fromName):
+			err = fmt.Errorf("column %s does not belong to the FROM table", ref.String())
+		case !known:
+			err = fmt.Errorf("column %q is not a column of the base table", ref.Name)
+		default:
+			return &sql.ColumnRef{Name: baseCol}
 		}
-		baseCol, ok := baseMap[strings.ToLower(ref.Name)]
-		if !ok {
-			return nil, fmt.Errorf("column %q is not a column of the base table", ref.Name)
-		}
-		return &sql.ColumnRef{Name: baseCol}, nil
+		return ref
 	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // columnMap maps each view column name to the base column it stores into.
