@@ -141,6 +141,38 @@ func TestBindTypeMismatch(t *testing.T) {
 	}
 }
 
+// TestSetExpressionParamTakesColumnKind: a parameter added to a column in a
+// SET expression binds as the column's kind, as it does in a WHERE clause.
+// Unkinded, the TEXT '1' made credit + ? a concatenation, and the UPDATE
+// stored 51 instead of 6.
+func TestSetExpressionParamTakesColumnKind(t *testing.T) {
+	_, s := prepareTestDB(t)
+	if _, err := s.Execute("CREATE TABLE tally (id INT PRIMARY KEY, n INT)"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Execute("INSERT INTO tally VALUES (1, 5)"); err != nil {
+		t.Fatal(err)
+	}
+	st, err := s.Prepare("UPDATE tally SET n = n + ? WHERE id = 1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if _, err := st.Exec(types.NewString("1")); err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.Query("SELECT n FROM tally")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Rows[0][0]; got.Int() != 6 {
+		t.Fatalf("n after n + '1' = %v, want 6", got)
+	}
+	if err := st.Bind(types.NewString("abc")); err == nil {
+		t.Fatal("binding 'abc' to n + ? was accepted")
+	}
+}
+
 func TestUnboundParameterFails(t *testing.T) {
 	_, s := prepareTestDB(t)
 	stmt, err := s.Prepare("SELECT name FROM customers WHERE id = ?")

@@ -402,7 +402,7 @@ func (b *Builder) buildUpdate(stmt *sql.UpdateStmt) (Node, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := checkResolves(a.Value, scan.Schema()); err != nil {
+		if err := b.resolve(a.Value, scan.Schema()); err != nil {
 			return nil, fmt.Errorf("plan: SET %s: %w", a.Column, err)
 		}
 		// A parameter assigned to a column binds as the column's kind.
