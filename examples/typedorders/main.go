@@ -5,7 +5,7 @@
 //
 // Run locally (in-memory engine):  go run ./examples/typedorders
 // Run against a live wowserver:    go run ./examples/typedorders -connect host:port
-// The same statements run either way (run); only the DB constructor differs.
+// Both modes run the same statements (run); only the DB constructor differs.
 package main
 
 import (
