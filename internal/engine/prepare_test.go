@@ -173,6 +173,40 @@ func TestSetExpressionParamTakesColumnKind(t *testing.T) {
 	}
 }
 
+// TestValuesExpressionParamTakesColumnKind: a parameter inside an inserted
+// value binds as the kind of the column the value goes into, as a bare one
+// does. Unkinded, the TEXT '1' made ? + 1 a concatenation that stored 11,
+// and 'abc' passed Bind and failed while the INSERT ran.
+func TestValuesExpressionParamTakesColumnKind(t *testing.T) {
+	_, s := prepareTestDB(t)
+	if _, err := s.Execute("CREATE TABLE tally (id INT PRIMARY KEY, n INT)"); err != nil {
+		t.Fatal(err)
+	}
+	st, err := s.Prepare("INSERT INTO tally VALUES (?, ? + 1)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if err := st.Bind(types.NewInt(1), types.NewString("abc")); err == nil || !strings.Contains(err.Error(), "cannot bind") {
+		t.Fatalf("binding 'abc' to ? + 1 = %v, want a refusal at Bind", err)
+	}
+	if _, err := st.Exec(types.NewInt(1), types.NewInt(1)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Exec(types.NewInt(2), types.NewString("1")); err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.Query("SELECT n FROM tally ORDER BY id")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []int64{2, 2} {
+		if got := res.Rows[i][0]; got.Kind() != types.KindInt || got.Int() != want {
+			t.Fatalf("row %d: n = %v, want %d", i+1, got, want)
+		}
+	}
+}
+
 func TestUnboundParameterFails(t *testing.T) {
 	_, s := prepareTestDB(t)
 	stmt, err := s.Prepare("SELECT name FROM customers WHERE id = ?")

@@ -318,12 +318,34 @@ func (b *Builder) buildInsert(stmt *sql.InsertStmt) (Node, error) {
 			if node.ColumnPos != nil {
 				pos = node.ColumnPos[i]
 			}
-			if p, ok := e.(*sql.Param); ok {
-				b.setParamKind(p, schema.Columns[pos].Type)
-			}
+			b.kindValueParams(e, schema.Columns[pos].Type)
 		}
 	}
 	return node, nil
+}
+
+// kindValueParams gives kind, the kind of the column a value is inserted
+// into, to the value's parameters that meet no column: a bare one, and one
+// under arithmetic or negation, whose operands take the result's kind ("? +
+// 1" into an INT column binds ? as INT, not as TEXT that would concatenate).
+// A parameter under any other operator or a function keeps what it has.
+func (b *Builder) kindValueParams(e sql.Expr, kind types.Kind) {
+	switch e := e.(type) {
+	case *sql.Param:
+		if e.Index >= len(b.kinds) || b.kinds[e.Index] == types.KindNull {
+			b.setParamKind(e, kind)
+		}
+	case *sql.BinaryExpr:
+		switch e.Op {
+		case sql.OpAdd, sql.OpSub, sql.OpMul, sql.OpDiv, sql.OpMod:
+			b.kindValueParams(e.Left, kind)
+			b.kindValueParams(e.Right, kind)
+		}
+	case *sql.UnaryExpr:
+		if e.Op == sql.OpNeg {
+			b.kindValueParams(e.Operand, kind)
+		}
+	}
 }
 
 // resolveInsertColumns resolves the node's column names to schema positions.
