@@ -60,8 +60,8 @@ func (h *HeapFile) insert(record []byte) (RecordID, error) {
 // page has copied them. Only the last page is tried, and it stays pinned
 // while records fill it; when it is full a new page is allocated and pinned
 // in its place. So a batch fetches each page it writes once, a page is
-// compacted once, when it fills, and space freed on earlier pages is not
-// reused.
+// compacted only when it fills and deleted records left enough space on it
+// for the next record, and space freed on earlier pages is not reused.
 func (h *HeapFile) append(rids []RecordID, build func(i int, buf []byte) []byte) (err error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()

@@ -431,3 +431,73 @@ func scanAll(t testing.TB, h *HeapFile) [][]byte {
 		out = append(out, record)
 	}
 }
+
+// TestBulkAppendCompactsNoPage: a page is compacted only when the bytes its
+// deleted records left behind make the next record fit. Appending N records
+// to an empty heap fills each page once and moves on, so it allocates no
+// more than what its new pages cost plus a small constant; compacting every
+// page that filled cost several allocations more per page. A full page with
+// no dead bytes, or with too few, refuses a record and keeps its bytes.
+func TestBulkAppendCompactsNoPage(t *testing.T) {
+	const n = 3000
+	metas := make([]VersionMeta, n)
+	payloads := make([][]byte, n)
+	for i := range payloads {
+		metas[i].Xmin = uint64(i + 1)
+		payloads[i] = []byte(fmt.Sprintf("row-%04d-%s", i, bytes.Repeat([]byte("p"), i%24)))
+	}
+	rids := make([]RecordID, n)
+	pages := 0
+	allocs := testing.AllocsPerRun(5, func() {
+		h := NewHeapFile(NewBufferPool(NewMemDiskManager(), 64))
+		if err := h.InsertVersions(metas, payloads, rids); err != nil {
+			t.Fatal(err)
+		}
+		pages = len(h.pages)
+	})
+	if pages < 10 {
+		t.Fatalf("%d records filled %d pages, want at least 10", n, pages)
+	}
+	// A new page costs its disk copy, its frame and its page, and the
+	// slices and maps that track pages grow by doubling.
+	const perPage, constant = 3, 40
+	t.Logf("appending %d records onto %d new pages allocated %.0f objects", n, pages, allocs)
+	if limit := float64(perPage*pages + constant); allocs > limit {
+		t.Errorf("appending %d records onto %d new pages allocated %.0f objects, want at most %.0f", n, pages, allocs, limit)
+	}
+
+	// Fill a page with the payloads, then with one-byte records, until not
+	// even one more fits.
+	p := newPage()
+	for i := 0; i < len(payloads)+PageSize; i++ {
+		rec := []byte("x")
+		if i < len(payloads) {
+			rec = payloads[i]
+		}
+		if _, err := p.insert(rec); err != nil && !errors.Is(err, ErrPageFull) {
+			t.Fatal(err)
+		}
+	}
+	if dead := p.deadBytes(); dead != 0 {
+		t.Fatalf("a page filled by appends holds %d dead bytes", dead)
+	}
+	before := p.data
+	if _, err := p.insert([]byte("x")); !errors.Is(err, ErrPageFull) {
+		t.Fatalf("insert into a full page with no dead bytes = %v, want ErrPageFull", err)
+	}
+	if p.data != before {
+		t.Error("a full page with no dead bytes changed while refusing a record")
+	}
+	// One small record deleted from the middle leaves dead bytes too few for
+	// a large record: the page refuses it without compacting.
+	if err := p.delete(1); err != nil {
+		t.Fatal(err)
+	}
+	before = p.data
+	if _, err := p.insert(bytes.Repeat([]byte("L"), 200)); !errors.Is(err, ErrPageFull) {
+		t.Fatalf("insert of a record its dead bytes cannot make room for = %v, want ErrPageFull", err)
+	}
+	if p.data != before {
+		t.Error("a full page whose dead bytes are too few changed while refusing a record")
+	}
+}

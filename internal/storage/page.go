@@ -75,7 +75,12 @@ func (p *Page) setSlot(i, offset, length int) {
 func (p *Page) tombstones() int     { return int(binary.LittleEndian.Uint16(p.data[4:6])) }
 func (p *Page) setTombstones(n int) { binary.LittleEndian.PutUint16(p.data[4:6], uint16(n)) }
 
-// insert stores the record on the page and returns its slot number.
+// insert stores the record on the page and returns its slot number. When
+// the free gap between the slot directory and the record bodies is too small,
+// the page is compacted only if the bytes deleted records left behind would
+// make the record fit; a page without enough of them (a page that filled
+// with appends and lost no record) is full as it stands, and is left
+// untouched.
 func (p *Page) insert(record []byte) (int, error) {
 	if len(record) > PageSize-pageHeaderSize-slotSize {
 		return 0, fmt.Errorf("storage: record of %d bytes can never fit in a page", len(record))
@@ -93,12 +98,11 @@ func (p *Page) insert(record []byte) (int, error) {
 	if slot < 0 {
 		needDirectory = slotSize
 	}
-	if p.freeEnd()-(pageHeaderSize+p.slotCount()*slotSize)-needDirectory < len(record) {
-		// Try reclaiming space left by deleted records.
-		p.compact()
-		if p.freeEnd()-(pageHeaderSize+p.slotCount()*slotSize)-needDirectory < len(record) {
+	if free := p.freeEnd() - (pageHeaderSize + p.slotCount()*slotSize) - needDirectory; free < len(record) {
+		if free+p.deadBytes() < len(record) {
 			return 0, ErrPageFull
 		}
+		p.compact()
 	}
 	offset := p.freeEnd() - len(record)
 	copy(p.data[offset:], record)
@@ -148,32 +152,33 @@ func (p *Page) delete(slot int) error {
 	return nil
 }
 
-// compact rewrites all live records contiguously at the end of the page,
-// reclaiming space left behind by deletes.
-func (p *Page) compact() {
-	type rec struct {
-		slot, off, length int
+// deadBytes is the space deleted records left between the free gap and the
+// end of the page: what compact would reclaim. A tombstone's length is zero,
+// so it is the record area less the live records' lengths.
+func (p *Page) deadBytes() int {
+	live := 0
+	for i := 0; i < p.slotCount(); i++ {
+		live += p.slotLength(i)
 	}
-	var live []rec
+	return PageSize - p.freeEnd() - live
+}
+
+// compact rewrites all live records contiguously at the end of the page,
+// reclaiming the space deleted records left behind. insert calls it only
+// when that space makes the record it is storing fit.
+func (p *Page) compact() {
+	var scratch [PageSize]byte
+	writeEnd := PageSize
 	for i := 0; i < p.slotCount(); i++ {
 		off, length := p.slotOffset(i), p.slotLength(i)
 		if off == 0 && length == 0 {
 			continue
 		}
-		live = append(live, rec{i, off, length})
-	}
-	var scratch [PageSize]byte
-	writeEnd := PageSize
-	for _, r := range live {
-		writeEnd -= r.length
-		copy(scratch[writeEnd:], p.data[r.off:r.off+r.length])
+		writeEnd -= length
+		copy(scratch[writeEnd:], p.data[off:off+length])
+		p.setSlot(i, writeEnd, length)
 	}
 	copy(p.data[writeEnd:], scratch[writeEnd:])
-	cursor := PageSize
-	for _, r := range live {
-		cursor -= r.length
-		p.setSlot(r.slot, cursor, r.length)
-	}
 	p.setFreeEnd(writeEnd)
 }
 
