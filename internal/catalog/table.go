@@ -3,6 +3,7 @@ package catalog
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -320,12 +321,16 @@ func (t *Table) probeKeysLocked(row Tuple, xid uint64, probe *KeyProbe) (uint64,
 // one is first checked against the schema in place (types.CheckEncoded), so
 // a bad row installs nothing and a value of the wrong kind is refused, not
 // cast; the payloads are then appended to the heap in one batch, which fills
-// each page under one pin; last, each index is built with one Tree.Load over
-// keys encoded from the payloads (types.AppendEncodedKey) into one arena the
-// indexes share. The versions join no unsettled list: each image row's
-// creator committed before the checkpoint, and recovery installs the image
-// before any snapshot exists and resumes the id sequence past it, so every
-// such version is settled.
+// each page under one pin and yields the rids; last, the indexes are built
+// concurrently, each on its own goroutine and at most runtime.GOMAXPROCS(0)
+// at once: a build encodes its keys from the payloads
+// (types.AppendEncodedKey) into an arena of its own and runs one Tree.Load.
+// The builds only read payloads and rids, both complete before the first
+// starts, and each writes only its own tree. An error is reported for the
+// first index, in the table's order, whose build failed. The versions join
+// no unsettled list: each image row's creator committed before the
+// checkpoint, and recovery installs the image before any snapshot exists and
+// resumes the id sequence past it, so every such version is settled.
 func (t *Table) InstallImage(payloads [][]byte, xmins []uint64) error {
 	if len(payloads) != len(xmins) {
 		return fmt.Errorf("catalog: image for %s has %d rows and %d xmins", t.name, len(payloads), len(xmins))
@@ -350,27 +355,45 @@ func (t *Table) InstallImage(payloads [][]byte, xmins []uint64) error {
 		return fmt.Errorf("catalog: image rows into %s: %w", t.name, err)
 	}
 
-	// The arena is sized from the first row's keys, which cannot fail to
-	// encode: the row passed CheckEncoded.
+	errs := make([]error, len(t.indexes))
+	slots := make(chan struct{}, runtime.GOMAXPROCS(0))
+	var wg sync.WaitGroup
+	for i, idx := range t.indexes {
+		slots <- struct{}{}
+		wg.Add(1)
+		go func() {
+			defer func() { <-slots; wg.Done() }()
+			errs[i] = t.loadIndex(idx, payloads, rids)
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// loadIndex builds idx over the image rows payloads, stored at rids, with
+// one Tree.Load. The arena is sized from the first row's key, which cannot
+// fail to encode: the row passed CheckEncoded.
+func (t *Table) loadIndex(idx *Index, payloads [][]byte, rids []storage.RecordID) error {
 	var arena []byte
 	if len(payloads) > 0 {
-		for _, idx := range t.indexes {
-			arena, _, _ = idx.appendEncodedKey(arena, payloads[0])
-		}
+		arena, _, _ = idx.appendEncodedKey(arena, payloads[0])
 		arena = make([]byte, 0, len(payloads)*len(arena)*5/4)
 	}
-	for _, idx := range t.indexes {
-		pairs := make([]btree.Pair, len(payloads))
-		for i, payload := range payloads {
-			var err error
-			if arena, pairs[i].Key, err = idx.appendEncodedKey(arena, payload); err != nil {
-				return fmt.Errorf("catalog: image row %d of %s: %w", i, t.name, err)
-			}
-			pairs[i].RID = rids[i]
+	pairs := make([]btree.Pair, len(payloads))
+	for i, payload := range payloads {
+		var err error
+		if arena, pairs[i].Key, err = idx.appendEncodedKey(arena, payload); err != nil {
+			return fmt.Errorf("catalog: image row %d of %s: %w", i, t.name, err)
 		}
-		if err := idx.Tree.Load(pairs); err != nil {
-			return fmt.Errorf("catalog: image index %s: %w", idx.Name, err)
-		}
+		pairs[i].RID = rids[i]
+	}
+	if err := idx.Tree.Load(pairs); err != nil {
+		return fmt.Errorf("catalog: image index %s: %w", idx.Name, err)
 	}
 	return nil
 }
