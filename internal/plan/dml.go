@@ -332,7 +332,7 @@ func (b *Builder) buildInsert(stmt *sql.InsertStmt) (Node, error) {
 func (b *Builder) kindValueParams(e sql.Expr, kind types.Kind) {
 	switch e := e.(type) {
 	case *sql.Param:
-		if e.Index >= len(b.kinds) || b.kinds[e.Index] == types.KindNull {
+		if e.Index >= len(b.kinds) || e.Index >= 0 && b.kinds[e.Index] == types.KindNull {
 			b.setParamKind(e, kind)
 		}
 	case *sql.BinaryExpr:
