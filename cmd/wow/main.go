@@ -213,8 +213,8 @@ func main() {
 				fmt.Fprintln(os.Stderr, "error:", err)
 				continue
 			}
-			if res.Message != "" {
-				fmt.Println(res.Message)
+			if res.Message() != "" {
+				fmt.Println(res.Message())
 			}
 		default:
 			fmt.Fprintln(os.Stderr, "commands: keys <script> | open <form> | sql <stmt> | screen | quit")

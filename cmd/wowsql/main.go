@@ -221,7 +221,7 @@ func (e *localExecutor) runScript(script string, out io.Writer) error {
 			if err != nil {
 				return err
 			}
-			printResult(out, res.Columns, res.Rows, res.Message)
+			printResult(out, res.Columns, res.Rows, res.Message())
 		}
 	}
 	return nil

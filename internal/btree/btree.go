@@ -78,7 +78,7 @@ func (t *Tree) Insert(key []byte, rid storage.RecordID) {
 	defer t.mu.Unlock()
 	k := make([]byte, len(key))
 	copy(k, key)
-	promoted, right, added := insert(t.root, k, rid)
+	promoted, right, added := insert(t.root, k, rid, true)
 	if added {
 		t.size++
 	}
@@ -92,13 +92,32 @@ func (t *Tree) Insert(key []byte, rid storage.RecordID) {
 	}
 }
 
-// insert recurses into n. added reports whether an entry was added (an
-// existing pair is not added twice). When n splits, it returns the key to
-// promote and the new right sibling.
-func insert(n node, key []byte, rid storage.RecordID) (promoted []byte, right node, added bool) {
+// insert recurses into n, which lies on the tree's right edge when edge is
+// set. added reports whether an entry was added (an existing pair is not
+// added twice). When n splits, it returns the key to promote and the new
+// right sibling.
+//
+// The descent is built for ascending keys, PostgreSQL's fast path for the
+// rightmost leaf: a key above a node's last key goes to its last child, or
+// to the end of a leaf, without a search. A node on the right edge that
+// overflows because the new key went to its end does not split in half: it
+// stays full, and its new sibling starts with that key, so an ascending
+// load fills nodes instead of leaving each half empty. Search and the
+// cursors keep their binary search.
+func insert(n node, key []byte, rid storage.RecordID, edge bool) (promoted []byte, right node, added bool) {
 	switch n := n.(type) {
 	case *leafNode:
-		i, found := findKey(n.keys, key)
+		var i int
+		var found bool
+		if last := len(n.keys) - 1; last < 0 {
+			i = 0
+		} else if c := bytes.Compare(key, n.keys[last]); c > 0 {
+			i = last + 1
+		} else if c == 0 {
+			i, found = last, true
+		} else {
+			i, found = findKey(n.keys, key)
+		}
 		if found {
 			for _, existing := range n.vals[i] {
 				if existing == rid {
@@ -113,11 +132,15 @@ func insert(n node, key []byte, rid storage.RecordID) (promoted []byte, right no
 		if len(n.keys) <= fanout {
 			return nil, nil, true
 		}
-		// Split the leaf in half.
+		// Split in half, or, on the right edge with the new key last, move
+		// only the new key to the sibling.
 		mid := len(n.keys) / 2
+		if edge && i == len(n.keys)-1 {
+			mid = i
+		}
 		sibling := &leafNode{
-			keys: append([][]byte(nil), n.keys[mid:]...),
-			vals: append([][]storage.RecordID(nil), n.vals[mid:]...),
+			keys: append(make([][]byte, 0, fanout+1), n.keys[mid:]...),
+			vals: append(make([][]storage.RecordID, 0, fanout+1), n.vals[mid:]...),
 			next: n.next,
 			prev: n,
 		}
@@ -130,8 +153,11 @@ func insert(n node, key []byte, rid storage.RecordID) (promoted []byte, right no
 		return sibling.keys[0], sibling, true
 
 	case *innerNode:
-		i := childFor(n, key)
-		promoted, right, added := insert(n.children[i], key, rid)
+		i := len(n.children) - 1
+		if last := len(n.keys) - 1; last < 0 || bytes.Compare(key, n.keys[last]) < 0 {
+			i = childFor(n, key)
+		}
+		promoted, right, added := insert(n.children[i], key, rid, edge && i == len(n.children)-1)
 		if added {
 			n.counts[i]++
 		}
@@ -146,7 +172,13 @@ func insert(n node, key []byte, rid storage.RecordID) (promoted []byte, right no
 		if len(n.keys) <= fanout {
 			return nil, nil, added
 		}
+		// Split in half, or, on the right edge with the new separator last,
+		// promote that separator: n stays full, and the sibling starts with
+		// the new child alone, under no key of its own.
 		mid := len(n.keys) / 2
+		if edge && i == len(n.keys)-1 {
+			mid = i
+		}
 		promote := n.keys[mid]
 		sibling := &innerNode{
 			keys:     append([][]byte(nil), n.keys[mid+1:]...),

@@ -43,6 +43,67 @@ func TestInsertSearchUnique(t *testing.T) {
 	}
 }
 
+// TestAscendingInsertsFillLeaves: an ascending key appends at the tree's
+// right edge, and a full rightmost leaf gives only the new key to its new
+// sibling, so N ascending inserts leave at most ⌈N/fanout⌉+1 leaves. Splitting
+// every leaf in half left about twice that many, each half empty. Repeated
+// keys join their posting list at the edge, and a descending load, which
+// splits in half, still builds a valid tree.
+func TestAscendingInsertsFillLeaves(t *testing.T) {
+	leaves := func(tr *Tree) int {
+		n := 0
+		for l := tr.leftmostLeaf(); l != nil; l = l.next {
+			n++
+		}
+		return n
+	}
+	for _, n := range []int{1, fanout, fanout + 1, 1000, 20000} {
+		tr := New()
+		for i := 0; i < n; i++ {
+			tr.Insert(intKey(int64(i)), rid(i))
+		}
+		if got, limit := leaves(tr), (n+fanout-1)/fanout+1; got > limit {
+			t.Errorf("%d ascending inserts left %d leaves, want at most %d", n, got, limit)
+		}
+		if err := tr.Validate(); err != nil {
+			t.Fatalf("%d ascending inserts: %v", n, err)
+		}
+		for i := 0; i < n; i++ {
+			if got := tr.Search(intKey(int64(i))); len(got) != 1 || got[0] != rid(i) {
+				t.Fatalf("%d ascending inserts: Search %d = %v", n, i, got)
+			}
+		}
+		if got := tr.CountRange(Range{Low: intKey(int64(n / 2))}); got != n-n/2 {
+			t.Errorf("%d ascending inserts: CountRange from %d = %d, want %d", n, n/2, got, n-n/2)
+		}
+	}
+
+	dup := New()
+	for i := 0; i < 3000; i++ {
+		dup.Insert(intKey(int64(i/3)), rid(i))
+	}
+	if got, limit := leaves(dup), (1000+fanout-1)/fanout+1; got > limit {
+		t.Errorf("1000 ascending keys of 3 records each left %d leaves, want at most %d", got, limit)
+	}
+	if err := dup.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if got := dup.Search(intKey(500)); len(got) != 3 {
+		t.Errorf("Search 500 = %v, want 3 records", got)
+	}
+
+	desc := New()
+	for i := 5000; i > 0; i-- {
+		desc.Insert(intKey(int64(i)), rid(i))
+	}
+	if err := desc.Validate(); err != nil {
+		t.Fatalf("descending inserts: %v", err)
+	}
+	if got := scan(desc, Range{}); len(got) != 5000 {
+		t.Fatalf("descending inserts scan %d entries, want 5000", len(got))
+	}
+}
+
 func TestNonUniquePostingLists(t *testing.T) {
 	tr := New()
 	key := types.EncodeKey(nil, types.NewString("Boston"))

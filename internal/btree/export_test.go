@@ -8,8 +8,9 @@ import (
 // Validate checks structural invariants (key ordering within and across
 // leaves, the leaf chain linked consistently in both directions and ending at
 // the rightmost leaf, the entry count, child and key counts in inner nodes,
-// and every inner node's per-child entry count) and returns an error
-// describing the first violation.
+// every inner node's per-child entry count, and every key lying between the
+// separators around its subtree) and returns an error describing the first
+// violation.
 func (t *Tree) Validate() error {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -34,14 +35,20 @@ func (t *Tree) Validate() error {
 	if entries != t.size {
 		return fmt.Errorf("btree: leaf chain holds %d entries, size says %d", entries, t.size)
 	}
-	_, err := validateNode(t.root)
+	_, err := validateNode(t.root, nil, nil)
 	return err
 }
 
-// validateNode checks n's subtree and returns the number of entries it holds.
-func validateNode(n node) (int, error) {
+// validateNode checks n's subtree, whose keys must lie in [lo, hi) (nil
+// unbounded), and returns the number of entries it holds.
+func validateNode(n node, lo, hi []byte) (int, error) {
 	inner, ok := n.(*innerNode)
 	if !ok {
+		for _, k := range n.(*leafNode).keys {
+			if (lo != nil && bytes.Compare(k, lo) < 0) || (hi != nil && bytes.Compare(k, hi) >= 0) {
+				return 0, fmt.Errorf("btree: key %q outside its separators [%q, %q)", k, lo, hi)
+			}
+		}
 		return subtreeSize(n), nil
 	}
 	if len(inner.children) != len(inner.keys)+1 || len(inner.counts) != len(inner.children) {
@@ -50,7 +57,14 @@ func validateNode(n node) (int, error) {
 	}
 	total := 0
 	for i, c := range inner.children {
-		n, err := validateNode(c)
+		clo, chi := lo, hi
+		if i > 0 {
+			clo = inner.keys[i-1]
+		}
+		if i < len(inner.keys) {
+			chi = inner.keys[i]
+		}
+		n, err := validateNode(c, clo, chi)
 		if err != nil {
 			return 0, err
 		}

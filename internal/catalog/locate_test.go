@@ -153,13 +153,17 @@ func runLocateModel(t *testing.T, sh locateShape, seed int64) {
 			live, stored = append(live, rid), append(stored, row)
 		case op < 7:
 			i := rng.Intn(len(live))
-			_, row, err := tbl.ClaimVersion(live[i], xid)
-			if err != nil || row == nil {
+			_, payload, err := tbl.ClaimVersion(live[i], xid)
+			if err != nil || payload == nil {
 				fail("claim: %v", err)
+			}
+			row, err := types.DecodeTuple(payload)
+			if err != nil {
+				fail("claimed payload: %v", err)
 			}
 			// Usually keep the key and change the last column, so the key
 			// collects versions; sometimes move the row to another key.
-			next := append(Tuple(nil), row...)
+			next := row
 			if rng.Intn(4) == 0 {
 				next = sh.randomRow(rng)
 			} else {

@@ -225,18 +225,23 @@ type KeyProbe struct {
 	InFlight func(xid uint64) bool
 	// Sees reports whether the writer's snapshot sees a version.
 	Sees func(storage.VersionMeta) bool
-	// Supersedes is the row the new version replaces, nil for a new row. A
-	// unique key the two share is the writer's own and is not probed.
-	Supersedes Tuple
+	// Supersedes is the stored payload of the row the new version replaces,
+	// nil for a new row. A unique key the two share is the writer's own and
+	// is not probed.
+	Supersedes []byte
 }
 
+// keyStackSize is the room InsertVersion keeps on its stack for a row's
+// index keys; a row whose keys take more spills to the heap.
+const keyStackSize = 256
+
 // InsertVersion appends a new row version stamped xmin=xid and maintains
-// every index. It is where a written row is validated, once: the tuple is
-// checked against the schema into a copy with each value cast to its
-// column's kind (Tuple.ValidateAgainst), and that copy is the row the heap,
-// the indexes and the unsettled list hold. It is returned as row, for the
-// writer's log record; no caller holds the tuple it was made from, so no
-// caller can change what was stored, and callers must not modify row.
+// every index. It is where a written row is validated and encoded, once: the
+// tuple is checked against the schema into one copy with each value cast to
+// its column's kind (Tuple.ValidateAgainst), and that copy is encoded once
+// into the payload the heap stores, the unsettled list holds and the writer
+// logs, returned as payload; callers must not modify it. Each index key is
+// encoded once, into one buffer the unique probe and the tree insert share.
 //
 // With a probe, it first looks up each unique key of the row in the same
 // step under the table latch, so no other writer can insert the key between
@@ -250,47 +255,83 @@ type KeyProbe struct {
 // and freed the key under the writer's snapshot. A version stamped with a
 // transaction id joins the unsettled list; xid 0 writes a frozen version,
 // visible to every snapshot.
-func (t *Table) InsertVersion(tuple Tuple, xid uint64, probe *KeyProbe) (rid storage.RecordID, row Tuple, holder uint64, err error) {
-	row, err = tuple.ValidateAgainst(t.schema)
+func (t *Table) InsertVersion(tuple Tuple, xid uint64, probe *KeyProbe) (rid storage.RecordID, payload []byte, holder uint64, err error) {
+	row, err := tuple.ValidateAgainst(t.schema)
 	if err != nil {
 		return storage.RecordID{}, nil, 0, err
 	}
+	payload = types.EncodeTuple(make([]byte, 0, types.EncodedSize(row)), row)
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	var (
+		keyBuf [keyStackSize]byte
+		endBuf [8]int
+	)
+	keys := rowKeys{buf: keyBuf[:0], ends: endBuf[:0]}
+	for _, idx := range t.indexes {
+		keys.buf = idx.appendKey(keys.buf, row)
+		keys.ends = append(keys.ends, len(keys.buf))
+	}
 	if probe != nil {
-		if holder, err = t.probeKeysLocked(row, xid, probe); holder != 0 || err != nil {
+		if holder, err = t.probeKeysLocked(&keys, xid, probe); holder != 0 || err != nil {
 			return storage.RecordID{}, nil, holder, err
 		}
 	}
 	meta := storage.VersionMeta{Xmin: xid}
-	if rid, err = t.heap.InsertVersion(meta, types.EncodeTuple(nil, row)); err != nil {
+	if rid, err = t.heap.InsertVersion(meta, payload); err != nil {
 		return storage.RecordID{}, nil, 0, err
 	}
-	for _, idx := range t.indexes {
-		idx.Tree.Insert(idx.keyFor(row), rid)
+	for i, idx := range t.indexes {
+		idx.Tree.Insert(keys.key(i), rid)
 	}
 	if xid != 0 {
-		t.unsettled.push(rid, meta, row)
+		t.unsettled.push(rid, meta, payload)
 	}
-	return rid, row, 0, nil
+	return rid, payload, 0, nil
 }
 
-// probeKeysLocked judges the versions indexed under each unique key of row
-// that probe.Supersedes does not share, for InsertVersion. It returns the
-// transaction the key's fate rests with, or ErrUniqueViolation. A version
-// outside the unsettled list is settled, so live and committed, and its
-// header need not be read. The caller holds t.mu, and a rollback removes its
-// versions under t.mu before its transaction leaves the active set, so a
-// version whose inserter is not in flight was inserted by a committed one.
-func (t *Table) probeKeysLocked(row Tuple, xid uint64, probe *KeyProbe) (uint64, error) {
-	var holder uint64
-	for _, idx := range t.indexes {
+// rowKeys holds a row's key for every index of its table, encoded into one
+// buffer: the key of the table's i-th index ends at ends[i] and starts where
+// the one before it ends.
+type rowKeys struct {
+	buf  []byte
+	ends []int
+}
+
+func (k *rowKeys) key(i int) []byte {
+	start := 0
+	if i > 0 {
+		start = k.ends[i-1]
+	}
+	return k.buf[start:k.ends[i]]
+}
+
+// probeKeysLocked judges the versions indexed under each unique key of the
+// new row, keys.key(i) the key of t.indexes[i], that probe.Supersedes does not
+// share, for InsertVersion. It returns the transaction the key's fate rests
+// with, or ErrUniqueViolation. A version outside the unsettled list is
+// settled, so live and committed, and its header need not be read. The
+// caller holds t.mu, and a rollback removes its versions under t.mu before
+// its transaction leaves the active set, so a version whose inserter is not
+// in flight was inserted by a committed one.
+func (t *Table) probeKeysLocked(keys *rowKeys, xid uint64, probe *KeyProbe) (uint64, error) {
+	var (
+		holder uint64
+		stack  [keyStackSize]byte
+	)
+	for i, idx := range t.indexes {
 		if !idx.Unique {
 			continue
 		}
-		key := idx.keyFor(row)
-		if probe.Supersedes != nil && string(idx.keyFor(probe.Supersedes)) == string(key) {
-			continue
+		key := keys.key(i)
+		if probe.Supersedes != nil {
+			old, err := types.AppendEncodedKey(stack[:0], probe.Supersedes, idx.colIdx)
+			if err != nil {
+				return 0, err
+			}
+			if string(old) == string(key) {
+				continue
+			}
 		}
 		for _, rid := range idx.Tree.Search(key) {
 			e := t.unsettled.get(rid)
@@ -400,10 +441,11 @@ func (t *Table) loadIndex(idx *Index, payloads [][]byte, rids []storage.RecordID
 
 // ClaimVersion claims the version at rid for transaction xid in one step
 // under the table latch. When no transaction has stamped the version, it
-// stamps xmax=xid and returns the header it found and the row, the unsettled
-// list's copy, which callers must not modify. Otherwise it stamps nothing and
-// returns the header it found, whose Xmax names the holder, and no row.
-func (t *Table) ClaimVersion(rid storage.RecordID, xid uint64) (storage.VersionMeta, Tuple, error) {
+// stamps xmax=xid and returns the header it found and the version's stored
+// payload, the unsettled list's copy, which callers must not modify.
+// Otherwise it stamps nothing and returns the header it found, whose Xmax
+// names the holder, and no payload.
+func (t *Table) ClaimVersion(rid storage.RecordID, xid uint64) (storage.VersionMeta, []byte, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	// A version outside the list is settled, so unstamped.
@@ -414,7 +456,7 @@ func (t *Table) ClaimVersion(rid storage.RecordID, xid uint64) (storage.VersionM
 		return storage.VersionMeta{}, nil, err
 	}
 	e := t.unsettled.get(rid)
-	return storage.VersionMeta{Xmin: e.meta.Xmin}, e.row, nil
+	return storage.VersionMeta{Xmin: e.meta.Xmin}, e.payload, nil
 }
 
 // ClearXmax removes the stamp ClaimVersion put on the version at rid
@@ -437,17 +479,32 @@ func (t *Table) RemoveVersion(rid storage.RecordID) error {
 }
 
 // removeVersionLocked deletes the version at rid, its index entries and its
-// list entry. An unsettled version's row comes from its list entry, so only
-// the delete itself touches the heap page; only a settled version is read,
-// and decoded in place.
+// list entry. An unsettled version's keys come from its list entry's
+// payload, so only the delete itself touches the heap page; only a settled
+// version is read, and its keys encoded from the page in place.
 func (t *Table) removeVersionLocked(rid storage.RecordID) error {
+	var (
+		keyBuf [keyStackSize]byte
+		endBuf [8]int
+	)
+	keys := rowKeys{buf: keyBuf[:0], ends: endBuf[:0]}
+	addKeys := func(payload []byte) error {
+		for _, idx := range t.indexes {
+			var err error
+			if keys.buf, err = types.AppendEncodedKey(keys.buf, payload, idx.colIdx); err != nil {
+				return err
+			}
+			keys.ends = append(keys.ends, len(keys.buf))
+		}
+		return nil
+	}
 	e := t.unsettled.get(rid)
-	var tuple Tuple
 	if e != nil {
-		tuple = e.row
-	} else if err := t.ViewVersion(rid, func(_ storage.VersionMeta, payload []byte) (err error) {
-		tuple, err = types.DecodeTuple(payload)
-		return err
+		if err := addKeys(e.payload); err != nil {
+			return err
+		}
+	} else if err := t.ViewVersion(rid, func(_ storage.VersionMeta, payload []byte) error {
+		return addKeys(payload)
 	}); err != nil {
 		return err
 	}
@@ -457,8 +514,8 @@ func (t *Table) removeVersionLocked(rid storage.RecordID) error {
 	if e != nil {
 		t.unsettled.remove(e)
 	}
-	for _, idx := range t.indexes {
-		idx.Tree.Delete(idx.keyFor(tuple), rid)
+	for i, idx := range t.indexes {
+		idx.Tree.Delete(keys.key(i), rid)
 	}
 	return nil
 }
@@ -604,12 +661,14 @@ type Index struct {
 }
 
 // keyFor computes the index key for a row of the owning table.
-func (idx *Index) keyFor(tuple Tuple) []byte {
-	var key []byte
+func (idx *Index) keyFor(tuple Tuple) []byte { return idx.appendKey(nil, tuple) }
+
+// appendKey appends the index key for a row of the owning table to dst.
+func (idx *Index) appendKey(dst []byte, tuple Tuple) []byte {
 	for _, pos := range idx.colIdx {
-		key = types.EncodeKey(key, tuple[pos])
+		dst = types.EncodeKey(dst, tuple[pos])
 	}
-	return key
+	return dst
 }
 
 // appendEncodedKey encodes the key of a row's stored payload, read in place,

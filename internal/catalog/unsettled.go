@@ -22,12 +22,13 @@ import (
 // instead of a pass over the heap.
 
 // unsettledVersion is one list entry: the version's record id and copies of
-// its header and row, kept equal to the heap's under Table.mu, so neither
-// reader fetches a page to judge or key it.
+// its header and stored payload, kept equal to the heap's under Table.mu, so
+// neither reader fetches a page to judge or key it. The payload is never
+// changed in place: a writer may log it as it is.
 type unsettledVersion struct {
 	rid        storage.RecordID
 	meta       storage.VersionMeta
-	row        Tuple
+	payload    []byte
 	prev, next *unsettledVersion
 }
 
@@ -44,8 +45,8 @@ func (l *unsettledList) get(rid storage.RecordID) *unsettledVersion { return l.b
 func (l *unsettledList) len() int { return len(l.byRID) }
 
 // push appends a version that is not in the list.
-func (l *unsettledList) push(rid storage.RecordID, meta storage.VersionMeta, row Tuple) {
-	e := &unsettledVersion{rid: rid, meta: meta, row: row, prev: l.tail}
+func (l *unsettledList) push(rid storage.RecordID, meta storage.VersionMeta, payload []byte) {
+	e := &unsettledVersion{rid: rid, meta: meta, payload: payload, prev: l.tail}
 	if l.tail != nil {
 		l.tail.next = e
 	} else {
@@ -89,11 +90,7 @@ func (t *Table) stampXmaxLocked(rid storage.RecordID, xid uint64) error {
 	if xid == 0 {
 		return nil // clearing a stamp leaves a settled version settled
 	}
-	row, err := types.DecodeTuple(payload)
-	if err != nil {
-		return err
-	}
-	t.unsettled.push(rid, meta, row)
+	t.unsettled.push(rid, meta, payload)
 	return nil
 }
 
@@ -126,10 +123,20 @@ func (t *Table) CountVisible(idx *Index, r btree.Range, visible func(storage.Ver
 	} else {
 		n = idx.Tree.CountRange(r)
 	}
+	var key []byte
 	for e := t.unsettled.head; e != nil; e = e.next {
-		if !visible(e.meta) && (idx == nil || r.Contains(idx.keyFor(e.row))) {
-			n--
+		if visible(e.meta) {
+			continue
 		}
+		if idx != nil {
+			// The payload was encoded from a validated row, so it has
+			// every column of the key.
+			key, _ = types.AppendEncodedKey(key[:0], e.payload, idx.colIdx)
+			if !r.Contains(key) {
+				continue
+			}
+		}
+		n--
 	}
 	return n
 }

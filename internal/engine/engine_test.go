@@ -447,12 +447,12 @@ func TestPersistenceAcrossReopenViaWAL(t *testing.T) {
 func TestResultMessages(t *testing.T) {
 	s := seededSession(t)
 	res, err := s.Execute("INSERT INTO customers (id, name) VALUES (40, 'Zed')")
-	if err != nil || !strings.Contains(res.Message, "1 row") {
-		t.Errorf("message = %q, %v", res.Message, err)
+	if err != nil || !strings.Contains(res.Message(), "1 row") {
+		t.Errorf("message = %q, %v", res.Message(), err)
 	}
 	res, _ = s.Execute("CREATE TABLE t2 (id INT PRIMARY KEY)")
-	if !strings.Contains(res.Message, "t2") {
-		t.Errorf("message = %q", res.Message)
+	if !strings.Contains(res.Message(), "t2") {
+		t.Errorf("message = %q", res.Message())
 	}
 }
 

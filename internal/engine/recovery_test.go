@@ -657,7 +657,11 @@ func TestOpenClosesTransactionsTheLogLeftOpen(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// The crash image: the log as it stands with the transaction open.
+	// The crash image: the log as it stands with the transaction open, its
+	// records written as another transaction's commit would write them.
+	if err := db.Transactions().WAL().Sync(); err != nil {
+		t.Fatal(err)
+	}
 	image, err := os.ReadFile(walPath)
 	if err != nil {
 		t.Fatal(err)

@@ -23,8 +23,21 @@ type Result struct {
 	Rows []types.Tuple
 	// RowsAffected counts the rows written by INSERT, UPDATE or DELETE.
 	RowsAffected int
-	// Message describes the effect of DDL and transaction-control statements.
-	Message string
+	// message describes the effect of a DDL or transaction-control
+	// statement; verb names a DML statement's ("inserted"), whose message
+	// Message formats from it and RowsAffected.
+	message, verb string
+}
+
+// Message describes the statement's effect: "N row(s) inserted" and the like
+// for INSERT, UPDATE and DELETE, the outcome of a DDL or transaction-control
+// statement, and nothing for a SELECT. A write's message is formatted when
+// it is read, not when the statement runs.
+func (r *Result) Message() string {
+	if r.verb != "" {
+		return fmt.Sprintf("%d row(s) %s", r.RowsAffected, r.verb)
+	}
+	return r.message
 }
 
 // Session executes statements against a database, carrying the current
@@ -206,7 +219,7 @@ func (s *Session) executeBegin() (*Result, error) {
 		return nil, err
 	}
 	s.current = t
-	return &Result{Message: "BEGIN"}, nil
+	return &Result{message: "BEGIN"}, nil
 }
 
 func (s *Session) executeCommit() (*Result, error) {
@@ -223,7 +236,7 @@ func (s *Session) executeCommit() (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Message: "COMMIT"}, nil
+	return &Result{message: "COMMIT"}, nil
 }
 
 func (s *Session) executeRollback() (*Result, error) {
@@ -235,7 +248,7 @@ func (s *Session) executeRollback() (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Message: "ROLLBACK"}, nil
+	return &Result{message: "ROLLBACK"}, nil
 }
 
 // writeTxn returns the transaction a data-modifying statement should run in
@@ -318,7 +331,7 @@ func (s *Session) executeCreateTable(stmt *sql.CreateTableStmt) (*Result, error)
 	if err := s.logDDL(stmt.String()); err != nil {
 		return nil, err
 	}
-	return &Result{Message: fmt.Sprintf("table %s created", strings.ToLower(stmt.Name))}, nil
+	return &Result{message: fmt.Sprintf("table %s created", strings.ToLower(stmt.Name))}, nil
 }
 
 func (s *Session) executeCreateIndex(stmt *sql.CreateIndexStmt) (*Result, error) {
@@ -328,7 +341,7 @@ func (s *Session) executeCreateIndex(stmt *sql.CreateIndexStmt) (*Result, error)
 	if err := s.logDDL(stmt.String()); err != nil {
 		return nil, err
 	}
-	return &Result{Message: fmt.Sprintf("index %s created", stmt.Name)}, nil
+	return &Result{message: fmt.Sprintf("index %s created", stmt.Name)}, nil
 }
 
 func (s *Session) executeCreateView(stmt *sql.CreateViewStmt) (*Result, error) {
@@ -343,7 +356,7 @@ func (s *Session) executeCreateView(stmt *sql.CreateViewStmt) (*Result, error) {
 	if err := s.logDDL(stmt.String()); err != nil {
 		return nil, err
 	}
-	return &Result{Message: fmt.Sprintf("view %s created", strings.ToLower(stmt.Name))}, nil
+	return &Result{message: fmt.Sprintf("view %s created", strings.ToLower(stmt.Name))}, nil
 }
 
 func (s *Session) executeDrop(stmt *sql.DropStmt) (*Result, error) {
@@ -364,7 +377,7 @@ func (s *Session) executeDrop(stmt *sql.DropStmt) (*Result, error) {
 	if err := s.logDDL(stmt.String()); err != nil {
 		return nil, err
 	}
-	return &Result{Message: fmt.Sprintf("%s %s dropped", strings.ToLower(stmt.Object), strings.ToLower(stmt.Name))}, nil
+	return &Result{message: fmt.Sprintf("%s %s dropped", strings.ToLower(stmt.Object), strings.ToLower(stmt.Name))}, nil
 }
 
 // logDDL records a schema change in the WAL so that recovery rebuilds the
@@ -422,11 +435,7 @@ func (s *Session) runWriteBody(stmt sql.Statement, body func(t *txn.Txn) (int, [
 	if err := s.finishWrite(t, autocommit, execErr); err != nil {
 		return nil, err
 	}
-	return &Result{
-		RowsAffected: affected,
-		Rows:         returned,
-		Message:      fmt.Sprintf("%d row(s) %s", affected, writeVerb(stmt)),
-	}, nil
+	return &Result{RowsAffected: affected, Rows: returned, verb: writeVerb(stmt)}, nil
 }
 
 // writeVerb names a DML statement's effect for result messages.

@@ -46,10 +46,21 @@ type scanOperator struct {
 	rids   []storage.RecordID
 	pos    int
 	cursor btree.Cursor
+	// keyCol is the schema position of the index's leading column, and
+	// eqKey the buffer an equality's key is encoded into.
+	keyCol int
+	eqKey  []byte
 }
 
 func newScanOperator(n *plan.ScanNode, params *expr.Params, rt *Runtime) (*scanOperator, error) {
 	op := &scanOperator{node: n, params: params, rt: rt}
+	if n.Index != nil {
+		pos, err := n.Table.Schema().ColumnIndex(n.Index.Columns[0])
+		if err != nil {
+			return nil, fmt.Errorf("exec: index key: %w", err)
+		}
+		op.keyCol = pos
+	}
 	if n.Filter != nil {
 		compiled, err := expr.CompileWithParams(n.Filter, n.Schema(), params)
 		if err != nil {
@@ -94,7 +105,7 @@ func (o *scanOperator) resolveKey(v types.Value, param int) (types.Value, error)
 		}
 		v = bound
 	}
-	return o.node.Table.Schema().CoerceToColumn(v, o.node.Index.Columns[0]), nil
+	return o.node.Table.Schema().CoerceToColumn(v, o.keyCol), nil
 }
 
 // interval resolves an index scan's key interval now that parameters have
@@ -110,8 +121,8 @@ func (o *scanOperator) interval() (r btree.Range, empty bool, err error) {
 	if err != nil || v.IsNull() {
 		return r, true, err
 	}
-	key := types.EncodeKey(nil, v)
-	return btree.Range{Low: key, High: key}, false, nil
+	o.eqKey = types.EncodeKey(o.eqKey[:0], v)
+	return btree.Range{Low: o.eqKey, High: o.eqKey}, false, nil
 }
 
 // keyRange converts the plan's bounds and direction into the cursor's key

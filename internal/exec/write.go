@@ -145,8 +145,11 @@ func (r *returningEval) project(rows []types.Tuple, row types.Tuple) ([]types.Tu
 type insertOperator struct {
 	node *plan.InsertNode
 	// defaults is the tuple template: column defaults where declared, NULL
-	// elsewhere. Copied per inserted row.
+	// elsewhere. It is copied into row for every inserted row: the insert
+	// encodes the row and keeps no reference to it, so one buffer serves
+	// every row of every Run.
 	defaults types.Tuple
+	row      types.Tuple
 	// rows holds the compiled value expressions, parallel to node.Rows
 	// (empty for the SELECT form).
 	rows [][]*expr.Compiled
@@ -205,26 +208,10 @@ func newInsertOperator(n *plan.InsertNode, params *expr.Params) (*insertOperator
 func (o *insertOperator) Table() *catalog.Table    { return o.node.Table }
 func (o *insertOperator) Returning() *types.Schema { return o.ret.outSchema() }
 
-// sourceRows materializes every value row for this Run: VALUES expressions
-// evaluated, or the child SELECT drained through t's snapshot. The SELECT is
-// drained completely before any insert happens, so the feeding query never
-// observes the rows it is inserting (same discipline as collectTargets).
-func (o *insertOperator) sourceRows(t *txn.Txn) ([]types.Tuple, error) {
-	if o.sel == nil {
-		out := make([]types.Tuple, 0, len(o.rows))
-		for _, row := range o.rows {
-			vals := make(types.Tuple, len(row))
-			for i, c := range row {
-				v, err := c.Eval(nil)
-				if err != nil {
-					return nil, err
-				}
-				vals[i] = v
-			}
-			out = append(out, vals)
-		}
-		return out, nil
-	}
+// selectRows drains the child SELECT through t's snapshot. It is drained
+// completely before any insert happens, so the feeding query never observes
+// the rows it is inserting (same discipline as collectTargets).
+func (o *insertOperator) selectRows(t *txn.Txn) ([]types.Tuple, error) {
 	o.selRt.SetSnapshot(t.Snapshot())
 	if err := o.sel.Open(); err != nil {
 		return nil, err
@@ -246,23 +233,44 @@ func (o *insertOperator) sourceRows(t *txn.Txn) ([]types.Tuple, error) {
 	return out, nil
 }
 
-func (o *insertOperator) Run(t *txn.Txn) (affected int, returned []types.Tuple, err error) {
-	source, err := o.sourceRows(t)
-	if err != nil {
-		return 0, nil, err
+// place stores v, the i-th value of a source row, in the column it fills,
+// coerced best-effort toward that column's declared kind by position:
+// SELECT-fed values carry whatever kind the query produced (exact
+// mismatches surface through constraint checks, as with binds).
+func (o *insertOperator) place(tuple types.Tuple, i int, v types.Value) {
+	pos := i
+	if o.node.ColumnPos != nil {
+		pos = o.node.ColumnPos[i]
 	}
-	schema := o.node.Table.Schema()
-	for _, vals := range source {
-		tuple := o.defaults.Clone()
-		for i, v := range vals {
-			pos := i
-			if o.node.ColumnPos != nil {
-				pos = o.node.ColumnPos[i]
+	tuple[pos] = o.node.Table.Schema().CoerceToColumn(v, pos)
+}
+
+// Run inserts every source row: each VALUES row evaluated straight into a
+// copy of the defaults, or each row of the drained SELECT.
+func (o *insertOperator) Run(t *txn.Txn) (affected int, returned []types.Tuple, err error) {
+	var selected []types.Tuple
+	n := len(o.rows)
+	if o.sel != nil {
+		if selected, err = o.selectRows(t); err != nil {
+			return 0, nil, err
+		}
+		n = len(selected)
+	}
+	for r := 0; r < n; r++ {
+		o.row = append(o.row[:0], o.defaults...)
+		tuple := o.row
+		if o.sel != nil {
+			for i, v := range selected[r] {
+				o.place(tuple, i, v)
 			}
-			// SELECT-fed values carry whatever kind the query produced;
-			// coerce best-effort toward the column's declared type (exact
-			// mismatches surface through constraint checks, as with binds).
-			tuple[pos] = schema.CoerceToColumn(v, schema.Columns[pos].Name)
+		} else {
+			for i, c := range o.rows[r] {
+				v, err := c.Eval(nil)
+				if err != nil {
+					return affected, returned, err
+				}
+				o.place(tuple, i, v)
+			}
 		}
 		if err := checkRow(o.check, o.node.Check, tuple); err != nil {
 			return affected, returned, err

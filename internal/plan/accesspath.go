@@ -3,6 +3,7 @@ package plan
 import (
 	"strings"
 
+	"repro/internal/catalog"
 	"repro/internal/sql"
 	"repro/internal/types"
 )
@@ -57,9 +58,16 @@ func chooseScanAccess(scan *ScanNode) {
 		return
 	}
 
-	// Second pass: accumulate range bounds per indexed column and pick the
-	// column that consumes the most conjuncts.
+	// Second pass: accumulate range bounds per column, keyed by its
+	// lower-cased name, and pick the index that consumes the most conjuncts.
 	best := map[string]*rangeBounds{}
+	boundsOf := func(col string) *rangeBounds {
+		col = strings.ToLower(col)
+		if best[col] == nil {
+			best[col] = &rangeBounds{}
+		}
+		return best[col]
+	}
 	for i, c := range conjuncts {
 		// BETWEEN gives both bounds at once.
 		if between, ok := c.(*sql.BetweenExpr); ok && !between.Negate {
@@ -72,11 +80,7 @@ func chooseScanAccess(scan *ScanNode) {
 			if !okLow || !okHigh {
 				continue
 			}
-			b := best[col]
-			if b == nil {
-				b = &rangeBounds{}
-				best[col] = b
-			}
+			b := boundsOf(col)
 			b.low = append(b.low, low.bound(true))
 			b.high = append(b.high, high.bound(true))
 			b.consumed = append(b.consumed, i)
@@ -86,11 +90,7 @@ func chooseScanAccess(scan *ScanNode) {
 		if !ok {
 			continue
 		}
-		b := best[col]
-		if b == nil {
-			b = &rangeBounds{}
-			best[col] = b
-		}
+		b := boundsOf(col)
 		switch op {
 		case sql.OpGt:
 			b.low = append(b.low, operand.bound(false))
@@ -106,24 +106,28 @@ func chooseScanAccess(scan *ScanNode) {
 		b.consumed = append(b.consumed, i)
 	}
 
-	var bestCol string
+	// Rank the single-column indexes with range bounds by the conjuncts they
+	// consume; a tie goes to the index created first, so a statement plans
+	// the same way in every database.
+	var bestIndex *catalog.Index
 	var bestBounds *rangeBounds
-	for col, b := range best {
-		if scan.Table.IndexOn(col) == nil || len(scan.Table.IndexOn(col).Columns) != 1 {
+	for _, idx := range scan.Table.Indexes() {
+		if len(idx.Columns) != 1 {
 			continue
 		}
-		if len(b.consumed) == 0 {
+		b := best[strings.ToLower(idx.Columns[0])]
+		if b == nil || len(b.consumed) == 0 {
 			continue
 		}
 		if bestBounds == nil || len(b.consumed) > len(bestBounds.consumed) {
-			bestCol, bestBounds = col, b
+			bestIndex, bestBounds = idx, b
 		}
 	}
 	if bestBounds == nil {
 		return
 	}
 	scan.Access = AccessIndexRange
-	scan.Index = scan.Table.IndexOn(bestCol)
+	scan.Index = bestIndex
 	scan.Low = bestBounds.low
 	scan.High = bestBounds.high
 	scan.Filter = joinConjuncts(removeAt(conjuncts, bestBounds.consumed))

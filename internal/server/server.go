@@ -587,7 +587,7 @@ func (c *conn) appendBatch(b *wire.Buffer, rows *engine.Rows, maxRows uint32, en
 func resultFrame(res *engine.Result, rowsSent *atomic.Uint64) (byte, []byte) {
 	var b wire.Buffer
 	b.Uint64(uint64(res.RowsAffected))
-	b.String(res.Message)
+	b.String(res.Message())
 	b.Strings(res.Columns)
 	b.Uint32(uint32(len(res.Rows)))
 	for _, t := range res.Rows {

@@ -32,6 +32,8 @@ type HeapFile struct {
 	// count caches the number of live records for O(1) cardinality estimates
 	// used by the planner and the forms layer's status line.
 	count int
+	// buf is append's record buffer, kept between appends under mu.
+	buf []byte
 }
 
 // NewHeapFile creates an empty heap file over the buffer pool.
@@ -46,18 +48,26 @@ func (h *HeapFile) Count() int {
 	return h.count
 }
 
-// insert stores record and returns its identifier: the one-record case of
-// append.
-func (h *HeapFile) insert(record []byte) (RecordID, error) {
+// insert stores the record made of parts, in order, and returns its
+// identifier: the one-record case of append, which joins the parts in its
+// buffer.
+func (h *HeapFile) insert(parts ...[]byte) (RecordID, error) {
 	var rid [1]RecordID
-	err := h.append(rid[:], func(int, []byte) []byte { return record })
+	err := h.append(rid[:], func(_ int, buf []byte) []byte {
+		buf = buf[:0]
+		for _, p := range parts {
+			buf = append(buf, p...)
+		}
+		return buf
+	})
 	return rid[0], err
 }
 
 // append stores len(rids) records at the end of the heap and writes their
 // identifiers into rids. build(i, buf) returns the i-th record; it may build
 // it in buf, which holds the previous record's bytes and is reused once the
-// page has copied them. Only the last page is tried, and it stays pinned
+// page has copied them: the heap keeps that buffer from one append to the
+// next, so a record built in it costs no allocation. Only the last page is tried, and it stays pinned
 // while records fill it; when it is full a new page is allocated and pinned
 // in its place. So a batch fetches each page it writes once, a page is
 // compacted only when it fills and deleted records left enough space on it
@@ -69,9 +79,10 @@ func (h *HeapFile) append(rids []RecordID, build func(i int, buf []byte) []byte)
 		id    PageID
 		page  *Page // pinned while non-nil
 		dirty bool  // a record went onto page
-		buf   []byte
+		buf   = h.buf
 	)
 	defer func() {
+		h.buf = buf[:0]
 		if page != nil {
 			err = errors.Join(err, h.pool.unpin(id, dirty))
 		}

@@ -57,9 +57,11 @@ func DecodeVersion(rec []byte) (VersionMeta, []byte, error) {
 	return m, rec[VersionHeaderSize:], nil
 }
 
-// InsertVersion stores payload as a new row version stamped with meta.
+// InsertVersion stores payload as a new row version stamped with meta. The
+// record is joined from its header and payload in the heap's append buffer.
 func (h *HeapFile) InsertVersion(meta VersionMeta, payload []byte) (RecordID, error) {
-	return h.insert(appendVersion(nil, meta, payload))
+	var header [VersionHeaderSize]byte
+	return h.insert(appendVersion(header[:0], meta, nil), payload)
 }
 
 // InsertVersions stores each payloads[i] as a new row version stamped with

@@ -11,17 +11,17 @@ import (
 // Every durable append already knows the log offset its record ends at by
 // the time it gets here. A committer whose end offset is not yet below the
 // durable frontier (WAL.durableOff) either waits (a follower, when someone
-// else's fsync is in flight) or becomes the leader: it reads the log's
-// appended frontier, issues one fsync, publishes that frontier as durable,
-// and wakes the cohort. Committers that arrived while the leader was syncing
+// else's fsync is in flight) or becomes the leader: it writes the log
+// buffer, which holds every record appended so far, issues one fsync,
+// publishes the offset the write reached as durable, and wakes the cohort. Committers that arrived while the leader was syncing
 // ride the same fsync if it covers them; the first one it doesn't cover
 // becomes the next leader. One fsync therefore retires an entire convoy of
 // commits, and durable commits/sec scales with concurrency instead of fsync
 // rate.
 //
 // The coordinator has its own mutex, never taken together with WAL.mu or
-// Manager.mu: the leader reads the appended frontier through an atomic and
-// drops gc.mu across the fsync itself, so the lock-order graph stays flat.
+// Manager.mu: the leader drops gc.mu across the write and the fsync, and
+// takes WAL.mu only for the write, so the lock-order graph stays flat.
 //
 // Failure is sticky. fsync gives no second chances — after an error the
 // kernel may have dropped the dirty pages while the file still looks
@@ -98,10 +98,12 @@ func (g *groupCommit) syncTo(w *WAL, end int64) error {
 				runtime.Gosched()
 			}
 		}
-		// Every record below target was fully written under WAL.mu before
-		// this load, so the fsync covers its bytes.
-		target := w.appendedOff.Load()
-		err := w.syncMedium()
+		// Write the log buffer: every record appended so far reaches the
+		// medium in one write, and the fsync covers its bytes.
+		target, err := w.flush()
+		if err == nil {
+			err = w.syncMedium()
+		}
 		g.mu.Lock()
 		g.syncing = false
 		g.batches++

@@ -1,6 +1,7 @@
 package txn
 
 import (
+	"slices"
 	"sync"
 
 	"repro/internal/catalog"
@@ -30,8 +31,10 @@ type Snapshot struct {
 	xmin uint64
 	// xmax is one past the newest transaction id assigned when the snapshot
 	// was taken; ids >= xmax are always invisible.
-	xmax   uint64
-	active map[uint64]struct{}
+	xmax uint64
+	// active holds, in increasing order, the transactions other than the
+	// owner that were in flight when the snapshot was taken.
+	active []uint64
 
 	mu       sync.Mutex
 	released bool
@@ -65,7 +68,7 @@ func (s *Snapshot) sees(x uint64) bool {
 	if x >= s.xmax {
 		return false
 	}
-	_, inFlight := s.active[x]
+	_, inFlight := slices.BinarySearch(s.active, x)
 	return !inFlight
 }
 
@@ -96,19 +99,25 @@ func (m *Manager) AcquireSnapshot() *Snapshot {
 
 // acquireSnapshotLocked builds and registers a snapshot; m.mu must be held.
 func (m *Manager) acquireSnapshotLocked(owner uint64) *Snapshot {
-	s := &Snapshot{
-		mgr:    m,
-		owner:  owner,
-		xmax:   m.lastID + 1,
-		active: make(map[uint64]struct{}, len(m.active)),
-	}
+	return m.takeSnapshotLocked(new(Snapshot), owner)
+}
+
+// takeSnapshotLocked fills s, a zero Snapshot, as a snapshot owned by owner
+// and registers it; m.mu must be held. A transaction's snapshot lives in the
+// transaction, and its active set allocates nothing while no other
+// transaction is in flight.
+func (m *Manager) takeSnapshotLocked(s *Snapshot, owner uint64) *Snapshot {
+	s.mgr, s.owner, s.xmax = m, owner, m.lastID+1
 	s.xmin = s.xmax
 	for id := range m.active {
-		s.active[id] = struct{}{}
 		if id < s.xmin {
 			s.xmin = id
 		}
+		if id != owner {
+			s.active = append(s.active, id)
+		}
 	}
+	slices.Sort(s.active)
 	m.snapSeq++
 	s.key = m.snapSeq
 	m.snapshots[s.key] = s

@@ -156,7 +156,7 @@ func (m *Manager) Begin() (*Txn, error) {
 	m.wal.mu.Lock()
 	defer m.wal.mu.Unlock()
 	t := m.begin(m.wal.off)
-	if _, err := m.wal.writeLocked(encodeFrame(encodeRecord(Record{Kind: RecordBegin, Txn: t.id}))); err != nil {
+	if _, err := m.wal.appendLocked(RecordBegin, t.id, "", nil, nil, ""); err != nil {
 		t.finish(false)
 		return nil, err
 	}
@@ -171,7 +171,9 @@ func (m *Manager) begin(beginOff int64) *Txn {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.lastID++
-	return m.registerLocked(&Txn{id: m.lastID, mgr: m, state: StateActive, beginOff: beginOff, wal: m.wal})
+	t := &Txn{id: m.lastID, mgr: m, state: StateActive, beginOff: beginOff, wal: m.wal}
+	t.undo = t.firstUndo[:0]
+	return m.registerLocked(t)
 }
 
 // adopt registers a transaction under a logged id for the Applier, as Begin
@@ -191,7 +193,7 @@ func (m *Manager) adopt(id uint64) (*Txn, error) {
 func (m *Manager) registerLocked(t *Txn) *Txn {
 	t.done = make(chan struct{})
 	m.active[t.id] = t
-	t.snap = m.acquireSnapshotLocked(t.id)
+	t.snap = m.takeSnapshotLocked(&t.snapshot, t.id)
 	return t
 }
 
@@ -223,6 +225,9 @@ type Txn struct {
 	mgr   *Manager
 	state State
 	snap  *Snapshot
+	// snapshot holds snap, so that beginning a transaction allocates no
+	// snapshot of its own.
+	snapshot Snapshot
 	// beginOff is the log offset of this transaction's Begin record (-1 when
 	// logging is disabled or the transaction is adopted). Set before the
 	// transaction joins the active set; the checkpointer reads it under
@@ -240,6 +245,9 @@ type Txn struct {
 	mu         sync.Mutex
 	undo       []undoEntry
 	pendingDDL []string // DDL run under this txn, joins ddlHistory on commit
+	// firstUndo backs undo until a second entry: a one-row write allocates
+	// no undo list.
+	firstUndo [1]undoEntry
 }
 
 // Snapshot returns the transaction's begin-timestamp snapshot. It is owned
@@ -260,14 +268,14 @@ func (t *Txn) waitFor(id uint64) error {
 
 // insertVersion writes row as a new version of table, probing its unique
 // keys in the same step (catalog.Table.InsertVersion), and returns the
-// version's record id and the validated row the table stored, which the
-// caller logs and must not modify. A key whose fate rests with another
+// version's record id and the payload the table stored, which the caller
+// logs and must not modify. A key whose fate rests with another
 // transaction makes t wait for that transaction to end and probe again. A
 // key found held by the same transaction after it ended was freed by a
 // delete or update that committed after t's snapshot, which still sees the
 // freed version, so the insert fails with ErrWriteConflict, as an update of
-// that version would. supersedes is the row an update replaces, whose keys
-// are t's own.
+// that version would. supersedes is the stored payload of the row an update
+// replaces, whose keys are t's own.
 //
 // An adopted transaction probes nothing: its log was checked as it was
 // written, and the Applier applies one record at a time, so a wait on
@@ -275,7 +283,7 @@ func (t *Txn) waitFor(id uint64) error {
 // apply. A log written before probes waited on a key's freer may also hold
 // an INSERT of the key ahead of the DELETE that freed it, which a probe
 // would fail on replay.
-func (t *Txn) insertVersion(table *catalog.Table, row, supersedes types.Tuple) (storage.RecordID, types.Tuple, error) {
+func (t *Txn) insertVersion(table *catalog.Table, row types.Tuple, supersedes []byte) (storage.RecordID, []byte, error) {
 	var probe *catalog.KeyProbe
 	if !t.adopted {
 		probe = &catalog.KeyProbe{InFlight: t.mgr.inFlight, Sees: t.snap.Visible, Supersedes: supersedes}
@@ -319,7 +327,7 @@ func (t *Txn) Insert(table *catalog.Table, row types.Tuple) (storage.RecordID, e
 	if !t.active() {
 		return storage.RecordID{}, ErrNotActive
 	}
-	rid, validated, err := t.insertVersion(table, row, nil)
+	rid, payload, err := t.insertVersion(table, row, nil)
 	if err != nil {
 		return storage.RecordID{}, err
 	}
@@ -328,29 +336,30 @@ func (t *Txn) Insert(table *catalog.Table, row types.Tuple) (storage.RecordID, e
 	t.mu.Lock()
 	t.undo = append(t.undo, undoEntry{kind: RecordInsert, table: table, rid: rid})
 	t.mu.Unlock()
-	if err := t.wal.Append(Record{Kind: RecordInsert, Txn: t.id, Table: table.Name(), New: validated}); err != nil {
+	if err := t.wal.appendRow(RecordInsert, t.id, table.Name(), nil, payload); err != nil {
 		return rid, err
 	}
 	return rid, nil
 }
 
 // claimVersion claims the version at rid by stamping its xmax
-// (catalog.Table.ClaimVersion) and returns its row. A version stamped by
+// (catalog.Table.ClaimVersion) and returns its stored payload, which the
+// caller logs as the before image and must not modify. A version stamped by
 // another transaction in flight makes t wait for that transaction to end and
 // try again. A stamp whose transaction has ended is a committed one — a
 // rollback clears its stamps before it leaves the active set — so it fails
 // with ErrWriteConflict, as does t's own stamp, and any stamp when t is
 // adopted, which waits on nothing.
-func (t *Txn) claimVersion(table *catalog.Table, rid storage.RecordID) (types.Tuple, error) {
+func (t *Txn) claimVersion(table *catalog.Table, rid storage.RecordID) ([]byte, error) {
 	var ended uint64 // a holder known to have left the active set
 	for {
-		meta, row, err := table.ClaimVersion(rid, t.id)
+		meta, payload, err := table.ClaimVersion(rid, t.id)
 		if err != nil {
 			return nil, err
 		}
 		holder := meta.Xmax
 		if holder == 0 {
-			return row, nil
+			return payload, nil
 		}
 		if holder == ended || holder == t.id || t.adopted {
 			return nil, t.conflict("row %s of %s was updated by transaction %d", rid, table.Name(), holder)
@@ -370,11 +379,11 @@ func (t *Txn) Update(table *catalog.Table, rid storage.RecordID, newRow types.Tu
 	if !t.active() {
 		return rid, ErrNotActive
 	}
-	oldRow, err := t.claimVersion(table, rid)
+	old, err := t.claimVersion(table, rid)
 	if err != nil {
 		return rid, err
 	}
-	newRID, validated, err := t.insertVersion(table, newRow, oldRow)
+	newRID, payload, err := t.insertVersion(table, newRow, old)
 	if err != nil {
 		// A failed update leaves the old version unclaimed, as it found it.
 		if clearErr := table.ClearXmax(rid); clearErr != nil {
@@ -385,7 +394,7 @@ func (t *Txn) Update(table *catalog.Table, rid storage.RecordID, newRow types.Tu
 	t.mu.Lock()
 	t.undo = append(t.undo, undoEntry{kind: RecordUpdate, table: table, rid: rid, newRID: newRID})
 	t.mu.Unlock()
-	if err := t.wal.Append(Record{Kind: RecordUpdate, Txn: t.id, Table: table.Name(), Old: oldRow, New: validated}); err != nil {
+	if err := t.wal.appendRow(RecordUpdate, t.id, table.Name(), old, payload); err != nil {
 		return newRID, err
 	}
 	return newRID, nil
@@ -397,14 +406,14 @@ func (t *Txn) Delete(table *catalog.Table, rid storage.RecordID) error {
 	if !t.active() {
 		return ErrNotActive
 	}
-	oldRow, err := t.claimVersion(table, rid)
+	old, err := t.claimVersion(table, rid)
 	if err != nil {
 		return err
 	}
 	t.mu.Lock()
 	t.undo = append(t.undo, undoEntry{kind: RecordDelete, table: table, rid: rid})
 	t.mu.Unlock()
-	if err := t.wal.Append(Record{Kind: RecordDelete, Txn: t.id, Table: table.Name(), Old: oldRow}); err != nil {
+	if err := t.wal.appendRow(RecordDelete, t.id, table.Name(), old, nil); err != nil {
 		return err
 	}
 	return nil
@@ -480,7 +489,8 @@ func (t *Txn) Commit() error {
 // update left the version it restored listed, and older entries may have
 // settled or died meanwhile.
 func (t *Txn) sweepWritten(undo []undoEntry) {
-	var written []*catalog.Table
+	var tables [4]*catalog.Table
+	written := tables[:0]
 	for _, e := range undo {
 		if slices.Contains(written, e.table) {
 			continue

@@ -643,6 +643,10 @@ func TestWALRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// The records sit in the log buffer until Sync writes them.
+	if err := wal.Sync(); err != nil {
+		t.Fatal(err)
+	}
 	if wal.Stats().Writes != uint64(len(records)) {
 		t.Errorf("Writes = %d", wal.Stats().Writes)
 	}
@@ -686,6 +690,9 @@ func TestReadLogTornTail(t *testing.T) {
 	_ = wal.Append(Record{Kind: RecordBegin, Txn: 1})
 	_ = wal.Append(Record{Kind: RecordInsert, Txn: 1, Table: "t", New: types.Tuple{types.NewInt(1)}})
 	_ = wal.Append(Record{Kind: RecordCommit, Txn: 1})
+	if err := wal.Sync(); err != nil {
+		t.Fatal(err)
+	}
 	whole := append([]byte(nil), buf.Bytes()...)
 
 	// Chop the log at every prefix length: the scan must never error, never
@@ -743,7 +750,10 @@ func TestRecoverReplaysOnlyCommitted(t *testing.T) {
 	// Uncommitted transaction: must not survive recovery.
 	t2, _ := mgr.Begin()
 	_, _ = t2.Insert(srcAccounts, types.Tuple{types.NewInt(3), types.NewString("eve"), types.NewFloat(1000000)})
-	// (no commit)
+	// (no commit; Sync writes its insert as a crash could have left it)
+	if err := wal.Sync(); err != nil {
+		t.Fatal(err)
+	}
 
 	records := readLog(t, bytes.NewReader(buf.Bytes()))
 

@@ -3,10 +3,12 @@ package txn
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -70,6 +72,10 @@ type Record struct {
 // record — it keeps a flipped length byte from demanding a giant allocation.
 const maxRecordBody = 1 << 28 // 256 MiB
 
+// walBufferSize is how many framed bytes the log buffer holds before the
+// append that fills it writes them to the medium.
+const walBufferSize = 256 << 10
+
 // WAL is an append-only logical log. Writes are serialised; Append is safe
 // for concurrent use.
 //
@@ -87,13 +93,22 @@ const maxRecordBody = 1 << 28 // 256 MiB
 // transactions; a checkpoint image is one frame in its own file beside it
 // (see checkpoint.go).
 //
+// An append frames its record in place at the end of one log buffer, its
+// length and CRC filled in there, and returns; the buffer reaches the medium
+// in one write when a group-commit leader flushes it before choosing its
+// fsync target, when Sync or Close is called, or when an append leaves it
+// holding walBufferSize bytes or more. So a transaction's records cost no
+// write of their own: its commit's leader writes them together with every
+// other record appended since the last flush.
+//
 // Durability is leader/follower group commit: AppendDurable appends the
 // record and rides a shared fsync until the durable frontier passes the
 // record's end offset — the first blocked committer becomes the leader,
-// flushes everything appended up to that point with one Sync, and wakes the
-// cohort (see groupcommit.go). A failed write or fsync poisons the
-// log permanently: after a failure nothing later can claim durability, so
-// every subsequent append or commit fails fast with the original error.
+// writes the buffer, flushes everything appended up to that point with one
+// Sync, and wakes the cohort (see groupcommit.go). A failed write or fsync
+// poisons the log permanently: after a failure nothing later can claim
+// durability, so every subsequent append or commit fails fast with the
+// original error.
 type WAL struct {
 	mu     sync.Mutex
 	w      io.Writer
@@ -103,6 +118,9 @@ type WAL struct {
 	failed error // sticky: a torn write or failed fsync poisons the log
 	writes uint64
 	off    int64 // byte offset the next frame lands at
+	// buf holds the frames appended but not yet written to w: the log's
+	// bytes [off-len(buf), off).
+	buf []byte
 
 	// pending counts appends in flight: committers that have entered
 	// AppendDurable but whose record is not yet in the log (so not yet
@@ -115,10 +133,10 @@ type WAL struct {
 	// Durability frontiers, in byte offsets of the log (the LSN space group
 	// commit, checkpoints and the streaming protocol all speak). appendedOff
 	// mirrors off: it is stored under w.mu so the sync leader can load it
-	// lock-free. durableOff is published only after the fsync covering those
-	// bytes succeeded — a commit is durable once it passes the commit's end
-	// offset, and a replica may be streamed anything below it and nothing
-	// above it (see walstream.go).
+	// lock-free. durableOff is published only after the write and the fsync
+	// covering those bytes succeeded — a commit is durable once it passes
+	// the commit's end offset, and a replica may be streamed anything below
+	// it and nothing above it (see walstream.go).
 	appendedOff atomic.Int64
 	durableOff  atomic.Int64
 
@@ -200,65 +218,154 @@ func (w *WAL) Stats() WALStats {
 	return WALStats{Writes: writes, GroupCommitBatches: batches, FsyncsSaved: saved}
 }
 
-func encodeRecord(r Record) []byte {
-	buf := make([]byte, 0, 64)
-	buf = append(buf, byte(r.Kind))
-	buf = binary.AppendUvarint(buf, r.Txn)
-	buf = binary.AppendUvarint(buf, uint64(len(r.Table)))
-	buf = append(buf, r.Table...)
-	oldImage := []byte(nil)
+// appendFrame appends one framed record to dst: the body's length, its CRC,
+// then the body, built in place, with old and new the images as stored
+// (types.EncodeTuple records; nil is absent). It is the one framing of a
+// log record: a transaction frames the payloads its table stored, and
+// Append frames a Record's tuples once they are encoded (encodeRecord).
+func appendFrame(dst []byte, kind RecordKind, txn uint64, table string, old, new []byte, ddl string) []byte {
+	bodyLen := 1 + uvarintLen(txn) +
+		uvarintLen(uint64(len(table))) + len(table) +
+		uvarintLen(uint64(len(old))) + len(old) +
+		uvarintLen(uint64(len(new))) + len(new) +
+		uvarintLen(uint64(len(ddl))) + len(ddl)
+	dst, body := beginFrame(dst, bodyLen)
+	dst = append(dst, byte(kind))
+	dst = binary.AppendUvarint(dst, txn)
+	dst = binary.AppendUvarint(dst, uint64(len(table)))
+	dst = append(dst, table...)
+	dst = binary.AppendUvarint(dst, uint64(len(old)))
+	dst = append(dst, old...)
+	dst = binary.AppendUvarint(dst, uint64(len(new)))
+	dst = append(dst, new...)
+	dst = binary.AppendUvarint(dst, uint64(len(ddl)))
+	dst = append(dst, ddl...)
+	return sealFrame(dst, body)
+}
+
+// beginFrame appends the header of a frame whose body will be bodyLen bytes
+// long, its CRC left zero, with room for the body, and returns where the
+// body starts. The caller appends the body and seals the frame.
+func beginFrame(dst []byte, bodyLen int) (grown []byte, body int) {
+	dst = slices.Grow(dst, binary.MaxVarintLen64+4+bodyLen)
+	dst = binary.AppendUvarint(dst, uint64(bodyLen))
+	dst = append(dst, 0, 0, 0, 0)
+	return dst, len(dst)
+}
+
+// sealFrame fills in the CRC of the frame whose body starts at body and
+// runs to the end of dst.
+func sealFrame(dst []byte, body int) []byte {
+	binary.LittleEndian.PutUint32(dst[body-4:], crc32.ChecksumIEEE(dst[body:]))
+	return dst
+}
+
+// uvarintLen returns how many bytes binary.AppendUvarint takes for v.
+func uvarintLen(v uint64) int {
+	n := 1
+	for ; v >= 0x80; v >>= 7 {
+		n++
+	}
+	return n
+}
+
+// encodeRecord appends r's frame to dst, its tuples encoded first.
+func encodeRecord(dst []byte, r Record) []byte {
+	var old, new []byte
 	if r.Old != nil {
-		oldImage = types.EncodeTuple(nil, r.Old)
+		old = types.EncodeTuple(nil, r.Old)
 	}
-	buf = binary.AppendUvarint(buf, uint64(len(oldImage)))
-	buf = append(buf, oldImage...)
-	newImage := []byte(nil)
 	if r.New != nil {
-		newImage = types.EncodeTuple(nil, r.New)
+		new = types.EncodeTuple(nil, r.New)
 	}
-	buf = binary.AppendUvarint(buf, uint64(len(newImage)))
-	buf = append(buf, newImage...)
-	buf = binary.AppendUvarint(buf, uint64(len(r.DDL)))
-	buf = append(buf, r.DDL...)
-	return buf
+	return appendFrame(dst, r.Kind, r.Txn, r.Table, old, new, r.DDL)
 }
 
-// append writes one framed record and returns the byte offset its frame
-// ends at. The caller must not hold w.mu.
-func (w *WAL) append(r Record) (end int64, err error) {
-	frame := encodeFrame(encodeRecord(r))
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.writeLocked(frame)
-}
-
-// encodeFrame frames body: its length, its checksum, the body.
+// encodeFrame frames body whole: the checkpoint file's image, which is not a
+// log record but is framed as one is.
 func encodeFrame(body []byte) []byte {
-	frame := binary.AppendUvarint(nil, uint64(len(body)))
-	frame = binary.LittleEndian.AppendUint32(frame, crc32.ChecksumIEEE(body))
-	return append(frame, body...)
+	frame, start := beginFrame(nil, len(body))
+	return sealFrame(append(frame, body...), start)
 }
 
-// writeLocked writes one frame at the end of the log and returns the offset
-// it ends at; w.mu must be held.
-func (w *WAL) writeLocked(frame []byte) (end int64, err error) {
+// appendLocked frames one record at the end of the log buffer and returns
+// the byte offset its frame ends at; w.mu must be held.
+func (w *WAL) appendLocked(kind RecordKind, txn uint64, table string, old, new []byte, ddl string) (end int64, err error) {
 	if w.failed != nil {
 		return 0, w.failed
 	}
-	if _, err := w.w.Write(frame); err != nil {
-		// The frame may be half on disk: everything after it would be
-		// unreadable, so nothing later may claim durability either.
-		w.failed = fmt.Errorf("txn: wal append: %w", err)
-		return 0, w.failed
-	}
-	w.off += int64(len(frame))
+	start := len(w.buf)
+	w.buf = appendFrame(w.buf, kind, txn, table, old, new, ddl)
+	return w.framedLocked(start)
+}
+
+// framedLocked accounts for the frame the buffer holds from start on and
+// returns the offset it ends at; w.mu must be held. An append that leaves
+// the buffer holding walBufferSize bytes or more writes it.
+func (w *WAL) framedLocked(start int) (end int64, err error) {
+	w.off += int64(len(w.buf) - start)
 	w.writes++
 	w.appendedOff.Store(w.off)
+	if len(w.buf) >= walBufferSize {
+		if err := w.flushLocked(); err != nil {
+			return 0, err
+		}
+	}
 	return w.off, nil
 }
 
-// Append writes one record without forcing it to stable storage. It becomes
-// durable when a later durable append's fsync covers it.
+// flushLocked writes the log buffer to the medium; w.mu must be held.
+func (w *WAL) flushLocked() error {
+	if w.failed != nil {
+		return w.failed
+	}
+	if len(w.buf) == 0 {
+		return nil
+	}
+	if _, err := w.w.Write(w.buf); err != nil {
+		// The frames may be half on disk: everything after them would be
+		// unreadable, so nothing later may claim durability either.
+		w.failed = fmt.Errorf("txn: wal append: %w", err)
+		return w.failed
+	}
+	w.buf = w.buf[:0]
+	return nil
+}
+
+// flush writes the log buffer and returns the offset the medium now holds
+// the log up to: every record appended before the call.
+func (w *WAL) flush() (int64, error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.off, w.flushLocked()
+}
+
+// appendRow appends a row record, old and new the payloads as stored.
+func (w *WAL) appendRow(kind RecordKind, txn uint64, table string, old, new []byte) error {
+	if w == nil {
+		return nil // logging disabled
+	}
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	_, err := w.appendLocked(kind, txn, table, old, new, "")
+	return err
+}
+
+// append appends r and returns the byte offset its frame ends at. The
+// caller must not hold w.mu.
+func (w *WAL) append(r Record) (end int64, err error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.failed != nil {
+		return 0, w.failed
+	}
+	start := len(w.buf)
+	w.buf = encodeRecord(w.buf, r)
+	return w.framedLocked(start)
+}
+
+// Append appends one record without forcing it to stable storage. It
+// becomes durable when a later durable append's fsync covers it.
 func (w *WAL) Append(r Record) error {
 	if w == nil {
 		return nil // logging disabled
@@ -301,12 +408,23 @@ func (w *WAL) Sync() error {
 	return w.gc.syncTo(w, w.appendedOff.Load())
 }
 
-// Close closes the underlying file when file-backed.
+// Close writes the log buffer, without an fsync, and closes the underlying
+// file when file-backed.
 func (w *WAL) Close() error {
-	if w == nil || w.file == nil {
+	if w == nil {
 		return nil
 	}
-	return w.file.Close()
+	var err error
+	w.mu.Lock()
+	if w.failed == nil {
+		// A poisoned log writes nothing more.
+		err = w.flushLocked()
+	}
+	w.mu.Unlock()
+	if w.file == nil {
+		return err
+	}
+	return errors.Join(err, w.file.Close())
 }
 
 // --- reading ----------------------------------------------------------------

@@ -22,6 +22,7 @@ func FuzzReadLog(f *testing.F) {
 	_ = w.Append(Record{Kind: RecordUpdate, Txn: 1, Table: "t",
 		Old: types.Tuple{types.NewInt(7)}, New: types.Tuple{types.NewInt(8)}})
 	_ = w.Append(Record{Kind: RecordCommit, Txn: 1})
+	_ = w.Sync() // writes the log buffer
 	valid := buf.Bytes()
 
 	f.Add([]byte{})

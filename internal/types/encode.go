@@ -52,6 +52,39 @@ func EncodeTuple(dst []byte, t Tuple) []byte {
 	return dst
 }
 
+// EncodedSize returns how many bytes EncodeTuple appends for t, so that a
+// caller can encode a row into a buffer of exactly its size.
+func EncodedSize(t Tuple) int {
+	n := uvarintSize(uint64(len(t)))
+	for _, v := range t {
+		n++ // kind
+		switch v.kind {
+		case KindInt, KindDate:
+			ux := uint64(v.i) << 1 // zigzag, as binary.AppendVarint
+			if v.i < 0 {
+				ux = ^ux
+			}
+			n += uvarintSize(ux)
+		case KindFloat:
+			n += 8
+		case KindBool:
+			n++
+		case KindString:
+			n += uvarintSize(uint64(len(v.s))) + len(v.s)
+		}
+	}
+	return n
+}
+
+// uvarintSize returns how many bytes binary.AppendUvarint appends for x.
+func uvarintSize(x uint64) int {
+	n := 1
+	for ; x >= 0x80; x >>= 7 {
+		n++
+	}
+	return n
+}
+
 // DecodeTuple decodes a record produced by EncodeTuple. The returned tuple
 // does not alias data: string payloads are copied so the page buffer they
 // came from may be evicted or overwritten.

@@ -38,18 +38,15 @@ type Schema struct {
 	Columns []Column
 }
 
-// CoerceToColumn casts v toward the named column's declared kind, for key
-// comparisons whose encoding is kind-sensitive (index lookups). It is best
-// effort: NULLs, unknown columns and failed casts return v unchanged.
-func (s *Schema) CoerceToColumn(v Value, column string) Value {
+// CoerceToColumn casts v toward the declared kind of the column at position
+// pos, for inserted values and for key comparisons whose encoding is
+// kind-sensitive (index lookups). It is best effort: NULLs and failed casts
+// return v unchanged.
+func (s *Schema) CoerceToColumn(v Value, pos int) Value {
 	if v.IsNull() {
 		return v
 	}
-	idx, err := s.ColumnIndex(column)
-	if err != nil {
-		return v
-	}
-	want := s.Columns[idx].Type
+	want := s.Columns[pos].Type
 	if v.Kind() == want {
 		return v
 	}
@@ -211,12 +208,14 @@ func (t Tuple) String() string {
 
 // ValidateAgainst checks the tuple against the schema: arity, NOT NULL
 // constraints, and domain compatibility (values are cast to the column type
-// where a lossless coercion exists). It returns the possibly-coerced tuple.
+// where a lossless coercion exists). It returns the possibly-coerced tuple:
+// t itself when no value needed a cast, else one copy of t holding the
+// casts. t is never changed.
 func (t Tuple) ValidateAgainst(s *Schema) (Tuple, error) {
 	if len(t) != len(s.Columns) {
 		return nil, fmt.Errorf("types: tuple has %d values, schema %s has %d columns", len(t), s, len(s.Columns))
 	}
-	out := t.Clone()
+	out, copied := t, false
 	for i, c := range s.Columns {
 		v := out[i]
 		if v.IsNull() {
@@ -229,6 +228,9 @@ func (t Tuple) ValidateAgainst(s *Schema) (Tuple, error) {
 			cast, err := v.Cast(c.Type)
 			if err != nil {
 				return nil, fmt.Errorf("types: column %q: %w", c.Name, err)
+			}
+			if !copied {
+				out, copied = t.Clone(), true
 			}
 			out[i] = cast
 		}
