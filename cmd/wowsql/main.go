@@ -11,8 +11,7 @@
 // for any SELECT, INSERT, UPDATE or DELETE instead of running it. With
 // -connect the shell runs against a wowserver over the wire protocol instead
 // of an embedded engine; the handshake's negotiated protocol version is
-// reported on stderr, and -wire-version overrides the offered version (to
-// exercise the server's rejection path).
+// reported on stderr.
 //
 // Interactively, a statement error is printed and the shell keeps reading.
 // Non-interactively — script files, or statements piped on standard input —
@@ -30,7 +29,6 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/server/client"
-	"repro/internal/server/wire"
 	"repro/internal/sql"
 	"repro/internal/types"
 )
@@ -41,10 +39,7 @@ type options struct {
 	dataPath string
 	walPath  string
 	connect  string
-	// wireVersion overrides the protocol version offered in the handshake
-	// ("major.minor"); it exists so CI can prove the server's rejection path.
-	wireVersion string
-	scripts     []string
+	scripts  []string
 	// interactive selects prompt-and-continue error handling; main sets it
 	// when stdin is a terminal and no script files were given.
 	interactive bool
@@ -54,15 +49,13 @@ func main() {
 	dataPath := flag.String("data", "", "spill file for evicted pages, removed on exit; not durable, only -wal persists (default: in-memory)")
 	walPath := flag.String("wal", "", "write-ahead log file, the only durable state (default: in-memory)")
 	connect := flag.String("connect", "", "wowserver address; run remotely over the wire protocol")
-	wireVersion := flag.String("wire-version", "", "offer this protocol version in the handshake instead of the current one (testing)")
 	flag.Parse()
 
 	opts := options{
-		dataPath:    *dataPath,
-		walPath:     *walPath,
-		connect:     *connect,
-		wireVersion: *wireVersion,
-		scripts:     flag.Args(),
+		dataPath: *dataPath,
+		walPath:  *walPath,
+		connect:  *connect,
+		scripts:  flag.Args(),
 	}
 	if len(opts.scripts) == 0 {
 		if info, err := os.Stdin.Stat(); err == nil && info.Mode()&os.ModeCharDevice != 0 {
@@ -84,16 +77,7 @@ type executor interface {
 func run(opts options, stdin io.Reader, stdout, stderr io.Writer) int {
 	var exec executor
 	if opts.connect != "" {
-		var dialOpts client.DialOptions
-		if opts.wireVersion != "" {
-			v, err := parseWireVersion(opts.wireVersion)
-			if err != nil {
-				fmt.Fprintln(stderr, "wowsql:", err)
-				return 1
-			}
-			dialOpts.Version = v
-		}
-		conn, err := client.DialWith(opts.connect, dialOpts)
+		conn, err := client.Dial(opts.connect)
 		if err != nil {
 			// Dial already shapes version trouble into legible errors: a
 			// *wire.VersionError names both ends' versions, a
@@ -172,15 +156,6 @@ func run(opts options, stdin io.Reader, stdout, stderr io.Writer) int {
 		}
 	}
 	return 0
-}
-
-// parseWireVersion parses a "major.minor" protocol version.
-func parseWireVersion(s string) (wire.Version, error) {
-	var v wire.Version
-	if _, err := fmt.Sscanf(s, "%d.%d", &v.Major, &v.Minor); err != nil {
-		return v, fmt.Errorf("bad -wire-version %q: want major.minor, e.g. %s", s, wire.Current)
-	}
-	return v, nil
 }
 
 // --- embedded engine ---------------------------------------------------------

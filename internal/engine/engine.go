@@ -26,11 +26,9 @@ type Options struct {
 	// Open, removed at Close; never read by recovery. Empty keeps evicted
 	// pages in memory. Only WALPath makes a database durable.
 	DataPath string
-	// WALPath is the write-ahead log file; empty keeps the log in memory
-	// only for the lifetime of the process (rollback still works).
+	// WALPath is the write-ahead log file; empty keeps no log (rollback
+	// still works: undo lives in the transaction, not the log).
 	WALPath string
-	// BufferPoolPages is the page cache size (default 1024 pages = 8 MiB).
-	BufferPoolPages int
 	// CheckpointInterval starts a background checkpointer writing the
 	// checkpoint file beside the log every interval, so recovery replays
 	// only the log tail. Zero disables it; Database.Checkpoint can still be
@@ -44,7 +42,7 @@ type Database struct {
 	disk storage.DiskManager
 	pool *storage.BufferPool
 	cat  *catalog.Catalog
-	wal  *txn.WAL
+	wal  *txn.WAL // nil without Options.WALPath
 	txns *txn.Manager
 	// plans is the engine-wide shared cache of statement skeletons: every
 	// session prepares through it, so N connections preparing the same form
@@ -104,13 +102,17 @@ type prepCounters struct {
 	batchRows  atomic.Uint64
 }
 
+// bufferPoolPages is the page cache size: 1024 pages = 8 MiB.
+const bufferPoolPages = 1024
+
 // Open creates or opens a database with the given options. When it fails it
 // closes every file it opened, so a caller retrying against a bad log leaks
 // nothing.
-func Open(opts Options) (_ *Database, err error) {
-	if opts.BufferPoolPages <= 0 {
-		opts.BufferPoolPages = 1024
-	}
+func Open(opts Options) (*Database, error) { return open(opts, bufferPoolPages) }
+
+// open is Open with a page cache of poolPages pages; tests shrink it to make
+// pages spill.
+func open(opts Options, poolPages int) (_ *Database, err error) {
 	var disk storage.DiskManager
 	if opts.DataPath == "" {
 		disk = storage.NewMemDiskManager()
@@ -126,13 +128,11 @@ func Open(opts Options) (_ *Database, err error) {
 			err = errors.Join(err, wal.Close(), disk.Close())
 		}
 	}()
-	pool := storage.NewBufferPool(disk, opts.BufferPoolPages)
+	pool := storage.NewBufferPool(disk, poolPages)
 	cat := catalog.New(pool)
 
 	var load *txn.LogLoad
-	if opts.WALPath == "" {
-		wal = txn.NewWAL(&discardWriter{})
-	} else {
+	if opts.WALPath != "" {
 		// Load any existing log first — from the checkpoint image when one
 		// is usable — then append to it. A torn final frame (crash
 		// mid-append) is truncated away before the log is reused: past the
@@ -183,13 +183,6 @@ func Open(opts Options) (_ *Database, err error) {
 	}
 	return db, nil
 }
-
-// discardWriter is the sink for the in-memory WAL: the log exists so that
-// Txn undo information and commit records behave identically with and
-// without a file, but nothing is retained.
-type discardWriter struct{}
-
-func (*discardWriter) Write(p []byte) (int, error) { return len(p), nil }
 
 // OpenMemory opens an in-memory database with defaults, the configuration
 // every example and benchmark uses.

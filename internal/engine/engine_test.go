@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/catalog"
+	"repro/internal/txn"
 	"repro/internal/types"
 )
 
@@ -441,6 +442,47 @@ func TestPersistenceAcrossReopenViaWAL(t *testing.T) {
 	// Views and indexes are recovered through DDL records too.
 	if res, err := s2.Query("SELECT COUNT(*) FROM rich"); err != nil || res.Rows[0][0].Int() != 2 {
 		t.Errorf("recovered view query = %v, %v", res, err)
+	}
+}
+
+// TestMemoryDatabaseKeepsNoLog: a database opened without a log file has no
+// log at all, so its writes — DDL, inserts, updates, deletes, a rollback —
+// append nothing, and a checkpoint has nothing to write. Rollback still
+// works: undo lives in the transaction, not the log.
+func TestMemoryDatabaseKeepsNoLog(t *testing.T) {
+	db := OpenMemory()
+	defer db.Close()
+	if wal := db.Transactions().WAL(); wal != nil {
+		t.Fatalf("an in-memory database has a log: %+v", wal.Stats())
+	}
+	s := db.Session()
+	for _, stmt := range []string{
+		"CREATE TABLE notes (id INT PRIMARY KEY, body TEXT)",
+		"CREATE INDEX notes_body ON notes (body)",
+		"INSERT INTO notes VALUES (1, 'a'), (2, 'b'), (3, 'c')",
+		"UPDATE notes SET body = 'z' WHERE id = 2",
+		"DELETE FROM notes WHERE id = 3",
+		"BEGIN",
+		"INSERT INTO notes VALUES (4, 'd')",
+		"DELETE FROM notes WHERE id = 1",
+		"ROLLBACK",
+	} {
+		if _, err := s.Execute(stmt); err != nil {
+			t.Fatalf("%s: %v", stmt, err)
+		}
+	}
+	res, err := s.Query("SELECT id, body FROM notes ORDER BY id")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprint(res.Rows); got != "[(1, a) (2, z)]" {
+		t.Fatalf("rows after the rollback = %s, want [(1, a) (2, z)]", got)
+	}
+	if st := db.Stats(); st.WALWrites != 0 || st.Committed == 0 || st.Aborted == 0 {
+		t.Fatalf("stats = committed %d, aborted %d, WAL writes %d; want commits and an abort, and no WAL writes", st.Committed, st.Aborted, st.WALWrites)
+	}
+	if st, err := db.Checkpoint(); err != nil || st != (txn.CheckpointStats{}) {
+		t.Fatalf("Checkpoint = %+v, %v; want zero stats and no error", st, err)
 	}
 }
 

@@ -439,7 +439,8 @@ func TestRestartFootprintIsFlat(t *testing.T) {
 	dir := t.TempDir()
 	// A pool smaller than the data, so pages do spill while the database is
 	// open.
-	opts := Options{DataPath: filepath.Join(dir, "db.data"), WALPath: filepath.Join(dir, "db.wal"), BufferPoolPages: 8}
+	const poolPages = 8
+	opts := Options{DataPath: filepath.Join(dir, "db.data"), WALPath: filepath.Join(dir, "db.wal")}
 	footprint := func(when string) int64 {
 		t.Helper()
 		entries, err := os.ReadDir(dir)
@@ -461,7 +462,7 @@ func TestRestartFootprintIsFlat(t *testing.T) {
 	}
 	const rowsPerRound = 300
 	for round := 0; round < 5; round++ {
-		db, err := Open(opts)
+		db, err := open(opts, poolPages)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -492,7 +493,7 @@ func TestRestartFootprintIsFlat(t *testing.T) {
 		written := footprint(fmt.Sprintf("round %d", round))
 
 		// Reopen, recover, close: nothing written, nothing grown.
-		db, err = Open(opts)
+		db, err = open(opts, poolPages)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -21,8 +21,6 @@ import (
 // WriteOperator executes one DML plan. Like the read operator tree it is
 // reusable: rebind the frame it was built with and Run it again.
 type WriteOperator interface {
-	// Table returns the base table the write targets.
-	Table() *catalog.Table
 	// Returning describes the rows Run streams back for the statement's
 	// RETURNING clause — nil when the statement has none (the common case),
 	// in which case Run's row slice is always nil.
@@ -205,7 +203,6 @@ func newInsertOperator(n *plan.InsertNode, params *expr.Params) (*insertOperator
 	return op, nil
 }
 
-func (o *insertOperator) Table() *catalog.Table    { return o.node.Table }
 func (o *insertOperator) Returning() *types.Schema { return o.ret.outSchema() }
 
 // selectRows drains the child SELECT through t's snapshot. It is drained
@@ -372,7 +369,6 @@ func newUpdateOperator(n *plan.UpdateNode, params *expr.Params) (*updateOperator
 	return op, nil
 }
 
-func (o *updateOperator) Table() *catalog.Table    { return o.node.Table }
 func (o *updateOperator) Returning() *types.Schema { return o.ret.outSchema() }
 
 func (o *updateOperator) Run(t *txn.Txn) (affected int, returned []types.Tuple, err error) {
@@ -427,7 +423,6 @@ func newDeleteOperator(n *plan.DeleteNode, params *expr.Params) (*deleteOperator
 	return op, nil
 }
 
-func (o *deleteOperator) Table() *catalog.Table    { return o.node.Table }
 func (o *deleteOperator) Returning() *types.Schema { return o.ret.outSchema() }
 
 func (o *deleteOperator) Run(t *txn.Txn) (affected int, returned []types.Tuple, err error) {

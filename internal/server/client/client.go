@@ -109,30 +109,15 @@ type Conn struct {
 	inTxn bool
 }
 
-// DialOptions tunes Dial.
-type DialOptions struct {
-	// Version is the protocol version offered in the Hello frame. Zero means
-	// wire.Current; setting it differently exists so tests and CI can prove
-	// the server's rejection path.
-	Version wire.Version
-}
-
 // Dial connects to a server at the TCP address and negotiates the current
 // protocol version.
-func Dial(addr string) (*Conn, error) { return DialWith(addr, DialOptions{}) }
-
-// DialWith connects with explicit options.
-func DialWith(addr string, opts DialOptions) (*Conn, error) {
+func Dial(addr string) (*Conn, error) {
 	nc, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
 	c := &Conn{nc: nc, r: bufio.NewReader(nc), w: bufio.NewWriter(nc)}
-	offered := opts.Version
-	if offered.IsZero() {
-		offered = wire.Current
-	}
-	if err := c.handshake(addr, offered); err != nil {
+	if err := c.handshake(addr); err != nil {
 		nc.Close()
 		return nil, err
 	}
@@ -140,9 +125,9 @@ func DialWith(addr string, opts DialOptions) (*Conn, error) {
 }
 
 // handshake sends the Hello and decodes the server's verdict.
-func (c *Conn) handshake(addr string, offered wire.Version) error {
+func (c *Conn) handshake(addr string) error {
 	var b wire.Buffer
-	wire.Hello{Magic: wire.HelloMagic, Version: offered}.Encode(&b)
+	wire.Hello{Magic: wire.HelloMagic, Version: wire.Current}.Encode(&b)
 	if err := wire.WriteFrame(c.w, wire.MsgHello, b.B); err != nil {
 		return err
 	}
@@ -173,7 +158,7 @@ func (c *Conn) handshake(addr string, offered wire.Version) error {
 			// speaks: surface the typed mismatch. (Client is filled from what
 			// was actually offered — a pre-v2 server echoes a zero.)
 			if ve.Client.IsZero() {
-				ve.Client = offered
+				ve.Client = wire.Current
 			}
 			return ve
 		}

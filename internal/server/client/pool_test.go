@@ -2,6 +2,7 @@ package client_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"strings"
@@ -265,32 +266,44 @@ func TestPoolClosed(t *testing.T) {
 	}
 }
 
-// TestDialAgainstPreV2Server: a server that answers the Hello with "unknown
-// message type" (which is exactly what the PR 3 server did) must surface as a
-// clear *HandshakeError, not a codec error or a confusing statement failure.
-func TestDialAgainstPreV2Server(t *testing.T) {
+// refusingServer listens on a loopback port, reads one connection's Hello
+// and answers it with a single MsgErr frame holding answer(offered), as a
+// server that refuses the handshake does. It returns the address to dial.
+func refusingServer(t *testing.T, answer func(offered wire.Version) []byte) string {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ln.Close()
+	t.Cleanup(func() { ln.Close() })
 	go func() {
 		nc, err := ln.Accept()
 		if err != nil {
 			return
 		}
 		defer nc.Close()
-		// Mimic the v1 server: read the frame, answer MsgErr "unknown
-		// message type 0x0a" the way the old dispatch loop did.
-		if _, _, err := wire.ReadFrame(nc); err != nil {
+		_, payload, err := wire.ReadFrame(nc)
+		if err != nil {
 			return
 		}
+		hello := wire.DecodeHello(wire.NewCursor(payload))
+		wire.WriteFrame(nc, wire.MsgErr, answer(hello.Version))
+	}()
+	return ln.Addr().String()
+}
+
+// TestDialAgainstPreV2Server: a server that answers the Hello with "unknown
+// message type" (which is exactly what the PR 3 server did) must surface as a
+// clear *HandshakeError, not a codec error or a confusing statement failure.
+func TestDialAgainstPreV2Server(t *testing.T) {
+	// Mimic the v1 server: answer MsgErr "unknown message type 0x0a" the way
+	// the old dispatch loop did.
+	addr := refusingServer(t, func(wire.Version) []byte {
 		var b wire.Buffer
 		b.String("server: unknown message type 0x0a")
-		wire.WriteFrame(nc, wire.MsgErr, b.B)
-	}()
-
-	_, err = client.Dial(ln.Addr().String())
+		return b.B
+	})
+	_, err := client.Dial(addr)
 	if err == nil {
 		t.Fatal("dialing a pre-v2 server must fail")
 	}
@@ -300,6 +313,34 @@ func TestDialAgainstPreV2Server(t *testing.T) {
 	}
 	if !strings.Contains(he.Error(), "does not speak protocol v"+wire.Current.String()) {
 		t.Fatalf("handshake error %q does not explain the version gap", he.Error())
+	}
+}
+
+// TestDialRefusedVersion: a server that refuses the offered version with a
+// versioned error frame surfaces as a typed *wire.VersionError naming both
+// versions, with the client's filled in from what Dial offered when the
+// server echoes a zero.
+func TestDialRefusedVersion(t *testing.T) {
+	future := wire.Version{Major: wire.Current.Major + 1, Minor: 2}
+	for _, echo := range []bool{true, false} {
+		addr := refusingServer(t, func(offered wire.Version) []byte {
+			ve := &wire.VersionError{Server: future}
+			if echo {
+				ve.Client = offered
+			}
+			return wire.EncodeVersionError(ve)
+		})
+		_, err := client.Dial(addr)
+		var ve *wire.VersionError
+		if !errors.As(err, &ve) {
+			t.Fatalf("echo=%v: want *wire.VersionError, got %T: %v", echo, err, err)
+		}
+		if ve.Client != wire.Current || ve.Server != future {
+			t.Fatalf("echo=%v: VersionError = %+v, want client v%s and server v%s", echo, ve, wire.Current, future)
+		}
+		if !strings.Contains(ve.Error(), "v"+wire.Current.String()) || !strings.Contains(ve.Error(), "v"+future.String()) {
+			t.Fatalf("echo=%v: refusal text %q does not name both versions", echo, ve.Error())
+		}
 	}
 }
 

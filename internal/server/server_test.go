@@ -232,15 +232,7 @@ func TestStatementErrorKeepsConnectionUsable(t *testing.T) {
 // connection, for tests that craft frames by hand.
 func rawHandshake(t *testing.T, nc net.Conn) wire.HelloOK {
 	t.Helper()
-	var b wire.Buffer
-	wire.Hello{Magic: wire.HelloMagic, Version: wire.Current}.Encode(&b)
-	if err := wire.WriteFrame(nc, wire.MsgHello, b.B); err != nil {
-		t.Fatal(err)
-	}
-	msgType, payload, err := wire.ReadFrame(nc)
-	if err != nil {
-		t.Fatal(err)
-	}
+	msgType, payload := sendHello(t, nc, wire.Current)
 	if msgType != wire.MsgHelloOK {
 		t.Fatalf("handshake answered 0x%02x, want HelloOK", msgType)
 	}
@@ -249,6 +241,43 @@ func rawHandshake(t *testing.T, nc net.Conn) wire.HelloOK {
 		t.Fatalf("negotiated %s, want a v%d", ok.Version, wire.Current.Major)
 	}
 	return ok
+}
+
+// sendHello sends a Hello offering version v and returns the server's answer.
+func sendHello(t *testing.T, nc net.Conn, v wire.Version) (byte, []byte) {
+	t.Helper()
+	var b wire.Buffer
+	wire.Hello{Magic: wire.HelloMagic, Version: v}.Encode(&b)
+	if err := wire.WriteFrame(nc, wire.MsgHello, b.B); err != nil {
+		t.Fatal(err)
+	}
+	msgType, payload, err := wire.ReadFrame(nc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return msgType, payload
+}
+
+// refusedHello dials addr, offers version v and returns the typed refusal
+// the server answers with.
+func refusedHello(t *testing.T, addr string, v wire.Version) *wire.VersionError {
+	t.Helper()
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	msgType, payload := sendHello(t, nc, v)
+	if msgType != wire.MsgErr {
+		t.Fatalf("a v%s Hello was answered 0x%02x, want MsgErr", v, msgType)
+	}
+	cur := wire.NewCursor(payload)
+	_ = cur.String() // the legible text; the typed tail follows it
+	ve := wire.DecodeVersionTail(cur)
+	if ve == nil {
+		t.Fatalf("the refusal of a v%s Hello carries no version tail", v)
+	}
+	return ve
 }
 
 // handshakeRole dials addr, runs the handshake and returns the role the
@@ -625,32 +654,30 @@ func TestHandshakeNegotiatesVersion(t *testing.T) {
 		t.Fatalf("handshake counters = %+v", stats)
 	}
 	// A higher client minor negotiates down to the server's minor.
-	c2, err := client.DialWith(addr, client.DialOptions{Version: wire.Version{Major: wire.Current.Major, Minor: 99}})
+	nc, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c2.Close()
-	if v := c2.ProtocolVersion(); v != wire.Current {
+	defer nc.Close()
+	msgType, payload := sendHello(t, nc, wire.Version{Major: wire.Current.Major, Minor: 99})
+	if msgType != wire.MsgHelloOK {
+		t.Fatalf("a minor-99 Hello was answered 0x%02x, want HelloOK", msgType)
+	}
+	if v := wire.DecodeHelloOK(wire.NewCursor(payload)).Version; v != wire.Current {
 		t.Fatalf("minor negotiation gave v%s, want v%s", v, wire.Current)
 	}
 }
 
 // TestHandshakeRefusesUnknownMajor: the acceptance path for version skew — a
-// client offering a major the server does not speak, a future one, the v3.1
-// this tree spoke before v4 retired the transaction-control messages, or the
-// v2.2 it spoke before Run replaced Bind/Execute, is refused with a typed
+// client offering a major the server does not speak, a future one, the v4.0
+// this tree spoke before v5 retired ExecBatch and the tuple codec, the v3.1
+// it spoke before v4 retired the transaction-control messages, or the v2.2 it
+// spoke before Run replaced Bind/Execute, is refused with a typed
 // *wire.VersionError naming both versions.
 func TestHandshakeRefusesUnknownMajor(t *testing.T) {
 	_, srv, addr := startServer(t)
-	for i, offered := range []wire.Version{{Major: 9, Minor: 0}, {Major: 3, Minor: 1}, {Major: 2, Minor: 2}} {
-		_, err := client.DialWith(addr, client.DialOptions{Version: offered})
-		if err == nil {
-			t.Fatalf("a v%s client must be refused", offered)
-		}
-		ve, ok := err.(*wire.VersionError)
-		if !ok {
-			t.Fatalf("want *wire.VersionError, got %T: %v", err, err)
-		}
+	for i, offered := range []wire.Version{{Major: 9, Minor: 0}, {Major: 4, Minor: 0}, {Major: 3, Minor: 1}, {Major: 2, Minor: 2}} {
+		ve := refusedHello(t, addr, offered)
 		if ve.Client != offered || ve.Server != wire.Current {
 			t.Fatalf("VersionError = %+v", ve)
 		}
@@ -829,6 +856,7 @@ func TestMetricsSnapshot(t *testing.T) {
 	}
 	defer c.Close()
 	seedCustomers(t, c, 3)
+	refusedHello(t, addr, wire.Version{Major: wire.Current.Major + 1})
 
 	rec := httptest.NewRecorder()
 	srv.MetricsHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
@@ -842,7 +870,7 @@ func TestMetricsSnapshot(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &m); err != nil {
 		t.Fatalf("metrics is not valid JSON: %v\n%s", err, rec.Body.String())
 	}
-	if m.Server.ConnectionsAccepted < 1 || m.Server.HandshakesAccepted < 1 {
+	if m.Server.ConnectionsAccepted < 1 || m.Server.HandshakesAccepted < 1 || m.Server.HandshakesRejected < 1 {
 		t.Fatalf("server counters missing from metrics: %+v", m.Server)
 	}
 	if m.Engine.StatementsPrepared == 0 {

@@ -3,6 +3,7 @@ package txn
 import (
 	"bytes"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -13,6 +14,20 @@ import (
 	"repro/internal/storage"
 	"repro/internal/types"
 )
+
+// newWAL creates a log writing to w: the seam through which these tests
+// inject crashing, failing and gated media, where a database logs through
+// OpenWALFile or not at all. If w implements `Sync() error` it is used as
+// the durability barrier; otherwise Sync is a no-op and the log is only as
+// durable as w.
+func newWAL(w io.Writer) *WAL {
+	wal := &WAL{w: w}
+	if s, ok := w.(interface{ Sync() error }); ok {
+		wal.syncer = s
+	}
+	wal.gc.init()
+	return wal
+}
 
 // crashMedium is a WAL sink with an explicit durability line: Write appends
 // to written, Sync advances synced to cover it. written[:synced] is what a
@@ -117,7 +132,7 @@ func mustInsert(t *testing.T, tx *Txn, table *catalog.Table, id int64) {
 func TestCommitNotDurableReleasesEverything(t *testing.T) {
 	boom := errors.New("disk on fire")
 	medium := &crashMedium{failSync: boom}
-	mgr := NewManager(NewWAL(medium))
+	mgr := NewManager(newWAL(medium))
 	_, accounts := newCatalogWithAccounts(t)
 
 	tx, err := mgr.Begin()
@@ -166,7 +181,7 @@ func TestCommitVisibleOnlyAfterDurable(t *testing.T) {
 		syncEntered: make(chan struct{}),
 		syncGate:    make(chan struct{}),
 	}
-	mgr := NewManager(NewWAL(medium))
+	mgr := NewManager(newWAL(medium))
 	_, accounts := newCatalogWithAccounts(t)
 
 	tx, err := mgr.Begin()
@@ -238,7 +253,7 @@ func TestCommitVisibleOnlyAfterDurable(t *testing.T) {
 // transactions never appear, and torn tails never block recovery.
 func TestCrashRecoveryMatrix(t *testing.T) {
 	medium := &crashMedium{}
-	mgr := NewManager(NewWAL(medium))
+	mgr := NewManager(newWAL(medium))
 	_, accounts := newCatalogWithAccounts(t)
 
 	// t1 commits and is acknowledged: it must survive every kill point.
@@ -307,7 +322,7 @@ func TestCrashRecoveryMatrix(t *testing.T) {
 // complete with far fewer fsyncs than commits, every commit durable.
 func TestGroupCommitBatchesConcurrentCommitters(t *testing.T) {
 	medium := &crashMedium{syncDelay: time.Millisecond}
-	wal := NewWAL(medium)
+	wal := newWAL(medium)
 	mgr := NewManager(wal)
 	_, accounts := newCatalogWithAccounts(t)
 
@@ -586,7 +601,7 @@ func TestCheckpointAppendsNothingToTheLog(t *testing.T) {
 // to recover from, so a checkpoint there captures and counts nothing.
 func TestCheckpointWithoutALogFileWritesNothing(t *testing.T) {
 	medium := &crashMedium{}
-	mgr := NewManager(NewWAL(medium))
+	mgr := NewManager(newWAL(medium))
 	cat, accounts := newCatalogWithAccounts(t)
 	tx, err := mgr.Begin()
 	if err != nil {

@@ -450,7 +450,7 @@ func findVisible(tx *Txn, table *catalog.Table, id int64) (storage.RecordID, typ
 // duplicated, so the total is conserved.
 func TestConcurrentTransfersPreserveTotal(t *testing.T) {
 	_, accounts := newCatalogWithAccounts(t)
-	mgr := NewManager(NewWAL(&bytes.Buffer{}))
+	mgr := NewManager(newWAL(&bytes.Buffer{}))
 	seed, _ := mgr.Begin()
 	if _, err := seed.Insert(accounts, types.Tuple{types.NewInt(1), types.NewString("a"), types.NewFloat(1000)}); err != nil {
 		t.Fatal(err)
@@ -629,7 +629,7 @@ func TestSnapshotIsolation(t *testing.T) {
 
 func TestWALRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	wal := NewWAL(&buf)
+	wal := newWAL(&buf)
 	records := []Record{
 		{Kind: RecordBegin, Txn: 1},
 		{Kind: RecordDDL, Txn: 1, DDL: "CREATE TABLE t (id INT PRIMARY KEY)"},
@@ -686,7 +686,7 @@ func TestWALNilIsSafe(t *testing.T) {
 // shutdown into a database that would not open.
 func TestReadLogTornTail(t *testing.T) {
 	var buf bytes.Buffer
-	wal := NewWAL(&buf)
+	wal := newWAL(&buf)
 	_ = wal.Append(Record{Kind: RecordBegin, Txn: 1})
 	_ = wal.Append(Record{Kind: RecordInsert, Txn: 1, Table: "t", New: types.Tuple{types.NewInt(1)}})
 	_ = wal.Append(Record{Kind: RecordCommit, Txn: 1})
@@ -733,7 +733,7 @@ func TestReadLogTornTail(t *testing.T) {
 
 func TestRecoverReplaysOnlyCommitted(t *testing.T) {
 	var buf bytes.Buffer
-	wal := NewWAL(&buf)
+	wal := newWAL(&buf)
 	srcCat, srcAccounts := newCatalogWithAccounts(t)
 	_ = srcCat
 	mgr := NewManager(wal)
@@ -894,7 +894,7 @@ func TestReplayInsertLoggedBeforeTheDeleteThatFreedItsKey(t *testing.T) {
 // the order a replica adopts them in.
 func TestBeginRecordsInIDOrder(t *testing.T) {
 	medium := &crashMedium{}
-	mgr := NewManager(NewWAL(medium))
+	mgr := NewManager(newWAL(medium))
 	const workers, each = 8, 50
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -951,7 +951,7 @@ func TestRecordKindString(t *testing.T) {
 
 func BenchmarkCommitSmallTransaction(b *testing.B) {
 	_, accounts := newCatalogWithAccounts(b)
-	mgr := NewManager(NewWAL(&bytes.Buffer{}))
+	mgr := NewManager(newWAL(&bytes.Buffer{}))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		tx, err := mgr.Begin()
@@ -968,7 +968,7 @@ func BenchmarkCommitSmallTransaction(b *testing.B) {
 }
 
 func BenchmarkWALAppend(b *testing.B) {
-	wal := NewWAL(&bytes.Buffer{})
+	wal := newWAL(&bytes.Buffer{})
 	rec := Record{Kind: RecordInsert, Txn: 1, Table: "accounts", New: types.Tuple{types.NewInt(1), types.NewString("name"), types.NewFloat(3.5)}}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

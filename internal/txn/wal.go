@@ -148,18 +148,6 @@ type WAL struct {
 	gc groupCommit
 }
 
-// NewWAL creates a log writing to w. If w implements `Sync() error` it is
-// used as the durability barrier (tests inject failing or gated media this
-// way); otherwise Sync is a no-op and the log is only as durable as w.
-func NewWAL(w io.Writer) *WAL {
-	wal := &WAL{w: w}
-	if s, ok := w.(interface{ Sync() error }); ok {
-		wal.syncer = s
-	}
-	wal.gc.init()
-	return wal
-}
-
 // OpenWALFile opens (creating or appending to) a log file at path.
 func OpenWALFile(path string) (*WAL, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_APPEND, 0o644)

@@ -15,7 +15,7 @@ import (
 // a "valid" verdict has to be stable.
 func FuzzReadLog(f *testing.F) {
 	var buf bytes.Buffer
-	w := NewWAL(&buf)
+	w := newWAL(&buf)
 	_ = w.Append(Record{Kind: RecordBegin, Txn: 1})
 	_ = w.Append(Record{Kind: RecordDDL, Txn: 1, DDL: "CREATE TABLE t (id INT PRIMARY KEY)"})
 	_ = w.Append(Record{Kind: RecordInsert, Txn: 1, Table: "t", New: types.Tuple{types.NewInt(7), types.NewString("x")}})
