@@ -30,7 +30,10 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"io"
+	"maps"
 	"os"
+	"slices"
 	"strings"
 
 	"repro/internal/core"
@@ -40,74 +43,99 @@ import (
 	"repro/internal/workload"
 )
 
+// options carries the flag values, so tests can drive run directly.
+type options struct {
+	initPath, formsPath, open, script, connect string
+	demo, ansi                                 bool
+}
+
 func main() {
-	initPath := flag.String("init", "", "SQL script creating and loading the database")
-	formsPath := flag.String("forms", "", "FDL file with the form definitions")
-	open := flag.String("open", "", "form to open at startup")
-	script := flag.String("script", "", "keystroke script to replay and exit")
-	demo := flag.Bool("demo", false, "run the built-in order-processing demo data")
-	connect := flag.String("connect", "", "browse a remote wowserver at this address instead of an in-process database")
-	ansi := flag.Bool("ansi", false, "render with ANSI escape sequences instead of plain text")
+	var opts options
+	flag.StringVar(&opts.initPath, "init", "", "SQL script creating and loading the database")
+	flag.StringVar(&opts.formsPath, "forms", "", "FDL file with the form definitions")
+	flag.StringVar(&opts.open, "open", "", "form to open at startup")
+	flag.StringVar(&opts.script, "script", "", "keystroke script to replay and exit")
+	flag.BoolVar(&opts.demo, "demo", false, "run the built-in order-processing demo data")
+	flag.StringVar(&opts.connect, "connect", "", "browse a remote wowserver at this address instead of an in-process database")
+	flag.BoolVar(&opts.ansi, "ansi", false, "render with ANSI escape sequences instead of plain text")
 	flag.Parse()
+	os.Exit(run(opts, os.Stdin, os.Stdout, os.Stderr))
+}
 
+// run is the whole workbench and returns the process exit code.
+func run(opts options, stdin io.Reader, stdout, stderr io.Writer) int {
+	if err := workbench(opts, stdin, stdout, stderr); err != nil {
+		fmt.Fprintln(stderr, "wow:", err)
+		return 1
+	}
+	return 0
+}
+
+// workbench opens the world, compiles the forms and opens the first window,
+// then replays the keystroke script or serves commands from stdin.
+func workbench(opts options, stdin io.Reader, stdout, stderr io.Writer) error {
 	db := engine.OpenMemory()
+	defer db.Close()
 	session := db.Session()
+	defer session.Close()
 
-	var remote *client.Conn
-	if *connect != "" {
-		var err error
-		remote, err = client.Dial(*connect)
+	// src is the world the windows and the sql command run on. With -connect
+	// it is the server, and shadow the local database whose catalog the forms
+	// compile against.
+	src := core.NewEngineSource(session)
+	var shadow core.Source
+	if opts.connect != "" {
+		remote, err := client.Dial(opts.connect)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		defer remote.Close()
-		fmt.Fprintf(os.Stderr, "connected to %s (%s, protocol v%s)\n",
-			*connect, remote.ServerBanner(), remote.ProtocolVersion())
+		fmt.Fprintf(stderr, "connected to %s (%s, protocol v%s)\n",
+			opts.connect, remote.ServerBanner(), remote.ProtocolVersion())
+		src, shadow = core.NewRemoteSource(remote), src
 	}
 
 	var formSource string
 	switch {
-	case *demo:
-		if remote != nil {
-			// Load the demo workload into the server over the connection the
-			// windows browse on, and the schema DDL into the local shadow
-			// catalog for form compilation.
-			if err := workload.Populate(core.NewRemoteSource(remote), workload.SmallSizes); err != nil {
-				fatal(fmt.Errorf("loading the demo workload into %s (is the server fresh?): %w", *connect, err))
+	case opts.demo:
+		if err := workload.Populate(src, workload.SmallSizes); err != nil {
+			if shadow != nil {
+				return fmt.Errorf("loading the demo workload into %s (is the server fresh?): %w", opts.connect, err)
 			}
+			return err
+		}
+		if shadow != nil {
 			if _, err := session.ExecuteScript(workload.StandardSchema); err != nil {
-				fatal(err)
+				return err
 			}
-		} else if err := workload.Populate(core.NewEngineSource(session), workload.SmallSizes); err != nil {
-			fatal(err)
 		}
 		formSource = workload.StandardForms
-		if *open == "" {
-			*open = "customer_form"
+		if opts.open == "" {
+			opts.open = "customer_form"
 		}
 	default:
-		if *initPath != "" {
-			sqlBytes, err := os.ReadFile(*initPath)
+		if opts.initPath != "" {
+			sqlBytes, err := os.ReadFile(opts.initPath)
 			if err != nil {
-				fatal(err)
+				return err
 			}
-			if err := runInitScript(session, remote, string(sqlBytes)); err != nil {
-				fatal(err)
+			if err := runInitScript(src, shadow, string(sqlBytes)); err != nil {
+				return err
 			}
 		}
-		if *formsPath == "" {
-			fatal(fmt.Errorf("either -forms or -demo is required"))
+		if opts.formsPath == "" {
+			return fmt.Errorf("either -forms or -demo is required")
 		}
-		fdlBytes, err := os.ReadFile(*formsPath)
+		fdlBytes, err := os.ReadFile(opts.formsPath)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		formSource = string(fdlBytes)
 	}
 
 	forms, err := core.NewCompiler(db).CompileSource(formSource)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	byName := map[string]*core.Form{}
 	for _, f := range forms {
@@ -116,43 +144,43 @@ func main() {
 
 	manager := core.NewManager(db, 100, 32)
 	openWindow := func(form *core.Form) (*core.Window, error) {
-		if remote != nil {
-			return manager.OpenOn(form, core.NewRemoteSource(remote), 0, 0)
+		if shadow != nil {
+			return manager.OpenOn(form, src, 0, 0)
 		}
 		return manager.Open(form, 0, 0)
 	}
-	if *open != "" {
-		form, ok := byName[strings.ToLower(*open)]
+	if opts.open != "" {
+		form, ok := byName[strings.ToLower(opts.open)]
 		if !ok {
-			fatal(fmt.Errorf("no form named %q (have %s)", *open, strings.Join(formNames(byName), ", ")))
+			return fmt.Errorf("no form named %q (have %s)", opts.open, strings.Join(slices.Sorted(maps.Keys(byName)), ", "))
 		}
 		if _, err := openWindow(form); err != nil {
-			fatal(err)
+			return err
 		}
 	}
 
 	printScreen := func() {
-		if *ansi {
-			fmt.Print(manager.Screen().RenderANSI())
+		if opts.ansi {
+			fmt.Fprint(stdout, manager.Screen().RenderANSI())
 		} else {
-			fmt.Println(manager.Screen().String())
+			fmt.Fprintln(stdout, manager.Screen().String())
 		}
 	}
 	printScreen()
 
-	if *script != "" {
-		if err := manager.HandleScript(*script); err != nil {
-			fatal(err)
+	if opts.script != "" {
+		if err := manager.HandleScript(opts.script); err != nil {
+			return err
 		}
 		printScreen()
-		return
+		return nil
 	}
 
-	scanner := bufio.NewScanner(os.Stdin)
+	scanner := bufio.NewScanner(stdin)
 	for {
-		fmt.Print("wow> ")
+		fmt.Fprint(stdout, "wow> ")
 		if !scanner.Scan() {
-			return
+			return nil
 		}
 		line := strings.TrimSpace(scanner.Text())
 		if line == "" {
@@ -161,96 +189,53 @@ func main() {
 		command, rest, _ := strings.Cut(line, " ")
 		switch strings.ToLower(command) {
 		case "quit", "exit":
-			return
+			return nil
 		case "screen":
 			printScreen()
 		case "keys":
 			if err := manager.HandleScript(rest); err != nil {
-				fmt.Fprintln(os.Stderr, "error:", err)
+				fmt.Fprintln(stderr, "error:", err)
 			}
 			printScreen()
 		case "open":
 			form, ok := byName[strings.ToLower(strings.TrimSpace(rest))]
 			if !ok {
-				fmt.Fprintf(os.Stderr, "no form named %q\n", rest)
+				fmt.Fprintf(stderr, "no form named %q\n", rest)
 				continue
 			}
 			if _, err := openWindow(form); err != nil {
-				fmt.Fprintln(os.Stderr, "error:", err)
+				fmt.Fprintln(stderr, "error:", err)
 			}
 			printScreen()
 		case "sql":
-			if remote != nil {
-				runRemoteSQL(remote, rest)
-				continue
-			}
-			stmt, err := session.Prepare(rest)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "error:", err)
-				continue
-			}
-			if len(stmt.Columns()) > 0 {
-				// A SELECT: stream the rows off the cursor.
-				rows, err := stmt.Query()
-				if err != nil {
-					fmt.Fprintln(os.Stderr, "error:", err)
-					stmt.Close()
-					continue
-				}
-				for rows.Next() {
-					fmt.Println(rows.Row().String())
-				}
-				if err := rows.Err(); err != nil {
-					fmt.Fprintln(os.Stderr, "error:", err)
-				}
-				rows.Close()
-				stmt.Close()
-				continue
-			}
-			res, err := stmt.Exec()
-			stmt.Close()
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "error:", err)
-				continue
-			}
-			if res.Message() != "" {
-				fmt.Println(res.Message())
+			if err := runSQL(src, rest, stdout); err != nil {
+				fmt.Fprintln(stderr, "error:", err)
 			}
 		default:
-			fmt.Fprintln(os.Stderr, "commands: keys <script> | open <form> | sql <stmt> | screen | quit")
+			fmt.Fprintln(stderr, "commands: keys <script> | open <form> | sql <stmt> | screen | quit")
 		}
 	}
 }
 
-func formNames(byName map[string]*core.Form) []string {
-	var names []string
-	for name := range byName {
-		names = append(names, name)
-	}
-	return names
-}
-
-// runInitScript runs the -init SQL. Locally the whole script executes; with
-// -connect it executes statement by statement on the server, and the schema
-// statements (CREATE ...) additionally run on the local shadow database so
-// the forms have a catalog to compile against.
-func runInitScript(session *engine.Session, remote *client.Conn, source string) error {
-	if remote == nil {
-		_, err := session.ExecuteScript(source)
-		return err
-	}
-	stmts, err := sql.ParseAll(source)
+// runInitScript runs the -init SQL on src statement by statement. With
+// -connect, the schema statements (CREATE ...) also run on shadow, the local
+// database, so the forms have a catalog to compile against.
+func runInitScript(src, shadow core.Source, script string) error {
+	stmts, err := sql.ParseAll(script)
 	if err != nil {
 		return err
 	}
 	for _, stmt := range stmts {
 		text := stmt.String()
-		if _, err := remote.Exec(text); err != nil {
-			return fmt.Errorf("remote: %s: %w", text, err)
+		if _, err := execSQL(src, text); err != nil {
+			return fmt.Errorf("%s: %w", text, err)
 		}
 		switch stmt.(type) {
 		case *sql.CreateTableStmt, *sql.CreateIndexStmt, *sql.CreateViewStmt:
-			if _, err := session.Execute(text); err != nil {
+			if shadow == nil {
+				continue
+			}
+			if _, err := execSQL(shadow, text); err != nil {
 				return fmt.Errorf("local shadow catalog: %s: %w", text, err)
 			}
 		}
@@ -258,44 +243,50 @@ func runInitScript(session *engine.Session, remote *client.Conn, source string) 
 	return nil
 }
 
-// runRemoteSQL runs one ad-hoc statement against the server, streaming
-// SELECT rows in fetch batches. The statement is prepared once and
-// dispatched on its column list — never try-Query-then-Exec, which would
-// execute DML twice (the server runs a non-query on the first attempt
-// before the client sees it is not a cursor).
-func runRemoteSQL(remote *client.Conn, text string) {
-	stmt, err := remote.Prepare(text)
+// runSQL runs one ad-hoc statement, dispatched on what it parses as: a SELECT
+// prints its rows as the cursor yields them, and anything else runs through
+// Exec and prints the rows a RETURNING clause or an EXPLAIN returned, or else
+// its message. Never try Query and then Exec: a write would run twice.
+func runSQL(src core.Source, text string, out io.Writer) error {
+	stmt, err := sql.Parse(text)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "error:", err)
-		return
+		return err
 	}
-	defer stmt.Close()
-	if len(stmt.Columns()) > 0 {
-		rows, err := stmt.Query()
+	if _, ok := stmt.(*sql.SelectStmt); !ok {
+		res, err := execSQL(src, text)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "error:", err)
-			return
+			return err
 		}
-		for rows.Next() {
-			fmt.Println(rows.Row().String())
+		if len(res.Columns) == 0 && res.Message != "" {
+			fmt.Fprintln(out, res.Message)
 		}
-		if err := rows.Err(); err != nil {
-			fmt.Fprintln(os.Stderr, "error:", err)
+		for _, row := range res.Rows {
+			fmt.Fprintln(out, row.String())
 		}
-		rows.Close()
-		return
+		return nil
 	}
-	res, err := stmt.Exec()
+	st, err := src.Prepare(text)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "error:", err)
-		return
+		return err
 	}
-	if res.Message != "" {
-		fmt.Println(res.Message)
+	defer st.Close()
+	rows, err := st.Query()
+	if err != nil {
+		return err
 	}
+	defer rows.Close()
+	for rows.Next() {
+		fmt.Fprintln(out, rows.Row().String())
+	}
+	return rows.Err()
 }
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "wow:", err)
-	os.Exit(1)
+// execSQL prepares text on src, runs it through Exec and closes it.
+func execSQL(src core.Source, text string) (core.ExecSummary, error) {
+	st, err := src.Prepare(text)
+	if err != nil {
+		return core.ExecSummary{}, err
+	}
+	defer st.Close()
+	return st.Exec()
 }

@@ -8,10 +8,11 @@
 //
 // With no script arguments, statements are read from standard input, one per
 // line (or separated by semicolons). "EXPLAIN <statement>" prints the plan
-// for any SELECT, INSERT, UPDATE or DELETE instead of running it. With
-// -connect the shell runs against a wowserver over the wire protocol instead
-// of an embedded engine; the handshake's negotiated protocol version is
-// reported on stderr.
+// for any SELECT, INSERT, UPDATE or DELETE instead of running it, as a table
+// with one "plan" column. With -connect the shell runs against a wowserver
+// over the wire protocol instead of an embedded engine, and prints the same
+// output; the handshake's negotiated protocol version is reported on stderr.
+// -connect cannot be combined with -data or -wal, which name local files.
 //
 // Interactively, a statement error is printed and the shell keeps reading.
 // Non-interactively — script files, or statements piped on standard input —
@@ -27,6 +28,7 @@ import (
 	"os"
 	"strings"
 
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/server/client"
 	"repro/internal/sql"
@@ -65,39 +67,22 @@ func main() {
 	os.Exit(run(opts, os.Stdin, os.Stdout, os.Stderr))
 }
 
-// executor runs one script's worth of statements — against the embedded
-// engine or a remote server — writing results to out.
-type executor interface {
-	runScript(script string, out io.Writer) error
-	close() error
-}
-
-// run is the whole shell: it opens the executor, feeds it scripts or stdin,
-// and returns the process exit code.
+// run is the whole shell: it opens the source, feeds it scripts or stdin, and
+// returns the process exit code.
 func run(opts options, stdin io.Reader, stdout, stderr io.Writer) int {
-	var exec executor
-	if opts.connect != "" {
-		conn, err := client.Dial(opts.connect)
-		if err != nil {
-			// Dial already shapes version trouble into legible errors: a
-			// *wire.VersionError names both ends' versions, a
-			// *client.HandshakeError explains a pre-v2 server.
-			fmt.Fprintln(stderr, "wowsql:", err)
-			return 1
-		}
-		// The banner goes to stderr so piped statement output stays clean.
-		fmt.Fprintf(stderr, "wowsql: connected to %s (protocol v%s, %s)\n",
-			opts.connect, conn.ProtocolVersion(), conn.ServerBanner())
-		exec = &remoteExecutor{conn: conn}
-	} else {
-		db, err := engine.Open(engine.Options{DataPath: opts.dataPath, WALPath: opts.walPath})
-		if err != nil {
-			fmt.Fprintln(stderr, "wowsql:", err)
-			return 1
-		}
-		exec = &localExecutor{db: db, session: db.Session()}
+	if opts.connect != "" && (opts.dataPath != "" || opts.walPath != "") {
+		fmt.Fprintln(stderr, "wowsql: -connect runs on the server's database; it cannot be combined with -data or -wal")
+		return 1
 	}
-	defer exec.close()
+	src, closeSource, err := openSource(opts, stderr)
+	if err != nil {
+		// Dial already shapes version trouble into legible errors: a
+		// *wire.VersionError names both ends' versions, a
+		// *client.HandshakeError explains a pre-v2 server.
+		fmt.Fprintln(stderr, "wowsql:", err)
+		return 1
+	}
+	defer closeSource()
 
 	if len(opts.scripts) > 0 {
 		for _, path := range opts.scripts {
@@ -106,7 +91,7 @@ func run(opts options, stdin io.Reader, stdout, stderr io.Writer) int {
 				fmt.Fprintln(stderr, "wowsql:", err)
 				return 1
 			}
-			if err := exec.runScript(string(script), stdout); err != nil {
+			if err := runScript(src, string(script), stdout); err != nil {
 				fmt.Fprintln(stderr, "wowsql:", err)
 				return 1
 			}
@@ -117,9 +102,19 @@ func run(opts options, stdin io.Reader, stdout, stderr io.Writer) int {
 	if opts.interactive {
 		fmt.Fprintln(stdout, "wowsql — type SQL statements, end them with ';'. Ctrl-D to quit.")
 	}
+	// runPending runs the statements read so far and reports whether the
+	// shell goes on: interactively it always does, after printing the error.
+	var pending strings.Builder
+	runPending := func() bool {
+		err := runScript(src, pending.String(), stdout)
+		pending.Reset()
+		if err != nil {
+			fmt.Fprintln(stderr, "error:", err)
+		}
+		return err == nil || opts.interactive
+	}
 	scanner := bufio.NewScanner(stdin)
 	scanner.Buffer(make([]byte, 1024*1024), 1024*1024)
-	var pending strings.Builder
 	for {
 		if opts.interactive {
 			fmt.Fprint(stdout, "wow> ")
@@ -129,16 +124,9 @@ func run(opts options, stdin io.Reader, stdout, stderr io.Writer) int {
 		}
 		pending.WriteString(scanner.Text())
 		pending.WriteByte('\n')
-		if !strings.Contains(scanner.Text(), ";") {
-			continue
+		if strings.Contains(scanner.Text(), ";") && !runPending() {
+			return 1
 		}
-		if err := exec.runScript(pending.String(), stdout); err != nil {
-			fmt.Fprintln(stderr, "error:", err)
-			if !opts.interactive {
-				return 1
-			}
-		}
-		pending.Reset()
 	}
 	// A scan error (a line over the buffer limit) is not end of input: report
 	// it and fail, or a pipeline would treat a half-run script as success.
@@ -147,146 +135,78 @@ func run(opts options, stdin io.Reader, stdout, stderr io.Writer) int {
 		return 1
 	}
 	// A trailing statement without ";" still runs (echo "SELECT 1" | wowsql).
-	if strings.TrimSpace(pending.String()) != "" {
-		if err := exec.runScript(pending.String(), stdout); err != nil {
-			fmt.Fprintln(stderr, "error:", err)
-			if !opts.interactive {
-				return 1
-			}
-		}
+	if strings.TrimSpace(pending.String()) != "" && !runPending() {
+		return 1
 	}
 	return 0
 }
 
-// --- embedded engine ---------------------------------------------------------
-
-type localExecutor struct {
-	db      *engine.Database
-	session *engine.Session
+// openSource opens the world the shell runs on: a wowserver's with -connect,
+// reporting the negotiated protocol on stderr so piped output stays clean,
+// and otherwise an engine in this process. The returned function closes it.
+func openSource(opts options, stderr io.Writer) (core.Source, func() error, error) {
+	if opts.connect != "" {
+		conn, err := client.Dial(opts.connect)
+		if err != nil {
+			return nil, nil, err
+		}
+		fmt.Fprintf(stderr, "wowsql: connected to %s (protocol v%s, %s)\n",
+			opts.connect, conn.ProtocolVersion(), conn.ServerBanner())
+		return core.NewRemoteSource(conn), conn.Close, nil
+	}
+	db, err := engine.Open(engine.Options{DataPath: opts.dataPath, WALPath: opts.walPath})
+	if err != nil {
+		return nil, nil, err
+	}
+	session := db.Session()
+	return core.NewEngineSource(session), func() error {
+		session.Close()
+		return db.Close()
+	}, nil
 }
 
-func (e *localExecutor) close() error {
-	e.session.Close()
-	return e.db.Close()
-}
-
-// runScript executes the script one statement at a time. SELECTs run through
-// a prepared statement's streaming cursor, printing rows as they are pulled —
-// a query over a huge table starts printing immediately instead of
-// materialising first. EXPLAIN <statement> renders the plan the engine would
-// run — for SELECT and DML alike — without executing it. Everything else
-// executes and prints its outcome.
-func (e *localExecutor) runScript(script string, out io.Writer) error {
+// runScript runs the script one statement at a time, locally and remotely
+// alike. A SELECT prints its rows as its cursor yields them, so a query over
+// a huge table starts printing at once instead of materialising first. Every
+// other statement — DML, DDL, EXPLAIN, transaction control — runs through
+// Exec and prints its outcome: a message, or the rows a RETURNING clause or
+// an EXPLAIN returned.
+func runScript(src core.Source, script string, out io.Writer) error {
 	stmts, err := sql.ParseAll(script)
 	if err != nil {
 		return err
 	}
 	for _, stmt := range stmts {
-		switch stmt := stmt.(type) {
-		case *sql.SelectStmt:
-			if err := e.streamSelect(stmt.String(), out); err != nil {
-				return err
-			}
-		case *sql.ExplainStmt:
-			if err := e.explainStatement(stmt, out); err != nil {
-				return err
-			}
-		default:
-			res, err := e.session.Execute(stmt.String())
-			if err != nil {
-				return err
-			}
-			printResult(out, res.Columns, res.Rows, res.Message())
+		if err := runStatement(src, stmt, out); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-// explainStatement prints the plan tree of the wrapped statement through the
-// prepared statement's ExplainPlan, which covers INSERT, UPDATE and DELETE as
-// well as SELECT. Preparing the EXPLAIN text (not the inner statement) keeps
-// the engine on its render-only path — the plan is built and cached, but no
-// operator tree is compiled.
-func (e *localExecutor) explainStatement(stmt *sql.ExplainStmt, out io.Writer) error {
-	prepared, err := e.session.Prepare(stmt.String())
+func runStatement(src core.Source, stmt sql.Statement, out io.Writer) error {
+	st, err := src.Prepare(stmt.String())
 	if err != nil {
 		return err
 	}
-	defer prepared.Close()
-	text := prepared.ExplainPlan()
-	if text == "" {
-		return fmt.Errorf("EXPLAIN is not supported for %s", stmt.Stmt.String())
-	}
-	fmt.Fprint(out, text)
-	return nil
-}
-
-// streamSelect prints a SELECT's rows straight off the cursor. Column widths
-// come from the header (and grow per row as needed), since the rows are not
-// buffered for measuring.
-func (e *localExecutor) streamSelect(query string, out io.Writer) error {
-	stmt, err := e.session.Prepare(query)
-	if err != nil {
-		return err
-	}
-	defer stmt.Close()
-	rows, err := stmt.Query()
-	if err != nil {
-		return err
-	}
-	defer rows.Close()
-	count, err := streamRows(out, rows.Columns(), rows.Next, rows.Row, rows.Err)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "(%d row(s))\n", count)
-	return nil
-}
-
-// --- remote server -----------------------------------------------------------
-
-type remoteExecutor struct {
-	conn *client.Conn
-}
-
-func (e *remoteExecutor) close() error { return e.conn.Close() }
-
-// runScript splits the script locally (the parser is in the same tree) and
-// runs each statement over the wire: SELECTs stream through a remote cursor
-// in fetch batches, everything else — DML, DDL, EXPLAIN, BEGIN/COMMIT — round
-// trips through Exec and prints the materialised result.
-func (e *remoteExecutor) runScript(script string, out io.Writer) error {
-	stmts, err := sql.ParseAll(script)
-	if err != nil {
-		return err
-	}
-	for _, stmt := range stmts {
-		if sel, ok := stmt.(*sql.SelectStmt); ok {
-			if err := e.streamSelect(sel.String(), out); err != nil {
-				return err
-			}
-			continue
-		}
-		res, err := e.conn.Exec(stmt.String())
+	defer st.Close()
+	if _, ok := stmt.(*sql.SelectStmt); !ok {
+		res, err := st.Exec()
 		if err != nil {
 			return err
 		}
-		message := res.Message
-		if message == "" && len(res.Columns) == 0 {
-			message = fmt.Sprintf("%d row(s) affected", res.RowsAffected)
-		}
-		printResult(out, res.Columns, res.Rows, message)
+		printResult(out, res.Columns, res.Rows, res.Message)
+		return nil
 	}
-	return nil
-}
-
-func (e *remoteExecutor) streamSelect(query string, out io.Writer) error {
-	rows, err := e.conn.Query(query)
+	rows, err := st.Query()
 	if err != nil {
 		return err
 	}
 	defer rows.Close()
-	count, err := streamRows(out, rows.Columns(), rows.Next, rows.Row, rows.Err)
+	// Both sources' cursors, *engine.Rows and *client.Rows, name their
+	// columns: those of the plan that ran.
+	columns := rows.(interface{ Columns() []string }).Columns()
+	count, err := streamRows(out, columns, rows)
 	if err != nil {
 		return err
 	}
@@ -297,9 +217,8 @@ func (e *remoteExecutor) streamSelect(query string, out io.Writer) error {
 // --- rendering ---------------------------------------------------------------
 
 // streamRows prints a header and then rows as the cursor yields them,
-// returning how many were printed. It works over both the engine's and the
-// client's cursor shape.
-func streamRows(out io.Writer, columns []string, next func() bool, row func() types.Tuple, rowsErr func() error) (int, error) {
+// returning how many were printed.
+func streamRows(out io.Writer, columns []string, rows core.RowStream) (int, error) {
 	widths := make([]int, len(columns))
 	for i, c := range columns {
 		widths[i] = len(c)
@@ -310,8 +229,8 @@ func streamRows(out io.Writer, columns []string, next func() bool, row func() ty
 	printAligned(out, widths, columns)
 	printSeparator(out, widths)
 	count := 0
-	for next() {
-		r := row()
+	for rows.Next() {
+		r := rows.Row()
 		cells := make([]string, len(r))
 		for i, v := range r {
 			cells[i] = formatValue(v)
@@ -319,7 +238,7 @@ func streamRows(out io.Writer, columns []string, next func() bool, row func() ty
 		printAligned(out, widths, cells)
 		count++
 	}
-	return count, rowsErr()
+	return count, rows.Err()
 }
 
 func printAligned(out io.Writer, widths []int, cells []string) {

@@ -113,18 +113,27 @@ func TestScriptFileErrorExitsNonZero(t *testing.T) {
 	}
 }
 
-func TestRemoteModeRoundTrip(t *testing.T) {
+// startServer serves a fresh in-memory database on a loopback port until the
+// test ends and returns its address.
+func startServer(t *testing.T) string {
+	t.Helper()
 	db := engine.OpenMemory()
-	defer db.Close()
 	srv := server.New(db)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	go srv.Serve(ln)
-	defer srv.Close()
+	t.Cleanup(func() {
+		srv.Close()
+		db.Close()
+	})
+	return ln.Addr().String()
+}
 
-	code, stdout, stderr := runShell(t, options{connect: ln.Addr().String()}, `
+func TestRemoteModeRoundTrip(t *testing.T) {
+	addr := startServer(t)
+	code, stdout, stderr := runShell(t, options{connect: addr}, `
 CREATE TABLE t (id INT PRIMARY KEY, name TEXT);
 INSERT INTO t VALUES (1, 'remote row');
 SELECT id, name FROM t;
@@ -143,7 +152,7 @@ SELECT id FROM t;
 		t.Fatalf("rollback over the wire did not take effect: %q", stdout)
 	}
 	// RETURNING renders like a SELECT over the wire: a header and a row count.
-	code, stdout, stderr = runShell(t, options{connect: ln.Addr().String()}, `
+	code, stdout, stderr = runShell(t, options{connect: addr}, `
 INSERT INTO t VALUES (2, 'second row');
 UPDATE t SET name = 'shipped' WHERE id >= 1 RETURNING id, name;
 `)
@@ -154,8 +163,69 @@ UPDATE t SET name = 'shipped' WHERE id >= 1 RETURNING id, name;
 		t.Fatalf("RETURNING over the wire should print its columns and 2 rows: %q", stdout)
 	}
 	// An error over the wire exits non-zero too.
-	code, _, stderr = runShell(t, options{connect: ln.Addr().String()}, "INSERT INTO missing VALUES (1);\n")
+	code, _, stderr = runShell(t, options{connect: addr}, "INSERT INTO missing VALUES (1);\n")
 	if code == 0 {
 		t.Fatalf("remote error exit code = 0; stderr = %q", stderr)
+	}
+}
+
+// TestLocalAndRemoteOutputsAreIdentical: one statement path serves both
+// worlds, so a script prints the same bytes in process and over the wire —
+// EXPLAIN included, which renders as a one-column plan table either way.
+func TestLocalAndRemoteOutputsAreIdentical(t *testing.T) {
+	const script = `
+CREATE TABLE t (id INT PRIMARY KEY, name TEXT);
+CREATE INDEX t_name ON t (name);
+INSERT INTO t VALUES (1, 'one'), (2, 'two'), (3, 'three');
+EXPLAIN SELECT id FROM t WHERE name = 'two';
+EXPLAIN UPDATE t SET name = 'x' WHERE id = 2;
+UPDATE t SET name = 'shipped' WHERE id >= 2 RETURNING id, name;
+SELECT id, name FROM t ORDER BY id;
+BEGIN;
+DELETE FROM t WHERE id = 1;
+ROLLBACK;
+SELECT COUNT(*) FROM t;
+`
+	code, local, stderr := runShell(t, options{}, script)
+	if code != 0 {
+		t.Fatalf("local exit code = %d, stderr = %q", code, stderr)
+	}
+	code, remote, stderr := runShell(t, options{connect: startServer(t)}, script)
+	if code != 0 {
+		t.Fatalf("remote exit code = %d, stderr = %q", code, stderr)
+	}
+	if local != remote {
+		t.Fatalf("local and remote output differ\n--- local\n%s--- remote\n%s", local, remote)
+	}
+	for _, want := range []string{"plan", "index lookup on t_name", "shipped", "ROLLBACK", "3 row(s) inserted"} {
+		if !strings.Contains(local, want) {
+			t.Errorf("output lacks %q:\n%s", want, local)
+		}
+	}
+}
+
+// TestConnectRefusesLocalFiles: -data and -wal name files of a local engine,
+// which a -connect shell never opens; combining them is an error, not a
+// silent no-op.
+func TestConnectRefusesLocalFiles(t *testing.T) {
+	addr := startServer(t)
+	dir := t.TempDir()
+	for _, opts := range []options{
+		{connect: addr, dataPath: filepath.Join(dir, "x.db")},
+		{connect: addr, walPath: filepath.Join(dir, "x.wal")},
+	} {
+		code, stdout, stderr := runShell(t, opts, "CREATE TABLE t (id INT PRIMARY KEY);\n")
+		if code == 0 {
+			t.Fatalf("%+v: exit code = 0, stdout = %q", opts, stdout)
+		}
+		if !strings.Contains(stderr, "cannot be combined with -data or -wal") {
+			t.Errorf("%+v: stderr = %q, want the refusal", opts, stderr)
+		}
+		if strings.Contains(stderr, "connected to") {
+			t.Errorf("%+v: the shell dialed the server before refusing: %q", opts, stderr)
+		}
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 0 {
+		t.Errorf("a refused shell created %d file(s)", len(entries))
 	}
 }

@@ -9,8 +9,9 @@ import (
 // Source is where a window's rows come from: a prepared-statement factory a
 // window runs its queries and writes through. Two implementations exist — an
 // engine.Session for windows over a local database, and a client.Conn for
-// windows browsing a remote wowserver — so the forms runtime is one code path
-// whether the world is in-process or across the wire.
+// windows browsing a remote wowserver — so the forms runtime, the loaders and
+// the wow and wowsql shells are each one code path whether the world is
+// in-process or across the wire.
 type Source interface {
 	// Prepare compiles one SQL statement for repeated execution.
 	Prepare(text string) (Statement, error)
@@ -21,14 +22,16 @@ type Source interface {
 }
 
 // Statement is one prepared statement of a Source, the subset of the engine
-// and remote statement APIs the forms runtime needs. Like the statements it
+// and remote statement APIs its callers need. Like the statements it
 // wraps, it must not be used from more than one goroutine at a time.
 type Statement interface {
 	// BindNamed sets every occurrence of the named parameter.
 	BindNamed(name string, value types.Value) error
-	// Query runs a SELECT and returns its streaming cursor.
+	// Query runs a SELECT and returns its streaming cursor. The engine and
+	// remote sources return *engine.Rows and *client.Rows, which also name
+	// their columns.
 	Query() (RowStream, error)
-	// Exec runs DML and returns how many rows it wrote.
+	// Exec runs any other statement and materialises its outcome.
 	Exec() (ExecSummary, error)
 	// Close releases the statement.
 	Close() error
@@ -44,9 +47,16 @@ type RowStream interface {
 	Close() error
 }
 
-// ExecSummary is the outcome of a write through a Statement.
+// ExecSummary is the outcome of a statement run through Statement.Exec: how
+// many rows a write wrote, the message that describes a statement that returns
+// no rows ("2 row(s) inserted", "BEGIN", "table t created"), and the rows a
+// RETURNING clause projected or an EXPLAIN rendered (one "plan" column, a row
+// per line) under their column names.
 type ExecSummary struct {
 	RowsAffected int
+	Message      string
+	Columns      []string
+	Rows         []types.Tuple
 }
 
 // NamedArgs is one execution's named parameter set, each value applied with
@@ -110,7 +120,7 @@ func (s engineStatement) Exec() (ExecSummary, error) {
 	if err != nil {
 		return ExecSummary{}, err
 	}
-	return ExecSummary{RowsAffected: res.RowsAffected}, nil
+	return ExecSummary{RowsAffected: res.RowsAffected, Message: res.Message(), Columns: res.Columns, Rows: res.Rows}, nil
 }
 
 func (s engineStatement) Close() error { return s.st.Close() }
@@ -188,7 +198,7 @@ func (s *remoteStatement) Exec() (ExecSummary, error) {
 	if err != nil {
 		return ExecSummary{}, err
 	}
-	return ExecSummary{RowsAffected: int(res.RowsAffected)}, nil
+	return ExecSummary{RowsAffected: int(res.RowsAffected), Message: res.Message, Columns: res.Columns, Rows: res.Rows}, nil
 }
 
 // SetFetchSize makes the next Query return at most n rows, one Run that ends

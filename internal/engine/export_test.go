@@ -1,5 +1,20 @@
 package engine
 
+import "repro/internal/plan"
+
+// ExplainPlan renders the prepared plan tree, SELECT and DML statements alike
+// (empty for DDL and transaction control), so tests can check a plan's shape.
+// The plan is refreshed first if the schema changed since it was prepared.
+func (st *Stmt) ExplainPlan() string {
+	if st.closed || st.entry.node == nil {
+		return ""
+	}
+	if err := st.ensureCurrent(); err != nil {
+		return "error: " + err.Error()
+	}
+	return plan.Explain(st.entry.node)
+}
+
 // Vacuum sweeps every table's whole unsettled list, reclaiming the dead row
 // versions no live snapshot can see and dropping the entries that have
 // settled. A commit already sweeps the tables it wrote from the head of their

@@ -215,7 +215,10 @@ func (st *Stmt) ParamNames() []string {
 	return out
 }
 
-// Columns returns the output column names (empty for non-SELECT statements).
+// Columns returns the output column names: a SELECT's, the RETURNING
+// clause's of a write that has one, or EXPLAIN's one "plan" column. It is
+// empty for every other statement. A column list does not make a statement a
+// query: an EXPLAIN returns its rows through Exec, not Query.
 func (st *Stmt) Columns() []string {
 	out := make([]string, len(st.entry.columns))
 	copy(out, st.entry.columns)
@@ -236,19 +239,6 @@ func (st *Stmt) IsQuery() bool { return st.op != nil }
 // Result instead.
 func (st *Stmt) ReturnsRows() bool {
 	return st.op != nil || (st.write != nil && st.write.Returning() != nil)
-}
-
-// ExplainPlan renders the prepared plan tree for EXPLAIN-style tooling —
-// SELECT and DML statements alike (empty for DDL and transaction control).
-// The plan is refreshed first if the schema changed since it was prepared.
-func (st *Stmt) ExplainPlan() string {
-	if st.closed || st.entry.node == nil {
-		return ""
-	}
-	if err := st.ensureCurrent(); err != nil {
-		return "error: " + err.Error()
-	}
-	return plan.Explain(st.entry.node)
 }
 
 // Bind sets every parameter positionally. Values are type-checked against the

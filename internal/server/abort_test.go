@@ -50,7 +50,7 @@ func TestFailedStatementPoisonsItsTransaction(t *testing.T) {
 			}
 			t.Cleanup(func() { c.Close() })
 			return func(text string) ([]types.Tuple, error) {
-				res, err := c.Exec(text)
+				res, err := execSQL(c, text)
 				if err != nil {
 					return nil, err
 				}

@@ -18,7 +18,9 @@
 // engine.Session it must not be used from more than one goroutine at a time.
 // A replica is read by dialing it; every response carries the server's LSN
 // (Conn.LastLSN), so a reader can wait until the replica has applied a write.
-// Transactions are SQL: BEGIN, COMMIT and ROLLBACK run through Exec.
+// Transactions are SQL: BEGIN, COMMIT and ROLLBACK run through Stmt.Exec.
+// Conn has no text shortcuts: a one-off statement is prepared, run and
+// closed like any other.
 //
 // Dial negotiates the protocol version before returning: it sends a Hello
 // frame and refuses to hand back a connection unless the server answered
@@ -343,33 +345,6 @@ func endsTxn(text string) bool {
 	return strings.EqualFold(verb, "COMMIT") || strings.EqualFold(verb, "ROLLBACK")
 }
 
-// Exec prepares, runs and closes a statement in one call — the convenience
-// path for one-off statements (DDL, transaction control, ad-hoc DML).
-func (c *Conn) Exec(text string, args ...types.Value) (*Result, error) {
-	st, err := c.Prepare(text)
-	if err != nil {
-		return nil, err
-	}
-	defer st.Close()
-	return st.Exec(args...)
-}
-
-// Query prepares and runs a SELECT, returning a streaming cursor. Closing
-// the cursor closes the underlying one-off statement too.
-func (c *Conn) Query(text string, args ...types.Value) (*Rows, error) {
-	st, err := c.Prepare(text)
-	if err != nil {
-		return nil, err
-	}
-	rows, err := st.Query(args...)
-	if err != nil {
-		st.Close()
-		return nil, err
-	}
-	rows.ownStmt = st
-	return rows, nil
-}
-
 // readResult decodes a MsgResult payload and notes the LSN that ends it.
 func (c *Conn) readResult(cur *wire.Cursor) (*Result, error) {
 	res := &Result{}
@@ -637,9 +612,6 @@ type Rows struct {
 	done   bool
 	closed bool
 	err    error
-	// ownStmt is the one-off statement Conn.Query created, closed with the
-	// cursor.
-	ownStmt *Stmt
 }
 
 // Columns returns the result's column names.
@@ -736,10 +708,6 @@ func (r *Rows) Err() error { return r.err }
 func (r *Rows) finish() {
 	r.closed = true
 	r.buf, r.pos = nil, 0 // Row() returns nil once iteration has ended
-	if r.ownStmt != nil {
-		_ = r.ownStmt.Close()
-		r.ownStmt = nil
-	}
 }
 
 // Close releases the cursor. Closing while the server still holds it open
@@ -756,13 +724,6 @@ func (r *Rows) Close() error {
 		var b wire.Buffer
 		b.Uint32(r.id)
 		_, err = r.conn.expect(wire.MsgCloseCursor, b.B, wire.MsgOK)
-	}
-	if r.ownStmt != nil {
-		closeErr := r.ownStmt.Close()
-		if err == nil {
-			err = closeErr
-		}
-		r.ownStmt = nil
 	}
 	return err
 }

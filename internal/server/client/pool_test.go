@@ -40,6 +40,16 @@ func startServer(t *testing.T) (*engine.Database, *server.Server, string) {
 	return db, srv, ln.Addr().String()
 }
 
+// execSQL prepares text on c, runs it once and closes the statement.
+func execSQL(c *client.Conn, text string) (*client.Result, error) {
+	st, err := c.Prepare(text)
+	if err != nil {
+		return nil, err
+	}
+	defer st.Close()
+	return st.Exec()
+}
+
 func seedTable(t *testing.T, addr string, n int) {
 	t.Helper()
 	c, err := client.Dial(addr)
@@ -47,14 +57,14 @@ func seedTable(t *testing.T, addr string, n int) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, err := c.Exec("CREATE TABLE customers (id INT PRIMARY KEY, name TEXT)"); err != nil {
+	if _, err := execSQL(c, "CREATE TABLE customers (id INT PRIMARY KEY, name TEXT)"); err != nil {
 		t.Fatal(err)
 	}
 	rows := make([]string, n)
 	for i := range rows {
 		rows[i] = fmt.Sprintf("(%d, 'Customer %d')", i+1, i+1)
 	}
-	if _, err := c.Exec("INSERT INTO customers (id, name) VALUES " + strings.Join(rows, ", ")); err != nil {
+	if _, err := execSQL(c, "INSERT INTO customers (id, name) VALUES "+strings.Join(rows, ", ")); err != nil {
 		t.Fatal(err)
 	}
 }

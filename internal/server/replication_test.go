@@ -86,7 +86,12 @@ func waitCaughtUp(t *testing.T, primary *engine.Database, rep *server.Replica) {
 // ledgerTotal reads the oracle invariant over one connection: row count and
 // amount sum of the ledger table.
 func ledgerTotal(c *client.Conn) (count, sum int64, err error) {
-	rows, err := c.Query("SELECT amount FROM ledger")
+	st, err := c.Prepare("SELECT amount FROM ledger")
+	if err != nil {
+		return 0, 0, err
+	}
+	defer st.Close()
+	rows, err := st.Query()
 	if err != nil {
 		return 0, 0, err
 	}
@@ -112,7 +117,7 @@ func TestReplicaStreamsAndServesReads(t *testing.T) {
 	}
 	mustExec := func(sql string) {
 		t.Helper()
-		if _, err := pc.Exec(sql); err != nil {
+		if _, err := execSQL(pc, sql); err != nil {
 			t.Fatalf("%s: %v", sql, err)
 		}
 	}
@@ -170,10 +175,10 @@ func TestReplicaRefusesWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pc.Close()
-	if _, err := pc.Exec("CREATE TABLE t (id INT PRIMARY KEY, v TEXT)"); err != nil {
+	if _, err := execSQL(pc, "CREATE TABLE t (id INT PRIMARY KEY, v TEXT)"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pc.Exec("INSERT INTO t (id, v) VALUES (1, 'x')"); err != nil {
+	if _, err := execSQL(pc, "INSERT INTO t (id, v) VALUES (1, 'x')"); err != nil {
 		t.Fatal(err)
 	}
 	waitCaughtUp(t, db, rep)
@@ -188,14 +193,14 @@ func TestReplicaRefusesWrites(t *testing.T) {
 		name string
 		run  func() error
 	}{
-		{"BEGIN", func() error { _, err := rc.Exec("BEGIN"); return err }},
+		{"BEGIN", func() error { _, err := execSQL(rc, "BEGIN"); return err }},
 		{"INSERT", func() error {
-			_, err := rc.Exec("INSERT INTO t (id, v) VALUES (2, 'y')")
+			_, err := execSQL(rc, "INSERT INTO t (id, v) VALUES (2, 'y')")
 			return err
 		}},
-		{"UPDATE", func() error { _, err := rc.Exec("UPDATE t SET v = 'z' WHERE id = 1"); return err }},
-		{"DDL", func() error { _, err := rc.Exec("CREATE TABLE nope (id INT PRIMARY KEY)"); return err }},
-		{"EXPLAIN", func() error { _, err := rc.Exec("EXPLAIN SELECT id FROM t"); return err }},
+		{"UPDATE", func() error { _, err := execSQL(rc, "UPDATE t SET v = 'z' WHERE id = 1"); return err }},
+		{"DDL", func() error { _, err := execSQL(rc, "CREATE TABLE nope (id INT PRIMARY KEY)"); return err }},
+		{"EXPLAIN", func() error { _, err := execSQL(rc, "EXPLAIN SELECT id FROM t"); return err }},
 	}
 	for _, tc := range refused {
 		err := tc.run()
@@ -208,7 +213,7 @@ func TestReplicaRefusesWrites(t *testing.T) {
 		}
 	}
 	// Each refusal is statement-level: the connection must still serve reads.
-	rows, err := rc.Query("SELECT v FROM t WHERE id = ?", types.NewInt(1))
+	rows, err := querySQL(t, rc, "SELECT v FROM t WHERE id = ?", types.NewInt(1))
 	if err != nil {
 		t.Fatalf("SELECT after refusals: %v", err)
 	}
@@ -342,7 +347,7 @@ func TestReplicaResubscribesAfterSeveredStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pc.Close()
-	if _, err := pc.Exec("CREATE TABLE ledger (id INT PRIMARY KEY, owner TEXT, amount INT)"); err != nil {
+	if _, err := execSQL(pc, "CREATE TABLE ledger (id INT PRIMARY KEY, owner TEXT, amount INT)"); err != nil {
 		t.Fatal(err)
 	}
 	ins, err := pc.Prepare("INSERT INTO ledger (id, owner, amount) VALUES (?, ?, ?)")
@@ -366,17 +371,17 @@ func TestReplicaResubscribesAfterSeveredStream(t *testing.T) {
 	// severance so the resume point has to rewind to its BEGIN.
 	proxy.Sever()
 	insert(50, 100)
-	if _, err := pc.Exec("BEGIN"); err != nil {
+	if _, err := execSQL(pc, "BEGIN"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pc.Exec("INSERT INTO ledger (id, owner, amount) VALUES (1000, 'txn', 1)"); err != nil {
+	if _, err := execSQL(pc, "INSERT INTO ledger (id, owner, amount) VALUES (1000, 'txn', 1)"); err != nil {
 		t.Fatal(err)
 	}
 	proxy.Sever()
-	if _, err := pc.Exec("INSERT INTO ledger (id, owner, amount) VALUES (1001, 'txn', 1)"); err != nil {
+	if _, err := execSQL(pc, "INSERT INTO ledger (id, owner, amount) VALUES (1001, 'txn', 1)"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pc.Exec("COMMIT"); err != nil {
+	if _, err := execSQL(pc, "COMMIT"); err != nil {
 		t.Fatal(err)
 	}
 	insert(100, 120)
@@ -411,18 +416,18 @@ func TestReplicaRestartTwiceIdempotent(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pc.Close()
-	if _, err := pc.Exec("CREATE TABLE ledger (id INT PRIMARY KEY, owner TEXT, amount INT)"); err != nil {
+	if _, err := execSQL(pc, "CREATE TABLE ledger (id INT PRIMARY KEY, owner TEXT, amount INT)"); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 40; i++ {
-		if _, err := pc.Exec(fmt.Sprintf("INSERT INTO ledger (id, owner, amount) VALUES (%d, 'w', 1)", i)); err != nil {
+		if _, err := execSQL(pc, fmt.Sprintf("INSERT INTO ledger (id, owner, amount) VALUES (%d, 'w', 1)", i)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if _, err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pc.Exec("UPDATE ledger SET amount = 2 WHERE id = 0"); err != nil {
+	if _, err := execSQL(pc, "UPDATE ledger SET amount = 2 WHERE id = 0"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -584,7 +589,7 @@ func TestReplicaSurfacesDivergence(t *testing.T) {
 		"CREATE TABLE ledger (id INT PRIMARY KEY, owner TEXT, amount INT)",
 		"INSERT INTO ledger (id, owner, amount) VALUES (1, 'alice', 700)",
 	} {
-		if _, err := pc.Exec(sql); err != nil {
+		if _, err := execSQL(pc, sql); err != nil {
 			t.Fatalf("%s: %v", sql, err)
 		}
 	}
@@ -624,7 +629,7 @@ func TestReplicaSurfacesDivergence(t *testing.T) {
 	local := rdb.Session()
 	defer local.Close()
 
-	if _, err := pc.Exec("UPDATE ledger SET amount = 650 WHERE id = 1"); err != nil {
+	if _, err := execSQL(pc, "UPDATE ledger SET amount = 650 WHERE id = 1"); err != nil {
 		t.Fatal(err)
 	}
 	commitEnd := pc.LastLSN()

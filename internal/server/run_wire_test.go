@@ -446,7 +446,7 @@ func TestReplannedSelectStarReportsNewColumns(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, err := c.Exec("CREATE TABLE shape (id INT PRIMARY KEY, a TEXT)"); err != nil {
+	if _, err := execSQL(c, "CREATE TABLE shape (id INT PRIMARY KEY, a TEXT)"); err != nil {
 		t.Fatal(err)
 	}
 	st, err := c.Prepare("SELECT * FROM shape WHERE id >= ?")
@@ -462,7 +462,7 @@ func TestReplannedSelectStarReportsNewColumns(t *testing.T) {
 		"CREATE TABLE shape (id INT PRIMARY KEY, b TEXT, c INT)",
 		"INSERT INTO shape VALUES (1, 'x', 9)",
 	} {
-		if _, err := c.Exec(ddl); err != nil {
+		if _, err := execSQL(c, ddl); err != nil {
 			t.Fatal(err)
 		}
 	}

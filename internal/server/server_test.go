@@ -19,6 +19,28 @@ import (
 	"repro/internal/workload"
 )
 
+// execSQL prepares text on c, runs it once and closes the statement.
+func execSQL(c *client.Conn, text string, args ...types.Value) (*client.Result, error) {
+	st, err := c.Prepare(text)
+	if err != nil {
+		return nil, err
+	}
+	defer st.Close()
+	return st.Exec(args...)
+}
+
+// querySQL prepares text on c and opens its cursor. The statement stays
+// prepared until the test ends.
+func querySQL(t *testing.T, c *client.Conn, text string, args ...types.Value) (*client.Rows, error) {
+	t.Helper()
+	st, err := c.Prepare(text)
+	if err != nil {
+		return nil, err
+	}
+	t.Cleanup(func() { st.Close() })
+	return st.Query(args...)
+}
+
 // startServer opens an in-memory database with a short lock timeout, serves
 // it on a loopback port and returns the database, the server and the address
 // to dial. Everything shuts down with the test.
@@ -49,7 +71,7 @@ const testSchema = "CREATE TABLE customers (id INT PRIMARY KEY, name TEXT, credi
 
 func seedCustomers(t *testing.T, c *client.Conn, n int) {
 	t.Helper()
-	if _, err := c.Exec(testSchema); err != nil {
+	if _, err := execSQL(c, testSchema); err != nil {
 		t.Fatal(err)
 	}
 	insert, err := c.Prepare("INSERT INTO customers (id, name, credit, active, since) VALUES (?, ?, ?, ?, ?)")
@@ -84,7 +106,7 @@ func TestRoundTripAllValueKinds(t *testing.T) {
 	seedCustomers(t, c, 5)
 
 	// NULL through the wire too.
-	if _, err := c.Exec("INSERT INTO customers (id, name) VALUES (6, 'No Credit')"); err != nil {
+	if _, err := execSQL(c, "INSERT INTO customers (id, name) VALUES (6, 'No Credit')"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -167,7 +189,7 @@ func TestExplainAndTransactionsOverTheWire(t *testing.T) {
 	defer c.Close()
 	seedCustomers(t, c, 3)
 
-	res, err := c.Exec("EXPLAIN SELECT * FROM customers WHERE id = 1")
+	res, err := execSQL(c, "EXPLAIN SELECT * FROM customers WHERE id = 1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,16 +197,16 @@ func TestExplainAndTransactionsOverTheWire(t *testing.T) {
 		t.Fatalf("EXPLAIN result = %+v", res)
 	}
 
-	if _, err := c.Exec("BEGIN"); err != nil {
+	if _, err := execSQL(c, "BEGIN"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Exec("UPDATE customers SET credit = 1 WHERE id = 1"); err != nil {
+	if _, err := execSQL(c, "UPDATE customers SET credit = 1 WHERE id = 1"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Exec("ROLLBACK"); err != nil {
+	if _, err := execSQL(c, "ROLLBACK"); err != nil {
 		t.Fatal(err)
 	}
-	res, err = c.Exec("SELECT credit FROM customers WHERE id = 1")
+	res, err = execSQL(c, "SELECT credit FROM customers WHERE id = 1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,16 +214,16 @@ func TestExplainAndTransactionsOverTheWire(t *testing.T) {
 		t.Fatalf("rollback did not undo the update: credit = %v", res.Rows[0][0])
 	}
 
-	if _, err := c.Exec("BEGIN"); err != nil {
+	if _, err := execSQL(c, "BEGIN"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Exec("UPDATE customers SET credit = 7 WHERE id = 1"); err != nil {
+	if _, err := execSQL(c, "UPDATE customers SET credit = 7 WHERE id = 1"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Exec("COMMIT"); err != nil {
+	if _, err := execSQL(c, "COMMIT"); err != nil {
 		t.Fatal(err)
 	}
-	res, err = c.Exec("SELECT credit FROM customers WHERE id = 1")
+	res, err = execSQL(c, "SELECT credit FROM customers WHERE id = 1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,13 +239,13 @@ func TestStatementErrorKeepsConnectionUsable(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, err := c.Exec("SELEKT broken"); err == nil {
+	if _, err := execSQL(c, "SELEKT broken"); err == nil {
 		t.Fatal("want a parse error")
 	} else if _, ok := err.(*client.Error); !ok {
 		t.Fatalf("want a server-reported *client.Error, got %T: %v", err, err)
 	}
 	seedCustomers(t, c, 1)
-	if _, err := c.Exec("SELECT id FROM customers"); err != nil {
+	if _, err := execSQL(c, "SELECT id FROM customers"); err != nil {
 		t.Fatalf("connection unusable after statement error: %v", err)
 	}
 }
@@ -389,7 +411,7 @@ func TestClientRowNilOutsideIteration(t *testing.T) {
 	}
 	defer c.Close()
 	seedCustomers(t, c, 1)
-	rows, err := c.Query("SELECT id FROM customers WHERE id = 999")
+	rows, err := querySQL(t, c, "SELECT id FROM customers WHERE id = 999")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -483,10 +505,10 @@ func TestAbruptDisconnectRollsBackTransaction(t *testing.T) {
 	}
 	seedCustomers(t, c, 5)
 
-	if _, err := c.Exec("BEGIN"); err != nil {
+	if _, err := execSQL(c, "BEGIN"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Exec("UPDATE customers SET credit = 12345 WHERE id = 2"); err != nil {
+	if _, err := execSQL(c, "UPDATE customers SET credit = 12345 WHERE id = 2"); err != nil {
 		t.Fatal(err)
 	}
 	abortedBefore, _ := dbAborted(db)
@@ -922,11 +944,11 @@ func TestOrderByIncomparableValuesFailsRemotely(t *testing.T) {
 		"CREATE TABLE p (id INT PRIMARY KEY, city TEXT)",
 		"INSERT INTO p VALUES (1, 'b'), (2, NULL), (3, 'a'), (4, NULL), (5, 'c')",
 	} {
-		if _, err := c.Exec(stmt); err != nil {
+		if _, err := execSQL(c, stmt); err != nil {
 			t.Fatal(err)
 		}
 	}
-	rows, err := c.Query("SELECT id, COALESCE(city, id) FROM p ORDER BY COALESCE(city, id)")
+	rows, err := querySQL(t, c, "SELECT id, COALESCE(city, id) FROM p ORDER BY COALESCE(city, id)")
 	if err == nil {
 		var got []string
 		for rows.Next() {
@@ -938,7 +960,7 @@ func TestOrderByIncomparableValuesFailsRemotely(t *testing.T) {
 	if !strings.Contains(err.Error(), "cannot compare") {
 		t.Fatalf("the sort failed with %v, want a comparison error", err)
 	}
-	rows, err = c.Query("SELECT id FROM p ORDER BY city DESC, id")
+	rows, err = querySQL(t, c, "SELECT id FROM p ORDER BY city DESC, id")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -969,7 +991,7 @@ func TestResponsesBuiltInTheKeptBufferStayIntact(t *testing.T) {
 	defer c.Close()
 	const rows, width = 60, 3000
 	text := func(id int64) string { return strings.Repeat(string(rune('a'+id%26)), width-int(id)) }
-	if _, err := c.Exec("CREATE TABLE w (id INT PRIMARY KEY, s TEXT)"); err != nil {
+	if _, err := execSQL(c, "CREATE TABLE w (id INT PRIMARY KEY, s TEXT)"); err != nil {
 		t.Fatal(err)
 	}
 	ins, err := c.Prepare("INSERT INTO w VALUES (?, ?)")
